@@ -1,5 +1,6 @@
 """End-to-end fidelity, rate, and operating-point checks."""
 
+import hashlib
 import math
 import os
 
@@ -38,6 +39,54 @@ def make_cfg(label="[3,1,3]", rounds=2, tau_c=0.1, one_minus_t=1e-3, fidelity=0.
         fidelity=fidelity,
         **kw,
     )
+
+
+# (tau_c, 1 - T, L, L0, F): N = 64, 8, 2 and 16 (the last with perfect hardware)
+GRID_POINTS = [
+    (0.1, 1e-3, 1280.0, 20.0, 0.95),
+    (0.01, 1e-4, 80.0, 10.0, 0.9),
+    (1.0, 1e-2, 40.0, 20.0, 0.99),
+    (math.inf, 0.0, 320.0, 20.0, 0.97),
+]
+# (L0, alpha, theta): qubus raw fidelity; the last one saturates at F = 1/2
+CHANNELS = [(20.0, 20.0, 0.01), (10.0, 200.0, 0.01)]
+SATURATED_CHANNEL = (20.0, 1e6, 1.0)
+ROW_FIELDS = (
+    "code_label", "family", "rounds", "tau_c_s", "one_minus_t", "total_distance_km",
+    "segment_km", "f", "f_final", "p0", "p_k", "rate_per_memory_hz", "t_wait_s", "error",
+)
+
+
+def catalog_grid():
+    """Every catalog code at k = 0..3 over GRID_POINTS, plus channel-route,
+    errored (F = 1/2 has no P0) and underflowing (k = 40) rows."""
+    cfgs = []
+    for code in code_catalog():
+        for k in range(4):
+            for tau_c, omt, total, seg, f in GRID_POINTS:
+                hw = HardwareParams(1.0 - omt, tau_c)
+                cfgs.append(ProtocolConfig(total, seg, code, k, hw, fidelity=f))
+        for k in (0, 2):
+            for seg, alpha, theta in CHANNELS:
+                ch = ChannelParams(seg, alpha, theta)
+                cfgs.append(ProtocolConfig(4 * seg, seg, code, k, HardwareParams(0.999, 0.1), channel=ch))
+    for label, k in (("[3,1,3]", 1), ("[7,1,3]", 1)):
+        ch = ChannelParams(*SATURATED_CHANNEL)
+        cfgs.append(ProtocolConfig(80.0, 20.0, CODES[label], k, HardwareParams(0.999, 0.1), channel=ch))
+    for label in ("[3,1,3]", "[23,1,7]"):
+        cfgs.append(make_cfg(label, rounds=40))
+    return cfgs
+
+
+def row_digest(rows):
+    h = hashlib.sha256()
+    for row in rows:
+        for name in ROW_FIELDS:
+            value = getattr(row, name)
+            h.update((value.hex() if isinstance(value, float) else str(value)).encode())
+            h.update(b"\x1f")
+        h.update(b"\n")
+    return h.hexdigest()
 
 
 class TestConfig:
@@ -201,11 +250,25 @@ class TestOperatingPoint:
 
 class TestSweep:
     def test_rows_in_order(self):
-        cfgs = [make_cfg("[3,1,3]"), make_cfg("[7,1,3]"), make_cfg("[23,1,7]")]
+        cfgs = [c for c in catalog_grid() if c.fidelity is not None]
         rows = sweep(cfgs)
-        assert [r.code_label for r in rows] == ["[3,1,3]", "[7,1,3]", "[23,1,7]"]
+        assert [(r.code_label, r.rounds) for r in rows] == [(c.code.label, c.rounds) for c in cfgs]
         assert all(r.error is None for r in rows)
-        assert rows[0].f_final == pytest.approx(final_fidelity(cfgs[0]), rel=1e-15)
+        for cfg, row in zip(cfgs, rows):
+            rate = rate_purified(cfg) if cfg.rounds > 0 else rate_unpurified(cfg)
+            assert row.f_final == final_fidelity(cfg)
+            assert row.p_k == pump_success_probability(cfg)
+            assert row.rate_per_memory_hz == rate
+
+    def test_catalog_grid_frozen(self):
+        # every reported number, bit for bit, as first computed by the
+        # three-chain pipeline; errored rows keep their messages
+        rows = sweep(catalog_grid())
+        assert len(rows) == 144
+        assert [r.error for r in rows if r.error is not None] == [
+            "fidelity must lie in (1/2, 1], got 0.5"
+        ] * 2
+        assert row_digest(rows) == "7b79f48e29a15f9371b5764e153d3f6ec8dae6a7b5c6672fd6320cc450f81107"
 
     def test_threaded_matches_serial(self):
         cfgs = [make_cfg("[3,1,3]", rounds=k) for k in (0, 1, 2)] * 3
