@@ -50,7 +50,6 @@ from .pipeline import (
     ProtocolConfig,
     SweepResult,
     Timing,
-    css_final_fidelity,
     evaluate,
     final_fidelity,
     heralding_probability,
@@ -58,7 +57,6 @@ from .pipeline import (
     pump_success_probability,
     rate_purified,
     rate_unpurified,
-    repetition_final_fidelity,
     sweep,
     timing,
     with_fidelity,

@@ -5,9 +5,6 @@ Config files are flat ``key = value`` text with optional repeated
 inherits and may override.  Unknown keys are rejected with their line
 number rather than ignored.  Sweep output is CSV (one row per case, 8
 significant digits) plus an optional gnuplot-ready companion file.
-
-The sweep fans out over a thread pool when REPEATERLAB_THREADS is set to
-an integer > 1; row order is by case index regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
@@ -378,19 +374,6 @@ def report_operating_points(target_f_final: float = 0.95) -> tuple[ReportRow, ..
     return tuple(rows)
 
 
-def _max_workers() -> int | None:
-    raw = os.environ.get("REPEATERLAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SystemExit(f"REPEATERLAB_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise SystemExit(f"REPEATERLAB_THREADS must be >= 1, got {n}")
-    return n
-
-
 def _case_from_args(args: argparse.Namespace) -> CaseSpec:
     assigns: dict[str, object] = {}
     for key in sorted(_ALL_KEYS):
@@ -425,7 +408,7 @@ def cmd_rate_sweep(args: argparse.Namespace) -> int:
     with open(args.config) as fh:
         rc = parse_config(fh.read(), overrides=args.set)
     configs = [to_protocol_config(c) for c in rc.cases]
-    results = sweep(configs, max_workers=_max_workers())
+    results = sweep(configs)
     emit_csv(results, args.out)
     if args.gnuplot:
         emit_gnuplot(results, args.gnuplot)

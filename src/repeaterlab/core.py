@@ -59,7 +59,7 @@ class ChannelParams:
             raise ValueError(f"segment_length_km must be > 0, got {self.segment_length_km}")
         if not self.attenuation_length_km > 0.0:
             raise ValueError(f"attenuation_length_km must be > 0, got {self.attenuation_length_km}")
-        if self.qubus_strength < 0.0:
+        if not self.qubus_strength >= 0.0:
             raise ValueError(f"qubus_strength must be >= 0, got {self.qubus_strength}")
         if not 0.0 < self.interaction_angle_rad < math.pi:
             raise ValueError(
@@ -125,7 +125,7 @@ def initial_fidelity(alpha: float, theta_rad: float, eta: float) -> float:
 
     F = 1 exactly when nothing leaks: alpha = 0 or eta = 1.
     """
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")

@@ -51,12 +51,10 @@ class McConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.p0 <= 1.0:
             raise ValueError(f"p0 must lie in (0, 1], got {self.p0}")
-        if not (isinstance(self.blocks, int) and self.blocks >= 1):
-            raise ValueError(f"blocks must be an integer >= 1, got {self.blocks}")
-        if not (isinstance(self.rounds, int) and self.rounds >= 0):
-            raise ValueError(f"rounds must be an integer >= 0, got {self.rounds}")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials}")
+        for name, low in (("blocks", 1), ("rounds", 0), ("trials", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class WindowStats(NamedTuple):

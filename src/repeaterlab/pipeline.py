@@ -21,13 +21,12 @@ Rates are quoted per memory qubit: R = P0 P_k / (n 2^k (k/2 + 1) T0).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 from .bell_algebra import (
     BellDiagonal,
-    purify_ideal,
+    PurifyOutcome,
     purify_imperfect_exact,
     purify_k_rounds_lower,
     swap_ideal,
@@ -54,8 +53,6 @@ __all__ = [
     "SweepResult",
     "OperatingPoint",
     "timing",
-    "repetition_final_fidelity",
-    "css_final_fidelity",
     "final_fidelity",
     "heralding_probability",
     "pump_success_probability",
@@ -66,6 +63,10 @@ __all__ = [
     "operating_point",
     "sweep",
 ]
+
+# largest accepted pump round count: n 2^k and the gate-factor exponent stay
+# below 2**1024, so every catalog code prices k <= MAX_ROUNDS in floats
+MAX_ROUNDS = 1000
 
 # bisection window for the raw operating fidelity
 _F_LO = 0.5 + 1e-6
@@ -98,8 +99,8 @@ class ProtocolConfig:
             raise ValueError(f"segment_km must be > 0, got {self.segment_km}")
         if not self.attenuation_km > 0.0:
             raise ValueError(f"attenuation_km must be > 0, got {self.attenuation_km}")
-        if not (isinstance(self.rounds, int) and self.rounds >= 0):
-            raise ValueError(f"rounds must be an integer >= 0, got {self.rounds}")
+        if type(self.rounds) is not int or not 0 <= self.rounds <= MAX_ROUNDS:
+            raise ValueError(f"rounds must be an integer in [0, {MAX_ROUNDS}], got {self.rounds!r}")
         if (self.channel is None) == (self.fidelity is None):
             raise ValueError("give exactly one of channel= or fidelity=")
         if self.fidelity is not None and not 0.5 < self.fidelity <= 1.0:
@@ -185,67 +186,60 @@ def _gate_factor(q_g: float, n: int, num_swaps: int, k: int) -> float:
     return (1.0 - q_g) ** (2 * n * (num_swaps + 2 * (2**k - 1)))
 
 
-def repetition_final_fidelity(cfg: ProtocolConfig) -> float:
-    """Lower bound on the end-to-end fidelity for the repetition family.
+def _pump(cfg: ProtocolConfig, tm: Timing, q_g: float) -> PurifyOutcome:
+    """The pair left by the k-round pump chain and its success probability P_k.
 
-    The stored pair accumulates memory dephasing over the pump window,
-    decoded per block to a pair flip budget; the resulting Bell-diagonal
-    state runs through k ideal pump rounds and log2(N) ideal swap levels,
-    and every noisy gate in the tree discounts the leading coefficient.
+    repetition: the stored pair accumulates memory dephasing over the pump
+    window, decoded per block to a pair flip budget, and runs through k
+    ideal rounds; P_k carries the gate discount of the whole tree.
+    css: the raw pair runs through k exact imperfect-gate rounds.
     """
-    if cfg.code.family != "repetition":
-        raise ValueError(f"code family must be repetition, got {cfg.code.family}")
-    tm = timing(cfg)
-    q_g = cfg.hardware.gate_error()
-    q_mem = memory_error_prob(tm.t_purify_s / 2.0, cfg.hardware.memory_coherence_s)
-    q_logical = logical_error_prob(cfg.code, q_mem)
-    state = effective_coefficients(cfg.raw_fidelity(), pair_no_error_prob(q_logical))
-    for _ in range(cfg.rounds):
-        state = purify_ideal(state).state
-    levels = int(math.log2(tm.num_segments))
-    for _ in range(levels):
-        state = swap_ideal(state)
-    return state.a * _gate_factor(q_g, cfg.code.n, tm.num_segments - 1, cfg.rounds)
-
-
-def _css_purified(cfg: ProtocolConfig) -> tuple[float, float]:
-    """(F_k, P_k) of the exact imperfect pump chain on the raw pair."""
-    q_g = cfg.hardware.gate_error()
     f = cfg.raw_fidelity()
+    if cfg.code.family == "repetition":
+        q_mem = memory_error_prob(tm.t_purify_s / 2.0, cfg.hardware.memory_coherence_s)
+        q_logical = logical_error_prob(cfg.code, q_mem)
+        state = effective_coefficients(f, pair_no_error_prob(q_logical))
+        return purify_k_rounds_lower(state, q_g, cfg.code.n, cfg.rounds)
     state = BellDiagonal(f, 1.0 - f, 0.0, 0.0)
     p_chain = 1.0
     for _ in range(cfg.rounds):
         out = purify_imperfect_exact(state, q_g)
         state = out.state
         p_chain *= out.success_prob
-    return state.a, p_chain
+    return PurifyOutcome(state, p_chain)
 
 
-def css_final_fidelity(cfg: ProtocolConfig) -> float:
-    """End-to-end fidelity for the css family.
+def _final(cfg: ProtocolConfig, tm: Timing, q_g: float, pumped: BellDiagonal) -> float:
+    """End-to-end fidelity F_final of the pumped pair.
 
-    The purified pair fidelity F_k, two noisy gates, and three memory
+    repetition: log2(N) ideal swap levels, and every noisy gate in the tree
+    discounts the leading coefficient, so the result is a lower bound.
+    css: the purified fidelity F_k, two noisy gates, and three memory
     half-windows per stored qubit make up an i.i.d. error budget q_eff;
     each of the 2N encoded blocks along the line must decode it:
 
         F_final = (1 - Q_n(q_eff))^(2N).
     """
-    if cfg.code.family != "css":
-        raise ValueError(f"code family must be css, got {cfg.code.family}")
-    tm = timing(cfg)
-    q_g = cfg.hardware.gate_error()
-    f_k, _ = _css_purified(cfg)
+    if cfg.code.family == "repetition":
+        state = pumped
+        for _ in range(int(math.log2(tm.num_segments))):
+            state = swap_ideal(state)
+        return state.a * _gate_factor(q_g, cfg.code.n, tm.num_segments - 1, cfg.rounds)
     q_mem = memory_error_prob(tm.t_half_s / 2.0, cfg.hardware.memory_coherence_s)
-    q_eff, _clamped = css_effective_qubit_error(q_mem, q_g, f_k)
+    q_eff, _clamped = css_effective_qubit_error(q_mem, q_g, pumped.a)
     q_logical = logical_error_prob(cfg.code, q_eff)
     return (1.0 - q_logical) ** (2 * tm.num_segments)
 
 
+def _rate(n: int, k: int, t0_s: float, p0: float, p_k: float) -> float:
+    # R = P0 P_k / (n 2^k (k/2 + 1) T0); k = 0, P_k = 1 is exactly P0 / (n T0)
+    return p0 * p_k / (n * 2**k * (k / 2.0 + 1.0) * t0_s)
+
+
 def final_fidelity(cfg: ProtocolConfig) -> float:
-    """Family dispatch of the end-to-end fidelity."""
-    if cfg.code.family == "repetition":
-        return repetition_final_fidelity(cfg)
-    return css_final_fidelity(cfg)
+    """End-to-end fidelity F_final (a lower bound for the repetition family)."""
+    tm, q_g = timing(cfg), cfg.hardware.gate_error()
+    return _final(cfg, tm, q_g, _pump(cfg, tm, q_g).state)
 
 
 def heralding_probability(cfg: ProtocolConfig) -> float:
@@ -255,23 +249,13 @@ def heralding_probability(cfg: ProtocolConfig) -> float:
 
 def rate_unpurified(cfg: ProtocolConfig) -> float:
     """Raw pair rate per memory qubit, R = P0 / (n T0)."""
-    tm = timing(cfg)
-    return heralding_probability(cfg) / (cfg.code.n * tm.t0_s)
+    return _rate(cfg.code.n, 0, timing(cfg).t0_s, heralding_probability(cfg), 1.0)
 
 
 def pump_success_probability(cfg: ProtocolConfig) -> float:
     """Success probability of the whole k-round pump tree (1 for k = 0)."""
-    if cfg.rounds == 0:
-        return 1.0
-    q_g = cfg.hardware.gate_error()
-    if cfg.code.family == "repetition":
-        tm = timing(cfg)
-        q_mem = memory_error_prob(tm.t_purify_s / 2.0, cfg.hardware.memory_coherence_s)
-        q_logical = logical_error_prob(cfg.code, q_mem)
-        state = effective_coefficients(cfg.raw_fidelity(), pair_no_error_prob(q_logical))
-        return purify_k_rounds_lower(state, q_g, cfg.code.n, cfg.rounds).success_prob
-    _, p_chain = _css_purified(cfg)
-    return p_chain
+    tm, q_g = timing(cfg), cfg.hardware.gate_error()
+    return _pump(cfg, tm, q_g).success_prob
 
 
 def rate_purified(cfg: ProtocolConfig) -> float:
@@ -287,14 +271,14 @@ def rate_purified(cfg: ProtocolConfig) -> float:
     """
     if cfg.rounds == 0:
         raise ValueError("rounds = 0 has no purification step; use rate_unpurified")
-    tm = timing(cfg)
-    denom = cfg.code.n * 2**cfg.rounds * (cfg.rounds / 2.0 + 1.0) * tm.t0_s
-    return heralding_probability(cfg) * pump_success_probability(cfg) / denom
+    p0 = heralding_probability(cfg)
+    return _rate(cfg.code.n, cfg.rounds, timing(cfg).t0_s, p0, pump_success_probability(cfg))
 
 
 def evaluate(cfg: ProtocolConfig) -> SweepResult:
-    """Evaluate one grid point, capturing failures in the row."""
+    """Evaluate one grid point from a single pump chain, capturing failures in the row."""
     tm = timing(cfg)
+    q_g = cfg.hardware.gate_error()
     base = SweepResult(
         code_label=cfg.code.label,
         family=cfg.code.family,
@@ -307,10 +291,11 @@ def evaluate(cfg: ProtocolConfig) -> SweepResult:
     )
     try:
         f = cfg.raw_fidelity()
-        f_final = final_fidelity(cfg)
+        pumped = _pump(cfg, tm, q_g)
+        f_final = _final(cfg, tm, q_g, pumped.state)
         p0 = heralding_probability(cfg)
-        p_k = pump_success_probability(cfg)
-        rate = rate_purified(cfg) if cfg.rounds > 0 else rate_unpurified(cfg)
+        p_k = pumped.success_prob
+        rate = _rate(cfg.code.n, cfg.rounds, tm.t0_s, p0, p_k)
     except (ValueError, ArithmeticError) as exc:
         return replace(base, error=str(exc))
     return replace(base, f=f, f_final=f_final, p0=p0, p_k=p_k, rate_per_memory_hz=rate)
@@ -348,14 +333,6 @@ def operating_point(cfg: ProtocolConfig, target_f_final: float) -> OperatingPoin
     return OperatingPoint(True, hi, evaluate(with_fidelity(cfg, hi)), f_at_hi)
 
 
-def sweep(configs: Sequence[ProtocolConfig], max_workers: int | None = None) -> list[SweepResult]:
-    """Evaluate a grid of operating points, order-preserving.
-
-    ``max_workers`` > 1 fans the grid out over a thread pool; results are
-    merged back by index so the output order never depends on scheduling.
-    """
-    configs = list(configs)
-    if max_workers is not None and max_workers > 1 and len(configs) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(evaluate, configs))
+def sweep(configs: Sequence[ProtocolConfig]) -> list[SweepResult]:
+    """Evaluate a grid of operating points, in order."""
     return [evaluate(c) for c in configs]

@@ -290,32 +290,16 @@ class TestMain:
 
     def test_rate_sweep_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("bogus = 1\n")
-        rc = main(["rate-sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        for text, message in (("bogus = 1\n", "error:"), ("rounds = 2000\n", "error: rounds must be")):
+            cfg.write_text(text)
+            rc = main(["rate-sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+            assert rc == 2
+            assert message in capsys.readouterr().err
 
     def test_rate_sweep_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["rate-sweep", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_threads_env_equivalent_output(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "grid.cfg"
-        cfg.write_text(SWEEP_TEXT)
-        serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-        monkeypatch.delenv("REPEATERLAB_THREADS", raising=False)
-        assert main(["rate-sweep", "--config", str(cfg), "--out", str(serial)]) == 0
-        monkeypatch.setenv("REPEATERLAB_THREADS", "4")
-        assert main(["rate-sweep", "--config", str(cfg), "--out", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
-
-    def test_threads_env_rejects_garbage(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "grid.cfg"
-        cfg.write_text(SWEEP_TEXT)
-        monkeypatch.setenv("REPEATERLAB_THREADS", "many")
-        with pytest.raises(SystemExit):
-            main(["rate-sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
 
     def test_qubus_check_exit_codes(self, capsys):
         assert main(["qubus-check", "--n", "3", "--theta-rad", "0.01"]) == 0

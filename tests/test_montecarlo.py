@@ -33,12 +33,15 @@ class TestMcConfig:
             {"blocks": 2.5},
             {"rounds": -1},
             {"trials": 0},
+            {"blocks": True},
+            {"rounds": True},
+            {"trials": True},
         ],
     )
     def test_validation(self, kw):
         base = dict(p0=0.1, blocks=100, rounds=2, trials=10)
         base.update(kw)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             McConfig(**base)
 
 

@@ -11,6 +11,7 @@ from repeaterlab.bell_algebra import BellDiagonal, purify_ideal, swap_ideal
 from repeaterlab.codes import code_catalog
 from repeaterlab.core import ChannelParams, HardwareParams
 from repeaterlab.pipeline import (
+    MAX_ROUNDS,
     ProtocolConfig,
     evaluate,
     final_fidelity,
@@ -19,7 +20,6 @@ from repeaterlab.pipeline import (
     pump_success_probability,
     rate_purified,
     rate_unpurified,
-    repetition_final_fidelity,
     sweep,
     timing,
     with_fidelity,
@@ -98,6 +98,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_cfg(total=total, segment=segment)
 
+    @pytest.mark.parametrize("rounds", [-1, True, 2.0, MAX_ROUNDS + 1])
+    def test_bad_rounds(self, rounds):
+        with pytest.raises(ValueError, match="rounds"):
+            make_cfg(rounds=rounds)
+
+    def test_max_rounds_priced_for_every_code(self):
+        # n 2^k and the gate-factor exponents stay finite floats up to MAX_ROUNDS
+        for label in CODES:
+            assert evaluate(make_cfg(label, rounds=MAX_ROUNDS)).error is None
+
     def test_exactly_one_fidelity_source(self):
         ch = ChannelParams(20.0, 20.0, 0.01)
         with pytest.raises(ValueError):
@@ -145,17 +155,13 @@ class TestTiming:
 class TestFinalFidelity:
     def test_perfect_hardware_is_lossless(self):
         cfg = make_cfg(tau_c=math.inf, one_minus_t=0.0, fidelity=1.0)
-        assert repetition_final_fidelity(cfg) == pytest.approx(1.0, abs=1e-12)
-
-    def test_family_dispatch_guard(self):
-        with pytest.raises(ValueError):
-            repetition_final_fidelity(make_cfg("[7,1,3]"))
+        assert final_fidelity(cfg) == pytest.approx(1.0, abs=1e-12)
 
     def test_gate_loss_exponent(self):
         # pure gate loss at n=3, N=64, k=2: exponent 2*3*(63 + 6) = 414
         cfg = make_cfg(tau_c=math.inf, one_minus_t=1e-3, fidelity=1.0, rounds=2)
         q_g = cfg.hardware.gate_error()
-        assert repetition_final_fidelity(cfg) == pytest.approx((1.0 - q_g) ** 414, rel=1e-12)
+        assert final_fidelity(cfg) == pytest.approx((1.0 - q_g) ** 414, rel=1e-12)
 
     def test_unencoded_k0_is_pure_swap_degradation(self):
         # with perfect hardware the pipeline is the bare swap recursion
@@ -269,10 +275,6 @@ class TestSweep:
             "fidelity must lie in (1/2, 1], got 0.5"
         ] * 2
         assert row_digest(rows) == "7b79f48e29a15f9371b5764e153d3f6ec8dae6a7b5c6672fd6320cc450f81107"
-
-    def test_threaded_matches_serial(self):
-        cfgs = [make_cfg("[3,1,3]", rounds=k) for k in (0, 1, 2)] * 3
-        assert sweep(cfgs, max_workers=4) == sweep(cfgs)
 
     def test_empty(self):
         assert sweep([]) == []
