@@ -13,7 +13,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 from .bell_algebra import BellDiagonal, swap_ideal
@@ -26,8 +26,6 @@ from .pipeline import (
     ProtocolConfig,
     SweepResult,
     operating_point,
-    rate_purified,
-    rate_unpurified,
     sweep,
     evaluate,
 )
@@ -35,7 +33,6 @@ from .qubus import chained_qubus_phases, feasibility, homodyne_error, min_beta, 
 
 __all__ = [
     "CaseSpec",
-    "RunConfig",
     "ReportRow",
     "parse_config",
     "render_config",
@@ -63,76 +60,54 @@ _CSV_HEADER = [
 _GOLAY_THROUGHPUT_MEMORIES = 166
 
 
+def _key(default, kind: type, *flags: str, help: str):
+    """A config key: its default, value type, command line flags and help."""
+    return field(default=default, metadata={"kind": kind, "flags": flags, "help": help})
+
+
 @dataclass(frozen=True)
 class CaseSpec:
-    """One fully merged sweep case (defaults applied)."""
+    """One fully merged sweep case (defaults applied).
+
+    Every field but ``name`` is a config key.  Its metadata drives the
+    config parser and the point flags; a key whose annotation admits None
+    also accepts the literal ``none``.
+    """
 
     name: str = "default"
-    code: str = "[3,1,3]"
-    rounds: int = 2
-    total_km: float = 1280.0
-    segment_km: float = 20.0
-    attenuation_km: float = 25.5
-    fiber_speed_m_per_s: float = 2.0e8
-    tau_c_s: float = 0.1
-    one_minus_t: float = 1e-3
-    fidelity: float | None = 0.95
-    alpha: float | None = None
-    theta_rad: float | None = None
+    code: str = _key("[3,1,3]", str, "--code", help="code label, e.g. [23,1,7] or 23,1,7")
+    rounds: int = _key(2, int, "--rounds", "-k", help="purification rounds k")
+    total_km: float = _key(1280.0, float, "--total-km", help="total distance L in km")
+    segment_km: float = _key(20.0, float, "--segment-km", help="segment length L0 in km")
+    attenuation_km: float = _key(25.5, float, "--attenuation-km", help="fiber attenuation length")
+    fiber_speed_m_per_s: float = _key(2.0e8, float, "--fiber-speed", help="signal speed m/s")
+    tau_c_s: float = _key(0.1, float, "--tau-c", help="memory coherence time s")
+    one_minus_t: float = _key(1e-3, float, "--one-minus-t", help="gate interface loss 1 - T")
+    fidelity: float | None = _key(0.95, float, "--fidelity", "-F", help="raw pair fidelity")
+    alpha: float | None = _key(None, float, "--alpha", help="qubus strength (with --theta-rad)")
+    theta_rad: float | None = _key(None, float, "--theta-rad", help="interaction angle (with --alpha)")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed sweep configuration: the merged case grid."""
-
-    cases: tuple[CaseSpec, ...]
+_KEYS = {f.name: f.metadata for f in fields(CaseSpec) if f.metadata}
+_NULLABLE = {f.name for f in fields(CaseSpec) if "None" in str(f.type)}
 
 
 class ConfigError(ValueError):
     pass
 
 
-_FLOAT_KEYS = {
-    "total_km",
-    "segment_km",
-    "attenuation_km",
-    "fiber_speed_m_per_s",
-    "tau_c_s",
-    "one_minus_t",
-}
-_OPTIONAL_FLOAT_KEYS = {"fidelity", "alpha", "theta_rad"}
-_INT_KEYS = {"rounds"}
-_STR_KEYS = {"code"}
-_ALL_KEYS = _FLOAT_KEYS | _OPTIONAL_FLOAT_KEYS | _INT_KEYS | _STR_KEYS
-
-
-def _parse_value(key: str, raw: str, where: str):
-    raw = raw.strip()
+def _assignment(item: str, where: str) -> tuple[str, object]:
+    """Parse one ``key = value`` item; errors start with ``where``."""
+    key, _, raw = item.partition("=")
+    key, raw = key.strip(), raw.strip()
+    if key not in _KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    if key in _NULLABLE and raw.lower() == "none":
+        return key, None
     try:
-        if key in _STR_KEYS:
-            return raw
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _OPTIONAL_FLOAT_KEYS:
-            if raw.lower() == "none":
-                return None
-            return float(raw)
-        return float(raw)
+        return key, _KEYS[key]["kind"](raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {raw!r} ({exc})") from None
-
-
-def _parse_overrides(overrides: Sequence[str]) -> dict[str, object]:
-    assigns: dict[str, object] = {}
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set {item!r}: expected key=value")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        assigns[key] = _parse_value(key, value, f"--set {key}")
-    return assigns
 
 
 def _apply_level(base: CaseSpec, assigns: dict[str, object], where: str) -> CaseSpec:
@@ -152,8 +127,8 @@ def _apply_level(base: CaseSpec, assigns: dict[str, object], where: str) -> Case
     return merged
 
 
-def parse_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
-    """Parse flat key = value text with inherited [case] sections.
+def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[CaseSpec, ...]:
+    """Parse flat key = value text with inherited [case] sections into cases.
 
     Unknown keys and malformed lines fail with their line number.  A file
     without [case] sections defines a single case from the top level.
@@ -180,45 +155,35 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> RunConfig:
             continue
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected key = value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
-        parsed = _parse_value(key, value, f"line {line_no}")
+        key, parsed = _assignment(line, f"line {line_no}")
         (top_assigns if current is None else current)[key] = parsed
 
     base = _apply_level(CaseSpec(), top_assigns, "top level")
     if overrides:
-        base = _apply_level(base, _parse_overrides(overrides), "--set overrides")
+        set_assigns = {}
+        for item in overrides:
+            if "=" not in item:
+                raise ConfigError(f"--set {item!r}: expected key=value")
+            key, value = _assignment(item, "--set")
+            set_assigns[key] = value
+        base = _apply_level(base, set_assigns, "--set overrides")
     if not case_blocks:
-        return RunConfig((base,))
-    cases = []
-    for name, assigns, line_no in case_blocks:
-        merged = _apply_level(base, assigns, f"line {line_no} [case {name}]")
-        cases.append(replace(merged, name=name))
-    return RunConfig(tuple(cases))
+        return (base,)
+    return tuple(
+        replace(_apply_level(base, assigns, f"line {line_no} [case {name}]"), name=name)
+        for name, assigns, line_no in case_blocks
+    )
 
 
-def _fmt_value(value: object) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def render_config(rc: RunConfig) -> str:
-    """Serialize a RunConfig so that parse_config round-trips it."""
+def render_config(cases: Sequence[CaseSpec]) -> str:
+    """Serialize cases so that parse_config round-trips them."""
     lines: list[str] = []
-    for case in rc.cases:
+    for case in cases:
         lines.append(f"[case {case.name}]")
-        for f in fields(CaseSpec):
-            if f.name == "name":
-                continue
-            value = getattr(case, f.name)
-            if value is None:
-                continue  # the exclusivity rule re-clears the other source
-            lines.append(f"{f.name} = {_fmt_value(value)}")
+        for key in _KEYS:
+            value = getattr(case, key)
+            if value is not None:  # the exclusivity rule re-clears the other source
+                lines.append(f"{key} = {value}")
         lines.append("")
     return "\n".join(lines)
 
@@ -241,6 +206,7 @@ def to_protocol_config(case: CaseSpec) -> ProtocolConfig:
         fiber_speed_m_per_s=case.fiber_speed_m_per_s,
     )
     code = _code_by_label(case.code)
+    channel = None
     if case.fidelity is None:
         if case.alpha is None or case.theta_rad is None:
             raise ConfigError(f"case {case.name!r}: need fidelity or both alpha and theta_rad")
@@ -250,20 +216,13 @@ def to_protocol_config(case: CaseSpec) -> ProtocolConfig:
             interaction_angle_rad=case.theta_rad,
             attenuation_length_km=case.attenuation_km,
         )
-        return ProtocolConfig(
-            total_distance_km=case.total_km,
-            segment_km=case.segment_km,
-            code=code,
-            rounds=case.rounds,
-            hardware=hardware,
-            channel=channel,
-        )
     return ProtocolConfig(
         total_distance_km=case.total_km,
         segment_km=case.segment_km,
         code=code,
         rounds=case.rounds,
         hardware=hardware,
+        channel=channel,
         fidelity=case.fidelity,
         attenuation_km=case.attenuation_km,
     )
@@ -323,13 +282,13 @@ class ReportRow:
     throughput_hz: float | None = None
 
 
-def _canonical_cases() -> list[tuple[str, CaseSpec]]:
-    base = CaseSpec(rounds=2, total_km=1280.0, segment_km=20.0)
-    return [
-        ("repetition-3", replace(base, code="[3,1,3]", tau_c_s=0.01, one_minus_t=1e-4)),
-        ("golay", replace(base, code="[23,1,7]", tau_c_s=0.1, one_minus_t=1e-3)),
-        ("steane", replace(base, code="[7,1,3]", tau_c_s=1.0, one_minus_t=1e-3)),
-    ]
+def _canonical_cases() -> tuple[CaseSpec, ...]:
+    # k = 2 over L = 1280 km in L0 = 20 km segments: the CaseSpec defaults
+    return (
+        CaseSpec(name="repetition-3", code="[3,1,3]", tau_c_s=0.01, one_minus_t=1e-4),
+        CaseSpec(name="golay", code="[23,1,7]", tau_c_s=0.1, one_minus_t=1e-3),
+        CaseSpec(name="steane", code="[7,1,3]", tau_c_s=1.0, one_minus_t=1e-3),
+    )
 
 
 def report_operating_points(target_f_final: float = 0.95) -> tuple[ReportRow, ...]:
@@ -340,12 +299,11 @@ def report_operating_points(target_f_final: float = 0.95) -> tuple[ReportRow, ..
     the Golay per-memory rate to a full station.
     """
     rows: list[ReportRow] = []
-    golay_rate = math.nan
-    for name, case in _canonical_cases():
-        op = operating_point(to_protocol_config(replace(case, name=name)), target_f_final)
+    for case in _canonical_cases():
+        op = operating_point(to_protocol_config(case), target_f_final)
         rows.append(
             ReportRow(
-                name=name,
+                name=case.name,
                 code_label=case.code,
                 tau_c_s=case.tau_c_s,
                 one_minus_t=case.one_minus_t,
@@ -355,46 +313,28 @@ def report_operating_points(target_f_final: float = 0.95) -> tuple[ReportRow, ..
                 rate_per_memory_hz=op.result.rate_per_memory_hz,
             )
         )
-        if name == "golay":
-            golay_rate = op.result.rate_per_memory_hz
+    golay = next(row for row in rows if row.name == "golay")
     rows.append(
-        ReportRow(
+        replace(
+            golay,
             name="golay-station",
-            code_label="[23,1,7]",
-            tau_c_s=0.1,
-            one_minus_t=1e-3,
-            target_f_final=target_f_final,
-            feasible=not math.isnan(golay_rate),
+            feasible=not math.isnan(golay.rate_per_memory_hz),
             operating_fidelity=None,
-            rate_per_memory_hz=golay_rate,
             memories=_GOLAY_THROUGHPUT_MEMORIES,
-            throughput_hz=golay_rate * _GOLAY_THROUGHPUT_MEMORIES,
+            throughput_hz=golay.rate_per_memory_hz * _GOLAY_THROUGHPUT_MEMORIES,
         )
     )
     return tuple(rows)
 
 
 def _case_from_args(args: argparse.Namespace) -> CaseSpec:
-    assigns: dict[str, object] = {}
-    for key in sorted(_ALL_KEYS):
-        value = getattr(args, key, None)
-        if value is not None:
-            assigns[key] = value
+    assigns = {key: value for key, value in vars(args).items() if key in _KEYS and value is not None}
     return _apply_level(CaseSpec(), assigns, "arguments")
 
 
 def _add_point_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--code", dest="code", help="code label, e.g. [23,1,7] or 23,1,7")
-    p.add_argument("--rounds", "-k", dest="rounds", type=int, help="purification rounds k")
-    p.add_argument("--total-km", dest="total_km", type=float, help="total distance L in km")
-    p.add_argument("--segment-km", dest="segment_km", type=float, help="segment length L0 in km")
-    p.add_argument("--attenuation-km", dest="attenuation_km", type=float, help="fiber attenuation length")
-    p.add_argument("--fiber-speed", dest="fiber_speed_m_per_s", type=float, help="signal speed m/s")
-    p.add_argument("--tau-c", dest="tau_c_s", type=float, help="memory coherence time s")
-    p.add_argument("--one-minus-t", dest="one_minus_t", type=float, help="gate interface loss 1 - T")
-    p.add_argument("--fidelity", "-F", dest="fidelity", type=float, help="raw pair fidelity")
-    p.add_argument("--alpha", dest="alpha", type=float, help="qubus strength (with --theta-rad)")
-    p.add_argument("--theta-rad", dest="theta_rad", type=float, help="interaction angle (with --alpha)")
+    for key, meta in _KEYS.items():
+        p.add_argument(*meta["flags"], dest=key, type=meta["kind"], help=meta["help"])
 
 
 def _print_result(r: SweepResult) -> None:
@@ -406,14 +346,14 @@ def _print_result(r: SweepResult) -> None:
 
 def cmd_rate_sweep(args: argparse.Namespace) -> int:
     with open(args.config) as fh:
-        rc = parse_config(fh.read(), overrides=args.set)
-    configs = [to_protocol_config(c) for c in rc.cases]
+        cases = parse_config(fh.read(), overrides=args.set)
+    configs = [to_protocol_config(c) for c in cases]
     results = sweep(configs)
     emit_csv(results, args.out)
     if args.gnuplot:
         emit_gnuplot(results, args.gnuplot)
     status = 0
-    for case, r in zip(rc.cases, results):
+    for case, r in zip(cases, results):
         if r.error is not None:
             print(f"case {case.name!r}: {r.error}", file=sys.stderr)
             status = 1
@@ -484,13 +424,16 @@ def cmd_qubus_check(args: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    case = _case_from_args(args)
-    cfg = to_protocol_config(case)
-    f = cfg.raw_fidelity()
+    cfg = to_protocol_config(_case_from_args(args))
+    row = evaluate(cfg)
+    if row.error is not None:
+        raise ValueError(row.error)
+    analytic = row.rate_per_memory_hz
     mc = McConfig(p0=1.0, blocks=args.blocks, rounds=cfg.rounds, trials=args.trials, seed=args.seed)
-    est = simulate_rate(cfg, f, mc)
-    analytic = rate_purified(cfg) if cfg.rounds > 0 else rate_unpurified(cfg)
-    z = abs(est.rate_per_memory_hz - analytic) / est.std_error_hz if est.std_error_hz > 0 else math.inf
+    est = simulate_rate(cfg, row.f, mc)
+    miss = abs(est.rate_per_memory_hz - analytic)
+    # equal rates agree even when both are exactly 0 and carry no spread
+    z = 0.0 if miss == 0 else (miss / est.std_error_hz if est.std_error_hz > 0 else math.inf)
     print(f"rng = numpy PCG64, SeedSequence(seed={args.seed}), blocks = {args.blocks}")
     print(f"analytic rate = {_g8(analytic)} Hz per memory")
     print(f"simulated     = {_g8(est.rate_per_memory_hz)} +/- {_g8(est.std_error_hz)} Hz ({est.trials} trials)")
@@ -500,7 +443,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
             writer = csv.writer(fh)
             writer.writerow(_CSV_HEADER + ["rate_mc_hz", "stderr_hz", "z"])
             writer.writerow(
-                _result_row(evaluate(cfg))
+                _result_row(row)
                 + [_g8(est.rate_per_memory_hz), _g8(est.std_error_hz), f"{z:.3f}"]
             )
     return 0 if z <= 3.0 else 1

@@ -88,7 +88,7 @@ class HardwareParams:
         Memory dephasing time tau_c > 0 in seconds.  math.inf is accepted
         and gives vanishing memory error.
     fiber_speed_m_per_s
-        Classical/quantum signal velocity, default 2e8 m/s.
+        Classical/quantum signal velocity, finite and > 0, default 2e8 m/s.
     """
 
     local_transmission: float
@@ -100,8 +100,8 @@ class HardwareParams:
             raise ValueError(f"local_transmission must lie in (0, 1], got {self.local_transmission}")
         if not self.memory_coherence_s > 0.0:
             raise ValueError(f"memory_coherence_s must be > 0, got {self.memory_coherence_s}")
-        if not self.fiber_speed_m_per_s > 0.0:
-            raise ValueError(f"fiber_speed_m_per_s must be > 0, got {self.fiber_speed_m_per_s}")
+        if not 0.0 < self.fiber_speed_m_per_s < math.inf:
+            raise ValueError(f"fiber_speed_m_per_s must be finite and > 0, got {self.fiber_speed_m_per_s}")
 
     def gate_error(self) -> float:
         return gate_error_prob(self.local_transmission)

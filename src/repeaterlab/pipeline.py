@@ -111,7 +111,7 @@ class ProtocolConfig:
 
     def num_segments(self) -> int:
         ratio = self.total_distance_km / self.segment_km
-        n = round(ratio)
+        n = round(ratio) if math.isfinite(ratio) else 0
         if abs(ratio - n) > 1e-9 or n < 2 or n & (n - 1) != 0:
             raise ValueError(
                 f"total_distance_km / segment_km must be a power of two >= 2, got {ratio}"

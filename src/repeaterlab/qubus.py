@@ -73,6 +73,17 @@ def _check_n_theta(n: int, theta_rad: float) -> None:
         raise ValueError(f"theta_rad must be > 0, got {theta_rad}")
 
 
+def _max_phase(n: int, theta_rad: float) -> float:
+    """Extreme accumulated phase (2^(n-1) - 1) theta, inf only if it overflows.
+
+    Computed in floating point, so a large n never builds an n-bit integer.
+    """
+    try:
+        return math.ldexp(theta_rad, n - 1) - theta_rad
+    except OverflowError:
+        return math.inf
+
+
 def _sgn(bit: str) -> int:
     return 1 if bit == "0" else -1
 
@@ -135,7 +146,7 @@ def phases_distinct(n: int, theta_rad: float) -> bool:
     at +/- pi.
     """
     _check_n_theta(n, theta_rad)
-    max_phase = (2 ** (n - 1) - 1) * theta_rad
+    max_phase = _max_phase(n, theta_rad)
     if n > _ENUM_LIMIT:
         return max_phase < math.pi
     phases = single_qubus_phases(n, theta_rad).per_state_phases
@@ -163,7 +174,7 @@ def feasibility(n: int, theta_rad: float) -> Feasibility:
     patterns coincide at the branch cut.
     """
     _check_n_theta(n, theta_rad)
-    max_phase = (2 ** (n - 1) - 1) * theta_rad
+    max_phase = _max_phase(n, theta_rad)
     feasible = max_phase <= math.pi and phases_distinct(n, theta_rad)
     return Feasibility(feasible, max_phase)
 

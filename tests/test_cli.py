@@ -1,15 +1,19 @@
 """Config parsing, CSV emission, and the command line entry point."""
 
+import contextlib
 import csv
+import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repeaterlab.cli import (
     CaseSpec,
     ConfigError,
-    RunConfig,
     _GOLAY_THROUGHPUT_MEMORIES,
+    _KEYS,
     emit_csv,
     emit_gnuplot,
     main,
@@ -18,6 +22,7 @@ from repeaterlab.cli import (
     report_operating_points,
     to_protocol_config,
 )
+from repeaterlab.codes import code_catalog
 from repeaterlab.pipeline import evaluate
 
 HEADER = [
@@ -52,14 +57,13 @@ tau_c_s = 1.0
 
 class TestParseConfig:
     def test_empty_text_single_default_case(self):
-        rc = parse_config("")
-        assert rc.cases == (CaseSpec(),)
-        assert rc.cases[0].code == "[3,1,3]"
-        assert rc.cases[0].fidelity == 0.95
+        cases = parse_config("")
+        assert cases == (CaseSpec(),)
+        assert cases[0].code == "[3,1,3]"
+        assert cases[0].fidelity == 0.95
 
     def test_inheritance(self):
-        rc = parse_config(SWEEP_TEXT)
-        rep3, golay = rc.cases
+        rep3, golay = parse_config(SWEEP_TEXT)
         assert rep3.name == "rep3"
         assert rep3.tau_c_s == 0.1          # inherited
         assert golay.tau_c_s == 1.0         # overridden
@@ -68,8 +72,8 @@ class TestParseConfig:
         assert rep3.rounds == golay.rounds == 2
 
     def test_unnamed_case_numbering(self):
-        rc = parse_config("[case]\nrounds = 1\n[case]\nrounds = 3\n")
-        assert [c.name for c in rc.cases] == ["case1", "case2"]
+        cases = parse_config("[case]\nrounds = 1\n[case]\nrounds = 3\n")
+        assert [c.name for c in cases] == ["case1", "case2"]
 
     @pytest.mark.parametrize(
         "text, fragment",
@@ -87,8 +91,7 @@ class TestParseConfig:
             parse_config(text)
 
     def test_none_literal(self):
-        rc = parse_config("fidelity = none\nalpha = 20.0\ntheta_rad = 0.01\n")
-        case = rc.cases[0]
+        (case,) = parse_config("fidelity = none\nalpha = 20.0\ntheta_rad = 0.01\n")
         assert case.fidelity is None
         assert case.alpha == 20.0
 
@@ -97,28 +100,27 @@ class TestParseConfig:
             parse_config("fidelity = 0.9\nalpha = 20.0\n")
 
     def test_channel_case_clears_default_fidelity(self):
-        rc = parse_config("fidelity = 0.9\n[case q]\nalpha = 20.0\ntheta_rad = 0.01\n")
-        assert rc.cases[0].fidelity is None
-        assert rc.cases[0].alpha == 20.0
+        (case,) = parse_config("fidelity = 0.9\n[case q]\nalpha = 20.0\ntheta_rad = 0.01\n")
+        assert case.fidelity is None
+        assert case.alpha == 20.0
 
     def test_fidelity_case_clears_channel(self):
-        rc = parse_config("alpha = 20.0\ntheta_rad = 0.01\n[case f]\nfidelity = 0.9\n")
-        assert rc.cases[0].fidelity == 0.9
-        assert rc.cases[0].alpha is None
-        assert rc.cases[0].theta_rad is None
+        (case,) = parse_config("alpha = 20.0\ntheta_rad = 0.01\n[case f]\nfidelity = 0.9\n")
+        assert case.fidelity == 0.9
+        assert case.alpha is None
+        assert case.theta_rad is None
 
 
 class TestOverrides:
     def test_beat_top_level_but_not_cases(self):
-        rc = parse_config(SWEEP_TEXT, overrides=["tau_c_s=0.5"])
-        rep3, golay = rc.cases
+        rep3, golay = parse_config(SWEEP_TEXT, overrides=["tau_c_s=0.5"])
         assert rep3.tau_c_s == 0.5   # --set beats the file default
         assert golay.tau_c_s == 1.0  # explicit case assignment still wins
 
     def test_multiple(self):
-        rc = parse_config("", overrides=["rounds=3", "code=[7,1,3]"])
-        assert rc.cases[0].rounds == 3
-        assert rc.cases[0].code == "[7,1,3]"
+        (case,) = parse_config("", overrides=["rounds=3", "code=[7,1,3]"])
+        assert case.rounds == 3
+        assert case.code == "[7,1,3]"
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="--set"):
@@ -135,16 +137,14 @@ class TestOverrides:
 
 class TestRenderRoundTrip:
     def test_round_trip(self):
-        rc = RunConfig(
-            (
-                CaseSpec(name="a", code="[23,1,7]", rounds=1, tau_c_s=0.25),
-                CaseSpec(name="b", fidelity=None, alpha=18.0, theta_rad=0.012),
-            )
+        cases = (
+            CaseSpec(name="a", code="[23,1,7]", rounds=1, tau_c_s=0.25),
+            CaseSpec(name="b", fidelity=None, alpha=18.0, theta_rad=0.012),
         )
-        assert parse_config(render_config(rc)) == rc
+        assert parse_config(render_config(cases)) == cases
 
     def test_renders_none_free_text(self):
-        text = render_config(RunConfig((CaseSpec(),)))
+        text = render_config((CaseSpec(),))
         assert "none" not in text
         assert "[case default]" in text
 
@@ -179,8 +179,7 @@ class TestToProtocolConfig:
 
 class TestCsv:
     def rows(self):
-        rc = parse_config(SWEEP_TEXT)
-        return [evaluate(to_protocol_config(c)) for c in rc.cases]
+        return [evaluate(to_protocol_config(c)) for c in parse_config(SWEEP_TEXT)]
 
     def test_header_and_shape(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -290,7 +289,13 @@ class TestMain:
 
     def test_rate_sweep_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        for text, message in (("bogus = 1\n", "error:"), ("rounds = 2000\n", "error: rounds must be")):
+        for text, message in (
+            ("bogus = 1\n", "error:"),
+            ("rounds = 2000\n", "error: rounds must be"),
+            ("total_km = inf\n", "error: total_distance_km / segment_km must be"),
+            ("segment_km = 1e-320\n", "error: total_distance_km / segment_km must be"),
+            ("fiber_speed_m_per_s = inf\n", "error: fiber_speed_m_per_s must be finite"),
+        ):
             cfg.write_text(text)
             rc = main(["rate-sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
             assert rc == 2
@@ -306,6 +311,13 @@ class TestMain:
         assert "feasible: True" in capsys.readouterr().out
         assert main(["qubus-check", "--n", "11", "--theta-rad", "0.01"]) == 1
         assert "feasible: False" in capsys.readouterr().out
+
+    def test_qubus_check_huge_n_infeasible(self, capsys):
+        # the largest phase (2^4999 - 1) theta overflows a float: infeasible, not an error
+        assert main(["qubus-check", "--n", "5000", "--theta-rad", "0.01"]) == 1
+        out = capsys.readouterr().out
+        assert "max_phase = inf rad" in out
+        assert "feasible: False" in out
 
     def test_qubus_check_plan_and_beta(self, capsys):
         rc = main(
@@ -350,8 +362,107 @@ class TestMain:
         assert float(table[1][-2]) > 0.0
         assert float(table[1][-1]) <= 3.0
 
+    def test_montecarlo_zero_rates_agree(self, capsys):
+        # at F = 1 the closed form and every sample give rate 0 with no spread
+        assert main(["montecarlo", "--fidelity", "1.0"]) == 0
+        out = capsys.readouterr().out
+        assert "analytic rate = 0 Hz" in out
+        assert "|z| = 0.00 sigma" in out
+
+    def test_montecarlo_errored_row_exits_2(self, capsys):
+        # so strong a probe drives the raw fidelity to 1/2, which evaluate rejects
+        assert main(["montecarlo", "--alpha", "1e6", "--theta-rad", "0.01"]) == 2
+        assert capsys.readouterr().err == "error: fidelity must lie in (1/2, 1], got 0.5\n"
+
     def test_report_prints_station_row(self, capsys):
         assert main(["report"]) == 0
         out = capsys.readouterr().out
         assert "golay-station" in out
         assert "x 166 memories" in out
+
+
+# Raw values a user may type: codes, integers, floats, special and malformed
+# strings, any of them on any key.  Arbitrary text is fuzzed against the
+# parser alone, because hypothesis draws it far slower than these.
+_RAW_VALUE = st.one_of(
+    st.sampled_from(
+        [c.label for c in code_catalog()]
+        + ["[5,1,5]", "-1", "0", "2", "6", "1001", "2.5", "9" * 5000, "0.5", "0.9", "0.95", "20",
+           "40", "1280", "0.01", "1e-3", "1e308", "1e-320", "1e999", "inf", "-inf", "nan", "none", "", "x"]
+    ),
+    st.floats().map(repr),
+)
+_ASSIGNMENT = st.tuples(st.sampled_from(list(_KEYS)), _RAW_VALUE)
+_ASSIGNMENTS = st.lists(_ASSIGNMENT, max_size=6)
+# key = value lines with [case] headers anywhere among them
+_CONFIG_TEXTS = st.lists(
+    st.one_of(_ASSIGNMENT.map(" = ".join), st.sampled_from(["[case]", "[case a]", "[case b c]"])),
+    max_size=8,
+).map("\n".join)
+_PRINTABLE = st.characters(min_codepoint=33, max_codepoint=126)
+
+
+@st.composite
+def _case_specs(draw):
+    """A CaseSpec over every key, with exactly one fidelity source."""
+    kinds = {str: st.text(_PRINTABLE), int: st.integers(-10**6, 10**6), float: st.floats(allow_nan=False)}
+    values = {key: draw(kinds[meta["kind"]]) for key, meta in _KEYS.items()}
+    if draw(st.booleans()):
+        values.update(alpha=None, theta_rad=None)
+    else:
+        values["fidelity"] = None
+        unset = draw(st.sampled_from([None, "alpha", "theta_rad"]))
+        if unset is not None:
+            values[unset] = None
+    return CaseSpec(name=draw(st.text(_PRINTABLE, min_size=1)), **values)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.text(), _CONFIG_TEXTS),
+        st.lists(st.one_of(st.text(max_size=10), _ASSIGNMENT.map("=".join)), max_size=2),
+    )
+    def test_parse_config_returns_cases_or_config_error(self, text, overrides):
+        try:
+            cases = parse_config(text, overrides)
+        except ConfigError:
+            return
+        assert cases and all(isinstance(c, CaseSpec) for c in cases)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_case_specs(), min_size=1, max_size=2))
+    def test_render_round_trip(self, cases):
+        cases = tuple(cases)
+        assert parse_config(render_config(cases)) == cases
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.just("rate-sweep"), _CONFIG_TEXTS),
+            st.tuples(st.sampled_from(["fidelity", "operating-point"]), _ASSIGNMENTS),
+        )
+    )
+    def test_main_exit_codes(self, fuzz_dir, run):
+        command, payload = run
+        if command == "rate-sweep":
+            (fuzz_dir / "fuzz.cfg").write_text(payload)
+            argv = [command, "--config", str(fuzz_dir / "fuzz.cfg"), "--out", str(fuzz_dir / "out.csv")]
+        else:
+            argv = [command] + [f"{_KEYS[key]['flags'][0]}={value}" for key, value in payload]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse rejects a malformed flag value
+                rc = exc.code
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            # one error line, after argparse's usage text when argparse rejected it
+            assert err.getvalue().count("error: ") == 1
+            assert err.getvalue().splitlines()[-1].count("error: ") == 1

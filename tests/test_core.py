@@ -202,3 +202,8 @@ class TestParamTypes:
     def test_hardware_validation(self, t, tau):
         with pytest.raises(ValueError):
             HardwareParams(local_transmission=t, memory_coherence_s=tau)
+
+    @pytest.mark.parametrize("speed", [math.inf, math.nan, 0.0, -2.0e8])
+    def test_hardware_fiber_speed_validation(self, speed):
+        with pytest.raises(ValueError, match="fiber_speed_m_per_s must be finite and > 0"):
+            HardwareParams(local_transmission=0.999, memory_coherence_s=0.1, fiber_speed_m_per_s=speed)

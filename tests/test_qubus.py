@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repeaterlab.qubus import (
+    Feasibility,
     QubusPlan,
     chained_qubus_phases,
     feasibility,
@@ -125,6 +126,17 @@ class TestFeasibility:
         assert phases_distinct(20, 1e-7)
         assert feasibility(20, 1e-7).feasible
         assert not feasibility(20, 1e-2).feasible
+
+    def test_huge_n_overflows_to_infeasible(self):
+        # 2^4999 theta overflows a float: infeasible, not an exception
+        assert feasibility(5000, 0.01) == Feasibility(False, math.inf)
+        assert not phases_distinct(5000, 0.01)
+
+    def test_huge_n_tiny_theta_stays_finite(self):
+        # 2^1029 alone overflows, but 2^1029 * 1e-320 does not
+        verdict = feasibility(1030, 1e-320)
+        assert verdict.max_phase_rad == pytest.approx(5.7526e-11, rel=1e-4)
+        assert verdict.feasible
 
     def test_threshold_angle(self):
         # the workable window for n atoms is theta < pi / (2^(n-1) - 1);
