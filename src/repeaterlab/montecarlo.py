@@ -24,6 +24,7 @@ from .pipeline import (
     ProtocolConfig,
     heralding_probability,
     pump_success_probability,
+    rate_unpurified,
     timing,
     with_fidelity,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "RateEstimate",
     "simulate_window",
     "required_blocks",
+    "finite_window_rate",
     "simulate_rate",
 ]
 
@@ -145,6 +147,40 @@ def required_blocks(p0: float, rounds: int, confidence: float) -> int:
     return hi
 
 
+def _tree_process(cfg: ProtocolConfig, fidelity: float) -> tuple[ProtocolConfig, float, float, float]:
+    """The config pinned to ``fidelity`` with its p0, tree survival and window."""
+    cfg = with_fidelity(cfg, fidelity)
+    return cfg, heralding_probability(cfg), pump_success_probability(cfg), timing(cfg).t_purify_s
+
+
+def finite_window_rate(cfg: ProtocolConfig, fidelity: float, mc: McConfig) -> float:
+    """Exact mean of the :func:`simulate_rate` estimator over mc.blocks slots.
+
+    A window fills floor(X / 2^k) complete trees from X ~ Binom(blocks, p0)
+    raw pairs, so the mean is p_tree E[floor(X / 2^k)] / (window blocks n).
+    It falls short of the closed-form rate, the many-blocks limit, by the
+    pairs left over; k = 0 leaves none and returns the closed form exactly.
+    The pmf is summed in log space over mean +/- (40 sd + 40) pairs.
+    """
+    cfg, p0, p_tree, window_s = _tree_process(cfg, fidelity)
+    k, s = cfg.rounds, mc.blocks
+    if k == 0:
+        return rate_unpurified(cfg)
+    if p0 == 0.0:
+        return 0.0
+    if p0 == 1.0:
+        trees = float(s >> k)
+    else:
+        mean, half = s * p0, 40.0 * math.sqrt(s * p0 * (1.0 - p0)) + 40.0
+        log_p, log_q, log_s = math.log(p0), math.log1p(-p0), math.lgamma(s + 1)
+        trees = sum(
+            (j >> k)
+            * math.exp(log_s - math.lgamma(j + 1) - math.lgamma(s - j + 1) + j * log_p + (s - j) * log_q)
+            for j in range(max(2**k, math.floor(mean - half)), min(s, math.ceil(mean + half)) + 1)
+        )
+    return p_tree * trees / (window_s * s * cfg.code.n)
+
+
 def simulate_rate(cfg: ProtocolConfig, fidelity: float, mc: McConfig) -> RateEstimate:
     """Monte Carlo estimate of the purified rate per memory qubit.
 
@@ -154,12 +190,8 @@ def simulate_rate(cfg: ProtocolConfig, fidelity: float, mc: McConfig) -> RateEst
     closed-form rate prices.  mc.p0 and mc.rounds are ignored in favor of
     the config.  Two independent substreams drive supply and survival.
     """
-    cfg = with_fidelity(cfg, fidelity)
-    tm = timing(cfg)
-    p0 = heralding_probability(cfg)
+    cfg, p0, p_tree, window_s = _tree_process(cfg, fidelity)
     k = cfg.rounds
-    p_tree = pump_success_probability(cfg)
-    window_s = (k / 2.0 + 1.0) * tm.t0_s
 
     ss = np.random.SeedSequence(mc.seed)
     supply_seed, survive_seed = ss.spawn(2)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +43,11 @@ _MATCH_TOL = 1e-10
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+
+# two-qubit gates on (control, target)
+_CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+_CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 # sqrt(i X) rotations of the recurrence protocol (Deutsch et al. 1996):
 # U on the source-A side, its conjugate on the source-B side.
@@ -90,10 +95,12 @@ class DensityMatrix:
             raise ValueError(f"dimension must be 2^m with m <= 4, got {dim}")
         if np.abs(m - m.conj().T).max() > _HERMITIAN_TOL:
             raise ValueError("matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > _TRACE_TOL or abs(np.trace(m).imag) > _TRACE_TOL:
-            raise ValueError(f"trace must be 1, got {np.trace(m)}")
-        if np.linalg.eigvalsh(m).min() < _EIGENVALUE_FLOOR:
-            raise ValueError(f"negative eigenvalue below floor: {np.linalg.eigvalsh(m).min()}")
+        trace = np.trace(m)
+        if abs(trace.real - 1.0) > _TRACE_TOL or abs(trace.imag) > _TRACE_TOL:
+            raise ValueError(f"trace must be 1, got {trace}")
+        lowest = np.linalg.eigvalsh(m).min()
+        if lowest < _EIGENVALUE_FLOOR:
+            raise ValueError(f"negative eigenvalue below floor: {lowest}")
 
     @property
     def num_qubits(self) -> int:
@@ -107,33 +114,24 @@ class DensityMatrix:
         return cls(_BELL @ np.diag(s.as_tuple()).astype(complex) @ _BELL.conj().T)
 
 
-def _single(op: np.ndarray, qubit: int, m: int) -> np.ndarray:
-    """Embed a one-qubit operator at position ``qubit`` of an m-qubit register."""
-    if not 0 <= qubit < m:
-        raise ValueError(f"qubit index {qubit} out of range for {m} qubits")
-    full = np.ones((1, 1), dtype=complex)
-    for i in range(m):
-        full = np.kron(full, op if i == qubit else _I2)
-    return full
+def _apply(rho: np.ndarray, op: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """op rho op^dagger for a 2^k x 2^k ``op`` on the listed qubits, in order.
+
+    As a (2,)*2m tensor, rho has the m ket axes first and the m bra axes
+    last; the listed ket axes move to the front for op and the listed bra
+    axes to the back for op^dagger, and both move back.
+    """
+    m, k = rho.shape[0].bit_length() - 1, len(qubits)
+    src = [*qubits, *(m + q for q in qubits)]
+    dst = [*range(k), *range(2 * m - k, 2 * m)]
+    t = np.moveaxis(rho.reshape((2,) * 2 * m), src, dst)
+    t = (op @ t.reshape(2**k, -1)).reshape(-1, 2**k) @ op.conj().T
+    return np.moveaxis(t.reshape((2,) * 2 * m), dst, src).reshape(rho.shape)
 
 
-def _cnot(control: int, target: int, m: int) -> np.ndarray:
-    dim = 2**m
-    u = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        cbit = (j >> (m - 1 - control)) & 1
-        jj = j ^ (cbit << (m - 1 - target))
-        u[jj, j] = 1.0
-    return u
-
-
-def _cz(control: int, target: int, m: int) -> np.ndarray:
-    dim = 2**m
-    diag = np.ones(dim, dtype=complex)
-    for j in range(dim):
-        if (j >> (m - 1 - control)) & 1 and (j >> (m - 1 - target)) & 1:
-            diag[j] = -1.0
-    return np.diag(diag)
+def _flip(rho: np.ndarray, pauli: np.ndarray, qubit: int, q: float) -> np.ndarray:
+    """Pauli flip channel (1 - q) rho + q P rho P on one qubit."""
+    return (1.0 - q) * rho + q * _apply(rho, pauli, (qubit,))
 
 
 def _check_pair(control: int, target: int, m: int) -> None:
@@ -144,25 +142,6 @@ def _check_pair(control: int, target: int, m: int) -> None:
             raise ValueError(f"{name} index {idx} out of range for {m} qubits")
 
 
-def _dephase_raw(rho: np.ndarray, qubit: int, q: float, m: int) -> np.ndarray:
-    z = _single(_Z, qubit, m)
-    return (1.0 - q) * rho + q * (z @ rho @ z)
-
-
-def _pauli_pair_raw(
-    rho: np.ndarray, control: int, target: int, q: float, m: int, variant: GateErrorVariant
-) -> np.ndarray:
-    # independent flips: Z on the control and (Z or X) on the target,
-    # each with probability q
-    if variant in (GateErrorVariant.ZZ_BEFORE, GateErrorVariant.ZZ_AFTER):
-        kt = _single(_Z, target, m)
-    else:
-        kt = _single(_X, target, m)
-    kc = _single(_Z, control, m)
-    rho = (1.0 - q) * rho + q * (kc @ rho @ kc)
-    return (1.0 - q) * rho + q * (kt @ rho @ kt)
-
-
 def _noisy_gate_raw(
     rho: np.ndarray,
     control: int,
@@ -170,21 +149,20 @@ def _noisy_gate_raw(
     q_g: float,
     gate: str,
     variant: GateErrorVariant,
-    m: int,
 ) -> np.ndarray:
-    if gate == "CNOT":
-        u = _cnot(control, target, m)
-    elif gate == "CZ":
-        u = _cz(control, target, m)
-    else:
+    if gate not in ("CNOT", "CZ"):
         raise ValueError(f"gate must be 'CZ' or 'CNOT', got {gate!r}")
-    before = variant in (GateErrorVariant.ZZ_BEFORE, GateErrorVariant.ZCXT_BEFORE)
-    if before:
-        rho = _pauli_pair_raw(rho, control, target, q_g, m, variant)
-    rho = u @ rho @ u.conj().T
-    if not before:
-        rho = _pauli_pair_raw(rho, control, target, q_g, m, variant)
-    return rho
+    u = _CNOT if gate == "CNOT" else _CZ
+    target_pauli = _Z if variant in (GateErrorVariant.ZZ_BEFORE, GateErrorVariant.ZZ_AFTER) else _X
+
+    def noise(r: np.ndarray) -> np.ndarray:
+        # independent flips: Z on the control and (Z or X) on the target,
+        # each with probability q_g
+        return _flip(_flip(r, _Z, control, q_g), target_pauli, target, q_g)
+
+    if variant in (GateErrorVariant.ZZ_BEFORE, GateErrorVariant.ZCXT_BEFORE):
+        return _apply(noise(rho), u, (control, target))
+    return noise(_apply(rho, u, (control, target)))
 
 
 def apply_dephasing(rho: DensityMatrix, qubit: int, q: float) -> DensityMatrix:
@@ -194,7 +172,7 @@ def apply_dephasing(rho: DensityMatrix, qubit: int, q: float) -> DensityMatrix:
     m = rho.num_qubits
     if not 0 <= qubit < m:
         raise ValueError(f"qubit index {qubit} out of range for {m} qubits")
-    return DensityMatrix(_dephase_raw(rho.matrix, qubit, q, m))
+    return DensityMatrix(_flip(rho.matrix, _Z, qubit, q))
 
 
 def apply_noisy_two_qubit_gate(
@@ -213,14 +191,15 @@ def apply_noisy_two_qubit_gate(
     """
     if not 0.0 <= q_g < 0.5:
         raise ValueError(f"q_g must lie in [0, 1/2), got {q_g}")
-    m = rho.num_qubits
-    _check_pair(control, target, m)
-    return DensityMatrix(_noisy_gate_raw(rho.matrix, control, target, q_g, gate, variant, m))
+    _check_pair(control, target, rho.num_qubits)
+    return DensityMatrix(_noisy_gate_raw(rho.matrix, control, target, q_g, gate, variant))
 
 
-def _bell_project(rho4: np.ndarray) -> BellDiagonal:
-    coeffs = np.real(np.diag(_BELL.conj().T @ rho4 @ _BELL))
-    return BellDiagonal(*(float(x) for x in coeffs))
+def _bell_project(rho4: np.ndarray) -> tuple[BellDiagonal, float]:
+    in_bell = _BELL.conj().T @ rho4 @ _BELL
+    diag = np.diag(in_bell)
+    residual = in_bell - np.diag(diag)
+    return BellDiagonal(*(float(x) for x in diag.real)), float(np.linalg.norm(residual))
 
 
 def bell_diagonal_projection(rho: DensityMatrix) -> tuple[BellDiagonal, float]:
@@ -233,9 +212,7 @@ def bell_diagonal_projection(rho: DensityMatrix) -> tuple[BellDiagonal, float]:
     """
     if rho.matrix.shape[0] != 4:
         raise ValueError("Bell projection needs a two-qubit state")
-    in_bell = _BELL.conj().T @ rho.matrix @ _BELL
-    residual = in_bell - np.diag(np.diag(in_bell))
-    return _bell_project(rho.matrix), float(np.linalg.norm(residual))
+    return _bell_project(rho.matrix)
 
 
 def simulate_purification_round(
@@ -252,64 +229,40 @@ def simulate_purification_round(
         raise ValueError(f"q_g must lie in [0, 1/2), got {q_g}")
     pair = DensityMatrix.from_bell_diagonal(s).matrix
     rho = np.kron(pair, pair)
+    for qubit, u in enumerate((_U_A, _U_B, _U_A, _U_B)):
+        rho = _apply(rho, u, (qubit,))
+    rho = _noisy_gate_raw(rho, 0, 2, q_g, "CNOT", variant)
+    rho = _noisy_gate_raw(rho, 1, 3, q_g, "CNOT", variant)
 
-    for qubit, u2 in ((0, _U_A), (1, _U_B), (2, _U_A), (3, _U_B)):
-        u = _single(u2, qubit, 4)
-        rho = u @ rho @ u.conj().T
-    rho = _noisy_gate_raw(rho, 0, 2, q_g, "CNOT", variant, 4)
-    rho = _noisy_gate_raw(rho, 1, 3, q_g, "CNOT", variant, 4)
-
-    kept = np.zeros((4, 4), dtype=complex)
-    for b2, b3 in ((0, 0), (1, 1)):
-        proj = _single(_projector(b2), 2, 4) @ _single(_projector(b3), 3, 4)
-        branch = proj @ rho @ proj
-        # trace out the measured pair (qubits 2, 3)
-        kept += branch.reshape(4, 4, 4, 4).trace(axis1=1, axis2=3)
+    # axes (pair 01 ket, pair 23 ket, pair 01 bra, pair 23 bra): keep the
+    # outcomes 00 and 11 of qubits 2 and 3 and trace them out
+    t = rho.reshape(4, 4, 4, 4)
+    kept = t[:, 0, :, 0] + t[:, 3, :, 3]
     p = float(np.trace(kept).real)
     if p <= 0.0:
         raise ArithmeticError("postselection kept zero weight")
-    return PurifyOutcome(_bell_project(kept / p), p)
-
-
-def _projector(bit: int) -> np.ndarray:
-    v = np.zeros(2, dtype=complex)
-    v[bit] = 1.0
-    return np.outer(v, v)
+    return PurifyOutcome(_bell_project(kept / p)[0], p)
 
 
 def simulate_swapping(s: BellDiagonal) -> BellDiagonal:
     """Entanglement swapping of two copies of ``s`` as an explicit circuit.
 
     Pairs (0,1) and (2,3); the middle station holds qubits 1 and 2 and
-    performs a Bell measurement (CNOT 1 -> 2, X-measure 1, Z-measure 2).
+    performs a Bell measurement (CNOT 1 -> 2, X-measure 1, Z-measure 2),
+    the X readout taken as a Z readout after a Hadamard on qubit 1.
     Each outcome's Pauli correction is applied to qubit 3, the branches are
     averaged, and the remaining pair (0, 3) is Bell-projected.
     """
     pair = DensityMatrix.from_bell_diagonal(s).matrix
-    rho = np.kron(pair, pair)
-    u = _cnot(1, 2, 4)
-    rho = u @ rho @ u.conj().T
-
-    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    minus = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-    x_proj = {0: np.outer(plus, plus.conj()), 1: np.outer(minus, minus.conj())}
-    corrections = {
-        (0, 0): _I2,
-        (1, 0): _Z,
-        (0, 1): _X,
-        (1, 1): _Z @ _X,
-    }
-
-    out = np.zeros((4, 4), dtype=complex)
-    for (xm, zm), corr in corrections.items():
-        proj = _single(x_proj[xm], 1, 4) @ _single(_projector(zm), 2, 4)
-        branch = proj @ rho @ proj.conj().T
-        c = _single(corr, 3, 4)
-        branch = c @ branch @ c.conj().T
-        # trace out measured qubits 1 and 2
-        r = branch.reshape(2, 2, 2, 2, 2, 2, 2, 2)
-        out += np.einsum("amnibmnj->aibj", r).reshape(4, 4)
-    return _bell_project(out)
+    rho = _apply(_apply(np.kron(pair, pair), _CNOT, (1, 2)), _H, (1,))
+    t = rho.reshape((2,) * 8)
+    corrections = {(0, 0): _I2, (1, 0): _Z, (0, 1): _X, (1, 1): _Z @ _X}
+    # branch (xm, zm) of the remaining pair (0, 3), measured qubits 1 and 2 traced out
+    out = sum(
+        _apply(t[:, xm, zm, :, :, xm, zm, :].reshape(4, 4), corr, (1,))
+        for (xm, zm), corr in corrections.items()
+    )
+    return _bell_project(out)[0]
 
 
 def enumerate_logical_error(code: Code, q: float) -> float:
@@ -366,8 +319,7 @@ def match_gate_variant(
     record the worst absolute deviation of the output coefficients and the
     success probability from :func:`purify_imperfect_exact`.
     """
-    pts: Iterable[tuple[BellDiagonal, float]] = samples if samples is not None else _default_samples()
-    pts = list(pts)
+    pts = list(samples if samples is not None else _default_samples())
     if not pts:
         raise ValueError("need at least one (state, q_g) sample")
     rows = []
@@ -376,10 +328,8 @@ def match_gate_variant(
         for s, q_g in pts:
             sim = simulate_purification_round(s, q_g, variant)
             ref = purify_imperfect_exact(s, q_g)
-            dev = max(
-                abs(x - y) for x, y in zip(sim.state.as_tuple(), ref.state.as_tuple())
-            )
-            dev = max(dev, abs(sim.success_prob - ref.success_prob))
-            worst = max(worst, dev)
+            got = (*sim.state.as_tuple(), sim.success_prob)
+            want = (*ref.state.as_tuple(), ref.success_prob)
+            worst = max(worst, *(abs(x - y) for x, y in zip(got, want)))
         rows.append((variant, worst))
     return VariantReport(tuple(rows))

@@ -176,6 +176,17 @@ class TestToProtocolConfig:
         with pytest.raises(ConfigError, match=r"known codes: .*\[23,1,7\]"):
             to_protocol_config(CaseSpec(code="[5,1,5]"))
 
+    @pytest.mark.parametrize("label", ["[5,1,5]", "5,1,5", " [5, 1, 5] "])
+    def test_unknown_code_spellings(self, label):
+        known = ", ".join(c.label for c in code_catalog())
+        with pytest.raises(ConfigError) as info:
+            to_protocol_config(CaseSpec(code=label))
+        assert str(info.value) == f"unknown code {label!r}; known codes: {known}"
+
+    @pytest.mark.parametrize("label", ["[23,1,7]", "23,1,7", " [23, 1, 7] "])
+    def test_golay_spellings(self, label):
+        assert to_protocol_config(CaseSpec(code=label)).code.label == "[23,1,7]"
+
 
 class TestCsv:
     def rows(self):
@@ -287,6 +298,17 @@ class TestMain:
             table = list(csv.reader(fh))
         assert table[1][2] == "1"
 
+    def test_set_override_does_not_leak_into_the_next_call(self, tmp_path):
+        # main reuses one parser; each call starts from the --set default
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("code = [3,1,3]\n")
+        out = tmp_path / "rates.csv"
+        argv = ["rate-sweep", "--config", str(cfg), "--out", str(out)]
+        for extra, k in ((["--set", "rounds=3"], "3"), ([], "2")):
+            assert main(argv + extra) == 0
+            with open(out, newline="") as fh:
+                assert list(csv.reader(fh))[1][2] == k
+
     def test_rate_sweep_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         for text, message in (
@@ -361,6 +383,19 @@ class TestMain:
         assert len(table) == 2
         assert float(table[1][-2]) > 0.0
         assert float(table[1][-1]) <= 3.0
+
+    @pytest.mark.parametrize(
+        "blocks, mean",
+        [(64, "11.168371"), (512, "14.899125"), (4096, "15.366377"), (32768, "15.424784")],
+    )
+    def test_montecarlo_judged_against_finite_window_mean(self, blocks, mean, capsys):
+        # few blocks leave many pairs short of a tree; the closed form is the
+        # many-blocks limit, so the sample is judged against the window's mean
+        argv = ["montecarlo", "--code", "[3,1,3]", "--rounds", "2", "--fidelity", "0.95"]
+        assert main(argv + ["--trials", "3000", "--seed", "4", "--blocks", str(blocks)]) == 0
+        out = capsys.readouterr().out
+        assert "analytic rate = 15.433128 Hz per memory" in out
+        assert f"finite-window mean = {mean} Hz ({blocks} blocks)" in out
 
     def test_montecarlo_zero_rates_agree(self, capsys):
         # at F = 1 the closed form and every sample give rate 0 with no spread

@@ -8,11 +8,21 @@ from repeaterlab.codes import code_catalog
 from repeaterlab.core import HardwareParams
 from repeaterlab.montecarlo import (
     McConfig,
+    finite_window_rate,
     required_blocks,
     simulate_rate,
     simulate_window,
 )
-from repeaterlab.pipeline import ProtocolConfig, rate_purified, rate_unpurified, with_fidelity
+from repeaterlab.pipeline import (
+    ProtocolConfig,
+    evaluate,
+    heralding_probability,
+    pump_success_probability,
+    rate_purified,
+    rate_unpurified,
+    timing,
+    with_fidelity,
+)
 
 CODES = {c.label: c for c in code_catalog()}
 
@@ -157,3 +167,46 @@ class TestSimulateRate:
     def test_trials_reported(self):
         est = simulate_rate(make_cfg(rounds=0), 0.95, McConfig(0.5, 1024, 0, 37, seed=1))
         assert est.trials == 37
+
+
+class TestFiniteWindowRate:
+    @pytest.mark.parametrize("blocks", [1, 5, 64, 300])
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_matches_full_binomial_sum(self, blocks, rounds):
+        cfg = with_fidelity(make_cfg(rounds=rounds), 0.95)
+        p0, p_tree = heralding_probability(cfg), pump_success_probability(cfg)
+        trees = sum(
+            math.comb(blocks, j) * p0**j * (1.0 - p0) ** (blocks - j) * (j >> rounds)
+            for j in range(blocks + 1)
+        )
+        want = p_tree * trees / (timing(cfg).t_purify_s * blocks * cfg.code.n)
+        got = finite_window_rate(cfg, 0.95, McConfig(1.0, blocks, rounds, 1))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    def test_unpurified_is_the_closed_form(self):
+        cfg = make_cfg(rounds=0)
+        got = finite_window_rate(cfg, 0.95, McConfig(1.0, 64, 0, 1))
+        assert got == rate_unpurified(with_fidelity(cfg, 0.95))
+        assert got == evaluate(with_fidelity(cfg, 0.95)).rate_per_memory_hz
+
+    def test_rises_to_the_closed_form(self):
+        cfg = make_cfg(rounds=2)
+        analytic = rate_purified(with_fidelity(cfg, 0.95))
+        rates = [finite_window_rate(cfg, 0.95, McConfig(1.0, 4**e, 2, 1)) for e in range(3, 11)]
+        assert rates == sorted(rates)
+        # with sd >> 4 the leftover X mod 4 is uniform on {0..3}: 1.5 pairs
+        # short of s p0 per window
+        p0 = heralding_probability(with_fidelity(cfg, 0.95))
+        assert rates[-1] == pytest.approx(analytic * (1.0 - 1.5 / (4**10 * p0)), rel=1e-9)
+
+    def test_zero_supply(self):
+        # F = 1 heralds no pairs at all
+        assert finite_window_rate(make_cfg(rounds=2), 1.0, McConfig(1.0, 64, 2, 1)) == 0.0
+
+    def test_estimator_within_3_sigma_at_few_blocks(self):
+        # 64 blocks leave a remainder far beyond 1 sigma of the closed form
+        cfg = make_cfg(rounds=2)
+        mc = McConfig(1.0, 64, 2, 3000, seed=4)
+        est = simulate_rate(cfg, 0.95, mc)
+        assert abs(est.rate_per_memory_hz - finite_window_rate(cfg, 0.95, mc)) <= 3.0 * est.std_error_hz
+        assert rate_purified(with_fidelity(cfg, 0.95)) - est.rate_per_memory_hz > 10.0 * est.std_error_hz

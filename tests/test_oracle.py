@@ -123,6 +123,79 @@ class TestNoisyGate:
             apply_noisy_two_qubit_gate(rho, 1, 1, 0.0)
 
 
+_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def random_density_matrix(rng, m):
+    a = rng.normal(size=(2**m, 2**m)) + 1j * rng.normal(size=(2**m, 2**m))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+def embed(op, qubit, m):
+    """One-qubit operator at ``qubit`` of a big-endian m-qubit register."""
+    full = np.ones((1, 1), dtype=complex)
+    for i in range(m):
+        full = np.kron(full, op if i == qubit else np.eye(2))
+    return full
+
+
+def gate_matrix(gate, control, target, m):
+    """CNOT as a basis permutation or CZ as a sign diagonal, index by index."""
+    u = np.zeros((2**m, 2**m), dtype=complex)
+    for j in range(2**m):
+        c = (j >> (m - 1 - control)) & 1
+        t = (j >> (m - 1 - target)) & 1
+        if gate == "CNOT":
+            u[j ^ (c << (m - 1 - target)), j] = 1.0
+        else:
+            u[j, j] = -1.0 if c and t else 1.0
+    return u
+
+
+def reference_noisy_gate(rho, control, target, q, gate, variant):
+    m = rho.shape[0].bit_length() - 1
+    target_pauli = _PAULI_Z if variant.value.startswith("zz") else _PAULI_X
+
+    def noise(r):
+        for pauli, qubit in ((_PAULI_Z, control), (target_pauli, target)):
+            k = embed(pauli, qubit, m)
+            r = (1.0 - q) * r + q * (k @ r @ k)
+        return r
+
+    u = gate_matrix(gate, control, target, m)
+    if variant.value.endswith("before"):
+        rho = noise(rho)
+    rho = u @ rho @ u.conj().T
+    return rho if variant.value.endswith("before") else noise(rho)
+
+
+class TestQubitOrder:
+    """The tensor-indexed circuits against dense kron/permutation references."""
+
+    @pytest.mark.parametrize("control, target", [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("variant", list(GateErrorVariant))
+    @pytest.mark.parametrize("gate", ["CNOT", "CZ"])
+    def test_noisy_gate_matches_reference(self, gate, variant, control, target):
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            rho = random_density_matrix(rng, 3)
+            got = apply_noisy_two_qubit_gate(DensityMatrix(rho), control, target, 0.17, gate, variant)
+            want = reference_noisy_gate(rho, control, target, 0.17, gate, variant)
+            assert np.abs(got.matrix - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
+    def test_dephasing_matches_reference(self, qubit):
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            rho = random_density_matrix(rng, 3)
+            z = embed(_PAULI_Z, qubit, 3)
+            want = 0.7 * rho + 0.3 * (z @ rho @ z)
+            got = apply_dephasing(DensityMatrix(rho), qubit, 0.3)
+            assert np.abs(got.matrix - want).max() <= 1e-14
+
+
 class TestPurificationCircuit:
     def test_noiseless_equals_recursion(self):
         rng = np.random.default_rng(2024)
