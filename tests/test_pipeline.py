@@ -254,6 +254,88 @@ class TestOperatingPoint:
             operating_point(make_cfg(), 1.0)
 
 
+# the operating-point map: every catalog code at k = 0..3 solved for
+# F_final >= 0.95 in each (tau_c, 1 - T) cell, L = 1280 km, L0 = 20 km
+MAP_TAU_C = (0.01, 0.1, 1.0, 10.0)
+MAP_ONE_MINUS_T = (1e-5, 1e-4, 1e-3, 1e-2)
+MAP_TARGET = 0.95
+# rate-maximising (code, k) of each cell; None where no solve is feasible
+MAP_WINNERS = {
+    (0.01, 1e-5): ("[1,1,1]", 3),
+    (0.01, 1e-4): ("[1,1,1]", 3),
+    (0.01, 1e-3): ("[23,1,7]", 0),
+    (0.01, 1e-2): None,
+    (0.1, 1e-5): ("[1,1,1]", 2),
+    (0.1, 1e-4): ("[1,1,1]", 2),
+    (0.1, 1e-3): ("[23,1,7]", 1),
+    (0.1, 1e-2): None,
+    (1.0, 1e-5): ("[1,1,1]", 2),
+    (1.0, 1e-4): ("[1,1,1]", 2),
+    (1.0, 1e-3): ("[7,1,3]", 2),
+    (1.0, 1e-2): None,
+    (10.0, 1e-5): ("[1,1,1]", 2),
+    (10.0, 1e-4): ("[1,1,1]", 2),
+    (10.0, 1e-3): ("[7,1,3]", 2),
+    (10.0, 1e-2): None,
+}
+# (L0, alpha, theta, attenuation, code, k, target): channel-route solves
+CHANNEL_SOLVES = [
+    (20.0, 20.0, 0.01, 25.5, "[3,1,3]", 2, 0.95),
+    (20.0, 20.0, 0.01, 30.0, "[7,1,3]", 2, 0.9),
+    (10.0, 200.0, 0.01, 25.5, "[23,1,7]", 1, 0.95),
+    (10.0, 200.0, 0.01, 25.5, "[1,1,1]", 0, 0.99),
+    (40.0, 5.0, 0.05, 20.0, "[25,1,5]", 3, 0.8),
+]
+
+
+def solve_map():
+    """{(tau_c, 1 - T): [(code label, k, OperatingPoint), ...]} over the map."""
+    return {
+        (tau_c, omt): [
+            (code.label, k, operating_point(make_cfg(code.label, k, tau_c, omt), MAP_TARGET))
+            for code in code_catalog()
+            for k in range(4)
+        ]
+        for tau_c in MAP_TAU_C
+        for omt in MAP_ONE_MINUS_T
+    }
+
+
+class TestOperatingPointMap:
+    def test_map_frozen(self):
+        # every solve bit for bit, as first computed by the per-call
+        # final_fidelity bisection
+        cells = solve_map()
+        h = hashlib.sha256()
+        for solves in cells.values():
+            for _, _, op in solves:
+                values = (op.operating_fidelity, op.max_f_final, op.result.rate_per_memory_hz)
+                h.update(str(op.feasible).encode())
+                for value in values:
+                    h.update(b"\x1f" + (b"none" if value is None else value.hex().encode()))
+                h.update(b"\n")
+        assert sum(len(s) for s in cells.values()) == 448
+        assert sum(op.feasible for s in cells.values() for _, _, op in s) == 189
+        assert h.hexdigest() == "4750b6533975e7ead9c92103ab7dc2b552c24adcbf6d43bbaa01963098c8e94d"
+
+    def test_rate_winner_per_cell(self):
+        winners = {}
+        for cell, solves in solve_map().items():
+            feasible = [(op.result.rate_per_memory_hz, label, k) for label, k, op in solves if op.feasible]
+            # max keeps the first of equal rates: catalog order, then k
+            best = max(feasible, key=lambda t: t[0], default=None)
+            winners[cell] = None if best is None else best[1:]
+        assert winners == MAP_WINNERS
+
+    @pytest.mark.parametrize("seg, alpha, theta, att, label, k, target", CHANNEL_SOLVES)
+    def test_channel_solve_matches_fidelity_twin(self, seg, alpha, theta, att, label, k, target):
+        ch = ChannelParams(seg, alpha, theta, attenuation_length_km=att)
+        hw = HardwareParams(0.999, 0.1)
+        cfg = ProtocolConfig(8 * seg, seg, CODES[label], k, hw, channel=ch, attenuation_km=7.0)
+        twin = with_fidelity(cfg, cfg.raw_fidelity())
+        assert operating_point(cfg, target) == operating_point(twin, target)
+
+
 class TestSweep:
     def test_rows_in_order(self):
         cfgs = [c for c in catalog_grid() if c.fidelity is not None]
