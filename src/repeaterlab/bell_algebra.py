@@ -171,6 +171,11 @@ def purify_imperfect_exact(s: BellDiagonal, q_g: float) -> PurifyOutcome:
     return PurifyOutcome(BellDiagonal(num_a / p, num_b / p, num_c / p, num_d / p), p)
 
 
+def _gate_charge(q_g: float, qubits: int) -> float:
+    # worst-case survival of ``qubits`` noisy-gate qubits, (1 - q_g)^qubits
+    return (1.0 - q_g) ** qubits
+
+
 def _check_code_length(n: int) -> None:
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"code length n must be an integer >= 1, got {n}")
@@ -191,7 +196,7 @@ def purify_lower_bound(s: BellDiagonal, q_g: float, n: int) -> PurifyOutcome:
     _check_gate_error(q_g)
     _check_code_length(n)
     ideal = purify_ideal(s)
-    g = (1.0 - q_g) ** (4 * n)
+    g = _gate_charge(q_g, 4 * n)
     st = ideal.state
     return PurifyOutcome(BellDiagonal(st.a * g, st.b, st.c, st.d), ideal.success_prob * g)
 
@@ -206,7 +211,7 @@ def swap_lower_bound(s: BellDiagonal, q_g: float, n: int) -> BellDiagonal:
     _check_gate_error(q_g)
     _check_code_length(n)
     st = swap_ideal(s)
-    g = (1.0 - q_g) ** (2 * n)
+    g = _gate_charge(q_g, 2 * n)
     return BellDiagonal(st.a * g, st.b, st.c, st.d)
 
 
@@ -236,5 +241,5 @@ def purify_k_rounds_lower(s: BellDiagonal, q_g: float, n: int, k: int) -> Purify
         step = purify_ideal(state)
         state = step.state
         p_chain *= step.success_prob
-    g = (1.0 - q_g) ** (4 * n * (2**k - 1))
+    g = _gate_charge(q_g, 4 * n * (2**k - 1))
     return PurifyOutcome(state, p_chain * g)

@@ -20,7 +20,7 @@ from typing import Sequence
 from .bell_algebra import BellDiagonal, swap_ideal
 from .codes import Code, code_catalog, logical_error_prob
 from .core import ChannelParams, HardwareParams
-from .montecarlo import McConfig, finite_window_rate, simulate_rate
+from .montecarlo import McConfig, finite_window_estimate, simulate_rate
 from .oracle import enumerate_logical_error, match_gate_variant, simulate_swapping
 from .pipeline import (
     OperatingPoint,
@@ -90,6 +90,7 @@ class CaseSpec:
 
 
 _KEYS = {f.name: f.metadata for f in fields(CaseSpec) if f.metadata}
+_DEFAULTS = {f.name: f.default for f in fields(CaseSpec) if f.metadata}
 _NULLABLE = {f.name for f in fields(CaseSpec) if "None" in str(f.type)}
 
 
@@ -111,21 +112,18 @@ def _assignment(item: str, where: str) -> tuple[str, object]:
         raise ConfigError(f"{where}: bad value for {key!r}: {raw!r} ({exc})") from None
 
 
-def _apply_level(base: CaseSpec, assigns: dict[str, object], where: str) -> CaseSpec:
+def _apply_level(base: dict[str, object], assigns: dict[str, object], where: str) -> dict[str, object]:
     """Merge one level of assignments, keeping F vs (alpha, theta) exclusive."""
     sets_fidelity = assigns.get("fidelity") is not None
     sets_channel = assigns.get("alpha") is not None or assigns.get("theta_rad") is not None
     if sets_fidelity and sets_channel:
         raise ConfigError(f"{where}: set either fidelity or alpha/theta_rad, not both")
-    merged = replace(base, **assigns)
-    if sets_channel and "fidelity" not in assigns:
-        merged = replace(merged, fidelity=None)
+    cleared = {}
+    if sets_channel:
+        cleared["fidelity"] = None
     if sets_fidelity:
-        if "alpha" not in assigns:
-            merged = replace(merged, alpha=None)
-        if "theta_rad" not in assigns:
-            merged = replace(merged, theta_rad=None)
-    return merged
+        cleared.update(alpha=None, theta_rad=None)
+    return {**base, **cleared, **assigns}
 
 
 def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[CaseSpec, ...]:
@@ -159,7 +157,7 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[CaseSpec, ..
         key, parsed = _assignment(line, f"line {line_no}")
         (top_assigns if current is None else current)[key] = parsed
 
-    base = _apply_level(CaseSpec(), top_assigns, "top level")
+    base = _apply_level(_DEFAULTS, top_assigns, "top level")
     if overrides:
         set_assigns = {}
         for item in overrides:
@@ -169,9 +167,9 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[CaseSpec, ..
             set_assigns[key] = value
         base = _apply_level(base, set_assigns, "--set overrides")
     if not case_blocks:
-        return (base,)
+        return (CaseSpec(**base),)
     return tuple(
-        replace(_apply_level(base, assigns, f"line {line_no} [case {name}]"), name=name)
+        CaseSpec(name=name, **_apply_level(base, assigns, f"line {line_no} [case {name}]"))
         for name, assigns, line_no in case_blocks
     )
 
@@ -331,7 +329,7 @@ def report_operating_points(target_f_final: float = 0.95) -> tuple[ReportRow, ..
 
 def _case_from_args(args: argparse.Namespace) -> CaseSpec:
     assigns = {key: value for key, value in vars(args).items() if key in _KEYS and value is not None}
-    return _apply_level(CaseSpec(), assigns, "arguments")
+    return CaseSpec(**_apply_level(_DEFAULTS, assigns, "arguments"))
 
 
 def _add_point_flags(p: argparse.ArgumentParser) -> None:
@@ -432,14 +430,16 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         raise ValueError(row.error)
     mc = McConfig(p0=1.0, blocks=args.blocks, rounds=cfg.rounds, trials=args.trials, seed=args.seed)
     est = simulate_rate(cfg, row.f, mc)
-    # the sample is judged against its own finite-window mean, not the closed form
-    expected = finite_window_rate(cfg, row.f, mc)
-    miss = abs(est.rate_per_memory_hz - expected)
+    # the sample is judged against its own finite-window mean and exact
+    # standard error, not the closed form and the sample's own spread
+    expected = finite_window_estimate(cfg, row.f, mc)
+    miss = abs(est.rate_per_memory_hz - expected.rate_per_memory_hz)
     # equal rates agree even when both are exactly 0 and carry no spread
-    z = 0.0 if miss == 0 else (miss / est.std_error_hz if est.std_error_hz > 0 else math.inf)
+    z = 0.0 if miss == 0 else (miss / expected.std_error_hz if expected.std_error_hz > 0 else math.inf)
     print(f"rng = numpy PCG64, SeedSequence(seed={args.seed}), blocks = {args.blocks}")
     print(f"analytic rate = {_g8(row.rate_per_memory_hz)} Hz per memory")
-    print(f"finite-window mean = {_g8(expected)} Hz ({args.blocks} blocks)")
+    print(f"finite-window mean = {_g8(expected.rate_per_memory_hz)} Hz ({args.blocks} blocks)")
+    print(f"exact std error = {_g8(expected.std_error_hz)} Hz ({est.trials} trials)")
     print(f"simulated     = {_g8(est.rate_per_memory_hz)} +/- {_g8(est.std_error_hz)} Hz ({est.trials} trials)")
     print(f"|z| = {z:.2f} sigma")
     if args.out:

@@ -35,7 +35,7 @@ __all__ = [
     "RateEstimate",
     "simulate_window",
     "required_blocks",
-    "finite_window_rate",
+    "finite_window_estimate",
     "simulate_rate",
 ]
 
@@ -153,32 +153,39 @@ def _tree_process(cfg: ProtocolConfig, fidelity: float) -> tuple[ProtocolConfig,
     return cfg, heralding_probability(cfg), pump_success_probability(cfg), timing(cfg).t_purify_s
 
 
-def finite_window_rate(cfg: ProtocolConfig, fidelity: float, mc: McConfig) -> float:
-    """Exact mean of the :func:`simulate_rate` estimator over mc.blocks slots.
+def finite_window_estimate(cfg: ProtocolConfig, fidelity: float, mc: McConfig) -> RateEstimate:
+    """Exact mean and standard error of the :func:`simulate_rate` estimate.
 
-    A window fills floor(X / 2^k) complete trees from X ~ Binom(blocks, p0)
-    raw pairs, so the mean is p_tree E[floor(X / 2^k)] / (window blocks n).
-    It falls short of the closed-form rate, the many-blocks limit, by the
-    pairs left over; k = 0 leaves none and returns the closed form exactly.
-    The pmf is summed in log space over mean +/- (40 sd + 40) pairs.
+    A window fills T = floor(X / 2^k) complete trees from X ~ Binom(blocks,
+    p0) raw pairs, and each survives with probability p_tree, so the mean
+    is p_tree E[T] / (window blocks n).  It falls short of the closed-form
+    rate, the many-blocks limit, by the pairs left over; k = 0 leaves none
+    and returns the closed form exactly.  The surviving count has variance
+    p_tree (1 - p_tree) E[T] + p_tree^2 Var(T), which stays positive while
+    the mean is, however few windows fill a tree.  The pmf is summed in log
+    space over mean +/- (40 sd + 40) pairs.
     """
     cfg, p0, p_tree, window_s = _tree_process(cfg, fidelity)
     k, s = cfg.rounds, mc.blocks
-    if k == 0:
-        return rate_unpurified(cfg)
     if p0 == 0.0:
-        return 0.0
-    if p0 == 1.0:
-        trees = float(s >> k)
+        e_t = var_t = 0.0
+    elif p0 == 1.0:
+        e_t, var_t = float(s >> k), 0.0
+    elif k == 0:
+        e_t, var_t = s * p0, s * p0 * (1.0 - p0)
     else:
         mean, half = s * p0, 40.0 * math.sqrt(s * p0 * (1.0 - p0)) + 40.0
         log_p, log_q, log_s = math.log(p0), math.log1p(-p0), math.lgamma(s + 1)
-        trees = sum(
-            (j >> k)
-            * math.exp(log_s - math.lgamma(j + 1) - math.lgamma(s - j + 1) + j * log_p + (s - j) * log_q)
-            for j in range(max(2**k, math.floor(mean - half)), min(s, math.ceil(mean + half)) + 1)
-        )
-    return p_tree * trees / (window_s * s * cfg.code.n)
+        pmf = [
+            (j >> k, math.exp(log_s - math.lgamma(j + 1) - math.lgamma(s - j + 1) + j * log_p + (s - j) * log_q))
+            for j in range(max(0, math.floor(mean - half)), min(s, math.ceil(mean + half)) + 1)
+        ]
+        e_t = sum(t * w for t, w in pmf)
+        var_t = sum((t - e_t) ** 2 * w for t, w in pmf)
+    scale = window_s * s * cfg.code.n
+    var_out = p_tree * (1.0 - p_tree) * e_t + p_tree * p_tree * var_t
+    rate = rate_unpurified(cfg) if k == 0 else p_tree * e_t / scale
+    return RateEstimate(rate, math.sqrt(var_out / mc.trials) / scale, mc.trials)
 
 
 def simulate_rate(cfg: ProtocolConfig, fidelity: float, mc: McConfig) -> RateEstimate:

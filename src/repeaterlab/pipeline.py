@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .bell_algebra import (
     BellDiagonal,
-    PurifyOutcome,
+    _gate_charge,
     purify_imperfect_exact,
     purify_k_rounds_lower,
     swap_ideal,
@@ -181,54 +181,51 @@ def timing(cfg: ProtocolConfig) -> Timing:
     return Timing(t0, t_k, t_half, cfg.num_segments())
 
 
-def _gate_factor(q_g: float, n: int, num_swaps: int, k: int) -> float:
-    # 2n noisy-gate qubits per swap, 4n per purification merge (2^k - 1 merges)
-    return (1.0 - q_g) ** (2 * n * (num_swaps + 2 * (2**k - 1)))
-
-
-def _pump(cfg: ProtocolConfig, tm: Timing, q_g: float) -> PurifyOutcome:
-    """The pair left by the k-round pump chain and its success probability P_k.
+def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, float]]:
+    """``price(f) -> (F_final, P_k)`` at raw fidelity f; terms free of f are computed once.
 
     repetition: the stored pair accumulates memory dephasing over the pump
     window, decoded per block to a pair flip budget, and runs through k
-    ideal rounds; P_k carries the gate discount of the whole tree.
-    css: the raw pair runs through k exact imperfect-gate rounds.
-    """
-    f = cfg.raw_fidelity()
-    if cfg.code.family == "repetition":
-        q_mem = memory_error_prob(tm.t_purify_s / 2.0, cfg.hardware.memory_coherence_s)
-        q_logical = logical_error_prob(cfg.code, q_mem)
-        state = effective_coefficients(f, pair_no_error_prob(q_logical))
-        return purify_k_rounds_lower(state, q_g, cfg.code.n, cfg.rounds)
-    state = BellDiagonal(f, 1.0 - f, 0.0, 0.0)
-    p_chain = 1.0
-    for _ in range(cfg.rounds):
-        out = purify_imperfect_exact(state, q_g)
-        state = out.state
-        p_chain *= out.success_prob
-    return PurifyOutcome(state, p_chain)
-
-
-def _final(cfg: ProtocolConfig, tm: Timing, q_g: float, pumped: BellDiagonal) -> float:
-    """End-to-end fidelity F_final of the pumped pair.
-
-    repetition: log2(N) ideal swap levels, and every noisy gate in the tree
-    discounts the leading coefficient, so the result is a lower bound.
-    css: the purified fidelity F_k, two noisy gates, and three memory
-    half-windows per stored qubit make up an i.i.d. error budget q_eff;
-    each of the 2N encoded blocks along the line must decode it:
+    ideal rounds; P_k carries the gate discount of the whole tree.  Then
+    log2(N) ideal swap levels, and every noisy gate in the tree (2n qubits
+    per swap, 4n per merge) discounts the leading coefficient, so F_final is
+    a lower bound.
+    css: the raw pair runs through k exact imperfect-gate rounds.  The
+    purified fidelity F_k, two noisy gates, and three memory half-windows
+    per stored qubit make up an i.i.d. error budget q_eff; each of the 2N
+    encoded blocks along the line must decode it:
 
         F_final = (1 - Q_n(q_eff))^(2N).
     """
-    if cfg.code.family == "repetition":
-        state = pumped
-        for _ in range(int(math.log2(tm.num_segments))):
-            state = swap_ideal(state)
-        return state.a * _gate_factor(q_g, cfg.code.n, tm.num_segments - 1, cfg.rounds)
-    q_mem = memory_error_prob(tm.t_half_s / 2.0, cfg.hardware.memory_coherence_s)
-    q_eff, _clamped = css_effective_qubit_error(q_mem, q_g, pumped.a)
-    q_logical = logical_error_prob(cfg.code, q_eff)
-    return (1.0 - q_logical) ** (2 * tm.num_segments)
+    code, k, n_seg = cfg.code, cfg.rounds, tm.num_segments
+    q_g, tau_c = cfg.hardware.gate_error(), cfg.hardware.memory_coherence_s
+    if code.family == "repetition":
+        q_logical = logical_error_prob(code, memory_error_prob(tm.t_purify_s / 2.0, tau_c))
+        p_pair = pair_no_error_prob(q_logical)
+        levels = int(math.log2(n_seg))
+        gates = _gate_charge(q_g, 2 * code.n * (n_seg - 1 + 2 * (2**k - 1)))
+
+        def price(f: float) -> tuple[float, float]:
+            pumped = purify_k_rounds_lower(effective_coefficients(f, p_pair), q_g, code.n, k)
+            state = pumped.state
+            for _ in range(levels):
+                state = swap_ideal(state)
+            return state.a * gates, pumped.success_prob
+
+        return price
+    q_m = memory_error_prob(tm.t_half_s / 2.0, tau_c)
+
+    def price(f: float) -> tuple[float, float]:
+        state = BellDiagonal(f, 1.0 - f, 0.0, 0.0)
+        p_chain = 1.0
+        for _ in range(k):
+            out = purify_imperfect_exact(state, q_g)
+            state = out.state
+            p_chain *= out.success_prob
+        q_eff, _clamped = css_effective_qubit_error(q_m, q_g, state.a)
+        return (1.0 - logical_error_prob(code, q_eff)) ** (2 * n_seg), p_chain
+
+    return price
 
 
 def _rate(n: int, k: int, t0_s: float, p0: float, p_k: float) -> float:
@@ -238,8 +235,7 @@ def _rate(n: int, k: int, t0_s: float, p0: float, p_k: float) -> float:
 
 def final_fidelity(cfg: ProtocolConfig) -> float:
     """End-to-end fidelity F_final (a lower bound for the repetition family)."""
-    tm, q_g = timing(cfg), cfg.hardware.gate_error()
-    return _final(cfg, tm, q_g, _pump(cfg, tm, q_g).state)
+    return _chain(cfg, timing(cfg))(cfg.raw_fidelity())[0]
 
 
 def heralding_probability(cfg: ProtocolConfig) -> float:
@@ -254,8 +250,7 @@ def rate_unpurified(cfg: ProtocolConfig) -> float:
 
 def pump_success_probability(cfg: ProtocolConfig) -> float:
     """Success probability of the whole k-round pump tree (1 for k = 0)."""
-    tm, q_g = timing(cfg), cfg.hardware.gate_error()
-    return _pump(cfg, tm, q_g).success_prob
+    return _chain(cfg, timing(cfg))(cfg.raw_fidelity())[1]
 
 
 def rate_purified(cfg: ProtocolConfig) -> float:
@@ -278,27 +273,24 @@ def rate_purified(cfg: ProtocolConfig) -> float:
 def evaluate(cfg: ProtocolConfig) -> SweepResult:
     """Evaluate one grid point from a single pump chain, capturing failures in the row."""
     tm = timing(cfg)
-    q_g = cfg.hardware.gate_error()
-    base = SweepResult(
-        code_label=cfg.code.label,
-        family=cfg.code.family,
-        rounds=cfg.rounds,
-        tau_c_s=cfg.hardware.memory_coherence_s,
-        one_minus_t=1.0 - cfg.hardware.local_transmission,
-        total_distance_km=cfg.total_distance_km,
-        segment_km=cfg.segment_km,
-        t_wait_s=tm.t_purify_s if cfg.code.family == "repetition" else tm.t_half_s,
-    )
+    error = None
     try:
         f = cfg.raw_fidelity()
-        pumped = _pump(cfg, tm, q_g)
-        f_final = _final(cfg, tm, q_g, pumped.state)
+        f_final, p_k = _chain(cfg, tm)(f)
         p0 = heralding_probability(cfg)
-        p_k = pumped.success_prob
         rate = _rate(cfg.code.n, cfg.rounds, tm.t0_s, p0, p_k)
     except (ValueError, ArithmeticError) as exc:
-        return replace(base, error=str(exc))
-    return replace(base, f=f, f_final=f_final, p0=p0, p_k=p_k, rate_per_memory_hz=rate)
+        f = f_final = p0 = p_k = rate = math.nan
+        error = str(exc)
+    hw = cfg.hardware
+    return SweepResult(
+        code_label=cfg.code.label, family=cfg.code.family, rounds=cfg.rounds,
+        tau_c_s=hw.memory_coherence_s, one_minus_t=1.0 - hw.local_transmission,
+        total_distance_km=cfg.total_distance_km, segment_km=cfg.segment_km,
+        f=f, f_final=f_final, p0=p0, p_k=p_k, rate_per_memory_hz=rate,
+        t_wait_s=tm.t_purify_s if cfg.code.family == "repetition" else tm.t_half_s,
+        error=error,
+    )
 
 
 def with_fidelity(cfg: ProtocolConfig, f: float) -> ProtocolConfig:
@@ -317,20 +309,19 @@ def operating_point(cfg: ProtocolConfig, target_f_final: float) -> OperatingPoin
     """
     if not 0.0 < target_f_final < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target_f_final}")
-    hi = _F_HI
-    f_at_hi = final_fidelity(with_fidelity(cfg, hi))
-    if f_at_hi < target_f_final:
-        return OperatingPoint(False, None, evaluate(with_fidelity(cfg, hi)), f_at_hi)
-    lo = _F_LO
-    if final_fidelity(with_fidelity(cfg, lo)) >= target_f_final:
+    price = _chain(cfg, timing(cfg))
+    lo, hi = _F_LO, _F_HI
+    f_at_hi = price(hi)[0]
+    feasible = f_at_hi >= target_f_final
+    if feasible and price(lo)[0] >= target_f_final:
         hi = lo
-    while hi - lo > _F_TOL:
+    while feasible and hi - lo > _F_TOL:
         mid = 0.5 * (lo + hi)
-        if final_fidelity(with_fidelity(cfg, mid)) >= target_f_final:
+        if price(mid)[0] >= target_f_final:
             hi = mid
         else:
             lo = mid
-    return OperatingPoint(True, hi, evaluate(with_fidelity(cfg, hi)), f_at_hi)
+    return OperatingPoint(feasible, hi if feasible else None, evaluate(with_fidelity(cfg, hi)), f_at_hi)
 
 
 def sweep(configs: Sequence[ProtocolConfig]) -> list[SweepResult]:

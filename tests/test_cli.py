@@ -404,6 +404,17 @@ class TestMain:
         assert "analytic rate = 0 Hz" in out
         assert "|z| = 0.00 sigma" in out
 
+    def test_montecarlo_empty_windows_judged_by_exact_std_error(self, capsys):
+        # every sampled window is empty (0 +/- 0), yet the expected rate is
+        # positive: the exact standard error keeps |z| finite and small
+        argv = ["montecarlo", "--code", "[3,1,3]", "--rounds", "3", "--fidelity", "0.9999"]
+        assert main(argv + ["--blocks", "64", "--trials", "200", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "finite-window mean = 2.708075e-20 Hz (64 blocks)" in out
+        assert "simulated     = 0 +/- 0 Hz (200 trials)" in out
+        z = float(out.split("|z| = ")[1].split()[0])
+        assert math.isfinite(z) and z <= 3.0
+
     def test_montecarlo_errored_row_exits_2(self, capsys):
         # so strong a probe drives the raw fidelity to 1/2, which evaluate rejects
         assert main(["montecarlo", "--alpha", "1e6", "--theta-rad", "0.01"]) == 2

@@ -8,7 +8,7 @@ from repeaterlab.codes import code_catalog
 from repeaterlab.core import HardwareParams
 from repeaterlab.montecarlo import (
     McConfig,
-    finite_window_rate,
+    finite_window_estimate,
     required_blocks,
     simulate_rate,
     simulate_window,
@@ -180,19 +180,21 @@ class TestFiniteWindowRate:
             for j in range(blocks + 1)
         )
         want = p_tree * trees / (timing(cfg).t_purify_s * blocks * cfg.code.n)
-        got = finite_window_rate(cfg, 0.95, McConfig(1.0, blocks, rounds, 1))
+        got = finite_window_estimate(cfg, 0.95, McConfig(1.0, blocks, rounds, 1)).rate_per_memory_hz
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_unpurified_is_the_closed_form(self):
         cfg = make_cfg(rounds=0)
-        got = finite_window_rate(cfg, 0.95, McConfig(1.0, 64, 0, 1))
+        got = finite_window_estimate(cfg, 0.95, McConfig(1.0, 64, 0, 1)).rate_per_memory_hz
         assert got == rate_unpurified(with_fidelity(cfg, 0.95))
         assert got == evaluate(with_fidelity(cfg, 0.95)).rate_per_memory_hz
 
     def test_rises_to_the_closed_form(self):
         cfg = make_cfg(rounds=2)
         analytic = rate_purified(with_fidelity(cfg, 0.95))
-        rates = [finite_window_rate(cfg, 0.95, McConfig(1.0, 4**e, 2, 1)) for e in range(3, 11)]
+        rates = [
+            finite_window_estimate(cfg, 0.95, McConfig(1.0, 4**e, 2, 1)).rate_per_memory_hz for e in range(3, 11)
+        ]
         assert rates == sorted(rates)
         # with sd >> 4 the leftover X mod 4 is uniform on {0..3}: 1.5 pairs
         # short of s p0 per window
@@ -201,12 +203,55 @@ class TestFiniteWindowRate:
 
     def test_zero_supply(self):
         # F = 1 heralds no pairs at all
-        assert finite_window_rate(make_cfg(rounds=2), 1.0, McConfig(1.0, 64, 2, 1)) == 0.0
+        assert finite_window_estimate(make_cfg(rounds=2), 1.0, McConfig(1.0, 64, 2, 1)).rate_per_memory_hz == 0.0
 
     def test_estimator_within_3_sigma_at_few_blocks(self):
         # 64 blocks leave a remainder far beyond 1 sigma of the closed form
         cfg = make_cfg(rounds=2)
         mc = McConfig(1.0, 64, 2, 3000, seed=4)
         est = simulate_rate(cfg, 0.95, mc)
-        assert abs(est.rate_per_memory_hz - finite_window_rate(cfg, 0.95, mc)) <= 3.0 * est.std_error_hz
+        mean = finite_window_estimate(cfg, 0.95, mc).rate_per_memory_hz
+        assert abs(est.rate_per_memory_hz - mean) <= 3.0 * est.std_error_hz
         assert rate_purified(with_fidelity(cfg, 0.95)) - est.rate_per_memory_hz > 10.0 * est.std_error_hz
+
+
+class TestFiniteWindowEstimate:
+    @pytest.mark.parametrize("blocks", [1, 5, 64, 300])
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_std_error_matches_full_binomial_sum(self, blocks, rounds):
+        cfg = with_fidelity(make_cfg(rounds=rounds), 0.95)
+        p0, p_tree = heralding_probability(cfg), pump_success_probability(cfg)
+        pmf = [math.comb(blocks, j) * p0**j * (1.0 - p0) ** (blocks - j) for j in range(blocks + 1)]
+        e_t = sum(w * (j >> rounds) for j, w in enumerate(pmf))
+        e_t2 = sum(w * (j >> rounds) ** 2 for j, w in enumerate(pmf))
+        # survivors ~ Binom(T, p_tree): E[out^2] = p(1-p) E[T] + p^2 E[T^2]
+        var_out = p_tree * (1.0 - p_tree) * e_t + p_tree**2 * e_t2 - (p_tree * e_t) ** 2
+        scale = timing(cfg).t_purify_s * blocks * cfg.code.n
+        got = finite_window_estimate(cfg, 0.95, McConfig(1.0, blocks, rounds, 50))
+        assert got.std_error_hz == pytest.approx(math.sqrt(var_out / 50) / scale, rel=1e-9, abs=1e-300)
+        assert got.trials == 50
+
+    def test_unpurified_is_the_binomial_std_error(self):
+        cfg = with_fidelity(make_cfg(rounds=0), 0.95)
+        p0, s = heralding_probability(cfg), 4096
+        got = finite_window_estimate(cfg, 0.95, McConfig(1.0, s, 0, 400))
+        want = math.sqrt(s * p0 * (1.0 - p0) / 400) / (timing(cfg).t0_s * s * cfg.code.n)
+        assert got.std_error_hz == pytest.approx(want, rel=1e-12)
+
+    def test_spread_stays_positive_while_the_mean_is(self):
+        # 64 blocks at F = 0.9999 almost never fill an 8-pair tree
+        cfg = make_cfg(rounds=3)
+        got = finite_window_estimate(cfg, 0.9999, McConfig(1.0, 64, 3, 200))
+        assert 0.0 < got.rate_per_memory_hz < 1e-15
+        assert got.std_error_hz > 0.0
+
+    def test_zero_supply_has_no_spread(self):
+        got = finite_window_estimate(make_cfg(rounds=2), 1.0, McConfig(1.0, 64, 2, 10))
+        assert got == (0.0, 0.0, 10)
+
+    def test_sample_std_error_agrees(self):
+        # the exact standard error is what the sample's own spread estimates
+        cfg = make_cfg(rounds=2)
+        mc = McConfig(1.0, 512, 2, 3000, seed=4)
+        exact = finite_window_estimate(cfg, 0.95, mc).std_error_hz
+        assert simulate_rate(cfg, 0.95, mc).std_error_hz == pytest.approx(exact, rel=0.1)
