@@ -20,8 +20,6 @@ from typing import Sequence
 from .bell_algebra import BellDiagonal, swap_ideal
 from .codes import Code, code_catalog, logical_error_prob
 from .core import ChannelParams, HardwareParams
-from .montecarlo import McConfig, finite_window_estimate, simulate_rate
-from .oracle import enumerate_logical_error, match_gate_variant, simulate_swapping
 from .pipeline import (
     OperatingPoint,
     ProtocolConfig,
@@ -380,6 +378,8 @@ def cmd_operating_point(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
+    from .oracle import enumerate_logical_error, match_gate_variant, simulate_swapping  # needs numpy
+
     report = match_gate_variant()
     print(report)
     ok = bool(report.matching)
@@ -423,7 +423,22 @@ def cmd_qubus_check(args: argparse.Namespace) -> int:
     return 0 if verdict.feasible else 1
 
 
+def _z_score(sampled: float, mean: float, std_error: float) -> float:
+    """|sampled - mean| in standard errors; a rounding-level miss is 0.
+
+    A deterministic estimator (no spread) still reproduces its mean only to
+    float rounding, so a miss within a relative 1e-12 of the mean agrees;
+    any larger miss with no spread is infinitely unlikely.
+    """
+    miss = abs(sampled - mean)
+    if miss <= 1e-12 * abs(mean):
+        return 0.0
+    return miss / std_error if std_error > 0 else math.inf
+
+
 def cmd_montecarlo(args: argparse.Namespace) -> int:
+    from .montecarlo import McConfig, finite_window_estimate, simulate_rate  # needs numpy
+
     cfg = to_protocol_config(_case_from_args(args))
     row = evaluate(cfg)
     if row.error is not None:
@@ -433,9 +448,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     # the sample is judged against its own finite-window mean and exact
     # standard error, not the closed form and the sample's own spread
     expected = finite_window_estimate(cfg, row.f, mc)
-    miss = abs(est.rate_per_memory_hz - expected.rate_per_memory_hz)
-    # equal rates agree even when both are exactly 0 and carry no spread
-    z = 0.0 if miss == 0 else (miss / expected.std_error_hz if expected.std_error_hz > 0 else math.inf)
+    z = _z_score(est.rate_per_memory_hz, expected.rate_per_memory_hz, expected.std_error_hz)
     print(f"rng = numpy PCG64, SeedSequence(seed={args.seed}), blocks = {args.blocks}")
     print(f"analytic rate = {_g8(row.rate_per_memory_hz)} Hz per memory")
     print(f"finite-window mean = {_g8(expected.rate_per_memory_hz)} Hz ({args.blocks} blocks)")

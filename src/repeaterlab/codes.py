@@ -9,6 +9,7 @@ its qubits have flipped.  Supported families are bit-repetition codes
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,10 +81,18 @@ def logical_error_prob(code: Code, q_eff: float) -> float:
         raise ValueError(f"q_eff must lie in [0, 1], got {q_eff}")
     q = q_eff
     total = 0.0
-    # sum smallest terms first: j near n is tiny for q < 1/2
-    for j in range(code.n, (code.d + 1) // 2 - 1, -1):
-        total += math.comb(code.n, j) * q**j * (1.0 - q) ** (code.n - j)
+    for binom, j, n_minus_j in _tail_terms(code.n, code.d):
+        total += binom * q**j * (1.0 - q) ** n_minus_j
     return min(total, 1.0)
+
+
+@functools.cache
+def _tail_terms(n: int, d: int) -> tuple[tuple[int, int, int], ...]:
+    """(C(n, j), j, n - j) for j >= (d + 1)/2, exact ints built once per code.
+
+    Ordered j = n first, so the smallest terms (for q < 1/2) are summed first.
+    """
+    return tuple((math.comb(n, j), j, n - j) for j in range(n, (d + 1) // 2 - 1, -1))
 
 
 def pair_no_error_prob(q_logical: float) -> float:

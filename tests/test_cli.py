@@ -14,6 +14,7 @@ from repeaterlab.cli import (
     ConfigError,
     _GOLAY_THROUGHPUT_MEMORIES,
     _KEYS,
+    _z_score,
     emit_csv,
     emit_gnuplot,
     main,
@@ -414,6 +415,29 @@ class TestMain:
         assert "simulated     = 0 +/- 0 Hz (200 trials)" in out
         z = float(out.split("|z| = ")[1].split()[0])
         assert math.isfinite(z) and z <= 3.0
+
+    def test_montecarlo_deterministic_estimator_agrees(self, capsys):
+        # p0 = 1 at k = 0: every window yields the same count, so the sample
+        # mean matches the finite-window mean up to float rounding only
+        argv = ["montecarlo", "--rounds", "0", "--segment-km", "0.001", "--total-km", "0.002"]
+        assert main(argv + ["--fidelity", "0.6", "--trials", "1000"]) == 0
+        out = capsys.readouterr().out
+        assert "finite-window mean = 33333333 Hz (4096 blocks)" in out
+        assert "exact std error = 0 Hz (1000 trials)" in out
+        assert "|z| = 0.00 sigma" in out
+
+    @pytest.mark.parametrize(
+        "sampled, mean, std_error, z",
+        [
+            (1.0 + 1e-15, 1.0, 0.0, 0.0),  # rounding-level miss, no spread
+            (0.0, 0.0, 0.0, 0.0),
+            (1.0 + 1e-9, 1.0, 0.0, math.inf),  # a real miss with no spread
+            (0.0, 2.7e-20, 0.0, math.inf),
+            (1.5, 1.0, 0.25, 2.0),
+        ],
+    )
+    def test_z_score(self, sampled, mean, std_error, z):
+        assert _z_score(sampled, mean, std_error) == z
 
     def test_montecarlo_errored_row_exits_2(self, capsys):
         # so strong a probe drives the raw fidelity to 1/2, which evaluate rejects

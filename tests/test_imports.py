@@ -1,0 +1,142 @@
+"""Import cost: the closed-form model and the CLI load numpy only on demand."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repeaterlab
+
+SRC = str(Path(repeaterlab.__file__).resolve().parents[1])
+
+# every name `from repeaterlab import X` served when the package imported
+# all of its submodules eagerly, by the submodule that defines it
+EXPORTS = {
+    "bell_algebra": [
+        "BellDiagonal", "PurifyOutcome", "purify_ideal", "purify_imperfect_exact",
+        "purify_k_rounds_lower", "purify_lower_bound", "swap_ideal", "swap_lower_bound",
+    ],
+    "codes": [
+        "Code", "code_catalog", "css_effective_qubit_error", "effective_coefficients",
+        "logical_error_prob", "pair_no_error_prob",
+    ],
+    "core": [
+        "ChannelParams", "HardwareParams", "gate_error_prob", "initial_fidelity",
+        "memory_error_prob", "success_probability", "transmittance",
+    ],
+    "montecarlo": [
+        "McConfig", "RateEstimate", "WindowStats", "required_blocks", "simulate_rate",
+        "simulate_window",
+    ],
+    "oracle": [
+        "DensityMatrix", "GateErrorVariant", "VariantReport", "apply_dephasing",
+        "apply_noisy_two_qubit_gate", "bell_diagonal_projection", "enumerate_logical_error",
+        "match_gate_variant", "simulate_purification_round", "simulate_swapping",
+    ],
+    "pipeline": [
+        "OperatingPoint", "ProtocolConfig", "SweepResult", "Timing", "evaluate",
+        "final_fidelity", "heralding_probability", "operating_point",
+        "pump_success_probability", "rate_purified", "rate_unpurified", "sweep", "timing",
+        "with_fidelity",
+    ],
+    "qubus": [
+        "Feasibility", "QubusPlan", "chained_qubus_phases", "feasibility", "homodyne_error",
+        "min_beta", "phases_distinct", "single_qubus_phases",
+    ],
+}
+SUBMODULES = [*EXPORTS, "cli"]
+POINT = ["fidelity", "--code", "[7,1,3]", "--rounds", "1", "--fidelity", "0.97"]
+
+
+def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def _loads_numpy(program: str, cwd=None) -> bool:
+    """Run ``program`` in a fresh interpreter; did it leave numpy imported?"""
+    proc = _python("-c", program + "\nimport sys\nprint('numpy' in sys.modules)", cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        pytest.param("import repeaterlab", id="package"),
+        pytest.param("import repeaterlab.pipeline", id="pipeline"),
+        pytest.param("import repeaterlab.cli", id="cli"),
+        pytest.param("from repeaterlab import operating_point, sweep, logical_error_prob", id="exports"),
+        pytest.param(f"from repeaterlab import cli\nassert cli.main({POINT!r}) == 0", id="fidelity"),
+    ],
+)
+def test_model_and_cli_import_no_numpy(program):
+    assert not _loads_numpy(program)
+
+
+def test_rate_sweep_imports_no_numpy(tmp_path):
+    (tmp_path / "grid.cfg").write_text(
+        "rounds = 1\n[case rep]\ncode = [3,1,3]\n[case steane]\ncode = [7,1,3]\n"
+        "[case channel]\nalpha = 0.001\ntheta_rad = 0.01\n"
+    )
+    argv = ["rate-sweep", "--config", "grid.cfg", "--out", "rates.csv"]
+    assert not _loads_numpy(f"from repeaterlab import cli\nassert cli.main({argv!r}) == 0", cwd=tmp_path)
+    assert len((tmp_path / "rates.csv").read_text().splitlines()) == 4
+
+
+def test_python_dash_m_runs_the_cli_without_numpy():
+    proc = _python("-X", "importtime", "-m", "repeaterlab", *POINT)
+    assert proc.returncode == 0, proc.stderr
+    assert "F_final = " in proc.stdout
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "repeaterlab.cli" in imported
+    assert "numpy" not in imported
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        pytest.param("from repeaterlab import cli\nassert cli.main(['oracle-verify']) == 0", id="oracle-verify"),
+        pytest.param("from repeaterlab import simulate_rate", id="montecarlo-export"),
+        pytest.param("import repeaterlab\nrepeaterlab.oracle", id="oracle-attribute"),
+    ],
+)
+def test_numpy_layers_still_load_numpy(program):
+    assert _loads_numpy(program)
+
+
+def test_submodules_resolve_after_a_plain_import():
+    program = "import repeaterlab\n" + "\n".join(
+        f"assert repeaterlab.{name}.__name__ == 'repeaterlab.{name}'" for name in SUBMODULES
+    )
+    assert _loads_numpy(program)
+
+
+@pytest.mark.parametrize(
+    "module, name", [(module, name) for module, names in EXPORTS.items() for name in names]
+)
+def test_export_is_the_submodule_object(module, name):
+    namespace = {}
+    exec(f"from repeaterlab import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"repeaterlab.{module}"), name)
+
+
+def test_all_and_dir_list_every_export():
+    exported = {name for names in EXPORTS.values() for name in names}
+    assert set(repeaterlab.__all__) == exported
+    assert exported | set(SUBMODULES) | {"__version__"} <= set(dir(repeaterlab))
+    assert repeaterlab.__version__ == "0.1.0"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repeaterlab.no_such_name
+    assert not hasattr(repeaterlab, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from repeaterlab import no_such_name", {})
