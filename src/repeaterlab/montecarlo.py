@@ -106,8 +106,8 @@ def required_blocks(p0: float, rounds: int, confidence: float) -> int:
         raise ValueError("p0 = 0 can never supply a pump tree")
     if not 0.0 < p0 <= 1.0:
         raise ValueError(f"p0 must lie in (0, 1], got {p0}")
-    if not (isinstance(rounds, int) and rounds >= 0):
-        raise ValueError(f"rounds must be an integer >= 0, got {rounds}")
+    if type(rounds) is not int or rounds < 0:
+        raise ValueError(f"rounds must be an integer >= 0, got {rounds!r}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     need = 2**rounds

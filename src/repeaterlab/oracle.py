@@ -13,6 +13,7 @@ computational index.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,6 +54,9 @@ _CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 # U on the source-A side, its conjugate on the source-B side.
 _U_A = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
 _U_B = _U_A.conj()
+
+# Pauli correction on qubit 3 for each swap outcome (X readout, Z readout)
+_SWAP_CORRECTIONS = {(0, 0): _I2, (1, 0): _Z, (0, 1): _X, (1, 1): _Z @ _X}
 
 # columns: phi+, phi-, psi+, psi- in the big-endian computational basis
 _BELL = np.array(
@@ -114,6 +118,20 @@ class DensityMatrix:
         return cls(_BELL @ np.diag(s.as_tuple()).astype(complex) @ _BELL.conj().T)
 
 
+@functools.cache
+def _axis_orders(m: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis permutation that brings the listed qubits' axes out, and its inverse.
+
+    Of the 2m axes of an m-qubit density tensor (m ket axes, then m bra
+    axes), the listed ket axes go to the front in order, the listed bra
+    axes to the back in order, and the rest keep their relative order.
+    """
+    bras = tuple(m + q for q in qubits)
+    forward = (*qubits, *(a for a in range(2 * m) if a not in qubits and a not in bras), *bras)
+    inverse = tuple(sorted(range(2 * m), key=forward.__getitem__))
+    return forward, inverse
+
+
 def _apply(rho: np.ndarray, op: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     """op rho op^dagger for a 2^k x 2^k ``op`` on the listed qubits, in order.
 
@@ -122,11 +140,10 @@ def _apply(rho: np.ndarray, op: np.ndarray, qubits: Sequence[int]) -> np.ndarray
     axes to the back for op^dagger, and both move back.
     """
     m, k = rho.shape[0].bit_length() - 1, len(qubits)
-    src = [*qubits, *(m + q for q in qubits)]
-    dst = [*range(k), *range(2 * m - k, 2 * m)]
-    t = np.moveaxis(rho.reshape((2,) * 2 * m), src, dst)
+    forward, inverse = _axis_orders(m, tuple(qubits))
+    t = rho.reshape((2,) * 2 * m).transpose(forward)
     t = (op @ t.reshape(2**k, -1)).reshape(-1, 2**k) @ op.conj().T
-    return np.moveaxis(t.reshape((2,) * 2 * m), dst, src).reshape(rho.shape)
+    return t.reshape((2,) * 2 * m).transpose(inverse).reshape(rho.shape)
 
 
 def _flip(rho: np.ndarray, pauli: np.ndarray, qubit: int, q: float) -> np.ndarray:
@@ -256,11 +273,10 @@ def simulate_swapping(s: BellDiagonal) -> BellDiagonal:
     pair = DensityMatrix.from_bell_diagonal(s).matrix
     rho = _apply(_apply(np.kron(pair, pair), _CNOT, (1, 2)), _H, (1,))
     t = rho.reshape((2,) * 8)
-    corrections = {(0, 0): _I2, (1, 0): _Z, (0, 1): _X, (1, 1): _Z @ _X}
     # branch (xm, zm) of the remaining pair (0, 3), measured qubits 1 and 2 traced out
     out = sum(
         _apply(t[:, xm, zm, :, :, xm, zm, :].reshape(4, 4), corr, (1,))
-        for (xm, zm), corr in corrections.items()
+        for (xm, zm), corr in _SWAP_CORRECTIONS.items()
     )
     return _bell_project(out)[0]
 

@@ -66,11 +66,16 @@ class Feasibility(NamedTuple):
     max_phase_rad: float
 
 
+def _check_theta(theta_rad: float) -> None:
+    # an infinite angle would turn the ledger into inf - inf = nan
+    if not (theta_rad > 0.0 and math.isfinite(theta_rad)):
+        raise ValueError(f"theta_rad must be finite and > 0, got {theta_rad}")
+
+
 def _check_n_theta(n: int, theta_rad: float) -> None:
     if not (isinstance(n, int) and n >= 2):
         raise ValueError(f"n must be an integer >= 2, got {n}")
-    if not theta_rad > 0.0:
-        raise ValueError(f"theta_rad must be > 0, got {theta_rad}")
+    _check_theta(theta_rad)
 
 
 def _max_phase(n: int, theta_rad: float) -> float:
@@ -84,8 +89,19 @@ def _max_phase(n: int, theta_rad: float) -> float:
         return math.inf
 
 
-def _sgn(bit: str) -> int:
-    return 1 if bit == "0" else -1
+def _coefficients(n: int) -> list[int]:
+    """Integer phase coefficients 2 phase(b) / theta in pattern-index order.
+
+    Built by doubling, most significant bit (atom 1) first: bit j of the
+    first n - 1 adds +2^j for a 0 and -2^j for a 1, and the last bit adds
+    -(2^(n-1) - 1) for a 0 and +(2^(n-1) - 1) for a 1.  O(2^n) additions.
+    """
+    acc = [0]
+    for j in range(n - 1):
+        step = 2**j
+        acc = [c for a in acc for c in (a + step, a - step)]
+    last = 2 ** (n - 1) - 1
+    return [c for a in acc for c in (a - last, a + last)]
 
 
 def single_qubus_phases(n: int, theta_rad: float) -> QubusPlan:
@@ -104,12 +120,7 @@ def single_qubus_phases(n: int, theta_rad: float) -> QubusPlan:
     _check_n_theta(n, theta_rad)
     if n > _ENUM_LIMIT:
         raise ValueError(f"explicit ledger limited to n <= {_ENUM_LIMIT}, got {n}")
-    phases: dict[str, float] = {}
-    for idx in range(2**n):
-        b = format(idx, f"0{n}b")
-        coeff = sum(_sgn(b[j]) * 2**j for j in range(n - 1))
-        coeff -= _sgn(b[n - 1]) * (2 ** (n - 1) - 1)
-        phases[b] = 0.5 * theta_rad * coeff
+    phases = {format(idx, f"0{n}b"): 0.5 * theta_rad * c for idx, c in enumerate(_coefficients(n))}
     return QubusPlan(n, theta_rad, "single", phases)
 
 
@@ -139,7 +150,8 @@ def chained_qubus_phases(n: int, theta_rad: float) -> QubusPlan:
 def phases_distinct(n: int, theta_rad: float) -> bool:
     """Distinctness mod 2 pi of the single-qubus phases, codeword pair aside.
 
-    Exhaustive for n <= 16.  Beyond that the verdict is analytic: every
+    Exhaustive for n <= 16: all 2^n phases are bucketed mod 2 pi, in
+    O(2^n) integer and float operations on the ledger coefficients.  Beyond that the verdict is analytic: every
     phase is an even multiple of theta/2 bounded by max_phase, so below the
     branch cut (max_phase < pi) distinct integer coefficients cannot wrap
     onto each other, while at max_phase = pi the two extreme patterns meet
@@ -149,18 +161,15 @@ def phases_distinct(n: int, theta_rad: float) -> bool:
     max_phase = _max_phase(n, theta_rad)
     if n > _ENUM_LIMIT:
         return max_phase < math.pi
-    phases = single_qubus_phases(n, theta_rad).per_state_phases
+    # one phase bucket per pattern; the codewords 0...0 and 1...1 come
+    # first and last and share phase 0, so only the inner patterns must
+    # keep to buckets of their own
     two_pi = 2.0 * math.pi
-    buckets: dict[int, list[str]] = {}
-    modulus = int(round(two_pi / _PHASE_TOL))
-    for pattern, phase in phases.items():
-        key = int(round((phase % two_pi) / _PHASE_TOL)) % modulus
-        buckets.setdefault(key, []).append(pattern)
-    codewords = {"0" * n, "1" * n}
-    for group in buckets.values():
-        if len(group) > 1 and set(group) != codewords:
-            return False
-    return True
+    modulus = round(two_pi / _PHASE_TOL)
+    half = 0.5 * theta_rad
+    codeword, *inner, _ = [round((half * c % two_pi) / _PHASE_TOL) % modulus for c in _coefficients(n)]
+    keys = set(inner)
+    return len(keys) == len(inner) and codeword not in keys
 
 
 def feasibility(n: int, theta_rad: float) -> Feasibility:
@@ -189,10 +198,10 @@ def homodyne_error(beta: float, theta_rad: float) -> float:
 
         0.5 erfc(beta (1 - cos theta) / sqrt(2)).
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    if not theta_rad > 0.0:
-        raise ValueError(f"theta_rad must be > 0, got {theta_rad}")
+    # beta = inf against 1 - cos(theta) = 0 (theta = 2 pi) would give nan
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    _check_theta(theta_rad)
     return 0.5 * math.erfc(beta * (1.0 - math.cos(theta_rad)) / math.sqrt(2.0))
 
 
@@ -205,8 +214,7 @@ def min_beta(theta_rad: float, target_error: float) -> float:
     """
     if not 0.0 < target_error < 0.5:
         raise ValueError(f"target_error must lie in (0, 1/2), got {target_error}")
-    if not theta_rad > 0.0:
-        raise ValueError(f"theta_rad must be > 0, got {theta_rad}")
+    _check_theta(theta_rad)
     hi = 1.0
     while homodyne_error(hi, theta_rad) > target_error:
         hi *= 2.0

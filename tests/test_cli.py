@@ -342,6 +342,18 @@ class TestMain:
         assert "max_phase = inf rad" in out
         assert "feasible: False" in out
 
+    @pytest.mark.parametrize("extra", [[], ["--target-error", "0.1"], ["--beta", "3"]])
+    def test_qubus_check_infinite_theta_exits_2(self, capsys, extra):
+        assert main(["qubus-check", "--n", "5", "--theta-rad", "inf", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: theta_rad must be finite and > 0, got inf\n"
+
+    def test_qubus_check_infinite_beta_exits_2(self, capsys):
+        argv = ["qubus-check", "--n", "2", "--theta-rad", repr(2.0 * math.pi), "--beta", "inf"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: beta must be finite and > 0, got inf\n"
+
     def test_qubus_check_plan_and_beta(self, capsys):
         rc = main(
             [

@@ -49,6 +49,8 @@ EXPORTS = {
 }
 SUBMODULES = [*EXPORTS, "cli"]
 POINT = ["fidelity", "--code", "[7,1,3]", "--rounds", "1", "--fidelity", "0.97"]
+# the full 2^12-pattern ledger runs in pure Python
+QUBUS = ["qubus-check", "--n", "12", "--theta-rad", "0.0005"]
 
 
 def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
@@ -74,6 +76,7 @@ def _loads_numpy(program: str, cwd=None) -> bool:
         pytest.param("import repeaterlab.cli", id="cli"),
         pytest.param("from repeaterlab import operating_point, sweep, logical_error_prob", id="exports"),
         pytest.param(f"from repeaterlab import cli\nassert cli.main({POINT!r}) == 0", id="fidelity"),
+        pytest.param(f"from repeaterlab import cli\nassert cli.main({QUBUS!r}) == 0", id="qubus-check"),
     ],
 )
 def test_model_and_cli_import_no_numpy(program):

@@ -135,6 +135,11 @@ class TestRequiredBlocks:
         with pytest.raises(ValueError):
             required_blocks(p0, rounds, conf)
 
+    def test_bool_rounds_rejected(self):
+        # True is an int subclass; McConfig refuses it, and so does this
+        with pytest.raises(ValueError, match="rounds must be an integer >= 0, got True"):
+            required_blocks(0.5, True, 0.9)
+
 
 class TestSimulateRate:
     def test_deterministic_per_seed(self):

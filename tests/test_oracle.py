@@ -1,5 +1,6 @@
 """Density-matrix circuits against the closed-form recursions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from repeaterlab.core import memory_error_prob
 from repeaterlab.oracle import (
     DensityMatrix,
     GateErrorVariant,
+    _apply,
     apply_dephasing,
     apply_noisy_two_qubit_gate,
     bell_diagonal_projection,
@@ -133,6 +135,10 @@ def random_density_matrix(rng, m):
     return rho / np.trace(rho)
 
 
+def random_unitary(rng):
+    return np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+
+
 def embed(op, qubit, m):
     """One-qubit operator at ``qubit`` of a big-endian m-qubit register."""
     full = np.ones((1, 1), dtype=complex)
@@ -194,6 +200,27 @@ class TestQubitOrder:
             want = 0.7 * rho + 0.3 * (z @ rho @ z)
             got = apply_dephasing(DensityMatrix(rho), qubit, 0.3)
             assert np.abs(got.matrix - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("control, target", list(itertools.permutations(range(4), 2)))
+    @pytest.mark.parametrize("variant", list(GateErrorVariant))
+    @pytest.mark.parametrize("gate", ["CNOT", "CZ"])
+    def test_noisy_gate_matches_reference_on_four_qubits(self, gate, variant, control, target):
+        # purification runs on four qubits: every ordered pair, both gates
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            rho = random_density_matrix(rng, 4)
+            got = apply_noisy_two_qubit_gate(DensityMatrix(rho), control, target, 0.17, gate, variant)
+            want = reference_noisy_gate(rho, control, target, 0.17, gate, variant)
+            assert np.abs(got.matrix - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("qubit", [0, 1, 2, 3])
+    def test_rotation_matches_reference_on_four_qubits(self, qubit):
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            rho = random_density_matrix(rng, 4)
+            u = random_unitary(rng)
+            k = embed(u, qubit, 4)
+            assert np.abs(_apply(rho, u, (qubit,)) - k @ rho @ k.conj().T).max() <= 1e-14
 
 
 class TestPurificationCircuit:

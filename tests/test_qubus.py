@@ -153,6 +153,115 @@ class TestFeasibility:
             assert phases_distinct(n, theta)
 
 
+def reference_ledger(n, theta):
+    """The ledger spelled out pattern string by pattern string, bit by bit."""
+
+    def sgn(bit):
+        return 1 if bit == "0" else -1
+
+    phases = {}
+    for idx in range(2**n):
+        b = format(idx, f"0{n}b")
+        coeff = sum(sgn(b[j]) * 2**j for j in range(n - 1))
+        coeff -= sgn(b[n - 1]) * (2 ** (n - 1) - 1)
+        phases[b] = 0.5 * theta * coeff
+    return phases
+
+
+def reference_buckets(n, theta):
+    """Patterns grouped by their phase mod 2 pi, to within 1e-9 rad."""
+    two_pi = 2.0 * math.pi
+    modulus = int(round(two_pi / 1e-9))
+    buckets = {}
+    for pattern, phase in reference_ledger(n, theta).items():
+        buckets.setdefault(int(round((phase % two_pi) / 1e-9)) % modulus, set()).add(pattern)
+    return buckets
+
+
+def reference_distinct(n, theta):
+    codewords = {"0" * n, "1" * n}
+    return all(len(group) == 1 or group == codewords for group in reference_buckets(n, theta).values())
+
+
+def codeword_bucket(n, theta):
+    return next(g for g in reference_buckets(n, theta).values() if "0" * n in g)
+
+
+class TestLedgerReference:
+    """The integer ledger against the pattern-string formula it replaced."""
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 16])
+    def test_ledger_matches_reference_exactly(self, n):
+        theta = 0.9 * math.pi / (2 ** (n - 1) - 1)
+        got = list(single_qubus_phases(n, theta).per_state_phases.items())
+        assert got == list(reference_ledger(n, theta).items())
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_distinct_below_and_at_branch_cut(self, n):
+        cut = math.pi / (2 ** (n - 1) - 1)
+        for theta in (1e-6, 0.5 * cut, 0.999 * cut):
+            assert phases_distinct(n, theta) is reference_distinct(n, theta) is True
+        # at the cut the two extreme patterns meet at +/- pi
+        assert phases_distinct(n, cut) is reference_distinct(n, cut) is False
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_distinct_in_wrap_region(self, n):
+        big = 2 ** (n - 1) - 1
+        thetas = [1.0, 2.5, 3.0, 2.0 * math.pi / 3.0, 2.0 * math.pi * 3.0 / (2 * big + 1)]
+        thetas += [2.0 * math.pi * p / q for q in (big + 1, 2 * big) for p in (1, q - 1)]
+        for theta in thetas:
+            assert phases_distinct(n, theta) is reference_distinct(n, theta)
+
+    def test_collision_among_inner_patterns(self):
+        # n = 4 spans phases k theta, k = -7..7; theta = 2 pi / 11 folds
+        # k and k - 11 together but leaves k = 0 alone
+        theta = 2.0 * math.pi / 11.0
+        assert codeword_bucket(4, theta) == {"0000", "1111"}
+        assert not reference_distinct(4, theta)
+        assert not phases_distinct(4, theta)
+
+    def test_collision_with_the_codeword_bucket(self):
+        # theta = 2 pi / 5 puts the k = +/-5 patterns on phase 0 with the codewords
+        theta = 2.0 * math.pi / 5.0
+        assert len(codeword_bucket(4, theta)) == 4
+        assert not reference_distinct(4, theta)
+        assert not phases_distinct(4, theta)
+
+    def test_wrap_region_can_stay_distinct(self):
+        # past the branch cut, but theta = 2 pi * 2 / 15 sends k = -7..7 to
+        # 15 distinct residues mod 2 pi
+        theta = 4.0 * math.pi / 15.0
+        assert feasibility(4, theta).max_phase_rad > math.pi
+        assert phases_distinct(4, theta) is reference_distinct(4, theta) is True
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: feasibility(5, t),
+            lambda t: phases_distinct(5, t),
+            lambda t: phases_distinct(20, t),
+            lambda t: single_qubus_phases(5, t),
+            lambda t: chained_qubus_phases(5, t),
+            lambda t: homodyne_error(1.0, t),
+            lambda t: min_beta(t, 0.1),
+        ],
+        ids=["feasibility", "phases_distinct", "phases_distinct_analytic", "single", "chained",
+             "homodyne_error", "min_beta"],
+    )
+    def test_rejected_with_field_name(self, call, theta):
+        with pytest.raises(ValueError, match=f"theta_rad must be finite and > 0, got {theta}"):
+            call(theta)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_non_finite_beta_rejected(self, beta):
+        # inf * (1 - cos 2 pi) = inf * 0 would print homodyne_error = nan
+        with pytest.raises(ValueError, match=f"beta must be finite and > 0, got {beta}"):
+            homodyne_error(beta, 2.0 * math.pi)
+
+
 class TestHomodyne:
     def test_point_value(self):
         assert homodyne_error(9e4, THETA) == pytest.approx(3.398272563578783e-06, rel=1e-12)
