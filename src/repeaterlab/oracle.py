@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,22 +42,16 @@ _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 _MATCH_TOL = 1e-10
 
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-
-# two-qubit gates on (control, target)
-_CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-_CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 # sqrt(i X) rotations of the recurrence protocol (Deutsch et al. 1996):
 # U on the source-A side, its conjugate on the source-B side.
 _U_A = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
 _U_B = _U_A.conj()
 
-# Pauli correction on qubit 3 for each swap outcome (X readout, Z readout)
-_SWAP_CORRECTIONS = {(0, 0): _I2, (1, 0): _Z, (0, 1): _X, (1, 1): _Z @ _X}
+# Pauli correction on qubit 3 for each swap outcome (X readout, Z readout),
+# as the gates applied in turn: Z X is X first, then Z
+_SWAP_CORRECTIONS = {(0, 0): (), (1, 0): ("Z",), (0, 1): ("X",), (1, 1): ("X", "Z")}
 
 # columns: phi+, phi-, psi+, psi- in the big-endian computational basis
 _BELL = np.array(
@@ -68,6 +63,7 @@ _BELL = np.array(
     ],
     dtype=complex,
 ) / np.sqrt(2.0)
+_BELL_H = _BELL.conj().T
 
 
 class GateErrorVariant(enum.Enum):
@@ -115,7 +111,7 @@ class DensityMatrix:
         """Two-qubit Bell-diagonal state; requires a normalized input."""
         if abs(s.total() - 1.0) > 1e-9:
             raise ValueError(f"state must be normalized, coefficients sum to {s.total()}")
-        return cls(_BELL @ np.diag(s.as_tuple()).astype(complex) @ _BELL.conj().T)
+        return cls(_BELL @ np.diag(s.as_tuple()).astype(complex) @ _BELL_H)
 
 
 @functools.cache
@@ -137,7 +133,9 @@ def _apply(rho: np.ndarray, op: np.ndarray, qubits: Sequence[int]) -> np.ndarray
 
     As a (2,)*2m tensor, rho has the m ket axes first and the m bra axes
     last; the listed ket axes move to the front for op and the listed bra
-    axes to the back for op^dagger, and both move back.
+    axes to the back for op^dagger, and both move back.  Only the gates
+    that are not signed permutations (the rotations and the Hadamard) come
+    here; the Paulis, CNOT and CZ go through :func:`_permute`.
     """
     m, k = rho.shape[0].bit_length() - 1, len(qubits)
     forward, inverse = _axis_orders(m, tuple(qubits))
@@ -146,17 +144,90 @@ def _apply(rho: np.ndarray, op: np.ndarray, qubits: Sequence[int]) -> np.ndarray
     return t.reshape((2,) * 2 * m).transpose(inverse).reshape(rho.shape)
 
 
-def _flip(rho: np.ndarray, pauli: np.ndarray, qubit: int, q: float) -> np.ndarray:
+@functools.cache
+def _index_map(
+    m: int, gate: str, qubits: tuple[int, ...]
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(gather, mask) of a signed-permutation gate on an m-qubit register.
+
+    X, Z, CNOT and CZ send basis state j to s_j |perm[j]>, with perm an
+    involution and s_j = +-1; X and CNOT have no signs, Z and CZ no
+    permutation (``None`` stands for either).  Then
+    U rho U^dagger = mask * rho[perm][:, perm] with mask = outer(s, s);
+    ``gather`` holds the flat indices of rho[perm][:, perm], so that one
+    ``take`` does both row and column moves.
+    """
+    dim, shift = 2**m, [m - 1 - q for q in qubits]
+    perm = sign = None
+    if gate == "X":
+        perm = [j ^ (1 << shift[0]) for j in range(dim)]
+    elif gate == "CNOT":
+        perm = [j ^ (((j >> shift[0]) & 1) << shift[1]) for j in range(dim)]
+    elif gate == "Z":
+        sign = [1 - 2 * ((j >> shift[0]) & 1) for j in range(dim)]
+    elif gate == "CZ":
+        sign = [1 - 2 * ((j >> shift[0]) & (j >> shift[1]) & 1) for j in range(dim)]
+    else:
+        raise ValueError(f"no index map for gate {gate!r}")
+    # plain ints: numpy's shift and bitwise ufuncs run nowhere else in the
+    # oracle, and their first call costs a 128 KB step of peak RSS
+    gather = None if perm is None else np.array([[a * dim + b for b in perm] for a in perm])
+    mask = None if sign is None else np.array([[a * b for b in sign] for a in sign], dtype=float)
+    for table in (gather, mask):
+        if table is not None:
+            table.setflags(write=False)
+    return gather, mask
+
+
+def _permute(rho: np.ndarray, gate: str, qubits: tuple[int, ...]) -> np.ndarray:
+    """U rho U^dagger for a Pauli X or Z, a CNOT or a CZ on the listed qubits."""
+    gather, mask = _index_map(rho.shape[0].bit_length() - 1, gate, qubits)
+    if gather is not None:
+        rho = rho.take(gather)
+    return rho if mask is None else rho * mask
+
+
+def _flip(rho: np.ndarray, pauli: str, qubit: int, q: float) -> np.ndarray:
     """Pauli flip channel (1 - q) rho + q P rho P on one qubit."""
-    return (1.0 - q) * rho + q * _apply(rho, pauli, (qubit,))
+    return (1.0 - q) * rho + q * _permute(rho, pauli, (qubit,))
 
 
-def _check_pair(control: int, target: int, m: int) -> None:
+def _qubit_index(name: str, value: object) -> int:
+    """A qubit index as a plain int, or a ValueError naming the field.
+
+    A float or bool index equals an int key, so it must be turned away
+    before it can reach the cached axis orders or index maps.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer qubit index, got {value!r}")
+
+
+def _check_pair(control: object, target: object, m: int) -> tuple[int, int]:
+    control, target = _qubit_index("control", control), _qubit_index("target", target)
     if control == target:
         raise ValueError("control and target must differ")
     for name, idx in (("control", control), ("target", target)):
         if not 0 <= idx < m:
             raise ValueError(f"{name} index {idx} out of range for {m} qubits")
+    return control, target
+
+
+def _gate_variant(variant: object) -> GateErrorVariant:
+    """A variant member, or its value string; anything else is a ValueError."""
+    try:
+        return GateErrorVariant(variant)
+    except ValueError:
+        names = ", ".join(v.value for v in GateErrorVariant)
+        raise ValueError(f"variant must be one of {names}, got {variant!r}") from None
+
+
+def _check_gate_error(q_g: float) -> None:
+    if not 0.0 <= q_g < 0.5:
+        raise ValueError(f"q_g must lie in [0, 1/2), got {q_g}")
 
 
 def _noisy_gate_raw(
@@ -169,27 +240,26 @@ def _noisy_gate_raw(
 ) -> np.ndarray:
     if gate not in ("CNOT", "CZ"):
         raise ValueError(f"gate must be 'CZ' or 'CNOT', got {gate!r}")
-    u = _CNOT if gate == "CNOT" else _CZ
-    target_pauli = _Z if variant in (GateErrorVariant.ZZ_BEFORE, GateErrorVariant.ZZ_AFTER) else _X
+    target_pauli = "Z" if variant in (GateErrorVariant.ZZ_BEFORE, GateErrorVariant.ZZ_AFTER) else "X"
 
     def noise(r: np.ndarray) -> np.ndarray:
         # independent flips: Z on the control and (Z or X) on the target,
         # each with probability q_g
-        return _flip(_flip(r, _Z, control, q_g), target_pauli, target, q_g)
+        return _flip(_flip(r, "Z", control, q_g), target_pauli, target, q_g)
 
     if variant in (GateErrorVariant.ZZ_BEFORE, GateErrorVariant.ZCXT_BEFORE):
-        return _apply(noise(rho), u, (control, target))
-    return noise(_apply(rho, u, (control, target)))
+        return _permute(noise(rho), gate, (control, target))
+    return noise(_permute(rho, gate, (control, target)))
 
 
 def apply_dephasing(rho: DensityMatrix, qubit: int, q: float) -> DensityMatrix:
     """Phase-flip channel (1 - q) rho + q Z rho Z on one qubit."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
-    m = rho.num_qubits
+    m, qubit = rho.num_qubits, _qubit_index("qubit", qubit)
     if not 0 <= qubit < m:
         raise ValueError(f"qubit index {qubit} out of range for {m} qubits")
-    return DensityMatrix(_flip(rho.matrix, _Z, qubit, q))
+    return DensityMatrix(_flip(rho.matrix, "Z", qubit, q))
 
 
 def apply_noisy_two_qubit_gate(
@@ -198,25 +268,24 @@ def apply_noisy_two_qubit_gate(
     target: int,
     q_g: float,
     gate: str = "CNOT",
-    variant: GateErrorVariant = GateErrorVariant.ZCXT_AFTER,
+    variant: GateErrorVariant | str = GateErrorVariant.ZCXT_AFTER,
 ) -> DensityMatrix:
     """Ideal CZ or CNOT composed with per-qubit Pauli error channels.
 
     Each participating qubit flips independently with probability q_g:
     Z on the control and, per the variant, Z or X on the target; the
     channel acts before or after the unitary as the variant name says.
+    ``variant`` may also be given by its value string.
     """
-    if not 0.0 <= q_g < 0.5:
-        raise ValueError(f"q_g must lie in [0, 1/2), got {q_g}")
-    _check_pair(control, target, rho.num_qubits)
+    _check_gate_error(q_g)
+    control, target = _check_pair(control, target, rho.num_qubits)
+    variant = _gate_variant(variant)
     return DensityMatrix(_noisy_gate_raw(rho.matrix, control, target, q_g, gate, variant))
 
 
-def _bell_project(rho4: np.ndarray) -> tuple[BellDiagonal, float]:
-    in_bell = _BELL.conj().T @ rho4 @ _BELL
-    diag = np.diag(in_bell)
-    residual = in_bell - np.diag(diag)
-    return BellDiagonal(*(float(x) for x in diag.real)), float(np.linalg.norm(residual))
+def _bell_project(rho4: np.ndarray) -> BellDiagonal:
+    """Bell-basis diagonal of a two-qubit matrix."""
+    return BellDiagonal(*(float(x) for x in np.diag(_BELL_H @ rho4 @ _BELL).real))
 
 
 def bell_diagonal_projection(rho: DensityMatrix) -> tuple[BellDiagonal, float]:
@@ -229,25 +298,22 @@ def bell_diagonal_projection(rho: DensityMatrix) -> tuple[BellDiagonal, float]:
     """
     if rho.matrix.shape[0] != 4:
         raise ValueError("Bell projection needs a two-qubit state")
-    return _bell_project(rho.matrix)
+    in_bell = _BELL_H @ rho.matrix @ _BELL
+    residual = in_bell - np.diag(np.diag(in_bell))
+    return _bell_project(rho.matrix), float(np.linalg.norm(residual))
 
 
-def simulate_purification_round(
-    s: BellDiagonal, q_g: float, variant: GateErrorVariant = GateErrorVariant.ZCXT_AFTER
-) -> PurifyOutcome:
-    """One purification round as an explicit 16x16 circuit.
-
-    Two copies of ``s`` on pairs (0,1) and (2,3); sqrt(iX) rotations on the
-    A side (qubits 0, 2), conjugate rotations on the B side (1, 3); noisy
-    CNOTs 0 -> 2 and 1 -> 3; qubits 2 and 3 measured in the computational
-    basis keeping the even-parity branches; surviving pair Bell-projected.
-    """
-    if not 0.0 <= q_g < 0.5:
-        raise ValueError(f"q_g must lie in [0, 1/2), got {q_g}")
+def _rotated_copies(s: BellDiagonal) -> np.ndarray:
+    """Two copies of ``s`` on pairs (0,1) and (2,3) after the sqrt(iX) rotations."""
     pair = DensityMatrix.from_bell_diagonal(s).matrix
     rho = np.kron(pair, pair)
     for qubit, u in enumerate((_U_A, _U_B, _U_A, _U_B)):
         rho = _apply(rho, u, (qubit,))
+    return rho
+
+
+def _purify_rotated(rho: np.ndarray, q_g: float, variant: GateErrorVariant) -> PurifyOutcome:
+    """The noisy CNOTs and the postselection of a round, from the rotated copies."""
     rho = _noisy_gate_raw(rho, 0, 2, q_g, "CNOT", variant)
     rho = _noisy_gate_raw(rho, 1, 3, q_g, "CNOT", variant)
 
@@ -258,7 +324,23 @@ def simulate_purification_round(
     p = float(np.trace(kept).real)
     if p <= 0.0:
         raise ArithmeticError("postselection kept zero weight")
-    return PurifyOutcome(_bell_project(kept / p)[0], p)
+    return PurifyOutcome(_bell_project(kept / p), p)
+
+
+def simulate_purification_round(
+    s: BellDiagonal, q_g: float, variant: GateErrorVariant | str = GateErrorVariant.ZCXT_AFTER
+) -> PurifyOutcome:
+    """One purification round as an explicit 16x16 circuit.
+
+    Two copies of ``s`` on pairs (0,1) and (2,3); sqrt(iX) rotations on the
+    A side (qubits 0, 2), conjugate rotations on the B side (1, 3); noisy
+    CNOTs 0 -> 2 and 1 -> 3; qubits 2 and 3 measured in the computational
+    basis keeping the even-parity branches; surviving pair Bell-projected.
+    ``variant`` may also be given by its value string.
+    """
+    _check_gate_error(q_g)
+    variant = _gate_variant(variant)
+    return _purify_rotated(_rotated_copies(s), q_g, variant)
 
 
 def simulate_swapping(s: BellDiagonal) -> BellDiagonal:
@@ -271,14 +353,17 @@ def simulate_swapping(s: BellDiagonal) -> BellDiagonal:
     averaged, and the remaining pair (0, 3) is Bell-projected.
     """
     pair = DensityMatrix.from_bell_diagonal(s).matrix
-    rho = _apply(_apply(np.kron(pair, pair), _CNOT, (1, 2)), _H, (1,))
+    rho = _apply(_permute(np.kron(pair, pair), "CNOT", (1, 2)), _H, (1,))
     t = rho.reshape((2,) * 8)
-    # branch (xm, zm) of the remaining pair (0, 3), measured qubits 1 and 2 traced out
-    out = sum(
-        _apply(t[:, xm, zm, :, :, xm, zm, :].reshape(4, 4), corr, (1,))
-        for (xm, zm), corr in _SWAP_CORRECTIONS.items()
-    )
-    return _bell_project(out)[0]
+    out = 0
+    for (xm, zm), paulis in _SWAP_CORRECTIONS.items():
+        # branch (xm, zm) of the remaining pair (0, 3), measured qubits 1 and 2
+        # traced out, corrected on its second qubit
+        branch = t[:, xm, zm, :, :, xm, zm, :].reshape(4, 4)
+        for pauli in paulis:
+            branch = _permute(branch, pauli, (1,))
+        out = out + branch
+    return _bell_project(out)
 
 
 def enumerate_logical_error(code: Code, q: float) -> float:
@@ -333,19 +418,21 @@ def match_gate_variant(
 
     For every variant, simulate one purification round on each sample and
     record the worst absolute deviation of the output coefficients and the
-    success probability from :func:`purify_imperfect_exact`.
+    success probability from :func:`purify_imperfect_exact`.  The variants
+    differ only after the rotations, so each sample's rotated copies are
+    built once and shared by the four circuits.
     """
     pts = list(samples if samples is not None else _default_samples())
     if not pts:
         raise ValueError("need at least one (state, q_g) sample")
-    rows = []
-    for variant in GateErrorVariant:
-        worst = 0.0
-        for s, q_g in pts:
-            sim = simulate_purification_round(s, q_g, variant)
-            ref = purify_imperfect_exact(s, q_g)
+    worst = dict.fromkeys(GateErrorVariant, 0.0)
+    for s, q_g in pts:
+        _check_gate_error(q_g)
+        rotated = _rotated_copies(s)
+        ref = purify_imperfect_exact(s, q_g)
+        want = (*ref.state.as_tuple(), ref.success_prob)
+        for variant in worst:
+            sim = _purify_rotated(rotated, q_g, variant)
             got = (*sim.state.as_tuple(), sim.success_prob)
-            want = (*ref.state.as_tuple(), ref.success_prob)
-            worst = max(worst, *(abs(x - y) for x, y in zip(got, want)))
-        rows.append((variant, worst))
-    return VariantReport(tuple(rows))
+            worst[variant] = max(worst[variant], *(abs(x - y) for x, y in zip(got, want)))
+    return VariantReport(tuple(worst.items()))

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,9 @@ from repeaterlab.oracle import (
     DensityMatrix,
     GateErrorVariant,
     _apply,
+    _axis_orders,
+    _flip,
+    _index_map,
     apply_dephasing,
     apply_noisy_two_qubit_gate,
     bell_diagonal_projection,
@@ -223,6 +229,100 @@ class TestQubitOrder:
             assert np.abs(_apply(rho, u, (qubit,)) - k @ rho @ k.conj().T).max() <= 1e-14
 
 
+class TestPauliFlips:
+    """X and Z flips as index maps against dense kron references."""
+
+    @pytest.mark.parametrize(
+        "m, qubit", [(3, q) for q in range(3)] + [(4, q) for q in range(4)]
+    )
+    @pytest.mark.parametrize("pauli, matrix", [("X", _PAULI_X), ("Z", _PAULI_Z)])
+    def test_flip_matches_reference(self, pauli, matrix, m, qubit):
+        rng = np.random.default_rng(9 + m)
+        for _ in range(3):
+            rho = random_density_matrix(rng, m)
+            k = embed(matrix, qubit, m)
+            want = 0.7 * rho + 0.3 * (k @ rho @ k)
+            assert np.abs(_flip(rho, pauli, qubit, 0.3) - want).max() <= 1e-14
+
+
+class TestIndexValidation:
+    """Qubit indices and variants are checked at the public boundary."""
+
+    @pytest.mark.parametrize("bad", [1.0, True, np.float64(1.0), 1.5, "1", None])
+    def test_dephasing_rejects_non_integer_qubit(self, bad):
+        _axis_orders.cache_clear()
+        _index_map.cache_clear()
+        rho = DensityMatrix(np.eye(16, dtype=complex) / 16.0)
+        with pytest.raises(ValueError, match="qubit"):
+            apply_dephasing(rho, bad, 0.1)
+        # nothing was cached under a key that equals an int key
+        assert _axis_orders.cache_info().currsize == 0
+        assert _index_map.cache_info().currsize == 0
+        assert set(match_gate_variant().matching) == {
+            GateErrorVariant.ZCXT_BEFORE,
+            GateErrorVariant.ZCXT_AFTER,
+        }
+
+    def test_float_qubit_repro_in_fresh_interpreter(self):
+        code = (
+            "import numpy as np\n"
+            "from repeaterlab.oracle import DensityMatrix, apply_dephasing, match_gate_variant\n"
+            "try:\n"
+            "    apply_dephasing(DensityMatrix(np.eye(16) / 16), 1.0, 0.1)\n"
+            "except ValueError as exc:\n"
+            "    print('rejected:', exc)\n"
+            "print(sorted(v.value for v in match_gate_variant().matching))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src},
+            check=True,
+        ).stdout.splitlines()
+        assert out == [
+            "rejected: qubit must be an integer qubit index, got 1.0",
+            "['z_control_x_target_after', 'z_control_x_target_before']",
+        ]
+
+    @pytest.mark.parametrize(
+        "control, target, field",
+        [(0.0, 1, "control"), (True, 0, "control"), (0, 1.0, "target"), (2, False, "target")],
+    )
+    def test_gate_rejects_non_integer_qubits(self, control, target, field):
+        rho = DensityMatrix(np.eye(8, dtype=complex) / 8.0)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer qubit index"):
+            apply_noisy_two_qubit_gate(rho, control, target, 0.1)
+
+    def test_numpy_integer_qubits_accepted(self):
+        rng = np.random.default_rng(10)
+        rho = DensityMatrix(random_density_matrix(rng, 3))
+        got = apply_noisy_two_qubit_gate(rho, np.int64(2), np.int32(0), 0.1, "CZ")
+        want = apply_noisy_two_qubit_gate(rho, 2, 0, 0.1, "CZ")
+        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(
+            apply_dephasing(rho, np.int64(1), 0.2).matrix, apply_dephasing(rho, 1, 0.2).matrix
+        )
+
+    def test_round_takes_variant_value_string(self):
+        s = BellDiagonal(0.8, 0.1, 0.06, 0.04)
+        by_name = simulate_purification_round(s, 0.1, "zz_before")
+        assert by_name == simulate_purification_round(s, 0.1, GateErrorVariant.ZZ_BEFORE)
+        assert by_name != simulate_purification_round(s, 0.1, GateErrorVariant.ZCXT_AFTER)
+        with pytest.raises(ValueError, match="variant"):
+            simulate_purification_round(s, 0.1, "zz_sideways")
+
+    def test_gate_takes_variant_value_string(self):
+        rng = np.random.default_rng(11)
+        rho = DensityMatrix(random_density_matrix(rng, 2))
+        by_name = apply_noisy_two_qubit_gate(rho, 0, 1, 0.1, "CNOT", "zz_after")
+        by_member = apply_noisy_two_qubit_gate(rho, 0, 1, 0.1, "CNOT", GateErrorVariant.ZZ_AFTER)
+        assert np.array_equal(by_name.matrix, by_member.matrix)
+        with pytest.raises(ValueError, match="variant"):
+            apply_noisy_two_qubit_gate(rho, 0, 1, 0.1, "CNOT", "ZZ_AFTER")
+
+
 class TestPurificationCircuit:
     def test_noiseless_equals_recursion(self):
         rng = np.random.default_rng(2024)
@@ -314,6 +414,46 @@ class TestVariantReport:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             match_gate_variant([])
+
+    def test_rows_equal_per_variant_rounds(self):
+        # the shared rotated copies run the same circuit as a lone round
+        rng = np.random.default_rng(12)
+        samples = [(random_state(rng), float(10 ** rng.uniform(-3, -0.6))) for _ in range(20)]
+        want = []
+        for variant in GateErrorVariant:
+            worst = 0.0
+            for s, q_g in samples:
+                sim = simulate_purification_round(s, q_g, variant)
+                ref = purify_imperfect_exact(s, q_g)
+                got = (*sim.state.as_tuple(), sim.success_prob)
+                exp = (*ref.state.as_tuple(), ref.success_prob)
+                worst = max(worst, *(abs(x - y) for x, y in zip(got, exp)))
+            want.append((variant, worst))
+        assert match_gate_variant(samples).rows == tuple(want)
+
+    @pytest.mark.parametrize(
+        "bad_at, sample, message",
+        [
+            (0, (BellDiagonal(0.8, 0.1, 0.05, 0.05), 0.6), r"q_g must lie in \[0, 1/2\), got 0.6"),
+            (1, (BellDiagonal(0.8, 0.1, 0.05, 0.05), 0.6), r"q_g must lie in \[0, 1/2\), got 0.6"),
+            (0, (BellDiagonal(0.5, 0.2, 0.0, 0.0), 0.01), "state must be normalized, coefficients sum to 0.7"),
+            (1, (BellDiagonal(0.5, 0.2, 0.0, 0.0), 0.01), "state must be normalized, coefficients sum to 0.7"),
+        ],
+    )
+    def test_first_bad_sample_raises(self, bad_at, sample, message):
+        samples = [(BellDiagonal(0.9, 0.05, 0.03, 0.02), 0.01)] * 2
+        samples[bad_at] = sample
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            match_gate_variant(samples)
+
+    def test_earlier_bad_sample_wins(self):
+        good = (BellDiagonal(0.9, 0.05, 0.03, 0.02), 0.01)
+        bad_state = (BellDiagonal(0.5, 0.2, 0.0, 0.0), 0.01)
+        bad_gate = (BellDiagonal(0.8, 0.1, 0.05, 0.05), 0.6)
+        with pytest.raises(ValueError, match="^state must be normalized"):
+            match_gate_variant([good, bad_state, bad_gate])
+        with pytest.raises(ValueError, match="^q_g must lie"):
+            match_gate_variant([good, bad_gate, bad_state])
 
     def test_str_lists_rows(self):
         text = str(match_gate_variant([(BellDiagonal(0.9, 0.1, 0.0, 0.0), 0.0)]))
