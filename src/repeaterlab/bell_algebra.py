@@ -48,12 +48,13 @@ class BellDiagonal:
     d: float
 
     def __post_init__(self) -> None:
+        # negated bounds, so that a NaN fails them too
         for name, value in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d)):
-            if value < -_COEFF_TOL:
+            if not value >= -_COEFF_TOL:
                 raise ValueError(f"coefficient {name} must be >= 0, got {value}")
             if value < 0.0:  # rounding dust only
                 object.__setattr__(self, name, 0.0)
-        if self.total() > 1.0 + _COEFF_TOL:
+        if not self.total() <= 1.0 + _COEFF_TOL:
             raise ValueError(f"coefficients must sum to <= 1, got {self.total()}")
 
     def total(self) -> float:

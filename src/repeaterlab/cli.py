@@ -404,6 +404,13 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
 
 def cmd_qubus_check(args: argparse.Namespace) -> int:
     verdict = feasibility(args.n, args.theta_rad)
+    # the optional figures come first, so that a bad --beta or --target-error
+    # exits before anything is printed
+    figures = []
+    if args.beta is not None:
+        figures.append(f"homodyne_error(beta={_g8(args.beta)}) = {_g8(homodyne_error(args.beta, args.theta_rad))}")
+    if args.target_error is not None:
+        figures.append(f"min_beta(target={_g8(args.target_error)}) = {_g8(min_beta(args.theta_rad, args.target_error))}")
     print(f"n = {args.n}  theta = {_g8(args.theta_rad)} rad")
     print(f"max_phase = {_g8(verdict.max_phase_rad)} rad ({_g8(verdict.max_phase_rad / math.pi)} pi)")
     print(f"single-qubus feasible: {verdict.feasible}")
@@ -416,10 +423,8 @@ def cmd_qubus_check(args: argparse.Namespace) -> int:
         for j, ledger in enumerate(chained.per_state_phases, start=1):
             entries = ", ".join(f"{k}:{_g8(v)}" for k, v in sorted(ledger.items()))
             print(f"  qubus {j}: {entries}")
-    if args.beta is not None:
-        print(f"homodyne_error(beta={_g8(args.beta)}) = {_g8(homodyne_error(args.beta, args.theta_rad))}")
-    if args.target_error is not None:
-        print(f"min_beta(target={_g8(args.target_error)}) = {_g8(min_beta(args.theta_rad, args.target_error))}")
+    for line in figures:
+        print(line)
     return 0 if verdict.feasible else 1
 
 

@@ -53,7 +53,7 @@ class McConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.p0 <= 1.0:
             raise ValueError(f"p0 must lie in (0, 1], got {self.p0}")
-        for name, low in (("blocks", 1), ("rounds", 0), ("trials", 1)):
+        for name, low in (("blocks", 1), ("rounds", 0), ("trials", 1), ("seed", 0)):
             value = getattr(self, name)
             if type(value) is not int or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
@@ -95,6 +95,11 @@ def simulate_window(mc: McConfig) -> WindowStats:
     )
 
 
+def _binomial_pmf(s: int, j: int, log_p: float, log_q: float) -> float:
+    """C(s, j) p^j q^(s-j) from log p and log q, in log space to stay finite for large s."""
+    return math.exp(math.lgamma(s + 1) - math.lgamma(j + 1) - math.lgamma(s - j + 1) + j * log_p + (s - j) * log_q)
+
+
 def required_blocks(p0: float, rounds: int, confidence: float) -> int:
     """Smallest slot count s with P[Binom(s, p0) >= 2^rounds] >= confidence.
 
@@ -122,14 +127,7 @@ def required_blocks(p0: float, rounds: int, confidence: float) -> int:
         log_q = math.log1p(-p0)
         cdf = 0.0
         for j in range(need):
-            log_term = (
-                math.lgamma(s + 1)
-                - math.lgamma(j + 1)
-                - math.lgamma(s - j + 1)
-                + j * log_p
-                + (s - j) * log_q
-            )
-            cdf += math.exp(log_term)
+            cdf += _binomial_pmf(s, j, log_p, log_q)
         return 1.0 - cdf >= confidence
 
     hi = need
@@ -175,9 +173,9 @@ def finite_window_estimate(cfg: ProtocolConfig, fidelity: float, mc: McConfig) -
         e_t, var_t = s * p0, s * p0 * (1.0 - p0)
     else:
         mean, half = s * p0, 40.0 * math.sqrt(s * p0 * (1.0 - p0)) + 40.0
-        log_p, log_q, log_s = math.log(p0), math.log1p(-p0), math.lgamma(s + 1)
+        log_p, log_q = math.log(p0), math.log1p(-p0)
         pmf = [
-            (j >> k, math.exp(log_s - math.lgamma(j + 1) - math.lgamma(s - j + 1) + j * log_p + (s - j) * log_q))
+            (j >> k, _binomial_pmf(s, j, log_p, log_q))
             for j in range(max(0, math.floor(mean - half)), min(s, math.ceil(mean + half)) + 1)
         ]
         e_t = sum(t * w for t, w in pmf)

@@ -44,10 +44,13 @@ _MATCH_TOL = 1e-10
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
-# sqrt(i X) rotations of the recurrence protocol (Deutsch et al. 1996):
-# U on the source-A side, its conjugate on the source-B side.
+# sqrt(i X) rotations of the recurrence protocol (Deutsch et al. 1996),
+# U on the source-A side and its conjugate on the source-B side of a pair
 _U_A = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
-_U_B = _U_A.conj()
+_ROTATE_PAIR = np.kron(_U_A, _U_A.conj())
+
+# the swap's Hadamard on qubit 1 of four; real and symmetric, so self-adjoint
+_H_ON_1 = np.kron(np.kron(np.eye(2), _H), np.eye(4))
 
 # Pauli correction on qubit 3 for each swap outcome (X readout, Z readout),
 # as the gates applied in turn: Z X is X first, then Z
@@ -115,36 +118,6 @@ class DensityMatrix:
 
 
 @functools.cache
-def _axis_orders(m: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis permutation that brings the listed qubits' axes out, and its inverse.
-
-    Of the 2m axes of an m-qubit density tensor (m ket axes, then m bra
-    axes), the listed ket axes go to the front in order, the listed bra
-    axes to the back in order, and the rest keep their relative order.
-    """
-    bras = tuple(m + q for q in qubits)
-    forward = (*qubits, *(a for a in range(2 * m) if a not in qubits and a not in bras), *bras)
-    inverse = tuple(sorted(range(2 * m), key=forward.__getitem__))
-    return forward, inverse
-
-
-def _apply(rho: np.ndarray, op: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-    """op rho op^dagger for a 2^k x 2^k ``op`` on the listed qubits, in order.
-
-    As a (2,)*2m tensor, rho has the m ket axes first and the m bra axes
-    last; the listed ket axes move to the front for op and the listed bra
-    axes to the back for op^dagger, and both move back.  Only the gates
-    that are not signed permutations (the rotations and the Hadamard) come
-    here; the Paulis, CNOT and CZ go through :func:`_permute`.
-    """
-    m, k = rho.shape[0].bit_length() - 1, len(qubits)
-    forward, inverse = _axis_orders(m, tuple(qubits))
-    t = rho.reshape((2,) * 2 * m).transpose(forward)
-    t = (op @ t.reshape(2**k, -1)).reshape(-1, 2**k) @ op.conj().T
-    return t.reshape((2,) * 2 * m).transpose(inverse).reshape(rho.shape)
-
-
-@functools.cache
 def _index_map(
     m: int, gate: str, qubits: tuple[int, ...]
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -180,7 +153,11 @@ def _index_map(
 
 
 def _permute(rho: np.ndarray, gate: str, qubits: tuple[int, ...]) -> np.ndarray:
-    """U rho U^dagger for a Pauli X or Z, a CNOT or a CZ on the listed qubits."""
+    """U rho U^dagger for a Pauli X or Z, a CNOT or a CZ on the listed qubits.
+
+    Every gate whose place the caller picks acts this way; the fixed
+    rotations and the swap's Hadamard are dense module constants.
+    """
     gather, mask = _index_map(rho.shape[0].bit_length() - 1, gate, qubits)
     if gather is not None:
         rho = rho.take(gather)
@@ -196,7 +173,7 @@ def _qubit_index(name: str, value: object) -> int:
     """A qubit index as a plain int, or a ValueError naming the field.
 
     A float or bool index equals an int key, so it must be turned away
-    before it can reach the cached axis orders or index maps.
+    before it can reach the cached index maps.
     """
     if not isinstance(value, bool):
         try:
@@ -304,12 +281,14 @@ def bell_diagonal_projection(rho: DensityMatrix) -> tuple[BellDiagonal, float]:
 
 
 def _rotated_copies(s: BellDiagonal) -> np.ndarray:
-    """Two copies of ``s`` on pairs (0,1) and (2,3) after the sqrt(iX) rotations."""
+    """Two copies of ``s`` on pairs (0,1) and (2,3) after the sqrt(iX) rotations.
+
+    Each pair is rotated before the kron: (R x R) (P x P) (R x R)^dagger
+    equals (R P R^dagger) x (R P R^dagger).
+    """
     pair = DensityMatrix.from_bell_diagonal(s).matrix
-    rho = np.kron(pair, pair)
-    for qubit, u in enumerate((_U_A, _U_B, _U_A, _U_B)):
-        rho = _apply(rho, u, (qubit,))
-    return rho
+    pair = _ROTATE_PAIR @ pair @ _ROTATE_PAIR.conj().T
+    return np.kron(pair, pair)
 
 
 def _purify_rotated(rho: np.ndarray, q_g: float, variant: GateErrorVariant) -> PurifyOutcome:
@@ -353,7 +332,7 @@ def simulate_swapping(s: BellDiagonal) -> BellDiagonal:
     averaged, and the remaining pair (0, 3) is Bell-projected.
     """
     pair = DensityMatrix.from_bell_diagonal(s).matrix
-    rho = _apply(_permute(np.kron(pair, pair), "CNOT", (1, 2)), _H, (1,))
+    rho = _H_ON_1 @ _permute(np.kron(pair, pair), "CNOT", (1, 2)) @ _H_ON_1
     t = rho.reshape((2,) * 8)
     out = 0
     for (xm, zm), paulis in _SWAP_CORRECTIONS.items():

@@ -56,6 +56,12 @@ class TestBellDiagonal:
         with pytest.raises(ValueError):
             BellDiagonal(0.9, 0.2, 0.0, 0.0)
 
+    @pytest.mark.parametrize("field", "abcd")
+    def test_nan_rejected_by_name(self, field):
+        values = {"a": 0.7, "b": 0.1, "c": 0.1, "d": 0.1, field: math.nan}
+        with pytest.raises(ValueError, match=f"^coefficient {field} must be >= 0, got nan"):
+            BellDiagonal(**values)
+
 
 class TestPurifyIdeal:
     def test_perfect_fixed_point(self):

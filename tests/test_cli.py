@@ -354,6 +354,20 @@ class TestMain:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: beta must be finite and > 0, got inf\n"
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--beta", "nan"], "error: beta must be finite and > 0, got nan\n"),
+            (["--target-error", "nan"], "error: target_error must lie in (0, 1/2), got nan\n"),
+            (["--beta", "3", "--target-error", "0.7"], "error: target_error must lie in (0, 1/2), got 0.7\n"),
+        ],
+    )
+    def test_qubus_check_bad_figure_exits_2_before_printing(self, capsys, extra, message):
+        assert main(["qubus-check", "--n", "3", "--theta-rad", "0.1", "--show-plan", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
     def test_qubus_check_plan_and_beta(self, capsys):
         rc = main(
             [
@@ -409,6 +423,12 @@ class TestMain:
         out = capsys.readouterr().out
         assert "analytic rate = 15.433128 Hz per memory" in out
         assert f"finite-window mean = {mean} Hz ({blocks} blocks)" in out
+
+    def test_montecarlo_negative_seed_names_the_field(self, capsys):
+        assert main(["montecarlo", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
 
     def test_montecarlo_zero_rates_agree(self, capsys):
         # at F = 1 the closed form and every sample give rate 0 with no spread

@@ -46,6 +46,9 @@ class TestMcConfig:
             {"blocks": True},
             {"rounds": True},
             {"trials": True},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": True},
         ],
     )
     def test_validation(self, kw):

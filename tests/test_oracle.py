@@ -1,5 +1,6 @@
 """Density-matrix circuits against the closed-form recursions."""
 
+import ast
 import itertools
 import math
 import subprocess
@@ -9,16 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repeaterlab import oracle
 from repeaterlab.bell_algebra import BellDiagonal, purify_ideal, purify_imperfect_exact, swap_ideal
 from repeaterlab.codes import Code, code_catalog, logical_error_prob
 from repeaterlab.core import memory_error_prob
 from repeaterlab.oracle import (
     DensityMatrix,
     GateErrorVariant,
-    _apply,
-    _axis_orders,
     _flip,
     _index_map,
+    _rotated_copies,
     apply_dephasing,
     apply_noisy_two_qubit_gate,
     bell_diagonal_projection,
@@ -45,6 +46,13 @@ class TestDensityMatrix:
     def test_needs_normalized(self):
         with pytest.raises(ValueError):
             DensityMatrix.from_bell_diagonal(BellDiagonal(0.5, 0.2, 0.0, 0.0))
+
+    def test_nan_state_is_a_value_error(self):
+        # not numpy's LinAlgError from an eigenvalue solve on NaN entries
+        with pytest.raises(ValueError, match="^coefficient b"):
+            DensityMatrix.from_bell_diagonal(BellDiagonal(0.7, math.nan, 0.2, 0.1))
+        with pytest.raises(ValueError, match="^coefficient a"):
+            match_gate_variant([(BellDiagonal(math.nan, 0.1, 0.1, 0.1), 0.01)])
 
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4.0
@@ -141,10 +149,6 @@ def random_density_matrix(rng, m):
     return rho / np.trace(rho)
 
 
-def random_unitary(rng):
-    return np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-
-
 def embed(op, qubit, m):
     """One-qubit operator at ``qubit`` of a big-endian m-qubit register."""
     full = np.ones((1, 1), dtype=complex)
@@ -184,7 +188,7 @@ def reference_noisy_gate(rho, control, target, q, gate, variant):
 
 
 class TestQubitOrder:
-    """The tensor-indexed circuits against dense kron/permutation references."""
+    """The index-map gates and the rotated copies against dense kron/permutation references."""
 
     @pytest.mark.parametrize("control, target", [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
     @pytest.mark.parametrize("variant", list(GateErrorVariant))
@@ -219,14 +223,19 @@ class TestQubitOrder:
             want = reference_noisy_gate(rho, control, target, 0.17, gate, variant)
             assert np.abs(got.matrix - want).max() <= 1e-14
 
-    @pytest.mark.parametrize("qubit", [0, 1, 2, 3])
-    def test_rotation_matches_reference_on_four_qubits(self, qubit):
+    def test_rotated_copies_match_reference(self):
+        # U_A on the A side (qubits 0, 2), its conjugate on the B side (1, 3),
+        # applied to the kron of the two unrotated copies
+        u_a = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
+        k = np.eye(16, dtype=complex)
+        for qubit, u in enumerate((u_a, u_a.conj(), u_a, u_a.conj())):
+            k = embed(u, qubit, 4) @ k
         rng = np.random.default_rng(8)
-        for _ in range(3):
-            rho = random_density_matrix(rng, 4)
-            u = random_unitary(rng)
-            k = embed(u, qubit, 4)
-            assert np.abs(_apply(rho, u, (qubit,)) - k @ rho @ k.conj().T).max() <= 1e-14
+        for _ in range(50):
+            s = random_state(rng)
+            pair = DensityMatrix.from_bell_diagonal(s).matrix
+            want = k @ np.kron(pair, pair) @ k.conj().T
+            assert np.abs(_rotated_copies(s) - want).max() <= 1e-14
 
 
 class TestPauliFlips:
@@ -250,13 +259,11 @@ class TestIndexValidation:
 
     @pytest.mark.parametrize("bad", [1.0, True, np.float64(1.0), 1.5, "1", None])
     def test_dephasing_rejects_non_integer_qubit(self, bad):
-        _axis_orders.cache_clear()
         _index_map.cache_clear()
         rho = DensityMatrix(np.eye(16, dtype=complex) / 16.0)
         with pytest.raises(ValueError, match="qubit"):
             apply_dephasing(rho, bad, 0.1)
         # nothing was cached under a key that equals an int key
-        assert _axis_orders.cache_info().currsize == 0
         assert _index_map.cache_info().currsize == 0
         assert set(match_gate_variant().matching) == {
             GateErrorVariant.ZCXT_BEFORE,
@@ -321,6 +328,26 @@ class TestIndexValidation:
         assert np.array_equal(by_name.matrix, by_member.matrix)
         with pytest.raises(ValueError, match="variant"):
             apply_noisy_two_qubit_gate(rho, 0, 1, 0.1, "CNOT", "ZZ_AFTER")
+
+
+class TestIndependence:
+    def test_imports_from_closed_forms_only_the_reference_and_types(self):
+        # the oracle shares no code with the closed forms: from the package
+        # it takes the state types, the round it is compared against, and Code
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.startswith("repeaterlab") for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("repeaterlab")):
+                module = (node.module or "").removeprefix("repeaterlab").lstrip(".")
+                imported |= {(module, a.name) for a in node.names}
+        assert imported == {
+            ("bell_algebra", "BellDiagonal"),
+            ("bell_algebra", "PurifyOutcome"),
+            ("bell_algebra", "purify_imperfect_exact"),
+            ("codes", "Code"),
+        }
 
 
 class TestPurificationCircuit:
