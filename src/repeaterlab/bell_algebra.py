@@ -48,12 +48,15 @@ class BellDiagonal:
     d: float
 
     def __post_init__(self) -> None:
-        # negated bounds, so that a NaN fails them too
-        for name, value in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d)):
-            if not value >= -_COEFF_TOL:
-                raise ValueError(f"coefficient {name} must be >= 0, got {value}")
-            if value < 0.0:  # rounding dust only
-                object.__setattr__(self, name, 0.0)
+        # the common case skips the per-name loop; a NaN or a negative
+        # coefficient falls through to it
+        if not (self.a >= 0.0 and self.b >= 0.0 and self.c >= 0.0 and self.d >= 0.0):
+            # negated bounds, so that a NaN fails them too
+            for name, value in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d)):
+                if not value >= -_COEFF_TOL:
+                    raise ValueError(f"coefficient {name} must be >= 0, got {value}")
+                if value < 0.0:  # rounding dust only
+                    object.__setattr__(self, name, 0.0)
         if not self.total() <= 1.0 + _COEFF_TOL:
             raise ValueError(f"coefficients must sum to <= 1, got {self.total()}")
 

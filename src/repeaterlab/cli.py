@@ -88,6 +88,7 @@ class CaseSpec:
 
 
 _KEYS = {f.name: f.metadata for f in fields(CaseSpec) if f.metadata}
+_KINDS = {key: meta["kind"] for key, meta in _KEYS.items()}
 _DEFAULTS = {f.name: f.default for f in fields(CaseSpec) if f.metadata}
 _NULLABLE = {f.name for f in fields(CaseSpec) if "None" in str(f.type)}
 
@@ -96,32 +97,42 @@ class ConfigError(ValueError):
     pass
 
 
-def _assignment(item: str, where: str) -> tuple[str, object]:
-    """Parse one ``key = value`` item; errors start with ``where``."""
-    key, _, raw = item.partition("=")
+def _assignment(key: str, raw: str, where: str, *where_args: object) -> tuple[str, object]:
+    """Parse the two sides of one ``key = value`` item.
+
+    Errors start with ``where.format(*where_args)``, formatted only when
+    raised: every config line passes through here.
+    """
     key, raw = key.strip(), raw.strip()
-    if key not in _KEYS:
-        raise ConfigError(f"{where}: unknown key {key!r}")
+    kind = _KINDS.get(key)
+    if kind is None:
+        raise ConfigError(f"{where.format(*where_args)}: unknown key {key!r}")
     if key in _NULLABLE and raw.lower() == "none":
         return key, None
     try:
-        return key, _KEYS[key]["kind"](raw)
+        return key, kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"{where}: bad value for {key!r}: {raw!r} ({exc})") from None
+        raise ConfigError(f"{where.format(*where_args)}: bad value for {key!r}: {raw!r} ({exc})") from None
 
 
-def _apply_level(base: dict[str, object], assigns: dict[str, object], where: str) -> dict[str, object]:
-    """Merge one level of assignments, keeping F vs (alpha, theta) exclusive."""
+def _apply_level(
+    base: dict[str, object], assigns: dict[str, object], where: str, *where_args: object
+) -> dict[str, object]:
+    """Merge one level of assignments, keeping F vs (alpha, theta) exclusive.
+
+    Setting one fidelity source clears the other, so a source inherited
+    from a lower level never clashes.  Errors are located as in
+    :func:`_assignment`.
+    """
+    merged = {**base, **assigns}
     sets_fidelity = assigns.get("fidelity") is not None
-    sets_channel = assigns.get("alpha") is not None or assigns.get("theta_rad") is not None
-    if sets_fidelity and sets_channel:
-        raise ConfigError(f"{where}: set either fidelity or alpha/theta_rad, not both")
-    cleared = {}
-    if sets_channel:
-        cleared["fidelity"] = None
-    if sets_fidelity:
-        cleared.update(alpha=None, theta_rad=None)
-    return {**base, **cleared, **assigns}
+    if assigns.get("alpha") is not None or assigns.get("theta_rad") is not None:
+        if sets_fidelity:
+            raise ConfigError(f"{where.format(*where_args)}: set either fidelity or alpha/theta_rad, not both")
+        merged["fidelity"] = None
+    elif sets_fidelity:
+        merged["alpha"] = merged["theta_rad"] = None
+    return merged
 
 
 def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[CaseSpec, ...]:
@@ -137,9 +148,9 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[CaseSpec, ..
     current: dict[str, object] | None = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        if line.startswith("["):
+        if line[0] == "[":
             if not line.endswith("]"):
                 raise ConfigError(f"line {line_no}: unterminated section header {line!r}")
             inner = line[1:-1].strip()
@@ -150,24 +161,26 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[CaseSpec, ..
             current = {}
             case_blocks.append((name, current, line_no))
             continue
-        if "=" not in line:
+        key, eq, raw = line.partition("=")
+        if not eq:
             raise ConfigError(f"line {line_no}: expected key = value, got {line!r}")
-        key, parsed = _assignment(line, f"line {line_no}")
+        key, parsed = _assignment(key, raw, "line {}", line_no)
         (top_assigns if current is None else current)[key] = parsed
 
     base = _apply_level(_DEFAULTS, top_assigns, "top level")
     if overrides:
         set_assigns = {}
         for item in overrides:
-            if "=" not in item:
+            key, eq, raw = item.partition("=")
+            if not eq:
                 raise ConfigError(f"--set {item!r}: expected key=value")
-            key, value = _assignment(item, "--set")
+            key, value = _assignment(key, raw, "--set")
             set_assigns[key] = value
         base = _apply_level(base, set_assigns, "--set overrides")
     if not case_blocks:
         return (CaseSpec(**base),)
     return tuple(
-        CaseSpec(name=name, **_apply_level(base, assigns, f"line {line_no} [case {name}]"))
+        CaseSpec(name=name, **_apply_level(base, assigns, "line {} [case {}]", line_no, name))
         for name, assigns, line_no in case_blocks
     )
 
@@ -188,7 +201,9 @@ def render_config(cases: Sequence[CaseSpec]) -> str:
 _CODES = {code.label.strip("[]"): code for code in code_catalog()}
 
 
+@functools.lru_cache(maxsize=64)
 def _code_by_label(label: str) -> Code:
+    """Catalog code of a label spelling; a grid's few spellings resolve once each."""
     code = _CODES.get(label.strip().replace("[", "").replace("]", "").replace(" ", ""))
     if code is None:
         known = ", ".join(c.label for c in _CODES.values())
@@ -231,19 +246,20 @@ def _g8(x: float) -> str:
 
 
 def _result_row(r: SweepResult) -> list[str]:
+    # the _g8 format inline: this runs once per CSV row
     return [
         r.code_label,
         r.family,
         str(r.rounds),
-        _g8(r.tau_c_s),
-        _g8(r.one_minus_t),
-        _g8(r.total_distance_km),
-        _g8(r.segment_km),
-        _g8(r.f),
-        _g8(r.f_final),
-        _g8(r.p0),
-        _g8(r.p_k),
-        _g8(r.rate_per_memory_hz),
+        f"{r.tau_c_s:.8g}",
+        f"{r.one_minus_t:.8g}",
+        f"{r.total_distance_km:.8g}",
+        f"{r.segment_km:.8g}",
+        f"{r.f:.8g}",
+        f"{r.f_final:.8g}",
+        f"{r.p0:.8g}",
+        f"{r.p_k:.8g}",
+        f"{r.rate_per_memory_hz:.8g}",
     ]
 
 
@@ -252,8 +268,7 @@ def emit_csv(results: Sequence[SweepResult], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for r in results:
-            writer.writerow(_result_row(r))
+        writer.writerows(map(_result_row, results))
 
 
 def emit_gnuplot(results: Sequence[SweepResult], path: str) -> None:

@@ -96,10 +96,11 @@ class DensityMatrix:
         dim = m.shape[0]
         if dim not in (2, 4, 8, 16):
             raise ValueError(f"dimension must be 2^m with m <= 4, got {dim}")
-        if np.abs(m - m.conj().T).max() > _HERMITIAN_TOL:
+        # negated bounds, so that a NaN fails them too
+        if not np.abs(m - m.conj().T).max() <= _HERMITIAN_TOL:
             raise ValueError("matrix is not Hermitian")
         trace = np.trace(m)
-        if abs(trace.real - 1.0) > _TRACE_TOL or abs(trace.imag) > _TRACE_TOL:
+        if not (abs(trace.real - 1.0) <= _TRACE_TOL and abs(trace.imag) <= _TRACE_TOL):
             raise ValueError(f"trace must be 1, got {trace}")
         lowest = np.linalg.eigvalsh(m).min()
         if lowest < _EIGENVALUE_FLOOR:

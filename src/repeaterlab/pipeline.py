@@ -138,9 +138,11 @@ class Timing(NamedTuple):
     num_segments: int
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """One evaluated grid point; ``error`` is set instead of raising."""
+class SweepResult(NamedTuple):
+    """One evaluated grid point; ``error`` is set instead of raising.
+
+    A NamedTuple rather than a frozen dataclass: one is built per grid row.
+    """
 
     code_label: str
     family: str

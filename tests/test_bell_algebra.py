@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repeaterlab.bell_algebra import (
+    _COEFF_TOL,
     BellDiagonal,
     purify_ideal,
     purify_imperfect_exact,
@@ -53,8 +54,12 @@ class TestBellDiagonal:
         assert s.b == 0.0
 
     def test_super_normalized_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^coefficients must sum to <= 1, got 1\.1$"):
             BellDiagonal(0.9, 0.2, 0.0, 0.0)
+        # rounding dust on the sum is accepted, just past the tolerance is not
+        assert BellDiagonal(0.9, 0.1 + 0.5 * _COEFF_TOL, 0.0, 0.0).total() > 1.0
+        with pytest.raises(ValueError, match="^coefficients must sum to <= 1"):
+            BellDiagonal(0.9, 0.1 + 2.0 * _COEFF_TOL, 0.0, 0.0)
 
     @pytest.mark.parametrize("field", "abcd")
     def test_nan_rejected_by_name(self, field):

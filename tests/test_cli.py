@@ -2,8 +2,10 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -77,19 +79,57 @@ class TestParseConfig:
         assert [c.name for c in cases] == ["case1", "case2"]
 
     @pytest.mark.parametrize(
-        "text, fragment",
+        "text, overrides, message",
         [
-            ("bogus_key = 1\n", "line 1"),
-            ("rounds = 2\nbogus_key = 1\n", "line 2"),
-            ("rounds = many\n", "bad value"),
-            ("[grid]\n", "unknown section"),
-            ("[case x\n", "unterminated"),
-            ("just words\n", "expected key = value"),
+            ("bogus_key = 1\n", (), "line 1: unknown key 'bogus_key'"),
+            ("rounds = 2\nbogus_key = 1\n", (), "line 2: unknown key 'bogus_key'"),
+            (
+                "rounds = many\n",
+                (),
+                "line 1: bad value for 'rounds': 'many' (invalid literal for int() with base 10: 'many')",
+            ),
+            (
+                "\ntau_c_s = 1e-3x\n",
+                (),
+                "line 2: bad value for 'tau_c_s': '1e-3x' (could not convert string to float: '1e-3x')",
+            ),
+            ("[grid]\n", (), "line 1: unknown section 'grid' (only [case] allowed)"),
+            ("[ ]\n", (), "line 1: unknown section '' (only [case] allowed)"),
+            ("[case x\n", (), "line 1: unterminated section header '[case x'"),
+            ("just words\n", (), "line 1: expected key = value, got 'just words'"),
+            (
+                "fidelity = 0.9\nalpha = 20.0\n",
+                (),
+                "top level: set either fidelity or alpha/theta_rad, not both",
+            ),
+            (
+                "rounds = 1\n[case a]\nfidelity = 0.9\ntheta_rad = 0.01\n",
+                (),
+                "line 2 [case a]: set either fidelity or alpha/theta_rad, not both",
+            ),
+            (
+                "[case]\nrounds = 1\n[case]\nalpha = 2\nfidelity = 0.9\n",
+                (),
+                "line 3 [case case2]: set either fidelity or alpha/theta_rad, not both",
+            ),
+            ("", ("rounds",), "--set 'rounds': expected key=value"),
+            ("", ("bogus=1",), "--set: unknown key 'bogus'"),
+            (
+                "",
+                ("rounds=two",),
+                "--set: bad value for 'rounds': 'two' (invalid literal for int() with base 10: 'two')",
+            ),
+            (
+                "",
+                ("fidelity=0.9", "alpha=20"),
+                "--set overrides: set either fidelity or alpha/theta_rad, not both",
+            ),
         ],
     )
-    def test_errors_carry_line_numbers(self, text, fragment):
-        with pytest.raises(ConfigError, match=fragment):
-            parse_config(text)
+    def test_errors_carry_line_numbers(self, text, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, overrides)
+        assert str(info.value) == message
 
     def test_none_literal(self):
         (case,) = parse_config("fidelity = none\nalpha = 20.0\ntheta_rad = 0.01\n")
@@ -289,6 +329,26 @@ class TestMain:
             table = list(csv.reader(fh))
         assert table[0] == HEADER
         assert len(table) == 3
+
+    def test_rate_sweep_csv_bytes_frozen(self, tmp_path, capsys):
+        # every catalog code on the fidelity route, two channel cases and a
+        # channel so strong that the raw fidelity hits 1/2, an errored row
+        cases = [
+            CaseSpec(name=f"f{j}", code=code.label, rounds=j % 4, tau_c_s=10.0 ** (j % 3 - 1),
+                     one_minus_t=10.0 ** -(2 + j % 3), fidelity=0.8 + 0.02 * j, total_km=80.0 * 2**j)
+            for j, code in enumerate(code_catalog())
+        ] + [
+            CaseSpec(name="q1", code="[3,1,3]", fidelity=None, alpha=20.0, theta_rad=0.01),
+            CaseSpec(name="q2", code="[23,1,7]", rounds=1, fidelity=None, alpha=18.0, theta_rad=0.012),
+            CaseSpec(name="dead", code="[7,1,3]", fidelity=None, alpha=1e6, theta_rad=0.01),
+        ]
+        cfg, out = tmp_path / "grid.cfg", tmp_path / "rates.csv"
+        cfg.write_text(render_config(cases))
+        assert main(["rate-sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "case 'dead': fidelity must lie in (1/2, 1], got 0.5\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a4e61718905023a76a83c18ecb3421d4ee7605403a3b7da459acf73a02a2c287"
+        )
 
     def test_rate_sweep_set_override(self, tmp_path):
         cfg = tmp_path / "grid.cfg"
@@ -504,6 +564,33 @@ _CONFIG_TEXTS = st.lists(
 _PRINTABLE = st.characters(min_codepoint=33, max_codepoint=126)
 
 
+def _flags(pairs):
+    """``--flag=value`` argv items; the ``=`` keeps a value like -inf a value."""
+    return [f"{flag}={value}" for flag, value in pairs if value is not None]
+
+
+_POINT_FLAGS = _ASSIGNMENTS.map(lambda assigns: _flags((_KEYS[key]["flags"][0], value) for key, value in assigns))
+# ledger sizes stay small: --show-plan prints one line per pattern (2^n for
+# n <= 16) and one per probe (n - 1) beyond that
+_QUBUS_ARGV = st.builds(
+    lambda n, theta, plan, beta, target: _flags(
+        [("--n", n), ("--theta-rad", theta), ("--beta", beta), ("--target-error", target)]
+    ) + (["--show-plan"] if plan else []),
+    st.sampled_from(["-1", "0", "1", "2", "3", "5", "8", "11", "17", "64", "2.5", "x"]),
+    _RAW_VALUE,
+    st.booleans(),
+    st.none() | _RAW_VALUE,
+    st.none() | _RAW_VALUE,
+)
+_MONTECARLO_ARGV = st.builds(
+    lambda point, blocks, trials, seed: point + _flags([("--blocks", blocks), ("--trials", trials), ("--seed", seed)]),
+    _POINT_FLAGS,
+    st.none() | st.integers(-1, 64),
+    st.none() | st.integers(-1, 200),
+    st.none() | st.integers(-1, 2**64),
+)
+
+
 @st.composite
 def _case_specs(draw):
     """A CaseSpec over every key, with exactly one fidelity source."""
@@ -543,11 +630,13 @@ class TestFuzz:
         cases = tuple(cases)
         assert parse_config(render_config(cases)) == cases
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         st.one_of(
             st.tuples(st.just("rate-sweep"), _CONFIG_TEXTS),
-            st.tuples(st.sampled_from(["fidelity", "operating-point"]), _ASSIGNMENTS),
+            st.tuples(st.sampled_from(["fidelity", "operating-point"]), _POINT_FLAGS),
+            st.tuples(st.just("qubus-check"), _QUBUS_ARGV),
+            st.tuples(st.just("montecarlo"), _MONTECARLO_ARGV),
         )
     )
     def test_main_exit_codes(self, fuzz_dir, run):
@@ -556,15 +645,21 @@ class TestFuzz:
             (fuzz_dir / "fuzz.cfg").write_text(payload)
             argv = [command, "--config", str(fuzz_dir / "fuzz.cfg"), "--out", str(fuzz_dir / "out.csv")]
         else:
-            argv = [command] + [f"{_KEYS[key]['flags'][0]}={value}" for key, value in payload]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            argv = [command, *payload]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 rc = main(argv)
             except SystemExit as exc:  # argparse rejects a malformed flag value
                 rc = exc.code
         assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
         if rc == 2:
-            # one error line, after argparse's usage text when argparse rejected it
-            assert err.getvalue().count("error: ") == 1
-            assert err.getvalue().splitlines()[-1].count("error: ") == 1
+            # one error line, after argparse's usage text when argparse
+            # rejected it; a flag name such as --target-error may sit inside
+            lines = err.getvalue().splitlines()
+            assert [line for line in lines if re.match(r"(repeaterlab \S+: )?error: ", line)] == lines[-1:]
+        if command in ("qubus-check", "montecarlo"):
+            # fidelity and operating-point print an errored row's nan beside
+            # its error line; these two print only numbers they computed
+            assert re.search(r"\bnan\b", out.getvalue().lower()) is None

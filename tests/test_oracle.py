@@ -60,6 +60,15 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(m)
 
+    @pytest.mark.parametrize("entry", [(1, 1), (0, 1)])
+    def test_nan_entry_is_a_value_error(self, entry):
+        # a NaN on the diagonal once reached numpy's LinAlgError, and one off
+        # it passed, because the eigenvalue solve reads only one triangle
+        m = np.eye(4, dtype=complex) / 4.0
+        m[entry] = math.nan
+        with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+            DensityMatrix(m)
+
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4, dtype=complex))

@@ -6,11 +6,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repeaterlab.bell_algebra import BellDiagonal, purify_ideal, swap_ideal
 from repeaterlab.codes import code_catalog
 from repeaterlab.core import ChannelParams, HardwareParams
 from repeaterlab.pipeline import (
+    _F_LO,
+    _F_TOL,
     MAX_ROUNDS,
     ProtocolConfig,
     evaluate,
@@ -188,6 +192,48 @@ class TestFinalFidelity:
             vals = [final_fidelity(with_fidelity(cfg, float(f))) for f in grid]
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        code=st.sampled_from(code_catalog()),
+        k=st.sampled_from([0, 1, 2, 3, 5]),
+        tau_c=st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+        one_minus_t=st.floats(-6.0, -1.0).map(lambda e: 10.0**e),
+        f=st.floats(_F_LO, 1.0),
+        step=st.floats(-15.0, -1.0).map(lambda e: 10.0**e),
+    )
+    def test_no_step_down_in_raw_fidelity(self, code, k, tau_c, one_minus_t, f, step):
+        # the solver's bisection rests on this; rounding may step down by
+        # about 1e-14, so the strict test above keeps to a coarse grid
+        cfg = make_cfg(code.label, k, tau_c, one_minus_t, fidelity=f)
+        up = min(max(f + step, math.nextafter(f, 2.0)), 1.0)
+        assert final_fidelity(with_fidelity(cfg, up)) >= final_fidelity(cfg) - 1e-13
+
+    @pytest.mark.parametrize("axis", ["tau_c", "one_minus_t"])
+    def test_monotone_in_hardware(self, axis):
+        # F_final and the rate never fall with tau_c and never rise with 1 - T,
+        # up to rounding: an ulp-level step of the rate is not a rise
+        sweeps = {
+            "tau_c": [10.0 ** (e / 4.0) for e in range(-12, 9)],        # 1e-3 .. 100 s
+            "one_minus_t": [10.0 ** (-e / 4.0) for e in range(24, 3, -1)],  # 1e-6 .. 0.1
+        }
+        others = {"tau_c": (1e-5, 1e-3), "one_minus_t": (0.01, 1.0)}
+        other_axis = "one_minus_t" if axis == "tau_c" else "tau_c"
+        for code in code_catalog():
+            for k in range(4):
+                for f in (0.7, 0.9, 0.99):
+                    for other in others[axis]:
+                        rows = [
+                            evaluate(make_cfg(code.label, k, fidelity=f, **{axis: x, other_axis: other}))
+                            for x in sweeps[axis]
+                        ]
+                        assert all(r.error is None for r in rows)
+                        if axis == "one_minus_t":
+                            rows.reverse()  # so that the hardware gets better along the list
+                        for worse, better in zip(rows, rows[1:]):
+                            for name in ("f_final", "rate_per_memory_hz"):
+                                low = getattr(worse, name)
+                                assert getattr(better, name) >= low * (1.0 - 1e-12), (code.label, k, f, other, name)
+
     def test_css_point(self):
         # frozen: Steane code end-to-end at the default hardware point
         cfg = make_cfg("[7,1,3]", rounds=2, tau_c=0.1, one_minus_t=1e-3, fidelity=1.0 - 1e-9)
@@ -317,6 +363,19 @@ class TestOperatingPointMap:
         assert sum(len(s) for s in cells.values()) == 448
         assert sum(op.feasible for s in cells.values() for _, _, op in s) == 189
         assert h.hexdigest() == "4750b6533975e7ead9c92103ab7dc2b552c24adcbf6d43bbaa01963098c8e94d"
+
+    def test_solutions_are_tight(self):
+        # F* - _F_TOL misses the target, unless F* is the lower bracket
+        checked = 0
+        for (tau_c, omt), solves in solve_map().items():
+            for label, k, op in solves:
+                if not op.feasible or op.operating_fidelity == _F_LO:
+                    continue
+                below = max(op.operating_fidelity - _F_TOL, _F_LO)
+                cfg = make_cfg(label, k, tau_c, omt, fidelity=below)
+                assert final_fidelity(cfg) < MAP_TARGET, (tau_c, omt, label, k)
+                checked += 1
+        assert checked > 0
 
     def test_rate_winner_per_cell(self):
         winners = {}
