@@ -58,6 +58,10 @@ _CSV_HEADER = [
 # qubits per station half needed to run the k = 2 Golay pump at full duty
 _GOLAY_THROUGHPUT_MEMORIES = 166
 
+# qubus-check --show-plan builds and prints one ledger per probe, n - 1 of
+# them, so it takes no n beyond this
+_PLAN_MAX_N = 4096
+
 
 def _key(default, kind: type, *flags: str, help: str):
     """A config key: its default, value type, command line flags and help."""
@@ -393,11 +397,13 @@ def cmd_operating_point(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
-    from .oracle import enumerate_logical_error, match_gate_variant, simulate_swapping  # needs numpy
+    from .oracle import GateErrorVariant, enumerate_logical_error, match_gate_variant, simulate_swapping  # needs numpy
 
     report = match_gate_variant()
     print(report)
-    ok = bool(report.matching)
+    # the closed form is the Z-control, X-target channel, whose two placements
+    # coincide; any other set of matching placements is a failure
+    ok = set(report.matching) == {GateErrorVariant.ZCXT_BEFORE, GateErrorVariant.ZCXT_AFTER}
 
     s = BellDiagonal(0.85, 0.07, 0.05, 0.03)
     swap_dev = max(
@@ -418,6 +424,8 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_qubus_check(args: argparse.Namespace) -> int:
+    if args.show_plan and args.n > _PLAN_MAX_N:
+        raise ValueError(f"--n must be <= {_PLAN_MAX_N} with --show-plan, got {args.n}")
     verdict = feasibility(args.n, args.theta_rad)
     # the optional figures come first, so that a bad --beta or --target-error
     # exits before anything is printed
@@ -538,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qubus-check", help="phase-ledger feasibility and homodyne error")
     p.add_argument("--n", type=int, required=True, help="number of atoms")
     p.add_argument("--theta-rad", type=float, required=True, help="interaction angle")
-    p.add_argument("--show-plan", action="store_true", help="print the phase ledgers")
+    p.add_argument("--show-plan", action="store_true", help=f"print the phase ledgers (n <= {_PLAN_MAX_N})")
     p.add_argument("--beta", type=float, help="probe amplitude for homodyne error")
     p.add_argument("--target-error", type=float, help="solve for the minimal amplitude")
     p.set_defaults(func=cmd_qubus_check)

@@ -52,9 +52,10 @@ _ROTATE_PAIR = np.kron(_U_A, _U_A.conj())
 # the swap's Hadamard on qubit 1 of four; real and symmetric, so self-adjoint
 _H_ON_1 = np.kron(np.kron(np.eye(2), _H), np.eye(4))
 
-# Pauli correction on qubit 3 for each swap outcome (X readout, Z readout),
-# as the gates applied in turn: Z X is X first, then Z
-_SWAP_CORRECTIONS = {(0, 0): (), (1, 0): ("Z",), (0, 1): ("X",), (1, 1): ("X", "Z")}
+# the swap's Pauli corrections on qubit 3, deferred past the measurement as
+# gates controlled by the readouts: X for a Z readout 1 (qubit 2), then Z
+# for an X readout 1 (qubit 1)
+_SWAP_CORRECTIONS = (("CNOT", (2, 3)), ("CZ", (1, 3)))
 
 # columns: phi+, phi-, psi+, psi- in the big-endian computational basis
 _BELL = np.array(
@@ -153,21 +154,55 @@ def _index_map(
     return gather, mask
 
 
-def _permute(rho: np.ndarray, gate: str, qubits: tuple[int, ...]) -> np.ndarray:
-    """U rho U^dagger for a Pauli X or Z, a CNOT or a CZ on the listed qubits.
+@functools.cache
+def _step_tables(m: int, programs: tuple) -> tuple[np.ndarray, ...]:
+    """Stacked tables of equal-length gate programs on m qubits, one per row.
 
-    Every gate whose place the caller picks acts this way; the fixed
-    rotations and the swap's Hadamard are dense module constants.
+    Step k of row v applies gate ``programs[v][k]`` to row v: ``gather`` is
+    the gate's :func:`_index_map` gather moved into row v (the identity if
+    it does not permute).  A Pauli X or Z is a noisy flip, a CNOT or CZ a
+    unitary; ``flip`` is 1 on flip rows, and ``flip_mask`` and
+    ``unitary_mask`` carry the signs (ones if none) on flip and unitary
+    rows.  All but ``gather`` are complex, so that no step casts.
     """
-    gather, mask = _index_map(rho.shape[0].bit_length() - 1, gate, qubits)
-    if gather is not None:
-        rho = rho.take(gather)
-    return rho if mask is None else rho * mask
+    size, steps = 4**m, list(zip(*programs))
+    maps = [[_index_map(m, gate, qubits) for gate, qubits in step] for step in steps]
+    index, ones = np.arange(size), np.ones(size)
+    gather = np.array([[v * size + (index if g is None else g.ravel()) for v, (g, _) in enumerate(s)] for s in maps])
+    mask = np.array([[ones if k is None else k.ravel() for _, k in s] for s in maps], dtype=complex)
+    flip = np.array([[[gate in ("X", "Z")] for gate, _ in step] for step in steps]) * ones.astype(complex)
+    tables = gather, flip, flip * mask, (1.0 - flip) * mask
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-def _flip(rho: np.ndarray, pauli: str, qubit: int, q: float) -> np.ndarray:
-    """Pauli flip channel (1 - q) rho + q P rho P on one qubit."""
-    return (1.0 - q) * rho + q * _permute(rho, pauli, (qubit,))
+def _run(rho: np.ndarray, programs: tuple, q: float = 0.0) -> np.ndarray:
+    """Run each gate program on its own copy of the matrix ``rho``: (rows, dim, dim).
+
+    Every step is one update r <- a r + b (mask * r[gather]) of the whole
+    stack: (a, b) = (1 - q, q) makes a Pauli X or Z the flip channel
+    (1 - q) rho + q P rho P, and (a, b) = (0, 1) makes a CNOT or CZ the
+    unitary U rho U^dagger.
+    """
+    dim = rho.shape[0]
+    gather, flip, flip_mask, unitary_mask = _step_tables(dim.bit_length() - 1, programs)
+    a, b_mask = (1.0 - q) * flip, q * flip_mask + unitary_mask
+    rho = rho.reshape(1, -1).repeat(len(programs), 0)
+    for step in range(len(gather)):
+        rho = a[step] * rho + b_mask[step] * rho.take(gather[step])
+    return rho.reshape(-1, dim, dim)
+
+
+def _gate_program(control: int, target: int, gate: str, variant: GateErrorVariant) -> tuple:
+    """A noisy gate's steps: Z flips on the control, Z or X on the target, as the variant says."""
+    target_pauli = "Z" if variant in (GateErrorVariant.ZZ_BEFORE, GateErrorVariant.ZZ_AFTER) else "X"
+    noise, unitary = (("Z", (control,)), (target_pauli, (target,))), ((gate, (control, target)),)
+    return noise + unitary if variant in (GateErrorVariant.ZZ_BEFORE, GateErrorVariant.ZCXT_BEFORE) else unitary + noise
+
+
+# the noisy CNOTs 0 -> 2 and 1 -> 3 of a purification round, per variant
+_ROUND_PROGRAMS = {v: _gate_program(0, 2, "CNOT", v) + _gate_program(1, 3, "CNOT", v) for v in GateErrorVariant}
 
 
 def _qubit_index(name: str, value: object) -> int:
@@ -208,28 +243,6 @@ def _check_gate_error(q_g: float) -> None:
         raise ValueError(f"q_g must lie in [0, 1/2), got {q_g}")
 
 
-def _noisy_gate_raw(
-    rho: np.ndarray,
-    control: int,
-    target: int,
-    q_g: float,
-    gate: str,
-    variant: GateErrorVariant,
-) -> np.ndarray:
-    if gate not in ("CNOT", "CZ"):
-        raise ValueError(f"gate must be 'CZ' or 'CNOT', got {gate!r}")
-    target_pauli = "Z" if variant in (GateErrorVariant.ZZ_BEFORE, GateErrorVariant.ZZ_AFTER) else "X"
-
-    def noise(r: np.ndarray) -> np.ndarray:
-        # independent flips: Z on the control and (Z or X) on the target,
-        # each with probability q_g
-        return _flip(_flip(r, "Z", control, q_g), target_pauli, target, q_g)
-
-    if variant in (GateErrorVariant.ZZ_BEFORE, GateErrorVariant.ZCXT_BEFORE):
-        return _permute(noise(rho), gate, (control, target))
-    return noise(_permute(rho, gate, (control, target)))
-
-
 def apply_dephasing(rho: DensityMatrix, qubit: int, q: float) -> DensityMatrix:
     """Phase-flip channel (1 - q) rho + q Z rho Z on one qubit."""
     if not 0.0 <= q <= 1.0:
@@ -237,7 +250,7 @@ def apply_dephasing(rho: DensityMatrix, qubit: int, q: float) -> DensityMatrix:
     m, qubit = rho.num_qubits, _qubit_index("qubit", qubit)
     if not 0 <= qubit < m:
         raise ValueError(f"qubit index {qubit} out of range for {m} qubits")
-    return DensityMatrix(_flip(rho.matrix, "Z", qubit, q))
+    return DensityMatrix(_run(rho.matrix, ((("Z", (qubit,)),),), q)[0])
 
 
 def apply_noisy_two_qubit_gate(
@@ -258,12 +271,14 @@ def apply_noisy_two_qubit_gate(
     _check_gate_error(q_g)
     control, target = _check_pair(control, target, rho.num_qubits)
     variant = _gate_variant(variant)
-    return DensityMatrix(_noisy_gate_raw(rho.matrix, control, target, q_g, gate, variant))
+    if gate not in ("CNOT", "CZ"):
+        raise ValueError(f"gate must be 'CZ' or 'CNOT', got {gate!r}")
+    return DensityMatrix(_run(rho.matrix, (_gate_program(control, target, gate, variant),), q_g)[0])
 
 
-def _bell_project(rho4: np.ndarray) -> BellDiagonal:
-    """Bell-basis diagonal of a two-qubit matrix."""
-    return BellDiagonal(*(float(x) for x in np.diag(_BELL_H @ rho4 @ _BELL).real))
+def _bell_coefficients(rho: np.ndarray) -> list:
+    """Bell-basis diagonal of a two-qubit matrix, or of each in a stack, as floats."""
+    return np.diagonal(_BELL_H @ rho @ _BELL, axis1=-2, axis2=-1).real.tolist()
 
 
 def bell_diagonal_projection(rho: DensityMatrix) -> tuple[BellDiagonal, float]:
@@ -278,33 +293,37 @@ def bell_diagonal_projection(rho: DensityMatrix) -> tuple[BellDiagonal, float]:
         raise ValueError("Bell projection needs a two-qubit state")
     in_bell = _BELL_H @ rho.matrix @ _BELL
     residual = in_bell - np.diag(np.diag(in_bell))
-    return _bell_project(rho.matrix), float(np.linalg.norm(residual))
+    return BellDiagonal(*np.diag(in_bell).real.tolist()), float(np.linalg.norm(residual))
+
+
+def _two_copies(pair: np.ndarray) -> np.ndarray:
+    """kron(pair, pair), as the elementwise outer product np.kron computes."""
+    return (pair[:, None, :, None] * pair[None, :, None, :]).reshape(16, 16)
 
 
 def _rotated_copies(s: BellDiagonal) -> np.ndarray:
     """Two copies of ``s`` on pairs (0,1) and (2,3) after the sqrt(iX) rotations.
 
-    Each pair is rotated before the kron: (R x R) (P x P) (R x R)^dagger
-    equals (R P R^dagger) x (R P R^dagger).
+    Each pair is rotated before the copies are joined: (R x R) (P x P)
+    (R x R)^dagger equals (R P R^dagger) x (R P R^dagger).
     """
     pair = DensityMatrix.from_bell_diagonal(s).matrix
-    pair = _ROTATE_PAIR @ pair @ _ROTATE_PAIR.conj().T
-    return np.kron(pair, pair)
+    return _two_copies(_ROTATE_PAIR @ pair @ _ROTATE_PAIR.conj().T)
 
 
-def _purify_rotated(rho: np.ndarray, q_g: float, variant: GateErrorVariant) -> PurifyOutcome:
-    """The noisy CNOTs and the postselection of a round, from the rotated copies."""
-    rho = _noisy_gate_raw(rho, 0, 2, q_g, "CNOT", variant)
-    rho = _noisy_gate_raw(rho, 1, 3, q_g, "CNOT", variant)
+def _purify_rotated(rotated: np.ndarray, q_g: float, variants: tuple) -> list[PurifyOutcome]:
+    """The noisy CNOTs and the postselection of a round, one stacked row per variant."""
+    rho = _run(rotated, tuple(_ROUND_PROGRAMS[v] for v in variants), q_g)
 
-    # axes (pair 01 ket, pair 23 ket, pair 01 bra, pair 23 bra): keep the
-    # outcomes 00 and 11 of qubits 2 and 3 and trace them out
-    t = rho.reshape(4, 4, 4, 4)
-    kept = t[:, 0, :, 0] + t[:, 3, :, 3]
-    p = float(np.trace(kept).real)
-    if p <= 0.0:
+    # axes (variant, pair 01 ket, pair 23 ket, pair 01 bra, pair 23 bra):
+    # keep the outcomes 00 and 11 of qubits 2 and 3 and trace them out
+    t = rho.reshape(-1, 4, 4, 4, 4)
+    kept = t[:, :, 0, :, 0] + t[:, :, 3, :, 3]
+    p = np.trace(kept, axis1=1, axis2=2).real
+    if (p <= 0.0).any():
         raise ArithmeticError("postselection kept zero weight")
-    return PurifyOutcome(_bell_project(kept / p), p)
+    coeffs = _bell_coefficients(kept / p[:, None, None])
+    return [PurifyOutcome(BellDiagonal(*c), w) for c, w in zip(coeffs, p.tolist())]
 
 
 def simulate_purification_round(
@@ -320,7 +339,7 @@ def simulate_purification_round(
     """
     _check_gate_error(q_g)
     variant = _gate_variant(variant)
-    return _purify_rotated(_rotated_copies(s), q_g, variant)
+    return _purify_rotated(_rotated_copies(s), q_g, (variant,))[0]
 
 
 def simulate_swapping(s: BellDiagonal) -> BellDiagonal:
@@ -329,39 +348,38 @@ def simulate_swapping(s: BellDiagonal) -> BellDiagonal:
     Pairs (0,1) and (2,3); the middle station holds qubits 1 and 2 and
     performs a Bell measurement (CNOT 1 -> 2, X-measure 1, Z-measure 2),
     the X readout taken as a Z readout after a Hadamard on qubit 1.
-    Each outcome's Pauli correction is applied to qubit 3, the branches are
-    averaged, and the remaining pair (0, 3) is Bell-projected.
+    Each outcome's Pauli correction on qubit 3 runs as a gate controlled by
+    the readout qubit, the branches are averaged, and the remaining pair
+    (0, 3) is Bell-projected.
     """
     pair = DensityMatrix.from_bell_diagonal(s).matrix
-    rho = _H_ON_1 @ _permute(np.kron(pair, pair), "CNOT", (1, 2)) @ _H_ON_1
-    t = rho.reshape((2,) * 8)
-    out = 0
-    for (xm, zm), paulis in _SWAP_CORRECTIONS.items():
-        # branch (xm, zm) of the remaining pair (0, 3), measured qubits 1 and 2
-        # traced out, corrected on its second qubit
-        branch = t[:, xm, zm, :, :, xm, zm, :].reshape(4, 4)
-        for pauli in paulis:
-            branch = _permute(branch, pauli, (1,))
-        out = out + branch
-    return _bell_project(out)
+    rho = _H_ON_1 @ _run(_two_copies(pair), ((("CNOT", (1, 2)),),))[0] @ _H_ON_1
+    t = _run(rho, (_SWAP_CORRECTIONS,))[0].reshape((2,) * 8)
+    # the corrected branch (xm, zm) of the pair (0, 3), qubits 1 and 2 traced out
+    out = sum(t[:, xm, zm, :, :, xm, zm, :] for xm, zm in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    return BellDiagonal(*_bell_coefficients(out.reshape(4, 4)))
+
+
+@functools.cache
+def _heavy_weights(n: int, t: int) -> bytes:
+    """Hamming weights above t of the n-bit patterns, in pattern order."""
+    return bytes(w for w in map(int.bit_count, range(2**n)) if w > t)
 
 
 def enumerate_logical_error(code: Code, q: float) -> float:
     """Decoding failure probability by exhaustive error-pattern enumeration.
 
-    Walks all 2^n i.i.d. flip patterns and adds up those with more than
-    (d - 1)/2 flips.  Refuses n > 15 (32768 patterns is the ceiling).
+    Walks all 2^n i.i.d. flip patterns in order and adds up those with more
+    than (d - 1)/2 flips, each weighing q^w (1 - q)^(n - w) read from a
+    per-call table by its weight w; the weights of the counted patterns are
+    cached per (n, t).  Refuses n > 15 (32768 patterns is the ceiling).
     """
     if code.n > 15:
         raise ValueError(f"enumeration is limited to n <= 15, got n={code.n}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
-    total = 0.0
-    for pattern in range(2**code.n):
-        w = pattern.bit_count()
-        if w > code.t:
-            total += q**w * (1.0 - q) ** (code.n - w)
-    return total
+    term = [q**w * (1.0 - q) ** (code.n - w) for w in range(code.n + 1)]
+    return functools.reduce(operator.add, map(term.__getitem__, _heavy_weights(code.n, code.t)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -400,7 +418,9 @@ def match_gate_variant(
     record the worst absolute deviation of the output coefficients and the
     success probability from :func:`purify_imperfect_exact`.  The variants
     differ only after the rotations, so each sample's rotated copies are
-    built once and shared by the four circuits.
+    built once, and the four noisy-CNOT tails run on them as one (4, 256)
+    stack: six steps r <- a r + b (mask * r[gather]), then one batched
+    postselection and Bell projection.
     """
     pts = list(samples if samples is not None else _default_samples())
     if not pts:
@@ -411,8 +431,7 @@ def match_gate_variant(
         rotated = _rotated_copies(s)
         ref = purify_imperfect_exact(s, q_g)
         want = (*ref.state.as_tuple(), ref.success_prob)
-        for variant in worst:
-            sim = _purify_rotated(rotated, q_g, variant)
+        for variant, sim in zip(worst, _purify_rotated(rotated, q_g, tuple(worst))):
             got = (*sim.state.as_tuple(), sim.success_prob)
             worst[variant] = max(worst[variant], *(abs(x - y) for x, y in zip(got, want)))
     return VariantReport(tuple(worst.items()))

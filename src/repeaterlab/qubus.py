@@ -150,8 +150,12 @@ def chained_qubus_phases(n: int, theta_rad: float) -> QubusPlan:
 def phases_distinct(n: int, theta_rad: float) -> bool:
     """Distinctness mod 2 pi of the single-qubus phases, codeword pair aside.
 
-    Exhaustive for n <= 16: all 2^n phases are bucketed mod 2 pi, in
-    O(2^n) integer and float operations on the ledger coefficients.  Beyond that the verdict is analytic: every
+    Exhaustive for n <= 16, with no ledger built: both codewords carry
+    coefficient 0, and the other 2^n - 2 patterns carry each nonzero even
+    integer in [-(2^n - 2), 2^n - 2] exactly once.  So the phases
+    (theta / 2) c of c = -(2^n - 2), ..., 2^n - 2 in steps of 2 are bucketed
+    mod 2 pi, and the verdict is that all 2^n - 1 buckets differ: O(2^n)
+    float operations.  Beyond that the verdict is analytic: every
     phase is an even multiple of theta/2 bounded by max_phase, so below the
     branch cut (max_phase < pi) distinct integer coefficients cannot wrap
     onto each other, while at max_phase = pi the two extreme patterns meet
@@ -161,15 +165,14 @@ def phases_distinct(n: int, theta_rad: float) -> bool:
     max_phase = _max_phase(n, theta_rad)
     if n > _ENUM_LIMIT:
         return max_phase < math.pi
-    # one phase bucket per pattern; the codewords 0...0 and 1...1 come
-    # first and last and share phase 0, so only the inner patterns must
-    # keep to buckets of their own
     two_pi = 2.0 * math.pi
     modulus = round(two_pi / _PHASE_TOL)
     half = 0.5 * theta_rad
-    codeword, *inner, _ = [round((half * c % two_pi) / _PHASE_TOL) % modulus for c in _coefficients(n)]
-    keys = set(inner)
-    return len(keys) == len(inner) and codeword not in keys
+    top = 2**n - 2
+    # a phase bucket is round(phase / tol) mod modulus; the unreduced
+    # rounds lie in [0, modulus], so only modulus and 0 can share a bucket
+    buckets = set(map(round, [half * c % two_pi / _PHASE_TOL for c in range(-top, top + 1, 2)]))
+    return len(buckets) - (0 in buckets and modulus in buckets) == top + 1
 
 
 def feasibility(n: int, theta_rad: float) -> Feasibility:

@@ -16,6 +16,7 @@ from repeaterlab.cli import (
     ConfigError,
     _GOLAY_THROUGHPUT_MEMORIES,
     _KEYS,
+    _PLAN_MAX_N,
     _z_score,
     emit_csv,
     emit_gnuplot,
@@ -25,6 +26,7 @@ from repeaterlab.cli import (
     report_operating_points,
     to_protocol_config,
 )
+from repeaterlab import oracle
 from repeaterlab.codes import code_catalog
 from repeaterlab.pipeline import evaluate
 
@@ -428,6 +430,39 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == message
 
+    @pytest.mark.parametrize("n", [_PLAN_MAX_N + 1, 10**8, 10**30])
+    def test_qubus_check_plan_caps_n(self, capsys, n):
+        # each of the n - 1 chained ledgers is built before any is printed
+        assert main(["qubus-check", "--n", str(n), "--theta-rad", "1e-9", "--show-plan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --n must be <= {_PLAN_MAX_N} with --show-plan, got {n}\n"
+        # without the plan, the same n gets its analytic verdict
+        assert main(["qubus-check", "--n", str(n), "--theta-rad", "1e-9"]) == 1
+        assert "feasible: False" in capsys.readouterr().out
+
+    def test_qubus_check_plan_at_the_cap(self, capsys):
+        assert main(["qubus-check", "--n", str(_PLAN_MAX_N), "--theta-rad", "1e-9", "--show-plan"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"  qubus {_PLAN_MAX_N - 1}: 00:0, 01:1e-09, 10:-1e-09, 11:0"
+
+    @pytest.mark.parametrize(
+        "matching, rc",
+        [
+            ({oracle.GateErrorVariant.ZCXT_BEFORE, oracle.GateErrorVariant.ZCXT_AFTER}, 0),
+            (set(oracle.GateErrorVariant), 1),
+            ({oracle.GateErrorVariant.ZCXT_AFTER}, 1),
+            ({oracle.GateErrorVariant.ZZ_BEFORE, oracle.GateErrorVariant.ZZ_AFTER}, 1),
+            (set(), 1),
+        ],
+        ids=["zcxt-pair", "all-four", "one-zcxt", "zz-pair", "none"],
+    )
+    def test_oracle_verify_needs_exactly_the_zcxt_pair(self, monkeypatch, capsys, matching, rc):
+        rows = tuple((v, 0.0 if v in matching else 1.0) for v in oracle.GateErrorVariant)
+        monkeypatch.setattr(oracle, "match_gate_variant", lambda: oracle.VariantReport(rows))
+        assert main(["oracle-verify"]) == rc
+        assert capsys.readouterr().out.splitlines()[-1] == "oracle-verify: " + ("ok" if rc == 0 else "FAILED")
+
     def test_qubus_check_plan_and_beta(self, capsys):
         rc = main(
             [
@@ -571,12 +606,13 @@ def _flags(pairs):
 
 _POINT_FLAGS = _ASSIGNMENTS.map(lambda assigns: _flags((_KEYS[key]["flags"][0], value) for key, value in assigns))
 # ledger sizes stay small: --show-plan prints one line per pattern (2^n for
-# n <= 16) and one per probe (n - 1) beyond that
+# n <= 16) and one per probe (n - 1) beyond that; an n past the plan's cap
+# must exit 2 with the plan asked for, before any ledger is built
 _QUBUS_ARGV = st.builds(
     lambda n, theta, plan, beta, target: _flags(
         [("--n", n), ("--theta-rad", theta), ("--beta", beta), ("--target-error", target)]
     ) + (["--show-plan"] if plan else []),
-    st.sampled_from(["-1", "0", "1", "2", "3", "5", "8", "11", "17", "64", "2.5", "x"]),
+    st.sampled_from(["-1", "0", "1", "2", "3", "5", "8", "11", "17", "64", str(_PLAN_MAX_N + 1), "10" * 20, "2.5", "x"]),
     _RAW_VALUE,
     st.booleans(),
     st.none() | _RAW_VALUE,

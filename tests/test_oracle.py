@@ -17,9 +17,9 @@ from repeaterlab.core import memory_error_prob
 from repeaterlab.oracle import (
     DensityMatrix,
     GateErrorVariant,
-    _flip,
     _index_map,
     _rotated_copies,
+    _run,
     apply_dephasing,
     apply_noisy_two_qubit_gate,
     bell_diagonal_projection,
@@ -248,7 +248,7 @@ class TestQubitOrder:
 
 
 class TestPauliFlips:
-    """X and Z flips as index maps against dense kron references."""
+    """X and Z flips as one-step stacked programs against dense kron references."""
 
     @pytest.mark.parametrize(
         "m, qubit", [(3, q) for q in range(3)] + [(4, q) for q in range(4)]
@@ -260,7 +260,8 @@ class TestPauliFlips:
             rho = random_density_matrix(rng, m)
             k = embed(matrix, qubit, m)
             want = 0.7 * rho + 0.3 * (k @ rho @ k)
-            assert np.abs(_flip(rho, pauli, qubit, 0.3) - want).max() <= 1e-14
+            got = _run(rho, (((pauli, (qubit,)),),), 0.3)[0]
+            assert np.abs(got - want).max() <= 1e-14
 
 
 class TestIndexValidation:

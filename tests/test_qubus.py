@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repeaterlab.qubus import (
     Feasibility,
+    _coefficients,
     QubusPlan,
     chained_qubus_phases,
     feasibility,
@@ -196,6 +197,14 @@ class TestLedgerReference:
         got = list(single_qubus_phases(n, theta).per_state_phases.items())
         assert got == list(reference_ledger(n, theta).items())
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_coefficients_are_the_even_range(self, n):
+        # phases_distinct buckets this range instead of building the ledger:
+        # both codewords carry 0, and the other patterns carry each nonzero
+        # even integer in [-(2^n - 2), 2^n - 2] exactly once
+        top = 2**n - 2
+        assert sorted(_coefficients(n)) == sorted([0, *range(-top, top + 1, 2)])
+
     @pytest.mark.parametrize("n", range(2, 11))
     def test_distinct_below_and_at_branch_cut(self, n):
         cut = math.pi / (2 ** (n - 1) - 1)
@@ -226,6 +235,15 @@ class TestLedgerReference:
         assert len(codeword_bucket(4, theta)) == 4
         assert not reference_distinct(4, theta)
         assert not phases_distinct(4, theta)
+
+    @pytest.mark.parametrize("theta", [6e-10, 2.0 * math.pi - 6e-10])
+    def test_top_bucket_wraps_onto_the_codeword(self, theta):
+        # one pattern's phase rounds up to 2 pi / 1e-9 buckets, which is
+        # bucket 0 again: it meets the codewords though the third stays apart
+        assert len(reference_buckets(2, theta)) == 2
+        assert codeword_bucket(2, theta) == {"00", "11", "10" if theta < 1.0 else "01"}
+        assert not reference_distinct(2, theta)
+        assert not phases_distinct(2, theta)
 
     def test_wrap_region_can_stay_distinct(self):
         # past the branch cut, but theta = 2 pi * 2 / 15 sends k = -7..7 to
