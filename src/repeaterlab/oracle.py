@@ -370,9 +370,10 @@ def enumerate_logical_error(code: Code, q: float) -> float:
     """Decoding failure probability by exhaustive error-pattern enumeration.
 
     Walks all 2^n i.i.d. flip patterns in order and adds up those with more
-    than (d - 1)/2 flips, each weighing q^w (1 - q)^(n - w) read from a
-    per-call table by its weight w; the weights of the counted patterns are
-    cached per (n, t).  Refuses n > 15 (32768 patterns is the ceiling).
+    than (d - 1)/2 flips, each with probability q^w (1 - q)^(n - w) read
+    from a per-call table by its Hamming weight w; the weights of the
+    counted patterns are cached per (n, t).  Refuses n > 15 (32768 patterns
+    is the ceiling).
     """
     if code.n > 15:
         raise ValueError(f"enumeration is limited to n <= 15, got n={code.n}")
