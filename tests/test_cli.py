@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repeaterlab.cli import (
     CaseSpec,
     ConfigError,
+    _CSV_HEADER,
     _GOLAY_THROUGHPUT_MEMORIES,
     _KEYS,
     _PLAN_MAX_N,
@@ -28,7 +29,7 @@ from repeaterlab.cli import (
 )
 from repeaterlab import oracle
 from repeaterlab.codes import code_catalog
-from repeaterlab.pipeline import evaluate
+from repeaterlab.pipeline import SweepResult, evaluate
 
 HEADER = [
     "code",
@@ -58,6 +59,22 @@ code = [3,1,3]
 code = [23,1,7]
 tau_c_s = 1.0
 """
+
+# every catalog code on the fidelity route, two channel cases and a channel
+# so strong that the raw fidelity hits 1/2, an errored row
+FROZEN_GRID = [
+    CaseSpec(name=f"f{j}", code=code.label, rounds=j % 4, tau_c_s=10.0 ** (j % 3 - 1),
+             one_minus_t=10.0 ** -(2 + j % 3), fidelity=0.8 + 0.02 * j, total_km=80.0 * 2**j)
+    for j, code in enumerate(code_catalog())
+] + [
+    CaseSpec(name="q1", code="[3,1,3]", fidelity=None, alpha=20.0, theta_rad=0.01),
+    CaseSpec(name="q2", code="[23,1,7]", rounds=1, fidelity=None, alpha=18.0, theta_rad=0.012),
+    CaseSpec(name="dead", code="[7,1,3]", fidelity=None, alpha=1e6, theta_rad=0.01),
+]
+
+
+def _sha256(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
 class TestParseConfig:
@@ -260,6 +277,23 @@ class TestCsv:
         emit_csv(rows, str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_header_names_the_sweep_result_fields(self):
+        # rows are SweepResult's first 12 fields in order, under these names
+        assert dict(zip(SweepResult._fields[:12], _CSV_HEADER, strict=True)) == {
+            "code_label": "code",
+            "family": "family",
+            "rounds": "k",
+            "tau_c_s": "tau_c_s",
+            "one_minus_t": "one_minus_T",
+            "total_distance_km": "L_km",
+            "segment_km": "L0_km",
+            "f": "F",
+            "f_final": "F_final",
+            "p0": "P0",
+            "p_k": "P_k",
+            "rate_per_memory_hz": "rate_hz_per_memory",
+        }
+
     def test_gnuplot_companion(self, tmp_path):
         path = tmp_path / "out.dat"
         emit_gnuplot(self.rows(), str(path))
@@ -281,6 +315,36 @@ class TestReport:
             by_name["golay"].rate_per_memory_hz * _GOLAY_THROUGHPUT_MEMORIES, rel=1e-12
         )
         assert by_name["repetition-3"].rate_per_memory_hz > by_name["golay"].rate_per_memory_hz
+
+
+class TestFrozenPrintouts:
+    """SHA-256 digests of the printed outputs that the CSV digest does not cover."""
+
+    def test_report_stdout(self, capsys):
+        assert main(["report"]) == 0
+        assert _sha256(capsys.readouterr().out) == "81d98eccc4092304103319baf06426df8b4c53c85ed13ad9fc3578e6ddeae0fb"
+
+    def test_point_printouts(self, capsys):
+        # one case of each family, a feasible and an infeasible operating
+        # point, and an errored row; each printout follows its exit code
+        runs = [
+            ["fidelity", "--code", "[3,1,3]", "--rounds", "2", "--fidelity", "0.95"],
+            ["fidelity", "--code", "[23,1,7]", "--rounds", "1", "--tau-c", "1", "--fidelity", "0.9"],
+            ["fidelity", "--code", "[7,1,3]", "--alpha", "20", "--theta-rad", "0.01"],
+            ["fidelity", "--code", "[7,1,3]", "--alpha", "1e6", "--theta-rad", "0.01"],
+            ["operating-point", "--code", "[25,1,5]", "--tau-c", "1", "--target", "0.9"],
+            ["operating-point", "--code", "[1,1,1]", "--rounds", "0", "--target", "0.9"],
+        ]
+        printed = ""
+        for argv in runs:
+            rc = main(argv)
+            printed += f"{rc}\n{capsys.readouterr().out}"
+        assert _sha256(printed) == "50617e96a17c4b906dc39a054e2b94d75dc53bc76b6fd6948812303c0eb65234"
+
+    def test_gnuplot_bytes(self, tmp_path):
+        path = tmp_path / "grid.dat"
+        emit_gnuplot([evaluate(to_protocol_config(case)) for case in FROZEN_GRID], str(path))
+        assert _sha256(path.read_bytes()) == "1760c48f2672be873d1555317e5bec4e3bcd7ab27b4ee1de8ce52e0793aac18f"
 
 
 class TestMain:
@@ -333,22 +397,11 @@ class TestMain:
         assert len(table) == 3
 
     def test_rate_sweep_csv_bytes_frozen(self, tmp_path, capsys):
-        # every catalog code on the fidelity route, two channel cases and a
-        # channel so strong that the raw fidelity hits 1/2, an errored row
-        cases = [
-            CaseSpec(name=f"f{j}", code=code.label, rounds=j % 4, tau_c_s=10.0 ** (j % 3 - 1),
-                     one_minus_t=10.0 ** -(2 + j % 3), fidelity=0.8 + 0.02 * j, total_km=80.0 * 2**j)
-            for j, code in enumerate(code_catalog())
-        ] + [
-            CaseSpec(name="q1", code="[3,1,3]", fidelity=None, alpha=20.0, theta_rad=0.01),
-            CaseSpec(name="q2", code="[23,1,7]", rounds=1, fidelity=None, alpha=18.0, theta_rad=0.012),
-            CaseSpec(name="dead", code="[7,1,3]", fidelity=None, alpha=1e6, theta_rad=0.01),
-        ]
         cfg, out = tmp_path / "grid.cfg", tmp_path / "rates.csv"
-        cfg.write_text(render_config(cases))
+        cfg.write_text(render_config(FROZEN_GRID))
         assert main(["rate-sweep", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "case 'dead': fidelity must lie in (1/2, 1], got 0.5\n"
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        assert _sha256(out.read_bytes()) == (
             "a4e61718905023a76a83c18ecb3421d4ee7605403a3b7da459acf73a02a2c287"
         )
 
