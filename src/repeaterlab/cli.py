@@ -14,12 +14,12 @@ import csv
 import functools
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 from .bell_algebra import BellDiagonal, swap_ideal
 from .codes import Code, code_catalog, logical_error_prob
-from .core import ChannelParams, HardwareParams
+from .core import ATTENUATION_LENGTH_KM, FIBER_SPEED_M_PER_S, ChannelParams, HardwareParams
 from .pipeline import (
     OperatingPoint,
     ProtocolConfig,
@@ -32,7 +32,6 @@ from .qubus import chained_qubus_phases, feasibility, homodyne_error, min_beta, 
 
 __all__ = [
     "CaseSpec",
-    "ReportRow",
     "parse_config",
     "render_config",
     "emit_csv",
@@ -40,18 +39,9 @@ __all__ = [
     "main",
 ]
 
+# one column per field of SweepResult, its first 12 in order
 _CSV_HEADER = [
-    "code",
-    "family",
-    "k",
-    "tau_c_s",
-    "one_minus_T",
-    "L_km",
-    "L0_km",
-    "F",
-    "F_final",
-    "P0",
-    "P_k",
+    "code", "family", "k", "tau_c_s", "one_minus_T", "L_km", "L0_km", "F", "F_final", "P0", "P_k",
     "rate_hz_per_memory",
 ]
 
@@ -82,8 +72,8 @@ class CaseSpec:
     rounds: int = _key(2, int, "--rounds", "-k", help="purification rounds k")
     total_km: float = _key(1280.0, float, "--total-km", help="total distance L in km")
     segment_km: float = _key(20.0, float, "--segment-km", help="segment length L0 in km")
-    attenuation_km: float = _key(25.5, float, "--attenuation-km", help="fiber attenuation length")
-    fiber_speed_m_per_s: float = _key(2.0e8, float, "--fiber-speed", help="signal speed m/s")
+    attenuation_km: float = _key(ATTENUATION_LENGTH_KM, float, "--attenuation-km", help="fiber attenuation length")
+    fiber_speed_m_per_s: float = _key(FIBER_SPEED_M_PER_S, float, "--fiber-speed", help="signal speed m/s")
     tau_c_s: float = _key(0.1, float, "--tau-c", help="memory coherence time s")
     one_minus_t: float = _key(1e-3, float, "--one-minus-t", help="gate interface loss 1 - T")
     fidelity: float | None = _key(0.95, float, "--fidelity", "-F", help="raw pair fidelity")
@@ -245,26 +235,13 @@ def to_protocol_config(case: CaseSpec) -> ProtocolConfig:
     )
 
 
-def _g8(x: float) -> str:
-    return f"{x:.8g}"
+_g8 = "{:.8g}".format
 
 
 def _result_row(r: SweepResult) -> list[str]:
-    # the _g8 format inline: this runs once per CSV row
-    return [
-        r.code_label,
-        r.family,
-        str(r.rounds),
-        f"{r.tau_c_s:.8g}",
-        f"{r.one_minus_t:.8g}",
-        f"{r.total_distance_km:.8g}",
-        f"{r.segment_km:.8g}",
-        f"{r.f:.8g}",
-        f"{r.f_final:.8g}",
-        f"{r.p0:.8g}",
-        f"{r.p_k:.8g}",
-        f"{r.rate_per_memory_hz:.8g}",
-    ]
+    # the _CSV_HEADER fields: two labels, then numbers (an integer k below
+    # 1e8 prints as str would)
+    return [*r[:2], *map(_g8, r[2:12])]
 
 
 def emit_csv(results: Sequence[SweepResult], path: str) -> None:
@@ -283,65 +260,21 @@ def emit_gnuplot(results: Sequence[SweepResult], path: str) -> None:
             fh.write(" ".join(_result_row(r)) + "\n")
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """One line of the canonical operating-point report."""
-
-    name: str
-    code_label: str
-    tau_c_s: float
-    one_minus_t: float
-    target_f_final: float
-    feasible: bool
-    operating_fidelity: float | None
-    rate_per_memory_hz: float
-    memories: int | None = None
-    throughput_hz: float | None = None
+# k = 2 over L = 1280 km in L0 = 20 km segments: the CaseSpec defaults
+_CANONICAL_CASES = (
+    CaseSpec(name="repetition-3", code="[3,1,3]", tau_c_s=0.01, one_minus_t=1e-4),
+    CaseSpec(name="golay", code="[23,1,7]", tau_c_s=0.1, one_minus_t=1e-3),
+    CaseSpec(name="steane", code="[7,1,3]", tau_c_s=1.0, one_minus_t=1e-3),
+)
 
 
-def _canonical_cases() -> tuple[CaseSpec, ...]:
-    # k = 2 over L = 1280 km in L0 = 20 km segments: the CaseSpec defaults
-    return (
-        CaseSpec(name="repetition-3", code="[3,1,3]", tau_c_s=0.01, one_minus_t=1e-4),
-        CaseSpec(name="golay", code="[23,1,7]", tau_c_s=0.1, one_minus_t=1e-3),
-        CaseSpec(name="steane", code="[7,1,3]", tau_c_s=1.0, one_minus_t=1e-3),
-    )
-
-
-def report_operating_points(target_f_final: float = 0.95) -> tuple[ReportRow, ...]:
-    """Canonical operating points at the 0.95 final-fidelity target.
+def report_operating_points(target_f_final: float = 0.95) -> dict[str, OperatingPoint]:
+    """Canonical operating points at a final-fidelity target, by case name.
 
     Three hardware points (pumped repetition-3, Golay, Steane), each solved
-    for the smallest workable raw fidelity, plus a throughput row scaling
-    the Golay per-memory rate to a full station.
+    for the smallest workable raw fidelity.
     """
-    rows: list[ReportRow] = []
-    for case in _canonical_cases():
-        op = operating_point(to_protocol_config(case), target_f_final)
-        rows.append(
-            ReportRow(
-                name=case.name,
-                code_label=case.code,
-                tau_c_s=case.tau_c_s,
-                one_minus_t=case.one_minus_t,
-                target_f_final=target_f_final,
-                feasible=op.feasible,
-                operating_fidelity=op.operating_fidelity,
-                rate_per_memory_hz=op.result.rate_per_memory_hz,
-            )
-        )
-    golay = next(row for row in rows if row.name == "golay")
-    rows.append(
-        replace(
-            golay,
-            name="golay-station",
-            feasible=not math.isnan(golay.rate_per_memory_hz),
-            operating_fidelity=None,
-            memories=_GOLAY_THROUGHPUT_MEMORIES,
-            throughput_hz=golay.rate_per_memory_hz * _GOLAY_THROUGHPUT_MEMORIES,
-        )
-    )
-    return tuple(rows)
+    return {case.name: operating_point(to_protocol_config(case), target_f_final) for case in _CANONICAL_CASES}
 
 
 def _case_from_args(args: argparse.Namespace) -> CaseSpec:
@@ -385,11 +318,15 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     return 0 if r.error is None else 1
 
 
+def _infeasible(op: OperatingPoint, target: float) -> str:
+    return f"infeasible: max achievable F_final = {_g8(op.max_f_final)} < target {target}"
+
+
 def cmd_operating_point(args: argparse.Namespace) -> int:
     cfg = to_protocol_config(_case_from_args(args))
-    op: OperatingPoint = operating_point(cfg, args.target)
+    op = operating_point(cfg, args.target)
     if not op.feasible:
-        print(f"infeasible: max achievable F_final = {_g8(op.max_f_final)} < target {args.target}")
+        print(_infeasible(op, args.target))
         return 1
     print(f"operating_fidelity = {_g8(op.operating_fidelity)}")
     _print_result(op.result)
@@ -494,20 +431,28 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     return 0 if z <= 3.0 else 1
 
 
+def _report_line(name: str, op: OperatingPoint, target: float, station: bool = False) -> str:
+    """One report row; an infeasible point prints no F*, rate or throughput."""
+    r = op.result
+    line = f"{name:16s} {r.code_label:12s} {_g8(r.tau_c_s):>8s} {_g8(r.one_minus_t):>8s} "
+    if not op.feasible:
+        return line + f"{'-':>10s} {'-':>12s}  {_infeasible(op, target)}"
+    fstar = "-" if station else _g8(op.operating_fidelity)
+    line += f"{fstar:>10s} {_g8(r.rate_per_memory_hz):>12s}"
+    if station:
+        throughput = r.rate_per_memory_hz * _GOLAY_THROUGHPUT_MEMORIES
+        line += f"  x {_GOLAY_THROUGHPUT_MEMORIES} memories = {_g8(throughput)} Hz"
+    return line
+
+
 def cmd_report(args: argparse.Namespace) -> int:
-    rows = report_operating_points(args.target)
-    header = f"{'name':16s} {'code':12s} {'tau_c':>8s} {'1-T':>8s} {'F*':>10s} {'rate/mem':>12s}"
-    print(header)
-    for row in rows:
-        fstar = _g8(row.operating_fidelity) if row.operating_fidelity is not None else "-"
-        line = (
-            f"{row.name:16s} {row.code_label:12s} {_g8(row.tau_c_s):>8s} "
-            f"{_g8(row.one_minus_t):>8s} {fstar:>10s} {_g8(row.rate_per_memory_hz):>12s}"
-        )
-        if row.throughput_hz is not None:
-            line += f"  x {row.memories} memories = {_g8(row.throughput_hz)} Hz"
-        print(line)
-    return 0
+    points = report_operating_points(args.target)
+    print(f"{'name':16s} {'code':12s} {'tau_c':>8s} {'1-T':>8s} {'F*':>10s} {'rate/mem':>12s}")
+    for name, op in points.items():
+        print(_report_line(name, op, args.target))
+    # the station row scales the Golay per-memory rate to a full station
+    print(_report_line("golay-station", points["golay"], args.target, station=True))
+    return 0 if all(op.feasible for op in points.values()) else 1
 
 
 @functools.cache

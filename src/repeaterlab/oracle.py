@@ -114,9 +114,18 @@ class DensityMatrix:
     @classmethod
     def from_bell_diagonal(cls, s: BellDiagonal) -> "DensityMatrix":
         """Two-qubit Bell-diagonal state; requires a normalized input."""
-        if abs(s.total() - 1.0) > 1e-9:
-            raise ValueError(f"state must be normalized, coefficients sum to {s.total()}")
-        return cls(_BELL @ np.diag(s.as_tuple()).astype(complex) @ _BELL_H)
+        return cls(_bell_matrix(s))
+
+
+def _bell_matrix(s: BellDiagonal) -> np.ndarray:
+    """The 4x4 matrix of a normalized Bell-diagonal state.
+
+    A nonnegative ``BellDiagonal`` of unit sum gives a Hermitian, unit-trace,
+    positive matrix by construction, so the circuits use it unvalidated.
+    """
+    if abs(s.total() - 1.0) > 1e-9:
+        raise ValueError(f"state must be normalized, coefficients sum to {s.total()}")
+    return _BELL @ np.diag(s.as_tuple()).astype(complex) @ _BELL_H
 
 
 @functools.cache
@@ -307,7 +316,7 @@ def _rotated_copies(s: BellDiagonal) -> np.ndarray:
     Each pair is rotated before the copies are joined: (R x R) (P x P)
     (R x R)^dagger equals (R P R^dagger) x (R P R^dagger).
     """
-    pair = DensityMatrix.from_bell_diagonal(s).matrix
+    pair = _bell_matrix(s)
     return _two_copies(_ROTATE_PAIR @ pair @ _ROTATE_PAIR.conj().T)
 
 
@@ -352,7 +361,7 @@ def simulate_swapping(s: BellDiagonal) -> BellDiagonal:
     the readout qubit, the branches are averaged, and the remaining pair
     (0, 3) is Bell-projected.
     """
-    pair = DensityMatrix.from_bell_diagonal(s).matrix
+    pair = _bell_matrix(s)
     rho = _H_ON_1 @ _run(_two_copies(pair), ((("CNOT", (1, 2)),),))[0] @ _H_ON_1
     t = _run(rho, (_SWAP_CORRECTIONS,))[0].reshape((2,) * 8)
     # the corrected branch (xm, zm) of the pair (0, 3), qubits 1 and 2 traced out

@@ -304,17 +304,45 @@ class TestCsv:
 
 
 class TestReport:
-    def test_canonical_rows(self):
-        rows = report_operating_points(0.95)
-        assert [r.name for r in rows] == ["repetition-3", "golay", "steane", "golay-station"]
-        by_name = {r.name: r for r in rows}
-        assert all(r.feasible for r in rows)
-        station = by_name["golay-station"]
-        assert station.memories == _GOLAY_THROUGHPUT_MEMORIES
-        assert station.throughput_hz == pytest.approx(
-            by_name["golay"].rate_per_memory_hz * _GOLAY_THROUGHPUT_MEMORIES, rel=1e-12
+    NAMES = ["repetition-3", "golay", "steane", "golay-station"]
+
+    def test_canonical_rows(self, capsys):
+        points = report_operating_points(0.95)
+        assert list(points) == self.NAMES[:3]
+        assert all(op.feasible for op in points.values())
+        golay_rate = points["golay"].result.rate_per_memory_hz
+        assert main(["report"]) == 0
+        station = capsys.readouterr().out.splitlines()[-1]
+        assert station.startswith("golay-station ")
+        assert station.endswith(
+            f"  x {_GOLAY_THROUGHPUT_MEMORIES} memories = {golay_rate * _GOLAY_THROUGHPUT_MEMORIES:.8g} Hz"
         )
-        assert by_name["repetition-3"].rate_per_memory_hz > by_name["golay"].rate_per_memory_hz
+        assert points["repetition-3"].result.rate_per_memory_hz > golay_rate
+
+    @pytest.mark.parametrize(
+        "target, feasible",
+        [
+            (0.99999, {"repetition-3": False, "golay": False, "steane": False}),
+            # repetition-3 tops out at F_final 0.968, the other two above 0.97
+            (0.969, {"repetition-3": False, "golay": True, "steane": True}),
+        ],
+    )
+    def test_infeasible_rows_print_no_rate(self, capsys, target, feasible):
+        points = report_operating_points(target)
+        assert {name: op.feasible for name, op in points.items()} == feasible
+        assert main(["report", "--target", str(target)]) == 1
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == self.NAMES
+        for row, op in zip(rows, [*points.values(), points["golay"]]):
+            cells = row.split()
+            if op.feasible:
+                assert "infeasible" not in row
+                assert float(cells[5]) == pytest.approx(op.result.rate_per_memory_hz, rel=1e-7)
+                continue
+            # no F*, no rate, no throughput: the best F_final instead
+            assert cells[4:6] == ["-", "-"]
+            assert row.endswith(f"  infeasible: max achievable F_final = {op.max_f_final:.8g} < target {target}")
+            assert "memories" not in row and "Hz" not in row
 
 
 class TestFrozenPrintouts:
@@ -679,6 +707,13 @@ _MONTECARLO_ARGV = st.builds(
     st.none() | st.integers(-1, 2**64),
 )
 
+# report --target inside (0, 1), at and past its ends, special and malformed
+_REPORT_ARGV = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(repr),
+    st.sampled_from(["0", "1", "-0.5", "1.5", "1e-320", "nan", "inf", "-inf", "", "x", "0.95"]),
+    st.floats().map(repr),
+).map(lambda target: [f"--target={target}"])
+
 
 @st.composite
 def _case_specs(draw):
@@ -726,6 +761,7 @@ class TestFuzz:
             st.tuples(st.sampled_from(["fidelity", "operating-point"]), _POINT_FLAGS),
             st.tuples(st.just("qubus-check"), _QUBUS_ARGV),
             st.tuples(st.just("montecarlo"), _MONTECARLO_ARGV),
+            st.tuples(st.just("report"), _REPORT_ARGV),
         )
     )
     def test_main_exit_codes(self, fuzz_dir, run):
@@ -748,7 +784,7 @@ class TestFuzz:
             # rejected it; a flag name such as --target-error may sit inside
             lines = err.getvalue().splitlines()
             assert [line for line in lines if re.match(r"(repeaterlab \S+: )?error: ", line)] == lines[-1:]
-        if command in ("qubus-check", "montecarlo"):
+        if command in ("qubus-check", "montecarlo", "report"):
             # fidelity and operating-point print an errored row's nan beside
-            # its error line; these two print only numbers they computed
+            # its error line; these print only numbers they computed
             assert re.search(r"\bnan\b", out.getvalue().lower()) is None

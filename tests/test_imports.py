@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -28,8 +29,8 @@ EXPORTS = {
         "memory_error_prob", "success_probability", "transmittance",
     ],
     "montecarlo": [
-        "McConfig", "RateEstimate", "WindowStats", "required_blocks", "simulate_rate",
-        "simulate_window",
+        "McConfig", "RateEstimate", "WindowStats", "finite_window_estimate", "required_blocks",
+        "simulate_rate", "simulate_window",
     ],
     "oracle": [
         "DensityMatrix", "GateErrorVariant", "VariantReport", "apply_dephasing",
@@ -128,6 +129,16 @@ def test_export_is_the_submodule_object(module, name):
     namespace = {}
     exec(f"from repeaterlab import {name}", namespace)
     assert namespace[name] is getattr(importlib.import_module(f"repeaterlab.{module}"), name)
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_package_exports_match_the_submodule_all(module):
+    assert set(importlib.import_module(f"repeaterlab.{module}").__all__) == set(repeaterlab._EXPORTS[module])
+
+
+def test_every_submodule_has_an_export_entry():
+    submodules = {info.name for info in pkgutil.iter_modules(repeaterlab.__path__)}
+    assert submodules - {"cli", "__main__"} == set(repeaterlab._EXPORTS)
 
 
 def test_all_and_dir_list_every_export():
