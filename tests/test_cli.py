@@ -73,6 +73,11 @@ FROZEN_GRID = [
 ]
 
 
+# labels that need quoting, or none, and floats at the edges of :.8g
+_CSV_LABELS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "[", "]", "3", "\u00e9"]), max_size=6)
+_CSV_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]), st.floats())
+
+
 def _sha256(data: str | bytes) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
@@ -293,6 +298,26 @@ class TestCsv:
             "p_k": "P_k",
             "rate_per_memory_hz": "rate_hz_per_memory",
         }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                _CSV_LABELS, _CSV_LABELS, st.integers(0, 1000), st.lists(_CSV_FLOATS, min_size=9, max_size=9)
+            ),
+            max_size=4,
+        )
+    )
+    def test_bytes_match_the_csv_module(self, fuzz_dir, rows):
+        # any label, any float: the bytes a plain csv.writer writes for the
+        # same 8-significant-digit fields
+        results = [SweepResult(label, family, k, *values) for label, family, k, values in rows]
+        emit_csv(results, str(fuzz_dir / "emitted.csv"))
+        with open(fuzz_dir / "reference.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [HEADER, *([r.code_label, r.family, *(f"{v:.8g}" for v in r[2:12])] for r in results)]
+            )
+        assert (fuzz_dir / "emitted.csv").read_bytes() == (fuzz_dir / "reference.csv").read_bytes()
 
     def test_gnuplot_companion(self, tmp_path):
         path = tmp_path / "out.dat"

@@ -13,6 +13,7 @@ from repeaterlab.bell_algebra import BellDiagonal, purify_ideal, swap_ideal
 from repeaterlab.codes import code_catalog
 from repeaterlab.core import ChannelParams, HardwareParams
 from repeaterlab.pipeline import (
+    _F_HI,
     _F_LO,
     _F_TOL,
     MAX_ROUNDS,
@@ -334,17 +335,43 @@ CHANNEL_SOLVES = [
 ]
 
 
-def solve_map():
-    """{(tau_c, 1 - T): [(code label, k, OperatingPoint), ...]} over the map."""
+# (config, target): a solve whose lower bracket already meets the target
+# (hi = lo), and a feasible solve whose row errors because at L0 = 1e-15 km
+# the transmittance rounds to 1, where P0 is undefined
+EDGE_SOLVES = [
+    (make_cfg("[1,1,1]", 0, 1.0, 1e-5, total=40.0), 0.3),
+    (ProtocolConfig(2e-15, 1e-15, CODES["[3,1,3]"], 1, HardwareParams(0.999, 0.1), fidelity=0.9), 0.9),
+]
+
+
+def map_configs():
+    """{(tau_c, 1 - T): [(code label, k, ProtocolConfig), ...]} over the map."""
     return {
         (tau_c, omt): [
-            (code.label, k, operating_point(make_cfg(code.label, k, tau_c, omt), MAP_TARGET))
-            for code in code_catalog()
-            for k in range(4)
+            (code.label, k, make_cfg(code.label, k, tau_c, omt)) for code in code_catalog() for k in range(4)
         ]
         for tau_c in MAP_TAU_C
         for omt in MAP_ONE_MINUS_T
     }
+
+
+def solve_map():
+    """{(tau_c, 1 - T): [(code label, k, OperatingPoint), ...]} over the map."""
+    return {
+        cell: [(label, k, operating_point(cfg, MAP_TARGET)) for label, k, cfg in cfgs]
+        for cell, cfgs in map_configs().items()
+    }
+
+
+def channel_solve_cfg(seg, alpha, theta, att, label, k):
+    """A CHANNEL_SOLVES config: N = 8, the qubus channel, a decoy attenuation_km."""
+    ch = ChannelParams(seg, alpha, theta, attenuation_length_km=att)
+    return ProtocolConfig(8 * seg, seg, CODES[label], k, HardwareParams(0.999, 0.1), channel=ch, attenuation_km=7.0)
+
+
+def nan_aware(row):
+    """The row's fields with NaN replaced by a marker, so equal rows compare equal."""
+    return tuple("nan" if isinstance(v, float) and math.isnan(v) else v for v in row)
 
 
 class TestOperatingPointMap:
@@ -388,11 +415,27 @@ class TestOperatingPointMap:
 
     @pytest.mark.parametrize("seg, alpha, theta, att, label, k, target", CHANNEL_SOLVES)
     def test_channel_solve_matches_fidelity_twin(self, seg, alpha, theta, att, label, k, target):
-        ch = ChannelParams(seg, alpha, theta, attenuation_length_km=att)
-        hw = HardwareParams(0.999, 0.1)
-        cfg = ProtocolConfig(8 * seg, seg, CODES[label], k, hw, channel=ch, attenuation_km=7.0)
+        cfg = channel_solve_cfg(seg, alpha, theta, att, label, k)
         twin = with_fidelity(cfg, cfg.raw_fidelity())
         assert operating_point(cfg, target) == operating_point(twin, target)
+
+    def test_edge_solves(self):
+        (lower, lower_target), (lossless, lossless_target) = EDGE_SOLVES
+        assert operating_point(lower, lower_target).operating_fidelity == _F_LO
+        op = operating_point(lossless, lossless_target)
+        assert op.feasible
+        assert op.operating_fidelity == pytest.approx(0.8204959638, abs=1e-10)
+        assert op.result.error == "eta = 1 is the lossless limit; P0 is undefined by this formula"
+
+    def test_row_is_evaluate_at_the_solution(self):
+        # the map digest hashes only the rate; this pins the whole returned
+        # row: a fresh evaluate at F*, or at the upper bracket when infeasible
+        solves = [(cfg, MAP_TARGET) for cfgs in map_configs().values() for _, _, cfg in cfgs]
+        solves += [(channel_solve_cfg(*case[:-1]), case[-1]) for case in CHANNEL_SOLVES]
+        for cfg, target in solves + EDGE_SOLVES:
+            op = operating_point(cfg, target)
+            f = op.operating_fidelity if op.feasible else _F_HI
+            assert nan_aware(op.result) == nan_aware(evaluate(with_fidelity(cfg, f))), (cfg, target)
 
 
 class TestSweep:
