@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -240,16 +241,37 @@ _g8 = "{:.8g}".format
 
 def _result_row(r: SweepResult) -> list[str]:
     # the _CSV_HEADER fields: two labels, then numbers (an integer k below
-    # 1e8 prints as str would)
-    return [*r[:2], *map(_g8, r[2:12])]
+    # 1e8 prints as str would); inline formats, as this runs once per row
+    return [
+        r.code_label, r.family, f"{r.rounds:.8g}", f"{r.tau_c_s:.8g}", f"{r.one_minus_t:.8g}",
+        f"{r.total_distance_km:.8g}", f"{r.segment_km:.8g}", f"{r.f:.8g}", f"{r.f_final:.8g}",
+        f"{r.p0:.8g}", f"{r.p_k:.8g}", f"{r.rate_per_memory_hz:.8g}",
+    ]
+
+
+@functools.lru_cache(maxsize=64)
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it inside a row: quoted only if it must be."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((text, ""))
+    return buf.getvalue()[:-3]  # drop the empty last field and the CRLF
 
 
 def emit_csv(results: Sequence[SweepResult], path: str) -> None:
-    """Write sweep rows as CSV with 8 significant digits."""
+    """Write sweep rows as CSV with 8 significant digits.
+
+    The bytes are csv.writer's: comma-separated, CRLF line ends, minimal
+    quoting.  Only the two label columns can need quotes, so each distinct
+    label asks the writer once and the file is written in one call.
+    """
+    lines = [",".join(_CSV_HEADER)]
+    for r in results:
+        row = _result_row(r)
+        row[:2] = _csv_field(r.code_label), _csv_field(r.family)
+        lines.append(",".join(row))
+    lines.append("")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        writer.writerows(map(_result_row, results))
+        fh.write("\r\n".join(lines))
 
 
 def emit_gnuplot(results: Sequence[SweepResult], path: str) -> None:

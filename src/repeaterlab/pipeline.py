@@ -272,27 +272,39 @@ def rate_purified(cfg: ProtocolConfig) -> float:
     return _rate(cfg.code.n, cfg.rounds, timing(cfg).t0_s, p0, pump_success_probability(cfg))
 
 
+def _row(
+    cfg: ProtocolConfig, tm: Timing, f: float, f_final: float, p_k: float, error: str | None = None
+) -> SweepResult:
+    """Row of ``cfg`` at raw fidelity f, already priced to (F_final, P_k).
+
+    P0 and the rate are computed here; an ``error`` given, or raised by
+    either, is stored in the row and every computed number becomes NaN.
+    """
+    if error is None:
+        try:
+            p0 = success_probability(f, cfg.segment_transmittance())
+            rate = _rate(cfg.code.n, cfg.rounds, tm.t0_s, p0, p_k)
+        except (ValueError, ArithmeticError) as exc:
+            error = str(exc)
+    if error is not None:
+        f = f_final = p0 = p_k = rate = math.nan
+    code, hw = cfg.code, cfg.hardware
+    return SweepResult(
+        code.label, code.family, cfg.rounds, hw.memory_coherence_s, 1.0 - hw.local_transmission,
+        cfg.total_distance_km, cfg.segment_km, f, f_final, p0, p_k, rate,
+        tm.t_purify_s if code.family == "repetition" else tm.t_half_s, error,
+    )
+
+
 def evaluate(cfg: ProtocolConfig) -> SweepResult:
     """Evaluate one grid point from a single pump chain, capturing failures in the row."""
     tm = timing(cfg)
-    error = None
     try:
         f = cfg.raw_fidelity()
         f_final, p_k = _chain(cfg, tm)(f)
-        p0 = heralding_probability(cfg)
-        rate = _rate(cfg.code.n, cfg.rounds, tm.t0_s, p0, p_k)
     except (ValueError, ArithmeticError) as exc:
-        f = f_final = p0 = p_k = rate = math.nan
-        error = str(exc)
-    hw = cfg.hardware
-    return SweepResult(
-        code_label=cfg.code.label, family=cfg.code.family, rounds=cfg.rounds,
-        tau_c_s=hw.memory_coherence_s, one_minus_t=1.0 - hw.local_transmission,
-        total_distance_km=cfg.total_distance_km, segment_km=cfg.segment_km,
-        f=f, f_final=f_final, p0=p0, p_k=p_k, rate_per_memory_hz=rate,
-        t_wait_s=tm.t_purify_s if cfg.code.family == "repetition" else tm.t_half_s,
-        error=error,
-    )
+        return _row(cfg, tm, math.nan, math.nan, math.nan, str(exc))
+    return _row(cfg, tm, f, f_final, p_k)
 
 
 def with_fidelity(cfg: ProtocolConfig, f: float) -> ProtocolConfig:
@@ -307,23 +319,30 @@ def operating_point(cfg: ProtocolConfig, target_f_final: float) -> OperatingPoin
     F_final is monotone in the raw F, so bisection over (1/2, 1) to an
     absolute tolerance of 1e-4 finds the boundary.  When even F -> 1 misses
     the target, the point is infeasible and the best achievable final
-    fidelity is reported instead.
+    fidelity is reported instead.  The returned row is priced by the
+    bisection's own chain at F* (at the upper bracket when infeasible).
     """
     if not 0.0 < target_f_final < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target_f_final}")
-    price = _chain(cfg, timing(cfg))
+    tm = timing(cfg)
+    price = _chain(cfg, tm)
     lo, hi = _F_LO, _F_HI
-    f_at_hi = price(hi)[0]
+    # (F_final, P_k) at hi, kept for the returned row
+    at_hi = price(hi)
+    f_at_hi = at_hi[0]
     feasible = f_at_hi >= target_f_final
-    if feasible and price(lo)[0] >= target_f_final:
-        hi = lo
+    if feasible:
+        at_lo = price(lo)
+        if at_lo[0] >= target_f_final:
+            hi, at_hi = lo, at_lo
     while feasible and hi - lo > _F_TOL:
         mid = 0.5 * (lo + hi)
-        if price(mid)[0] >= target_f_final:
-            hi = mid
+        at_mid = price(mid)
+        if at_mid[0] >= target_f_final:
+            hi, at_hi = mid, at_mid
         else:
             lo = mid
-    return OperatingPoint(feasible, hi if feasible else None, evaluate(with_fidelity(cfg, hi)), f_at_hi)
+    return OperatingPoint(feasible, hi if feasible else None, _row(cfg, tm, hi, *at_hi), f_at_hi)
 
 
 def sweep(configs: Sequence[ProtocolConfig]) -> list[SweepResult]:

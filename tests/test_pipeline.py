@@ -1,5 +1,6 @@
 """End-to-end fidelity, rate, and operating-point checks."""
 
+import collections
 import hashlib
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repeaterlab import pipeline
 from repeaterlab.bell_algebra import BellDiagonal, purify_ideal, swap_ideal
 from repeaterlab.codes import code_catalog
 from repeaterlab.core import ChannelParams, HardwareParams
@@ -390,6 +392,25 @@ class TestOperatingPointMap:
         assert sum(len(s) for s in cells.values()) == 448
         assert sum(op.feasible for s in cells.values() for _, _, op in s) == 189
         assert h.hexdigest() == "4750b6533975e7ead9c92103ab7dc2b552c24adcbf6d43bbaa01963098c8e94d"
+
+    def test_one_chain_per_solve(self, monkeypatch):
+        # the returned row comes from the bisection's chain: no second chain,
+        # no evaluate and no with_fidelity copy of the config per solve
+        calls = collections.Counter()
+
+        def counted(name):
+            fn = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("_chain", "evaluate", "with_fidelity"):
+            monkeypatch.setattr(pipeline, name, counted(name))
+        solves = sum(len(s) for s in solve_map().values())
+        assert (calls["_chain"], calls["evaluate"], calls["with_fidelity"]) == (solves, 0, 0)
 
     def test_solutions_are_tight(self):
         # F* - _F_TOL misses the target, unless F* is the lower bracket
