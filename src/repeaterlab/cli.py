@@ -269,7 +269,7 @@ def emit_csv(results: Sequence[SweepResult], path: str) -> None:
         row = _result_row(r)
         row[:2] = _csv_field(r.code_label), _csv_field(r.family)
         lines.append(",".join(row))
-    lines.append("")
+    lines.append("")  # so the last row ends in CRLF too
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines))
 
