@@ -27,8 +27,8 @@ _EXPORTS = {
         "memory_error_prob", "success_probability", "transmittance",
     ),
     "montecarlo": (
-        "McConfig", "RateEstimate", "WindowStats", "finite_window_estimate", "required_blocks",
-        "simulate_rate", "simulate_window",
+        "McConfig", "RateEstimate", "WindowStats", "finite_window_estimate", "simulate_rate",
+        "simulate_window",
     ),
     "oracle": (
         "DensityMatrix", "GateErrorVariant", "VariantReport", "apply_dephasing",

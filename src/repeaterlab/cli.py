@@ -29,7 +29,7 @@ from .pipeline import (
     sweep,
     evaluate,
 )
-from .qubus import chained_qubus_phases, feasibility, homodyne_error, min_beta, single_qubus_phases
+from .qubus import _ENUM_LIMIT, chained_qubus_phases, feasibility, homodyne_error, min_beta, single_qubus_phases
 
 __all__ = [
     "CaseSpec",
@@ -309,11 +309,12 @@ def _add_point_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(*meta["flags"], dest=key, type=meta["kind"], help=meta["help"])
 
 
-def _print_result(r: SweepResult) -> None:
+def _print_result(r: SweepResult) -> int:
     for key, value in zip(_CSV_HEADER, _result_row(r)):
         print(f"{key} = {value}")
     if r.error is not None:
         print(f"error = {r.error}")
+    return 0 if r.error is None else 1
 
 
 def cmd_rate_sweep(args: argparse.Namespace) -> int:
@@ -335,9 +336,7 @@ def cmd_rate_sweep(args: argparse.Namespace) -> int:
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
     cfg = to_protocol_config(_case_from_args(args))
-    r = evaluate(cfg)
-    _print_result(r)
-    return 0 if r.error is None else 1
+    return _print_result(evaluate(cfg))
 
 
 def _infeasible(op: OperatingPoint, target: float) -> str:
@@ -351,12 +350,13 @@ def cmd_operating_point(args: argparse.Namespace) -> int:
         print(_infeasible(op, args.target))
         return 1
     print(f"operating_fidelity = {_g8(op.operating_fidelity)}")
-    _print_result(op.result)
-    return 0
+    return _print_result(op.result)
 
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
-    from .oracle import GateErrorVariant, enumerate_logical_error, match_gate_variant, simulate_swapping  # needs numpy
+    from .oracle import (  # needs numpy
+        _ENUM_MAX_N, GateErrorVariant, enumerate_logical_error, match_gate_variant, simulate_swapping,
+    )
 
     report = match_gate_variant()
     print(report)
@@ -373,7 +373,7 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
     ok = ok and swap_dev <= 1e-10
 
     for code in code_catalog():
-        if code.n > 15:
+        if code.n > _ENUM_MAX_N:
             continue
         dev = abs(enumerate_logical_error(code, 0.05) - logical_error_prob(code, 0.05))
         print(f"enumeration vs tail sum {code.label:12s} deviation {dev:.3e}")
@@ -397,7 +397,7 @@ def cmd_qubus_check(args: argparse.Namespace) -> int:
     print(f"max_phase = {_g8(verdict.max_phase_rad)} rad ({_g8(verdict.max_phase_rad / math.pi)} pi)")
     print(f"single-qubus feasible: {verdict.feasible}")
     if args.show_plan:
-        plan = single_qubus_phases(args.n, args.theta_rad) if args.n <= 16 else None
+        plan = single_qubus_phases(args.n, args.theta_rad) if args.n <= _ENUM_LIMIT else None
         if plan is not None:
             for pattern in sorted(plan.per_state_phases):
                 print(f"  {pattern} -> {_g8(plan.per_state_phases[pattern])}")

@@ -34,7 +34,6 @@ __all__ = [
     "WindowStats",
     "RateEstimate",
     "simulate_window",
-    "required_blocks",
     "finite_window_estimate",
     "simulate_rate",
 ]
@@ -42,7 +41,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling plan: p0 per slot, ``blocks`` slots, k pump rounds, trials."""
+    """Sampling plan: p0 per slot, ``blocks`` slots, k pump rounds, trials.
+
+    Only :func:`simulate_window` reads p0 and rounds; the rate estimators take both from the config.
+    """
 
     p0: float
     blocks: int
@@ -98,51 +100,6 @@ def simulate_window(mc: McConfig) -> WindowStats:
 def _binomial_pmf(s: int, j: int, log_p: float, log_q: float) -> float:
     """C(s, j) p^j q^(s-j) from log p and log q, in log space to stay finite for large s."""
     return math.exp(math.lgamma(s + 1) - math.lgamma(j + 1) - math.lgamma(s - j + 1) + j * log_p + (s - j) * log_q)
-
-
-def required_blocks(p0: float, rounds: int, confidence: float) -> int:
-    """Smallest slot count s with P[Binom(s, p0) >= 2^rounds] >= confidence.
-
-    p0 = 0 can never fill a tree and is rejected.  The tail probability is
-    monotone in s, so the boundary is found by doubling then bisection;
-    tails are summed in log space to stay finite for large s.
-    """
-    if p0 == 0.0:
-        raise ValueError("p0 = 0 can never supply a pump tree")
-    if not 0.0 < p0 <= 1.0:
-        raise ValueError(f"p0 must lie in (0, 1], got {p0}")
-    if type(rounds) is not int or rounds < 0:
-        raise ValueError(f"rounds must be an integer >= 0, got {rounds!r}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    need = 2**rounds
-
-    def tail_ok(s: int) -> bool:
-        # P[X >= need] = 1 - sum_{j<need} C(s,j) p^j (1-p)^(s-j)
-        if s < need:
-            return False
-        if p0 == 1.0:
-            return True
-        log_p = math.log(p0)
-        log_q = math.log1p(-p0)
-        cdf = 0.0
-        for j in range(need):
-            cdf += _binomial_pmf(s, j, log_p, log_q)
-        return 1.0 - cdf >= confidence
-
-    hi = need
-    while not tail_ok(hi):
-        hi *= 2
-        if hi > 2**62:
-            raise ArithmeticError("required block count overflows any practical window")
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if tail_ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _tree_process(cfg: ProtocolConfig, fidelity: float) -> tuple[ProtocolConfig, float, float, float]:

@@ -41,6 +41,7 @@ _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 _MATCH_TOL = 1e-10
+_ENUM_MAX_N = 15  # enumerate_logical_error walks at most 2^15 patterns
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -381,11 +382,11 @@ def enumerate_logical_error(code: Code, q: float) -> float:
     Walks all 2^n i.i.d. flip patterns in order and adds up those with more
     than (d - 1)/2 flips, each with probability q^w (1 - q)^(n - w) read
     from a per-call table by its Hamming weight w; the weights of the
-    counted patterns are cached per (n, t).  Refuses n > 15 (32768 patterns
-    is the ceiling).
+    counted patterns are cached per (n, t).  Refuses n > 15
+    (``_ENUM_MAX_N``: 32768 patterns is the ceiling).
     """
-    if code.n > 15:
-        raise ValueError(f"enumeration is limited to n <= 15, got n={code.n}")
+    if code.n > _ENUM_MAX_N:
+        raise ValueError(f"enumeration is limited to n <= {_ENUM_MAX_N}, got n={code.n}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     term = [q**w * (1.0 - q) ** (code.n - w) for w in range(code.n + 1)]

@@ -159,12 +159,14 @@ def phases_distinct(n: int, theta_rad: float) -> bool:
     phase is an even multiple of theta/2 bounded by max_phase, so below the
     branch cut (max_phase < pi) distinct integer coefficients cannot wrap
     onto each other, while at max_phase = pi the two extreme patterns meet
-    at +/- pi.
+    at +/- pi.  Neighboring phases sit theta apart, so the analytic branch
+    also needs theta >= the 1e-9 collision width that the exhaustive check
+    buckets by; then no verdict turns distinct as n grows.
     """
     _check_n_theta(n, theta_rad)
     max_phase = _max_phase(n, theta_rad)
     if n > _ENUM_LIMIT:
-        return max_phase < math.pi
+        return max_phase < math.pi and theta_rad >= _PHASE_TOL
     two_pi = 2.0 * math.pi
     modulus = round(two_pi / _PHASE_TOL)
     half = 0.5 * theta_rad

@@ -146,6 +146,22 @@ class TestPurifyImperfectExact:
         assert out.state.total() == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= out.success_prob <= 1.0
 
+    @given(coeffs, st.floats(1e-3, 1.0), st.floats(0.0, 0.5, exclude_max=True))
+    def test_two_mixed_copies_through_the_ideal_recurrence(self, t, scale, q):
+        # the exact round is the symmetric two-copy recurrence on two
+        # differently mixed copies of s, each with weight w = 2q(1 - q);
+        # both copies put the same weight on A + D, so P >= total^2 / 2
+        s = BellDiagonal(*(scale * x / sum(t) for x in t))
+        w = 2.0 * q * (1.0 - q)
+        a, b, c, d = s.as_tuple()
+        a1, b1, c1, d1 = ((1.0 - w) * x + w * y for x, y in zip((a, b, c, d), (c, d, a, b)))
+        a2, b2, c2, d2 = ((1.0 - w) * x + w * y for x, y in zip((a, b, c, d), (d, c, b, a)))
+        p = (a1 + d1) * (a2 + d2) + (b1 + c1) * (b2 + c2)
+        want = ((a1 * a2 + d1 * d2) / p, (a1 * d2 + d1 * a2) / p, (b1 * b2 + c1 * c2) / p, (b1 * c2 + c1 * b2) / p)
+        out = purify_imperfect_exact(s, q)
+        assert out.state.as_tuple() == pytest.approx(want, rel=0.0, abs=1e-14)
+        assert out.success_prob == pytest.approx(p, rel=0.0, abs=1e-14)
+
     def test_linear_in_small_q(self):
         # coefficient shifts scale by 10 when q_g does: slope is finite
         ideal = purify_ideal(S_WORK)

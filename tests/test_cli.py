@@ -6,6 +6,7 @@ import hashlib
 import io
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -369,6 +370,15 @@ class TestReport:
             assert row.endswith(f"  infeasible: max achievable F_final = {op.max_f_final:.8g} < target {target}")
             assert "memories" not in row and "Hz" not in row
 
+    def test_readme_transcript(self, capsys):
+        # the README shows `report --target 0.969` verbatim, up to its fence
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        command = "$ repeaterlab report --target 0.969\n"
+        shown = readme[readme.index(command) + len(command):]
+        shown = shown[: shown.index("```")]
+        assert main(["report", "--target", "0.969"]) == 1
+        assert capsys.readouterr().out == shown
+
 
 class TestFrozenPrintouts:
     """SHA-256 digests of the printed outputs that the CSV digest does not cover."""
@@ -437,6 +447,20 @@ class TestMain:
         assert "infeasible" in out
         assert "0.85135656" in out
 
+    def test_operating_point_errored_row_exits_1(self, capsys):
+        # feasible at F* = 0.82049596, but eta = 1 leaves P0 undefined, so
+        # the row errors and the exit code follows it, as `fidelity` does
+        argv = ["--code", "[3,1,3]", "--rounds", "1", "--total-km", "2e-15", "--segment-km", "1e-15"]
+        assert main(["operating-point", *argv, "--target", "0.9"]) == 1
+        assert capsys.readouterr().out == (
+            "operating_fidelity = 0.82049596\n"
+            "code = [3,1,3]\nfamily = repetition\nk = 1\ntau_c_s = 0.1\none_minus_T = 0.001\n"
+            "L_km = 2e-15\nL0_km = 1e-15\nF = nan\nF_final = nan\nP0 = nan\nP_k = nan\n"
+            "rate_hz_per_memory = nan\n"
+            "error = eta = 1 is the lossless limit; P0 is undefined by this formula\n"
+        )
+        assert main(["fidelity", *argv, "--fidelity", "0.82049596"]) == 1
+
     def test_rate_sweep_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(SWEEP_TEXT)
@@ -501,6 +525,10 @@ class TestMain:
         assert main(["qubus-check", "--n", "3", "--theta-rad", "0.01"]) == 0
         assert "feasible: True" in capsys.readouterr().out
         assert main(["qubus-check", "--n", "11", "--theta-rad", "0.01"]) == 1
+        assert "feasible: False" in capsys.readouterr().out
+        # past the n = 16 enumeration cap, 1e-10 rad steps still collide
+        # within the 1e-9 rad width, as they do at n = 16
+        assert main(["qubus-check", "--n", "17", "--theta-rad", "1e-10"]) == 1
         assert "feasible: False" in capsys.readouterr().out
 
     def test_qubus_check_huge_n_infeasible(self, capsys):

@@ -9,7 +9,6 @@ from repeaterlab.core import HardwareParams
 from repeaterlab.montecarlo import (
     McConfig,
     finite_window_estimate,
-    required_blocks,
     simulate_rate,
     simulate_window,
 )
@@ -95,53 +94,6 @@ class TestSimulateWindow:
         stats = simulate_window(McConfig(0.5, 100, 1, 1, seed=2))
         assert math.isinf(stats.sem_pairs)
         assert math.isinf(stats.sem_trees)
-
-
-class TestRequiredBlocks:
-    def exact_tail(self, s, p0, need):
-        return 1.0 - sum(
-            math.comb(s, j) * p0**j * (1.0 - p0) ** (s - j) for j in range(need)
-        )
-
-    def test_matches_brute_force(self):
-        p0, rounds, conf = 0.3, 2, 0.9
-        got = required_blocks(p0, rounds, conf)
-        brute = next(s for s in range(4, 200) if self.exact_tail(s, p0, 4) >= conf)
-        assert got == brute
-
-    def test_is_boundary(self):
-        for p0, rounds, conf in [(0.05, 1, 0.99), (0.5, 3, 0.999), (0.9, 0, 0.9)]:
-            s = required_blocks(p0, rounds, conf)
-            need = 2**rounds
-            assert self.exact_tail(s, p0, need) >= conf
-            if s > need:
-                assert self.exact_tail(s - 1, p0, need) < conf
-
-    def test_geometric_closed_form(self):
-        # rounds = 0 needs one success: s = ceil(log(1-c) / log(1-p0))
-        assert required_blocks(0.05, 0, 0.99) == math.ceil(math.log(0.01) / math.log(0.95))
-
-    def test_certain_slot(self):
-        assert required_blocks(1.0, 4, 0.999999) == 16
-
-    def test_monotone_in_p0(self):
-        blocks = [required_blocks(p, 2, 0.9) for p in (0.05, 0.1, 0.3, 0.8)]
-        assert blocks == sorted(blocks, reverse=True)
-        assert blocks[0] > blocks[-1]
-
-    def test_zero_supply(self):
-        with pytest.raises(ValueError, match="never supply"):
-            required_blocks(0.0, 2, 0.9)
-
-    @pytest.mark.parametrize("p0, rounds, conf", [(0.1, -1, 0.9), (0.1, 2, 0.0), (0.1, 2, 1.0), (1.2, 2, 0.9)])
-    def test_domain(self, p0, rounds, conf):
-        with pytest.raises(ValueError):
-            required_blocks(p0, rounds, conf)
-
-    def test_bool_rounds_rejected(self):
-        # True is an int subclass; McConfig refuses it, and so does this
-        with pytest.raises(ValueError, match="rounds must be an integer >= 0, got True"):
-            required_blocks(0.5, True, 0.9)
 
 
 class TestSimulateRate:

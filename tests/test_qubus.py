@@ -137,7 +137,16 @@ class TestFeasibility:
         # 2^1029 alone overflows, but 2^1029 * 1e-320 does not
         verdict = feasibility(1030, 1e-320)
         assert verdict.max_phase_rad == pytest.approx(5.7526e-11, rel=1e-4)
-        assert verdict.feasible
+        # neighboring phases sit 1e-320 apart, far inside the collision width
+        assert not verdict.feasible
+
+    @pytest.mark.parametrize(
+        "theta", [1e-320, 1e-10, 5e-10, 9e-10, 1e-9, 1.1e-9, 3e-9, 1e-6, 1e-4, 0.01, 0.1, 1.0, 3.0]
+    )
+    def test_verdict_never_turns_feasible_as_n_grows(self, theta):
+        # across the enumeration cap too: n = 16 is exhaustive, n = 17 analytic
+        verdicts = [feasibility(n, theta).feasible for n in range(2, 25)]
+        assert verdicts == sorted(verdicts, reverse=True)
 
     def test_threshold_angle(self):
         # the workable window for n atoms is theta < pi / (2^(n-1) - 1);
