@@ -118,6 +118,31 @@ class TestParseConfig:
                 (),
                 "line 2: bad value for 'tau_c_s': '1e-3x' (could not convert string to float: '1e-3x')",
             ),
+            # none is a value only for keys that may be unset
+            (
+                "rounds = none\n",
+                (),
+                "line 1: bad value for 'rounds': 'none' (invalid literal for int() with base 10: 'none')",
+            ),
+            # any spelling of none is accepted where it is allowed
+            ("fidelity = NONE\nalpha = 20\nbogus = 1\n", (), "line 3: unknown key 'bogus'"),
+            (
+                "tau_c_s = 1e\n",
+                (),
+                "line 1: bad value for 'tau_c_s': '1e' (could not convert string to float: '1e')",
+            ),
+            (
+                "fidelity = \n",
+                (),
+                "line 1: bad value for 'fidelity': '' (could not convert string to float: '')",
+            ),
+            # keys and values are named without their surrounding spaces
+            ("  bogus_key  =  1  \n", (), "line 1: unknown key 'bogus_key'"),
+            (
+                "\t rounds \t=\t many \n",
+                (),
+                "line 1: bad value for 'rounds': 'many' (invalid literal for int() with base 10: 'many')",
+            ),
             ("[grid]\n", (), "line 1: unknown section 'grid' (only [case] allowed)"),
             ("[ ]\n", (), "line 1: unknown section '' (only [case] allowed)"),
             ("[case x\n", (), "line 1: unterminated section header '[case x'"),
@@ -139,6 +164,17 @@ class TestParseConfig:
             ),
             ("", ("rounds",), "--set 'rounds': expected key=value"),
             ("", ("bogus=1",), "--set: unknown key 'bogus'"),
+            ("", (" bogus =1",), "--set: unknown key 'bogus'"),
+            (
+                "",
+                ("rounds=none",),
+                "--set: bad value for 'rounds': 'none' (invalid literal for int() with base 10: 'none')",
+            ),
+            (
+                "",
+                (" rounds = two ",),
+                "--set: bad value for 'rounds': 'two' (invalid literal for int() with base 10: 'two')",
+            ),
             (
                 "",
                 ("rounds=two",),
@@ -160,6 +196,13 @@ class TestParseConfig:
         (case,) = parse_config("fidelity = none\nalpha = 20.0\ntheta_rad = 0.01\n")
         assert case.fidelity is None
         assert case.alpha == 20.0
+
+    @pytest.mark.parametrize("literal", ["NONE", "None", " none "])
+    def test_none_literal_any_case_and_in_overrides(self, literal):
+        (case,) = parse_config(f"fidelity = {literal}\nalpha = 20.0\ntheta_rad = 0.01\n")
+        assert case.fidelity is None
+        (case,) = parse_config("", [f"fidelity={literal}", "alpha=20.0", "theta_rad=0.01"])
+        assert case.fidelity is None
 
     def test_exclusive_sources_same_level(self):
         with pytest.raises(ConfigError, match="not both"):
