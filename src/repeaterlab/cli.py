@@ -15,8 +15,9 @@ import functools
 import io
 import math
 import sys
-from dataclasses import dataclass, field, fields
-from typing import Sequence
+from collections import namedtuple
+from itertools import chain, repeat
+from typing import Callable, NamedTuple, Sequence
 
 from .bell_algebra import BellDiagonal, swap_ideal
 from .codes import Code, code_catalog, logical_error_prob
@@ -29,7 +30,6 @@ from .pipeline import (
     sweep,
     evaluate,
 )
-from .qubus import _ENUM_LIMIT, chained_qubus_phases, feasibility, homodyne_error, min_beta, single_qubus_phases
 
 __all__ = [
     "CaseSpec",
@@ -54,60 +54,44 @@ _GOLAY_THROUGHPUT_MEMORIES = 166
 _PLAN_MAX_N = 4096
 
 
-def _key(default, kind: type, *flags: str, help: str):
-    """A config key: its default, value type, command line flags and help."""
-    return field(default=default, metadata={"kind": kind, "flags": flags, "help": help})
+class _Key(NamedTuple):
+    """A config key: default, value type, whether ``none`` unsets it, flags and help."""
+
+    default: object
+    kind: type
+    nullable: bool
+    flags: tuple[str, ...]
+    help: str
 
 
-@dataclass(frozen=True)
-class CaseSpec:
-    """One fully merged sweep case (defaults applied).
+# the config keys, in CaseSpec's field order after ``name``
+_KEYS = {
+    "code": _Key("[3,1,3]", str, False, ("--code",), "code label, e.g. [23,1,7] or 23,1,7"),
+    "rounds": _Key(2, int, False, ("--rounds", "-k"), "purification rounds k"),
+    "total_km": _Key(1280.0, float, False, ("--total-km",), "total distance L in km"),
+    "segment_km": _Key(20.0, float, False, ("--segment-km",), "segment length L0 in km"),
+    "attenuation_km": _Key(ATTENUATION_LENGTH_KM, float, False, ("--attenuation-km",), "fiber attenuation length"),
+    "fiber_speed_m_per_s": _Key(FIBER_SPEED_M_PER_S, float, False, ("--fiber-speed",), "signal speed m/s"),
+    "tau_c_s": _Key(0.1, float, False, ("--tau-c",), "memory coherence time s"),
+    "one_minus_t": _Key(1e-3, float, False, ("--one-minus-t",), "gate interface loss 1 - T"),
+    "fidelity": _Key(0.95, float, True, ("--fidelity", "-F"), "raw pair fidelity"),
+    "alpha": _Key(None, float, True, ("--alpha",), "qubus strength (with --theta-rad)"),
+    "theta_rad": _Key(None, float, True, ("--theta-rad",), "interaction angle (with --alpha)"),
+}
+_DEFAULTS = {key: k.default for key, k in _KEYS.items()}
 
-    Every field but ``name`` is a config key.  Its metadata drives the
-    config parser and the point flags; a key whose annotation admits None
-    also accepts the literal ``none``.
+
+class CaseSpec(namedtuple("CaseSpec", ["name", *_KEYS], defaults=["default", *_DEFAULTS.values()])):
+    """One fully merged sweep case (defaults applied): a name, then one field per config key.
+
+    A NamedTuple, as SweepResult is: one is built per config row.
     """
 
-    name: str = "default"
-    code: str = _key("[3,1,3]", str, "--code", help="code label, e.g. [23,1,7] or 23,1,7")
-    rounds: int = _key(2, int, "--rounds", "-k", help="purification rounds k")
-    total_km: float = _key(1280.0, float, "--total-km", help="total distance L in km")
-    segment_km: float = _key(20.0, float, "--segment-km", help="segment length L0 in km")
-    attenuation_km: float = _key(ATTENUATION_LENGTH_KM, float, "--attenuation-km", help="fiber attenuation length")
-    fiber_speed_m_per_s: float = _key(FIBER_SPEED_M_PER_S, float, "--fiber-speed", help="signal speed m/s")
-    tau_c_s: float = _key(0.1, float, "--tau-c", help="memory coherence time s")
-    one_minus_t: float = _key(1e-3, float, "--one-minus-t", help="gate interface loss 1 - T")
-    fidelity: float | None = _key(0.95, float, "--fidelity", "-F", help="raw pair fidelity")
-    alpha: float | None = _key(None, float, "--alpha", help="qubus strength (with --theta-rad)")
-    theta_rad: float | None = _key(None, float, "--theta-rad", help="interaction angle (with --alpha)")
-
-
-_KEYS = {f.name: f.metadata for f in fields(CaseSpec) if f.metadata}
-_KINDS = {key: meta["kind"] for key, meta in _KEYS.items()}
-_DEFAULTS = {f.name: f.default for f in fields(CaseSpec) if f.metadata}
-_NULLABLE = {f.name for f in fields(CaseSpec) if "None" in str(f.type)}
+    __slots__ = ()
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _assignment(key: str, raw: str, where: str, *where_args: object) -> tuple[str, object]:
-    """Parse the two sides of one ``key = value`` item.
-
-    Errors start with ``where.format(*where_args)``, formatted only when
-    raised: every config line passes through here.
-    """
-    key, raw = key.strip(), raw.strip()
-    kind = _KINDS.get(key)
-    if kind is None:
-        raise ConfigError(f"{where.format(*where_args)}: unknown key {key!r}")
-    if key in _NULLABLE and raw.lower() == "none":
-        return key, None
-    try:
-        return key, kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where.format(*where_args)}: bad value for {key!r}: {raw!r} ({exc})") from None
 
 
 def _apply_level(
@@ -116,8 +100,8 @@ def _apply_level(
     """Merge one level of assignments, keeping F vs (alpha, theta) exclusive.
 
     Setting one fidelity source clears the other, so a source inherited
-    from a lower level never clashes.  Errors are located as in
-    :func:`_assignment`.
+    from a lower level never clashes.  An error starts with
+    ``where.format(*where_args)``, formatted only when raised.
     """
     merged = {**base, **assigns}
     sets_fidelity = assigns.get("fidelity") is not None
@@ -130,6 +114,11 @@ def _apply_level(
     return merged
 
 
+def _where(line_no: int) -> str:
+    """Error location of a config line; line 0 is a --set item."""
+    return f"line {line_no}" if line_no else "--set"
+
+
 def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[CaseSpec, ...]:
     """Parse flat key = value text with inherited [case] sections into cases.
 
@@ -139,43 +128,52 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[CaseSpec, ..
     file's top level before cases inherit.
     """
     top_assigns: dict[str, object] = {}
+    set_assigns: dict[str, object] = {}
     case_blocks: list[tuple[str, dict[str, object], int]] = []
-    current: dict[str, object] | None = None
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line[0] == "#":
-            continue
-        if line[0] == "[":
-            if not line.endswith("]"):
-                raise ConfigError(f"line {line_no}: unterminated section header {line!r}")
-            inner = line[1:-1].strip()
-            parts = inner.split(None, 1)
-            if not parts or parts[0] != "case":
-                raise ConfigError(f"line {line_no}: unknown section {inner!r} (only [case] allowed)")
-            name = parts[1].strip() if len(parts) == 2 else f"case{len(case_blocks) + 1}"
-            current = {}
-            case_blocks.append((name, current, line_no))
-            continue
+    assigns = top_assigns
+    # the file's numbered lines, then each --set item as line 0 of its own level
+    for line_no, line in chain(enumerate(text.splitlines(), start=1), zip(repeat(0), overrides)):
+        if line_no:
+            line = line.strip()
+            if not line or line[0] == "#":
+                continue
+            if line[0] == "[":
+                if not line.endswith("]"):
+                    raise ConfigError(f"line {line_no}: unterminated section header {line!r}")
+                inner = line[1:-1].strip()
+                parts = inner.split(None, 1)
+                if not parts or parts[0] != "case":
+                    raise ConfigError(f"line {line_no}: unknown section {inner!r} (only [case] allowed)")
+                name = parts[1].strip() if len(parts) == 2 else f"case{len(case_blocks) + 1}"
+                assigns = {}
+                case_blocks.append((name, assigns, line_no))
+                continue
+        else:
+            assigns = set_assigns
         key, eq, raw = line.partition("=")
         if not eq:
-            raise ConfigError(f"line {line_no}: expected key = value, got {line!r}")
-        key, parsed = _assignment(key, raw, "line {}", line_no)
-        (top_assigns if current is None else current)[key] = parsed
+            if line_no:
+                raise ConfigError(f"line {line_no}: expected key = value, got {line!r}")
+            raise ConfigError(f"--set {line!r}: expected key=value")
+        key, raw = key.strip(), raw.strip()
+        spec = _KEYS.get(key)
+        if spec is None:
+            raise ConfigError(f"{_where(line_no)}: unknown key {key!r}")
+        if spec.nullable and raw.lower() == "none":
+            assigns[key] = None
+            continue
+        try:
+            assigns[key] = spec.kind(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{_where(line_no)}: bad value for {key!r}: {raw!r} ({exc})") from None
 
     base = _apply_level(_DEFAULTS, top_assigns, "top level")
-    if overrides:
-        set_assigns = {}
-        for item in overrides:
-            key, eq, raw = item.partition("=")
-            if not eq:
-                raise ConfigError(f"--set {item!r}: expected key=value")
-            key, value = _assignment(key, raw, "--set")
-            set_assigns[key] = value
-        base = _apply_level(base, set_assigns, "--set overrides")
+    base = _apply_level(base, set_assigns, "--set overrides")
     if not case_blocks:
-        return (CaseSpec(**base),)
+        return (CaseSpec("default", *base.values()),)
+    # a merged level keeps _DEFAULTS' key order, which is CaseSpec's
     return tuple(
-        CaseSpec(name=name, **_apply_level(base, assigns, "line {} [case {}]", line_no, name))
+        CaseSpec(name, *_apply_level(base, assigns, "line {} [case {}]", line_no, name).values())
         for name, assigns, line_no in case_blocks
     )
 
@@ -238,15 +236,17 @@ def to_protocol_config(case: CaseSpec) -> ProtocolConfig:
 
 _g8 = "{:.8g}".format
 
+# the _CSV_HEADER fields: two labels, then numbers to 8 significant digits
+# (an integer k below 1e8 prints as str would), as CSV, gnuplot and printout
+_FIELDS = ["%s", "%s", *["%.8g"] * 10]
+_CSV_ROW = ",".join(_FIELDS)
+_GNUPLOT_ROW = " ".join(_FIELDS)
+_PRINTOUT = "\n".join(f"{key} = {spec}" for key, spec in zip(_CSV_HEADER, _FIELDS))
 
-def _result_row(r: SweepResult) -> list[str]:
-    # the _CSV_HEADER fields: two labels, then numbers (an integer k below
-    # 1e8 prints as str would); inline formats, as this runs once per row
-    return [
-        r.code_label, r.family, f"{r.rounds:.8g}", f"{r.tau_c_s:.8g}", f"{r.one_minus_t:.8g}",
-        f"{r.total_distance_km:.8g}", f"{r.segment_km:.8g}", f"{r.f:.8g}", f"{r.f_final:.8g}",
-        f"{r.p0:.8g}", f"{r.p_k:.8g}", f"{r.rate_per_memory_hz:.8g}",
-    ]
+
+def _format_row(template: str, r: SweepResult, label: Callable[[str], str] = str) -> str:
+    """The 12 fields of ``r`` through one of the templates, labels through ``label``."""
+    return template % (label(r.code_label), label(r.family), *r[2:12])
 
 
 @functools.lru_cache(maxsize=64)
@@ -264,12 +264,8 @@ def emit_csv(results: Sequence[SweepResult], path: str) -> None:
     quoting.  Only the two label columns can need quotes, so each distinct
     label asks the writer once and the file is written in one call.
     """
-    lines = [",".join(_CSV_HEADER)]
-    for r in results:
-        row = _result_row(r)
-        row[:2] = _csv_field(r.code_label), _csv_field(r.family)
-        lines.append(",".join(row))
-    lines.append("")  # so the last row ends in CRLF too
+    # the empty last line ends the last row in CRLF too
+    lines = [",".join(_CSV_HEADER), *[_format_row(_CSV_ROW, r, _csv_field) for r in results], ""]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines))
 
@@ -279,7 +275,7 @@ def emit_gnuplot(results: Sequence[SweepResult], path: str) -> None:
     with open(path, "w") as fh:
         fh.write("# " + " ".join(_CSV_HEADER) + "\n")
         for r in results:
-            fh.write(" ".join(_result_row(r)) + "\n")
+            fh.write(_format_row(_GNUPLOT_ROW, r) + "\n")
 
 
 # k = 2 over L = 1280 km in L0 = 20 km segments: the CaseSpec defaults
@@ -305,13 +301,12 @@ def _case_from_args(args: argparse.Namespace) -> CaseSpec:
 
 
 def _add_point_flags(p: argparse.ArgumentParser) -> None:
-    for key, meta in _KEYS.items():
-        p.add_argument(*meta["flags"], dest=key, type=meta["kind"], help=meta["help"])
+    for key, k in _KEYS.items():
+        p.add_argument(*k.flags, dest=key, type=k.kind, help=k.help)
 
 
 def _print_result(r: SweepResult) -> int:
-    for key, value in zip(_CSV_HEADER, _result_row(r)):
-        print(f"{key} = {value}")
+    print(_format_row(_PRINTOUT, r))
     if r.error is not None:
         print(f"error = {r.error}")
     return 0 if r.error is None else 1
@@ -383,6 +378,10 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_qubus_check(args: argparse.Namespace) -> int:
+    from .qubus import (
+        _ENUM_LIMIT, chained_qubus_phases, feasibility, homodyne_error, min_beta, single_qubus_phases,
+    )
+
     if args.show_plan and args.n > _PLAN_MAX_N:
         raise ValueError(f"--n must be <= {_PLAN_MAX_N} with --show-plan, got {args.n}")
     verdict = feasibility(args.n, args.theta_rad)
@@ -444,11 +443,10 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     print(f"|z| = {z:.2f} sigma")
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_HEADER + ["rate_mc_hz", "stderr_hz", "z"])
-            writer.writerow(
-                _result_row(row)
-                + [_g8(est.rate_per_memory_hz), _g8(est.std_error_hz), f"{z:.3f}"]
+            fh.write(",".join([*_CSV_HEADER, "rate_mc_hz", "stderr_hz", "z"]) + "\r\n")
+            fh.write(
+                f"{_format_row(_CSV_ROW, row, _csv_field)},{_g8(est.rate_per_memory_hz)},"
+                f"{_g8(est.std_error_hz)},{z:.3f}\r\n"
             )
     return 0 if z <= 3.0 else 1
 

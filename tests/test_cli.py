@@ -423,6 +423,24 @@ class TestReport:
         assert capsys.readouterr().out == shown
 
 
+class TestKeyTable:
+    def test_readme_table_is_the_key_table(self):
+        # the README's key | flag | meaning rows, in order, from the table below its header
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme[readme.index("| key | flag | meaning |"):].split("\n\n", 1)[0].splitlines()[2:]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table]
+        assert rows == [
+            [f"`{key}`", ", ".join(f"`{flag}`" for flag in k.flags), k.help] for key, k in _KEYS.items()
+        ]
+
+    def test_case_spec_is_a_named_tuple_over_the_keys(self):
+        assert CaseSpec._fields == ("name", *_KEYS)
+        assert CaseSpec() == ("default", *(k.default for k in _KEYS.values()))
+        assert CaseSpec()._replace(rounds=3) == CaseSpec(rounds=3)
+        # only the keys that may be unset take the literal none
+        assert [key for key, k in _KEYS.items() if k.nullable] == ["fidelity", "alpha", "theta_rad"]
+
+
 class TestFrozenPrintouts:
     """SHA-256 digests of the printed outputs that the CSV digest does not cover."""
 
@@ -781,7 +799,7 @@ def _flags(pairs):
     return [f"{flag}={value}" for flag, value in pairs if value is not None]
 
 
-_POINT_FLAGS = _ASSIGNMENTS.map(lambda assigns: _flags((_KEYS[key]["flags"][0], value) for key, value in assigns))
+_POINT_FLAGS = _ASSIGNMENTS.map(lambda assigns: _flags((_KEYS[key].flags[0], value) for key, value in assigns))
 # ledger sizes stay small: --show-plan prints one line per pattern (2^n for
 # n <= 16) and one per probe (n - 1) beyond that; an n past the plan's cap
 # must exit 2 with the plan asked for, before any ledger is built
@@ -815,7 +833,7 @@ _REPORT_ARGV = st.one_of(
 def _case_specs(draw):
     """A CaseSpec over every key, with exactly one fidelity source."""
     kinds = {str: st.text(_PRINTABLE), int: st.integers(-10**6, 10**6), float: st.floats(allow_nan=False)}
-    values = {key: draw(kinds[meta["kind"]]) for key, meta in _KEYS.items()}
+    values = {key: draw(kinds[k.kind]) for key, k in _KEYS.items()}
     if draw(st.booleans()):
         values.update(alpha=None, theta_rad=None)
     else:

@@ -62,9 +62,9 @@ def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
     )
 
 
-def _loads_numpy(program: str, cwd=None) -> bool:
-    """Run ``program`` in a fresh interpreter; did it leave numpy imported?"""
-    proc = _python("-c", program + "\nimport sys\nprint('numpy' in sys.modules)", cwd=cwd)
+def _leaves_imported(program: str, module: str = "numpy", cwd=None) -> bool:
+    """Run ``program`` in a fresh interpreter; did it leave ``module`` imported?"""
+    proc = _python("-c", program + f"\nimport sys\nprint({module!r} in sys.modules)", cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
 
@@ -81,7 +81,7 @@ def _loads_numpy(program: str, cwd=None) -> bool:
     ],
 )
 def test_model_and_cli_import_no_numpy(program):
-    assert not _loads_numpy(program)
+    assert not _leaves_imported(program)
 
 
 def test_rate_sweep_imports_no_numpy(tmp_path):
@@ -90,8 +90,26 @@ def test_rate_sweep_imports_no_numpy(tmp_path):
         "[case channel]\nalpha = 0.001\ntheta_rad = 0.01\n"
     )
     argv = ["rate-sweep", "--config", "grid.cfg", "--out", "rates.csv"]
-    assert not _loads_numpy(f"from repeaterlab import cli\nassert cli.main({argv!r}) == 0", cwd=tmp_path)
+    assert not _leaves_imported(f"from repeaterlab import cli\nassert cli.main({argv!r}) == 0", cwd=tmp_path)
     assert len((tmp_path / "rates.csv").read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize(
+    "argv, imports_qubus",
+    [
+        pytest.param(["rate-sweep", "--config", "grid.cfg", "--out", "rates.csv"], False, id="rate-sweep"),
+        pytest.param(POINT, False, id="fidelity"),
+        pytest.param(
+            ["operating-point", "--code", "[7,1,3]", "--tau-c", "1", "--target", "0.9"], False, id="operating-point"
+        ),
+        pytest.param(["report"], False, id="report"),
+        pytest.param(QUBUS, True, id="qubus-check"),
+    ],
+)
+def test_cli_imports_qubus_only_for_qubus_check(tmp_path, argv, imports_qubus):
+    (tmp_path / "grid.cfg").write_text("[case rep]\ncode = [3,1,3]\n[case channel]\nalpha = 0.001\ntheta_rad = 0.01\n")
+    program = f"from repeaterlab import cli\nassert cli.main({argv!r}) == 0"
+    assert _leaves_imported(program, "repeaterlab.qubus", cwd=tmp_path) == imports_qubus
 
 
 def test_python_dash_m_runs_the_cli_without_numpy():
@@ -112,14 +130,14 @@ def test_python_dash_m_runs_the_cli_without_numpy():
     ],
 )
 def test_numpy_layers_still_load_numpy(program):
-    assert _loads_numpy(program)
+    assert _leaves_imported(program)
 
 
 def test_submodules_resolve_after_a_plain_import():
     program = "import repeaterlab\n" + "\n".join(
         f"assert repeaterlab.{name}.__name__ == 'repeaterlab.{name}'" for name in SUBMODULES
     )
-    assert _loads_numpy(program)
+    assert _leaves_imported(program)
 
 
 @pytest.mark.parametrize(
