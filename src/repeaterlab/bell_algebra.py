@@ -5,14 +5,13 @@ States are written in the Bell basis as rho = A |phi+><phi+| + B |phi-><phi-|
 PRL 77, 2818 (1996); entanglement swapping follows Briegel et al., PRL 81,
 5932 (1998).  Both are closed maps on (A, B, C, D).
 
-Two flavors are provided for noisy local gates with dephasing weight q_g:
+Noisy local gates with dephasing weight q_g enter in two ways:
 
 * an exact one-round purification map (the gate error commuted through the
   CNOTs and the parity postselection by hand), and
-* multiplicative lower bounds that price each noisy two-qubit gate as a
-  factor (1 - q_g) per participating qubit on the leading coefficient and
-  on the success probability, leaving the remaining coefficients at their
-  ideal-map values.  The bound states are deliberately sub-normalized.
+* a k-round pump that follows the ideal recursion and prices every noisy
+  two-qubit gate of its tree as a factor (1 - q_g) per participating qubit
+  on the success probability.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ __all__ = [
     "purify_ideal",
     "swap_ideal",
     "purify_imperfect_exact",
-    "purify_lower_bound",
-    "swap_lower_bound",
     "purify_k_rounds_lower",
 ]
 
@@ -38,8 +35,8 @@ class BellDiagonal:
     """Bell-diagonal coefficients (a, b, c, d) = weights of phi+, phi-, psi+, psi-.
 
     Coefficients are nonnegative and sum to at most 1; sums strictly below 1
-    are legal and mark a worst-case bound state whose missing weight has been
-    conceded to the error budget.
+    are legal and mark a state whose missing weight has been conceded to an
+    error budget.
     """
 
     a: float
@@ -183,40 +180,6 @@ def _gate_charge(q_g: float, qubits: int) -> float:
 def _check_code_length(n: int) -> None:
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"code length n must be an integer >= 1, got {n}")
-
-
-def purify_lower_bound(s: BellDiagonal, q_g: float, n: int) -> PurifyOutcome:
-    """Worst-case one-round purification of length-n encoded pairs.
-
-    An encoded round touches 4n qubits with noisy gates (two transversal
-    CNOT blocks on two pairs), so the guaranteed fidelity and success
-    probability carry a factor g = (1 - q_g)^(4n):
-
-        a_lower = a'_ideal * g,    P_lower = P_ideal * g.
-
-    The remaining coefficients stay at their ideal values; the state is
-    sub-normalized by construction.
-    """
-    _check_gate_error(q_g)
-    _check_code_length(n)
-    ideal = purify_ideal(s)
-    g = _gate_charge(q_g, 4 * n)
-    st = ideal.state
-    return PurifyOutcome(BellDiagonal(st.a * g, st.b, st.c, st.d), ideal.success_prob * g)
-
-
-def swap_lower_bound(s: BellDiagonal, q_g: float, n: int) -> BellDiagonal:
-    """Worst-case swapping of length-n encoded pairs.
-
-    One encoded Bell measurement touches 2n qubits with noisy gates, so the
-    guaranteed fidelity is a'_ideal * (1 - q_g)^(2n); the other coefficients
-    stay at their ideal values (sub-normalized bound state).
-    """
-    _check_gate_error(q_g)
-    _check_code_length(n)
-    st = swap_ideal(s)
-    g = _gate_charge(q_g, 2 * n)
-    return BellDiagonal(st.a * g, st.b, st.c, st.d)
 
 
 def purify_k_rounds_lower(s: BellDiagonal, q_g: float, n: int, k: int) -> PurifyOutcome:

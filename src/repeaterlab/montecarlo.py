@@ -31,9 +31,7 @@ from .pipeline import (
 
 __all__ = [
     "McConfig",
-    "WindowStats",
     "RateEstimate",
-    "simulate_window",
     "finite_window_estimate",
     "simulate_rate",
 ]
@@ -41,9 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling plan: p0 per slot, ``blocks`` slots, k pump rounds, trials.
+    """Sampling plan: ``blocks`` slots per window, ``trials`` windows, and a seed.
 
-    Only :func:`simulate_window` reads p0 and rounds; the rate estimators take both from the config.
+    Nothing reads p0 or rounds: both estimators take p0 and the pump depth
+    from the config.  The two fields are still validated, and stay in this
+    positional order because perfbench's Monte Carlo workload passes them.
     """
 
     p0: float
@@ -61,40 +61,12 @@ class McConfig:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-class WindowStats(NamedTuple):
-    """Raw-supply statistics of one heralding window over many trials."""
-
-    mean_pairs: float
-    sem_pairs: float
-    interval3: tuple[float, float]  # mean_pairs +/- 3 sem, covers blocks * p0
-    mean_trees: float
-    sem_trees: float
-
-
 class RateEstimate(NamedTuple):
     """Estimated distribution rate per memory qubit with its 1 sigma error."""
 
     rate_per_memory_hz: float
     std_error_hz: float
     trials: int
-
-
-def simulate_window(mc: McConfig) -> WindowStats:
-    """Sample the raw-pair supply and the complete-tree count per window."""
-    rng = np.random.default_rng(mc.seed)
-    pairs = rng.binomial(mc.blocks, mc.p0, size=mc.trials)
-    trees = pairs >> mc.rounds
-    root_n = math.sqrt(mc.trials)
-    mean_pairs = float(pairs.mean())
-    sem_pairs = float(pairs.std(ddof=1) / root_n) if mc.trials > 1 else math.inf
-    sem_trees = float(trees.std(ddof=1) / root_n) if mc.trials > 1 else math.inf
-    return WindowStats(
-        mean_pairs,
-        sem_pairs,
-        (mean_pairs - 3.0 * sem_pairs, mean_pairs + 3.0 * sem_pairs),
-        float(trees.mean()),
-        sem_trees,
-    )
 
 
 def _binomial_pmf(s: int, j: int, log_p: float, log_q: float) -> float:

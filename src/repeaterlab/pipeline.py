@@ -7,9 +7,11 @@ swapping (Briegel et al., PRL 81, 5932 (1998)).  Two storage strategies are
 priced:
 
 * repetition family: the Bell-diagonal state is tracked through the ideal
-  purify/swap recursions and every noisy gate is charged as a worst-case
-  multiplicative factor on the leading coefficient, so reported final
-  fidelities and success probabilities are lower bounds;
+  purify/swap recursions and the noisy gates are charged as one
+  multiplicative factor on the leading coefficient.  The reported P_k is a
+  lower bound on the exact pump's success probability (tested at n = 1);
+  F_final is a lower bound only at k = 0, because the factor counts the
+  merges of one pump tree where the N segments run N trees;
 * css family: purification is tracked with the exact imperfect-gate round,
   the surviving error budget is converted to an i.i.d. per-qubit rate, and
   the block code must digest it at every swap station, giving
@@ -189,9 +191,10 @@ def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, fl
     repetition: the stored pair accumulates memory dephasing over the pump
     window, decoded per block to a pair flip budget, and runs through k
     ideal rounds; P_k carries the gate discount of the whole tree.  Then
-    log2(N) ideal swap levels, and every noisy gate in the tree (2n qubits
-    per swap, 4n per merge) discounts the leading coefficient, so F_final is
-    a lower bound.
+    log2(N) ideal swap levels, and the noisy gates (2n qubits per swap, 4n
+    per merge of one pump tree) discount the leading coefficient.  F_final
+    is a lower bound at k = 0; for k >= 1 the N - 1 uncharged trees can put
+    it above the exact noisy value.
     css: the raw pair runs through k exact imperfect-gate rounds.  The
     purified fidelity F_k, two noisy gates, and three memory half-windows
     per stored qubit make up an i.i.d. error budget q_eff; each of the 2N
@@ -236,7 +239,7 @@ def _rate(n: int, k: int, t0_s: float, p0: float, p_k: float) -> float:
 
 
 def final_fidelity(cfg: ProtocolConfig) -> float:
-    """End-to-end fidelity F_final (a lower bound for the repetition family)."""
+    """End-to-end fidelity F_final (for the repetition family, a lower bound only at k = 0)."""
     return _chain(cfg, timing(cfg))(cfg.raw_fidelity())[0]
 
 

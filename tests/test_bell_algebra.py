@@ -1,4 +1,4 @@
-"""Bell-diagonal recursion checks: ideal maps, exact noisy round, bounds."""
+"""Bell-diagonal recursion checks: ideal maps, exact noisy round, k-round pump."""
 
 import math
 
@@ -11,9 +11,7 @@ from repeaterlab.bell_algebra import (
     purify_ideal,
     purify_imperfect_exact,
     purify_k_rounds_lower,
-    purify_lower_bound,
     swap_ideal,
-    swap_lower_bound,
 )
 
 S_WORK = BellDiagonal(0.9, 0.1, 0.0, 0.0)
@@ -189,49 +187,6 @@ class TestPurifyImperfectExact:
             purify_imperfect_exact(S_WORK, -0.1)
 
 
-class TestLowerBounds:
-    def test_purify_lower_noiseless(self):
-        out = purify_lower_bound(S_WORK, 0.0, 3)
-        ideal = purify_ideal(S_WORK)
-        assert out.state.as_tuple() == pytest.approx(ideal.state.as_tuple(), abs=1e-15)
-        assert out.success_prob == pytest.approx(ideal.success_prob, abs=1e-15)
-
-    def test_purify_lower_point(self):
-        out = purify_lower_bound(S_WORK, 7.852e-4, 3)
-        assert out.success_prob == pytest.approx(0.8123069119141373, rel=1e-12)
-        assert out.success_prob == pytest.approx(0.81231, abs=1e-5)
-        assert out.state.a == pytest.approx(0.9785374756847875, rel=1e-12)
-        assert out.state.a == pytest.approx(0.97854, abs=1e-5)
-        # only the leading coefficient carries the bound
-        ideal = purify_ideal(S_WORK).state
-        assert out.state.as_tuple()[1:] == pytest.approx(ideal.as_tuple()[1:], abs=1e-15)
-
-    def test_swap_lower_noiseless(self):
-        s = BellDiagonal(0.82, 0.18, 0.0, 0.0)
-        assert swap_lower_bound(s, 0.0, 3).as_tuple() == pytest.approx(
-            swap_ideal(s).as_tuple(), abs=1e-15
-        )
-
-    def test_swap_lower_point(self):
-        out = swap_lower_bound(BellDiagonal(0.82, 0.18, 0.0, 0.0), 7.852e-4, 3)
-        assert out.a == pytest.approx(0.7014860574707833, rel=1e-12)
-        assert out.a == pytest.approx(0.70149, abs=1e-5)
-
-    def test_swap_lower_pure_gate_loss(self):
-        out = swap_lower_bound(BellDiagonal(1.0, 0.0, 0.0, 0.0), 1e-3, 5)
-        assert out.a == pytest.approx((1.0 - 1e-3) ** 10, rel=1e-12)
-        assert out.a < 1.0
-
-    @given(st.floats(0.8, 1.0), st.floats(0.0, 1e-3))
-    def test_bound_ordering(self, a, q_g):
-        # restricted domain where the first-order bound provably holds
-        s = BellDiagonal(a, 1.0 - a, 0.0, 0.0)
-        lower = purify_lower_bound(s, q_g, 1)
-        exact = purify_imperfect_exact(s, q_g)
-        assert lower.success_prob <= exact.success_prob + 1e-12
-        assert lower.state.a <= exact.state.a + 1e-12
-
-
 class TestPurifyKRounds:
     def test_k0_identity(self):
         out = purify_k_rounds_lower(S_WORK, 1e-3, 3, 0)
@@ -239,13 +194,11 @@ class TestPurifyKRounds:
         assert out.success_prob == 1.0
 
     def test_k1_matches_single_round_bound(self):
+        # one ideal round whose success probability carries (1 - q_g)^(4n), n = 3
         k1 = purify_k_rounds_lower(S_WORK, 1e-3, 3, 1)
-        single = purify_lower_bound(S_WORK, 1e-3, 3)
-        assert k1.success_prob == pytest.approx(single.success_prob, rel=1e-15)
-        # state follows the plain ideal recursion; the single-round bound
-        # additionally discounts its leading coefficient by (1 - q_g)^(4n)
-        assert k1.state.as_tuple()[1:] == pytest.approx(single.state.as_tuple()[1:], abs=1e-15)
-        assert single.state.a == pytest.approx(k1.state.a * (1.0 - 1e-3) ** 12, rel=1e-12)
+        ideal = purify_ideal(S_WORK)
+        assert k1.success_prob == pytest.approx(ideal.success_prob * (1.0 - 1e-3) ** 12, rel=1e-15)
+        assert k1.state.as_tuple() == pytest.approx(ideal.state.as_tuple(), abs=1e-15)
 
     def test_k2_exponent(self):
         # 4 n (2^k - 1) = 36 merged-gate qubits at n = 3, k = 2

@@ -18,7 +18,7 @@ SRC = str(Path(repeaterlab.__file__).resolve().parents[1])
 EXPORTS = {
     "bell_algebra": [
         "BellDiagonal", "PurifyOutcome", "purify_ideal", "purify_imperfect_exact",
-        "purify_k_rounds_lower", "purify_lower_bound", "swap_ideal", "swap_lower_bound",
+        "purify_k_rounds_lower", "swap_ideal",
     ],
     "codes": [
         "Code", "code_catalog", "css_effective_qubit_error", "effective_coefficients",
@@ -29,8 +29,7 @@ EXPORTS = {
         "memory_error_prob", "success_probability", "transmittance",
     ],
     "montecarlo": [
-        "McConfig", "RateEstimate", "WindowStats", "finite_window_estimate", "simulate_rate",
-        "simulate_window",
+        "McConfig", "RateEstimate", "finite_window_estimate", "simulate_rate",
     ],
     "oracle": [
         "DensityMatrix", "GateErrorVariant", "VariantReport", "apply_dephasing",

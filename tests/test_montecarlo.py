@@ -10,7 +10,6 @@ from repeaterlab.montecarlo import (
     McConfig,
     finite_window_estimate,
     simulate_rate,
-    simulate_window,
 )
 from repeaterlab.pipeline import (
     ProtocolConfig,
@@ -55,45 +54,6 @@ class TestMcConfig:
         base.update(kw)
         with pytest.raises(ValueError, match=next(iter(kw))):
             McConfig(**base)
-
-
-class TestSimulateWindow:
-    def test_reproducible(self):
-        mc = McConfig(0.1, 5000, 2, 500, seed=3)
-        assert simulate_window(mc) == simulate_window(mc)
-
-    def test_seed_matters(self):
-        a = simulate_window(McConfig(0.1, 5000, 2, 500, seed=3))
-        b = simulate_window(McConfig(0.1, 5000, 2, 500, seed=4))
-        assert a.mean_pairs != b.mean_pairs
-
-    def test_certain_supply(self):
-        # p0 = 1 makes every slot fire: no variance, exact tree count
-        stats = simulate_window(McConfig(1.0, 1000, 3, 50, seed=0))
-        assert stats.mean_pairs == 1000.0
-        assert stats.sem_pairs == 0.0
-        assert stats.interval3 == (1000.0, 1000.0)
-        assert stats.mean_trees == 125.0
-        assert stats.sem_trees == 0.0
-
-    def test_interval_covers_expectation(self):
-        mc = McConfig(0.1, 5000, 2, 2000, seed=7)
-        stats = simulate_window(mc)
-        lo, hi = stats.interval3
-        assert lo <= mc.blocks * mc.p0 <= hi
-        assert hi - lo == pytest.approx(6.0 * stats.sem_pairs, rel=1e-12)
-
-    def test_tree_floor(self):
-        # trees are whole groups of 2^k pairs: the mean sits within one
-        # discarded remainder of the scaled pair mean
-        stats = simulate_window(McConfig(0.23, 3000, 2, 400, seed=11))
-        scaled = stats.mean_pairs / 4.0
-        assert scaled - 1.0 < stats.mean_trees <= scaled
-
-    def test_single_trial_sem(self):
-        stats = simulate_window(McConfig(0.5, 100, 1, 1, seed=2))
-        assert math.isinf(stats.sem_pairs)
-        assert math.isinf(stats.sem_trees)
 
 
 class TestSimulateRate:
