@@ -1,4 +1,4 @@
-"""Bell-diagonal recursion checks: ideal maps, exact noisy round, k-round pump."""
+"""Bell-diagonal recursion checks: ideal maps, exact noisy round, the k-round pump and its charge."""
 
 import math
 
@@ -185,6 +185,40 @@ class TestPurifyImperfectExact:
             purify_imperfect_exact(S_WORK, 0.5)
         with pytest.raises(ValueError):
             purify_imperfect_exact(S_WORK, -0.1)
+
+
+class TestLowerBounds:
+    """The pump charge the repetition rows use: ideal rounds, gate loss (1 - q_g)^(4n) per merge."""
+
+    def test_purify_lower_noiseless(self):
+        out = purify_k_rounds_lower(S_WORK, 0.0, 3, 1)
+        ideal = purify_ideal(S_WORK)
+        assert out.state.as_tuple() == pytest.approx(ideal.state.as_tuple(), abs=1e-15)
+        assert out.success_prob == pytest.approx(ideal.success_prob, abs=1e-15)
+
+    def test_purify_lower_point(self):
+        out = purify_k_rounds_lower(S_WORK, 7.852e-4, 3, 1)
+        assert out.success_prob == pytest.approx(0.8123069119141373, rel=1e-12)
+        assert out.success_prob == pytest.approx(0.81231, abs=1e-5)
+        # the charged leading coefficient, as the rows fold it into F_final
+        assert out.state.a * (1.0 - 7.852e-4) ** 12 == pytest.approx(0.9785374756847875, rel=1e-12)
+
+    @given(st.floats(0.8, 1.0), st.floats(0.0, 1e-3))
+    def test_bound_ordering(self, a, q_g):
+        # restricted domain where the first-order charge provably holds
+        s = BellDiagonal(a, 1.0 - a, 0.0, 0.0)
+        exact = purify_imperfect_exact(s, q_g)
+        assert purify_k_rounds_lower(s, q_g, 1, 1).success_prob <= exact.success_prob + 1e-12
+        assert purify_ideal(s).state.a * (1.0 - q_g) ** 4 <= exact.state.a + 1e-12
+
+    @given(coeffs, st.floats(0.0, 0.1, exclude_max=True), st.integers(1, 3))
+    def test_success_prob_never_beats_k_exact_rounds(self, t, q_g, k):
+        s = normalized(t)
+        state, p_exact = s, 1.0
+        for _ in range(k):
+            out = purify_imperfect_exact(state, q_g)
+            state, p_exact = out.state, p_exact * out.success_prob
+        assert purify_k_rounds_lower(s, q_g, 1, k).success_prob <= p_exact * (1.0 + 1e-12)
 
 
 class TestPurifyKRounds:

@@ -171,3 +171,20 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(repeaterlab, "no_such_name")
     with pytest.raises(ImportError):
         exec("from repeaterlab import no_such_name", {})
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("bell_algebra", "purify_lower_bound"),
+        ("bell_algebra", "swap_lower_bound"),
+        ("montecarlo", "WindowStats"),
+        ("montecarlo", "simulate_window"),
+    ],
+)
+def test_deleted_export_stays_gone(module, name):
+    # the pump charge lives in purify_k_rounds_lower and the sampler in simulate_rate
+    assert not hasattr(importlib.import_module(f"repeaterlab.{module}"), name)
+    assert not hasattr(repeaterlab, name)
+    with pytest.raises(ImportError):
+        exec(f"from repeaterlab import {name}", {})

@@ -174,6 +174,49 @@ def test_unencoded_charge_bounds_the_exact_line_where_it_holds(point):
         assert f_final <= exact_f_final * (1.0 + 1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_STATES)
+def test_noiseless_swap_is_one_ladder_level(state):
+    assert noisy_swap(state, 0.0) == pytest.approx(ladder(state, 1), rel=0.0, abs=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STATES, st.floats(0.0, 0.5))
+def test_readout_flips_keep_the_swapped_weight(state, q):
+    # the flips only move weight between Bell states: the total is the squared input total
+    assert sum(noisy_swap(state, q)) == pytest.approx(sum(state) ** 2, rel=1e-13, abs=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_POINTS)
+def test_noiseless_exact_line_is_the_pumped_ladder(point):
+    f, k, levels, segment_km, tau_c, _one_minus_t = point
+    cfg = config(UNENCODED, k, levels, segment_km, tau_c, 1e-3, f)
+    f_final, _p_k = exact_unencoded(cfg, f, 0.0)
+    assert f_final == pytest.approx(ladder(pump(stored_pair(cfg, f), k), levels)[0], rel=0.0, abs=1e-12)
+
+
+# check 5's point: 1280 km in 64 segments, tau_c = 0.1 s, 1 - T = 1e-3, F -> 1
+_CHECK_5 = {
+    # k: (model F_final, exact F_final, model P_k, exact P_k)
+    0: (0.8513565623926452, 0.856109498853995, 1.0, 1.0),
+    1: (0.9027977693604505, 0.8289792147891336, 0.993881363867696, 0.9954492515184462),
+    2: (0.897271689475544, 0.8286709396113124, 0.9866639328965715, 0.9897786818945872),
+}
+
+
+@pytest.mark.parametrize("k", sorted(_CHECK_5))
+def test_exact_line_at_check_5(k):
+    f = 1.0 - 1e-9
+    cfg = config(UNENCODED, k, 6, 20.0, 0.1, 1e-3, f)
+    model_f, exact_f, model_p, exact_p = _CHECK_5[k]
+    assert exact_unencoded(cfg, f, gate_error_prob(1.0 - 1e-3)) == pytest.approx((exact_f, exact_p), rel=1e-12)
+    assert _chain(cfg, timing(cfg))(f) == pytest.approx((model_f, model_p), rel=1e-12)
+    # P_k is a lower bound at every depth; F_final only without pumping
+    assert model_p <= exact_p
+    assert (model_f <= exact_f) == (k == 0)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the charge counts one pump tree where the line runs N; F_final 0.90280 > exact 0.82898",

@@ -84,6 +84,32 @@ class TestSimulateRate:
         analytic = rate_purified(with_fidelity(cfg, 0.95))
         assert abs(est.rate_per_memory_hz - analytic) <= 3.0 * est.std_error_hz
 
+    def test_seed_matters(self):
+        cfg = make_cfg()
+        a = simulate_rate(cfg, 0.95, McConfig(0.5, 4096, 0, 200, seed=3))
+        b = simulate_rate(cfg, 0.95, McConfig(0.5, 4096, 0, 200, seed=4))
+        assert a.rate_per_memory_hz != b.rate_per_memory_hz
+
+    def test_tree_floor(self):
+        # one supply stream per seed: the k = 2 survivors are whole trees of
+        # 4 from the same raw pairs the k = 0 estimate counts
+        mc = McConfig(0.5, 3000, 0, 400, seed=11)
+
+        def count(rounds):
+            cfg = with_fidelity(make_cfg(rounds=rounds), 0.95)
+            est = simulate_rate(cfg, 0.95, mc)
+            return est.rate_per_memory_hz * timing(cfg).t_purify_s * mc.blocks * cfg.code.n * mc.trials
+
+        pairs, survivors = count(0), count(2)
+        assert pairs == pytest.approx(round(pairs), abs=1e-6)
+        assert survivors == pytest.approx(round(survivors), abs=1e-6)
+        assert 0.0 < survivors <= pairs / 4.0
+
+    def test_single_trial_sem(self):
+        est = simulate_rate(make_cfg(), 0.95, McConfig(0.5, 100, 0, 1, seed=2))
+        assert math.isinf(est.std_error_hz)
+        assert est.trials == 1
+
     def test_trials_reported(self):
         est = simulate_rate(make_cfg(rounds=0), 0.95, McConfig(0.5, 1024, 0, 37, seed=1))
         assert est.trials == 37
