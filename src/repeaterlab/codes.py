@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bell_algebra import BellDiagonal
 
@@ -25,26 +25,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Code:
-    """An [n, k, d] block code protecting one logical qubit (k = 1)."""
+class Code(namedtuple("Code", "n k d family")):
+    """An [n, k, d] block code protecting one logical qubit (k = 1); family is "repetition" or "css"."""
 
-    n: int
-    k: int
-    d: int
-    family: str  # "repetition" or "css"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k != 1:
-            raise ValueError(f"only single-logical-qubit codes are supported, got k={self.k}")
-        if not 1 <= self.d <= self.n:
-            raise ValueError(f"need 1 <= d <= n, got n={self.n}, d={self.d}")
-        if self.d % 2 == 0:
-            raise ValueError(f"majority decoding needs odd d, got d={self.d}")
-        if self.family not in ("repetition", "css"):
-            raise ValueError(f"unknown code family {self.family!r}")
-        if self.family == "repetition" and self.d != self.n:
-            raise ValueError(f"repetition codes have d = n, got n={self.n}, d={self.d}")
+    def __init__(self, n: int, k: int, d: int, family: str) -> None:
+        if k != 1:
+            raise ValueError(f"only single-logical-qubit codes are supported, got k={k}")
+        if not 1 <= d <= n:
+            raise ValueError(f"need 1 <= d <= n, got n={n}, d={d}")
+        if d % 2 == 0:
+            raise ValueError(f"majority decoding needs odd d, got d={d}")
+        if family not in ("repetition", "css"):
+            raise ValueError(f"unknown code family {family!r}")
+        if family == "repetition" and d != n:
+            raise ValueError(f"repetition codes have d = n, got n={n}, d={d}")
+
+    @classmethod
+    def _make(cls, iterable) -> Code:
+        return cls(*iterable)  # so that _replace validates too
 
     @property
     def label(self) -> str:

@@ -8,13 +8,13 @@ the probe into a dephasing channel on the pair, which sets both the raw
 fidelity of the distributed state and the heralding probability.
 
 All probabilities returned here are plain floats; structured parameters are
-frozen dataclasses validated on construction.
+NamedTuples, validated whenever one is built (``_replace`` included).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "ChannelParams",
@@ -33,8 +33,13 @@ ATTENUATION_LENGTH_KM = 25.5
 FIBER_SPEED_M_PER_S = 2.0e8
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(
+    namedtuple(
+        "ChannelParams",
+        "segment_length_km qubus_strength interaction_angle_rad attenuation_length_km",
+        defaults=[ATTENUATION_LENGTH_KM],
+    )
+):
     """Optical channel between two neighboring repeater stations.
 
     Attributes
@@ -49,22 +54,27 @@ class ChannelParams:
         Dispersive interaction angle theta in (0, pi).
     """
 
-    segment_length_km: float
-    qubus_strength: float
-    interaction_angle_rad: float
-    attenuation_length_km: float = ATTENUATION_LENGTH_KM
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.segment_length_km > 0.0:
-            raise ValueError(f"segment_length_km must be > 0, got {self.segment_length_km}")
-        if not self.attenuation_length_km > 0.0:
-            raise ValueError(f"attenuation_length_km must be > 0, got {self.attenuation_length_km}")
-        if not self.qubus_strength >= 0.0:
-            raise ValueError(f"qubus_strength must be >= 0, got {self.qubus_strength}")
-        if not 0.0 < self.interaction_angle_rad < math.pi:
-            raise ValueError(
-                f"interaction_angle_rad must lie in (0, pi), got {self.interaction_angle_rad}"
-            )
+    def __init__(
+        self,
+        segment_length_km: float,
+        qubus_strength: float,
+        interaction_angle_rad: float,
+        attenuation_length_km: float = ATTENUATION_LENGTH_KM,
+    ) -> None:
+        if not segment_length_km > 0.0:
+            raise ValueError(f"segment_length_km must be > 0, got {segment_length_km}")
+        if not attenuation_length_km > 0.0:
+            raise ValueError(f"attenuation_length_km must be > 0, got {attenuation_length_km}")
+        if not qubus_strength >= 0.0:
+            raise ValueError(f"qubus_strength must be >= 0, got {qubus_strength}")
+        if not 0.0 < interaction_angle_rad < math.pi:
+            raise ValueError(f"interaction_angle_rad must lie in (0, pi), got {interaction_angle_rad}")
+
+    @classmethod
+    def _make(cls, iterable) -> ChannelParams:
+        return cls(*iterable)  # so that _replace validates too
 
     def transmittance(self) -> float:
         return transmittance(self.segment_length_km, self.attenuation_length_km)
@@ -75,8 +85,13 @@ class ChannelParams:
         )
 
 
-@dataclass(frozen=True)
-class HardwareParams:
+class HardwareParams(
+    namedtuple(
+        "HardwareParams",
+        "local_transmission memory_coherence_s fiber_speed_m_per_s",
+        defaults=[FIBER_SPEED_M_PER_S],
+    )
+):
     """Station-local hardware quality.
 
     Attributes
@@ -91,17 +106,24 @@ class HardwareParams:
         Classical/quantum signal velocity, finite and > 0, default 2e8 m/s.
     """
 
-    local_transmission: float
-    memory_coherence_s: float
-    fiber_speed_m_per_s: float = FIBER_SPEED_M_PER_S
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.local_transmission <= 1.0:
-            raise ValueError(f"local_transmission must lie in (0, 1], got {self.local_transmission}")
-        if not self.memory_coherence_s > 0.0:
-            raise ValueError(f"memory_coherence_s must be > 0, got {self.memory_coherence_s}")
-        if not 0.0 < self.fiber_speed_m_per_s < math.inf:
-            raise ValueError(f"fiber_speed_m_per_s must be finite and > 0, got {self.fiber_speed_m_per_s}")
+    def __init__(
+        self,
+        local_transmission: float,
+        memory_coherence_s: float,
+        fiber_speed_m_per_s: float = FIBER_SPEED_M_PER_S,
+    ) -> None:
+        if not 0.0 < local_transmission <= 1.0:
+            raise ValueError(f"local_transmission must lie in (0, 1], got {local_transmission}")
+        if not memory_coherence_s > 0.0:
+            raise ValueError(f"memory_coherence_s must be > 0, got {memory_coherence_s}")
+        if not 0.0 < fiber_speed_m_per_s < math.inf:
+            raise ValueError(f"fiber_speed_m_per_s must be finite and > 0, got {fiber_speed_m_per_s}")
+
+    @classmethod
+    def _make(cls, iterable) -> HardwareParams:
+        return cls(*iterable)  # so that _replace validates too
 
     def gate_error(self) -> float:
         return gate_error_prob(self.local_transmission)

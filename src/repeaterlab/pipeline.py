@@ -23,7 +23,7 @@ Rates are quoted per memory qubit: R = P0 P_k / (n 2^k (k/2 + 1) T0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import Callable, NamedTuple, Sequence
 
 from .bell_algebra import (
@@ -76,49 +76,60 @@ _F_HI = 1.0 - 1e-9
 _F_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
+class ProtocolConfig(
+    namedtuple(
+        "ProtocolConfig",
+        "total_distance_km segment_km code rounds hardware channel fidelity attenuation_km",
+        defaults=[None, None, ATTENUATION_LENGTH_KM],
+    )
+):
     """One repeater operating point.
 
     The raw pair fidelity comes either from an explicit ``fidelity`` or
     from a ``channel`` (qubus strength and angle); exactly one must be
     given.  ``total_distance_km / segment_km`` must be a power of two >= 2.
+    ``attenuation_km`` is used only when ``channel`` is None.
     """
 
-    total_distance_km: float
-    segment_km: float
-    code: Code
-    rounds: int
-    hardware: HardwareParams
-    channel: ChannelParams | None = None
-    fidelity: float | None = None
-    attenuation_km: float = ATTENUATION_LENGTH_KM  # used only when channel is None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.total_distance_km > 0.0:
-            raise ValueError(f"total_distance_km must be > 0, got {self.total_distance_km}")
-        if not self.segment_km > 0.0:
-            raise ValueError(f"segment_km must be > 0, got {self.segment_km}")
-        if not self.attenuation_km > 0.0:
-            raise ValueError(f"attenuation_km must be > 0, got {self.attenuation_km}")
-        if type(self.rounds) is not int or not 0 <= self.rounds <= MAX_ROUNDS:
-            raise ValueError(f"rounds must be an integer in [0, {MAX_ROUNDS}], got {self.rounds!r}")
-        if (self.channel is None) == (self.fidelity is None):
+    def __init__(
+        self,
+        total_distance_km: float,
+        segment_km: float,
+        code: Code,
+        rounds: int,
+        hardware: HardwareParams,
+        channel: ChannelParams | None = None,
+        fidelity: float | None = None,
+        attenuation_km: float = ATTENUATION_LENGTH_KM,
+    ) -> None:
+        if not total_distance_km > 0.0:
+            raise ValueError(f"total_distance_km must be > 0, got {total_distance_km}")
+        if not segment_km > 0.0:
+            raise ValueError(f"segment_km must be > 0, got {segment_km}")
+        if not attenuation_km > 0.0:
+            raise ValueError(f"attenuation_km must be > 0, got {attenuation_km}")
+        if type(rounds) is not int or not 0 <= rounds <= MAX_ROUNDS:
+            raise ValueError(f"rounds must be an integer in [0, {MAX_ROUNDS}], got {rounds!r}")
+        if (channel is None) == (fidelity is None):
             raise ValueError("give exactly one of channel= or fidelity=")
-        if self.fidelity is not None and not 0.5 < self.fidelity <= 1.0:
-            raise ValueError(f"fidelity must lie in (1/2, 1], got {self.fidelity}")
-        if self.channel is not None and self.channel.segment_length_km != self.segment_km:
+        if fidelity is not None and not 0.5 < fidelity <= 1.0:
+            raise ValueError(f"fidelity must lie in (1/2, 1], got {fidelity}")
+        if channel is not None and channel.segment_length_km != segment_km:
             raise ValueError("channel.segment_length_km must equal segment_km")
-        self.num_segments()  # validates the L / L0 ratio
-
-    def num_segments(self) -> int:
-        ratio = self.total_distance_km / self.segment_km
+        ratio = total_distance_km / segment_km
         n = round(ratio) if math.isfinite(ratio) else 0
         if abs(ratio - n) > 1e-9 or n < 2 or n & (n - 1) != 0:
-            raise ValueError(
-                f"total_distance_km / segment_km must be a power of two >= 2, got {ratio}"
-            )
-        return n
+            raise ValueError(f"total_distance_km / segment_km must be a power of two >= 2, got {ratio}")
+
+    @classmethod
+    def _make(cls, iterable) -> ProtocolConfig:
+        return cls(*iterable)  # so that _replace validates too
+
+    def num_segments(self) -> int:
+        """N = L / L0, a power of two >= 2 (checked when the config is built)."""
+        return round(self.total_distance_km / self.segment_km)
 
     def raw_fidelity(self) -> float:
         if self.fidelity is not None:
@@ -141,10 +152,7 @@ class Timing(NamedTuple):
 
 
 class SweepResult(NamedTuple):
-    """One evaluated grid point; ``error`` is set instead of raising.
-
-    A NamedTuple rather than a frozen dataclass: one is built per grid row.
-    """
+    """One evaluated grid point; ``error`` is set instead of raising."""
 
     code_label: str
     family: str
@@ -162,8 +170,7 @@ class SweepResult(NamedTuple):
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
+class OperatingPoint(NamedTuple):
     """Smallest raw fidelity meeting a final-fidelity target, if any."""
 
     feasible: bool
@@ -313,7 +320,7 @@ def evaluate(cfg: ProtocolConfig) -> SweepResult:
 def with_fidelity(cfg: ProtocolConfig, f: float) -> ProtocolConfig:
     """Copy of ``cfg`` pinned to a direct raw fidelity, channel geometry kept."""
     att = cfg.channel.attenuation_length_km if cfg.channel is not None else cfg.attenuation_km
-    return replace(cfg, fidelity=f, channel=None, attenuation_km=att)
+    return cfg._replace(fidelity=f, channel=None, attenuation_km=att)
 
 
 def operating_point(cfg: ProtocolConfig, target_f_final: float) -> OperatingPoint:

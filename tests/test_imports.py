@@ -111,6 +111,31 @@ def test_cli_imports_qubus_only_for_qubus_check(tmp_path, argv, imports_qubus):
     assert _leaves_imported(program, "repeaterlab.qubus", cwd=tmp_path) == imports_qubus
 
 
+@pytest.mark.parametrize(
+    "program, imports_dataclasses",
+    [
+        pytest.param("import repeaterlab.pipeline", False, id="pipeline"),
+        pytest.param("import repeaterlab.cli", False, id="cli"),
+        # the numpy-side value types are still dataclasses
+        pytest.param("import repeaterlab.oracle", True, id="oracle"),
+    ],
+)
+def test_closed_form_model_imports_no_dataclasses(program, imports_dataclasses):
+    # its value types are NamedTuples; dataclasses would also load inspect, ast, dis and tokenize
+    assert _leaves_imported(program, "dataclasses") == imports_dataclasses
+
+
+def test_python_dash_m_rate_sweep_imports_no_dataclasses(tmp_path):
+    (tmp_path / "grid.cfg").write_text("[case rep]\ncode = [3,1,3]\n[case steane]\ncode = [7,1,3]\nrounds = 1\n")
+    argv = ["rate-sweep", "--config", "grid.cfg", "--out", "rates.csv"]
+    proc = _python("-X", "importtime", "-m", "repeaterlab", *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "repeaterlab.pipeline" in imported
+    assert "dataclasses" not in imported
+    assert len((tmp_path / "rates.csv").read_text().splitlines()) == 3
+
+
 def test_python_dash_m_runs_the_cli_without_numpy():
     proc = _python("-X", "importtime", "-m", "repeaterlab", *POINT)
     assert proc.returncode == 0, proc.stderr

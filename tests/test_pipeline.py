@@ -158,6 +158,14 @@ class TestTiming:
         assert tm.t_purify_s == pytest.approx(tm.t0_s, rel=1e-12)
         assert tm.t_half_s == pytest.approx(tm.t0_s / 2.0, rel=1e-12)
 
+    def test_segment_count_is_num_segments(self):
+        # L / L0 = 64.0000000005 is within the constructor's 1e-9 of 64
+        for cfg in [*catalog_grid(), make_cfg(total=1280.0 + 1e-8), make_cfg(total=0.6, segment=0.3)]:
+            n = timing(cfg).num_segments
+            assert n == cfg.num_segments()
+            assert type(n) is int and n >= 2 and n & (n - 1) == 0
+            assert n == pytest.approx(cfg.total_distance_km / cfg.segment_km, rel=1e-9)
+
 
 class TestFinalFidelity:
     def test_perfect_hardware_is_lossless(self):

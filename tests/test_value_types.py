@@ -18,7 +18,7 @@ from repeaterlab.core import (
     ChannelParams,
     HardwareParams,
 )
-from repeaterlab.pipeline import OperatingPoint, ProtocolConfig, SweepResult, operating_point
+from repeaterlab.pipeline import OperatingPoint, ProtocolConfig, SweepResult, operating_point, with_fidelity
 
 STATE = (0.9, 0.05, 0.03, 0.02)
 REP = (3, 1, 3, "repetition")
@@ -325,3 +325,108 @@ class TestKeywordConstruction:
         )
         assert rebuilt == op
         assert isinstance(op.result, SweepResult)
+
+
+class TestTuples:
+    """The value types are tuples: they unpack and compare like their fields."""
+
+    def test_compare_equal_to_a_plain_tuple(self):
+        assert BellDiagonal(*STATE) == STATE
+        assert tuple(BellDiagonal(*STATE)) == STATE
+        assert Code(*REP) == REP
+        assert HardwareParams(*HW) == (*HW, FIBER_SPEED_M_PER_S)
+        assert hash(Code(*REP)) == hash(REP)
+
+    def test_unpack(self):
+        a, b, c, d = BellDiagonal(*STATE)
+        assert (a, b, c, d) == STATE
+        state, p = PurifyOutcome(BellDiagonal(*STATE), 0.5)
+        assert state == BellDiagonal(*STATE) and p == 0.5
+
+
+# (instance, a _replace that breaks one rule, the constructor's message)
+REPLACE_MESSAGES = [
+    pytest.param(_cfg, {"fidelity": 0.3}, "fidelity must lie in (1/2, 1], got 0.3", id="ProtocolConfig"),
+    pytest.param(
+        lambda: BellDiagonal(*STATE), {"a": -0.1}, "coefficient a must be >= 0, got -0.1", id="BellDiagonal"
+    ),
+    pytest.param(
+        lambda: HardwareParams(*HW), {"local_transmission": 0.0}, "local_transmission must lie in (0, 1], got 0.0",
+        id="HardwareParams",
+    ),
+    pytest.param(
+        lambda: PurifyOutcome(BellDiagonal(*STATE), 0.5), {"success_prob": 2.0},
+        "success_prob must lie in [0, 1], got 2.0", id="PurifyOutcome",
+    ),
+    pytest.param(lambda: Code(*REP), {"d": 1}, "repetition codes have d = n, got n=3, d=1", id="Code"),
+    pytest.param(
+        lambda: ChannelParams(*CHANNEL), {"interaction_angle_rad": 4.0},
+        "interaction_angle_rad must lie in (0, pi), got 4.0", id="ChannelParams",
+    ),
+    pytest.param(
+        _channel_cfg, {"channel": None}, "give exactly one of channel= or fidelity=", id="ProtocolConfig-channel"
+    ),
+]
+
+
+class TestReplace:
+    @pytest.mark.parametrize("build, change, message", REPLACE_MESSAGES)
+    def test_replace_validates(self, build, change, message):
+        with pytest.raises(ValueError) as excinfo:
+            build()._replace(**change)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("build, change, message", REPLACE_MESSAGES)
+    def test_make_validates(self, build, change, message):
+        value = build()
+        fields = [change.get(name, getattr(value, name)) for name in value._fields]
+        with pytest.raises(ValueError) as excinfo:
+            type(value)._make(fields)
+        assert str(excinfo.value) == message
+
+    def test_replace_clamps_like_the_constructor(self):
+        s = BellDiagonal(1.0, 0.0, 0.0, 0.0)._replace(a=0.5, b=0.5, c=-1e-13)
+        assert type(s) is BellDiagonal
+        assert s == BellDiagonal(0.5, 0.5, 0.0, 0.0)
+
+    def test_valid_replace_builds_the_same_value(self):
+        cfg = _cfg()._replace(rounds=1, fidelity=0.97)
+        assert type(cfg) is ProtocolConfig
+        assert cfg == _cfg(rounds=1, fidelity=0.97)
+        assert HardwareParams(*HW)._replace(memory_coherence_s=1.0) == HardwareParams(0.999, 1.0)
+
+    def test_replace_still_rejects_unknown_fields(self):
+        with pytest.raises(ValueError, match="Got unexpected field names: \\['rate'\\]"):
+            _cfg()._replace(rate=1.0)
+
+    def test_make_still_rejects_a_short_iterable(self):
+        with pytest.raises(TypeError):
+            Code._make((3, 1, 3))
+
+
+def test_with_fidelity_validates_the_copy():
+    with pytest.raises(ValueError) as excinfo:
+        with_fidelity(_cfg(), 0.5)
+    assert str(excinfo.value) == "fidelity must lie in (1/2, 1], got 0.5"
+    with pytest.raises(ValueError) as excinfo:
+        with_fidelity(_channel_cfg(), 0.5)
+    assert str(excinfo.value) == "fidelity must lie in (1/2, 1], got 0.5"
+    assert with_fidelity(_channel_cfg(), 0.9) == _cfg(code=Code(7, 1, 3, "css"), rounds=1, fidelity=0.9)
+
+
+def test_bell_diagonal_init_sees_the_constructor_arguments(monkeypatch):
+    # a span tracer wraps a class's __init__ and forwards the constructor's
+    # arguments; the checks live there, so the wrapped span times them
+    seen = []
+    original = BellDiagonal.__init__
+
+    def wrapped(self, *args, **kwargs):
+        seen.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BellDiagonal, "__init__", wrapped)
+    assert BellDiagonal(*STATE) == STATE
+    assert BellDiagonal(1.0, -1e-13, 0.0, 0.0) == (1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="coefficient a must be >= 0, got -0.1"):
+        BellDiagonal(-0.1, 0.5, 0.3, 0.1)
+    assert seen == [STATE, (1.0, -1e-13, 0.0, 0.0), (-0.1, 0.5, 0.3, 0.1)]
