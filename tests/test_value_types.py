@@ -6,6 +6,7 @@ assignment, take keywords with their defaults, and fail every rule their
 constructor enforces with one exact message.
 """
 
+import inspect
 import math
 
 import pytest
@@ -317,6 +318,12 @@ class TestKeywordConstruction:
         by_channel = ProtocolConfig(1280.0, 20.0, Code(*REP), 2, HardwareParams(*HW), channel=ch)
         assert by_channel.fidelity is None
         assert by_channel.channel is ch
+
+    @pytest.mark.parametrize("cls", [ChannelParams, HardwareParams, ProtocolConfig])
+    def test_checked_defaults_are_the_stored_defaults(self, cls):
+        # __init__ checks what namedtuple's __new__ stored, so both must default alike
+        params = inspect.signature(cls.__init__).parameters.values()
+        assert {p.name: p.default for p in params if p.default is not p.empty} == cls._field_defaults
 
     def test_operating_point(self):
         op = _solve()
