@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repeaterlab import pipeline
-from repeaterlab.bell_algebra import BellDiagonal, purify_ideal, swap_ideal
-from repeaterlab.codes import code_catalog
-from repeaterlab.core import ChannelParams, HardwareParams
+from repeaterlab.bell_algebra import BellDiagonal, PurifyOutcome, purify_ideal, swap_ideal
+from repeaterlab.codes import code_catalog, effective_coefficients, logical_error_prob, pair_no_error_prob
+from repeaterlab.core import ChannelParams, HardwareParams, memory_error_prob
 from repeaterlab.pipeline import (
     _F_HI,
     _F_LO,
@@ -249,6 +249,83 @@ class TestFinalFidelity:
         # frozen: Steane code end-to-end at the default hardware point
         cfg = make_cfg("[7,1,3]", rounds=2, tau_c=0.1, one_minus_t=1e-3, fidelity=1.0 - 1e-9)
         assert final_fidelity(cfg) == pytest.approx(0.9260109135912726, rel=1e-9)
+
+
+REPETITION = [c for c in code_catalog() if c.family == "repetition"]
+# (code, k) -> log2 of the first N whose row errors at F = 0.9, tau_c = 0.1 s,
+# T = 0.999 and L0 = 20 km; None: no row errors up to N = 2^63
+FIRST_ERRORED_LEVEL = {
+    ("[1,1,1]", 0): 14,
+    ("[1,1,1]", 2): 13,
+    ("[3,1,3]", 0): 15,
+    ("[3,1,3]", 2): 15,
+    ("[7,1,7]", 0): None,
+    ("[7,1,7]", 2): 12,
+    ("[51,1,51]", 0): 17,
+    ("[51,1,51]", 2): 16,
+}
+
+
+def kernel_chain(cfg):
+    """(F_final, P_k) of a repetition row, composed one public kernel call per step."""
+    code, k, tm = cfg.code, cfg.rounds, timing(cfg)
+    q_g = cfg.hardware.gate_error()
+    q_m = memory_error_prob(tm.t_purify_s / 2.0, cfg.hardware.memory_coherence_s)
+    state = effective_coefficients(cfg.fidelity, pair_no_error_prob(logical_error_prob(code, q_m)))
+    p_chain = 1.0
+    for _ in range(k):
+        step = purify_ideal(state)
+        state, p_chain = step.state, p_chain * step.success_prob
+    p_k = PurifyOutcome(state, p_chain * (1.0 - q_g) ** (4 * code.n * (2**k - 1))).success_prob
+    for _ in range(tm.num_segments.bit_length() - 1):
+        state = swap_ideal(state)
+    return state.a * (1.0 - q_g) ** (2 * code.n * (tm.num_segments - 1 + 2 * (2**k - 1))), p_k
+
+
+class TestRepetitionChain:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        code=st.sampled_from(REPETITION),
+        k=st.integers(0, 3),
+        levels=st.integers(1, 20),
+        segment=st.sampled_from([10.0, 20.0, 40.0]),
+        tau_c=st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+        one_minus_t=st.one_of(st.just(0.0), st.floats(-6.0, -1.0).map(lambda e: 10.0**e)),
+        f=st.floats(0.5, 1.0, exclude_min=True),
+    )
+    def test_chain_is_the_public_kernels_step_by_step(self, code, k, levels, segment, tau_c, one_minus_t, f):
+        cfg = make_cfg(code.label, k, tau_c, one_minus_t, fidelity=f, total=segment * 2**levels, segment=segment)
+        row = evaluate(cfg)
+        try:
+            want = kernel_chain(cfg)
+        except (ValueError, ArithmeticError) as exc:
+            assert row.error == str(exc)
+            for fn in (final_fidelity, pump_success_probability):
+                with pytest.raises(type(exc)) as info:
+                    fn(cfg)
+                assert str(info.value) == str(exc)
+            return
+        want = tuple(v.hex() for v in want)
+        assert row.error is None
+        assert (row.f_final.hex(), row.p_k.hex()) == want
+        assert (final_fidelity(cfg).hex(), pump_success_probability(cfg).hex()) == want
+
+    def test_deep_ladder_error_row(self):
+        row = evaluate(make_cfg("[3,1,3]", 2, 0.1, 1e-3, fidelity=0.9, total=20.0 * 2**15))
+        assert row.error == "coefficients must sum to <= 1, got 1.0000000000010947"
+
+    @pytest.mark.parametrize("label, k", list(FIRST_ERRORED_LEVEL))
+    def test_first_errored_ladder_depth(self, label, k):
+        # the swap ladder roughly doubles the rounding in the coefficient sum
+        # per level; each level is checked, so every deeper row stops at the
+        # same level with the same message
+        cfgs = [make_cfg(label, k, 0.1, 1e-3, fidelity=0.9, total=20.0 * 2**lv) for lv in range(1, 64)]
+        errors = [evaluate(cfg).error for cfg in cfgs]
+        first = next((lv for lv, error in enumerate(errors, 1) if error is not None), None)
+        assert first == FIRST_ERRORED_LEVEL[label, k]
+        if first is not None:
+            assert set(errors[first - 1:]) == {errors[first - 1]}
+            assert errors[first - 1].startswith("coefficients must sum to <= 1, got 1.00000000000")
 
 
 class TestRates:
