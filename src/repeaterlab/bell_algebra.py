@@ -100,6 +100,37 @@ def _check_gate_error(q_g: float) -> None:
         raise ValueError(f"gate error must lie in [0, 1/2), got {q_g}")
 
 
+def _purify(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float, float]:
+    """Float kernel of :func:`purify_ideal`: (A', B', C', D', P) of the state (a, b, c, d).
+
+    The result passes the checks of ``BellDiagonal`` and ``PurifyOutcome``:
+    a step that fails them is built as the object, which stores rounding
+    dust below zero as 0.0 or raises.
+    """
+    p = (a + d) ** 2 + (b + c) ** 2
+    if p <= 0.0:
+        raise ArithmeticError("purification branch has zero weight; state cannot be post-selected")
+    a, b, c, d = (a * a + d * d) / p, 2.0 * a * d / p, (b * b + c * c) / p, 2.0 * b * c / p
+    if not (a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0 and a + b + c + d <= 1.0 + _COEFF_TOL):
+        a, b, c, d = BellDiagonal(a, b, c, d)
+    if not -_COEFF_TOL <= p <= 1.0 + _COEFF_TOL:
+        PurifyOutcome(BellDiagonal(a, b, c, d), p)  # raises
+    return a, b, c, d, p
+
+
+def _swap(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
+    """Float kernel of :func:`swap_ideal`, checked like :func:`_purify`."""
+    a, b, c, d = (
+        a * a + b * b + c * c + d * d,
+        2.0 * (a * b + c * d),
+        2.0 * (a * c + b * d),
+        2.0 * (b * c + a * d),
+    )
+    if not (a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0 and a + b + c + d <= 1.0 + _COEFF_TOL):
+        a, b, c, d = BellDiagonal(a, b, c, d)
+    return a, b, c, d
+
+
 def purify_ideal(s: BellDiagonal) -> PurifyOutcome:
     """One perfect-gate purification round on two copies of ``s``.
 
@@ -110,14 +141,8 @@ def purify_ideal(s: BellDiagonal) -> PurifyOutcome:
 
     with success probability P = (A + D)^2 + (B + C)^2.
     """
-    a, b, c, d = s.as_tuple()
-    p = (a + d) ** 2 + (b + c) ** 2
-    if p <= 0.0:
-        raise ArithmeticError("purification branch has zero weight; state cannot be post-selected")
-    return PurifyOutcome(
-        BellDiagonal((a * a + d * d) / p, 2.0 * a * d / p, (b * b + c * c) / p, 2.0 * b * c / p),
-        p,
-    )
+    a, b, c, d, p = _purify(*s)
+    return PurifyOutcome(BellDiagonal(a, b, c, d), p)
 
 
 def swap_ideal(s: BellDiagonal) -> BellDiagonal:
@@ -131,13 +156,7 @@ def swap_ideal(s: BellDiagonal) -> BellDiagonal:
         C' = 2(AC + BD)
         D' = 2(BC + AD).
     """
-    a, b, c, d = s.as_tuple()
-    return BellDiagonal(
-        a * a + b * b + c * c + d * d,
-        2.0 * (a * b + c * d),
-        2.0 * (a * c + b * d),
-        2.0 * (b * c + a * d),
-    )
+    return BellDiagonal(*_swap(*s))
 
 
 def purify_imperfect_exact(s: BellDiagonal, q_g: float) -> PurifyOutcome:
@@ -153,7 +172,7 @@ def purify_imperfect_exact(s: BellDiagonal, q_g: float) -> PurifyOutcome:
     q_g = 0 reduces exactly to :func:`purify_ideal`.
     """
     _check_gate_error(q_g)
-    a, b, c, d = s.as_tuple()
+    a, b, c, d = s
     q = q_g
     m = (-1.0 + q) * q          # -q(1-q)
     u = 1.0 + 2.0 * (-1.0 + q) * q  # 1 - 2q(1-q)
@@ -216,11 +235,11 @@ def purify_k_rounds_lower(s: BellDiagonal, q_g: float, n: int, k: int) -> Purify
     _check_code_length(n)
     if not (isinstance(k, int) and k >= 0):
         raise ValueError(f"round count k must be an integer >= 0, got {k}")
-    state = s
+    if k == 0:
+        return PurifyOutcome(s, 1.0)
+    a, b, c, d = s
     p_chain = 1.0
     for _ in range(k):
-        step = purify_ideal(state)
-        state = step.state
-        p_chain *= step.success_prob
-    g = _gate_charge(q_g, 4 * n * (2**k - 1))
-    return PurifyOutcome(state, p_chain * g)
+        a, b, c, d, p = _purify(a, b, c, d)
+        p_chain *= p
+    return PurifyOutcome(BellDiagonal(a, b, c, d), p_chain * _gate_charge(q_g, 4 * n * (2**k - 1)))

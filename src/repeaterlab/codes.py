@@ -31,6 +31,9 @@ class Code(namedtuple("Code", "n k d family")):
     __slots__ = ()
 
     def __init__(self, n: int, k: int, d: int, family: str) -> None:
+        for name, value in (("n", n), ("k", k), ("d", d)):
+            if type(value) is not int:
+                raise ValueError(f"code parameter {name} must be an integer, got {value!r}")
         if k != 1:
             raise ValueError(f"only single-logical-qubit codes are supported, got k={k}")
         if not 1 <= d <= n:

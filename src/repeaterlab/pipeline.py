@@ -27,11 +27,14 @@ from collections import namedtuple
 from typing import Callable, NamedTuple, Sequence
 
 from .bell_algebra import (
+    _COEFF_TOL,
     BellDiagonal,
+    PurifyOutcome,
+    _check_gate_error,
     _gate_charge,
+    _purify,
+    _swap,
     purify_imperfect_exact,
-    purify_k_rounds_lower,
-    swap_ideal,
 )
 from .codes import (
     Code,
@@ -215,14 +218,23 @@ def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, fl
         q_logical = logical_error_prob(code, memory_error_prob(tm.t_purify_s / 2.0, tau_c))
         p_pair = pair_no_error_prob(q_logical)
         levels = int(math.log2(n_seg))
+        _check_gate_error(q_g)
+        pump = _gate_charge(q_g, 4 * code.n * (2**k - 1))
         gates = _gate_charge(q_g, 2 * code.n * (n_seg - 1 + 2 * (2**k - 1)))
 
         def price(f: float) -> tuple[float, float]:
-            pumped = purify_k_rounds_lower(effective_coefficients(f, p_pair), q_g, code.n, k)
-            state = pumped.state
+            # purify_k_rounds_lower, then swap_ideal per level, on four floats
+            a, b, c, d = effective_coefficients(f, p_pair)
+            p_chain = 1.0
+            for _ in range(k):
+                a, b, c, d, p = _purify(a, b, c, d)
+                p_chain *= p
+            p_k = p_chain * pump
+            if not -_COEFF_TOL <= p_k <= 1.0 + _COEFF_TOL:
+                PurifyOutcome(BellDiagonal(a, b, c, d), p_k)  # raises
             for _ in range(levels):
-                state = swap_ideal(state)
-            return state.a * gates, pumped.success_prob
+                a, b, c, d = _swap(a, b, c, d)
+            return a * gates, p_k
 
         return price
     q_m = memory_error_prob(tm.t_half_s / 2.0, tau_c)

@@ -131,6 +131,17 @@ MESSAGES = [
     pytest.param(
         lambda: Code(7, 1, 3, "repetition"), "repetition codes have d = n, got n=7, d=3", id="code-repetition-d"
     ),
+    pytest.param(lambda: Code(7.5, 1, 3, "css"), "code parameter n must be an integer, got 7.5", id="code-n-float"),
+    pytest.param(
+        lambda: Code(3, 1.0, 3, "repetition"), "code parameter k must be an integer, got 1.0", id="code-k-float"
+    ),
+    pytest.param(lambda: Code(7, 1, 3.0, "css"), "code parameter d must be an integer, got 3.0", id="code-d-float"),
+    pytest.param(
+        lambda: Code(True, 1, True, "repetition"), "code parameter n must be an integer, got True", id="code-n-bool"
+    ),
+    pytest.param(lambda: Code("7", 1, 3, "css"), "code parameter n must be an integer, got '7'", id="code-n-str"),
+    # the integer rule runs before the range rules
+    pytest.param(lambda: Code(7, 2, 3.5, "css"), "code parameter d must be an integer, got 3.5", id="code-type-first"),
     pytest.param(
         lambda: ChannelParams(0.0, 0.001, 0.01), "segment_length_km must be > 0, got 0.0", id="channel-segment"
     ),
@@ -366,6 +377,7 @@ REPLACE_MESSAGES = [
         "success_prob must lie in [0, 1], got 2.0", id="PurifyOutcome",
     ),
     pytest.param(lambda: Code(*REP), {"d": 1}, "repetition codes have d = n, got n=3, d=1", id="Code"),
+    pytest.param(lambda: Code(*REP), {"n": 3.0}, "code parameter n must be an integer, got 3.0", id="Code-float"),
     pytest.param(
         lambda: ChannelParams(*CHANNEL), {"interaction_angle_rad": 4.0},
         "interaction_angle_rad must lie in (0, pi), got 4.0", id="ChannelParams",
