@@ -3,7 +3,9 @@
 States are written in the Bell basis as rho = A |phi+><phi+| + B |phi-><phi-|
 + C |psi+><psi+| + D |psi-><psi-|.  Purification follows Deutsch et al.,
 PRL 77, 2818 (1996); entanglement swapping follows Briegel et al., PRL 81,
-5932 (1998).  Both are closed maps on (A, B, C, D).
+5932 (1998).  Both are closed maps on (A, B, C, D); each map's formula is
+one private float kernel, which the public functions wrap and the
+pipeline's repetition chain calls on four floats.
 
 Noisy local gates with dephasing weight q_g enter in two ways:
 

@@ -221,6 +221,25 @@ class TestLowerBounds:
         assert purify_k_rounds_lower(s, q_g, 1, k).success_prob <= p_exact * (1.0 + 1e-12)
 
 
+# sums to 1 + 9e-13, inside the tolerance; one purification or swap step
+# squares the sum past it
+S_EDGE = BellDiagonal(0.6, 0.0, 0.0, 0.4000000000009)
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        (lambda: purify_ideal(S_EDGE), "success_prob must lie in [0, 1], got 1.0000000000018"),
+        (lambda: purify_k_rounds_lower(S_EDGE, 0.0, 1, 2), "success_prob must lie in [0, 1], got 1.0000000000018"),
+        (lambda: swap_ideal(S_EDGE), "coefficients must sum to <= 1, got 1.0000000000018"),
+    ],
+)
+def test_step_past_the_tolerance_raises_the_value_types_message(step, message):
+    with pytest.raises(ValueError) as excinfo:
+        step()
+    assert str(excinfo.value) == message
+
+
 class TestPurifyKRounds:
     def test_k0_identity(self):
         out = purify_k_rounds_lower(S_WORK, 1e-3, 3, 0)
