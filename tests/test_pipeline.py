@@ -11,8 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repeaterlab import pipeline
-from repeaterlab.bell_algebra import BellDiagonal, PurifyOutcome, purify_ideal, swap_ideal
-from repeaterlab.codes import code_catalog, effective_coefficients, logical_error_prob, pair_no_error_prob
+from repeaterlab.bell_algebra import BellDiagonal, PurifyOutcome, purify_ideal, purify_imperfect_exact, swap_ideal
+from repeaterlab.codes import (
+    code_catalog,
+    css_effective_qubit_error,
+    effective_coefficients,
+    logical_error_prob,
+    pair_no_error_prob,
+)
 from repeaterlab.core import ChannelParams, HardwareParams, memory_error_prob
 from repeaterlab.pipeline import (
     _F_HI,
@@ -326,6 +332,52 @@ class TestRepetitionChain:
         if first is not None:
             assert set(errors[first - 1:]) == {errors[first - 1]}
             assert errors[first - 1].startswith("coefficients must sum to <= 1, got 1.00000000000")
+
+
+CSS = [c for c in code_catalog() if c.family == "css"]
+
+
+def css_kernel_chain(cfg):
+    """(F_final, P_k) of a css row, composed one public kernel call per step."""
+    code, k, tm = cfg.code, cfg.rounds, timing(cfg)
+    q_g = cfg.hardware.gate_error()
+    q_m = memory_error_prob(tm.t_half_s / 2.0, cfg.hardware.memory_coherence_s)
+    state = BellDiagonal(cfg.fidelity, 1.0 - cfg.fidelity, 0.0, 0.0)
+    p_chain = 1.0
+    for _ in range(k):
+        step = purify_imperfect_exact(state, q_g)
+        state, p_chain = step.state, p_chain * step.success_prob
+    q_eff, _clamped = css_effective_qubit_error(q_m, q_g, state.a)
+    return (1.0 - logical_error_prob(code, q_eff)) ** (2 * tm.num_segments), p_chain
+
+
+class TestCssChain:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        code=st.sampled_from(CSS),
+        k=st.integers(0, 3),
+        levels=st.integers(1, 12),
+        segment=st.sampled_from([10.0, 20.0, 40.0]),
+        tau_c=st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+        one_minus_t=st.one_of(st.just(0.0), st.floats(-6.0, -1.0).map(lambda e: 10.0**e)),
+        f=st.floats(0.5, 1.0, exclude_min=True),
+    )
+    def test_chain_is_the_public_kernels_step_by_step(self, code, k, levels, segment, tau_c, one_minus_t, f):
+        cfg = make_cfg(code.label, k, tau_c, one_minus_t, fidelity=f, total=segment * 2**levels, segment=segment)
+        row = evaluate(cfg)
+        try:
+            want = css_kernel_chain(cfg)
+        except (ValueError, ArithmeticError) as exc:
+            assert row.error == str(exc)
+            for fn in (final_fidelity, pump_success_probability):
+                with pytest.raises(type(exc)) as info:
+                    fn(cfg)
+                assert str(info.value) == str(exc)
+            return
+        want = tuple(v.hex() for v in want)
+        assert row.error is None
+        assert (row.f_final.hex(), row.p_k.hex()) == want
+        assert (final_fidelity(cfg).hex(), pump_success_probability(cfg).hex()) == want
 
 
 class TestRates:
