@@ -5,7 +5,7 @@ States are written in the Bell basis as rho = A |phi+><phi+| + B |phi-><phi-|
 PRL 77, 2818 (1996); entanglement swapping follows Briegel et al., PRL 81,
 5932 (1998).  Both are closed maps on (A, B, C, D); each map's formula is
 one private float kernel, which the public functions wrap and the
-pipeline's repetition chain calls on four floats.
+pipeline's chain calls on four floats for both code families.
 
 Noisy local gates with dephasing weight q_g enter in two ways:
 
@@ -120,6 +120,55 @@ def _purify(a: float, b: float, c: float, d: float) -> tuple[float, float, float
     return a, b, c, d, p
 
 
+def _purify_noisy(a: float, b: float, c: float, d: float, q: float) -> tuple[float, float, float, float, float]:
+    """Float kernel of :func:`purify_imperfect_exact` at gate error q, checked like :func:`_purify`."""
+    m = (-1.0 + q) * q          # -q(1-q)
+    u = 1.0 + 2.0 * (-1.0 + q) * q  # 1 - 2q(1-q)
+    num_a = (
+        d * d
+        + a * a * u * u
+        - 2.0 * a * m * (c + 2.0 * d + 2.0 * (b - c - 2.0 * d) * q + 2.0 * (-b + c + 2.0 * d) * q * q)
+        - 2.0 * d * m * (-2.0 * d - 2.0 * (c + d) * m + b * u)
+    )
+    num_b = (
+        -2.0 * d * m * (c + d - 2.0 * (-b + c + d) * q + 2.0 * (-b + c + d) * q * q)
+        + 2.0 * a * a * q * (1.0 + q * (-3.0 - 2.0 * (-2.0 + q) * q))
+        + 2.0 * a * (d * u * u - m * (-2.0 * c * m + b * u))
+    )
+    num_c = (
+        c * c
+        + b * b * u * u
+        - 2.0 * c * m * (-2.0 * c - 2.0 * (c + d) * m + a * u)
+        - 2.0 * b * m * (-2.0 * a * m + d * u + c * (2.0 + 4.0 * (-1.0 + q) * q))
+    )
+    num_d = (
+        -2.0 * c * m * (c + d - 2.0 * (-a + c + d) * q + 2.0 * (-a + c + d) * q * q)
+        + 2.0 * b * b * q * (1.0 + q * (-3.0 - 2.0 * (-2.0 + q) * q))
+        + 2.0 * b * (c * u * u - m * (-2.0 * d * m + a * u))
+    )
+    p = (b + c) ** 2 + (a + d) ** 2 - 2.0 * (a - b - c + d) ** 2 * q + 2.0 * (a - b - c + d) ** 2 * q * q
+    if p <= 0.0:
+        raise ArithmeticError("purification branch has zero weight; state cannot be post-selected")
+    a, b, c, d = num_a / p, num_b / p, num_c / p, num_d / p
+    if not (a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0 and a + b + c + d <= 1.0 + _COEFF_TOL):
+        a, b, c, d = BellDiagonal(a, b, c, d)
+    if not -_COEFF_TOL <= p <= 1.0 + _COEFF_TOL:
+        PurifyOutcome(BellDiagonal(a, b, c, d), p)  # raises
+    return a, b, c, d, p
+
+
+def _pump(a: float, b: float, c: float, d: float, k: int, charge: float) -> tuple[float, float, float, float, float]:
+    """Float kernel of :func:`purify_k_rounds_lower`: k :func:`_purify` rounds, P_k = (prod P) * charge, checked."""
+    p_chain = 1.0
+    for _ in range(k):
+        a, b, c, d, p = _purify(a, b, c, d)
+        p_chain *= p
+    p_k = p_chain * charge
+    if not -_COEFF_TOL <= p_k <= 1.0 + _COEFF_TOL:
+        PurifyOutcome(BellDiagonal(a, b, c, d), p_k)  # raises
+    return a, b, c, d, p_k
+
+
 def _swap(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
     """Float kernel of :func:`swap_ideal`, checked like :func:`_purify`."""
     a, b, c, d = (
@@ -174,37 +223,8 @@ def purify_imperfect_exact(s: BellDiagonal, q_g: float) -> PurifyOutcome:
     q_g = 0 reduces exactly to :func:`purify_ideal`.
     """
     _check_gate_error(q_g)
-    a, b, c, d = s
-    q = q_g
-    m = (-1.0 + q) * q          # -q(1-q)
-    u = 1.0 + 2.0 * (-1.0 + q) * q  # 1 - 2q(1-q)
-
-    num_a = (
-        d * d
-        + a * a * u * u
-        - 2.0 * a * m * (c + 2.0 * d + 2.0 * (b - c - 2.0 * d) * q + 2.0 * (-b + c + 2.0 * d) * q * q)
-        - 2.0 * d * m * (-2.0 * d - 2.0 * (c + d) * m + b * u)
-    )
-    num_b = (
-        -2.0 * d * m * (c + d - 2.0 * (-b + c + d) * q + 2.0 * (-b + c + d) * q * q)
-        + 2.0 * a * a * q * (1.0 + q * (-3.0 - 2.0 * (-2.0 + q) * q))
-        + 2.0 * a * (d * u * u - m * (-2.0 * c * m + b * u))
-    )
-    num_c = (
-        c * c
-        + b * b * u * u
-        - 2.0 * c * m * (-2.0 * c - 2.0 * (c + d) * m + a * u)
-        - 2.0 * b * m * (-2.0 * a * m + d * u + c * (2.0 + 4.0 * (-1.0 + q) * q))
-    )
-    num_d = (
-        -2.0 * c * m * (c + d - 2.0 * (-a + c + d) * q + 2.0 * (-a + c + d) * q * q)
-        + 2.0 * b * b * q * (1.0 + q * (-3.0 - 2.0 * (-2.0 + q) * q))
-        + 2.0 * b * (c * u * u - m * (-2.0 * d * m + a * u))
-    )
-    p = (b + c) ** 2 + (a + d) ** 2 - 2.0 * (a - b - c + d) ** 2 * q + 2.0 * (a - b - c + d) ** 2 * q * q
-    if p <= 0.0:
-        raise ArithmeticError("purification branch has zero weight; state cannot be post-selected")
-    return PurifyOutcome(BellDiagonal(num_a / p, num_b / p, num_c / p, num_d / p), p)
+    a, b, c, d, p = _purify_noisy(*s, q_g)
+    return PurifyOutcome(BellDiagonal(a, b, c, d), p)
 
 
 def _gate_charge(q_g: float, qubits: int) -> float:
@@ -239,9 +259,5 @@ def purify_k_rounds_lower(s: BellDiagonal, q_g: float, n: int, k: int) -> Purify
         raise ValueError(f"round count k must be an integer >= 0, got {k}")
     if k == 0:
         return PurifyOutcome(s, 1.0)
-    a, b, c, d = s
-    p_chain = 1.0
-    for _ in range(k):
-        a, b, c, d, p = _purify(a, b, c, d)
-        p_chain *= p
-    return PurifyOutcome(BellDiagonal(a, b, c, d), p_chain * _gate_charge(q_g, 4 * n * (2**k - 1)))
+    a, b, c, d, p_k = _pump(*s, k, _gate_charge(q_g, 4 * n * (2**k - 1)))
+    return PurifyOutcome(BellDiagonal(a, b, c, d), p_k)

@@ -26,16 +26,7 @@ import math
 from collections import namedtuple
 from typing import Callable, NamedTuple, Sequence
 
-from .bell_algebra import (
-    _COEFF_TOL,
-    BellDiagonal,
-    PurifyOutcome,
-    _check_gate_error,
-    _gate_charge,
-    _purify,
-    _swap,
-    purify_imperfect_exact,
-)
+from .bell_algebra import _check_gate_error, _gate_charge, _pump, _purify_noisy, _swap
 from .codes import (
     Code,
     css_effective_qubit_error,
@@ -196,7 +187,7 @@ def timing(cfg: ProtocolConfig) -> Timing:
 
 
 def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, float]]:
-    """``price(f) -> (F_final, P_k)`` at raw fidelity f; terms free of f are computed once.
+    """``price(f) -> (F_final, P_k)`` at raw fidelity f; terms free of f, and the q_g check, run once.
 
     repetition: the stored pair accumulates memory dephasing over the pump
     window, decoded per block to a pair flip budget, and runs through k
@@ -214,24 +205,17 @@ def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, fl
     """
     code, k, n_seg = cfg.code, cfg.rounds, tm.num_segments
     q_g, tau_c = cfg.hardware.gate_error(), cfg.hardware.memory_coherence_s
+    _check_gate_error(q_g)
     if code.family == "repetition":
         q_logical = logical_error_prob(code, memory_error_prob(tm.t_purify_s / 2.0, tau_c))
         p_pair = pair_no_error_prob(q_logical)
         levels = int(math.log2(n_seg))
-        _check_gate_error(q_g)
         pump = _gate_charge(q_g, 4 * code.n * (2**k - 1))
         gates = _gate_charge(q_g, 2 * code.n * (n_seg - 1 + 2 * (2**k - 1)))
 
         def price(f: float) -> tuple[float, float]:
             # purify_k_rounds_lower, then swap_ideal per level, on four floats
-            a, b, c, d = effective_coefficients(f, p_pair)
-            p_chain = 1.0
-            for _ in range(k):
-                a, b, c, d, p = _purify(a, b, c, d)
-                p_chain *= p
-            p_k = p_chain * pump
-            if not -_COEFF_TOL <= p_k <= 1.0 + _COEFF_TOL:
-                PurifyOutcome(BellDiagonal(a, b, c, d), p_k)  # raises
+            a, b, c, d, p_k = _pump(*effective_coefficients(f, p_pair), k, pump)
             for _ in range(levels):
                 a, b, c, d = _swap(a, b, c, d)
             return a * gates, p_k
@@ -240,13 +224,12 @@ def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, fl
     q_m = memory_error_prob(tm.t_half_s / 2.0, tau_c)
 
     def price(f: float) -> tuple[float, float]:
-        state = BellDiagonal(f, 1.0 - f, 0.0, 0.0)
-        p_chain = 1.0
+        # purify_imperfect_exact per round, on four floats
+        a, b, c, d, p_chain = f, 1.0 - f, 0.0, 0.0, 1.0
         for _ in range(k):
-            out = purify_imperfect_exact(state, q_g)
-            state = out.state
-            p_chain *= out.success_prob
-        q_eff, _clamped = css_effective_qubit_error(q_m, q_g, state.a)
+            a, b, c, d, p = _purify_noisy(a, b, c, d, q_g)
+            p_chain *= p
+        q_eff, _clamped = css_effective_qubit_error(q_m, q_g, a)
         return (1.0 - logical_error_prob(code, q_eff)) ** (2 * n_seg), p_chain
 
     return price

@@ -522,6 +522,20 @@ class TestMain:
         )
         assert main(["fidelity", *argv, "--fidelity", "0.82049596"]) == 1
 
+    @pytest.mark.parametrize("code", ["[3,1,3]", "[7,1,3]"])
+    @pytest.mark.parametrize("rounds", ["0", "1"])
+    def test_saturated_gate_error_fails_at_every_k(self, capsys, code, rounds):
+        # 1 - T = 1e-7 rounds q_g to 1/2: an errored row from `fidelity`, a
+        # bad input for `operating-point`, for either family at any k
+        argv = ["--code", code, "--rounds", rounds, "--one-minus-t", "0.9999999"]
+        assert main(["fidelity", *argv]) == 1
+        out = capsys.readouterr().out
+        assert "F_final = nan\n" in out
+        assert out.endswith("error = gate error must lie in [0, 1/2), got 0.5\n")
+        assert main(["operating-point", *argv, "--target", "0.95"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: gate error must lie in [0, 1/2), got 0.5\n")
+
     def test_rate_sweep_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(SWEEP_TEXT)

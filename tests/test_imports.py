@@ -1,5 +1,6 @@
 """Import cost: the closed-form model and the CLI load numpy only on demand."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -213,3 +214,17 @@ def test_deleted_export_stays_gone(module, name):
     assert not hasattr(repeaterlab, name)
     with pytest.raises(ImportError):
         exec(f"from repeaterlab import {name}", {})
+
+
+def test_pipeline_takes_only_float_kernels_from_bell_algebra():
+    # the pump, its round and its checks live once, in bell_algebra; the
+    # chain calls them on four floats and builds none of its value types
+    tree = ast.parse(Path(repeaterlab.__file__).with_name("pipeline.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("repeaterlab") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("repeaterlab")):
+            if (node.module or "").removeprefix("repeaterlab").lstrip(".") == "bell_algebra":
+                imported |= {a.name for a in node.names}
+    assert imported == {"_check_gate_error", "_gate_charge", "_pump", "_purify_noisy", "_swap"}

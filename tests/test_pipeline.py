@@ -379,6 +379,18 @@ class TestCssChain:
         assert (row.f_final.hex(), row.p_k.hex()) == want
         assert (final_fidelity(cfg).hex(), pump_success_probability(cfg).hex()) == want
 
+    @pytest.mark.parametrize("label", list(CODES))
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_saturated_gate_error_row_at_every_k(self, label, k):
+        # 1 - T = 1e-7 rounds q_g to 1/2: both families reject it once per
+        # chain, the css family at k = 0 too, where no round would check it
+        cfg = make_cfg(label, k, one_minus_t=0.9999999)
+        assert cfg.hardware.gate_error() == 0.5
+        assert evaluate(cfg).error == "gate error must lie in [0, 1/2), got 0.5"
+        for fn in (final_fidelity, pump_success_probability):
+            with pytest.raises(ValueError, match=r"^gate error must lie in \[0, 1/2\), got 0.5$"):
+                fn(cfg)
+
 
 class TestRates:
     def test_unpurified_paper_point(self):
