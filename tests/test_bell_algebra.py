@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from repeaterlab.bell_algebra import (
     _COEFF_TOL,
     BellDiagonal,
+    PurifyOutcome,
     purify_ideal,
     purify_imperfect_exact,
     purify_k_rounds_lower,
@@ -127,6 +128,13 @@ class TestPurifyImperfectExact:
             v.hex() for v in (*ideal.state, ideal.success_prob)
         ]
 
+    @given(coeffs, st.floats(1e-3, 1.0), st.floats(0.0, 0.5, exclude_max=True))
+    def test_bitwise_the_polynomial(self, t, scale, q):
+        s = BellDiagonal(*(scale * x / sum(t) for x in t))
+        assert outcome_or_error(lambda: purify_imperfect_exact(s, q)) == outcome_or_error(
+            lambda: noisy_round_polynomial(*s, q)
+        )
+
     def test_oracle_pinned_point(self):
         # frozen from the 16x16 density-matrix circuit (tests/test_oracle.py
         # and the acceptance suite re-derive it; deviation there ~1e-15)
@@ -189,6 +197,48 @@ class TestPurifyImperfectExact:
             purify_imperfect_exact(S_WORK, 0.5)
         with pytest.raises(ValueError):
             purify_imperfect_exact(S_WORK, -0.1)
+
+
+def noisy_round_polynomial(a, b, c, d, q):
+    # the exact imperfect-gate round as first written: 25 lines of
+    # polynomial, each factor of q recomputed where it appears
+    m = (-1.0 + q) * q
+    u = 1.0 + 2.0 * (-1.0 + q) * q
+    num_a = (
+        d * d
+        + a * a * u * u
+        - 2.0 * a * m * (c + 2.0 * d + 2.0 * (b - c - 2.0 * d) * q + 2.0 * (-b + c + 2.0 * d) * q * q)
+        - 2.0 * d * m * (-2.0 * d - 2.0 * (c + d) * m + b * u)
+    )
+    num_b = (
+        -2.0 * d * m * (c + d - 2.0 * (-b + c + d) * q + 2.0 * (-b + c + d) * q * q)
+        + 2.0 * a * a * q * (1.0 + q * (-3.0 - 2.0 * (-2.0 + q) * q))
+        + 2.0 * a * (d * u * u - m * (-2.0 * c * m + b * u))
+    )
+    num_c = (
+        c * c
+        + b * b * u * u
+        - 2.0 * c * m * (-2.0 * c - 2.0 * (c + d) * m + a * u)
+        - 2.0 * b * m * (-2.0 * a * m + d * u + c * (2.0 + 4.0 * (-1.0 + q) * q))
+    )
+    num_d = (
+        -2.0 * c * m * (c + d - 2.0 * (-a + c + d) * q + 2.0 * (-a + c + d) * q * q)
+        + 2.0 * b * b * q * (1.0 + q * (-3.0 - 2.0 * (-2.0 + q) * q))
+        + 2.0 * b * (c * u * u - m * (-2.0 * d * m + a * u))
+    )
+    p = (b + c) ** 2 + (a + d) ** 2 - 2.0 * (a - b - c + d) ** 2 * q + 2.0 * (a - b - c + d) ** 2 * q * q
+    if p <= 0.0:
+        raise ArithmeticError("purification branch has zero weight; state cannot be post-selected")
+    return PurifyOutcome(BellDiagonal(num_a / p, num_b / p, num_c / p, num_d / p), p)
+
+
+def outcome_or_error(step):
+    # the outcome's floats by float.hex, or the error's type and text
+    try:
+        out = step()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return [v.hex() for v in (*out.state, out.success_prob)]
 
 
 class TestLowerBounds:

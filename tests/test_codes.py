@@ -91,6 +91,24 @@ class TestLogicalErrorProb:
         with pytest.raises(ValueError):
             logical_error_prob(Code(3, 1, 3, "repetition"), 1.5)
 
+    @pytest.mark.parametrize("q", [0.0, 5e-324, 1e-300, 1e-12, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("code", code_catalog(), ids=lambda c: c.label)
+    def test_bitwise_against_the_plain_tail(self, code, q):
+        assert logical_error_prob(code, q).hex() == plain_tail(code, q).hex()
+
+    @given(st.sampled_from(code_catalog()), st.floats(0.0, 1.0))
+    def test_bitwise_against_the_plain_tail_anywhere(self, code, q):
+        assert logical_error_prob(code, q).hex() == plain_tail(code, q).hex()
+
+
+def plain_tail(code, q):
+    # the binomial tail as first written: an int binomial and (1 - q) per
+    # term, summed from j = n down, left to right
+    total = 0.0
+    for j in range(code.n, (code.d + 1) // 2 - 1, -1):
+        total += math.comb(code.n, j) * q**j * (1.0 - q) ** (code.n - j)
+    return min(total, 1.0)
+
 
 class TestPairNoError:
     @pytest.mark.parametrize(
@@ -124,6 +142,16 @@ class TestEffectiveCoefficients:
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_normalized(self, f, p):
         assert effective_coefficients(f, p).total() == pytest.approx(1.0, abs=1e-12)
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_bitwise_the_product_form(self, f, p):
+        want = (p * f, (1.0 - p) * f, p * (1.0 - f), (1.0 - p) * (1.0 - f))
+        assert [v.hex() for v in effective_coefficients(f, p)] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("f, p", [(math.nan, 0.5), (1.5, 0.5), (0.5, -0.1), (0.5, math.nan)])
+    def test_domain(self, f, p):
+        with pytest.raises(ValueError, match="^(fidelity|p_pair) must lie in"):
+            effective_coefficients(f, p)
 
 
 class TestCssBudget:
