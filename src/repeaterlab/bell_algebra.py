@@ -5,7 +5,15 @@ States are written in the Bell basis as rho = A |phi+><phi+| + B |phi-><phi-|
 PRL 77, 2818 (1996); entanglement swapping follows Briegel et al., PRL 81,
 5932 (1998).  Both are closed maps on (A, B, C, D); each map's formula is
 one private float kernel, which the public functions wrap and the
-pipeline's chain calls on four floats for both code families.
+pipeline's chain calls on four floats for both code families:
+
+* ``_purify``, one ideal round, which ``_pump`` runs k times with the gate
+  charge on the product of the round probabilities;
+* ``_pump_noisy``, k exact imperfect-gate rounds, whose factors of q_g
+  alone are computed once per call;
+* ``_swap``, a ladder of ideal swap levels in one call.
+
+The public functions call them at k = 1 and one level.
 
 Noisy local gates with dephasing weight q_g enter in two ways:
 
@@ -120,41 +128,54 @@ def _purify(a: float, b: float, c: float, d: float) -> tuple[float, float, float
     return a, b, c, d, p
 
 
-def _purify_noisy(a: float, b: float, c: float, d: float, q: float) -> tuple[float, float, float, float, float]:
-    """Float kernel of :func:`purify_imperfect_exact` at gate error q, checked like :func:`_purify`."""
+def _pump_noisy(
+    a: float, b: float, c: float, d: float, q: float, k: int
+) -> tuple[float, float, float, float, float]:
+    """Float kernel of k :func:`purify_imperfect_exact` rounds at gate error q: (A, B, C, D, prod P).
+
+    The factors that depend on q alone are computed once per call; each
+    round is checked like :func:`_purify`.  k = 0 returns the state with
+    product 1.0.
+    """
     m = (-1.0 + q) * q          # -q(1-q)
     u = 1.0 + 2.0 * (-1.0 + q) * q  # 1 - 2q(1-q)
-    num_a = (
-        d * d
-        + a * a * u * u
-        - 2.0 * a * m * (c + 2.0 * d + 2.0 * (b - c - 2.0 * d) * q + 2.0 * (-b + c + 2.0 * d) * q * q)
-        - 2.0 * d * m * (-2.0 * d - 2.0 * (c + d) * m + b * u)
-    )
-    num_b = (
-        -2.0 * d * m * (c + d - 2.0 * (-b + c + d) * q + 2.0 * (-b + c + d) * q * q)
-        + 2.0 * a * a * q * (1.0 + q * (-3.0 - 2.0 * (-2.0 + q) * q))
-        + 2.0 * a * (d * u * u - m * (-2.0 * c * m + b * u))
-    )
-    num_c = (
-        c * c
-        + b * b * u * u
-        - 2.0 * c * m * (-2.0 * c - 2.0 * (c + d) * m + a * u)
-        - 2.0 * b * m * (-2.0 * a * m + d * u + c * (2.0 + 4.0 * (-1.0 + q) * q))
-    )
-    num_d = (
-        -2.0 * c * m * (c + d - 2.0 * (-a + c + d) * q + 2.0 * (-a + c + d) * q * q)
-        + 2.0 * b * b * q * (1.0 + q * (-3.0 - 2.0 * (-2.0 + q) * q))
-        + 2.0 * b * (c * u * u - m * (-2.0 * d * m + a * u))
-    )
-    p = (b + c) ** 2 + (a + d) ** 2 - 2.0 * (a - b - c + d) ** 2 * q + 2.0 * (a - b - c + d) ** 2 * q * q
-    if p <= 0.0:
-        raise ArithmeticError("purification branch has zero weight; state cannot be post-selected")
-    a, b, c, d = num_a / p, num_b / p, num_c / p, num_d / p
-    if not (a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0 and a + b + c + d <= 1.0 + _COEFF_TOL):
-        a, b, c, d = BellDiagonal(a, b, c, d)
-    if not -_COEFF_TOL <= p <= 1.0 + _COEFF_TOL:
-        PurifyOutcome(BellDiagonal(a, b, c, d), p)  # raises
-    return a, b, c, d, p
+    w = 1.0 + q * (-3.0 - 2.0 * (-2.0 + q) * q)
+    v = 2.0 + 4.0 * (-1.0 + q) * q
+    p_chain = 1.0
+    for _ in range(k):
+        num_a = (
+            d * d
+            + a * a * u * u
+            - 2.0 * a * m * (c + 2.0 * d + 2.0 * (b - c - 2.0 * d) * q + 2.0 * (-b + c + 2.0 * d) * q * q)
+            - 2.0 * d * m * (-2.0 * d - 2.0 * (c + d) * m + b * u)
+        )
+        num_b = (
+            -2.0 * d * m * (c + d - 2.0 * (-b + c + d) * q + 2.0 * (-b + c + d) * q * q)
+            + 2.0 * a * a * q * w
+            + 2.0 * a * (d * u * u - m * (-2.0 * c * m + b * u))
+        )
+        num_c = (
+            c * c
+            + b * b * u * u
+            - 2.0 * c * m * (-2.0 * c - 2.0 * (c + d) * m + a * u)
+            - 2.0 * b * m * (-2.0 * a * m + d * u + c * v)
+        )
+        num_d = (
+            -2.0 * c * m * (c + d - 2.0 * (-a + c + d) * q + 2.0 * (-a + c + d) * q * q)
+            + 2.0 * b * b * q * w
+            + 2.0 * b * (c * u * u - m * (-2.0 * d * m + a * u))
+        )
+        t = 2.0 * (a - b - c + d) ** 2 * q
+        p = (b + c) ** 2 + (a + d) ** 2 - t + t * q
+        if p <= 0.0:
+            raise ArithmeticError("purification branch has zero weight; state cannot be post-selected")
+        a, b, c, d = num_a / p, num_b / p, num_c / p, num_d / p
+        if not (a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0 and a + b + c + d <= 1.0 + _COEFF_TOL):
+            a, b, c, d = BellDiagonal(a, b, c, d)
+        if not -_COEFF_TOL <= p <= 1.0 + _COEFF_TOL:
+            PurifyOutcome(BellDiagonal(a, b, c, d), p)  # raises
+        p_chain *= p
+    return a, b, c, d, p_chain
 
 
 def _pump(a: float, b: float, c: float, d: float, k: int, charge: float) -> tuple[float, float, float, float, float]:
@@ -169,16 +190,17 @@ def _pump(a: float, b: float, c: float, d: float, k: int, charge: float) -> tupl
     return a, b, c, d, p_k
 
 
-def _swap(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
-    """Float kernel of :func:`swap_ideal`, checked like :func:`_purify`."""
-    a, b, c, d = (
-        a * a + b * b + c * c + d * d,
-        2.0 * (a * b + c * d),
-        2.0 * (a * c + b * d),
-        2.0 * (b * c + a * d),
-    )
-    if not (a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0 and a + b + c + d <= 1.0 + _COEFF_TOL):
-        a, b, c, d = BellDiagonal(a, b, c, d)
+def _swap(a: float, b: float, c: float, d: float, levels: int) -> tuple[float, float, float, float]:
+    """Float kernel of ``levels`` nested :func:`swap_ideal` steps, each checked like :func:`_purify`."""
+    for _ in range(levels):
+        a, b, c, d = (
+            a * a + b * b + c * c + d * d,
+            2.0 * (a * b + c * d),
+            2.0 * (a * c + b * d),
+            2.0 * (b * c + a * d),
+        )
+        if not (a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0 and a + b + c + d <= 1.0 + _COEFF_TOL):
+            a, b, c, d = BellDiagonal(a, b, c, d)
     return a, b, c, d
 
 
@@ -207,7 +229,7 @@ def swap_ideal(s: BellDiagonal) -> BellDiagonal:
         C' = 2(AC + BD)
         D' = 2(BC + AD).
     """
-    return BellDiagonal(*_swap(*s))
+    return BellDiagonal(*_swap(*s, 1))
 
 
 def purify_imperfect_exact(s: BellDiagonal, q_g: float) -> PurifyOutcome:
@@ -223,7 +245,7 @@ def purify_imperfect_exact(s: BellDiagonal, q_g: float) -> PurifyOutcome:
     q_g = 0 reduces exactly to :func:`purify_ideal`.
     """
     _check_gate_error(q_g)
-    a, b, c, d, p = _purify_noisy(*s, q_g)
+    a, b, c, d, p = _pump_noisy(*s, q_g, 1)
     return PurifyOutcome(BellDiagonal(a, b, c, d), p)
 
 

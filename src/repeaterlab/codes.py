@@ -83,19 +83,24 @@ def logical_error_prob(code: Code, q_eff: float) -> float:
     if not 0.0 <= q_eff <= 1.0:
         raise ValueError(f"q_eff must lie in [0, 1], got {q_eff}")
     q = q_eff
+    p = 1.0 - q
     total = 0.0
     for binom, j, n_minus_j in _tail_terms(code.n, code.d):
-        total += binom * q**j * (1.0 - q) ** n_minus_j
+        total += binom * q**j * p**n_minus_j
     return min(total, 1.0)
 
 
 @functools.cache
-def _tail_terms(n: int, d: int) -> tuple[tuple[int, int, int], ...]:
-    """(C(n, j), j, n - j) for j >= (d + 1)/2, exact ints built once per code.
+def _tail_terms(n: int, d: int) -> tuple[tuple[float, float, float], ...]:
+    """(C(n, j), j, n - j) for j >= (d + 1)/2 as floats, built once per code.
 
+    Every catalog binomial is below 2**53 (C(51, 25) is about 2.5e14), so
+    the floats are exact and each term has the bits of the int form.
     Ordered j = n first, so the smallest terms (for q < 1/2) are summed first.
     """
-    return tuple((math.comb(n, j), j, n - j) for j in range(n, (d + 1) // 2 - 1, -1))
+    return tuple(
+        (float(math.comb(n, j)), float(j), float(n - j)) for j in range(n, (d + 1) // 2 - 1, -1)
+    )
 
 
 def pair_no_error_prob(q_logical: float) -> float:
@@ -118,13 +123,21 @@ def effective_coefficients(fidelity: float, p_pair: float) -> BellDiagonal:
 
         (a, b, c, d) = (P F, (1 - P) F, P (1 - F), (1 - P)(1 - F)).
     """
-    if not 0.0 <= fidelity <= 1.0:
-        raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
-    if not 0.0 <= p_pair <= 1.0:
-        raise ValueError(f"p_pair must lie in [0, 1], got {p_pair}")
-    f = fidelity
-    p = p_pair
-    return BellDiagonal(p * f, (1.0 - p) * f, p * (1.0 - f), (1.0 - p) * (1.0 - f))
+    return BellDiagonal(*_stored_pair(fidelity, p_pair))
+
+
+def _stored_pair(f: float, p: float) -> tuple[float, float, float, float]:
+    """Float kernel of :func:`effective_coefficients`, with its argument checks.
+
+    Products of numbers in [0, 1] pass the ``BellDiagonal`` checks, so the
+    chain takes the four floats as they are.
+    """
+    if not 0.0 <= f <= 1.0:
+        raise ValueError(f"fidelity must lie in [0, 1], got {f}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p_pair must lie in [0, 1], got {p}")
+    r = 1.0 - p
+    return p * f, r * f, p * (1.0 - f), r * (1.0 - f)
 
 
 def css_effective_qubit_error(q_m_half: float, q_g: float, f_k: float) -> tuple[float, bool]:

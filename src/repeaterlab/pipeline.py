@@ -26,14 +26,8 @@ import math
 from collections import namedtuple
 from typing import Callable, NamedTuple, Sequence
 
-from .bell_algebra import _check_gate_error, _gate_charge, _pump, _purify_noisy, _swap
-from .codes import (
-    Code,
-    css_effective_qubit_error,
-    effective_coefficients,
-    logical_error_prob,
-    pair_no_error_prob,
-)
+from .bell_algebra import _check_gate_error, _gate_charge, _pump, _pump_noisy, _swap
+from .codes import Code, _stored_pair, css_effective_qubit_error, logical_error_prob, pair_no_error_prob
 from .core import (
     ATTENUATION_LENGTH_KM,
     ChannelParams,
@@ -189,6 +183,11 @@ def timing(cfg: ProtocolConfig) -> Timing:
 def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, float]]:
     """``price(f) -> (F_final, P_k)`` at raw fidelity f; terms free of f, and the q_g check, run once.
 
+    A price builds no value type.  The repetition price calls
+    ``codes._stored_pair``, ``bell_algebra._pump`` and one ``_swap`` for
+    the whole ladder; the css price calls one ``_pump_noisy`` for all k
+    rounds, then ``css_effective_qubit_error`` and ``logical_error_prob``.
+
     repetition: the stored pair accumulates memory dephasing over the pump
     window, decoded per block to a pair flip budget, and runs through k
     ideal rounds; P_k carries the gate discount of the whole tree.  Then
@@ -214,23 +213,19 @@ def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, fl
         gates = _gate_charge(q_g, 2 * code.n * (n_seg - 1 + 2 * (2**k - 1)))
 
         def price(f: float) -> tuple[float, float]:
-            # purify_k_rounds_lower, then swap_ideal per level, on four floats
-            a, b, c, d, p_k = _pump(*effective_coefficients(f, p_pair), k, pump)
-            for _ in range(levels):
-                a, b, c, d = _swap(a, b, c, d)
-            return a * gates, p_k
+            # effective_coefficients, purify_k_rounds_lower, then the swap_ideal ladder, on four floats
+            a, b, c, d, p_k = _pump(*_stored_pair(f, p_pair), k, pump)
+            return _swap(a, b, c, d, levels)[0] * gates, p_k
 
         return price
     q_m = memory_error_prob(tm.t_half_s / 2.0, tau_c)
+    blocks = 2 * n_seg
 
     def price(f: float) -> tuple[float, float]:
-        # purify_imperfect_exact per round, on four floats
-        a, b, c, d, p_chain = f, 1.0 - f, 0.0, 0.0, 1.0
-        for _ in range(k):
-            a, b, c, d, p = _purify_noisy(a, b, c, d, q_g)
-            p_chain *= p
+        # k purify_imperfect_exact rounds, on four floats
+        a, _b, _c, _d, p_chain = _pump_noisy(f, 1.0 - f, 0.0, 0.0, q_g, k)
         q_eff, _clamped = css_effective_qubit_error(q_m, q_g, a)
-        return (1.0 - logical_error_prob(code, q_eff)) ** (2 * n_seg), p_chain
+        return (1.0 - logical_error_prob(code, q_eff)) ** blocks, p_chain
 
     return price
 

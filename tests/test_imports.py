@@ -216,15 +216,49 @@ def test_deleted_export_stays_gone(module, name):
         exec(f"from repeaterlab import {name}", {})
 
 
-def test_pipeline_takes_only_float_kernels_from_bell_algebra():
-    # the pump, its round and its checks live once, in bell_algebra; the
-    # chain calls them on four floats and builds none of its value types
-    tree = ast.parse(Path(repeaterlab.__file__).with_name("pipeline.py").read_text())
+PIPELINE_TREE = ast.parse(Path(repeaterlab.__file__).with_name("pipeline.py").read_text())
+
+
+def pipeline_imports_from(module):
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(PIPELINE_TREE):
         if isinstance(node, ast.Import):
             assert not any(a.name.startswith("repeaterlab") for a in node.names)
         elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("repeaterlab")):
-            if (node.module or "").removeprefix("repeaterlab").lstrip(".") == "bell_algebra":
+            if (node.module or "").removeprefix("repeaterlab").lstrip(".") == module:
                 imported |= {a.name for a in node.names}
-    assert imported == {"_check_gate_error", "_gate_charge", "_pump", "_purify_noisy", "_swap"}
+    return imported
+
+
+def test_pipeline_takes_only_float_kernels_from_bell_algebra():
+    # the pump, its round, the ladder and their checks live once, in
+    # bell_algebra; the chain calls them on four floats and builds none of
+    # its value types
+    assert pipeline_imports_from("bell_algebra") == {
+        "_check_gate_error", "_gate_charge", "_pump", "_pump_noisy", "_swap",
+    }
+
+
+def test_pipeline_takes_the_stored_pair_as_floats_from_codes():
+    # the chain prices the stored pair through the float kernel that
+    # effective_coefficients wraps, not through the BellDiagonal it returns
+    assert pipeline_imports_from("codes") == {
+        "Code", "_stored_pair", "css_effective_qubit_error", "logical_error_prob", "pair_no_error_prob",
+    }
+
+
+def test_chain_prices_build_no_value_type():
+    # price(f) runs about 15 times per solve: no call in it may build a
+    # BellDiagonal or PurifyOutcome, directly or through a public wrapper
+    (chain,) = (n for n in PIPELINE_TREE.body if isinstance(n, ast.FunctionDef) and n.name == "_chain")
+    prices = [n for n in ast.walk(chain) if isinstance(n, ast.FunctionDef) and n.name == "price"]
+    assert len(prices) == 2  # one per code family
+    called = set()
+    for price in prices:
+        for node in ast.walk(price):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    banned = {"BellDiagonal", "PurifyOutcome", "effective_coefficients", "swap_ideal"}
+    assert not {name for name in called if name in banned or (name or "").startswith("purify_")}
+    assert {"_pump", "_pump_noisy", "_stored_pair", "_swap"} <= called
