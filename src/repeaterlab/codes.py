@@ -94,8 +94,9 @@ def logical_error_prob(code: Code, q_eff: float) -> float:
 def _tail_terms(n: int, d: int) -> tuple[tuple[float, float, float], ...]:
     """(C(n, j), j, n - j) for j >= (d + 1)/2 as floats, built once per code.
 
-    Every catalog binomial is below 2**53 (C(51, 25) is about 2.5e14), so
-    the floats are exact and each term has the bits of the int form.
+    ``float(C(n, j))`` is the conversion that an int times a float makes, so
+    each term has the bits of the int form; every catalog binomial is below
+    2**53 (C(51, 25) is about 2.5e14), so the floats are also exact.
     Ordered j = n first, so the smallest terms (for q < 1/2) are summed first.
     """
     return tuple(
@@ -136,8 +137,8 @@ def _stored_pair(f: float, p: float) -> tuple[float, float, float, float]:
         raise ValueError(f"fidelity must lie in [0, 1], got {f}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p_pair must lie in [0, 1], got {p}")
-    r = 1.0 - p
-    return p * f, r * f, p * (1.0 - f), r * (1.0 - f)
+    r, g = 1.0 - p, 1.0 - f
+    return p * f, r * f, p * g, r * g
 
 
 def css_effective_qubit_error(q_m_half: float, q_g: float, f_k: float) -> tuple[float, bool]:
