@@ -1,14 +1,18 @@
-"""The closed-form value types: repr, validation messages, immutability, value semantics.
+"""The value types: repr, validation messages, immutability, value semantics.
 
 BellDiagonal, PurifyOutcome, Code, ChannelParams, HardwareParams,
 ProtocolConfig and OperatingPoint print, compare and hash by value, refuse
 assignment, take keywords with their defaults, and fail every rule their
-constructor enforces with one exact message.
+constructor enforces with one exact message.  The numpy-side DensityMatrix,
+VariantReport, McConfig and QubusPlan print, refuse assignment and fail
+their rules the same way; those whose fields cannot be hashed (an ndarray,
+a dict) are left out of the hash tests.
 """
 
 import inspect
 import math
 
+import numpy as np
 import pytest
 
 from repeaterlab.bell_algebra import BellDiagonal, PurifyOutcome
@@ -19,12 +23,18 @@ from repeaterlab.core import (
     ChannelParams,
     HardwareParams,
 )
+from repeaterlab.montecarlo import McConfig
+from repeaterlab.oracle import DensityMatrix, GateErrorVariant, VariantReport
 from repeaterlab.pipeline import OperatingPoint, ProtocolConfig, SweepResult, operating_point, with_fidelity
+from repeaterlab.qubus import QubusPlan
 
 STATE = (0.9, 0.05, 0.03, 0.02)
 REP = (3, 1, 3, "repetition")
 HW = (0.999, 0.1)
 CHANNEL = (20.0, 0.001, 0.01)
+MC = (0.5, 4096, 2, 200)
+ROWS = ((GateErrorVariant.ZZ_BEFORE, 0.25), (GateErrorVariant.ZCXT_AFTER, 0.0))
+LEDGER = {"00": 0.0, "01": 0.1, "10": -0.1, "11": 0.0}
 
 
 def _cfg(**kw):
@@ -54,7 +64,14 @@ INSTANCES = {
     "ProtocolConfig": _cfg,
     "ProtocolConfig-channel": _channel_cfg,
     "OperatingPoint": _solve,
+    "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2.0),
+    "VariantReport": lambda: VariantReport(ROWS),
+    "McConfig": lambda: McConfig(*MC, seed=5),
+    "QubusPlan": lambda: QubusPlan(2, 0.1, "single", dict(LEDGER)),
+    "QubusPlan-chained": lambda: QubusPlan(3, 0.1, "chained", [dict(LEDGER), dict(LEDGER)]),
 }
+# an ndarray or a dict field makes the value unhashable
+UNHASHABLE = {"DensityMatrix", "QubusPlan", "QubusPlan-chained"}
 
 REPRS = {
     "BellDiagonal": "BellDiagonal(a=0.9, b=0.05, c=0.03, d=0.02)",
@@ -80,6 +97,19 @@ REPRS = {
         "fiber_speed_m_per_s=200000000.0), "
         "channel=ChannelParams(segment_length_km=20.0, qubus_strength=0.001, "
         "interaction_angle_rad=0.01, attenuation_length_km=25.5), fidelity=None, attenuation_km=25.5)"
+    ),
+    "DensityMatrix": "DensityMatrix(matrix=array([[0.5+0.j, 0. +0.j],\n       [0. +0.j, 0.5+0.j]]))",
+    "VariantReport": (
+        "VariantReport(rows=((<GateErrorVariant.ZZ_BEFORE: 'zz_before'>, 0.25), "
+        "(<GateErrorVariant.ZCXT_AFTER: 'z_control_x_target_after'>, 0.0)))"
+    ),
+    "McConfig": "McConfig(p0=0.5, blocks=4096, rounds=2, trials=200, seed=5)",
+    "QubusPlan": (
+        "QubusPlan(n=2, theta_rad=0.1, scheme='single', per_state_phases={'00': 0.0, '01': 0.1, '10': -0.1, '11': 0.0})"
+    ),
+    "QubusPlan-chained": (
+        "QubusPlan(n=3, theta_rad=0.1, scheme='chained', per_state_phases=["
+        "{'00': 0.0, '01': 0.1, '10': -0.1, '11': 0.0}, {'00': 0.0, '01': 0.1, '10': -0.1, '11': 0.0}])"
     ),
 }
 
@@ -218,6 +248,44 @@ MESSAGES = [
         "total_distance_km / segment_km must be a power of two >= 2, got inf",
         id="cfg-ratio-inf",
     ),
+    pytest.param(lambda: DensityMatrix(np.ones(3)), "matrix must be square, got shape (3,)", id="density-shape"),
+    pytest.param(lambda: DensityMatrix(np.eye(3) / 3.0), "dimension must be 2^m with m <= 4, got 3", id="density-dim"),
+    pytest.param(
+        lambda: DensityMatrix([[0.5, 0.1], [0.0, 0.5]]), "matrix is not Hermitian", id="density-hermitian"
+    ),
+    pytest.param(
+        lambda: DensityMatrix([[0.5, math.nan], [math.nan, 0.5]]), "matrix is not Hermitian", id="density-nan"
+    ),
+    pytest.param(lambda: DensityMatrix(np.eye(2)), "trace must be 1, got (2+0j)", id="density-trace"),
+    pytest.param(
+        lambda: DensityMatrix(np.diag([1.2, -0.2])), "negative eigenvalue below floor: -0.2", id="density-negative"
+    ),
+    pytest.param(lambda: McConfig(0.0, 1, 0, 1), "p0 must lie in (0, 1], got 0.0", id="mc-p0"),
+    pytest.param(lambda: McConfig(math.nan, 1, 0, 1), "p0 must lie in (0, 1], got nan", id="mc-p0-nan"),
+    pytest.param(lambda: McConfig(0.5, 0, 0, 1), "blocks must be an integer >= 1, got 0", id="mc-blocks"),
+    pytest.param(lambda: McConfig(0.5, 2.5, 0, 1), "blocks must be an integer >= 1, got 2.5", id="mc-blocks-float"),
+    pytest.param(lambda: McConfig(0.5, True, 0, 1), "blocks must be an integer >= 1, got True", id="mc-blocks-bool"),
+    pytest.param(lambda: McConfig(0.5, 1, -1, 1), "rounds must be an integer >= 0, got -1", id="mc-rounds"),
+    pytest.param(lambda: McConfig(0.5, 1, 0, 0), "trials must be an integer >= 1, got 0", id="mc-trials"),
+    pytest.param(lambda: McConfig(0.5, 1, 0, 1, seed=-1), "seed must be an integer >= 0, got -1", id="mc-seed"),
+    pytest.param(lambda: McConfig(0.5, 1, 0, 1, seed=1.5), "seed must be an integer >= 0, got 1.5", id="mc-seed-float"),
+    # the first rule broken is the one reported
+    pytest.param(lambda: McConfig(0.5, 0, -1, 0), "blocks must be an integer >= 1, got 0", id="mc-first"),
+    pytest.param(
+        lambda: QubusPlan(2, 0.1, "probe", dict(LEDGER)), "scheme must be 'single' or 'chained', got 'probe'",
+        id="qubus-scheme",
+    ),
+    pytest.param(
+        lambda: QubusPlan(2, 0.1, "single", {**LEDGER, "00": 0.1}), "codeword 00 must carry phase 0", id="qubus-00"
+    ),
+    pytest.param(
+        lambda: QubusPlan(2, 0.1, "single", {**LEDGER, "11": -0.1}), "codeword 11 must carry phase 0", id="qubus-11"
+    ),
+    pytest.param(
+        lambda: QubusPlan(3, 0.1, "chained", [dict(LEDGER), {**LEDGER, "11": 0.2}]),
+        "equal adjacent bits must carry phase 0",
+        id="qubus-chained",
+    ),
 ]
 
 
@@ -260,8 +328,13 @@ FIELDS = {
         "total_distance_km", "segment_km", "code", "rounds", "hardware", "channel", "fidelity", "attenuation_km",
     ),
     "OperatingPoint": ("feasible", "operating_fidelity", "result", "max_f_final"),
+    "DensityMatrix": ("matrix",),
+    "VariantReport": ("rows",),
+    "McConfig": ("p0", "blocks", "rounds", "trials", "seed"),
+    "QubusPlan": ("n", "theta_rad", "scheme", "per_state_phases"),
 }
 FIELDS["ProtocolConfig-channel"] = FIELDS["ProtocolConfig"]
+FIELDS["QubusPlan-chained"] = FIELDS["QubusPlan"]
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -272,10 +345,11 @@ def test_fields_refuse_assignment(name):
             setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError):
         value.no_such_field = 1.0
-    assert value == INSTANCES[name]()
+    # repr, not ==: a DensityMatrix's == compares arrays elementwise
+    assert repr(value) == repr(INSTANCES[name]())
 
 
-@pytest.mark.parametrize("name", sorted(INSTANCES))
+@pytest.mark.parametrize("name", sorted(INSTANCES.keys() - UNHASHABLE))
 def test_equal_and_hashed_by_value(name):
     one, two = INSTANCES[name](), INSTANCES[name]()
     assert one is not two
