@@ -7,8 +7,8 @@ PRL 77, 2818 (1996); entanglement swapping follows Briegel et al., PRL 81,
 one private float kernel, which the public functions wrap and the
 pipeline's chain calls on four floats for both code families:
 
-* ``_purify``, one ideal round, which ``_pump`` runs k times with the gate
-  charge on the product of the round probabilities;
+* ``_pump``, k ideal rounds with the gate charge on the product of the
+  round probabilities;
 * ``_pump_noisy``, k exact imperfect-gate rounds, whose factors of q_g
   alone are computed once per call;
 * ``_swap``, a ladder of ideal swap levels in one call.
@@ -110,32 +110,14 @@ def _check_gate_error(q_g: float) -> None:
         raise ValueError(f"gate error must lie in [0, 1/2), got {q_g}")
 
 
-def _purify(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float, float]:
-    """Float kernel of :func:`purify_ideal`: (A', B', C', D', P) of the state (a, b, c, d).
-
-    The result passes the checks of ``BellDiagonal`` and ``PurifyOutcome``:
-    a step that fails them is built as the object, which stores rounding
-    dust below zero as 0.0 or raises.
-    """
-    p = (a + d) ** 2 + (b + c) ** 2
-    if p <= 0.0:
-        raise ArithmeticError("purification branch has zero weight; state cannot be post-selected")
-    a, b, c, d = (a * a + d * d) / p, 2.0 * a * d / p, (b * b + c * c) / p, 2.0 * b * c / p
-    if not (a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0 and a + b + c + d <= 1.0 + _COEFF_TOL):
-        a, b, c, d = BellDiagonal(a, b, c, d)
-    if not -_COEFF_TOL <= p <= 1.0 + _COEFF_TOL:
-        PurifyOutcome(BellDiagonal(a, b, c, d), p)  # raises
-    return a, b, c, d, p
-
-
 def _pump_noisy(
     a: float, b: float, c: float, d: float, q: float, k: int
 ) -> tuple[float, float, float, float, float]:
     """Float kernel of k :func:`purify_imperfect_exact` rounds at gate error q: (A, B, C, D, prod P).
 
     The factors that depend on q alone are computed once per call; each
-    round is checked like :func:`_purify`.  k = 0 returns the state with
-    product 1.0.
+    round is checked like a :func:`_pump` round.  k = 0 returns the state
+    with product 1.0.
     """
     m = (-1.0 + q) * q          # -q(1-q)
     u = 1.0 + 2.0 * (-1.0 + q) * q  # 1 - 2q(1-q)
@@ -179,10 +161,22 @@ def _pump_noisy(
 
 
 def _pump(a: float, b: float, c: float, d: float, k: int, charge: float) -> tuple[float, float, float, float, float]:
-    """Float kernel of :func:`purify_k_rounds_lower`: k :func:`_purify` rounds, P_k = (prod P) * charge, checked."""
+    """Float kernel of :func:`purify_k_rounds_lower`: k :func:`purify_ideal` rounds, P_k = (prod P) * charge.
+
+    Each round's state and P pass the checks of ``BellDiagonal`` and
+    ``PurifyOutcome``, and so does P_k: a step that fails them is built as
+    the object, which stores rounding dust below zero as 0.0 or raises.
+    """
     p_chain = 1.0
     for _ in range(k):
-        a, b, c, d, p = _purify(a, b, c, d)
+        p = (a + d) ** 2 + (b + c) ** 2
+        if p <= 0.0:
+            raise ArithmeticError("purification branch has zero weight; state cannot be post-selected")
+        a, b, c, d = (a * a + d * d) / p, 2.0 * a * d / p, (b * b + c * c) / p, 2.0 * b * c / p
+        if not (a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0 and a + b + c + d <= 1.0 + _COEFF_TOL):
+            a, b, c, d = BellDiagonal(a, b, c, d)
+        if not -_COEFF_TOL <= p <= 1.0 + _COEFF_TOL:
+            PurifyOutcome(BellDiagonal(a, b, c, d), p)  # raises
         p_chain *= p
     p_k = p_chain * charge
     if not -_COEFF_TOL <= p_k <= 1.0 + _COEFF_TOL:
@@ -191,7 +185,7 @@ def _pump(a: float, b: float, c: float, d: float, k: int, charge: float) -> tupl
 
 
 def _swap(a: float, b: float, c: float, d: float, levels: int) -> tuple[float, float, float, float]:
-    """Float kernel of ``levels`` nested :func:`swap_ideal` steps, each checked like :func:`_purify`."""
+    """Float kernel of ``levels`` nested :func:`swap_ideal` steps, each checked like a :func:`_pump` round."""
     for _ in range(levels):
         a, b, c, d = (
             a * a + b * b + c * c + d * d,
@@ -214,7 +208,7 @@ def purify_ideal(s: BellDiagonal) -> PurifyOutcome:
 
     with success probability P = (A + D)^2 + (B + C)^2.
     """
-    a, b, c, d, p = _purify(*s)
+    a, b, c, d, p = _pump(*s, 1, 1.0)
     return PurifyOutcome(BellDiagonal(a, b, c, d), p)
 
 
@@ -254,11 +248,6 @@ def _gate_charge(q_g: float, qubits: int) -> float:
     return (1.0 - q_g) ** qubits
 
 
-def _check_code_length(n: int) -> None:
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"code length n must be an integer >= 1, got {n}")
-
-
 def purify_k_rounds_lower(s: BellDiagonal, q_g: float, n: int, k: int) -> PurifyOutcome:
     """Worst-case pump of k nested purification rounds on encoded pairs.
 
@@ -276,8 +265,9 @@ def purify_k_rounds_lower(s: BellDiagonal, q_g: float, n: int, k: int) -> Purify
     success probability 1.
     """
     _check_gate_error(q_g)
-    _check_code_length(n)
-    if not (isinstance(k, int) and k >= 0):
+    if not (type(n) is int and n >= 1):
+        raise ValueError(f"code length n must be an integer >= 1, got {n}")
+    if not (type(k) is int and k >= 0):
         raise ValueError(f"round count k must be an integer >= 0, got {k}")
     if k == 0:
         return PurifyOutcome(s, 1.0)

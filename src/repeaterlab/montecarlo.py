@@ -15,7 +15,7 @@ are split off one SeedSequence so results are reproducible per seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(namedtuple("McConfig", "p0 blocks rounds trials seed", defaults=[0])):
     """Sampling plan: ``blocks`` slots per window, ``trials`` windows, and a seed.
 
     Nothing reads p0 or rounds: both estimators take p0 and the pump depth
@@ -46,19 +45,19 @@ class McConfig:
     positional order because perfbench's Monte Carlo workload passes them.
     """
 
-    p0: float
-    blocks: int
-    rounds: int
-    trials: int
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p0 <= 1.0:
-            raise ValueError(f"p0 must lie in (0, 1], got {self.p0}")
+    def __init__(self, p0: float, blocks: int, rounds: int, trials: int, seed: int = 0) -> None:
+        if not 0.0 < p0 <= 1.0:
+            raise ValueError(f"p0 must lie in (0, 1], got {p0}")
         for name, low in (("blocks", 1), ("rounds", 0), ("trials", 1), ("seed", 0)):
             value = getattr(self, name)
             if type(value) is not int or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+    @classmethod
+    def _make(cls, iterable) -> McConfig:
+        return cls(*iterable)  # so that _replace validates too
 
 
 class RateEstimate(NamedTuple):
@@ -139,7 +138,11 @@ def simulate_rate(cfg: ProtocolConfig, fidelity: float, mc: McConfig) -> RateEst
         trees = pairs >> k
         out = rng_survive.binomial(trees, p_tree)
 
-    per_memory = out / (window_s * mc.blocks * cfg.code.n)
-    rate = float(per_memory.mean())
-    sem = float(per_memory.std(ddof=1) / math.sqrt(mc.trials)) if mc.trials > 1 else math.inf
+    try:
+        with np.errstate(over="raise"):
+            per_memory = out / (window_s * mc.blocks * cfg.code.n)
+            rate = float(per_memory.mean())
+            sem = float(per_memory.std(ddof=1) / math.sqrt(mc.trials)) if mc.trials > 1 else math.inf
+    except FloatingPointError:  # a pump window near 1e-157 s squares the spread past 1e308
+        raise ArithmeticError(f"Monte Carlo rate per memory overflows a float (pump window {window_s:.5g} s)") from None
     return RateEstimate(rate, sem, mc.trials)

@@ -16,8 +16,8 @@ import enum
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,19 +80,21 @@ class GateErrorVariant(enum.Enum):
     ZCXT_AFTER = "z_control_x_target_after"
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(namedtuple("DensityMatrix", "matrix")):
     """A validated density matrix on at most four qubits.
 
     Construction asserts Hermiticity, unit trace, and an eigenvalue floor,
-    so every channel application re-certifies physicality.
+    so every channel application re-certifies physicality.  ``__new__``
+    stores the matrix as a complex array, which ``__init__`` checks.
     """
 
-    matrix: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
+    def __new__(cls, matrix: np.ndarray) -> DensityMatrix:
+        return tuple.__new__(cls, (np.asarray(matrix, dtype=complex),))
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
         dim = m.shape[0]
@@ -108,12 +110,16 @@ class DensityMatrix:
         if lowest < _EIGENVALUE_FLOOR:
             raise ValueError(f"negative eigenvalue below floor: {lowest}")
 
+    @classmethod
+    def _make(cls, iterable) -> DensityMatrix:
+        return cls(*iterable)  # so that _replace validates too
+
     @property
     def num_qubits(self) -> int:
         return int(self.matrix.shape[0]).bit_length() - 1
 
     @classmethod
-    def from_bell_diagonal(cls, s: BellDiagonal) -> "DensityMatrix":
+    def from_bell_diagonal(cls, s: BellDiagonal) -> DensityMatrix:
         """Two-qubit Bell-diagonal state; requires a normalized input."""
         return cls(_bell_matrix(s))
 
@@ -393,8 +399,7 @@ def enumerate_logical_error(code: Code, q: float) -> float:
     return functools.reduce(operator.add, map(term.__getitem__, _heavy_weights(code.n, code.t)), 0.0)
 
 
-@dataclass(frozen=True)
-class VariantReport:
+class VariantReport(NamedTuple):
     """Deviation of each gate-error placement from the closed-form round."""
 
     rows: tuple[tuple[GateErrorVariant, float], ...]

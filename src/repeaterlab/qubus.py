@@ -12,7 +12,7 @@ stay degenerate so the measurement prepares the encoded superposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 __all__ = [
@@ -30,8 +30,7 @@ _ENUM_LIMIT = 16   # exhaustive pattern enumeration cap
 _PHASE_TOL = 1e-9  # phases closer than this (mod 2 pi) count as colliding
 
 
-@dataclass(frozen=True)
-class QubusPlan:
+class QubusPlan(namedtuple("QubusPlan", "n theta_rad scheme per_state_phases")):
     """Probe-phase ledger of an n-atom encoding step.
 
     ``per_state_phases`` is a dict mapping the n-bit pattern string
@@ -40,23 +39,24 @@ class QubusPlan:
     pattern (b_j, b_j+1) for the "chained" scheme.
     """
 
-    n: int
-    theta_rad: float
-    scheme: str
-    per_state_phases: dict[str, float] | list[dict[str, float]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.scheme not in ("single", "chained"):
-            raise ValueError(f"scheme must be 'single' or 'chained', got {self.scheme!r}")
+    def __init__(self, n: int, theta_rad: float, scheme: str, per_state_phases: dict | list[dict]) -> None:
+        if scheme not in ("single", "chained"):
+            raise ValueError(f"scheme must be 'single' or 'chained', got {scheme!r}")
         # the codeword branch must stay unrotated
-        if self.scheme == "single":
-            for codeword in ("0" * self.n, "1" * self.n):
-                if abs(self.per_state_phases[codeword]) > 1e-12:
+        if scheme == "single":
+            for codeword in ("0" * n, "1" * n):
+                if abs(per_state_phases[codeword]) > 1e-12:
                     raise ValueError(f"codeword {codeword} must carry phase 0")
         else:
-            for ledger in self.per_state_phases:
+            for ledger in per_state_phases:
                 if abs(ledger["00"]) > 1e-12 or abs(ledger["11"]) > 1e-12:
                     raise ValueError("equal adjacent bits must carry phase 0")
+
+    @classmethod
+    def _make(cls, iterable) -> QubusPlan:
+        return cls(*iterable)  # so that _replace validates too
 
 
 class Feasibility(NamedTuple):

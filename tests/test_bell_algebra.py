@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repeaterlab.bell_algebra import (
     _COEFF_TOL,
@@ -30,6 +30,11 @@ coeffs = st.tuples(*(st.floats(0.0, 1.0) for _ in range(4))).filter(lambda t: su
 def normalized(t):
     s = sum(t)
     return BellDiagonal(*(x / s for x in t))
+
+
+# normalized, it sums to 1 + 2.2e-16, and one round gives P = (a + d)^2 =
+# 1.0000000000000004: rounding dust inside PurifyOutcome's tolerance
+DUST = (0.7656971347803532, 0.0, 0.0, 0.39766942635642344)
 
 
 class TestBellDiagonal:
@@ -93,10 +98,11 @@ class TestPurifyIdeal:
             purify_ideal(BellDiagonal(0.0, 0.0, 0.0, 0.0))
 
     @given(coeffs)
+    @example(t=DUST)
     def test_normalized_output(self, t):
         out = purify_ideal(normalized(t))
         assert out.state.total() == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 <= out.success_prob <= 1.0
+        assert 0.0 <= out.success_prob <= 1.0 + _COEFF_TOL
 
 
 class TestSwapIdeal:
@@ -151,10 +157,11 @@ class TestPurifyImperfectExact:
         assert out.success_prob == pytest.approx(0.81872128, rel=1e-12)
 
     @given(coeffs, st.floats(0.0, 0.49))
+    @example(t=DUST, q=0.0)
     def test_normalized_output(self, t, q):
         out = purify_imperfect_exact(normalized(t), q)
         assert out.state.total() == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 <= out.success_prob <= 1.0
+        assert 0.0 <= out.success_prob <= 1.0 + _COEFF_TOL
 
     @given(coeffs, st.floats(1e-3, 1.0), st.floats(0.0, 0.5, exclude_max=True))
     def test_two_mixed_copies_through_the_ideal_recurrence(self, t, scale, q):
@@ -319,3 +326,10 @@ class TestPurifyKRounds:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             purify_k_rounds_lower(S_WORK, 1e-3, 3, -1)
+        # a bool is no integer here, as in Code and ProtocolConfig.rounds
+        with pytest.raises(ValueError, match="^round count k must be an integer >= 0, got True$"):
+            purify_k_rounds_lower(S_WORK, 1e-3, 3, True)
+        with pytest.raises(ValueError, match="^code length n must be an integer >= 1, got True$"):
+            purify_k_rounds_lower(S_WORK, 1e-3, True, 1)
+        with pytest.raises(ValueError, match="^code length n must be an integer >= 1, got True$"):
+            purify_k_rounds_lower(S_WORK, 0.01, True, True)

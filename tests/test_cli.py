@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repeaterlab.cli import (
@@ -892,6 +892,9 @@ class TestFuzz:
             st.tuples(st.just("report"), _REPORT_ARGV),
         )
     )
+    # the per-memory spread of these speeds' samples squares past 1e308
+    @example(run=("montecarlo", ["--fiber-speed=6.146275630615131e+161"]))
+    @example(run=("montecarlo", ["--fiber-speed=1.8765873624083062e+160"]))
     def test_main_exit_codes(self, fuzz_dir, run):
         command, payload = run
         if command == "rate-sweep":

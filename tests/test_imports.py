@@ -117,13 +117,32 @@ def test_cli_imports_qubus_only_for_qubus_check(tmp_path, argv, imports_qubus):
     [
         pytest.param("import repeaterlab.pipeline", False, id="pipeline"),
         pytest.param("import repeaterlab.cli", False, id="cli"),
-        # the numpy-side value types are still dataclasses
-        pytest.param("import repeaterlab.oracle", True, id="oracle"),
+        pytest.param("import repeaterlab.oracle", False, id="oracle"),
+        pytest.param("import repeaterlab.montecarlo", False, id="montecarlo"),
+        pytest.param("import repeaterlab.qubus", False, id="qubus"),
     ],
 )
 def test_closed_form_model_imports_no_dataclasses(program, imports_dataclasses):
     # its value types are NamedTuples; dataclasses would also load inspect, ast, dis and tokenize
     assert _leaves_imported(program, "dataclasses") == imports_dataclasses
+
+
+def test_no_module_imports_dataclasses():
+    # one value-type idiom: every value type is a NamedTuple
+    for path in sorted(Path(repeaterlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in {a.name.partition(".")[0] for a in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").partition(".")[0] != "dataclasses", path.name
+
+
+def test_python_dash_m_qubus_check_imports_no_dataclasses_or_inspect():
+    proc = _python("-X", "importtime", "-m", "repeaterlab", "qubus-check", "--n", "4", "--theta-rad", "0.1")
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "repeaterlab.qubus" in imported
+    assert not {"dataclasses", "inspect"} & set(imported)
 
 
 def test_python_dash_m_rate_sweep_imports_no_dataclasses(tmp_path):

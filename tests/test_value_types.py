@@ -1,12 +1,12 @@
 """The value types: repr, validation messages, immutability, value semantics.
 
 BellDiagonal, PurifyOutcome, Code, ChannelParams, HardwareParams,
-ProtocolConfig and OperatingPoint print, compare and hash by value, refuse
-assignment, take keywords with their defaults, and fail every rule their
-constructor enforces with one exact message.  The numpy-side DensityMatrix,
-VariantReport, McConfig and QubusPlan print, refuse assignment and fail
-their rules the same way; those whose fields cannot be hashed (an ndarray,
-a dict) are left out of the hash tests.
+ProtocolConfig, OperatingPoint and the numpy-side DensityMatrix,
+VariantReport, McConfig and QubusPlan are NamedTuples.  They print, compare
+and hash by value, refuse assignment, take keywords with their defaults,
+and fail every rule their constructor enforces with one exact message, in
+``_replace`` and ``_make`` too.  Those whose fields cannot be hashed (an
+ndarray, a dict) are left out of the hash tests.
 """
 
 import inspect
@@ -404,7 +404,7 @@ class TestKeywordConstruction:
         assert by_channel.fidelity is None
         assert by_channel.channel is ch
 
-    @pytest.mark.parametrize("cls", [ChannelParams, HardwareParams, ProtocolConfig])
+    @pytest.mark.parametrize("cls", [ChannelParams, HardwareParams, ProtocolConfig, McConfig])
     def test_checked_defaults_are_the_stored_defaults(self, cls):
         # __init__ checks what namedtuple's __new__ stored, so both must default alike
         params = inspect.signature(cls.__init__).parameters.values()
@@ -428,12 +428,22 @@ class TestTuples:
         assert Code(*REP) == REP
         assert HardwareParams(*HW) == (*HW, FIBER_SPEED_M_PER_S)
         assert hash(Code(*REP)) == hash(REP)
+        assert McConfig(*MC) == (*MC, 0)
+        assert hash(McConfig(*MC)) == hash((*MC, 0))
+        assert VariantReport(ROWS) == (ROWS,)
+        assert QubusPlan(2, 0.1, "single", dict(LEDGER)) == (2, 0.1, "single", LEDGER)
 
     def test_unpack(self):
         a, b, c, d = BellDiagonal(*STATE)
         assert (a, b, c, d) == STATE
         state, p = PurifyOutcome(BellDiagonal(*STATE), 0.5)
         assert state == BellDiagonal(*STATE) and p == 0.5
+        p0, blocks, rounds, trials, seed = McConfig(*MC, seed=5)
+        assert (p0, blocks, rounds, trials, seed) == (*MC, 5)
+        (matrix,) = DensityMatrix([[0.5, 0.0], [0.0, 0.5]])
+        assert matrix.dtype == complex and (matrix == np.eye(2) / 2.0).all()
+        n, theta_rad, scheme, phases = QubusPlan(2, 0.1, "single", dict(LEDGER))
+        assert (n, theta_rad, scheme, phases) == (2, 0.1, "single", LEDGER)
 
 
 # (instance, a _replace that breaks one rule, the constructor's message)
@@ -458,6 +468,19 @@ REPLACE_MESSAGES = [
     ),
     pytest.param(
         _channel_cfg, {"channel": None}, "give exactly one of channel= or fidelity=", id="ProtocolConfig-channel"
+    ),
+    pytest.param(
+        INSTANCES["DensityMatrix"], {"matrix": np.eye(2)}, "trace must be 1, got (2+0j)", id="DensityMatrix"
+    ),
+    pytest.param(INSTANCES["McConfig"], {"p0": 0.0}, "p0 must lie in (0, 1], got 0.0", id="McConfig"),
+    pytest.param(INSTANCES["McConfig"], {"seed": True}, "seed must be an integer >= 0, got True", id="McConfig-seed"),
+    pytest.param(
+        INSTANCES["QubusPlan"], {"scheme": "probe"}, "scheme must be 'single' or 'chained', got 'probe'",
+        id="QubusPlan",
+    ),
+    pytest.param(
+        INSTANCES["QubusPlan-chained"], {"per_state_phases": [{**LEDGER, "00": 0.3}]},
+        "equal adjacent bits must carry phase 0", id="QubusPlan-chained",
     ),
 ]
 
@@ -487,6 +510,10 @@ class TestReplace:
         assert type(cfg) is ProtocolConfig
         assert cfg == _cfg(rounds=1, fidelity=0.97)
         assert HardwareParams(*HW)._replace(memory_coherence_s=1.0) == HardwareParams(0.999, 1.0)
+        mc = McConfig(*MC)._replace(seed=3)
+        assert type(mc) is McConfig and mc == McConfig(*MC, seed=3)
+        rho = DensityMatrix(np.eye(2) / 2.0)._replace(matrix=[[1.0, 0.0], [0.0, 0.0]])
+        assert type(rho) is DensityMatrix and rho.matrix.dtype == complex
 
     def test_replace_still_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="Got unexpected field names: \\['rate'\\]"):
