@@ -26,7 +26,7 @@ Noisy local gates with dephasing weight q_g enter in two ways:
 
 from __future__ import annotations
 
-from collections import namedtuple
+from ._checked import checked_tuple
 
 __all__ = [
     "BellDiagonal",
@@ -42,17 +42,15 @@ _COEFF_TOL = 1e-12
 _tuple_new = tuple.__new__
 
 
-class BellDiagonal(namedtuple("BellDiagonal", "a b c d")):
+class BellDiagonal(checked_tuple("BellDiagonal", "a b c d")):
     """Bell-diagonal coefficients (a, b, c, d) = weights of phi+, phi-, psi+, psi-.
 
     Coefficients are nonnegative and sum to at most 1; sums strictly below 1
     are legal and mark a state whose missing weight has been conceded to an
     error budget.
 
-    Like every value type of the closed-form model, a NamedTuple whose
-    ``__init__`` checks the fields that ``__new__`` stored (perfbench's
-    tracer times a class through its ``__init__``), and whose ``_make``, so
-    also ``_replace``, builds through the constructor.
+    Its ``__init__`` checks the fields that ``__new__`` stored (perfbench's
+    tracer times a class through its ``__init__``).
     """
 
     __slots__ = ()
@@ -75,10 +73,6 @@ class BellDiagonal(namedtuple("BellDiagonal", "a b c d")):
         if not self.total() <= 1.0 + _COEFF_TOL:
             raise ValueError(f"coefficients must sum to <= 1, got {self.total()}")
 
-    @classmethod
-    def _make(cls, iterable) -> BellDiagonal:
-        return cls(*iterable)  # so that _replace validates too
-
     def total(self) -> float:
         return self.a + self.b + self.c + self.d
 
@@ -91,7 +85,7 @@ class BellDiagonal(namedtuple("BellDiagonal", "a b c d")):
         return (self.a, self.b, self.c, self.d)
 
 
-class PurifyOutcome(namedtuple("PurifyOutcome", "state success_prob")):
+class PurifyOutcome(checked_tuple("PurifyOutcome", "state success_prob")):
     """Post-selected state of one purification step and its success probability."""
 
     __slots__ = ()
@@ -99,10 +93,6 @@ class PurifyOutcome(namedtuple("PurifyOutcome", "state success_prob")):
     def __init__(self, state: BellDiagonal, success_prob: float) -> None:
         if not -_COEFF_TOL <= success_prob <= 1.0 + _COEFF_TOL:
             raise ValueError(f"success_prob must lie in [0, 1], got {success_prob}")
-
-    @classmethod
-    def _make(cls, iterable) -> PurifyOutcome:
-        return cls(*iterable)  # so that _replace validates too
 
 
 def _check_gate_error(q_g: float) -> None:

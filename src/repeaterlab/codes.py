@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
 
+from ._checked import checked_tuple
 from .bell_algebra import BellDiagonal
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-class Code(namedtuple("Code", "n k d family")):
+class Code(checked_tuple("Code", "n k d family")):
     """An [n, k, d] block code protecting one logical qubit (k = 1); family is "repetition" or "css"."""
 
     __slots__ = ()
@@ -44,10 +44,6 @@ class Code(namedtuple("Code", "n k d family")):
             raise ValueError(f"unknown code family {family!r}")
         if family == "repetition" and d != n:
             raise ValueError(f"repetition codes have d = n, got n={n}, d={d}")
-
-    @classmethod
-    def _make(cls, iterable) -> Code:
-        return cls(*iterable)  # so that _replace validates too
 
     @property
     def label(self) -> str:

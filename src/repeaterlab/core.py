@@ -8,13 +8,14 @@ the probe into a dephasing channel on the pair, which sets both the raw
 fidelity of the distributed state and the heralding probability.
 
 All probabilities returned here are plain floats; structured parameters are
-NamedTuples, validated whenever one is built (``_replace`` included).
+checked NamedTuples.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+
+from ._checked import checked_tuple
 
 __all__ = [
     "ChannelParams",
@@ -34,7 +35,7 @@ FIBER_SPEED_M_PER_S = 2.0e8
 
 
 class ChannelParams(
-    namedtuple(
+    checked_tuple(
         "ChannelParams",
         "segment_length_km qubus_strength interaction_angle_rad attenuation_length_km",
         defaults=[ATTENUATION_LENGTH_KM],
@@ -72,10 +73,6 @@ class ChannelParams(
         if not 0.0 < interaction_angle_rad < math.pi:
             raise ValueError(f"interaction_angle_rad must lie in (0, pi), got {interaction_angle_rad}")
 
-    @classmethod
-    def _make(cls, iterable) -> ChannelParams:
-        return cls(*iterable)  # so that _replace validates too
-
     def transmittance(self) -> float:
         return transmittance(self.segment_length_km, self.attenuation_length_km)
 
@@ -86,7 +83,7 @@ class ChannelParams(
 
 
 class HardwareParams(
-    namedtuple(
+    checked_tuple(
         "HardwareParams",
         "local_transmission memory_coherence_s fiber_speed_m_per_s",
         defaults=[FIBER_SPEED_M_PER_S],
@@ -120,10 +117,6 @@ class HardwareParams(
             raise ValueError(f"memory_coherence_s must be > 0, got {memory_coherence_s}")
         if not 0.0 < fiber_speed_m_per_s < math.inf:
             raise ValueError(f"fiber_speed_m_per_s must be finite and > 0, got {fiber_speed_m_per_s}")
-
-    @classmethod
-    def _make(cls, iterable) -> HardwareParams:
-        return cls(*iterable)  # so that _replace validates too
 
     def gate_error(self) -> float:
         return gate_error_prob(self.local_transmission)

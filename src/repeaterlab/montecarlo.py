@@ -15,11 +15,11 @@ are split off one SeedSequence so results are reproducible per seed.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
 
+from ._checked import checked_tuple
 from .pipeline import (
     ProtocolConfig,
     heralding_probability,
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-class McConfig(namedtuple("McConfig", "p0 blocks rounds trials seed", defaults=[0])):
+class McConfig(checked_tuple("McConfig", "p0 blocks rounds trials seed", defaults=[0])):
     """Sampling plan: ``blocks`` slots per window, ``trials`` windows, and a seed.
 
     Nothing reads p0 or rounds: both estimators take p0 and the pump depth
@@ -54,10 +54,6 @@ class McConfig(namedtuple("McConfig", "p0 blocks rounds trials seed", defaults=[
             value = getattr(self, name)
             if type(value) is not int or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-    @classmethod
-    def _make(cls, iterable) -> McConfig:
-        return cls(*iterable)  # so that _replace validates too
 
 
 class RateEstimate(NamedTuple):

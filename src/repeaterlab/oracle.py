@@ -16,11 +16,11 @@ import enum
 import functools
 import itertools
 import operator
-from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._checked import checked_tuple
 from .bell_algebra import BellDiagonal, PurifyOutcome, purify_imperfect_exact
 from .codes import Code
 
@@ -80,7 +80,7 @@ class GateErrorVariant(enum.Enum):
     ZCXT_AFTER = "z_control_x_target_after"
 
 
-class DensityMatrix(namedtuple("DensityMatrix", "matrix")):
+class DensityMatrix(checked_tuple("DensityMatrix", "matrix")):
     """A validated density matrix on at most four qubits.
 
     Construction asserts Hermiticity, unit trace, and an eigenvalue floor,
@@ -109,10 +109,6 @@ class DensityMatrix(namedtuple("DensityMatrix", "matrix")):
         lowest = np.linalg.eigvalsh(m).min()
         if lowest < _EIGENVALUE_FLOOR:
             raise ValueError(f"negative eigenvalue below floor: {lowest}")
-
-    @classmethod
-    def _make(cls, iterable) -> DensityMatrix:
-        return cls(*iterable)  # so that _replace validates too
 
     @property
     def num_qubits(self) -> int:

@@ -23,9 +23,9 @@ Rates are quoted per memory qubit: R = P0 P_k / (n 2^k (k/2 + 1) T0).
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import Callable, NamedTuple, Sequence
 
+from ._checked import checked_tuple
 from .bell_algebra import _check_gate_error, _gate_charge, _pump, _pump_noisy, _swap
 from .codes import Code, _stored_pair, css_effective_qubit_error, logical_error_prob, pair_no_error_prob
 from .core import (
@@ -65,7 +65,7 @@ _F_TOL = 1e-4
 
 
 class ProtocolConfig(
-    namedtuple(
+    checked_tuple(
         "ProtocolConfig",
         "total_distance_km segment_km code rounds hardware channel fidelity attenuation_km",
         defaults=[None, None, ATTENUATION_LENGTH_KM],
@@ -110,10 +110,6 @@ class ProtocolConfig(
         n = round(ratio) if math.isfinite(ratio) else 0
         if abs(ratio - n) > 1e-9 or n < 2 or n & (n - 1) != 0:
             raise ValueError(f"total_distance_km / segment_km must be a power of two >= 2, got {ratio}")
-
-    @classmethod
-    def _make(cls, iterable) -> ProtocolConfig:
-        return cls(*iterable)  # so that _replace validates too
 
     def num_segments(self) -> int:
         """N = L / L0, a power of two >= 2 (checked when the config is built)."""

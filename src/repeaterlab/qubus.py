@@ -12,8 +12,9 @@ stay degenerate so the measurement prepares the encoded superposition.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import NamedTuple
+
+from ._checked import checked_tuple
 
 __all__ = [
     "QubusPlan",
@@ -30,7 +31,7 @@ _ENUM_LIMIT = 16   # exhaustive pattern enumeration cap
 _PHASE_TOL = 1e-9  # phases closer than this (mod 2 pi) count as colliding
 
 
-class QubusPlan(namedtuple("QubusPlan", "n theta_rad scheme per_state_phases")):
+class QubusPlan(checked_tuple("QubusPlan", "n theta_rad scheme per_state_phases")):
     """Probe-phase ledger of an n-atom encoding step.
 
     ``per_state_phases`` is a dict mapping the n-bit pattern string
@@ -53,10 +54,6 @@ class QubusPlan(namedtuple("QubusPlan", "n theta_rad scheme per_state_phases")):
             for ledger in per_state_phases:
                 if abs(ledger["00"]) > 1e-12 or abs(ledger["11"]) > 1e-12:
                     raise ValueError("equal adjacent bits must carry phase 0")
-
-    @classmethod
-    def _make(cls, iterable) -> QubusPlan:
-        return cls(*iterable)  # so that _replace validates too
 
 
 class Feasibility(NamedTuple):

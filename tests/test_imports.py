@@ -199,8 +199,9 @@ def test_package_exports_match_the_submodule_all(module):
 
 
 def test_every_submodule_has_an_export_entry():
-    submodules = {info.name for info in pkgutil.iter_modules(repeaterlab.__path__)}
-    assert submodules - {"cli", "__main__"} == set(repeaterlab._EXPORTS)
+    # private modules (_checked, __main__) export nothing
+    submodules = {info.name for info in pkgutil.iter_modules(repeaterlab.__path__) if not info.name.startswith("_")}
+    assert submodules - {"cli"} == set(repeaterlab._EXPORTS)
 
 
 def test_all_and_dir_list_every_export():

@@ -343,7 +343,8 @@ class TestIndexValidation:
 class TestIndependence:
     def test_imports_from_closed_forms_only_the_reference_and_types(self):
         # the oracle shares no code with the closed forms: from the package
-        # it takes the state types, the round it is compared against, and Code
+        # it takes the state types, the round it is compared against, Code,
+        # and the checked value types' base
         tree = ast.parse(Path(oracle.__file__).read_text())
         imported = set()
         for node in ast.walk(tree):
@@ -353,6 +354,7 @@ class TestIndependence:
                 module = (node.module or "").removeprefix("repeaterlab").lstrip(".")
                 imported |= {(module, a.name) for a in node.names}
         assert imported == {
+            ("_checked", "checked_tuple"),
             ("bell_algebra", "BellDiagonal"),
             ("bell_algebra", "PurifyOutcome"),
             ("bell_algebra", "purify_imperfect_exact"),

@@ -9,12 +9,15 @@ and fail every rule their constructor enforces with one exact message, in
 ndarray, a dict) are left out of the hash tests.
 """
 
+import ast
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repeaterlab
 from repeaterlab.bell_algebra import BellDiagonal, PurifyOutcome
 from repeaterlab.codes import Code
 from repeaterlab.core import (
@@ -522,6 +525,30 @@ class TestReplace:
     def test_make_still_rejects_a_short_iterable(self):
         with pytest.raises(TypeError):
             Code._make((3, 1, 3))
+
+
+def test_checked_types_share_one_make():
+    # _make, and so _replace, builds through the constructor in one place:
+    # every class with its own checks builds on checked_tuple(...)
+    makes, checked = [], {}
+    for path in sorted(Path(repeaterlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "_make":
+                makes.append(path.name)
+            elif isinstance(node, ast.ClassDef) and any(
+                isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in node.body
+            ):
+                checked[node.name] = [
+                    b.func.id for b in node.bases if isinstance(b, ast.Call) and isinstance(b.func, ast.Name)
+                ]
+    assert makes == ["_checked.py"]
+    assert checked == {
+        name: ["checked_tuple"]
+        for name in (
+            "BellDiagonal", "PurifyOutcome", "Code", "ChannelParams", "HardwareParams", "ProtocolConfig",
+            "McConfig", "DensityMatrix", "QubusPlan",
+        )
+    }
 
 
 def test_with_fidelity_validates_the_copy():
