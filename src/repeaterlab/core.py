@@ -124,7 +124,7 @@ class HardwareParams(
 
 def transmittance(length_km: float, attenuation_length_km: float = ATTENUATION_LENGTH_KM) -> float:
     """Fiber transmittance eta = exp(-l / L_att) over ``length_km``."""
-    if length_km < 0.0:
+    if not length_km >= 0.0:
         raise ValueError(f"length_km must be >= 0, got {length_km}")
     if not attenuation_length_km > 0.0:
         raise ValueError(f"attenuation_length_km must be > 0, got {attenuation_length_km}")
@@ -140,8 +140,10 @@ def initial_fidelity(alpha: float, theta_rad: float, eta: float) -> float:
 
     F = 1 exactly when nothing leaks: alpha = 0 or eta = 1.
     """
-    if not alpha >= 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    if not math.isfinite(theta_rad):
+        raise ValueError(f"theta_rad must be finite, got {theta_rad}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     return 0.5 * (1.0 + math.exp(-(1.0 - eta) * alpha * alpha * (1.0 - math.cos(theta_rad))))
@@ -192,8 +194,10 @@ def memory_error_prob(elapsed_s: float, coherence_s: float) -> float:
 
         1 - q_m(t) = (1 - q_m(t/2))^2 + q_m(t/2)^2.
     """
-    if elapsed_s < 0.0:
+    if not elapsed_s >= 0.0:
         raise ValueError(f"elapsed_s must be >= 0, got {elapsed_s}")
     if not coherence_s > 0.0:
         raise ValueError(f"coherence_s must be > 0, got {coherence_s}")
+    if elapsed_s == coherence_s == math.inf:
+        raise ValueError("elapsed_s and coherence_s cannot both be infinite, got elapsed_s=inf, coherence_s=inf")
     return 0.5 * (1.0 - math.exp(-elapsed_s / coherence_s))

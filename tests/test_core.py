@@ -37,6 +37,8 @@ class TestTransmittance:
             transmittance(10.0, 0.0)
         with pytest.raises(ValueError):
             transmittance(-1.0, 25.5)
+        with pytest.raises(ValueError, match="^length_km must be >= 0, got nan$"):
+            transmittance(math.nan)
 
 
 class TestInitialFidelity:
@@ -60,6 +62,15 @@ class TestInitialFidelity:
             initial_fidelity(1.0, 0.3, 0.0)
         with pytest.raises(ValueError, match="alpha"):
             initial_fidelity(math.nan, 0.3, 0.5)
+        # an infinite alpha meets a zero factor as inf * 0 = nan
+        with pytest.raises(ValueError, match="^alpha must be finite and >= 0, got inf$"):
+            initial_fidelity(math.inf, 0.0, 0.5)
+        with pytest.raises(ValueError, match="^alpha must be finite and >= 0, got inf$"):
+            initial_fidelity(math.inf, 0.3, 1.0)
+        with pytest.raises(ValueError, match="^theta_rad must be finite, got nan$"):
+            initial_fidelity(1.0, math.nan, 0.5)
+        with pytest.raises(ValueError, match="^theta_rad must be finite, got inf$"):
+            initial_fidelity(1.0, math.inf, 0.5)
 
     @given(
         st.floats(0.1, 40.0),
@@ -159,6 +170,13 @@ class TestMemoryError:
             memory_error_prob(-1.0, 0.1)
         with pytest.raises(ValueError):
             memory_error_prob(1.0, 0.0)
+        with pytest.raises(ValueError, match="^elapsed_s must be >= 0, got nan$"):
+            memory_error_prob(math.nan, 0.1)
+        with pytest.raises(ValueError) as excinfo:
+            memory_error_prob(math.inf, math.inf)
+        assert str(excinfo.value) == (
+            "elapsed_s and coherence_s cannot both be infinite, got elapsed_s=inf, coherence_s=inf"
+        )
 
 
 class TestParamTypes:
