@@ -98,12 +98,10 @@ def finite_window_estimate(cfg: ProtocolConfig, fidelity: float, mc: McConfig) -
     else:
         mean, half = s * p0, 40.0 * math.sqrt(s * p0 * (1.0 - p0)) + 40.0
         log_p, log_q = math.log(p0), math.log1p(-p0)
-        pmf = [
-            (j >> k, _binomial_pmf(s, j, log_p, log_q))
-            for j in range(max(0, math.floor(mean - half)), min(s, math.ceil(mean + half)) + 1)
-        ]
-        e_t = sum(t * w for t, w in pmf)
-        var_t = sum((t - e_t) ** 2 * w for t, w in pmf)
+        # two passes over the window, so that memory stays flat in blocks
+        window = range(max(0, math.floor(mean - half)), min(s, math.ceil(mean + half)) + 1)
+        e_t = sum((j >> k) * _binomial_pmf(s, j, log_p, log_q) for j in window)
+        var_t = sum(((j >> k) - e_t) ** 2 * _binomial_pmf(s, j, log_p, log_q) for j in window)
     scale = window_s * s * cfg.code.n
     var_out = p_tree * (1.0 - p_tree) * e_t + p_tree * p_tree * var_t
     rate = rate_unpurified(cfg) if k == 0 else p_tree * e_t / scale

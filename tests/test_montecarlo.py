@@ -1,6 +1,7 @@
 """Sampling cross-checks of the analytic supply and rate formulas."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -190,6 +191,17 @@ class TestFiniteWindowEstimate:
         got = finite_window_estimate(cfg, 0.9999, McConfig(1.0, 64, 3, 200))
         assert 0.0 < got.rate_per_memory_hz < 1e-15
         assert got.std_error_hz > 0.0
+
+    def test_memory_stays_flat_in_blocks(self):
+        # at 10^6 blocks the pmf window spans ~22,000 pair counts; a list of
+        # its terms peaks near 2.7 MB, summing it in passes near 2 kB
+        tracemalloc.start()
+        try:
+            finite_window_estimate(make_cfg(rounds=2), 0.95, McConfig(1.0, 10**6, 2, 200))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_zero_supply_has_no_spread(self):
         got = finite_window_estimate(make_cfg(rounds=2), 1.0, McConfig(1.0, 64, 2, 10))
