@@ -179,6 +179,13 @@ class TestPurifyImperfectExact:
         assert out.state.as_tuple() == pytest.approx(want, rel=0.0, abs=1e-14)
         assert out.success_prob == pytest.approx(p, rel=0.0, abs=1e-14)
 
+    def test_unpostselectable_inputs(self):
+        with pytest.raises(ArithmeticError, match="^purification branch has zero weight"):
+            purify_imperfect_exact(BellDiagonal(0.0, 0.0, 0.0, 0.0), 0.1)
+        # a total inside the constructor's tolerance squares to a P outside it
+        with pytest.raises(ValueError, match=r"^success_prob must lie in \[0, 1\], got 1.0000000000020002$"):
+            purify_imperfect_exact(BellDiagonal(1.000000000001, 0.0, 0.0, 0.0), 0.0)
+
     def test_linear_in_small_q(self):
         # coefficient shifts scale by 10 when q_g does: slope is finite
         ideal = purify_ideal(S_WORK)

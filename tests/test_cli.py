@@ -539,14 +539,16 @@ class TestMain:
     def test_rate_sweep_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(SWEEP_TEXT)
-        out = tmp_path / "rates.csv"
-        rc = main(["rate-sweep", "--config", str(cfg), "--out", str(out)])
+        out, plot, want = tmp_path / "rates.csv", tmp_path / "rates.dat", tmp_path / "want.dat"
+        rc = main(["rate-sweep", "--config", str(cfg), "--out", str(out), "--gnuplot", str(plot)])
         assert rc == 0
         assert "wrote 2 rows" in capsys.readouterr().out
         with open(out, newline="") as fh:
             table = list(csv.reader(fh))
         assert table[0] == HEADER
         assert len(table) == 3
+        emit_gnuplot([evaluate(to_protocol_config(case)) for case in parse_config(SWEEP_TEXT)], str(want))
+        assert plot.read_bytes() == want.read_bytes()
 
     def test_rate_sweep_csv_bytes_frozen(self, tmp_path, capsys):
         cfg, out = tmp_path / "grid.cfg", tmp_path / "rates.csv"

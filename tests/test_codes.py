@@ -124,6 +124,8 @@ class TestPairNoError:
     @given(st.floats(0.0, 1.0))
     def test_range(self, q):
         assert 0.5 <= pair_no_error_prob(q) <= 1.0
+        with pytest.raises(ValueError, match=r"^q_logical must lie in \[0, 1\], got 1.5$"):
+            pair_no_error_prob(1.5)
 
 
 class TestEffectiveCoefficients:
@@ -174,3 +176,5 @@ class TestCssBudget:
             css_effective_qubit_error(-0.1, 0.0, 1.0)
         with pytest.raises(ValueError):
             css_effective_qubit_error(0.0, 0.0, 1.5)
+        with pytest.raises(ValueError, match=r"^q_g must lie in \[0, 1\], got 1.5$"):
+            css_effective_qubit_error(0.1, 1.5, 0.9)

@@ -107,6 +107,10 @@ class TestSuccessProbability:
         with pytest.raises(ValueError, match="lossless"):
             success_probability(0.9, 1.0)
 
+    def test_eta_domain(self):
+        with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\) for heralding, got 1.5$"):
+            success_probability(0.9, 1.5)
+
     @pytest.mark.parametrize("bad_f", [0.5, 0.2, 1.0 + 1e-9])
     def test_fidelity_domain(self, bad_f):
         with pytest.raises(ValueError):

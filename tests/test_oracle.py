@@ -89,6 +89,8 @@ class TestDensityMatrix:
         again, residual2 = bell_diagonal_projection(DensityMatrix.from_bell_diagonal(once))
         assert again.as_tuple() == pytest.approx(once.as_tuple(), abs=1e-14)
         assert residual2 == pytest.approx(0.0, abs=1e-14)
+        with pytest.raises(ValueError, match="^Bell projection needs a two-qubit state$"):
+            bell_diagonal_projection(DensityMatrix(np.eye(2) / 2.0))
 
 
 class TestDephasing:
@@ -117,6 +119,8 @@ class TestDephasing:
         rho = DensityMatrix.from_bell_diagonal(BellDiagonal(1.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             apply_dephasing(rho, 2, 0.1)
+        with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\], got 2$"):
+            apply_dephasing(rho, 0, 2)
 
 
 class TestNoisyGate:
@@ -146,6 +150,8 @@ class TestNoisyGate:
         rho = DensityMatrix.from_bell_diagonal(BellDiagonal(1.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             apply_noisy_two_qubit_gate(rho, 1, 1, 0.0)
+        with pytest.raises(ValueError, match="^target index 2 out of range for 2 qubits$"):
+            apply_noisy_two_qubit_gate(rho, 0, 2, 0.0)
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -432,6 +438,8 @@ class TestEnumeration:
         code = Code(51, 1, 51, "repetition")
         with pytest.raises(ValueError):
             enumerate_logical_error(code, 0.1)
+        with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\], got 1.5$"):
+            enumerate_logical_error(Code(3, 1, 3, "repetition"), 1.5)
 
 
 class TestVariantReport:

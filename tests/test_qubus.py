@@ -317,6 +317,11 @@ class TestHomodyne:
     def test_min_beta_meets_target(self, theta, eps):
         assert homodyne_error(min_beta(theta, eps), theta) <= eps
 
+    def test_min_beta_unreachable(self):
+        # at theta = 2 pi, 1 - cos theta is 0.0: no amplitude separates the probe states
+        with pytest.raises(ArithmeticError, match="^no finite amplitude reaches the target error$"):
+            min_beta(2.0 * math.pi, 1e-3)
+
     @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
     def test_min_beta_domain(self, eps):
         with pytest.raises(ValueError):
