@@ -132,20 +132,18 @@ def _bell_matrix(s: BellDiagonal) -> np.ndarray:
 
 
 @functools.cache
-def _index_map(
-    m: int, gate: str, qubits: tuple[int, ...]
-) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _index_map(m: int, gate: str, qubits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(gather, mask) of a signed-permutation gate on an m-qubit register.
 
     X, Z, CNOT and CZ send basis state j to s_j |perm[j]>, with perm an
-    involution and s_j = +-1; X and CNOT have no signs, Z and CZ no
-    permutation (``None`` stands for either).  Then
+    involution and s_j = +-1; X and CNOT have no signs (an all-ones mask),
+    Z and CZ no permutation (the identity gather).  Then
     U rho U^dagger = mask * rho[perm][:, perm] with mask = outer(s, s);
     ``gather`` holds the flat indices of rho[perm][:, perm], so that one
     ``take`` does both row and column moves.
     """
     dim, shift = 2**m, [m - 1 - q for q in qubits]
-    perm = sign = None
+    perm, sign = range(dim), [1] * dim
     if gate == "X":
         perm = [j ^ (1 << shift[0]) for j in range(dim)]
     elif gate == "CNOT":
@@ -158,11 +156,10 @@ def _index_map(
         raise ValueError(f"no index map for gate {gate!r}")
     # plain ints: numpy's shift and bitwise ufuncs run nowhere else in the
     # oracle, and their first call costs a 128 KB step of peak RSS
-    gather = None if perm is None else np.array([[a * dim + b for b in perm] for a in perm])
-    mask = None if sign is None else np.array([[a * b for b in sign] for a in sign], dtype=float)
+    gather = np.array([[a * dim + b for b in perm] for a in perm])
+    mask = np.array([[a * b for b in sign] for a in sign], dtype=float)
     for table in (gather, mask):
-        if table is not None:
-            table.setflags(write=False)
+        table.setflags(write=False)
     return gather, mask
 
 
@@ -171,18 +168,16 @@ def _step_tables(m: int, programs: tuple) -> tuple[np.ndarray, ...]:
     """Stacked tables of equal-length gate programs on m qubits, one per row.
 
     Step k of row v applies gate ``programs[v][k]`` to row v: ``gather`` is
-    the gate's :func:`_index_map` gather moved into row v (the identity if
-    it does not permute).  A Pauli X or Z is a noisy flip, a CNOT or CZ a
-    unitary; ``flip`` is 1 on flip rows, and ``flip_mask`` and
-    ``unitary_mask`` carry the signs (ones if none) on flip and unitary
-    rows.  All but ``gather`` are complex, so that no step casts.
+    the gate's :func:`_index_map` gather moved into row v.  A Pauli X or Z
+    is a noisy flip, a CNOT or CZ a unitary; ``flip`` is 1 on flip rows,
+    and ``flip_mask`` and ``unitary_mask`` carry the gate's mask on flip
+    and unitary rows.  All but ``gather`` are complex, so that no step casts.
     """
     size, steps = 4**m, list(zip(*programs))
     maps = [[_index_map(m, gate, qubits) for gate, qubits in step] for step in steps]
-    index, ones = np.arange(size), np.ones(size)
-    gather = np.array([[v * size + (index if g is None else g.ravel()) for v, (g, _) in enumerate(s)] for s in maps])
-    mask = np.array([[ones if k is None else k.ravel() for _, k in s] for s in maps], dtype=complex)
-    flip = np.array([[[gate in ("X", "Z")] for gate, _ in step] for step in steps]) * ones.astype(complex)
+    gather = np.array([[v * size + g.ravel() for v, (g, _) in enumerate(s)] for s in maps])
+    mask = np.array([[k.ravel() for _, k in s] for s in maps], dtype=complex)
+    flip = np.array([[[gate in ("X", "Z")] for gate, _ in step] for step in steps], dtype=complex).repeat(size, -1)
     tables = gather, flip, flip * mask, (1.0 - flip) * mask
     for table in tables:
         table.setflags(write=False)
@@ -217,28 +212,22 @@ def _gate_program(control: int, target: int, gate: str, variant: GateErrorVarian
 _ROUND_PROGRAMS = {v: _gate_program(0, 2, "CNOT", v) + _gate_program(1, 3, "CNOT", v) for v in GateErrorVariant}
 
 
-def _qubit_index(name: str, value: object) -> int:
-    """A qubit index as a plain int, or a ValueError naming the field.
+def _qubit(name: str, value: object, m: int) -> int:
+    """A qubit index in range(m) as a plain int, or a ValueError naming the field.
 
-    A float or bool index equals an int key, so it must be turned away
-    before it can reach the cached index maps.
+    The type is checked first: a float or bool index equals an int key, so
+    it must be turned away before it can reach the cached index maps.
     """
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            index = operator.index(value)
         except TypeError:
             pass
+        else:
+            if not 0 <= index < m:
+                raise ValueError(f"{name} index {index} out of range for {m} qubits")
+            return index
     raise ValueError(f"{name} must be an integer qubit index, got {value!r}")
-
-
-def _check_pair(control: object, target: object, m: int) -> tuple[int, int]:
-    control, target = _qubit_index("control", control), _qubit_index("target", target)
-    if control == target:
-        raise ValueError("control and target must differ")
-    for name, idx in (("control", control), ("target", target)):
-        if not 0 <= idx < m:
-            raise ValueError(f"{name} index {idx} out of range for {m} qubits")
-    return control, target
 
 
 def _gate_variant(variant: object) -> GateErrorVariant:
@@ -259,9 +248,7 @@ def apply_dephasing(rho: DensityMatrix, qubit: int, q: float) -> DensityMatrix:
     """Phase-flip channel (1 - q) rho + q Z rho Z on one qubit."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q}")
-    m, qubit = rho.num_qubits, _qubit_index("qubit", qubit)
-    if not 0 <= qubit < m:
-        raise ValueError(f"qubit index {qubit} out of range for {m} qubits")
+    qubit = _qubit("qubit", qubit, rho.num_qubits)
     return DensityMatrix(_run(rho.matrix, ((("Z", (qubit,)),),), q)[0])
 
 
@@ -281,7 +268,10 @@ def apply_noisy_two_qubit_gate(
     ``variant`` may also be given by its value string.
     """
     _check_gate_error(q_g)
-    control, target = _check_pair(control, target, rho.num_qubits)
+    m = rho.num_qubits
+    control, target = _qubit("control", control, m), _qubit("target", target, m)
+    if control == target:
+        raise ValueError("control and target must differ")
     variant = _gate_variant(variant)
     if gate not in ("CNOT", "CZ"):
         raise ValueError(f"gate must be 'CZ' or 'CNOT', got {gate!r}")
