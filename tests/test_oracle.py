@@ -117,7 +117,7 @@ class TestDephasing:
 
     def test_index_range(self):
         rho = DensityMatrix.from_bell_diagonal(BellDiagonal(1.0, 0.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^qubit index 2 out of range for 2 qubits$"):
             apply_dephasing(rho, 2, 0.1)
         with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\], got 2$"):
             apply_dephasing(rho, 0, 2)
@@ -152,6 +152,11 @@ class TestNoisyGate:
             apply_noisy_two_qubit_gate(rho, 1, 1, 0.0)
         with pytest.raises(ValueError, match="^target index 2 out of range for 2 qubits$"):
             apply_noisy_two_qubit_gate(rho, 0, 2, 0.0)
+        # type, then range, field by field, before the two indices are compared
+        with pytest.raises(ValueError, match="^control index 5 out of range for 2 qubits$"):
+            apply_noisy_two_qubit_gate(rho, 5, 5, 0.0)
+        with pytest.raises(ValueError, match="^control index 7 out of range for 2 qubits$"):
+            apply_noisy_two_qubit_gate(rho, 7, 1.0, 0.0)
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -268,6 +273,28 @@ class TestPauliFlips:
             want = 0.7 * rho + 0.3 * (k @ rho @ k)
             got = _run(rho, (((pauli, (qubit,)),),), 0.3)[0]
             assert np.abs(got - want).max() <= 1e-14
+
+
+_GATES_ON_M_QUBITS = [
+    (m, gate, (q,)) for m in range(1, 5) for q in range(m) for gate in ("X", "Z")
+] + [
+    (m, gate, pair) for m in range(2, 5) for pair in itertools.permutations(range(m), 2) for gate in ("CNOT", "CZ")
+]
+
+
+class TestIndexMaps:
+    @pytest.mark.parametrize("m, gate, qubits", _GATES_ON_M_QUBITS)
+    def test_every_gate_has_a_full_table(self, m, gate, qubits):
+        # one path per gate: a gather and a mask, even where one is trivial
+        gather, mask = _index_map(m, gate, qubits)
+        for table in (gather, mask):
+            assert isinstance(table, np.ndarray)
+            assert table.shape == (2**m, 2**m)
+            assert not table.flags.writeable
+        pauli = {"X": _PAULI_X, "Z": _PAULI_Z}
+        u = embed(pauli[gate], qubits[0], m) if gate in pauli else gate_matrix(gate, *qubits, m)
+        rho = random_density_matrix(np.random.default_rng(11 + m), m)
+        assert np.abs(mask * rho.ravel().take(gather) - u @ rho @ u.conj().T).max() <= 1e-14
 
 
 class TestIndexValidation:
