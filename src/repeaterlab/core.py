@@ -130,6 +130,7 @@ def transmittance(length_km: float, attenuation_length_km: float = ATTENUATION_L
         raise ValueError(f"attenuation_length_km must be > 0, got {attenuation_length_km}")
     return math.exp(-length_km / attenuation_length_km)
 
+
 def initial_fidelity(alpha: float, theta_rad: float, eta: float) -> float:
     """Raw fidelity of one heralded entangled pair.
 
@@ -146,7 +147,13 @@ def initial_fidelity(alpha: float, theta_rad: float, eta: float) -> float:
         raise ValueError(f"theta_rad must be finite, got {theta_rad}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    return 0.5 * (1.0 + math.exp(-(1.0 - eta) * alpha * alpha * (1.0 - math.cos(theta_rad))))
+    exponent = -(1.0 - eta) * alpha * alpha * (1.0 - math.cos(theta_rad))
+    if math.isnan(exponent):
+        # alpha^2 overflowed to inf where 1 - cos(theta) rounded to 0
+        raise ValueError(
+            f"alpha and theta_rad give no finite dephasing exponent, got alpha={alpha}, theta_rad={theta_rad}"
+        )
+    return 0.5 * (1.0 + math.exp(exponent))
 
 
 def success_probability(fidelity: float, eta: float) -> float:

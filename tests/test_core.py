@@ -71,6 +71,12 @@ class TestInitialFidelity:
             initial_fidelity(1.0, math.nan, 0.5)
         with pytest.raises(ValueError, match="^theta_rad must be finite, got inf$"):
             initial_fidelity(1.0, math.inf, 0.5)
+        # a finite alpha whose square overflows, where 1 - cos(theta) rounds to 0
+        with pytest.raises(
+            ValueError,
+            match=r"^alpha and theta_rad give no finite dephasing exponent, got alpha=1e\+160, theta_rad=1e-09$",
+        ):
+            initial_fidelity(1e160, 1e-9, 0.5)
 
     @given(
         st.floats(0.1, 40.0),
