@@ -110,6 +110,12 @@ class ProtocolConfig(
         n = round(ratio) if math.isfinite(ratio) else 0
         if abs(ratio - n) > 1e-9 or n < 2 or n & (n - 1) != 0:
             raise ValueError(f"total_distance_km / segment_km must be a power of two >= 2, got {ratio}")
+        # timing's t_k, so that a finite window here is a finite window there
+        if not (rounds / 2.0 + 1.0) * (2.0 * segment_km * 1e3 / hardware.fiber_speed_m_per_s) < math.inf:
+            raise ValueError(
+                "segment_km / fiber_speed_m_per_s must give a finite pump window, "
+                f"got segment_km={segment_km}, fiber_speed_m_per_s={hardware.fiber_speed_m_per_s}"
+            )
 
     def num_segments(self) -> int:
         """N = L / L0, a power of two >= 2 (checked when the config is built)."""

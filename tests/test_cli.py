@@ -536,6 +536,27 @@ class TestMain:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: gate error must lie in [0, 1/2), got 0.5\n")
 
+    def test_overflowing_probe_names_alpha_and_theta(self, capsys):
+        # alpha^2 overflows to inf where 1 - cos(theta) rounds to 0: the row
+        # blames the channel's inputs, not the fidelity check downstream
+        assert main(["fidelity", "--alpha", "1e160", "--theta-rad", "1e-9"]) == 1
+        out = capsys.readouterr().out
+        assert "F = nan\n" in out
+        assert out.endswith(
+            "error = alpha and theta_rad give no finite dephasing exponent, got alpha=1e+160, theta_rad=1e-09\n"
+        )
+
+    @pytest.mark.parametrize("command", [["fidelity"], ["operating-point", "--target", "0.95"], ["montecarlo"]])
+    def test_infinite_pump_window_exits_2(self, capsys, command):
+        # T0 = 2 L0 / c overflows to inf, which once gave a silent rate of 0
+        assert main([*command, "--fiber-speed", "1e-308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: segment_km / fiber_speed_m_per_s must give a finite pump window, "
+            "got segment_km=20.0, fiber_speed_m_per_s=1e-308\n"
+        )
+
     def test_rate_sweep_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(SWEEP_TEXT)
@@ -587,6 +608,7 @@ class TestMain:
             ("total_km = inf\n", "error: total_distance_km / segment_km must be"),
             ("segment_km = 1e-320\n", "error: total_distance_km / segment_km must be"),
             ("fiber_speed_m_per_s = inf\n", "error: fiber_speed_m_per_s must be finite"),
+            ("fiber_speed_m_per_s = 1e-308\n", "error: segment_km / fiber_speed_m_per_s must give a finite pump window"),
         ):
             cfg.write_text(text)
             rc = main(["rate-sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])

@@ -251,6 +251,12 @@ MESSAGES = [
         "total_distance_km / segment_km must be a power of two >= 2, got inf",
         id="cfg-ratio-inf",
     ),
+    # the last rule: timing's pump window t_k = (k/2 + 1) 2 L0 / c must be finite
+    pytest.param(
+        lambda: _cfg(hardware=HardwareParams(0.999, 0.1, 1e-308)),
+        "segment_km / fiber_speed_m_per_s must give a finite pump window, got segment_km=20.0, fiber_speed_m_per_s=1e-308",
+        id="cfg-pump-window-inf",
+    ),
     pytest.param(lambda: DensityMatrix(np.ones(3)), "matrix must be square, got shape (3,)", id="density-shape"),
     pytest.param(lambda: DensityMatrix(np.eye(3) / 3.0), "dimension must be 2^m with m <= 4, got 3", id="density-dim"),
     pytest.param(
