@@ -6,6 +6,7 @@ import hashlib
 import io
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,16 @@ class TestParseConfig:
                 (),
                 "line 1: bad value for 'rounds': 'many' (invalid literal for int() with base 10: 'many')",
             ),
+            # a comment after a value is part of the value
+            (
+                "rounds = 3 # note\n",
+                (),
+                "line 1: bad value for 'rounds': '3 # note' (invalid literal for int() with base 10: '3 # note')",
+            ),
+            ("= 3\n", (), "line 1: unknown key ''"),
+            # a known key without "=" is no assignment, even where any text is a value
+            ("code\n", (), "line 1: expected key = value, got 'code'"),
+            ("", ("code",), "--set 'code': expected key=value"),
             ("[grid]\n", (), "line 1: unknown section 'grid' (only [case] allowed)"),
             ("[ ]\n", (), "line 1: unknown section '' (only [case] allowed)"),
             ("[case x\n", (), "line 1: unterminated section header '[case x'"),
@@ -202,6 +213,25 @@ class TestParseConfig:
         (case,) = parse_config(f"fidelity = {literal}\nalpha = 20.0\ntheta_rad = 0.01\n")
         assert case.fidelity is None
         (case,) = parse_config("", [f"fidelity={literal}", "alpha=20.0", "theta_rad=0.01"])
+        assert case.fidelity is None
+
+    def test_comment_holding_an_assignment_is_skipped(self):
+        assert parse_config("# rounds = 3\n  # fidelity = none\n") == (CaseSpec(),)
+
+    def test_header_holding_equals_names_the_case(self):
+        (case,) = parse_config("[case a=b]\nrounds = 1\n")
+        assert (case.name, case.rounds) == ("a=b", 1)
+
+    def test_assignment_without_spaces(self):
+        (case,) = parse_config("rounds=3\ncode=[7,1,3]\ntau_c_s=0.5\n")
+        assert (case.rounds, case.code, case.tau_c_s) == (3, "[7,1,3]", 0.5)
+
+    @pytest.mark.parametrize("pad", ["\xa0", "\x1f", "\u3000"])
+    def test_values_padded_with_any_whitespace(self, pad):
+        text = f"{pad}rounds ={pad}3{pad}\ntau_c_s{pad}={pad}0.5{pad}\ncode = {pad}[7,1,3]{pad}\n"
+        (case,) = parse_config(text)
+        assert (case.rounds, case.tau_c_s, case.code) == (3, 0.5, "[7,1,3]")
+        (case,) = parse_config(f"fidelity ={pad}None\nalpha = 20.0\ntheta_rad = 0.01\n")
         assert case.fidelity is None
 
     def test_exclusive_sources_same_level(self):
@@ -830,6 +860,8 @@ _CONFIG_TEXTS = st.lists(
     max_size=8,
 ).map("\n".join)
 _PRINTABLE = st.characters(min_codepoint=33, max_codepoint=126)
+# every whitespace character that str.splitlines does not split on
+_PAD_CHARS = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and len(f"a{c}b".splitlines()) == 1]
 
 
 def _flags(pairs):
@@ -905,6 +937,21 @@ class TestFuzz:
     def test_render_round_trip(self, cases):
         cases = tuple(cases)
         assert parse_config(render_config(cases)) == cases
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_case_specs(), min_size=1, max_size=2), st.data())
+    def test_whitespace_padding_changes_no_case(self, cases, data):
+        # padding around "=" and at each line's ends, with any whitespace
+        # that does not break the line
+        pad = st.text(st.sampled_from(_PAD_CHARS), max_size=3)
+        text = render_config(cases)
+        lines = []
+        for line in text.splitlines():
+            key, eq, value = line.partition(" = ")
+            if eq and not line.startswith("["):
+                line = key + data.draw(pad) + "=" + data.draw(pad) + value
+            lines.append(data.draw(pad) + line + data.draw(pad))
+        assert parse_config("\n".join(lines)) == parse_config(text) == tuple(cases)
 
     @settings(max_examples=300, deadline=None)
     @given(
