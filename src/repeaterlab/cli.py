@@ -16,7 +16,6 @@ import io
 import math
 import sys
 from collections import namedtuple
-from itertools import chain, repeat
 from typing import Callable, NamedTuple, Sequence
 
 from .bell_algebra import BellDiagonal, swap_ideal
@@ -80,6 +79,8 @@ _KEYS = {
 }
 _DEFAULTS = {key: k.default for key, k in _KEYS.items()}
 
+_tuple_new = tuple.__new__
+
 
 class CaseSpec(namedtuple("CaseSpec", ["name", *_KEYS], defaults=["default", *_DEFAULTS.values()])):
     """One fully merged sweep case (defaults applied): a name, then one field per config key.
@@ -119,6 +120,31 @@ def _where(line_no: int) -> str:
     return f"line {line_no}" if line_no else "--set"
 
 
+def _assign(assigns: dict[str, object], line: str, line_no: int) -> None:
+    """Store one ``key = value`` line, or --set item (line 0), in ``assigns``; every bad line fails here."""
+    key, eq, raw = line.partition("=")
+    if not eq:
+        if line_no:
+            raise ConfigError(f"line {line_no}: expected key = value, got {line!r}")
+        raise ConfigError(f"--set {line!r}: expected key=value")
+    key, raw = key.strip(), raw.strip()
+    spec = _KEYS.get(key)
+    if spec is None:
+        raise ConfigError(f"{_where(line_no)}: unknown key {key!r}")
+    if spec.nullable and raw.lower() == "none":
+        assigns[key] = None
+        return
+    try:
+        assigns[key] = spec.kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{_where(line_no)}: bad value for {key!r}: {raw!r} ({exc})") from None
+
+
+# each key's value type as a converter of the unstripped value: int and float
+# skip surrounding whitespace exactly as str.strip does
+_CONVERT = {key: str.strip if k.kind is str else k.kind for key, k in _KEYS.items()}
+
+
 def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[CaseSpec, ...]:
     """Parse flat key = value text with inherited [case] sections into cases.
 
@@ -131,51 +157,45 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[CaseSpec, ..
     set_assigns: dict[str, object] = {}
     case_blocks: list[tuple[str, dict[str, object], int]] = []
     assigns = top_assigns
-    # the file's numbered lines, then each --set item as line 0 of its own level
-    for line_no, line in chain(enumerate(text.splitlines(), start=1), zip(repeat(0), overrides)):
-        if line_no:
-            line = line.strip()
-            if not line or line[0] == "#":
-                continue
-            if line[0] == "[":
-                if not line.endswith("]"):
-                    raise ConfigError(f"line {line_no}: unterminated section header {line!r}")
-                inner = line[1:-1].strip()
-                parts = inner.split(None, 1)
-                if not parts or parts[0] != "case":
-                    raise ConfigError(f"line {line_no}: unknown section {inner!r} (only [case] allowed)")
-                name = parts[1].strip() if len(parts) == 2 else f"case{len(case_blocks) + 1}"
-                assigns = {}
-                case_blocks.append((name, assigns, line_no))
-                continue
-        else:
-            assigns = set_assigns
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        # a known key whose value converts as it stands; a line that is
+        # anything else (blank, comment, header, none, an error) is read whole
         key, eq, raw = line.partition("=")
-        if not eq:
-            if line_no:
-                raise ConfigError(f"line {line_no}: expected key = value, got {line!r}")
-            raise ConfigError(f"--set {line!r}: expected key=value")
-        key, raw = key.strip(), raw.strip()
-        spec = _KEYS.get(key)
-        if spec is None:
-            raise ConfigError(f"{_where(line_no)}: unknown key {key!r}")
-        if spec.nullable and raw.lower() == "none":
-            assigns[key] = None
+        key = key.strip()
+        convert = _CONVERT.get(key)
+        if convert is not None and eq:
+            try:
+                assigns[key] = convert(raw)
+                continue
+            except ValueError:
+                pass
+        line = line.strip()
+        if not line or line[0] == "#":
             continue
-        try:
-            assigns[key] = spec.kind(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{_where(line_no)}: bad value for {key!r}: {raw!r} ({exc})") from None
+        if line[0] == "[":
+            if not line.endswith("]"):
+                raise ConfigError(f"line {line_no}: unterminated section header {line!r}")
+            inner = line[1:-1].strip()
+            parts = inner.split(None, 1)
+            if not parts or parts[0] != "case":
+                raise ConfigError(f"line {line_no}: unknown section {inner!r} (only [case] allowed)")
+            name = parts[1] if len(parts) == 2 else f"case{len(case_blocks) + 1}"
+            assigns = {}
+            case_blocks.append((name, assigns, line_no))
+            continue
+        _assign(assigns, line, line_no)
+    for item in overrides:
+        _assign(set_assigns, item, 0)
 
     base = _apply_level(_DEFAULTS, top_assigns, "top level")
     base = _apply_level(base, set_assigns, "--set overrides")
-    if not case_blocks:
-        return (CaseSpec("default", *base.values()),)
     # a merged level keeps _DEFAULTS' key order, which is CaseSpec's
-    return tuple(
-        CaseSpec(name, *_apply_level(base, assigns, "line {} [case {}]", line_no, name).values())
+    if not case_blocks:
+        return (_tuple_new(CaseSpec, ("default", *base.values())),)
+    return tuple([
+        _tuple_new(CaseSpec, (name, *_apply_level(base, assigns, "line {} [case {}]", line_no, name).values()))
         for name, assigns, line_no in case_blocks
-    )
+    ])
 
 
 def render_config(cases: Sequence[CaseSpec]) -> str:
@@ -206,31 +226,16 @@ def _code_by_label(label: str) -> Code:
 
 def to_protocol_config(case: CaseSpec) -> ProtocolConfig:
     """Instantiate the pipeline config for one merged case."""
-    hardware = HardwareParams(
-        local_transmission=1.0 - case.one_minus_t,
-        memory_coherence_s=case.tau_c_s,
-        fiber_speed_m_per_s=case.fiber_speed_m_per_s,
-    )
+    # positional arguments, in each value type's field order
+    hardware = HardwareParams(1.0 - case.one_minus_t, case.tau_c_s, case.fiber_speed_m_per_s)
     code = _code_by_label(case.code)
     channel = None
     if case.fidelity is None:
         if case.alpha is None or case.theta_rad is None:
             raise ConfigError(f"case {case.name!r}: need fidelity or both alpha and theta_rad")
-        channel = ChannelParams(
-            segment_length_km=case.segment_km,
-            qubus_strength=case.alpha,
-            interaction_angle_rad=case.theta_rad,
-            attenuation_length_km=case.attenuation_km,
-        )
+        channel = ChannelParams(case.segment_km, case.alpha, case.theta_rad, case.attenuation_km)
     return ProtocolConfig(
-        total_distance_km=case.total_km,
-        segment_km=case.segment_km,
-        code=code,
-        rounds=case.rounds,
-        hardware=hardware,
-        channel=channel,
-        fidelity=case.fidelity,
-        attenuation_km=case.attenuation_km,
+        case.total_km, case.segment_km, code, case.rounds, hardware, channel, case.fidelity, case.attenuation_km
     )
 
 

@@ -63,6 +63,8 @@ _F_LO = 0.5 + 1e-6
 _F_HI = 1.0 - 1e-9
 _F_TOL = 1e-4
 
+_tuple_new = tuple.__new__
+
 
 class ProtocolConfig(
     checked_tuple(
@@ -179,7 +181,7 @@ def timing(cfg: ProtocolConfig) -> Timing:
     t0 = 2.0 * cfg.segment_km * 1e3 / cfg.hardware.fiber_speed_m_per_s
     t_k = (cfg.rounds / 2.0 + 1.0) * t0
     t_half = (cfg.rounds + 1.0) * t0 / 2.0
-    return Timing(t0, t_k, t_half, cfg.num_segments())
+    return _tuple_new(Timing, (t0, t_k, t_half, cfg.num_segments()))
 
 
 def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, float]]:
@@ -291,11 +293,11 @@ def _row(
     if error is not None:
         f = f_final = p0 = p_k = rate = math.nan
     code, hw = cfg.code, cfg.hardware
-    return SweepResult(
+    return _tuple_new(SweepResult, (
         code.label, code.family, cfg.rounds, hw.memory_coherence_s, 1.0 - hw.local_transmission,
         cfg.total_distance_km, cfg.segment_km, f, f_final, p0, p_k, rate,
         tm.t_purify_s if code.family == "repetition" else tm.t_half_s, error,
-    )
+    ))
 
 
 def evaluate(cfg: ProtocolConfig) -> SweepResult:
