@@ -78,7 +78,9 @@ class ProtocolConfig(
     The raw pair fidelity comes either from an explicit ``fidelity`` or
     from a ``channel`` (qubus strength and angle); exactly one must be
     given.  ``total_distance_km / segment_km`` must be a power of two >= 2.
-    ``attenuation_km`` is used only when ``channel`` is None.
+    With T0 = 2 L0 / c, the pump window (k/2 + 1) T0, the css storage window
+    (k + 1) T0 / 2 and the rate's denominator n 2^k (k/2 + 1) T0 must be
+    finite.  ``attenuation_km`` is used only when ``channel`` is None.
     """
 
     __slots__ = ()
@@ -112,10 +114,20 @@ class ProtocolConfig(
         n = round(ratio) if math.isfinite(ratio) else 0
         if abs(ratio - n) > 1e-9 or n < 2 or n & (n - 1) != 0:
             raise ValueError(f"total_distance_km / segment_km must be a power of two >= 2, got {ratio}")
-        # timing's t_k, so that a finite window here is a finite window there
-        if not (rounds / 2.0 + 1.0) * (2.0 * segment_km * 1e3 / hardware.fiber_speed_m_per_s) < math.inf:
+        # timing's T0 and t_k, so that a finite window here is a finite window there
+        t0 = 2.0 * segment_km * 1e3 / hardware.fiber_speed_m_per_s
+        if not (rounds / 2.0 + 1.0) * t0 < math.inf:
             raise ValueError(
                 "segment_km / fiber_speed_m_per_s must give a finite pump window, "
+                f"got segment_km={segment_km}, fiber_speed_m_per_s={hardware.fiber_speed_m_per_s}"
+            )
+        # timing's css storage window and _rate's denominator n 2^k (k/2 + 1) T0,
+        # which overflow before t_k does; 2.0**k gives _rate's product wherever
+        # that fits a float, and inf where _rate's int would not convert
+        t_half = (rounds + 1.0) * t0 / 2.0
+        if not (t_half < math.inf and code.n * 2.0**rounds * (rounds / 2.0 + 1.0) * t0 < math.inf):
+            raise ValueError(
+                "segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
                 f"got segment_km={segment_km}, fiber_speed_m_per_s={hardware.fiber_speed_m_per_s}"
             )
 

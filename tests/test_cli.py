@@ -587,6 +587,20 @@ class TestMain:
             "got segment_km=20.0, fiber_speed_m_per_s=1e-308\n"
         )
 
+    @pytest.mark.parametrize("command", [["fidelity"], ["operating-point", "--target", "0.95"], ["montecarlo"]])
+    @pytest.mark.parametrize("code, rounds", [("[7,1,3]", "2"), ("[3,1,3]", "0")])
+    def test_infinite_storage_window_or_rate_exits_2(self, capsys, command, code, rounds):
+        # t_k stays finite, but the css window (k + 1) T0 / 2 or the rate's
+        # denominator n 2^k (k/2 + 1) T0 overflows, which once gave a silent
+        # F_final or rate of 0
+        assert main([*command, "--code", code, "--rounds", rounds, "--fiber-speed", "5e-304"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
+            "got segment_km=20.0, fiber_speed_m_per_s=5e-304\n"
+        )
+
     def test_rate_sweep_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(SWEEP_TEXT)
@@ -639,6 +653,7 @@ class TestMain:
             ("segment_km = 1e-320\n", "error: total_distance_km / segment_km must be"),
             ("fiber_speed_m_per_s = inf\n", "error: fiber_speed_m_per_s must be finite"),
             ("fiber_speed_m_per_s = 1e-308\n", "error: segment_km / fiber_speed_m_per_s must give a finite pump window"),
+            ("fiber_speed_m_per_s = 5e-304\nrounds = 0\n", "error: segment_km / fiber_speed_m_per_s must give a finite storage"),
         ):
             cfg.write_text(text)
             rc = main(["rate-sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])

@@ -257,6 +257,21 @@ MESSAGES = [
         "segment_km / fiber_speed_m_per_s must give a finite pump window, got segment_km=20.0, fiber_speed_m_per_s=1e-308",
         id="cfg-pump-window-inf",
     ),
+    # t_k = 1.6e308 s is finite; the css window 3 T0 / 2 and the rate's
+    # denominator n 2^k (k/2 + 1) T0 are not
+    pytest.param(
+        lambda: _cfg(code=Code(7, 1, 3, "css"), hardware=HardwareParams(0.999, 0.1, 5e-304)),
+        "segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
+        "got segment_km=20.0, fiber_speed_m_per_s=5e-304",
+        id="cfg-storage-window-inf",
+    ),
+    # at k = 0 only the rate's denominator 3 T0 overflows
+    pytest.param(
+        lambda: _cfg(rounds=0, hardware=HardwareParams(0.999, 0.1, 5e-304)),
+        "segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
+        "got segment_km=20.0, fiber_speed_m_per_s=5e-304",
+        id="cfg-rate-inf",
+    ),
     pytest.param(lambda: DensityMatrix(np.ones(3)), "matrix must be square, got shape (3,)", id="density-shape"),
     pytest.param(lambda: DensityMatrix(np.eye(3) / 3.0), "dimension must be 2^m with m <= 4, got 3", id="density-dim"),
     pytest.param(
