@@ -121,7 +121,7 @@ def _where(line_no: int) -> str:
 
 
 def _assign(assigns: dict[str, object], line: str, line_no: int) -> None:
-    """Store one ``key = value`` line, or --set item (line 0), in ``assigns``; every bad line fails here."""
+    """Store one ``key = value`` line, or --set item (line 0), in ``assigns``; every bad assignment fails here."""
     key, eq, raw = line.partition("=")
     if not eq:
         if line_no:
