@@ -78,9 +78,10 @@ class ProtocolConfig(
     The raw pair fidelity comes either from an explicit ``fidelity`` or
     from a ``channel`` (qubus strength and angle); exactly one must be
     given.  ``total_distance_km / segment_km`` must be a power of two >= 2.
-    With T0 = 2 L0 / c, the pump window (k/2 + 1) T0, the css storage window
-    (k + 1) T0 / 2 and the rate's denominator n 2^k (k/2 + 1) T0 must be
-    finite.  ``attenuation_km`` is used only when ``channel`` is None.
+    T0 = 2 L0 / c must be > 0, the pump window (k/2 + 1) T0 and the css
+    storage window (k + 1) T0 / 2 finite, and the largest rate (at P0 P_k = 1)
+    in (0, inf): a subnormal T0, as at L0 = 1e-4 km and c = 1e308 m/s, is
+    rejected.  ``attenuation_km`` is used only when ``channel`` is None.
     """
 
     __slots__ = ()
@@ -114,18 +115,17 @@ class ProtocolConfig(
         n = round(ratio) if math.isfinite(ratio) else 0
         if abs(ratio - n) > 1e-9 or n < 2 or n & (n - 1) != 0:
             raise ValueError(f"total_distance_km / segment_km must be a power of two >= 2, got {ratio}")
-        # timing's T0 and t_k, so that a finite window here is a finite window there
-        t0 = 2.0 * segment_km * 1e3 / hardware.fiber_speed_m_per_s
-        if not (rounds / 2.0 + 1.0) * t0 < math.inf:
+        t0, t_k, t_half = _windows(segment_km, rounds, hardware.fiber_speed_m_per_s)
+        if not t_k < math.inf:
             raise ValueError(
                 "segment_km / fiber_speed_m_per_s must give a finite pump window, "
                 f"got segment_km={segment_km}, fiber_speed_m_per_s={hardware.fiber_speed_m_per_s}"
             )
-        # timing's css storage window and _rate's denominator n 2^k (k/2 + 1) T0,
-        # which overflow before t_k does; 2.0**k gives _rate's product wherever
-        # that fits a float, and inf where _rate's int would not convert
-        t_half = (rounds + 1.0) * t0 / 2.0
-        if not (t_half < math.inf and code.n * 2.0**rounds * (rounds / 2.0 + 1.0) * t0 < math.inf):
+        try:  # the largest rate, at P0 P_k = 1 + 1e-12 (PurifyOutcome's tolerance)
+            top = _rate(code.n, rounds, t0, 1.0 + 1e-12, 1.0)
+        except ArithmeticError:  # T0 = 0, or n 2^k past the float range
+            top = math.inf
+        if not (t_half < math.inf and 0.0 < top < math.inf):
             raise ValueError(
                 "segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
                 f"got segment_km={segment_km}, fiber_speed_m_per_s={hardware.fiber_speed_m_per_s}"
@@ -190,10 +190,14 @@ def timing(cfg: ProtocolConfig) -> Timing:
     pumping k rounds keeps memories busy for t_k = (k/2 + 1) T0, and the
     per-level storage window entering the css budget is t'_k = (k+1) T0/2.
     """
-    t0 = 2.0 * cfg.segment_km * 1e3 / cfg.hardware.fiber_speed_m_per_s
-    t_k = (cfg.rounds / 2.0 + 1.0) * t0
-    t_half = (cfg.rounds + 1.0) * t0 / 2.0
-    return _tuple_new(Timing, (t0, t_k, t_half, cfg.num_segments()))
+    windows = _windows(cfg.segment_km, cfg.rounds, cfg.hardware.fiber_speed_m_per_s)
+    return _tuple_new(Timing, windows + (cfg.num_segments(),))
+
+
+def _windows(segment_km: float, rounds: int, fiber_speed_m_per_s: float) -> tuple[float, float, float]:
+    """(T0, t_k, t'_k) = (2 L0 / c, (k/2 + 1) T0, (k + 1) T0 / 2), for the constructor and ``timing``."""
+    t0 = 2.0 * segment_km * 1e3 / fiber_speed_m_per_s
+    return t0, (rounds / 2.0 + 1.0) * t0, (rounds + 1.0) * t0 / 2.0
 
 
 def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, float]]:

@@ -588,17 +588,30 @@ class TestMain:
         )
 
     @pytest.mark.parametrize("command", [["fidelity"], ["operating-point", "--target", "0.95"], ["montecarlo"]])
-    @pytest.mark.parametrize("code, rounds", [("[7,1,3]", "2"), ("[3,1,3]", "0")])
-    def test_infinite_storage_window_or_rate_exits_2(self, capsys, command, code, rounds):
+    @pytest.mark.parametrize("flags, got", [
         # t_k stays finite, but the css window (k + 1) T0 / 2 or the rate's
         # denominator n 2^k (k/2 + 1) T0 overflows, which once gave a silent
         # F_final or rate of 0
-        assert main([*command, "--code", code, "--rounds", rounds, "--fiber-speed", "5e-304"]) == 2
+        pytest.param("--code [7,1,3] --rounds 2 --fiber-speed 5e-304".split(),
+                     "segment_km=20.0, fiber_speed_m_per_s=5e-304", id="[7,1,3]-2"),
+        pytest.param("--code [3,1,3] --rounds 0 --fiber-speed 5e-304".split(),
+                     "segment_km=20.0, fiber_speed_m_per_s=5e-304", id="[3,1,3]-0"),
+        # a subnormal T0 (2e-309 s, 1.2e-311 s) once gave an infinite rate
+        pytest.param("--code [1,1,1] --rounds 0 --segment-km 1e-4 --total-km 2e-4 --fiber-speed 1e308".split(),
+                     "segment_km=0.0001, fiber_speed_m_per_s=1e+308", id="[1,1,1]-0-subnormal-t0"),
+        pytest.param("--code [3,1,3] --rounds 1 --segment-km 1e-6 --total-km 2e-6 --fiber-speed 1.7e308".split(),
+                     "segment_km=1e-06, fiber_speed_m_per_s=1.7e+308", id="[3,1,3]-1-subnormal-t0"),
+        # T0 = 0 once gave an error row reading "float division by zero"
+        pytest.param("--segment-km 1e-320 --total-km 2e-320 --attenuation-km 1e-320".split(),
+                     "segment_km=1e-320, fiber_speed_m_per_s=200000000.0", id="zero-t0"),
+    ])
+    def test_infinite_storage_window_or_rate_exits_2(self, capsys, command, flags, got):
+        assert main([*command, *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             "error: segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
-            "got segment_km=20.0, fiber_speed_m_per_s=5e-304\n"
+            f"got {got}\n"
         )
 
     def test_rate_sweep_end_to_end(self, tmp_path, capsys):
@@ -654,6 +667,11 @@ class TestMain:
             ("fiber_speed_m_per_s = inf\n", "error: fiber_speed_m_per_s must be finite"),
             ("fiber_speed_m_per_s = 1e-308\n", "error: segment_km / fiber_speed_m_per_s must give a finite pump window"),
             ("fiber_speed_m_per_s = 5e-304\nrounds = 0\n", "error: segment_km / fiber_speed_m_per_s must give a finite storage"),
+            # T0 = 2e-309 s, which once wrote a rate of inf into the CSV
+            (
+                "code = [1,1,1]\nrounds = 0\nsegment_km = 1e-4\ntotal_km = 2e-4\nfiber_speed_m_per_s = 1e308\n",
+                "error: segment_km / fiber_speed_m_per_s must give a finite storage",
+            ),
         ):
             cfg.write_text(text)
             rc = main(["rate-sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
@@ -981,6 +999,9 @@ class TestFuzz:
     # the per-memory spread of these speeds' samples squares past 1e308
     @example(run=("montecarlo", ["--fiber-speed=6.146275630615131e+161"]))
     @example(run=("montecarlo", ["--fiber-speed=1.8765873624083062e+160"]))
+    # a subnormal T0 once printed an infinite rate and exited 0
+    @example(run=("fidelity", "--code=[1,1,1] --rounds=0 --segment-km=1e-4 --total-km=2e-4 --fiber-speed=1e308".split()))
+    @example(run=("fidelity", "--code=[3,1,3] --rounds=1 --segment-km=1e-6 --total-km=2e-6 --fiber-speed=1.7e308".split()))
     def test_main_exit_codes(self, fuzz_dir, run):
         command, payload = run
         if command == "rate-sweep":
@@ -1005,3 +1026,8 @@ class TestFuzz:
             # fidelity and operating-point print an errored row's nan beside
             # its error line; these print only numbers they computed
             assert re.search(r"\bnan\b", out.getvalue().lower()) is None
+        if command in ("fidelity", "operating-point") and rc == 0:
+            # a row that exits 0 computed every number it prints; only the
+            # echoed tau_c_s may be inf (no memory dephasing)
+            printed = [line for line in out.getvalue().splitlines() if not line.startswith("tau_c_s = ")]
+            assert re.search(r"\binf\b", "\n".join(printed).lower()) is None

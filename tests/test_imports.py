@@ -282,3 +282,42 @@ def test_chain_prices_build_no_value_type():
     banned = {"BellDiagonal", "PurifyOutcome", "effective_coefficients", "swap_ideal"}
     assert not {name for name in called if name in banned or (name or "").startswith("purify_")}
     assert {"_pump", "_pump_noisy", "_stored_pair", "_swap"} <= called
+
+
+def sites_in_src(match):
+    """``module.function`` (innermost) of every AST node in the package for which ``match`` holds."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = f"{where.partition('.')[0]}.{node.name}"
+        if match(node):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(repeaterlab.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return sites
+
+
+def test_clock_and_rate_denominator_are_written_once():
+    # T0 = 2 L0 / c is computed by the window function that both the config
+    # check and timing call, and n 2^k by _rate alone, so that an accepted
+    # config's windows and rate are the ones the model computes
+    def divides_by_fiber_speed(node):
+        right = getattr(node, "right", None)
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and (
+            getattr(right, "attr", None) or getattr(right, "id", None)
+        ) == "fiber_speed_m_per_s"
+
+    def times_a_power_of_two(node):
+        right = getattr(node, "right", None)
+        return (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(right, ast.BinOp) and isinstance(right.op, ast.Pow)
+            and isinstance(right.left, ast.Constant) and right.left.value == 2
+        )
+
+    assert sites_in_src(divides_by_fiber_speed) == ["pipeline._windows"]
+    assert sites_in_src(times_a_power_of_two) == ["pipeline._rate"]

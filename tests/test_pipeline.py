@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repeaterlab import pipeline
@@ -171,6 +171,77 @@ class TestTiming:
             assert n == cfg.num_segments()
             assert type(n) is int and n >= 2 and n & (n - 1) == 0
             assert n == pytest.approx(cfg.total_distance_km / cfg.segment_km, rel=1e-9)
+
+
+# the CLI's default point, and the qubus channel that TestConfig uses
+_DEFAULT_POINT = dict(
+    total_distance_km=1280.0, segment_km=20.0, attenuation_km=25.5, fidelity=0.95, local_transmission=0.999,
+    memory_coherence_s=0.1, fiber_speed_m_per_s=2e8, qubus_strength=20.0, interaction_angle_rad=0.01,
+    code="[3,1,3]", rounds=2,
+)
+# ProtocolConfig's float fields and those of its hardware and channel, each
+# over its own range as st.floats draws it, subnormals and the float maximum
+# included, or at its default
+_FIELD_FLOATS = {
+    "segment_km": st.floats(0.0, exclude_min=True),
+    "attenuation_km": st.floats(0.0, exclude_min=True),
+    "fidelity": st.floats(0.5, 1.0, exclude_min=True),
+    "local_transmission": st.floats(0.0, 1.0, exclude_min=True),
+    "memory_coherence_s": st.floats(0.0, exclude_min=True),
+    "fiber_speed_m_per_s": st.floats(0.0, exclude_min=True),
+    "qubus_strength": st.floats(0.0),
+    "interaction_angle_rad": st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+}
+# the names a constructor error may cite
+_FIELD_NAMES = {*ProtocolConfig._fields, *HardwareParams._fields, *ChannelParams._fields}
+
+
+@st.composite
+def _points(draw):
+    """One config's arguments; total_distance_km is segment_km times a power
+    of two, and at most one float field is drawn from every float instead."""
+    point = {name: draw(floats | st.just(_DEFAULT_POINT[name])) for name, floats in _FIELD_FLOATS.items()}
+    point["total_distance_km"] = point["segment_km"] * draw(st.sampled_from([2, 4, 64, 2**40]))
+    point.update(code=draw(st.sampled_from(sorted(CODES))), rounds=draw(st.integers(0, 3) | st.just(MAX_ROUNDS)))
+    point["qubus_strength" if draw(st.booleans()) else "fidelity"] = None
+    wild = draw(st.none() | st.sampled_from([k for k, v in point.items() if type(v) is float]))
+    if wild is not None:
+        point[wild] = draw(st.floats())
+    return point
+
+
+def _point(**changes):
+    """The default point with a direct fidelity, with ``changes``."""
+    return {**_DEFAULT_POINT, "qubus_strength": None, **changes}
+
+
+class TestAcceptedDomain:
+    @settings(max_examples=300, deadline=None)
+    @given(_points())
+    # a subnormal T0 once gave an infinite rate, and T0 = 0 an error row
+    # that named no field
+    @example(_point(code="[1,1,1]", rounds=0, segment_km=1e-4, total_distance_km=2e-4, fiber_speed_m_per_s=1e308))
+    @example(_point(rounds=1, segment_km=1e-6, total_distance_km=2e-6, fiber_speed_m_per_s=1.7e308))
+    @example(_point(segment_km=1e-320, total_distance_km=2e-320, attenuation_km=1e-320))
+    def test_config_ends_in_a_named_error_an_error_row_or_finite_numbers(self, point):
+        point = dict(point, code=CODES[point["code"]])
+        hardware = [point.pop(name) for name in HardwareParams._fields]
+        qubus = point.pop("qubus_strength"), point.pop("interaction_angle_rad")
+        try:
+            if point["fidelity"] is None:
+                point["channel"] = ChannelParams(point["segment_km"], *qubus, point["attenuation_km"])
+            cfg = ProtocolConfig(hardware=HardwareParams(*hardware), **point)
+        except ValueError as exc:
+            assert any(name in str(exc) for name in _FIELD_NAMES), str(exc)
+            return
+        # accepted: positive, finite windows, and a row that never raises
+        tm = timing(cfg)
+        assert 0.0 < tm.t0_s <= tm.t_purify_s < math.inf
+        assert 0.0 < tm.t_half_s < math.inf
+        row = evaluate(cfg)
+        if row.error is None:
+            numbers = (row.f, row.f_final, row.p0, row.p_k, row.rate_per_memory_hz, row.t_wait_s)
+            assert all(map(math.isfinite, numbers)), row
 
 
 class TestFinalFidelity:
