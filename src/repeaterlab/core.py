@@ -50,7 +50,7 @@ class ChannelParams(
     attenuation_length_km
         Fiber attenuation length, default 25.5 km.
     qubus_strength
-        Coherent probe amplitude alpha >= 0.
+        Coherent probe amplitude alpha, finite and >= 0.
     interaction_angle_rad
         Dispersive interaction angle theta in (0, pi).
     """
@@ -68,8 +68,8 @@ class ChannelParams(
             raise ValueError(f"segment_length_km must be > 0, got {segment_length_km}")
         if not attenuation_length_km > 0.0:
             raise ValueError(f"attenuation_length_km must be > 0, got {attenuation_length_km}")
-        if not qubus_strength >= 0.0:
-            raise ValueError(f"qubus_strength must be >= 0, got {qubus_strength}")
+        if not 0.0 <= qubus_strength < math.inf:
+            raise ValueError(f"qubus_strength must be finite and >= 0, got {qubus_strength}")
         if not 0.0 < interaction_angle_rad < math.pi:
             raise ValueError(f"interaction_angle_rad must lie in (0, pi), got {interaction_angle_rad}")
 
@@ -94,8 +94,8 @@ class HardwareParams(
     Attributes
     ----------
     local_transmission
-        Transmission T in (0, 1] of the local gate interface; T = 1 is a
-        perfect gate.
+        Transmission T in (0, 1] of the local gate interface whose gate
+        error q_g is below 1/2 (1 - T up to about 0.998); T = 1 is perfect.
     memory_coherence_s
         Memory dephasing time tau_c > 0 in seconds.  math.inf is accepted
         and gives vanishing memory error.
@@ -111,8 +111,8 @@ class HardwareParams(
         memory_coherence_s: float,
         fiber_speed_m_per_s: float = FIBER_SPEED_M_PER_S,
     ) -> None:
-        if not 0.0 < local_transmission <= 1.0:
-            raise ValueError(f"local_transmission must lie in (0, 1], got {local_transmission}")
+        if not gate_error_prob(local_transmission) < 0.5:  # gate_error_prob raises first for T outside (0, 1]
+            raise ValueError(f"local_transmission must give a gate error below 1/2, got {local_transmission}")
         if not memory_coherence_s > 0.0:
             raise ValueError(f"memory_coherence_s must be > 0, got {memory_coherence_s}")
         if not 0.0 < fiber_speed_m_per_s < math.inf:
@@ -183,7 +183,7 @@ def gate_error_prob(local_transmission: float) -> float:
 
         q_g = (1 - exp(-x)) / 2,   x = (pi / 2) (1 - T^2) / (sqrt(T) (1 + T)).
 
-    T = 1 gives q_g = 0; q_g < 1/2 always.
+    T = 1 gives q_g = 0; q_g < 1/2, though floats round it to 1/2 from 1 - T of about 0.9982.
     """
     t = local_transmission
     if not 0.0 < t <= 1.0:

@@ -26,7 +26,7 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from ._checked import checked_tuple
-from .bell_algebra import _check_gate_error, _gate_charge, _pump, _pump_noisy, _swap
+from .bell_algebra import _gate_charge, _pump, _pump_noisy, _swap
 from .codes import Code, _stored_pair, css_effective_qubit_error, logical_error_prob, pair_no_error_prob
 from .core import (
     ATTENUATION_LENGTH_KM,
@@ -76,12 +76,12 @@ class ProtocolConfig(
     """One repeater operating point.
 
     The raw pair fidelity comes either from an explicit ``fidelity`` or
-    from a ``channel`` (qubus strength and angle); exactly one must be
-    given.  ``total_distance_km / segment_km`` must be a power of two >= 2.
-    T0 = 2 L0 / c must be > 0, the pump window (k/2 + 1) T0 and the css
-    storage window (k + 1) T0 / 2 finite, and the largest rate (at P0 P_k = 1)
-    in (0, inf): a subnormal T0, as at L0 = 1e-4 km and c = 1e308 m/s, is
-    rejected.  ``attenuation_km`` is used only when ``channel`` is None.
+    from a ``channel`` whose lengths equal ``segment_km`` and
+    ``attenuation_km``; exactly one must be given.  ``total_distance_km /
+    segment_km`` must be a power of two >= 2.  T0 = 2 L0 / c must be > 0,
+    the windows (k/2 + 1) T0 and (k + 1) T0 / 2 finite, the largest rate
+    (at P0 P_k = 1) in (0, inf), so a subnormal T0 is rejected, and the
+    transmittance exp(-L0 / L_att) in (0, 1), where P0 is defined.
     """
 
     __slots__ = ()
@@ -111,6 +111,9 @@ class ProtocolConfig(
             raise ValueError(f"fidelity must lie in (1/2, 1], got {fidelity}")
         if channel is not None and channel.segment_length_km != segment_km:
             raise ValueError("channel.segment_length_km must equal segment_km")
+        if channel is not None and channel.attenuation_length_km != attenuation_km:
+            att = channel.attenuation_length_km
+            raise ValueError(f"channel.attenuation_length_km must equal attenuation_km, got {att} and {attenuation_km}")
         ratio = total_distance_km / segment_km
         n = round(ratio) if math.isfinite(ratio) else 0
         if abs(ratio - n) > 1e-9 or n < 2 or n & (n - 1) != 0:
@@ -130,6 +133,11 @@ class ProtocolConfig(
                 "segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
                 f"got segment_km={segment_km}, fiber_speed_m_per_s={hardware.fiber_speed_m_per_s}"
             )
+        if not 0.0 < self.segment_transmittance() < 1.0:  # P0 is defined only here
+            raise ValueError(
+                "segment_km / attenuation_km must give a transmittance in (0, 1), "
+                f"got segment_km={segment_km}, attenuation_km={attenuation_km}"
+            )
 
     def num_segments(self) -> int:
         """N = L / L0, a power of two >= 2 (checked when the config is built)."""
@@ -141,8 +149,6 @@ class ProtocolConfig(
         return self.channel.fidelity()
 
     def segment_transmittance(self) -> float:
-        if self.channel is not None:
-            return self.channel.transmittance()
         return transmittance(self.segment_km, self.attenuation_km)
 
 
@@ -201,7 +207,7 @@ def _windows(segment_km: float, rounds: int, fiber_speed_m_per_s: float) -> tupl
 
 
 def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, float]]:
-    """``price(f) -> (F_final, P_k)`` at raw fidelity f; terms free of f, and the q_g check, run once.
+    """``price(f) -> (F_final, P_k)`` at raw fidelity f; terms free of f run once.
 
     A price builds no value type.  The repetition price calls
     ``codes._stored_pair``, ``bell_algebra._pump`` and one ``_swap`` for
@@ -223,8 +229,7 @@ def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, fl
         F_final = (1 - Q_n(q_eff))^(2N).
     """
     code, k, n_seg = cfg.code, cfg.rounds, tm.num_segments
-    q_g, tau_c = cfg.hardware.gate_error(), cfg.hardware.memory_coherence_s
-    _check_gate_error(q_g)
+    q_g, tau_c = cfg.hardware.gate_error(), cfg.hardware.memory_coherence_s  # q_g < 1/2 by HardwareParams
     if code.family == "repetition":
         q_logical = logical_error_prob(code, memory_error_prob(tm.t_purify_s / 2.0, tau_c))
         p_pair = pair_no_error_prob(q_logical)
@@ -297,16 +302,13 @@ def _row(
 ) -> SweepResult:
     """Row of ``cfg`` at raw fidelity f, already priced to (F_final, P_k).
 
-    P0 and the rate are computed here; an ``error`` given, or raised by
-    either, is stored in the row and every computed number becomes NaN.
+    P0 and the rate, computed here, raise only for f outside (1/2, 1]; an
+    ``error`` given is stored in the row and every number becomes NaN.
     """
     if error is None:
-        try:
-            p0 = success_probability(f, cfg.segment_transmittance())
-            rate = _rate(cfg.code.n, cfg.rounds, tm.t0_s, p0, p_k)
-        except (ValueError, ArithmeticError) as exc:
-            error = str(exc)
-    if error is not None:
+        p0 = success_probability(f, cfg.segment_transmittance())
+        rate = _rate(cfg.code.n, cfg.rounds, tm.t0_s, p0, p_k)
+    else:
         f = f_final = p0 = p_k = rate = math.nan
     code, hw = cfg.code, cfg.hardware
     return _tuple_new(SweepResult, (
@@ -321,16 +323,14 @@ def evaluate(cfg: ProtocolConfig) -> SweepResult:
     tm = timing(cfg)
     try:
         f = cfg.raw_fidelity()
-        f_final, p_k = _chain(cfg, tm)(f)
+        return _row(cfg, tm, f, *_chain(cfg, tm)(f))
     except (ValueError, ArithmeticError) as exc:
         return _row(cfg, tm, math.nan, math.nan, math.nan, str(exc))
-    return _row(cfg, tm, f, f_final, p_k)
 
 
 def with_fidelity(cfg: ProtocolConfig, f: float) -> ProtocolConfig:
-    """Copy of ``cfg`` pinned to a direct raw fidelity, channel geometry kept."""
-    att = cfg.channel.attenuation_length_km if cfg.channel is not None else cfg.attenuation_km
-    return cfg._replace(fidelity=f, channel=None, attenuation_km=att)
+    """Copy of ``cfg`` pinned to a direct raw fidelity; its segment and attenuation lengths are the channel's."""
+    return cfg._replace(fidelity=f, channel=None)
 
 
 def operating_point(cfg: ProtocolConfig, target_f_final: float) -> OperatingPoint:

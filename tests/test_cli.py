@@ -538,33 +538,34 @@ class TestMain:
         assert "infeasible" in out
         assert "0.85135656" in out
 
-    def test_operating_point_errored_row_exits_1(self, capsys):
-        # feasible at F* = 0.82049596, but eta = 1 leaves P0 undefined, so
-        # the row errors and the exit code follows it, as `fidelity` does
+    def test_operating_point_on_a_lossless_segment_exits_2(self, capsys):
+        # at L0 = 1e-15 km the transmittance rounds to 1, where P0 is
+        # undefined; the solve is feasible at F* = 0.82049596 and once
+        # printed a NaN row with exit 1, and ten times longer it prints P0 = 1
         argv = ["--code", "[3,1,3]", "--rounds", "1", "--total-km", "2e-15", "--segment-km", "1e-15"]
-        assert main(["operating-point", *argv, "--target", "0.9"]) == 1
-        assert capsys.readouterr().out == (
-            "operating_fidelity = 0.82049596\n"
-            "code = [3,1,3]\nfamily = repetition\nk = 1\ntau_c_s = 0.1\none_minus_T = 0.001\n"
-            "L_km = 2e-15\nL0_km = 1e-15\nF = nan\nF_final = nan\nP0 = nan\nP_k = nan\n"
-            "rate_hz_per_memory = nan\n"
-            "error = eta = 1 is the lossless limit; P0 is undefined by this formula\n"
+        message = (
+            "error: segment_km / attenuation_km must give a transmittance in (0, 1), "
+            "got segment_km=1e-15, attenuation_km=25.5\n"
         )
-        assert main(["fidelity", *argv, "--fidelity", "0.82049596"]) == 1
+        for command in (["operating-point", "--target", "0.9"], ["fidelity", "--fidelity", "0.82049596"]):
+            assert main([*command, *argv]) == 2
+            assert capsys.readouterr() == ("", message)
+        argv = ["--code", "[3,1,3]", "--rounds", "1", "--total-km", "2e-14", "--segment-km", "1e-14"]
+        assert main(["operating-point", *argv, "--target", "0.9"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("operating_fidelity = 0.82049596\n") and "P0 = 1\n" in out
 
     @pytest.mark.parametrize("code", ["[3,1,3]", "[7,1,3]"])
     @pytest.mark.parametrize("rounds", ["0", "1"])
     def test_saturated_gate_error_fails_at_every_k(self, capsys, code, rounds):
-        # 1 - T = 1e-7 rounds q_g to 1/2: an errored row from `fidelity`, a
-        # bad input for `operating-point`, for either family at any k
+        # T = 1e-7 rounds q_g to 1/2, as any 1 - T from about 0.9982 does: a
+        # bad input for every command, for either family at any k
         argv = ["--code", code, "--rounds", rounds, "--one-minus-t", "0.9999999"]
-        assert main(["fidelity", *argv]) == 1
-        out = capsys.readouterr().out
-        assert "F_final = nan\n" in out
-        assert out.endswith("error = gate error must lie in [0, 1/2), got 0.5\n")
-        assert main(["operating-point", *argv, "--target", "0.95"]) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: gate error must lie in [0, 1/2), got 0.5\n")
+        for command in (["fidelity"], ["operating-point", "--target", "0.95"], ["montecarlo"]):
+            assert main([*command, *argv]) == 2
+            assert capsys.readouterr() == (
+                "", "error: local_transmission must give a gate error below 1/2, got 9.999999994736442e-08\n"
+            )
 
     def test_overflowing_probe_names_alpha_and_theta(self, capsys):
         # alpha^2 overflows to inf where 1 - cos(theta) rounds to 0: the row
@@ -613,6 +614,32 @@ class TestMain:
             "error: segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
             f"got {got}\n"
         )
+
+    @pytest.mark.parametrize("command", [["fidelity"], ["operating-point", "--target", "0.95"], ["montecarlo"]])
+    @pytest.mark.parametrize("flags, message", [
+        # the transmittance rounds to 1 or to 0, where P0 is undefined; each
+        # once gave an error row that named no field
+        pytest.param("--segment-km 1e-15 --total-km 2e-15".split(),
+                     "segment_km / attenuation_km must give a transmittance in (0, 1), "
+                     "got segment_km=1e-15, attenuation_km=25.5", id="eta-1"),
+        pytest.param("--segment-km 20000 --total-km 40000".split(),
+                     "segment_km / attenuation_km must give a transmittance in (0, 1), "
+                     "got segment_km=20000.0, attenuation_km=25.5", id="eta-0"),
+        pytest.param("--alpha 10 --theta-rad 0.01 --attenuation-km 1e-300".split(),
+                     "segment_km / attenuation_km must give a transmittance in (0, 1), "
+                     "got segment_km=20.0, attenuation_km=1e-300", id="channel-eta-0"),
+        # T = 1e-3 rounds q_g to 1/2, which once gave an error row or a
+        # message that named no field
+        pytest.param("--one-minus-t 0.999".split(),
+                     "local_transmission must give a gate error below 1/2, got 0.0010000000000000009",
+                     id="gate-error-1/2"),
+        # an infinite probe once gave a NaN row, and "infeasible"
+        pytest.param("--alpha inf --theta-rad 0.01".split(),
+                     "qubus_strength must be finite and >= 0, got inf", id="alpha-inf"),
+    ])
+    def test_unpriceable_point_exits_2(self, capsys, command, flags, message):
+        assert main([*command, *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_rate_sweep_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
@@ -672,11 +699,24 @@ class TestMain:
                 "code = [1,1,1]\nrounds = 0\nsegment_km = 1e-4\ntotal_km = 2e-4\nfiber_speed_m_per_s = 1e308\n",
                 "error: segment_km / fiber_speed_m_per_s must give a finite storage",
             ),
+            # cases that once gave error rows naming no field, after a good case
+            ("[case good]\n[case bad]\nsegment_km = 1e-15\ntotal_km = 2e-15\n", "error: segment_km / attenuation_km"),
+            ("[case good]\n[case bad]\nsegment_km = 20000\ntotal_km = 40000\n", "error: segment_km / attenuation_km"),
+            (
+                "[case good]\n[case bad]\nfidelity = none\nalpha = 10\ntheta_rad = 0.01\nattenuation_km = 1e-300\n",
+                "error: segment_km / attenuation_km",
+            ),
+            ("[case good]\n[case bad]\none_minus_t = 0.999\n", "error: local_transmission must give a gate error"),
+            (
+                "[case good]\n[case bad]\nfidelity = none\nalpha = inf\ntheta_rad = 0.01\n",
+                "error: qubus_strength must be finite",
+            ),
         ):
             cfg.write_text(text)
             rc = main(["rate-sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
             assert rc == 2
             assert message in capsys.readouterr().err
+            assert not (tmp_path / "x.csv").exists()  # nothing is written before every case is checked
 
     def test_rate_sweep_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["rate-sweep", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x.csv")])

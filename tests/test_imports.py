@@ -253,10 +253,8 @@ def pipeline_imports_from(module):
 def test_pipeline_takes_only_float_kernels_from_bell_algebra():
     # the pump, its round, the ladder and their checks live once, in
     # bell_algebra; the chain calls them on four floats and builds none of
-    # its value types
-    assert pipeline_imports_from("bell_algebra") == {
-        "_check_gate_error", "_gate_charge", "_pump", "_pump_noisy", "_swap",
-    }
+    # its value types, and HardwareParams, not the chain, checks q_g
+    assert pipeline_imports_from("bell_algebra") == {"_gate_charge", "_pump", "_pump_noisy", "_swap"}
 
 
 def test_pipeline_takes_the_stored_pair_as_floats_from_codes():
@@ -321,3 +319,32 @@ def test_clock_and_rate_denominator_are_written_once():
 
     assert sites_in_src(divides_by_fiber_speed) == ["pipeline._windows"]
     assert sites_in_src(times_a_power_of_two) == ["pipeline._rate"]
+
+
+def test_transmittance_is_one_expression_that_the_config_checks():
+    # eta comes from one call, in segment_transmittance, which the constructor
+    # checks; so P0 and the rate cannot fail in _row, and evaluate's try is
+    # the one error capture on the row path
+    config = next(n for n in PIPELINE_TREE.body if isinstance(n, ast.ClassDef) and n.name == "ProtocolConfig")
+    methods = {n.name: n for n in config.body if isinstance(n, ast.FunctionDef)}
+
+    def called(node):
+        return {
+            getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            for n in ast.walk(node) if isinstance(n, ast.Call)
+        }
+
+    def calls_transmittance(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "transmittance"
+
+    assert [s for s in sites_in_src(calls_transmittance) if s.startswith("pipeline.")] == [
+        "pipeline.segment_transmittance"
+    ]
+    assert not any(isinstance(n, ast.If) for n in ast.walk(methods["segment_transmittance"]))
+    assert "segment_transmittance" in called(methods["__init__"])
+    functions = {n.name: n for n in PIPELINE_TREE.body if isinstance(n, ast.FunctionDef)}
+    assert not any(isinstance(n, ast.Try) for n in ast.walk(functions["_row"]))
+    assert sum(isinstance(n, ast.Try) for n in ast.walk(functions["evaluate"])) == 1
+    # a fidelity copy keeps the one attenuation length it already holds
+    (replace,) = [n for n in ast.walk(functions["with_fidelity"]) if isinstance(n, ast.Call)]
+    assert {keyword.arg for keyword in replace.keywords} == {"fidelity", "channel"}

@@ -19,7 +19,7 @@ from repeaterlab.codes import (
     logical_error_prob,
     pair_no_error_prob,
 )
-from repeaterlab.core import ChannelParams, HardwareParams, memory_error_prob
+from repeaterlab.core import ChannelParams, HardwareParams, gate_error_prob, memory_error_prob
 from repeaterlab.pipeline import (
     _F_HI,
     _F_LO,
@@ -144,11 +144,13 @@ class TestConfig:
     def test_with_fidelity_keeps_attenuation(self):
         ch = ChannelParams(20.0, 20.0, 0.01, attenuation_length_km=30.0)
         hw = HardwareParams(0.999, 0.1)
-        cfg = ProtocolConfig(1280.0, 20.0, CODES["[3,1,3]"], 2, hw, channel=ch)
+        cfg = ProtocolConfig(1280.0, 20.0, CODES["[3,1,3]"], 2, hw, channel=ch, attenuation_km=30.0)
+        assert cfg.segment_transmittance() == ch.transmittance()
         pinned = with_fidelity(cfg, 0.9)
         assert pinned.fidelity == 0.9
         assert pinned.channel is None
-        assert pinned.segment_transmittance() == pytest.approx(math.exp(-20.0 / 30.0), rel=1e-12)
+        assert pinned.attenuation_km == 30.0
+        assert pinned.segment_transmittance() == ch.transmittance()
 
 
 class TestTiming:
@@ -215,6 +217,11 @@ def _point(**changes):
     return {**_DEFAULT_POINT, "qubus_strength": None, **changes}
 
 
+def _channel_point(**changes):
+    """The default point on the qubus channel, with ``changes``."""
+    return {**_DEFAULT_POINT, "fidelity": None, **changes}
+
+
 class TestAcceptedDomain:
     @settings(max_examples=300, deadline=None)
     @given(_points())
@@ -223,22 +230,38 @@ class TestAcceptedDomain:
     @example(_point(code="[1,1,1]", rounds=0, segment_km=1e-4, total_distance_km=2e-4, fiber_speed_m_per_s=1e308))
     @example(_point(rounds=1, segment_km=1e-6, total_distance_km=2e-6, fiber_speed_m_per_s=1.7e308))
     @example(_point(segment_km=1e-320, total_distance_km=2e-320, attenuation_km=1e-320))
+    # a transmittance of 1 or 0, a saturated gate error and an infinite
+    # probe once gave error rows that named no field
+    @example(_point(segment_km=1e-15, total_distance_km=2e-15))
+    @example(_point(segment_km=20000.0, total_distance_km=40000.0))
+    @example(_channel_point(attenuation_km=1e-300))
+    @example(_point(local_transmission=1e-3))
+    @example(_channel_point(qubus_strength=math.inf))
+    # the config holds one attenuation length, which the channel must share
+    @example(_channel_point(channel_attenuation_km=30.0))
     def test_config_ends_in_a_named_error_an_error_row_or_finite_numbers(self, point):
         point = dict(point, code=CODES[point["code"]])
         hardware = [point.pop(name) for name in HardwareParams._fields]
         qubus = point.pop("qubus_strength"), point.pop("interaction_angle_rad")
+        channel_attenuation_km = point.pop("channel_attenuation_km", point["attenuation_km"])
         try:
             if point["fidelity"] is None:
-                point["channel"] = ChannelParams(point["segment_km"], *qubus, point["attenuation_km"])
+                point["channel"] = ChannelParams(point["segment_km"], *qubus, channel_attenuation_km)
             cfg = ProtocolConfig(hardware=HardwareParams(*hardware), **point)
         except ValueError as exc:
             assert any(name in str(exc) for name in _FIELD_NAMES), str(exc)
+            if channel_attenuation_km != point["attenuation_km"]:
+                assert "attenuation_length_km" in str(exc) and "attenuation_km" in str(exc), str(exc)
             return
-        # accepted: positive, finite windows, and a row that never raises
+        # accepted: positive, finite windows, and a row that never raises nor
+        # blames the transmittance or the gate error, both checked above
         tm = timing(cfg)
         assert 0.0 < tm.t0_s <= tm.t_purify_s < math.inf
         assert 0.0 < tm.t_half_s < math.inf
+        assert 0.0 < cfg.segment_transmittance() < 1.0
+        assert cfg.hardware.gate_error() < 0.5
         row = evaluate(cfg)
+        assert not (row.error or "").startswith(("eta", "gate error")), row.error
         if row.error is None:
             numbers = (row.f, row.f_final, row.p0, row.p_k, row.rate_per_memory_hz, row.t_wait_s)
             assert all(map(math.isfinite, numbers)), row
@@ -452,15 +475,17 @@ class TestCssChain:
 
     @pytest.mark.parametrize("label", list(CODES))
     @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_saturated_gate_error_row_at_every_k(self, label, k):
-        # 1 - T = 1e-7 rounds q_g to 1/2: both families reject it once per
-        # chain, the css family at k = 0 too, where no round would check it
-        cfg = make_cfg(label, k, one_minus_t=0.9999999)
-        assert cfg.hardware.gate_error() == 0.5
-        assert evaluate(cfg).error == "gate error must lie in [0, 1/2), got 0.5"
-        for fn in (final_fidelity, pump_success_probability):
-            with pytest.raises(ValueError, match=r"^gate error must lie in \[0, 1/2\), got 0.5$"):
-                fn(cfg)
+    def test_saturated_gate_error_is_refused_at_every_k(self, label, k):
+        # T = 1e-3 (1 - T = 0.999) rounds q_g to 1/2, which HardwareParams
+        # refuses, so no chain sees it; at 1 - T = 0.998, q_g is within 1e-15
+        # of 1/2, and both families price a row at every k
+        assert gate_error_prob(1.0 - 0.999) == 0.5
+        with pytest.raises(ValueError, match=r"^local_transmission must give a gate error below 1/2, got 0\.001"):
+            make_cfg(label, k, one_minus_t=0.999)
+        cfg = make_cfg(label, k, one_minus_t=0.998)
+        assert 0.5 - 1e-15 < cfg.hardware.gate_error() < 0.5
+        row = evaluate(cfg)
+        assert row.error is None and 0.0 <= row.f_final < 1.0 and 0.0 < row.rate_per_memory_hz < math.inf
 
 
 class TestRates:
@@ -558,11 +583,11 @@ CHANNEL_SOLVES = [
 
 
 # (config, target): a solve whose lower bracket already meets the target
-# (hi = lo), and a feasible solve whose row errors because at L0 = 1e-15 km
-# the transmittance rounds to 1, where P0 is undefined
+# (hi = lo), and a feasible solve at L0 = 1e-14 km, the shortest decade whose
+# transmittance stays below 1, where P0 rounds to 1
 EDGE_SOLVES = [
     (make_cfg("[1,1,1]", 0, 1.0, 1e-5, total=40.0), 0.3),
-    (ProtocolConfig(2e-15, 1e-15, CODES["[3,1,3]"], 1, HardwareParams(0.999, 0.1), fidelity=0.9), 0.9),
+    (ProtocolConfig(2e-14, 1e-14, CODES["[3,1,3]"], 1, HardwareParams(0.999, 0.1), fidelity=0.9), 0.9),
 ]
 
 
@@ -586,14 +611,9 @@ def solve_map():
 
 
 def channel_solve_cfg(seg, alpha, theta, att, label, k):
-    """A CHANNEL_SOLVES config: N = 8, the qubus channel, a decoy attenuation_km."""
+    """A CHANNEL_SOLVES config: N = 8, the qubus channel, its attenuation length the config's."""
     ch = ChannelParams(seg, alpha, theta, attenuation_length_km=att)
-    return ProtocolConfig(8 * seg, seg, CODES[label], k, HardwareParams(0.999, 0.1), channel=ch, attenuation_km=7.0)
-
-
-def nan_aware(row):
-    """The row's fields with NaN replaced by a marker, so equal rows compare equal."""
-    return tuple("nan" if isinstance(v, float) and math.isnan(v) else v for v in row)
+    return ProtocolConfig(8 * seg, seg, CODES[label], k, HardwareParams(0.999, 0.1), channel=ch, attenuation_km=att)
 
 
 class TestOperatingPointMap:
@@ -661,22 +681,30 @@ class TestOperatingPointMap:
         assert operating_point(cfg, target) == operating_point(twin, target)
 
     def test_edge_solves(self):
-        (lower, lower_target), (lossless, lossless_target) = EDGE_SOLVES
+        (lower, lower_target), (short, short_target) = EDGE_SOLVES
         assert operating_point(lower, lower_target).operating_fidelity == _F_LO
-        op = operating_point(lossless, lossless_target)
+        op = operating_point(short, short_target)
         assert op.feasible
         assert op.operating_fidelity == pytest.approx(0.8204959638, abs=1e-10)
-        assert op.result.error == "eta = 1 is the lossless limit; P0 is undefined by this formula"
+        assert (op.result.error, op.result.p0) == (None, 1.0)
+        assert math.isfinite(op.result.rate_per_memory_hz)
+        # ten times shorter, the transmittance rounds to 1, where P0 is
+        # undefined: the config is refused before any solve
+        with pytest.raises(ValueError, match=r"^segment_km / attenuation_km must give a transmittance in \(0, 1\), "):
+            short._replace(total_distance_km=2e-15, segment_km=1e-15)
 
     def test_row_is_evaluate_at_the_solution(self):
         # the map digest hashes only the rate; this pins the whole returned
-        # row: a fresh evaluate at F*, or at the upper bracket when infeasible
+        # row: a fresh evaluate at F*, or at the upper bracket when infeasible.
+        # The config's checks leave P0 and the rate nothing to fail on at an f
+        # in (1/2, 1), so no returned row is an error row, and none holds a NaN
         solves = [(cfg, MAP_TARGET) for cfgs in map_configs().values() for _, _, cfg in cfgs]
         solves += [(channel_solve_cfg(*case[:-1]), case[-1]) for case in CHANNEL_SOLVES]
         for cfg, target in solves + EDGE_SOLVES:
             op = operating_point(cfg, target)
             f = op.operating_fidelity if op.feasible else _F_HI
-            assert nan_aware(op.result) == nan_aware(evaluate(with_fidelity(cfg, f))), (cfg, target)
+            assert op.result.error is None, (cfg, target)
+            assert op.result == evaluate(with_fidelity(cfg, f)), (cfg, target)
 
 
 class TestSweep:

@@ -187,7 +187,12 @@ MESSAGES = [
         id="channel-attenuation",
     ),
     pytest.param(
-        lambda: ChannelParams(20.0, -1.0, 0.01), "qubus_strength must be >= 0, got -1.0", id="channel-strength"
+        lambda: ChannelParams(20.0, -1.0, 0.01), "qubus_strength must be finite and >= 0, got -1.0",
+        id="channel-strength",
+    ),
+    pytest.param(
+        lambda: ChannelParams(20.0, math.inf, 0.01), "qubus_strength must be finite and >= 0, got inf",
+        id="channel-strength-inf",
     ),
     pytest.param(
         lambda: ChannelParams(20.0, 0.001, 0.0), "interaction_angle_rad must lie in (0, pi), got 0.0", id="channel-angle-0"
@@ -202,6 +207,11 @@ MESSAGES = [
     ),
     pytest.param(
         lambda: HardwareParams(1.5, 0.1), "local_transmission must lie in (0, 1], got 1.5", id="hardware-t-high"
+    ),
+    # T = 1e-3 rounds the gate error q_g to 1/2
+    pytest.param(
+        lambda: HardwareParams(1e-3, 0.1), "local_transmission must give a gate error below 1/2, got 0.001",
+        id="hardware-gate-error",
     ),
     pytest.param(lambda: HardwareParams(0.999, 0.0), "memory_coherence_s must be > 0, got 0.0", id="hardware-tau"),
     pytest.param(
@@ -237,6 +247,11 @@ MESSAGES = [
         id="cfg-channel-segment",
     ),
     pytest.param(
+        lambda: _channel_cfg(attenuation_km=30.0),
+        "channel.attenuation_length_km must equal attenuation_km, got 25.5 and 30.0",
+        id="cfg-channel-attenuation",
+    ),
+    pytest.param(
         lambda: _cfg(total_distance_km=60.0),
         "total_distance_km / segment_km must be a power of two >= 2, got 3.0",
         id="cfg-ratio-3",
@@ -251,7 +266,7 @@ MESSAGES = [
         "total_distance_km / segment_km must be a power of two >= 2, got inf",
         id="cfg-ratio-inf",
     ),
-    # the last rule: timing's pump window t_k = (k/2 + 1) 2 L0 / c must be finite
+    # after the ratio: timing's pump window t_k = (k/2 + 1) 2 L0 / c must be finite
     pytest.param(
         lambda: _cfg(hardware=HardwareParams(0.999, 0.1, 1e-308)),
         "segment_km / fiber_speed_m_per_s must give a finite pump window, got segment_km=20.0, fiber_speed_m_per_s=1e-308",
@@ -271,6 +286,23 @@ MESSAGES = [
         "segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
         "got segment_km=20.0, fiber_speed_m_per_s=5e-304",
         id="cfg-rate-inf",
+    ),
+    # the last rule: the transmittance exp(-L0 / L_att) must lie in (0, 1),
+    # where P0 is defined; it rounds to 1 at L0 = 1e-15 km and to 0 at 20000 km
+    pytest.param(
+        lambda: _cfg(total_distance_km=2e-15, segment_km=1e-15),
+        "segment_km / attenuation_km must give a transmittance in (0, 1), got segment_km=1e-15, attenuation_km=25.5",
+        id="cfg-transmittance-1",
+    ),
+    pytest.param(
+        lambda: _cfg(total_distance_km=40000.0, segment_km=20000.0),
+        "segment_km / attenuation_km must give a transmittance in (0, 1), got segment_km=20000.0, attenuation_km=25.5",
+        id="cfg-transmittance-0",
+    ),
+    pytest.param(
+        lambda: _cfg(attenuation_km=math.inf),
+        "segment_km / attenuation_km must give a transmittance in (0, 1), got segment_km=20.0, attenuation_km=inf",
+        id="cfg-transmittance-inf-attenuation",
     ),
     pytest.param(lambda: DensityMatrix(np.ones(3)), "matrix must be square, got shape (3,)", id="density-shape"),
     pytest.param(lambda: DensityMatrix(np.eye(3) / 3.0), "dimension must be 2^m with m <= 4, got 3", id="density-dim"),
