@@ -233,7 +233,7 @@ def to_protocol_config(case: CaseSpec) -> ProtocolConfig:
     if case.fidelity is None:
         if case.alpha is None or case.theta_rad is None:
             raise ConfigError(f"case {case.name!r}: need fidelity or both alpha and theta_rad")
-        channel = ChannelParams(case.segment_km, case.alpha, case.theta_rad, case.attenuation_km)
+        channel = ChannelParams(case.segment_km, case.alpha, case.theta_rad)
     return ProtocolConfig(
         case.total_km, case.segment_km, code, case.rounds, hardware, channel, case.fidelity, case.attenuation_km
     )

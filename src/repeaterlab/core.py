@@ -35,20 +35,14 @@ FIBER_SPEED_M_PER_S = 2.0e8
 
 
 class ChannelParams(
-    checked_tuple(
-        "ChannelParams",
-        "segment_length_km qubus_strength interaction_angle_rad attenuation_length_km",
-        defaults=[ATTENUATION_LENGTH_KM],
-    )
+    checked_tuple("ChannelParams", "segment_length_km qubus_strength interaction_angle_rad")
 ):
-    """Optical channel between two neighboring repeater stations.
+    """The qubus probe over one segment; the fiber's attenuation length is the config's.
 
     Attributes
     ----------
     segment_length_km
         Station spacing l > 0.
-    attenuation_length_km
-        Fiber attenuation length, default 25.5 km.
     qubus_strength
         Coherent probe amplitude alpha, finite and >= 0.
     interaction_angle_rad
@@ -57,29 +51,13 @@ class ChannelParams(
 
     __slots__ = ()
 
-    def __init__(
-        self,
-        segment_length_km: float,
-        qubus_strength: float,
-        interaction_angle_rad: float,
-        attenuation_length_km: float = ATTENUATION_LENGTH_KM,
-    ) -> None:
+    def __init__(self, segment_length_km: float, qubus_strength: float, interaction_angle_rad: float) -> None:
         if not segment_length_km > 0.0:
             raise ValueError(f"segment_length_km must be > 0, got {segment_length_km}")
-        if not attenuation_length_km > 0.0:
-            raise ValueError(f"attenuation_length_km must be > 0, got {attenuation_length_km}")
         if not 0.0 <= qubus_strength < math.inf:
             raise ValueError(f"qubus_strength must be finite and >= 0, got {qubus_strength}")
         if not 0.0 < interaction_angle_rad < math.pi:
             raise ValueError(f"interaction_angle_rad must lie in (0, pi), got {interaction_angle_rad}")
-
-    def transmittance(self) -> float:
-        return transmittance(self.segment_length_km, self.attenuation_length_km)
-
-    def fidelity(self) -> float:
-        return initial_fidelity(
-            self.qubus_strength, self.interaction_angle_rad, self.transmittance()
-        )
 
 
 class HardwareParams(

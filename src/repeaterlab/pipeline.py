@@ -32,6 +32,7 @@ from .core import (
     ATTENUATION_LENGTH_KM,
     ChannelParams,
     HardwareParams,
+    initial_fidelity,
     memory_error_prob,
     success_probability,
     transmittance,
@@ -76,11 +77,12 @@ class ProtocolConfig(
     """One repeater operating point.
 
     The raw pair fidelity comes either from an explicit ``fidelity`` or
-    from a ``channel`` whose lengths equal ``segment_km`` and
-    ``attenuation_km``; exactly one must be given.  ``total_distance_km /
-    segment_km`` must be a power of two >= 2.  T0 = 2 L0 / c must be > 0,
-    the windows (k/2 + 1) T0 and (k + 1) T0 / 2 finite, the largest rate
-    (at P0 P_k = 1) in (0, inf), so a subnormal T0 is rejected, and the
+    from a ``channel`` whose segment length equals ``segment_km``; exactly
+    one must be given.  The config owns the fiber: F and P0 both read the
+    one ``segment_transmittance``.  ``total_distance_km / segment_km``
+    must be a power of two >= 2.  T0 = 2 L0 / c must be > 0, the windows
+    (k/2 + 1) T0 and (k + 1) T0 / 2 finite, the largest rate (at
+    P0 P_k = 1) in (0, inf), so a subnormal T0 is rejected, and the
     transmittance exp(-L0 / L_att) in (0, 1), where P0 is defined.
     """
 
@@ -110,10 +112,8 @@ class ProtocolConfig(
         if fidelity is not None and not 0.5 < fidelity <= 1.0:
             raise ValueError(f"fidelity must lie in (1/2, 1], got {fidelity}")
         if channel is not None and channel.segment_length_km != segment_km:
-            raise ValueError("channel.segment_length_km must equal segment_km")
-        if channel is not None and channel.attenuation_length_km != attenuation_km:
-            att = channel.attenuation_length_km
-            raise ValueError(f"channel.attenuation_length_km must equal attenuation_km, got {att} and {attenuation_km}")
+            seg = channel.segment_length_km
+            raise ValueError(f"channel.segment_length_km must equal segment_km, got {seg} and {segment_km}")
         ratio = total_distance_km / segment_km
         n = round(ratio) if math.isfinite(ratio) else 0
         if abs(ratio - n) > 1e-9 or n < 2 or n & (n - 1) != 0:
@@ -146,7 +146,8 @@ class ProtocolConfig(
     def raw_fidelity(self) -> float:
         if self.fidelity is not None:
             return self.fidelity
-        return self.channel.fidelity()
+        ch = self.channel
+        return initial_fidelity(ch.qubus_strength, ch.interaction_angle_rad, self.segment_transmittance())
 
     def segment_transmittance(self) -> float:
         return transmittance(self.segment_km, self.attenuation_km)

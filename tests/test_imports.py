@@ -342,6 +342,8 @@ def test_transmittance_is_one_expression_that_the_config_checks():
     ]
     assert not any(isinstance(n, ast.If) for n in ast.walk(methods["segment_transmittance"]))
     assert "segment_transmittance" in called(methods["__init__"])
+    # the channel's F reads the same eta as P0
+    assert "segment_transmittance" in called(methods["raw_fidelity"])
     functions = {n.name: n for n in PIPELINE_TREE.body if isinstance(n, ast.FunctionDef)}
     assert not any(isinstance(n, ast.Try) for n in ast.walk(functions["_row"]))
     assert sum(isinstance(n, ast.Try) for n in ast.walk(functions["evaluate"])) == 1

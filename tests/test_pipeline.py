@@ -19,7 +19,15 @@ from repeaterlab.codes import (
     logical_error_prob,
     pair_no_error_prob,
 )
-from repeaterlab.core import ChannelParams, HardwareParams, gate_error_prob, memory_error_prob
+from repeaterlab.core import (
+    ChannelParams,
+    HardwareParams,
+    gate_error_prob,
+    initial_fidelity,
+    memory_error_prob,
+    success_probability,
+    transmittance,
+)
 from repeaterlab.pipeline import (
     _F_HI,
     _F_LO,
@@ -129,11 +137,12 @@ class TestConfig:
             make_cfg(channel=ch)  # both given
 
     def test_channel_route(self):
+        # the channel is the probe; the config's default fiber gives eta
         ch = ChannelParams(20.0, 20.0, 0.01)
         hw = HardwareParams(0.999, 0.1)
         cfg = ProtocolConfig(1280.0, 20.0, CODES["[3,1,3]"], 2, hw, channel=ch)
-        assert cfg.raw_fidelity() == pytest.approx(ch.fidelity(), rel=1e-15)
-        assert cfg.segment_transmittance() == pytest.approx(ch.transmittance(), rel=1e-15)
+        assert cfg.segment_transmittance() == transmittance(20.0, 25.5)
+        assert cfg.raw_fidelity() == initial_fidelity(20.0, 0.01, transmittance(20.0, 25.5))
 
     def test_channel_segment_mismatch(self):
         ch = ChannelParams(25.0, 20.0, 0.01)
@@ -142,15 +151,19 @@ class TestConfig:
             ProtocolConfig(1280.0, 20.0, CODES["[3,1,3]"], 2, hw, channel=ch)
 
     def test_with_fidelity_keeps_attenuation(self):
-        ch = ChannelParams(20.0, 20.0, 0.01, attenuation_length_km=30.0)
+        # the channel prices F over the config's attenuation length, and the
+        # pinned copy keeps that length for P0
+        ch = ChannelParams(20.0, 20.0, 0.01)
         hw = HardwareParams(0.999, 0.1)
         cfg = ProtocolConfig(1280.0, 20.0, CODES["[3,1,3]"], 2, hw, channel=ch, attenuation_km=30.0)
-        assert cfg.segment_transmittance() == ch.transmittance()
+        eta = transmittance(20.0, 30.0)
+        assert cfg.segment_transmittance() == eta
+        assert cfg.raw_fidelity() == initial_fidelity(20.0, 0.01, eta)
         pinned = with_fidelity(cfg, 0.9)
         assert pinned.fidelity == 0.9
         assert pinned.channel is None
         assert pinned.attenuation_km == 30.0
-        assert pinned.segment_transmittance() == ch.transmittance()
+        assert pinned.segment_transmittance() == eta
 
 
 class TestTiming:
@@ -237,21 +250,20 @@ class TestAcceptedDomain:
     @example(_channel_point(attenuation_km=1e-300))
     @example(_point(local_transmission=1e-3))
     @example(_channel_point(qubus_strength=math.inf))
-    # the config holds one attenuation length, which the channel must share
-    @example(_channel_point(channel_attenuation_km=30.0))
+    # a NaN attenuation length on either route (tests/test_value_types.py
+    # pins its message, attenuation_km must be > 0, got nan)
+    @example(_channel_point(attenuation_km=math.nan))
+    @example(_point(attenuation_km=math.nan))
     def test_config_ends_in_a_named_error_an_error_row_or_finite_numbers(self, point):
         point = dict(point, code=CODES[point["code"]])
         hardware = [point.pop(name) for name in HardwareParams._fields]
         qubus = point.pop("qubus_strength"), point.pop("interaction_angle_rad")
-        channel_attenuation_km = point.pop("channel_attenuation_km", point["attenuation_km"])
         try:
             if point["fidelity"] is None:
-                point["channel"] = ChannelParams(point["segment_km"], *qubus, channel_attenuation_km)
+                point["channel"] = ChannelParams(point["segment_km"], *qubus)
             cfg = ProtocolConfig(hardware=HardwareParams(*hardware), **point)
         except ValueError as exc:
             assert any(name in str(exc) for name in _FIELD_NAMES), str(exc)
-            if channel_attenuation_km != point["attenuation_km"]:
-                assert "attenuation_length_km" in str(exc) and "attenuation_km" in str(exc), str(exc)
             return
         # accepted: positive, finite windows, and a row that never raises nor
         # blames the transmittance or the gate error, both checked above
@@ -611,8 +623,8 @@ def solve_map():
 
 
 def channel_solve_cfg(seg, alpha, theta, att, label, k):
-    """A CHANNEL_SOLVES config: N = 8, the qubus channel, its attenuation length the config's."""
-    ch = ChannelParams(seg, alpha, theta, attenuation_length_km=att)
+    """A CHANNEL_SOLVES config: N = 8, the qubus channel over the config's attenuation length."""
+    ch = ChannelParams(seg, alpha, theta)
     return ProtocolConfig(8 * seg, seg, CODES[label], k, HardwareParams(0.999, 0.1), channel=ch, attenuation_km=att)
 
 
@@ -679,6 +691,19 @@ class TestOperatingPointMap:
         cfg = channel_solve_cfg(seg, alpha, theta, att, label, k)
         twin = with_fidelity(cfg, cfg.raw_fidelity())
         assert operating_point(cfg, target) == operating_point(twin, target)
+
+    @pytest.mark.parametrize("seg, alpha, theta, att, label, k, target", CHANNEL_SOLVES)
+    def test_channel_f_and_p0_read_one_transmittance(self, seg, alpha, theta, att, label, k, target):
+        # bit for bit: the channel's F and the row's P0 both read the
+        # config's segment_transmittance
+        cfg = channel_solve_cfg(seg, alpha, theta, att, label, k)
+        eta = cfg.segment_transmittance()
+        assert eta == transmittance(seg, att)
+        assert cfg.raw_fidelity() == initial_fidelity(alpha, theta, eta)
+        row = evaluate(cfg)
+        assert row.error is None, row.error
+        assert row.f == cfg.raw_fidelity()
+        assert row.p0 == success_probability(row.f, eta)
 
     def test_edge_solves(self):
         (lower, lower_target), (short, short_target) = EDGE_SOLVES

@@ -80,10 +80,7 @@ REPRS = {
     "BellDiagonal": "BellDiagonal(a=0.9, b=0.05, c=0.03, d=0.02)",
     "PurifyOutcome": "PurifyOutcome(state=BellDiagonal(a=0.9, b=0.05, c=0.03, d=0.02), success_prob=0.8528)",
     "Code": "Code(n=3, k=1, d=3, family='repetition')",
-    "ChannelParams": (
-        "ChannelParams(segment_length_km=20.0, qubus_strength=0.001, interaction_angle_rad=0.01, "
-        "attenuation_length_km=25.5)"
-    ),
+    "ChannelParams": "ChannelParams(segment_length_km=20.0, qubus_strength=0.001, interaction_angle_rad=0.01)",
     "HardwareParams": (
         "HardwareParams(local_transmission=0.999, memory_coherence_s=0.1, fiber_speed_m_per_s=200000000.0)"
     ),
@@ -99,7 +96,7 @@ REPRS = {
         "hardware=HardwareParams(local_transmission=0.999, memory_coherence_s=0.1, "
         "fiber_speed_m_per_s=200000000.0), "
         "channel=ChannelParams(segment_length_km=20.0, qubus_strength=0.001, "
-        "interaction_angle_rad=0.01, attenuation_length_km=25.5), fidelity=None, attenuation_km=25.5)"
+        "interaction_angle_rad=0.01), fidelity=None, attenuation_km=25.5)"
     ),
     "DensityMatrix": "DensityMatrix(matrix=array([[0.5+0.j, 0. +0.j],\n       [0. +0.j, 0.5+0.j]]))",
     "VariantReport": (
@@ -182,11 +179,6 @@ MESSAGES = [
         lambda: ChannelParams(math.nan, 0.001, 0.01), "segment_length_km must be > 0, got nan", id="channel-segment-nan"
     ),
     pytest.param(
-        lambda: ChannelParams(20.0, 0.001, 0.01, -1.0),
-        "attenuation_length_km must be > 0, got -1.0",
-        id="channel-attenuation",
-    ),
-    pytest.param(
         lambda: ChannelParams(20.0, -1.0, 0.01), "qubus_strength must be finite and >= 0, got -1.0",
         id="channel-strength",
     ),
@@ -201,6 +193,11 @@ MESSAGES = [
         lambda: ChannelParams(20.0, 0.001, math.pi),
         "interaction_angle_rad must lie in (0, pi), got 3.141592653589793",
         id="channel-angle-pi",
+    ),
+    pytest.param(
+        lambda: ChannelParams(20.0, 0.001, math.nan),
+        "interaction_angle_rad must lie in (0, pi), got nan",
+        id="channel-angle-nan",
     ),
     pytest.param(
         lambda: HardwareParams(0.0, 0.1), "local_transmission must lie in (0, 1], got 0.0", id="hardware-t-0"
@@ -231,6 +228,7 @@ MESSAGES = [
     ),
     pytest.param(lambda: _cfg(segment_km=0.0), "segment_km must be > 0, got 0.0", id="cfg-segment"),
     pytest.param(lambda: _cfg(attenuation_km=0.0), "attenuation_km must be > 0, got 0.0", id="cfg-attenuation"),
+    pytest.param(lambda: _cfg(attenuation_km=math.nan), "attenuation_km must be > 0, got nan", id="cfg-attenuation-nan"),
     pytest.param(lambda: _cfg(rounds=-1), "rounds must be an integer in [0, 1000], got -1", id="cfg-rounds-low"),
     pytest.param(lambda: _cfg(rounds=1001), "rounds must be an integer in [0, 1000], got 1001", id="cfg-rounds-high"),
     pytest.param(lambda: _cfg(rounds=2.0), "rounds must be an integer in [0, 1000], got 2.0", id="cfg-rounds-float"),
@@ -243,12 +241,13 @@ MESSAGES = [
     pytest.param(lambda: _cfg(fidelity=1.5), "fidelity must lie in (1/2, 1], got 1.5", id="cfg-fidelity-high"),
     pytest.param(
         lambda: _channel_cfg(segment_km=10.0, total_distance_km=640.0),
-        "channel.segment_length_km must equal segment_km",
+        "channel.segment_length_km must equal segment_km, got 20.0 and 10.0",
         id="cfg-channel-segment",
     ),
+    # the config owns the one attenuation length, NaN included
     pytest.param(
-        lambda: _channel_cfg(attenuation_km=30.0),
-        "channel.attenuation_length_km must equal attenuation_km, got 25.5 and 30.0",
+        lambda: _channel_cfg(attenuation_km=math.nan),
+        "attenuation_km must be > 0, got nan",
         id="cfg-channel-attenuation",
     ),
     pytest.param(
@@ -378,7 +377,7 @@ FIELDS = {
     "BellDiagonal": ("a", "b", "c", "d"),
     "PurifyOutcome": ("state", "success_prob"),
     "Code": ("n", "k", "d", "family"),
-    "ChannelParams": ("segment_length_km", "qubus_strength", "interaction_angle_rad", "attenuation_length_km"),
+    "ChannelParams": ("segment_length_km", "qubus_strength", "interaction_angle_rad"),
     "HardwareParams": ("local_transmission", "memory_coherence_s", "fiber_speed_m_per_s"),
     "ProtocolConfig": (
         "total_distance_km", "segment_km", "code", "rounds", "hardware", "channel", "fidelity", "attenuation_km",
@@ -436,11 +435,13 @@ class TestKeywordConstruction:
     def test_code(self):
         assert Code(family="css", d=3, k=1, n=7) == Code(7, 1, 3, "css")
 
-    def test_channel_default_attenuation(self):
-        ch = ChannelParams(segment_length_km=20.0, qubus_strength=0.001, interaction_angle_rad=0.01)
-        assert ch.attenuation_length_km == ATTENUATION_LENGTH_KM == 25.5
-        assert ch == ChannelParams(20.0, 0.001, 0.01, 25.5)
-        assert ChannelParams(20.0, 0.001, 0.01, attenuation_length_km=30.0).attenuation_length_km == 30.0
+    def test_channel_has_no_defaults(self):
+        # the attenuation length, and its default, are the config's
+        ch = ChannelParams(interaction_angle_rad=0.01, segment_length_km=20.0, qubus_strength=0.001)
+        assert ch == ChannelParams(*CHANNEL)
+        assert ChannelParams._field_defaults == {}
+        with pytest.raises(TypeError):
+            ChannelParams(*CHANNEL, attenuation_length_km=25.5)
 
     def test_hardware_default_speed(self):
         hw = HardwareParams(memory_coherence_s=0.1, local_transmission=0.999)
