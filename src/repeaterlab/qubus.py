@@ -29,6 +29,10 @@ __all__ = [
 
 _ENUM_LIMIT = 16   # exhaustive pattern enumeration cap
 _PHASE_TOL = 1e-9  # phases closer than this (mod 2 pi) count as colliding
+# phases_distinct's certificate (proved in its docstring): within both bounds no
+# two buckets can meet, so the sweep is skipped
+_CERT_MAX_PHASE = math.pi - _PHASE_TOL
+_CERT_MIN_THETA = (1.0 + 1e-5) * _PHASE_TOL
 
 
 class QubusPlan(checked_tuple("QubusPlan", "n theta_rad scheme per_state_phases")):
@@ -147,23 +151,57 @@ def chained_qubus_phases(n: int, theta_rad: float) -> QubusPlan:
 def phases_distinct(n: int, theta_rad: float) -> bool:
     """Distinctness mod 2 pi of the single-qubus phases, codeword pair aside.
 
-    Exhaustive for n <= 16, with no ledger built: both codewords carry
-    coefficient 0, and the other 2^n - 2 patterns carry each nonzero even
-    integer in [-(2^n - 2), 2^n - 2] exactly once.  So the phases
-    (theta / 2) c of c = -(2^n - 2), ..., 2^n - 2 in steps of 2 are bucketed
-    mod 2 pi, and the verdict is that all 2^n - 1 buckets differ: O(2^n)
-    float operations.  Beyond that the verdict is analytic: every
-    phase is an even multiple of theta/2 bounded by max_phase, so below the
-    branch cut (max_phase < pi) distinct integer coefficients cannot wrap
-    onto each other, while at max_phase = pi the two extreme patterns meet
-    at +/- pi.  Neighboring phases sit theta apart, so the analytic branch
-    also needs theta >= the 1e-9 collision width that the exhaustive check
-    buckets by; then no verdict turns distinct as n grows.
+    Both codewords carry coefficient 0, and the other 2^n - 2 patterns
+    carry each nonzero even integer c in [-(2^n - 2), 2^n - 2] exactly
+    once, at phase k theta with k = c / 2.  The reference verdict is a
+    bucket sweep with no ledger built: each phase (theta / 2) c is reduced
+    mod 2 pi, divided by the 1e-9 collision width and rounded, and all
+    2^n - 1 buckets must differ.  The sweep runs for n <= 16 only outside
+    the certificate below; beyond n = 16 the analytic rule (max_phase < pi
+    and theta >= 1e-9) decides instead.
+
+    Certificate: when max_phase <= pi - 1e-9 and theta >= (1 + 1e-5) 1e-9,
+    the verdict is True for every n, with no sweep.  Write tau for the
+    float 1e-9 and count errors in buckets (units of tau).  A bucket value
+    takes three correctly rounded steps from exact inputs (theta / 2 is
+    exact and c is an exact float): the product (theta / 2) c, of size at
+    most pi; the fold % 2 pi, which returns a positive phase unchanged and
+    turns a negative one x into 2 pi - |x| in [pi, 2 pi); and the division
+    by tau, below 2 pi / tau = 6.3e9.  Each adds at most half an ulp, so
+    2.2e-7, 4.4e-7 and 4.8e-7 buckets, and a bucket value is off by at most
+    1.2e-6.  The float max_phase and pi - tau each round once, so the exact
+    extreme phase is at most pi - tau + 4.4e-7 buckets.  Then:
+
+    - neighboring phases k theta and (k + 1) theta sit theta / tau >=
+      1 + 1e-5 buckets apart, more than 1 + 7e-6 after rounding, and two
+      reals more than 1 apart round to different integers;
+    - the positive range ends below pi / tau - 1 + 1.7e-6 and the folded
+      negative range (2 pi - k theta) / tau starts above pi / tau + 1 -
+      1.7e-6, so the two stay at least two buckets apart;
+    - the smallest positive phase theta rounds to at least 1, and the
+      largest folded one, 2 pi - theta, more than one bucket below
+      2 pi / tau, to below modulus = round(2 pi / tau), so no non-codeword
+      reaches bucket 0 or its wrapped twin modulus.
+
+    The 1e-5 margin is four times the 2.4e-6 it has to cover.  The
+    certificate lies inside the analytic rule's True region, so no verdict
+    depends on which branch decides it.
     """
     _check_n_theta(n, theta_rad)
-    max_phase = _max_phase(n, theta_rad)
+    return _distinct(n, theta_rad, _max_phase(n, theta_rad))
+
+
+def _distinct(n: int, theta_rad: float, max_phase: float) -> bool:
+    """phases_distinct after validation, given max_phase = _max_phase(n, theta_rad)."""
+    if max_phase <= _CERT_MAX_PHASE and theta_rad >= _CERT_MIN_THETA:
+        return True
     if n > _ENUM_LIMIT:
         return max_phase < math.pi and theta_rad >= _PHASE_TOL
+    return _sweep_distinct(n, theta_rad)
+
+
+def _sweep_distinct(n: int, theta_rad: float) -> bool:
+    """The bucket sweep over all 2^n - 1 phases: O(2^n) float operations."""
     two_pi = 2.0 * math.pi
     modulus = round(two_pi / _PHASE_TOL)
     half = 0.5 * theta_rad
@@ -180,13 +218,16 @@ def feasibility(n: int, theta_rad: float) -> Feasibility:
     Two conditions: the extreme accumulated phase
     max_phase = (2^(n-1) - 1) theta must not exceed pi (beyond that the
     probe wraps around phase space), and all non-codeword patterns must
-    land on pairwise distinct phases mod 2 pi.  n = 2 with theta = pi is
-    the textbook collision: max_phase equals pi yet the two middle
-    patterns coincide at the branch cut.
+    land on pairwise distinct phases mod 2 pi (phases_distinct).  n = 2
+    with theta = pi is the textbook collision: max_phase equals pi yet the
+    two middle patterns coincide at the branch cut.  Inside phases_distinct's
+    certificate (max_phase <= pi - 1e-9, theta >= 1.00001e-9) the verdict is
+    feasible in O(1); the sweep runs only for n <= 16 with max_phase in
+    (pi - 1e-9, pi] or theta below 1.00001e-9.
     """
     _check_n_theta(n, theta_rad)
     max_phase = _max_phase(n, theta_rad)
-    feasible = max_phase <= math.pi and phases_distinct(n, theta_rad)
+    feasible = max_phase <= math.pi and _distinct(n, theta_rad, max_phase)
     return Feasibility(feasible, max_phase)
 
 

@@ -3,12 +3,14 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repeaterlab import qubus
 from repeaterlab.qubus import (
     Feasibility,
     _coefficients,
+    _sweep_distinct,
     QubusPlan,
     chained_qubus_phases,
     feasibility,
@@ -260,6 +262,90 @@ class TestLedgerReference:
         theta = 4.0 * math.pi / 15.0
         assert feasibility(4, theta).max_phase_rad > math.pi
         assert phases_distinct(4, theta) is reference_distinct(4, theta) is True
+
+
+# phases_distinct's certificate: max_phase <= CERT_PHASE and theta >= CERT_THETA
+CERT_PHASE = math.pi - 1e-9
+CERT_THETA = (1.0 + 1e-5) * 1e-9
+EDGE_N = (2, 7, 12, 16)
+
+
+def cut(n):
+    return math.pi / (2 ** (n - 1) - 1)
+
+
+def last_inside_phase_bound(n):
+    """The largest theta whose max_phase stays within CERT_PHASE."""
+    theta = CERT_PHASE / (2 ** (n - 1) - 1)
+    while feasibility(n, theta).max_phase_rad > CERT_PHASE:
+        theta = math.nextafter(theta, 0.0)
+    while feasibility(n, math.nextafter(theta, math.inf)).max_phase_rad <= CERT_PHASE:
+        theta = math.nextafter(theta, math.inf)
+    return theta
+
+
+def edge_thetas(n):
+    """(inside, outside) pairs one ulp apart across each certificate bound."""
+    top = last_inside_phase_bound(n)
+    return [(top, math.nextafter(top, math.inf)), (CERT_THETA, math.nextafter(CERT_THETA, 0.0))]
+
+
+class TestCertificate:
+    """The O(1) certificate against the bucket sweep and the reference."""
+
+    @pytest.mark.parametrize("n", EDGE_N)
+    def test_edges_match_the_sweep(self, n):
+        for pair in edge_thetas(n):
+            for theta in pair:
+                assert phases_distinct(n, theta) is _sweep_distinct(n, theta)
+                if n <= 10:
+                    assert phases_distinct(n, theta) is reference_distinct(n, theta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.booleans(),
+        st.integers(min_value=-(2**24), max_value=2**24),
+    )
+    def test_hugging_either_bound_matches_the_sweep(self, n, phase_bound, ulps):
+        base = CERT_PHASE / (2 ** (n - 1) - 1) if phase_bound else CERT_THETA
+        theta = base + ulps * math.ulp(base)
+        assert phases_distinct(n, theta) is _sweep_distinct(n, theta)
+
+
+class Swept(Exception):
+    pass
+
+
+def refuse_sweep(n, theta_rad):
+    raise Swept(n, theta_rad)
+
+
+class TestSweepSkippedOnlyInsideTheCertificate:
+    @pytest.fixture
+    def no_sweep(self, monkeypatch):
+        monkeypatch.setattr(qubus, "_sweep_distinct", refuse_sweep)
+
+    def test_inside_needs_no_sweep(self, no_sweep):
+        assert phases_distinct(16, 0.5 * cut(16)) is True
+        assert feasibility(12, 0.9 * cut(12)).feasible is True
+
+    @pytest.mark.parametrize("n", EDGE_N)
+    @pytest.mark.parametrize("theta", [1e-9, "cut"])
+    def test_collision_width_and_cut_reach_the_sweep(self, no_sweep, n, theta):
+        theta = cut(n) if theta == "cut" else theta
+        with pytest.raises(Swept):
+            phases_distinct(n, theta)
+
+    @pytest.mark.parametrize("n", EDGE_N)
+    def test_the_bounds_split_one_ulp_apart(self, n, monkeypatch):
+        # the edges are found with the sweep in place, then judged without it
+        pairs = edge_thetas(n)
+        monkeypatch.setattr(qubus, "_sweep_distinct", refuse_sweep)
+        for inside, outside in pairs:
+            assert phases_distinct(n, inside) is True
+            with pytest.raises(Swept):
+                phases_distinct(n, outside)
 
 
 class TestNonFiniteInput:
