@@ -1,9 +1,11 @@
-"""Frozen bit patterns of the brute-force oracles and the qubus verdicts.
+"""Frozen bit patterns of the brute-force oracles, the Monte Carlo
+estimators and the qubus verdicts.
 
 Each float is hashed as ``float.hex(x + 0.0)``, so a digest pins every bit
 of every output except the sign of zero; verdicts are hashed as ``True`` or
-``False``.  An engine rewrite of the oracle or of the qubus ledger must keep
-these digests; a physics change that moves one says why in CHANGES.md.
+``False``.  An engine rewrite of the oracle, of where the Monte Carlo
+estimators read their inputs or of the qubus ledger must keep these
+digests; a physics change that moves one says why in CHANGES.md.
 """
 
 import hashlib
@@ -13,7 +15,9 @@ import random
 import pytest
 
 from repeaterlab.bell_algebra import BellDiagonal
-from repeaterlab.codes import Code
+from repeaterlab.codes import Code, code_catalog
+from repeaterlab.core import ChannelParams, HardwareParams
+from repeaterlab.montecarlo import McConfig, finite_window_estimate, simulate_rate
 from repeaterlab.oracle import (
     GateErrorVariant,
     enumerate_logical_error,
@@ -21,6 +25,7 @@ from repeaterlab.oracle import (
     simulate_purification_round,
     simulate_swapping,
 )
+from repeaterlab.pipeline import ProtocolConfig
 from repeaterlab.qubus import phases_distinct
 
 SEED = 20111105
@@ -120,6 +125,26 @@ def _qubus_verdicts():
             yield phases_distinct(n, theta)
 
 
+def _montecarlo_outputs():
+    """Rate and standard error of both estimators, every catalog code at k = 0..3."""
+    rng = random.Random(SEED + 5)
+    for code in code_catalog():
+        for k in range(4):
+            hw = HardwareParams(1.0 - 10 ** rng.uniform(-5.0, -3.0), 10 ** rng.uniform(-2.0, 0.0))
+            segment_km = rng.choice([10.0, 20.0, 40.0])
+            if rng.random() < 0.3:  # the channel route: F comes from the qubus probe
+                channel = ChannelParams(segment_km, rng.uniform(5.0, 50.0), rng.uniform(0.005, 0.05))
+                cfg = ProtocolConfig(64 * segment_km, segment_km, code, k, hw, channel=channel)
+                f = cfg.raw_fidelity()
+            else:
+                f = rng.uniform(0.8, 0.999)
+                cfg = ProtocolConfig(64 * segment_km, segment_km, code, k, hw, fidelity=f)
+            mc = McConfig(0.5, 4096, k, 500, seed=rng.randrange(2**32))
+            for estimate in (simulate_rate(cfg, f, mc), finite_window_estimate(cfg, f, mc)):
+                yield estimate.rate_per_memory_hz
+                yield estimate.std_error_hz
+
+
 @pytest.mark.parametrize(
     "outputs, want",
     [
@@ -127,9 +152,10 @@ def _qubus_verdicts():
         (_variant_rows, "ae98534cc96eaaa2ade4cecc1fe1ddb07b9b7a901e1399d3eddab412401d9d24"),
         (_swap_outputs, "0a290a4a1027c8011d1944d019418c398a276b29cfde1ad8d38212aeecee03a1"),
         (_enumeration_outputs, "e8aa95455445a59d3238661db7bbf174b4d3bf6b171c0e6bdf97857e8b78d0e8"),
+        (_montecarlo_outputs, "0613504ddd1f61adf9e4e873c7874da0dcefe89e40b2d42223e0447f445f9165"),
         (_qubus_verdicts, "1357ded75a2fa9f10d9f86076530b2ad35cf99d2c8676a4301a0670e019a4134"),
     ],
-    ids=["purification", "variant_rows", "swapping", "enumeration", "phases_distinct"],
+    ids=["purification", "variant_rows", "swapping", "enumeration", "montecarlo", "phases_distinct"],
 )
 def test_outputs_frozen(outputs, want):
     assert _digest(outputs()) == want
