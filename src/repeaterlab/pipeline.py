@@ -80,10 +80,11 @@ class ProtocolConfig(
     from a ``channel`` whose segment length equals ``segment_km``; exactly
     one must be given.  The config owns the fiber: F and P0 both read the
     one ``segment_transmittance``.  ``total_distance_km / segment_km``
-    must be a power of two >= 2.  T0 = 2 L0 / c must be > 0, the windows
-    (k/2 + 1) T0 and (k + 1) T0 / 2 finite, the largest rate (at
-    P0 P_k = 1) in (0, inf), so a subnormal T0 is rejected, and the
-    transmittance exp(-L0 / L_att) in (0, 1), where P0 is defined.
+    must be a power of two >= 2.  One rule decides the clock T0 = 2 L0 / c:
+    the largest rate, 1 / (n 2^k (k/2 + 1) T0) at P0 P_k = 1, must lie in
+    (0, inf).  That rejects T0 = 0 and a subnormal T0, and the windows
+    (k/2 + 1) T0 and (k + 1) T0 / 2 are finite wherever it holds.  The
+    transmittance exp(-L0 / L_att) must lie in (0, 1), where P0 is defined.
     """
 
     __slots__ = ()
@@ -118,17 +119,17 @@ class ProtocolConfig(
         n = round(ratio) if math.isfinite(ratio) else 0
         if abs(ratio - n) > 1e-9 or n < 2 or n & (n - 1) != 0:
             raise ValueError(f"total_distance_km / segment_km must be a power of two >= 2, got {ratio}")
-        t0, t_k, t_half = _windows(segment_km, rounds, hardware.fiber_speed_m_per_s)
-        if not t_k < math.inf:
-            raise ValueError(
-                "segment_km / fiber_speed_m_per_s must give a finite pump window, "
-                f"got segment_km={segment_km}, fiber_speed_m_per_s={hardware.fiber_speed_m_per_s}"
-            )
-        try:  # the largest rate, at P0 P_k = 1 + 1e-12 (PurifyOutcome's tolerance)
+        # one clock rule: the largest rate, at P0 P_k = 1 + 1e-12 (PurifyOutcome's
+        # tolerance), lies in (0, inf).  It bounds both windows: _rate's denominator
+        # fl(fl(n 2^k) (k/2 + 1)) T0 has a factor >= k/2 + 1 and >= k + 1, and rounding
+        # is monotone, so when t_k = (k/2 + 1) T0 or the (k + 1) T0 in t'_k overflows,
+        # the denominator overflows too and the rate reads 0
+        t0 = _windows(segment_km, rounds, hardware.fiber_speed_m_per_s)[0]
+        try:
             top = _rate(code.n, rounds, t0, 1.0 + 1e-12, 1.0)
         except ArithmeticError:  # T0 = 0, or n 2^k past the float range
             top = math.inf
-        if not (t_half < math.inf and 0.0 < top < math.inf):
+        if not 0.0 < top < math.inf:
             raise ValueError(
                 "segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
                 f"got segment_km={segment_km}, fiber_speed_m_per_s={hardware.fiber_speed_m_per_s}"
@@ -330,7 +331,7 @@ def evaluate(cfg: ProtocolConfig) -> SweepResult:
 
 
 def with_fidelity(cfg: ProtocolConfig, f: float) -> ProtocolConfig:
-    """Copy of ``cfg`` pinned to a direct raw fidelity; its segment and attenuation lengths are the channel's."""
+    """Copy of ``cfg`` pinned to a direct raw fidelity; it keeps the config's segment and attenuation lengths."""
     return cfg._replace(fidelity=f, channel=None)
 
 

@@ -579,12 +579,13 @@ class TestMain:
 
     @pytest.mark.parametrize("command", [["fidelity"], ["operating-point", "--target", "0.95"], ["montecarlo"]])
     def test_infinite_pump_window_exits_2(self, capsys, command):
-        # T0 = 2 L0 / c overflows to inf, which once gave a silent rate of 0
+        # T0 = 2 L0 / c overflows to inf, which once gave a silent rate of 0;
+        # the one clock rule rejects it, as the rate's denominator overflows too
         assert main([*command, "--fiber-speed", "1e-308"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: segment_km / fiber_speed_m_per_s must give a finite pump window, "
+            "error: segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
             "got segment_km=20.0, fiber_speed_m_per_s=1e-308\n"
         )
 
@@ -692,7 +693,7 @@ class TestMain:
             ("total_km = inf\n", "error: total_distance_km / segment_km must be"),
             ("segment_km = 1e-320\n", "error: total_distance_km / segment_km must be"),
             ("fiber_speed_m_per_s = inf\n", "error: fiber_speed_m_per_s must be finite"),
-            ("fiber_speed_m_per_s = 1e-308\n", "error: segment_km / fiber_speed_m_per_s must give a finite pump window"),
+            ("fiber_speed_m_per_s = 1e-308\n", "error: segment_km / fiber_speed_m_per_s must give a finite storage"),
             ("fiber_speed_m_per_s = 5e-304\nrounds = 0\n", "error: segment_km / fiber_speed_m_per_s must give a finite storage"),
             # T0 = 2e-309 s, which once wrote a rate of inf into the CSV
             (

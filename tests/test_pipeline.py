@@ -4,6 +4,7 @@ import collections
 import hashlib
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -254,6 +255,9 @@ class TestAcceptedDomain:
     # pins its message, attenuation_km must be > 0, got nan)
     @example(_channel_point(attenuation_km=math.nan))
     @example(_point(attenuation_km=math.nan))
+    # an overflowing pump window, which the rate rule alone rejects
+    @example(_point(rounds=0, fiber_speed_m_per_s=1e-308))
+    @example(_point(rounds=MAX_ROUNDS, fiber_speed_m_per_s=1e-308))
     def test_config_ends_in_a_named_error_an_error_row_or_finite_numbers(self, point):
         point = dict(point, code=CODES[point["code"]])
         hardware = [point.pop(name) for name in HardwareParams._fields]
@@ -277,6 +281,46 @@ class TestAcceptedDomain:
         if row.error is None:
             numbers = (row.f, row.f_final, row.p0, row.p_k, row.rate_per_memory_hz, row.t_wait_s)
             assert all(map(math.isfinite, numbers)), row
+
+
+# 10^e across the float range, the largest float, the smallest subnormal and
+# the smallest normal
+_DECADES = [10.0**e for e in range(-323, 309, 10)] + [sys.float_info.max, 5e-324, sys.float_info.min]
+# one catalog code per block size n
+_CODES_BY_N = list({code.n: code for code in CODES.values()}.values())
+_CLOCK_ERROR = "segment_km / fiber_speed_m_per_s must give a finite storage window and rate"
+
+
+def test_one_clock_rule_rejects_every_overflowing_window():
+    # the constructor checks only the largest rate; wherever the pump window
+    # t_k or the css window t'_k overflows, that rule must reject the config,
+    # and it must reject nothing else that has finite windows and a finite,
+    # positive largest rate
+    overflowing = 0
+    for fiber_speed in _DECADES:
+        hardware = HardwareParams(0.999, 0.1, fiber_speed)
+        for segment_km in _DECADES:
+            if 2.0 * segment_km == math.inf:  # no power-of-two line is finite
+                continue
+            t0 = 2.0 * segment_km * 1e3 / fiber_speed
+            for k in (0, 1, 2, MAX_ROUNDS):
+                t_k, t_half = (k / 2.0 + 1.0) * t0, (k + 1.0) * t0 / 2.0
+                for code in _CODES_BY_N:
+                    try:  # the largest rate, at P0 P_k = 1 + 1e-12
+                        top = (1.0 + 1e-12) / (code.n * 2.0**k * (k / 2.0 + 1.0) * t0)
+                    except ZeroDivisionError:
+                        top = math.inf
+                    window_overflows = math.inf in (t_k, t_half)
+                    overflowing += window_overflows
+                    try:
+                        ProtocolConfig(2.0 * segment_km, segment_km, code, k, hardware, fidelity=0.95)
+                    except ValueError as exc:
+                        if str(exc).startswith(_CLOCK_ERROR):
+                            assert window_overflows or not 0.0 < top < math.inf
+                            continue
+                        assert str(exc).startswith("segment_km / attenuation_km"), str(exc)
+                    assert not window_overflows and 0.0 < top < math.inf
+    assert overflowing > 10_000
 
 
 class TestFinalFidelity:

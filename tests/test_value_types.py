@@ -265,10 +265,12 @@ MESSAGES = [
         "total_distance_km / segment_km must be a power of two >= 2, got inf",
         id="cfg-ratio-inf",
     ),
-    # after the ratio: timing's pump window t_k = (k/2 + 1) 2 L0 / c must be finite
+    # after the ratio, one clock rule: the pump window t_k = (k/2 + 1) 2 L0 / c
+    # overflows here, and so does the rate's denominator, which the rule checks
     pytest.param(
         lambda: _cfg(hardware=HardwareParams(0.999, 0.1, 1e-308)),
-        "segment_km / fiber_speed_m_per_s must give a finite pump window, got segment_km=20.0, fiber_speed_m_per_s=1e-308",
+        "segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
+        "got segment_km=20.0, fiber_speed_m_per_s=1e-308",
         id="cfg-pump-window-inf",
     ),
     # t_k = 1.6e308 s is finite; the css window 3 T0 / 2 and the rate's
