@@ -365,10 +365,7 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
     ok = set(report.matching) == {GateErrorVariant.ZCXT_BEFORE, GateErrorVariant.ZCXT_AFTER}
 
     s = BellDiagonal(0.85, 0.07, 0.05, 0.03)
-    swap_dev = max(
-        abs(x - y)
-        for x, y in zip(simulate_swapping(s).as_tuple(), swap_ideal(s).as_tuple())
-    )
+    swap_dev = max(abs(x - y) for x, y in zip(simulate_swapping(s), swap_ideal(s)))
     print(f"swap circuit vs closed form          max deviation {swap_dev:.3e}")
     ok = ok and swap_dev <= 1e-10
 

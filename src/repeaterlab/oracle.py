@@ -128,7 +128,7 @@ def _bell_matrix(s: BellDiagonal) -> np.ndarray:
     """
     if abs(s.total() - 1.0) > 1e-9:
         raise ValueError(f"state must be normalized, coefficients sum to {s.total()}")
-    return _BELL @ np.diag(s.as_tuple()).astype(complex) @ _BELL_H
+    return _BELL @ np.diag(s).astype(complex) @ _BELL_H
 
 
 @functools.cache
@@ -432,8 +432,8 @@ def match_gate_variant(
         _check_gate_error(q_g)
         rotated = _rotated_copies(s)
         ref = purify_imperfect_exact(s, q_g)
-        want = (*ref.state.as_tuple(), ref.success_prob)
+        want = (*ref.state, ref.success_prob)
         for variant, sim in zip(worst, _purify_rotated(rotated, q_g, tuple(worst))):
-            got = (*sim.state.as_tuple(), sim.success_prob)
+            got = (*sim.state, sim.success_prob)
             worst[variant] = max(worst[variant], *(abs(x - y) for x, y in zip(got, want)))
     return VariantReport(tuple(worst.items()))
