@@ -20,14 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._checked import checked_tuple
-from .pipeline import (
-    ProtocolConfig,
-    heralding_probability,
-    pump_success_probability,
-    rate_unpurified,
-    timing,
-    with_fidelity,
-)
+from .pipeline import ProtocolConfig, SweepResult, evaluate, timing, with_fidelity
 
 __all__ = [
     "McConfig",
@@ -69,10 +62,17 @@ def _binomial_pmf(s: int, j: int, log_p: float, log_q: float) -> float:
     return math.exp(math.lgamma(s + 1) - math.lgamma(j + 1) - math.lgamma(s - j + 1) + j * log_p + (s - j) * log_q)
 
 
-def _tree_process(cfg: ProtocolConfig, fidelity: float) -> tuple[ProtocolConfig, float, float, float]:
-    """The config pinned to ``fidelity`` with its p0, tree survival and window."""
+def _tree_process(cfg: ProtocolConfig, fidelity: float) -> tuple[ProtocolConfig, SweepResult, float]:
+    """The config pinned to ``fidelity``, its :func:`evaluate` row and its pump window t_k.
+
+    An error row raises its error, so that no NaN is ever sampled.  t_k comes
+    from the timing, because the row's wait is t'_k on css rows.
+    """
     cfg = with_fidelity(cfg, fidelity)
-    return cfg, heralding_probability(cfg), pump_success_probability(cfg), timing(cfg).t_purify_s
+    row = evaluate(cfg)
+    if row.error is not None:
+        raise ValueError(row.error)
+    return cfg, row, timing(cfg).t_purify_s
 
 
 def finite_window_estimate(cfg: ProtocolConfig, fidelity: float, mc: McConfig) -> RateEstimate:
@@ -87,8 +87,8 @@ def finite_window_estimate(cfg: ProtocolConfig, fidelity: float, mc: McConfig) -
     the mean is, however few windows fill a tree.  The pmf is summed in log
     space over mean +/- (40 sd + 40) pairs.
     """
-    cfg, p0, p_tree, window_s = _tree_process(cfg, fidelity)
-    k, s = cfg.rounds, mc.blocks
+    cfg, row, window_s = _tree_process(cfg, fidelity)
+    p0, p_tree, k, s = row.p0, row.p_k, cfg.rounds, mc.blocks
     if p0 == 0.0:
         e_t = var_t = 0.0
     elif p0 == 1.0:
@@ -104,21 +104,21 @@ def finite_window_estimate(cfg: ProtocolConfig, fidelity: float, mc: McConfig) -
         var_t = sum(((j >> k) - e_t) ** 2 * _binomial_pmf(s, j, log_p, log_q) for j in window)
     scale = window_s * s * cfg.code.n
     var_out = p_tree * (1.0 - p_tree) * e_t + p_tree * p_tree * var_t
-    rate = rate_unpurified(cfg) if k == 0 else p_tree * e_t / scale
+    rate = row.rate_per_memory_hz if k == 0 else p_tree * e_t / scale
     return RateEstimate(rate, math.sqrt(var_out / mc.trials) / scale, mc.trials)
 
 
 def simulate_rate(cfg: ProtocolConfig, fidelity: float, mc: McConfig) -> RateEstimate:
     """Monte Carlo estimate of the purified rate per memory qubit.
 
-    Overrides the raw fidelity of ``cfg`` with ``fidelity``; p0, the pump
-    depth, and the composite tree survival probability all come from the
-    analytic pipeline, so the estimator measures exactly the process the
-    closed-form rate prices.  mc.p0 and mc.rounds are ignored in favor of
-    the config.  Two independent substreams drive supply and survival.
+    Overrides the raw fidelity of ``cfg`` with ``fidelity``; p0 and the
+    composite tree survival probability come from the config's row, the
+    pump depth from the config, so the estimator measures exactly the
+    process the closed-form rate prices.  mc.p0 and mc.rounds are ignored
+    in favor of the config.  Two independent substreams drive supply and survival.
     """
-    cfg, p0, p_tree, window_s = _tree_process(cfg, fidelity)
-    k = cfg.rounds
+    cfg, row, window_s = _tree_process(cfg, fidelity)
+    p0, p_tree, k = row.p0, row.p_k, cfg.rounds
 
     ss = np.random.SeedSequence(mc.seed)
     supply_seed, survive_seed = ss.spawn(2)

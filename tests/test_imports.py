@@ -239,9 +239,9 @@ def test_deleted_export_stays_gone(module, name):
 PIPELINE_TREE = ast.parse(Path(repeaterlab.__file__).with_name("pipeline.py").read_text())
 
 
-def pipeline_imports_from(module):
+def imports_from(tree, module):
     imported = set()
-    for node in ast.walk(PIPELINE_TREE):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             assert not any(a.name.startswith("repeaterlab") for a in node.names)
         elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("repeaterlab")):
@@ -254,13 +254,13 @@ def test_pipeline_takes_only_float_kernels_from_bell_algebra():
     # the pump, its round, the ladder and their checks live once, in
     # bell_algebra; the chain calls them on four floats and builds none of
     # its value types, and HardwareParams, not the chain, checks q_g
-    assert pipeline_imports_from("bell_algebra") == {"_gate_charge", "_pump", "_pump_noisy", "_swap"}
+    assert imports_from(PIPELINE_TREE, "bell_algebra") == {"_gate_charge", "_pump", "_pump_noisy", "_swap"}
 
 
 def test_pipeline_takes_the_stored_pair_as_floats_from_codes():
     # the chain prices the stored pair through the float kernel that
     # effective_coefficients wraps, not through the BellDiagonal it returns
-    assert pipeline_imports_from("codes") == {
+    assert imports_from(PIPELINE_TREE, "codes") == {
         "Code", "_stored_pair", "css_effective_qubit_error", "logical_error_prob", "pair_no_error_prob",
     }
 
@@ -297,6 +297,30 @@ def sites_in_src(match):
     for path in sorted(Path(repeaterlab.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     return sites
+
+
+# one-number wrappers of evaluate's row, and BellDiagonal.as_tuple, which a
+# BellDiagonal already is: only the benchmark harness and tests still call them
+BENCHMARK_ONLY = {
+    "final_fidelity", "pump_success_probability", "heralding_probability", "rate_unpurified", "rate_purified",
+    "as_tuple",
+}
+
+
+def test_no_module_calls_a_benchmark_only_name():
+    # outside the wrappers' own bodies, the package reads the priced row
+    def calls_benchmark_only(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        ) in BENCHMARK_ONLY
+
+    assert [s for s in sites_in_src(calls_benchmark_only) if s.partition(".")[2] not in BENCHMARK_ONLY] == []
+
+
+def test_montecarlo_reads_the_evaluate_row():
+    # p0, P_k and the k = 0 rate come from one evaluate row, the pump window from timing
+    montecarlo = ast.parse(Path(repeaterlab.__file__).with_name("montecarlo.py").read_text())
+    assert imports_from(montecarlo, "pipeline") == {"ProtocolConfig", "SweepResult", "evaluate", "timing", "with_fidelity"}
 
 
 def test_clock_and_rate_denominator_are_written_once():

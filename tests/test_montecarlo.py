@@ -213,3 +213,13 @@ class TestFiniteWindowEstimate:
         mc = McConfig(1.0, 512, 2, 3000, seed=4)
         exact = finite_window_estimate(cfg, 0.95, mc).std_error_hz
         assert simulate_rate(cfg, 0.95, mc).std_error_hz == pytest.approx(exact, rel=0.1)
+
+
+class TestPricedRow:
+    @pytest.mark.parametrize("estimator", [simulate_rate, finite_window_estimate])
+    def test_error_row_raises_its_error(self, estimator):
+        # a line of 2^15 segments prices an error row (the swap ladder's sum check); no NaN is sampled
+        hw = HardwareParams(local_transmission=1.0 - 1e-3, memory_coherence_s=0.1)
+        cfg = ProtocolConfig(20.0 * 2**15, 20.0, CODES["[3,1,3]"], 2, hw, fidelity=0.9)
+        with pytest.raises(ValueError, match=r"^coefficients must sum to <= 1, got 1\.0000000000010947$"):
+            estimator(cfg, 0.9, McConfig(1.0, 64, 2, 10))
