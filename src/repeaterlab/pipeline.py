@@ -81,9 +81,8 @@ class ProtocolConfig(
     one must be given.  The config owns the fiber: F and P0 both read the
     one ``segment_transmittance``.  ``total_distance_km / segment_km``
     must be a power of two >= 2.  One rule decides the clock T0 = 2 L0 / c:
-    the largest rate, 1 / (n 2^k (k/2 + 1) T0) at P0 P_k = 1, must lie in
-    (0, inf).  That rejects T0 = 0 and a subnormal T0, and the windows
-    (k/2 + 1) T0 and (k + 1) T0 / 2 are finite wherever it holds.  The
+    the largest rate (at P0 P_k = 1) must lie in (0, inf), which rejects a
+    zero or subnormal T0 and holds only where both windows are finite.  The
     transmittance exp(-L0 / L_att) must lie in (0, 1), where P0 is defined.
     """
 
@@ -119,11 +118,10 @@ class ProtocolConfig(
         n = round(ratio) if math.isfinite(ratio) else 0
         if abs(ratio - n) > 1e-9 or n < 2 or n & (n - 1) != 0:
             raise ValueError(f"total_distance_km / segment_km must be a power of two >= 2, got {ratio}")
-        # one clock rule: the largest rate, at P0 P_k = 1 + 1e-12 (PurifyOutcome's
-        # tolerance), lies in (0, inf).  It bounds both windows: _rate's denominator
-        # fl(fl(n 2^k) (k/2 + 1)) T0 has a factor >= k/2 + 1 and >= k + 1, and rounding
-        # is monotone, so when t_k = (k/2 + 1) T0 or the (k + 1) T0 in t'_k overflows,
-        # the denominator overflows too and the rate reads 0
+        # one clock rule: the largest rate, at P0 P_k = 1 + 1e-12 (PurifyOutcome's tolerance),
+        # lies in (0, inf).  _rate's denominator fl(fl(n 2^k) (k/2 + 1)) T0 has a factor >= k/2 + 1
+        # and >= k + 1, and rounding is monotone, so it overflows, and the rate reads 0, whenever
+        # the pump window t_k = (k/2 + 1) T0 or the (k + 1) T0 in the css window t'_k does
         t0 = _windows(segment_km, rounds, hardware.fiber_speed_m_per_s)[0]
         try:
             top = _rate(code.n, rounds, t0, 1.0 + 1e-12, 1.0)
