@@ -115,7 +115,8 @@ def simulate_rate(cfg: ProtocolConfig, fidelity: float, mc: McConfig) -> RateEst
     composite tree survival probability come from the config's row, the
     pump depth from the config, so the estimator measures exactly the
     process the closed-form rate prices.  mc.p0 and mc.rounds are ignored
-    in favor of the config.  Two independent substreams drive supply and survival.
+    in favor of the config.  Two independent substreams drive supply and
+    survival.
     """
     cfg, row, window_s = _tree_process(cfg, fidelity)
     p0, p_tree, k = row.p0, row.p_k, cfg.rounds

@@ -320,7 +320,9 @@ def test_no_module_calls_a_benchmark_only_name():
 def test_montecarlo_reads_the_evaluate_row():
     # p0, P_k and the k = 0 rate come from one evaluate row, the pump window from timing
     montecarlo = ast.parse(Path(repeaterlab.__file__).with_name("montecarlo.py").read_text())
-    assert imports_from(montecarlo, "pipeline") == {"ProtocolConfig", "SweepResult", "evaluate", "timing", "with_fidelity"}
+    assert imports_from(montecarlo, "pipeline") == {
+        "ProtocolConfig", "SweepResult", "evaluate", "timing", "with_fidelity",
+    }
 
 
 def test_clock_and_rate_denominator_are_written_once():
