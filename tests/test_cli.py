@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import math
+import random
 import re
 import sys
 from pathlib import Path
@@ -272,6 +273,70 @@ class TestOverrides:
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("", overrides=["rounds=two"])
+
+
+# a seeded corpus of config texts and --set lists: known and unknown keys,
+# none in any case, good and bad values, lines without "=" or starting with
+# it, named, unnamed and unterminated headers, comments, blank lines and
+# whitespace padding; each text draws its own share of bad lines
+_CORPUS_GOOD = {
+    str: ["[3,1,3]", "23,1,7", "[7, 1, 3]", "x", "", "none"],
+    int: ["0", "1", "2", "3", "-1", "1_0", "٣", "1001", "+2"],
+    float: ["0.95", "0.9", "1e-3", "20", "1280", "1e308", "inf", "nan", "-0.0", "5e-324", "1_0.5"],
+}
+_CORPUS_NONES = ["none", "NONE", "None", "nOnE"]
+_CORPUS_BAD_VALUES = ["x", "", "1e", "3 # note", "0x10", "2.5", "a=b", "1,5", "--1", "none"]
+_CORPUS_BAD_KEYS = ["bogus", "Code", "tau c_s", "", "#rounds", "[case a"]
+_CORPUS_LINES = ["", "# shared", "#rounds = 3", "[case]", "[case a]", "[ case  b c ]", "[case a=b]"]
+_CORPUS_BAD_LINES = [
+    "[grid]", "[ ]", "[]", "[case=]", "[case x", "[case y]]", "just words", "code", "=", "= 3", "==", "rounds",
+]
+_CORPUS_PADS = ["", "", " ", "  ", "\t", "\xa0", "　"]
+
+
+def _corpus_assignment(rng, bad):
+    key = rng.choice(_CORPUS_BAD_KEYS) if rng.random() < bad else rng.choice(list(_KEYS))
+    spec = _KEYS.get(key)
+    if spec is None or rng.random() < bad:
+        return key, rng.choice(_CORPUS_BAD_VALUES)
+    if spec.nullable and rng.random() < 0.3:
+        return key, rng.choice(_CORPUS_NONES)
+    return key, rng.choice(_CORPUS_GOOD[spec.kind])
+
+
+def _config_corpus(count=2000):
+    rng = random.Random(20111105)
+
+    def pad():
+        return rng.choice(_CORPUS_PADS)
+
+    for _ in range(count):
+        bad = rng.choice([0.0, 0.0, 0.03, 0.1, 0.3])
+        lines = []
+        for _ in range(rng.randrange(12)):
+            if rng.random() < 0.7:
+                key, value = _corpus_assignment(rng, bad)
+                lines.append(f"{pad()}{key}{pad()}={pad()}{value}{pad()}")
+            else:
+                lines.append(pad() + rng.choice(_CORPUS_BAD_LINES if rng.random() < bad else _CORPUS_LINES) + pad())
+        overrides = []
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            key, value = _corpus_assignment(rng, bad)
+            overrides.append(f"{pad()}{key}{'' if rng.random() < bad else rng.choice(['=', ' = '])}{value}")
+        yield rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"]), overrides
+
+
+def test_parse_outcomes_frozen():
+    # each text and --set list with its cases or its exact error, so that a
+    # rewrite of the line reader keeps every outcome; about half parse
+    outcomes = []
+    for text, overrides in _config_corpus():
+        try:
+            outcome = repr(parse_config(text, overrides))
+        except ConfigError as exc:
+            outcome = f"ConfigError: {exc}"
+        outcomes.append(f"{text!r} {overrides!r} -> {outcome}")
+    assert _sha256("\n".join(outcomes)) == "bc8d3703ec7e678e52d93cc9f8f8d30e13c18748cf20d81b537c5b2eb58fd326"
 
 
 class TestRenderRoundTrip:
