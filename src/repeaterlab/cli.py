@@ -115,29 +115,16 @@ def _apply_level(
     return merged
 
 
-def _where(line_no: int) -> str:
-    """Error location of a config line; line 0 is a --set item."""
-    return f"line {line_no}" if line_no else "--set"
-
-
-def _assign(assigns: dict[str, object], line: str, line_no: int) -> None:
-    """Store one ``key = value`` line, or --set item (line 0), in ``assigns``; every bad assignment fails here."""
-    key, eq, raw = line.partition("=")
-    if not eq:
-        if line_no:
-            raise ConfigError(f"line {line_no}: expected key = value, got {line!r}")
-        raise ConfigError(f"--set {line!r}: expected key=value")
-    key, raw = key.strip(), raw.strip()
-    spec = _KEYS.get(key)
-    if spec is None:
-        raise ConfigError(f"{_where(line_no)}: unknown key {key!r}")
+def _value(key: str, raw: str, where: str) -> object:
+    """``raw``, stripped, as the known ``key``'s value; ``none`` unsets a nullable key, and a bad value fails here."""
+    spec = _KEYS[key]
+    raw = raw.strip()
     if spec.nullable and raw.lower() == "none":
-        assigns[key] = None
-        return
+        return None
     try:
-        assigns[key] = spec.kind(raw)
+        return spec.kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"{_where(line_no)}: bad value for {key!r}: {raw!r} ({exc})") from None
+        raise ConfigError(f"{where}: bad value for {key!r}: {raw!r} ({exc})") from None
 
 
 # each key's value type as a converter of the unstripped value: int and float
@@ -158,34 +145,41 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[CaseSpec, ..
     case_blocks: list[tuple[str, dict[str, object], int]] = []
     assigns = top_assigns
     for line_no, line in enumerate(text.splitlines(), start=1):
-        # a known key whose value converts as it stands; a line that is
-        # anything else (blank, comment, header, none, an error) is read whole
+        # one partition decides the line: a known key's value converts as it
+        # stands, and only one that does not (none, an error) is read again
         key, eq, raw = line.partition("=")
         key = key.strip()
         convert = _CONVERT.get(key)
         if convert is not None and eq:
             try:
                 assigns[key] = convert(raw)
-                continue
             except ValueError:
-                pass
-        line = line.strip()
-        if not line or line[0] == "#":
+                assigns[key] = _value(key, raw, f"line {line_no}")
+        elif not (key or eq) or key[:1] == "#":  # a blank line or a comment
             continue
-        if line[0] == "[":
-            if not line.endswith("]"):
-                raise ConfigError(f"line {line_no}: unterminated section header {line!r}")
-            inner = line[1:-1].strip()
+        elif key[:1] == "[":
+            header = line.strip()  # "[case a=b]" names the case a=b
+            if not header.endswith("]"):
+                raise ConfigError(f"line {line_no}: unterminated section header {header!r}")
+            inner = header[1:-1].strip()
             parts = inner.split(None, 1)
             if not parts or parts[0] != "case":
                 raise ConfigError(f"line {line_no}: unknown section {inner!r} (only [case] allowed)")
             name = parts[1] if len(parts) == 2 else f"case{len(case_blocks) + 1}"
             assigns = {}
             case_blocks.append((name, assigns, line_no))
-            continue
-        _assign(assigns, line, line_no)
+        elif eq:
+            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        else:
+            raise ConfigError(f"line {line_no}: expected key = value, got {key!r}")
     for item in overrides:
-        _assign(set_assigns, item, 0)
+        key, eq, raw = item.partition("=")
+        if not eq:
+            raise ConfigError(f"--set {item!r}: expected key=value")
+        key = key.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"--set: unknown key {key!r}")
+        set_assigns[key] = _value(key, raw, "--set")
 
     base = _apply_level(_DEFAULTS, top_assigns, "top level")
     base = _apply_level(base, set_assigns, "--set overrides")
@@ -262,17 +256,20 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-3]  # drop the empty last field and the CRLF
 
 
+def _write_csv(path: str, header: Sequence[str], rows: Sequence[str]) -> None:
+    """Write ``header`` and formatted ``rows`` in one call, in csv.writer's dialect: commas, CRLF line ends."""
+    # the empty last line ends the last row in CRLF too
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([",".join(header), *rows, ""]))
+
+
 def emit_csv(results: Sequence[SweepResult], path: str) -> None:
     """Write sweep rows as CSV with 8 significant digits.
 
-    The bytes are csv.writer's: comma-separated, CRLF line ends, minimal
-    quoting.  Only the two label columns can need quotes, so each distinct
-    label asks the writer once and the file is written in one call.
+    The bytes are csv.writer's, minimal quoting included: only the two
+    label columns can need quotes, so each distinct label asks the writer once.
     """
-    # the empty last line ends the last row in CRLF too
-    lines = [",".join(_CSV_HEADER), *[_format_row(_CSV_ROW, r, _csv_field) for r in results], ""]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines))
+    _write_csv(path, _CSV_HEADER, [_format_row(_CSV_ROW, r, _csv_field) for r in results])
 
 
 def emit_gnuplot(results: Sequence[SweepResult], path: str) -> None:
@@ -318,8 +315,12 @@ def _print_result(r: SweepResult) -> int:
 
 
 def cmd_rate_sweep(args: argparse.Namespace) -> int:
-    with open(args.config) as fh:
-        cases = parse_config(fh.read(), overrides=args.set)
+    try:  # UTF-8 whatever the locale; utf-8-sig drops a leading byte-order mark
+        with open(args.config, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"--config {args.config!r} is not UTF-8 text ({exc})") from None
+    cases = parse_config(text, overrides=args.set)
     configs = [to_protocol_config(c) for c in cases]
     results = sweep(configs)
     emit_csv(results, args.out)
@@ -444,12 +445,9 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     print(f"simulated     = {_g8(est.rate_per_memory_hz)} +/- {_g8(est.std_error_hz)} Hz ({est.trials} trials)")
     print(f"|z| = {z:.2f} sigma")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(",".join([*_CSV_HEADER, "rate_mc_hz", "stderr_hz", "z"]) + "\r\n")
-            fh.write(
-                f"{_format_row(_CSV_ROW, row, _csv_field)},{_g8(est.rate_per_memory_hz)},"
-                f"{_g8(est.std_error_hz)},{z:.3f}\r\n"
-            )
+        sampled = f"{_g8(est.rate_per_memory_hz)},{_g8(est.std_error_hz)},{z:.3f}"
+        line = f"{_format_row(_CSV_ROW, row, _csv_field)},{sampled}"
+        _write_csv(args.out, [*_CSV_HEADER, "rate_mc_hz", "stderr_hz", "z"], [line])
     return 0 if z <= 3.0 else 1
 
 
@@ -537,7 +535,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

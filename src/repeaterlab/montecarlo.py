@@ -47,6 +47,8 @@ class McConfig(checked_tuple("McConfig", "p0 blocks rounds trials seed", default
             value = getattr(self, name)
             if type(value) is not int or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            if value > 2**63 - 1 and name in ("blocks", "trials"):  # numpy draws and sizes counts as int64
+                raise ValueError(f"{name} must be at most 2**63 - 1, got {value}")
 
 
 class RateEstimate(NamedTuple):
@@ -126,12 +128,11 @@ def simulate_rate(cfg: ProtocolConfig, fidelity: float, mc: McConfig) -> RateEst
     rng_supply = np.random.default_rng(supply_seed)
     rng_survive = np.random.default_rng(survive_seed)
 
-    pairs = rng_supply.binomial(mc.blocks, p0, size=mc.trials)
-    if k == 0:
-        out = pairs
-    else:
-        trees = pairs >> k
-        out = rng_survive.binomial(trees, p_tree)
+    try:
+        pairs = rng_supply.binomial(mc.blocks, p0, size=mc.trials)
+        out = pairs if k == 0 else rng_survive.binomial(pairs >> k, p_tree)
+    except MemoryError:  # numpy asks for 8 bytes a trial up front
+        raise ValueError(f"trials must fit in memory, got {mc.trials}") from None
 
     try:
         with np.errstate(over="raise"):

@@ -10,6 +10,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -789,6 +790,27 @@ class TestMain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [SWEEP_TEXT, "code = [7,1,3]\nrounds = 1\n"], ids=["comment-first", "key-first"])
+    def test_rate_sweep_ignores_a_byte_order_mark(self, tmp_path, capsys, text):
+        # Windows Notepad starts a UTF-8 file with one
+        for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            (tmp_path / f"{name}.cfg").write_text(text, encoding=encoding)
+            argv = ["rate-sweep", "--config", str(tmp_path / f"{name}.cfg"), "--out", str(tmp_path / f"{name}.csv")]
+            assert main(argv) == 0
+        assert (tmp_path / "bom.cfg").read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_rate_sweep_non_utf8_config_names_the_path(self, tmp_path, capsys):
+        cfg, out = tmp_path / "latin1.cfg", tmp_path / "x.csv"
+        cfg.write_bytes(b"code = [3,1,3]\n\xff\n")
+        assert main(["rate-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: --config {str(cfg)!r} is not UTF-8 text "
+            "('utf-8' codec can't decode byte 0xff in position 15: invalid start byte)\n",
+        )
+        assert not out.exists()
+
     def test_qubus_check_exit_codes(self, capsys):
         assert main(["qubus-check", "--n", "3", "--theta-rad", "0.01"]) == 0
         assert "feasible: True" in capsys.readouterr().out
@@ -926,6 +948,22 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+
+    @pytest.mark.parametrize("field, value", [("blocks", 2**63), ("trials", 2**63), ("trials", 10**20)])
+    def test_montecarlo_count_past_int64_names_the_field(self, capsys, field, value):
+        assert main(["montecarlo", f"--{field}", str(value)]) == 2
+        assert capsys.readouterr() == ("", f"error: {field} must be at most 2**63 - 1, got {value}\n")
+
+    def test_montecarlo_trials_past_memory_names_the_field(self, capsys, monkeypatch):
+        # numpy refuses 10^15 trials (7.11 PiB of counts) with a MemoryError;
+        # the draw is stubbed so that no test asks for the array
+        class NoMemory:
+            def binomial(self, *args, **kwargs):
+                raise MemoryError("Unable to allocate 7.11 PiB for an array with shape (1000000000000000,)")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoMemory())
+        assert main(["montecarlo", "--trials", str(10**15)]) == 2
+        assert capsys.readouterr() == ("", "error: trials must fit in memory, got 1000000000000000\n")
 
     def test_montecarlo_zero_rates_agree(self, capsys):
         # at F = 1 the closed form and every sample give rate 0 with no spread

@@ -347,6 +347,18 @@ def test_clock_and_rate_denominator_are_written_once():
     assert sites_in_src(times_a_power_of_two) == ["pipeline._rate"]
 
 
+def test_config_lines_are_split_at_equals_in_parse_config_alone():
+    # one reader partitions each config line, and each --set item, once;
+    # a second reader that splits them again must not come back
+    def partitions_at_equals(node):
+        return (
+            isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "partition"
+            and [getattr(arg, "value", None) for arg in node.args] == ["="]
+        )
+
+    assert sites_in_src(partitions_at_equals) == ["cli.parse_config", "cli.parse_config"]
+
+
 def test_transmittance_is_one_expression_that_the_config_checks():
     # eta comes from one call, in segment_transmittance, which the constructor
     # checks; so P0 and the rate cannot fail in _row, and evaluate's try is

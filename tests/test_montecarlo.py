@@ -56,6 +56,13 @@ class TestMcConfig:
         with pytest.raises(ValueError, match=next(iter(kw))):
             McConfig(**base)
 
+    def test_counts_stop_at_int64(self):
+        # numpy draws each count, and sizes the array of trials, as int64
+        assert McConfig(1.0, 2**63 - 1, 2, 2**63 - 1).trials == 2**63 - 1
+        for field in ("blocks", "trials"):
+            with pytest.raises(ValueError, match=rf"^{field} must be at most 2\*\*63 - 1, got {2**63}$"):
+                McConfig(**{"p0": 1.0, "blocks": 64, "rounds": 2, "trials": 10, field: 2**63})
+
 
 class TestSimulateRate:
     def test_deterministic_per_seed(self):
