@@ -561,6 +561,34 @@ class TestFrozenPrintouts:
             printed += f"{rc}\n{capsys.readouterr().out}"
         assert _sha256(printed) == "50617e96a17c4b906dc39a054e2b94d75dc53bc76b6fd6948812303c0eb65234"
 
+    def test_qubus_check_printouts(self, capsys):
+        # both ledgers with both figures; the chained ledgers alone above
+        # n = 16; the textbook collision at theta = pi, which exits 1
+        runs = [
+            ["qubus-check", "--n", "3", "--theta-rad", "0.01", "--show-plan", "--beta", "90000", "--target-error", "1e-5"],
+            ["qubus-check", "--n", "17", "--theta-rad", "1e-6", "--show-plan"],
+            ["qubus-check", "--n", "2", "--theta-rad", "3.141592653589793"],
+        ]
+        printed = ""
+        for argv in runs:
+            rc = main(argv)
+            printed += f"{rc}\n{capsys.readouterr().out}"
+        assert _sha256(printed) == "f07e0877ff578296c6f07f8ef74b5503e0c084e3cd39490caf83ccbdcab522f8"
+
+    def test_oracle_verify_stdout(self, capsys):
+        rc = main(["oracle-verify"])
+        assert _sha256(f"{rc}\n{capsys.readouterr().out}") == (
+            "4dc88615469e8ae7fedd8b35bc71f751e9ab812a4624907715b30263b0d9699f"
+        )
+
+    def test_montecarlo_stdout_and_csv(self, capsys, tmp_path):
+        path = tmp_path / "mc.csv"
+        rc = main(["montecarlo", "--out", str(path)])
+        assert _sha256(f"{rc}\n{capsys.readouterr().out}") == (
+            "03b1df8f6236b6f7a7e10c4c3f23479f2922daa1f14d208674dfa4bd92425adf"
+        )
+        assert _sha256(path.read_bytes()) == "1aa303b30849df3c85101e42a802b80079ddcbf568dc8e03b93c031fefee0c1e"
+
     def test_gnuplot_bytes(self, tmp_path):
         path = tmp_path / "grid.dat"
         emit_gnuplot([evaluate(to_protocol_config(case)) for case in FROZEN_GRID], str(path))
