@@ -399,12 +399,11 @@ def cmd_qubus_check(args: argparse.Namespace) -> int:
     print(f"max_phase = {_g8(verdict.max_phase_rad)} rad ({_g8(verdict.max_phase_rad / math.pi)} pi)")
     print(f"single-qubus feasible: {verdict.feasible}")
     if args.show_plan:
-        plan = single_qubus_phases(args.n, args.theta_rad) if args.n <= _ENUM_LIMIT else None
-        if plan is not None:
-            for pattern in sorted(plan.per_state_phases):
-                print(f"  {pattern} -> {_g8(plan.per_state_phases[pattern])}")
-        chained = chained_qubus_phases(args.n, args.theta_rad)
-        for j, ledger in enumerate(chained.per_state_phases, start=1):
+        if args.n <= _ENUM_LIMIT:  # the single ledger is built up to n = 16 only
+            (single,) = single_qubus_phases(args.n, args.theta_rad).ledgers
+            for pattern in sorted(single):
+                print(f"  {pattern} -> {_g8(single[pattern])}")
+        for j, ledger in enumerate(chained_qubus_phases(args.n, args.theta_rad).ledgers, start=1):
             entries = ", ".join(f"{k}:{_g8(v)}" for k, v in sorted(ledger.items()))
             print(f"  qubus {j}: {entries}")
     for line in figures:

@@ -102,8 +102,11 @@ def finite_window_estimate(cfg: ProtocolConfig, fidelity: float, mc: McConfig) -
         log_p, log_q = math.log(p0), math.log1p(-p0)
         # two passes over the window, so that memory stays flat in blocks
         window = range(max(0, math.floor(mean - half)), min(s, math.ceil(mean + half)) + 1)
-        e_t = sum((j >> k) * _binomial_pmf(s, j, log_p, log_q) for j in window)
-        var_t = sum(((j >> k) - e_t) ** 2 * _binomial_pmf(s, j, log_p, log_q) for j in window)
+        try:
+            e_t = sum((j >> k) * _binomial_pmf(s, j, log_p, log_q) for j in window)
+            var_t = sum(((j >> k) - e_t) ** 2 * _binomial_pmf(s, j, log_p, log_q) for j in window)
+        except OverflowError:  # from about 3e17 blocks the lgamma terms cancel past a float's precision
+            raise ValueError(f"blocks must keep the finite-window binomial pmf finite, got {s}") from None
     scale = window_s * s * cfg.code.n
     var_out = p_tree * (1.0 - p_tree) * e_t + p_tree * p_tree * var_t
     rate = row.rate_per_memory_hz if k == 0 else p_tree * e_t / scale

@@ -122,9 +122,8 @@ class ProtocolConfig(
         # lies in (0, inf).  _rate's denominator fl(fl(n 2^k) (k/2 + 1)) T0 has a factor >= k/2 + 1
         # and >= k + 1, and rounding is monotone, so it overflows, and the rate reads 0, whenever
         # the pump window t_k = (k/2 + 1) T0 or the (k + 1) T0 in the css window t'_k does
-        t0 = _windows(segment_km, rounds, hardware.fiber_speed_m_per_s)[0]
         try:
-            top = _rate(code.n, rounds, t0, 1.0 + 1e-12, 1.0)
+            top = _rate(code.n, rounds, timing(self).t0_s, 1.0 + 1e-12, 1.0)
         except ArithmeticError:  # T0 = 0, or n 2^k past the float range
             top = math.inf
         if not 0.0 < top < math.inf:
@@ -153,12 +152,11 @@ class ProtocolConfig(
 
 
 class Timing(NamedTuple):
-    """Clock constants of one operating point (seconds, count)."""
+    """Clock windows of one operating point, in seconds."""
 
     t0_s: float          # heralding round trip 2 L0 / c
     t_purify_s: float    # pump window t_k = (k/2 + 1) T0
     t_half_s: float      # css storage window t'_k = (k + 1) T0 / 2
-    num_segments: int
 
 
 class SweepResult(NamedTuple):
@@ -195,15 +193,11 @@ def timing(cfg: ProtocolConfig) -> Timing:
     T0 = 2 L0 / c is one generation attempt (emission plus heralding);
     pumping k rounds keeps memories busy for t_k = (k/2 + 1) T0, and the
     per-level storage window entering the css budget is t'_k = (k+1) T0/2.
+    The one place T0 is computed: the config's clock rule reads it here.
     """
-    windows = _windows(cfg.segment_km, cfg.rounds, cfg.hardware.fiber_speed_m_per_s)
-    return _tuple_new(Timing, windows + (cfg.num_segments(),))
-
-
-def _windows(segment_km: float, rounds: int, fiber_speed_m_per_s: float) -> tuple[float, float, float]:
-    """(T0, t_k, t'_k) = (2 L0 / c, (k/2 + 1) T0, (k + 1) T0 / 2), for the constructor and ``timing``."""
-    t0 = 2.0 * segment_km * 1e3 / fiber_speed_m_per_s
-    return t0, (rounds / 2.0 + 1.0) * t0, (rounds + 1.0) * t0 / 2.0
+    t0 = 2.0 * cfg.segment_km * 1e3 / cfg.hardware.fiber_speed_m_per_s
+    k = cfg.rounds
+    return _tuple_new(Timing, (t0, (k / 2.0 + 1.0) * t0, (k + 1.0) * t0 / 2.0))
 
 
 def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, float]]:
@@ -228,7 +222,7 @@ def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, fl
 
         F_final = (1 - Q_n(q_eff))^(2N).
     """
-    code, k, n_seg = cfg.code, cfg.rounds, tm.num_segments
+    code, k, n_seg = cfg.code, cfg.rounds, cfg.num_segments()
     q_g, tau_c = cfg.hardware.gate_error(), cfg.hardware.memory_coherence_s  # q_g < 1/2 by HardwareParams
     if code.family == "repetition":
         q_logical = logical_error_prob(code, memory_error_prob(tm.t_purify_s / 2.0, tau_c))

@@ -35,29 +35,26 @@ _CERT_MAX_PHASE = math.pi - _PHASE_TOL
 _CERT_MIN_THETA = (1.0 + 1e-5) * _PHASE_TOL
 
 
-class QubusPlan(checked_tuple("QubusPlan", "n theta_rad scheme per_state_phases")):
-    """Probe-phase ledger of an n-atom encoding step.
+class QubusPlan(checked_tuple("QubusPlan", "n theta_rad ledgers")):
+    """Probe-phase ledgers of an n-atom encoding step, one per probe.
 
-    ``per_state_phases`` is a dict mapping the n-bit pattern string
-    (leftmost char is atom 1) to the accumulated probe phase for the
-    "single" scheme, or a list of n - 1 dicts keyed by the local two-bit
-    pattern (b_j, b_j+1) for the "chained" scheme.
+    Each ledger is a dict mapping the bit pattern of the atoms its probe
+    visits (leftmost char first) to the probe's accumulated phase: one
+    n-bit ledger for the single qubus, n - 1 ledgers keyed by the local
+    pair (b_j, b_j+1) for the chained probes.  In every ledger the
+    all-zeros and all-ones patterns carry phase 0.
     """
 
     __slots__ = ()
 
-    def __init__(self, n: int, theta_rad: float, scheme: str, per_state_phases: dict | list[dict]) -> None:
-        if scheme not in ("single", "chained"):
-            raise ValueError(f"scheme must be 'single' or 'chained', got {scheme!r}")
+    def __init__(self, n: int, theta_rad: float, ledgers: tuple[dict[str, float], ...]) -> None:
         # the codeword branch must stay unrotated
-        if scheme == "single":
-            for codeword in ("0" * n, "1" * n):
-                if abs(per_state_phases[codeword]) > 1e-12:
-                    raise ValueError(f"codeword {codeword} must carry phase 0")
-        else:
-            for ledger in per_state_phases:
-                if abs(ledger["00"]) > 1e-12 or abs(ledger["11"]) > 1e-12:
-                    raise ValueError("equal adjacent bits must carry phase 0")
+        for j, ledger in enumerate(ledgers):
+            width = len(next(iter(ledger)))  # the patterns of one ledger share a width
+            for codeword in ("0" * width, "1" * width):
+                phase = ledger[codeword]
+                if abs(phase) > 1e-12:
+                    raise ValueError(f"ledgers[{j}]: codeword {codeword} must carry phase 0, got {phase}")
 
 
 class Feasibility(NamedTuple):
@@ -122,7 +119,7 @@ def single_qubus_phases(n: int, theta_rad: float) -> QubusPlan:
     if n > _ENUM_LIMIT:
         raise ValueError(f"explicit ledger limited to n <= {_ENUM_LIMIT}, got {n}")
     phases = {format(idx, f"0{n}b"): 0.5 * theta_rad * c for idx, c in enumerate(_coefficients(n))}
-    return QubusPlan(n, theta_rad, "single", phases)
+    return QubusPlan(n, theta_rad, (phases,))
 
 
 def chained_qubus_phases(n: int, theta_rad: float) -> QubusPlan:
@@ -134,18 +131,8 @@ def chained_qubus_phases(n: int, theta_rad: float) -> QubusPlan:
     probe phases separates every pattern except all-zeros vs all-ones.
     """
     _check_n_theta(n, theta_rad)
-    ledgers: list[dict[str, float]] = []
-    for j in range(1, n):
-        angle = theta_rad if j % 2 == 1 else -theta_rad
-        ledgers.append(
-            {
-                "00": 0.0,
-                "01": angle,
-                "10": -angle,
-                "11": 0.0,
-            }
-        )
-    return QubusPlan(n, theta_rad, "chained", ledgers)
+    angles = [theta_rad if j % 2 == 1 else -theta_rad for j in range(1, n)]
+    return QubusPlan(n, theta_rad, tuple({"00": 0.0, "01": a, "10": -a, "11": 0.0} for a in angles))
 
 
 def phases_distinct(n: int, theta_rad: float) -> bool:
@@ -262,7 +249,9 @@ def min_beta(theta_rad: float, target_error: float) -> float:
     while homodyne_error(hi, theta_rad) > target_error:
         hi *= 2.0
         if hi > 1e300:
-            raise ArithmeticError("no finite amplitude reaches the target error")
+            raise ArithmeticError(
+                f"no finite amplitude reaches the target error, got theta_rad={theta_rad}, target_error={target_error}"
+            )
     lo = hi / 2.0 if hi > 1.0 else 0.0
     while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)

@@ -320,7 +320,7 @@ def test_criterion_10_property_suites():
         cases += 1
         n = int(rng.integers(2, 11))
         theta = rng.uniform(1e-4, 0.05)
-        plan = single_qubus_phases(n, theta).per_state_phases
+        (plan,) = single_qubus_phases(n, theta).ledgers
         pattern = format(int(rng.integers(0, 2**n)), f"0{n}b")
         flipped = pattern.translate(str.maketrans("01", "10"))
         good = (

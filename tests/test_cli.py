@@ -874,6 +874,15 @@ class TestMain:
             (["--beta", "nan"], "error: beta must be finite and > 0, got nan\n"),
             (["--target-error", "nan"], "error: target_error must lie in (0, 1/2), got nan\n"),
             (["--beta", "3", "--target-error", "0.7"], "error: target_error must lie in (0, 1/2), got 0.7\n"),
+            # no amplitude below 1e300 reaches the target: the error names both inputs
+            *(
+                (
+                    ["--theta-rad", theta, "--target-error", target],
+                    "error: no finite amplitude reaches the target error, "
+                    f"got theta_rad={float(theta)}, target_error={float(target)}\n",
+                )
+                for theta, target in [("1e-8", "1e-300"), ("1e-200", "0.1"), ("6.283185307179586", "0.1")]
+            ),
         ],
     )
     def test_qubus_check_bad_figure_exits_2_before_printing(self, capsys, extra, message):
@@ -981,6 +990,13 @@ class TestMain:
     def test_montecarlo_count_past_int64_names_the_field(self, capsys, field, value):
         assert main(["montecarlo", f"--{field}", str(value)]) == 2
         assert capsys.readouterr() == ("", f"error: {field} must be at most 2**63 - 1, got {value}\n")
+
+    def test_montecarlo_blocks_past_the_pmf_names_the_field(self, capsys):
+        # the largest count numpy draws overflows the finite-window pmf's first term
+        assert main(["montecarlo", "--blocks", str(2**63 - 1), "--trials", "2"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: blocks must keep the finite-window binomial pmf finite, got 9223372036854775807\n"
+        )
 
     def test_montecarlo_trials_past_memory_names_the_field(self, capsys, monkeypatch):
         # numpy refuses 10^15 trials (7.11 PiB of counts) with a MemoryError;

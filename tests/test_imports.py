@@ -326,9 +326,9 @@ def test_montecarlo_reads_the_evaluate_row():
 
 
 def test_clock_and_rate_denominator_are_written_once():
-    # T0 = 2 L0 / c is computed by the window function that both the config
-    # check and timing call, and n 2^k by _rate alone, so that an accepted
-    # config's windows and rate are the ones the model computes
+    # T0 = 2 L0 / c is computed by timing alone, which the config check
+    # calls, and n 2^k by _rate alone, so that an accepted config's windows
+    # and rate are the ones the model computes
     def divides_by_fiber_speed(node):
         right = getattr(node, "right", None)
         return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and (
@@ -343,7 +343,7 @@ def test_clock_and_rate_denominator_are_written_once():
             and isinstance(right.left, ast.Constant) and right.left.value == 2
         )
 
-    assert sites_in_src(divides_by_fiber_speed) == ["pipeline._windows"]
+    assert sites_in_src(divides_by_fiber_speed) == ["pipeline.timing"]
     assert sites_in_src(times_a_power_of_two) == ["pipeline._rate"]
 
 

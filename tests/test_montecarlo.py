@@ -210,6 +210,13 @@ class TestFiniteWindowEstimate:
             tracemalloc.stop()
         assert peak < 100_000
 
+    def test_pmf_overflow_names_blocks(self):
+        # at 2^63 - 1 blocks the lgamma terms of the walk's first pmf term
+        # cancel to an exponent past the float range, so this returns at once
+        with pytest.raises(ValueError) as info:
+            finite_window_estimate(make_cfg(rounds=2), 0.95, McConfig(1.0, 2**63 - 1, 2, 2))
+        assert str(info.value) == "blocks must keep the finite-window binomial pmf finite, got 9223372036854775807"
+
     def test_zero_supply_has_no_spread(self):
         got = finite_window_estimate(make_cfg(rounds=2), 1.0, McConfig(1.0, 64, 2, 10))
         assert got == (0.0, 0.0, 10)

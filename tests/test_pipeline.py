@@ -173,7 +173,7 @@ class TestTiming:
         assert tm.t0_s == pytest.approx(2e-4, rel=1e-12)
         assert tm.t_purify_s == pytest.approx(4e-4, rel=1e-12)
         assert tm.t_half_s == pytest.approx(3e-4, rel=1e-12)
-        assert tm.num_segments == 64
+        assert tm._fields == ("t0_s", "t_purify_s", "t_half_s")
 
     def test_k0(self):
         tm = timing(make_cfg(rounds=0))
@@ -183,8 +183,7 @@ class TestTiming:
     def test_segment_count_is_num_segments(self):
         # L / L0 = 64.0000000005 is within the constructor's 1e-9 of 64
         for cfg in [*catalog_grid(), make_cfg(total=1280.0 + 1e-8), make_cfg(total=0.6, segment=0.3)]:
-            n = timing(cfg).num_segments
-            assert n == cfg.num_segments()
+            n = cfg.num_segments()
             assert type(n) is int and n >= 2 and n & (n - 1) == 0
             assert n == pytest.approx(cfg.total_distance_km / cfg.segment_km, rel=1e-9)
 
@@ -433,9 +432,9 @@ def kernel_chain(cfg):
         step = purify_ideal(state)
         state, p_chain = step.state, p_chain * step.success_prob
     p_k = PurifyOutcome(state, p_chain * (1.0 - q_g) ** (4 * code.n * (2**k - 1))).success_prob
-    for _ in range(tm.num_segments.bit_length() - 1):
+    for _ in range(cfg.num_segments().bit_length() - 1):
         state = swap_ideal(state)
-    return state.a * (1.0 - q_g) ** (2 * code.n * (tm.num_segments - 1 + 2 * (2**k - 1))), p_k
+    return state.a * (1.0 - q_g) ** (2 * code.n * (cfg.num_segments() - 1 + 2 * (2**k - 1))), p_k
 
 
 class TestRepetitionChain:
@@ -498,7 +497,7 @@ def css_kernel_chain(cfg):
         step = purify_imperfect_exact(state, q_g)
         state, p_chain = step.state, p_chain * step.success_prob
     q_eff, _clamped = css_effective_qubit_error(q_m, q_g, state.a)
-    return (1.0 - logical_error_prob(code, q_eff)) ** (2 * tm.num_segments), p_chain
+    return (1.0 - logical_error_prob(code, q_eff)) ** (2 * cfg.num_segments()), p_chain
 
 
 class TestCssChain:

@@ -36,7 +36,7 @@ class TestSingleQubus:
             "110": -0.03,
             "111": 0.0,
         }
-        got = single_qubus_phases(3, THETA).per_state_phases
+        (got,) = single_qubus_phases(3, THETA).ledgers
         assert got.keys() == want.keys()
         for b, phase in want.items():
             assert got[b] == pytest.approx(phase, abs=1e-15)
@@ -44,7 +44,7 @@ class TestSingleQubus:
     def test_five_atom_weights(self):
         # flipping one atom from the all-zeros codeword exposes its weight:
         # atoms 1..4 carry 2^(j-1) theta, atom 5 carries -(2^4 - 1) theta
-        got = single_qubus_phases(5, THETA).per_state_phases
+        (got,) = single_qubus_phases(5, THETA).ledgers
         assert got["10000"] == pytest.approx(-1 * THETA, rel=1e-12)
         assert got["01000"] == pytest.approx(-2 * THETA, rel=1e-12)
         assert got["00100"] == pytest.approx(-4 * THETA, rel=1e-12)
@@ -53,14 +53,14 @@ class TestSingleQubus:
 
     @given(st.integers(min_value=2, max_value=9))
     def test_codewords_unrotated(self, n):
-        got = single_qubus_phases(n, 0.003).per_state_phases
+        (got,) = single_qubus_phases(n, 0.003).ledgers
         assert got["0" * n] == 0.0
         assert got["1" * n] == 0.0
         assert len(got) == 2**n
 
     def test_negation_symmetry(self):
         # complementing the pattern flips every sgn, hence the phase
-        got = single_qubus_phases(4, THETA).per_state_phases
+        (got,) = single_qubus_phases(4, THETA).ledgers
         for b, phase in got.items():
             flipped = b.translate(str.maketrans("01", "10"))
             assert got[flipped] == pytest.approx(-phase, abs=1e-15)
@@ -75,30 +75,38 @@ class TestSingleQubus:
             single_qubus_phases(n, theta)
 
     def test_plan_guards_codeword_phase(self):
-        with pytest.raises(ValueError):
-            QubusPlan(2, THETA, "single", {"00": 0.1, "01": 0.0, "10": 0.0, "11": 0.0})
-        with pytest.raises(ValueError):
-            QubusPlan(2, THETA, "probe", {"00": 0.0, "01": 0.1, "10": -0.1, "11": 0.0})
+        # one rule for every ledger, whatever the probe visits
+        (single,) = single_qubus_phases(3, THETA).ledgers
+        with pytest.raises(ValueError, match=r"ledgers\[0\]: codeword 000 must carry phase 0, got 0.1"):
+            QubusPlan(3, THETA, ({**single, "000": 0.1},))
+        first, second = chained_qubus_phases(3, THETA).ledgers
+        with pytest.raises(ValueError, match=r"ledgers\[1\]: codeword 11 must carry phase 0, got -0.1"):
+            QubusPlan(3, THETA, (first, {**second, "11": -0.1}))
+
+    def test_two_atoms_build_one_ledger(self):
+        # at n = 2 the single probe and the one chained probe see the same pair
+        assert single_qubus_phases(2, THETA) == chained_qubus_phases(2, THETA)
+        assert single_qubus_phases(2, THETA).ledgers == ({"00": 0.0, "01": THETA, "10": -THETA, "11": 0.0},)
 
 
 class TestChainedQubus:
     def test_three_atom_ledgers(self):
         plan = chained_qubus_phases(3, THETA)
-        assert plan.per_state_phases == [
+        assert plan.ledgers == (
             {"00": 0.0, "01": THETA, "10": -THETA, "11": 0.0},
             {"00": 0.0, "01": -THETA, "10": THETA, "11": 0.0},
-        ]
+        )
 
     def test_alternating_pattern_reading(self):
         # pattern 010 read pairwise: probe 1 sees 01, probe 2 sees 10,
         # and the sign alternation makes both land on +theta
-        ledgers = chained_qubus_phases(3, THETA).per_state_phases
+        ledgers = chained_qubus_phases(3, THETA).ledgers
         assert ledgers[0]["01"] == pytest.approx(THETA)
         assert ledgers[1]["10"] == pytest.approx(THETA)
 
     @given(st.integers(min_value=2, max_value=40))
     def test_probe_count_and_signs(self, n):
-        ledgers = chained_qubus_phases(n, THETA).per_state_phases
+        ledgers = chained_qubus_phases(n, THETA).ledgers
         assert len(ledgers) == n - 1
         for j, ledger in enumerate(ledgers, start=1):
             sign = 1.0 if j % 2 == 1 else -1.0
@@ -205,7 +213,7 @@ class TestLedgerReference:
     @pytest.mark.parametrize("n", [*range(2, 13), 16])
     def test_ledger_matches_reference_exactly(self, n):
         theta = 0.9 * math.pi / (2 ** (n - 1) - 1)
-        got = list(single_qubus_phases(n, theta).per_state_phases.items())
+        got = list(single_qubus_phases(n, theta).ledgers[0].items())
         assert got == list(reference_ledger(n, theta).items())
 
     @pytest.mark.parametrize("n", range(2, 17))
@@ -405,8 +413,10 @@ class TestHomodyne:
 
     def test_min_beta_unreachable(self):
         # at theta = 2 pi, 1 - cos theta is 0.0: no amplitude separates the probe states
-        with pytest.raises(ArithmeticError, match="^no finite amplitude reaches the target error$"):
+        message = "no finite amplitude reaches the target error, got theta_rad=6.283185307179586, target_error=0.001"
+        with pytest.raises(ArithmeticError) as info:
             min_beta(2.0 * math.pi, 1e-3)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
     def test_min_beta_domain(self, eps):

@@ -70,8 +70,8 @@ INSTANCES = {
     "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2.0),
     "VariantReport": lambda: VariantReport(ROWS),
     "McConfig": lambda: McConfig(*MC, seed=5),
-    "QubusPlan": lambda: QubusPlan(2, 0.1, "single", dict(LEDGER)),
-    "QubusPlan-chained": lambda: QubusPlan(3, 0.1, "chained", [dict(LEDGER), dict(LEDGER)]),
+    "QubusPlan": lambda: QubusPlan(2, 0.1, (dict(LEDGER),)),
+    "QubusPlan-chained": lambda: QubusPlan(3, 0.1, (dict(LEDGER), dict(LEDGER))),
 }
 # an ndarray or a dict field makes the value unhashable
 UNHASHABLE = {"DensityMatrix", "QubusPlan", "QubusPlan-chained"}
@@ -104,12 +104,10 @@ REPRS = {
         "(<GateErrorVariant.ZCXT_AFTER: 'z_control_x_target_after'>, 0.0)))"
     ),
     "McConfig": "McConfig(p0=0.5, blocks=4096, rounds=2, trials=200, seed=5)",
-    "QubusPlan": (
-        "QubusPlan(n=2, theta_rad=0.1, scheme='single', per_state_phases={'00': 0.0, '01': 0.1, '10': -0.1, '11': 0.0})"
-    ),
+    "QubusPlan": "QubusPlan(n=2, theta_rad=0.1, ledgers=({'00': 0.0, '01': 0.1, '10': -0.1, '11': 0.0},))",
     "QubusPlan-chained": (
-        "QubusPlan(n=3, theta_rad=0.1, scheme='chained', per_state_phases=["
-        "{'00': 0.0, '01': 0.1, '10': -0.1, '11': 0.0}, {'00': 0.0, '01': 0.1, '10': -0.1, '11': 0.0}])"
+        "QubusPlan(n=3, theta_rad=0.1, ledgers=("
+        "{'00': 0.0, '01': 0.1, '10': -0.1, '11': 0.0}, {'00': 0.0, '01': 0.1, '10': -0.1, '11': 0.0}))"
     ),
 }
 
@@ -329,18 +327,21 @@ MESSAGES = [
     # the first rule broken is the one reported
     pytest.param(lambda: McConfig(0.5, 0, -1, 0), "blocks must be an integer >= 1, got 0", id="mc-first"),
     pytest.param(
-        lambda: QubusPlan(2, 0.1, "probe", dict(LEDGER)), "scheme must be 'single' or 'chained', got 'probe'",
-        id="qubus-scheme",
+        lambda: QubusPlan(2, 0.1, ({**LEDGER, "00": 0.1},)), "ledgers[0]: codeword 00 must carry phase 0, got 0.1",
+        id="qubus-00",
     ),
     pytest.param(
-        lambda: QubusPlan(2, 0.1, "single", {**LEDGER, "00": 0.1}), "codeword 00 must carry phase 0", id="qubus-00"
+        lambda: QubusPlan(2, 0.1, ({**LEDGER, "11": -0.1},)), "ledgers[0]: codeword 11 must carry phase 0, got -0.1",
+        id="qubus-11",
     ),
     pytest.param(
-        lambda: QubusPlan(2, 0.1, "single", {**LEDGER, "11": -0.1}), "codeword 11 must carry phase 0", id="qubus-11"
+        lambda: QubusPlan(3, 0.1, ({"000": 0.0, "011": 0.1, "100": -0.1, "111": 0.2},)),
+        "ledgers[0]: codeword 111 must carry phase 0, got 0.2",
+        id="qubus-111",
     ),
     pytest.param(
-        lambda: QubusPlan(3, 0.1, "chained", [dict(LEDGER), {**LEDGER, "11": 0.2}]),
-        "equal adjacent bits must carry phase 0",
+        lambda: QubusPlan(3, 0.1, (dict(LEDGER), {**LEDGER, "11": 0.2})),
+        "ledgers[1]: codeword 11 must carry phase 0, got 0.2",
         id="qubus-chained",
     ),
 ]
@@ -388,7 +389,7 @@ FIELDS = {
     "DensityMatrix": ("matrix",),
     "VariantReport": ("rows",),
     "McConfig": ("p0", "blocks", "rounds", "trials", "seed"),
-    "QubusPlan": ("n", "theta_rad", "scheme", "per_state_phases"),
+    "QubusPlan": ("n", "theta_rad", "ledgers"),
 }
 FIELDS["ProtocolConfig-channel"] = FIELDS["ProtocolConfig"]
 FIELDS["QubusPlan-chained"] = FIELDS["QubusPlan"]
@@ -490,7 +491,7 @@ class TestTuples:
         assert McConfig(*MC) == (*MC, 0)
         assert hash(McConfig(*MC)) == hash((*MC, 0))
         assert VariantReport(ROWS) == (ROWS,)
-        assert QubusPlan(2, 0.1, "single", dict(LEDGER)) == (2, 0.1, "single", LEDGER)
+        assert QubusPlan(2, 0.1, (dict(LEDGER),)) == (2, 0.1, (LEDGER,))
 
     def test_unpack(self):
         a, b, c, d = BellDiagonal(*STATE)
@@ -501,8 +502,8 @@ class TestTuples:
         assert (p0, blocks, rounds, trials, seed) == (*MC, 5)
         (matrix,) = DensityMatrix([[0.5, 0.0], [0.0, 0.5]])
         assert matrix.dtype == complex and (matrix == np.eye(2) / 2.0).all()
-        n, theta_rad, scheme, phases = QubusPlan(2, 0.1, "single", dict(LEDGER))
-        assert (n, theta_rad, scheme, phases) == (2, 0.1, "single", LEDGER)
+        n, theta_rad, ledgers = QubusPlan(2, 0.1, (dict(LEDGER),))
+        assert (n, theta_rad, ledgers) == (2, 0.1, (LEDGER,))
 
 
 # (instance, a _replace that breaks one rule, the constructor's message)
@@ -534,12 +535,12 @@ REPLACE_MESSAGES = [
     pytest.param(INSTANCES["McConfig"], {"p0": 0.0}, "p0 must lie in (0, 1], got 0.0", id="McConfig"),
     pytest.param(INSTANCES["McConfig"], {"seed": True}, "seed must be an integer >= 0, got True", id="McConfig-seed"),
     pytest.param(
-        INSTANCES["QubusPlan"], {"scheme": "probe"}, "scheme must be 'single' or 'chained', got 'probe'",
-        id="QubusPlan",
+        INSTANCES["QubusPlan"], {"ledgers": ({**LEDGER, "11": 0.3},)},
+        "ledgers[0]: codeword 11 must carry phase 0, got 0.3", id="QubusPlan",
     ),
     pytest.param(
-        INSTANCES["QubusPlan-chained"], {"per_state_phases": [{**LEDGER, "00": 0.3}]},
-        "equal adjacent bits must carry phase 0", id="QubusPlan-chained",
+        INSTANCES["QubusPlan-chained"], {"ledgers": (dict(LEDGER), {**LEDGER, "00": 0.3})},
+        "ledgers[1]: codeword 00 must carry phase 0, got 0.3", id="QubusPlan-chained",
     ),
 ]
 
