@@ -874,14 +874,19 @@ class TestMain:
             (["--beta", "nan"], "error: beta must be finite and > 0, got nan\n"),
             (["--target-error", "nan"], "error: target_error must lie in (0, 1/2), got nan\n"),
             (["--beta", "3", "--target-error", "0.7"], "error: target_error must lie in (0, 1/2), got 0.7\n"),
-            # no amplitude below 1e300 reaches the target: the error names both inputs
-            *(
-                (
-                    ["--theta-rad", theta, "--target-error", target],
-                    "error: no finite amplitude reaches the target error, "
-                    f"got theta_rad={float(theta)}, target_error={float(target)}\n",
-                )
-                for theta, target in [("1e-8", "1e-300"), ("1e-200", "0.1"), ("6.283185307179586", "0.1")]
+            # no amplitude up to 1e300 reaches the target: the error names both inputs
+            (
+                ["--theta-rad", "1e-8", "--target-error", "1e-300"],
+                "error: no finite amplitude reaches the target error, got theta_rad=1e-08, target_error=1e-300\n",
+            ),
+            (
+                ["--theta-rad", "1e-200", "--target-error", "0.1"],
+                "error: no finite amplitude reaches the target error, got theta_rad=1e-200, target_error=0.1\n",
+            ),
+            (
+                ["--theta-rad", "6.283185307179586", "--target-error", "0.1"],
+                "error: no finite amplitude reaches the target error, got theta_rad=6.283185307179586, "
+                "target_error=0.1\n",
             ),
         ],
     )
