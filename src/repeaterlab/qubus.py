@@ -50,8 +50,12 @@ class QubusPlan(checked_tuple("QubusPlan", "n theta_rad ledgers")):
     def __init__(self, n: int, theta_rad: float, ledgers: tuple[dict[str, float], ...]) -> None:
         # the codeword branch must stay unrotated
         for j, ledger in enumerate(ledgers):
+            if not ledger:
+                raise ValueError(f"ledgers[{j}]: must map at least one pattern, got {{}}")
             width = len(next(iter(ledger)))  # the patterns of one ledger share a width
             for codeword in ("0" * width, "1" * width):
+                if codeword not in ledger:
+                    raise ValueError(f"ledgers[{j}]: codeword {codeword} is missing")
                 phase = ledger[codeword]
                 if abs(phase) > 1e-12:
                     raise ValueError(f"ledgers[{j}]: codeword {codeword} must carry phase 0, got {phase}")

@@ -83,6 +83,16 @@ class TestSingleQubus:
         with pytest.raises(ValueError, match=r"ledgers\[1\]: codeword 11 must carry phase 0, got -0.1"):
             QubusPlan(3, THETA, (first, {**second, "11": -0.1}))
 
+    def test_plan_names_an_empty_ledger(self):
+        with pytest.raises(ValueError, match=r"^ledgers\[0\]: must map at least one pattern, got \{\}$"):
+            QubusPlan(2, 0.1, ({},))
+
+    def test_plan_names_a_missing_codeword(self):
+        (single,) = single_qubus_phases(2, THETA).ledgers
+        without_ones = {b: phase for b, phase in single.items() if b != "11"}
+        with pytest.raises(ValueError, match=r"^ledgers\[1\]: codeword 11 is missing$"):
+            QubusPlan(2, THETA, (single, without_ones))
+
     def test_two_atoms_build_one_ledger(self):
         # at n = 2 the single probe and the one chained probe see the same pair
         assert single_qubus_phases(2, THETA) == chained_qubus_phases(2, THETA)
