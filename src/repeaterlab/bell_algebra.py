@@ -9,8 +9,8 @@ pipeline's chain calls on four floats for both code families:
 
 * ``_pump``, k ideal rounds with the gate charge on the product of the
   round probabilities;
-* ``_pump_noisy``, k exact imperfect-gate rounds, whose factors of q_g
-  alone are computed once per call;
+* ``_pump_noisy``, k exact imperfect-gate rounds on the factors of q_g
+  that ``_noisy_factors`` computes, once per chain in the pipeline;
 * ``_swap``, a ladder of ideal swap levels in one call.
 
 The public functions call them at k = 1 and one level.
@@ -100,43 +100,44 @@ def _check_gate_error(q_g: float) -> None:
         raise ValueError(f"gate error must lie in [0, 1/2), got {q_g}")
 
 
-def _pump_noisy(
-    a: float, b: float, c: float, d: float, q: float, k: int
-) -> tuple[float, float, float, float, float]:
-    """Float kernel of k :func:`purify_imperfect_exact` rounds at gate error q: (A, B, C, D, prod P).
-
-    The factors that depend on q alone are computed once per call; each
-    round is checked like a :func:`_pump` round.  k = 0 returns the state
-    with product 1.0.
-    """
+def _noisy_factors(q: float) -> tuple[float, float, float, float, float]:
+    """(q, m, u, w, v): the factors of gate error q that every :func:`_pump_noisy` round reads."""
     m = (-1.0 + q) * q          # -q(1-q)
     u = 1.0 + 2.0 * (-1.0 + q) * q  # 1 - 2q(1-q)
     w = 1.0 + q * (-3.0 - 2.0 * (-2.0 + q) * q)
     v = 2.0 + 4.0 * (-1.0 + q) * q
+    return q, m, u, w, v
+
+
+def _pump_noisy(
+    a: float, b: float, c: float, d: float, factors: tuple[float, float, float, float, float], k: int
+) -> tuple[float, float, float, float, float]:
+    """Float kernel of k :func:`purify_imperfect_exact` rounds: (A, B, C, D, prod P).
+
+    ``factors`` is ``_noisy_factors(q)`` at gate error q, so a caller that
+    runs many pumps at one q computes it once.  A round computes each
+    subproduct that its numerators share once; every reuse is the same
+    expression in the same order, or its exact negation, so the bits are
+    those of the polynomial written out in full.  Each round is checked
+    like a :func:`_pump` round.  k = 0 returns the state with product 1.0.
+    """
+    q, m, u, w, v = factors
     p_chain = 1.0
     for _ in range(k):
-        num_a = (
-            d * d
-            + a * a * u * u
-            - 2.0 * a * m * (c + 2.0 * d + 2.0 * (b - c - 2.0 * d) * q + 2.0 * (-b + c + 2.0 * d) * q * q)
-            - 2.0 * d * m * (-2.0 * d - 2.0 * (c + d) * m + b * u)
-        )
-        num_b = (
-            -2.0 * d * m * (c + d - 2.0 * (-b + c + d) * q + 2.0 * (-b + c + d) * q * q)
-            + 2.0 * a * a * q * w
-            + 2.0 * a * (d * u * u - m * (-2.0 * c * m + b * u))
-        )
-        num_c = (
-            c * c
-            + b * b * u * u
-            - 2.0 * c * m * (-2.0 * c - 2.0 * (c + d) * m + a * u)
-            - 2.0 * b * m * (-2.0 * a * m + d * u + c * v)
-        )
-        num_d = (
-            -2.0 * c * m * (c + d - 2.0 * (-a + c + d) * q + 2.0 * (-a + c + d) * q * q)
-            + 2.0 * b * b * q * w
-            + 2.0 * b * (c * u * u - m * (-2.0 * d * m + a * u))
-        )
+        a2, b2, c2, d2 = 2.0 * a, 2.0 * b, 2.0 * c, 2.0 * d
+        a2m, c2m, d2m = a2 * m, c2 * m, d2 * m
+        au, bu, du = a * u, b * u, d * u
+        cd = c + d
+        cdm = 2.0 * cd * m
+        nbc = -b + c
+        # q-coefficients of the three inner brackets; 2 (b - c - 2d) q is -sa
+        sa = 2.0 * (nbc + d2) * q
+        sb = 2.0 * (nbc + d) * q
+        sd = 2.0 * (-a + c + d) * q
+        num_a = d * d + a * a * u * u - a2m * (c + d2 - sa + sa * q) - d2m * (-d2 - cdm + bu)
+        num_b = a2 * a * q * w - d2m * (cd - sb + sb * q) + a2 * (du * u - m * (bu - c2m))
+        num_c = c * c + b * b * u * u - c2m * (-c2 - cdm + au) - b2 * m * (du - a2m + c * v)
+        num_d = b2 * b * q * w - c2m * (cd - sd + sd * q) + b2 * (c * u * u - m * (au - d2m))
         t = 2.0 * (a - b - c + d) ** 2 * q
         p = (b + c) ** 2 + (a + d) ** 2 - t + t * q
         if p <= 0.0:
@@ -229,7 +230,7 @@ def purify_imperfect_exact(s: BellDiagonal, q_g: float) -> PurifyOutcome:
     q_g = 0 reduces exactly to :func:`purify_ideal`.
     """
     _check_gate_error(q_g)
-    a, b, c, d, p = _pump_noisy(*s, q_g, 1)
+    a, b, c, d, p = _pump_noisy(*s, _noisy_factors(q_g), 1)
     return PurifyOutcome(BellDiagonal(a, b, c, d), p)
 
 

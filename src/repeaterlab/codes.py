@@ -78,10 +78,14 @@ def logical_error_prob(code: Code, q_eff: float) -> float:
     """
     if not 0.0 <= q_eff <= 1.0:
         raise ValueError(f"q_eff must lie in [0, 1], got {q_eff}")
-    q = q_eff
+    return _tail_sum(_tail_terms(code.n, code.d), q_eff)
+
+
+def _tail_sum(terms: tuple[tuple[float, float, float], ...], q: float) -> float:
+    """Float kernel of :func:`logical_error_prob` on a code's ``_tail_terms``, for q in [0, 1]."""
     p = 1.0 - q
     total = 0.0
-    for binom, j, n_minus_j in _tail_terms(code.n, code.d):
+    for binom, j, n_minus_j in terms:
         total += binom * q**j * p**n_minus_j
     return min(total, 1.0)
 
@@ -148,13 +152,23 @@ def css_effective_qubit_error(q_m_half: float, q_g: float, f_k: float) -> tuple[
     The linear budget is a small-error estimate and can exceed 1 for poor
     parameters; it is then clamped to 1 and flagged.
     """
+    return _q_eff(_css_base(q_m_half, q_g), f_k)
+
+
+def _css_base(q_m_half: float, q_g: float) -> float:
+    """The f-free part of :func:`css_effective_qubit_error`, 3 q_m + 2 q_g, with its argument checks."""
     if not 0.0 <= q_m_half <= 1.0:
         raise ValueError(f"q_m_half must lie in [0, 1], got {q_m_half}")
     if not 0.0 <= q_g <= 1.0:
         raise ValueError(f"q_g must lie in [0, 1], got {q_g}")
+    return 3.0 * q_m_half + 2.0 * q_g
+
+
+def _q_eff(base: float, f_k: float) -> tuple[float, bool]:
+    """Float kernel of :func:`css_effective_qubit_error` on ``_css_base``'s sum; q_eff lies in [0, 1]."""
     if not 0.0 <= f_k <= 1.0:
         raise ValueError(f"f_k must lie in [0, 1], got {f_k}")
-    q_eff = 3.0 * q_m_half + 2.0 * q_g + (1.0 - f_k)
+    q_eff = base + (1.0 - f_k)
     if q_eff > 1.0:
         return 1.0, True
     return q_eff, False

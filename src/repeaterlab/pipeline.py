@@ -26,8 +26,8 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from ._checked import checked_tuple
-from .bell_algebra import _gate_charge, _pump, _pump_noisy, _swap
-from .codes import Code, _stored_pair, css_effective_qubit_error, logical_error_prob, pair_no_error_prob
+from .bell_algebra import _gate_charge, _noisy_factors, _pump, _pump_noisy, _swap
+from .codes import Code, _css_base, _q_eff, _stored_pair, _tail_sum, _tail_terms, logical_error_prob, pair_no_error_prob
 from .core import (
     ATTENUATION_LENGTH_KM,
     ChannelParams,
@@ -205,8 +205,11 @@ def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, fl
 
     A price builds no value type.  The repetition price calls
     ``codes._stored_pair``, ``bell_algebra._pump`` and one ``_swap`` for
-    the whole ladder; the css price calls one ``_pump_noisy`` for all k
-    rounds, then ``css_effective_qubit_error`` and ``logical_error_prob``.
+    the whole ladder.  The css chain computes q_g's round factors, the
+    checked 3 q_m + 2 q_g and the code's tail terms once; its price calls
+    one ``_pump_noisy`` for all k rounds, then ``codes._q_eff`` and
+    ``_tail_sum``, the kernels of ``css_effective_qubit_error`` and
+    ``logical_error_prob``.
 
     repetition: the stored pair accumulates memory dephasing over the pump
     window, decoded per block to a pair flip budget, and runs through k
@@ -237,14 +240,17 @@ def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, fl
             return _swap(a, b, c, d, levels)[0] * gates, p_k
 
         return price
-    q_m = memory_error_prob(tm.t_half_s / 2.0, tau_c)
+    factors = _noisy_factors(q_g)
+    base = _css_base(memory_error_prob(tm.t_half_s / 2.0, tau_c), q_g)
+    terms = _tail_terms(code.n, code.d)
     blocks = 2 * n_seg
 
     def price(f: float) -> tuple[float, float]:
-        # k purify_imperfect_exact rounds, on four floats
-        a, _b, _c, _d, p_chain = _pump_noisy(f, 1.0 - f, 0.0, 0.0, q_g, k)
-        q_eff, _clamped = css_effective_qubit_error(q_m, q_g, a)
-        return (1.0 - logical_error_prob(code, q_eff)) ** blocks, p_chain
+        # k purify_imperfect_exact rounds on four floats, css_effective_qubit_error,
+        # then logical_error_prob, whose range check _q_eff's [0, 1] result meets
+        a, _b, _c, _d, p_chain = _pump_noisy(f, 1.0 - f, 0.0, 0.0, factors, k)
+        q_eff, _clamped = _q_eff(base, a)
+        return (1.0 - _tail_sum(terms, q_eff)) ** blocks, p_chain
 
     return price
 

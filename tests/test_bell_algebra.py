@@ -9,6 +9,8 @@ from repeaterlab.bell_algebra import (
     _COEFF_TOL,
     BellDiagonal,
     PurifyOutcome,
+    _noisy_factors,
+    _pump_noisy,
     purify_ideal,
     purify_imperfect_exact,
     purify_k_rounds_lower,
@@ -253,6 +255,33 @@ def outcome_or_error(step):
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
     return [v.hex() for v in (*out.state, out.success_prob)]
+
+
+def floats_or_error(step):
+    # the step's floats by float.hex, or the error's type and text
+    try:
+        return [v.hex() for v in step()]
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+class TestPumpNoisy:
+    """The k-round kernel, with its shared subproducts, against the polynomial written out in full."""
+
+    @given(coeffs, st.floats(1e-3, 1.0), st.floats(0.0, 0.5, exclude_max=True), st.integers(1, 4))
+    @example(t=(0.4, 0.3, 0.2, 0.1), scale=1.0, q=0.2, k=4)
+    @example(t=DUST, scale=1.0, q=0.0, k=4)
+    def test_k_rounds_bitwise_the_chained_polynomial(self, t, scale, q, k):
+        s = BellDiagonal(*(scale * x / sum(t) for x in t))
+
+        def chained():
+            state, p_chain = s, 1.0
+            for _ in range(k):
+                out = noisy_round_polynomial(*state, q)
+                state, p_chain = out.state, p_chain * out.success_prob
+            return (*state, p_chain)
+
+        assert floats_or_error(lambda: _pump_noisy(*s, _noisy_factors(q), k)) == floats_or_error(chained)
 
 
 class TestLowerBounds:

@@ -254,14 +254,20 @@ def test_pipeline_takes_only_float_kernels_from_bell_algebra():
     # the pump, its round, the ladder and their checks live once, in
     # bell_algebra; the chain calls them on four floats and builds none of
     # its value types, and HardwareParams, not the chain, checks q_g
-    assert imports_from(PIPELINE_TREE, "bell_algebra") == {"_gate_charge", "_pump", "_pump_noisy", "_swap"}
+    assert imports_from(PIPELINE_TREE, "bell_algebra") == {
+        "_gate_charge", "_noisy_factors", "_pump", "_pump_noisy", "_swap",
+    }
 
 
 def test_pipeline_takes_the_stored_pair_as_floats_from_codes():
     # the chain prices the stored pair through the float kernel that
-    # effective_coefficients wraps, not through the BellDiagonal it returns
+    # effective_coefficients wraps, not through the BellDiagonal it returns;
+    # the css chain splits css_effective_qubit_error and logical_error_prob
+    # into their f-free set-up (_css_base, _tail_terms), run once, and the
+    # float kernels its price calls (_q_eff, _tail_sum)
     assert imports_from(PIPELINE_TREE, "codes") == {
-        "Code", "_stored_pair", "css_effective_qubit_error", "logical_error_prob", "pair_no_error_prob",
+        "Code", "_css_base", "_q_eff", "_stored_pair", "_tail_sum", "_tail_terms", "logical_error_prob",
+        "pair_no_error_prob",
     }
 
 
@@ -279,7 +285,10 @@ def test_chain_prices_build_no_value_type():
                 called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
     banned = {"BellDiagonal", "PurifyOutcome", "effective_coefficients", "swap_ideal"}
     assert not {name for name in called if name in banned or (name or "").startswith("purify_")}
-    assert {"_pump", "_pump_noisy", "_stored_pair", "_swap"} <= called
+    # work that does not depend on f runs once per chain, not once per price
+    f_free = {"_noisy_factors", "_css_base", "_tail_terms", "css_effective_qubit_error", "logical_error_prob"}
+    assert not called & f_free
+    assert {"_pump", "_pump_noisy", "_q_eff", "_stored_pair", "_swap", "_tail_sum"} <= called
 
 
 def sites_in_src(match):

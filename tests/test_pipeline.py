@@ -511,6 +511,8 @@ class TestCssChain:
         one_minus_t=st.one_of(st.just(0.0), st.floats(-6.0, -1.0).map(lambda e: 10.0**e)),
         f=st.floats(0.5, 1.0, exclude_min=True),
     )
+    # 3 q_m + 2 q_g + (1 - F_1) = 1.031: q_eff is clamped to 1
+    @example(code=CSS[0], k=1, levels=1, segment=40.0, tau_c=1e-3, one_minus_t=0.1, f=0.51)
     def test_chain_is_the_public_kernels_step_by_step(self, code, k, levels, segment, tau_c, one_minus_t, f):
         cfg = make_cfg(code.label, k, tau_c, one_minus_t, fidelity=f, total=segment * 2**levels, segment=segment)
         row = evaluate(cfg)
@@ -527,6 +529,22 @@ class TestCssChain:
         assert row.error is None
         assert (row.f_final.hex(), row.p_k.hex()) == want
         assert (final_fidelity(cfg).hex(), pump_success_probability(cfg).hex()) == want
+
+    @pytest.mark.parametrize("f_k", [1.0000000000000002, -1e-300, math.nan])
+    def test_an_f_k_out_of_range_raises_the_public_message(self, monkeypatch, f_k):
+        # no accepted config pumps F_k out of [0, 1], so the pump is replaced
+        # by one that returns f_k; the price raises css_effective_qubit_error's message
+        cfg = make_cfg("[7,1,3]", 2)
+        tm = timing(cfg)
+        q_m = memory_error_prob(tm.t_half_s / 2.0, cfg.hardware.memory_coherence_s)
+        with pytest.raises(ValueError) as want:
+            css_effective_qubit_error(q_m, cfg.hardware.gate_error(), f_k)
+        monkeypatch.setattr(pipeline, "_pump_noisy", lambda *args: (f_k, 0.0, 0.0, 0.0, 1.0))
+        for fn in (final_fidelity, pump_success_probability):
+            with pytest.raises(ValueError) as got:
+                fn(cfg)
+            assert str(got.value) == str(want.value) == f"f_k must lie in [0, 1], got {f_k}"
+        assert evaluate(cfg).error == str(want.value)
 
     @pytest.mark.parametrize("label", list(CODES))
     @pytest.mark.parametrize("k", [0, 1, 2])
