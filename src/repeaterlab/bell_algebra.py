@@ -158,6 +158,8 @@ def _pump(a: float, b: float, c: float, d: float, k: int, charge: float) -> tupl
     ``PurifyOutcome``, and so does P_k: a step that fails them is built as
     the object, which stores rounding dust below zero as 0.0 or raises.
     """
+    # _pump_noisy at q = 0 gives the same bits, but the repetition chain prices with this loop: 1.7 us
+    # at k = 2 against 4.1 us (timeit, best of 7 x 100,000, Python 3.11 on a shared 2-vCPU Xeon)
     p_chain = 1.0
     for _ in range(k):
         p = (a + d) ** 2 + (b + c) ** 2

@@ -249,17 +249,20 @@ def min_beta(theta_rad: float, target_error: float) -> float:
     if not 0.0 < target_error < 0.5:
         raise ValueError(f"target_error must lie in (0, 1/2), got {target_error}")
     _check_theta(theta_rad)
+    # homodyne_error is 1/2 at every beta when 1 - cos theta rounds to 0 (e.g. theta = 2 pi, or
+    # theta <= 1.05e-8); any other gap is >= 2^-53, and the doubling meets any target by beta ~ 3.5e17
+    if 1.0 - math.cos(theta_rad) == 0.0:
+        raise ArithmeticError(
+            f"no finite amplitude reaches the target error, got theta_rad={theta_rad}, target_error={target_error}"
+        )
     hi = 1.0
     while homodyne_error(hi, theta_rad) > target_error:
         hi *= 2.0
-        if hi > 1e300:
-            raise ArithmeticError(
-                f"no finite amplitude reaches the target error, got theta_rad={theta_rad}, target_error={target_error}"
-            )
     lo = hi / 2.0 if hi > 1.0 else 0.0
+    # hi stays >= ~3.5e-17, where homodyne_error first drops below 1/2, so mid > 0
     while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
-        if mid <= 0.0 or homodyne_error(mid, theta_rad) > target_error:
+        if homodyne_error(mid, theta_rad) > target_error:
             lo = mid
         else:
             hi = mid

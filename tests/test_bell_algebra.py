@@ -10,6 +10,7 @@ from repeaterlab.bell_algebra import (
     BellDiagonal,
     PurifyOutcome,
     _noisy_factors,
+    _pump,
     _pump_noisy,
     purify_ideal,
     purify_imperfect_exact,
@@ -282,6 +283,54 @@ class TestPumpNoisy:
             return (*state, p_chain)
 
         assert floats_or_error(lambda: _pump_noisy(*s, _noisy_factors(q), k)) == floats_or_error(chained)
+
+    @given(coeffs, st.floats(1e-3, 1.0), st.integers(1, 4))
+    @example(t=DUST, scale=1.0, k=4)
+    @example(t=(0.9, 0.05, 0.05, -1e-13), scale=1.0, k=1)
+    @example(t=(-0.1, 0.6, 0.3, 0.2), scale=1.0, k=1)
+    def test_noiseless_kernel_is_the_ideal_kernel(self, t, scale, k):
+        # at q = 0 every noise term is a signed zero, at every depth: the
+        # same bits, and the same errors by text
+        s = [scale * x / sum(t) for x in t]
+        assert floats_or_error(lambda: _pump_noisy(*s, _noisy_factors(0.0), k)) == floats_or_error(
+            lambda: _pump(*s, k, 1.0)
+        )
+
+
+PUMPS = {
+    "ideal": lambda a, b, c, d: _pump(a, b, c, d, 1, 1.0),
+    "noisy": lambda a, b, c, d: _pump_noisy(a, b, c, d, _noisy_factors(0.1), 1),
+}
+
+
+class TestKernelChecks:
+    """A kernel step that fails a check is built as the value type, which stores dust as 0.0 or raises."""
+
+    def test_dust_below_zero_is_stored_as_zero(self):
+        # b' = 2 a d / P is -1.8e-13, inside the tolerance
+        out = _pump(0.9, 0.05, 0.05, -1e-13, 1, 1.0)
+        assert [v.hex() for v in out] == [
+            v.hex() for v in (0.9878048780489974, 0.0, 0.0060975609756110955, 0.0060975609756110955, 0.81999999999982)
+        ]
+
+    @pytest.mark.parametrize(
+        "kernel, state, message",
+        [
+            ("ideal", (-0.1, 0.6, 0.3, 0.2), "coefficient b must be >= 0, got -0.048780487804878064"),
+            ("noisy", (-0.1, 0.6, 0.3, 0.2), "coefficient b must be >= 0, got -0.0235527809307605"),
+            ("ideal", (math.nan, 0.6, 0.3, 0.2), "coefficient a must be >= 0, got nan"),
+            ("noisy", (math.nan, 0.6, 0.3, 0.2), "coefficient a must be >= 0, got nan"),
+        ],
+    )
+    def test_bad_round_state_raises(self, kernel, state, message):
+        with pytest.raises(ValueError) as info:
+            PUMPS[kernel](*state)
+        assert str(info.value) == message
+
+    def test_charged_success_probability_above_one_raises(self):
+        with pytest.raises(ValueError) as info:
+            _pump(0.9, 0.05, 0.03, 0.02, 1, 2.0)
+        assert str(info.value) == "success_prob must lie in [0, 1], got 1.7056"
 
 
 class TestLowerBounds:

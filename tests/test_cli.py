@@ -874,7 +874,7 @@ class TestMain:
             (["--beta", "nan"], "error: beta must be finite and > 0, got nan\n"),
             (["--target-error", "nan"], "error: target_error must lie in (0, 1/2), got nan\n"),
             (["--beta", "3", "--target-error", "0.7"], "error: target_error must lie in (0, 1/2), got 0.7\n"),
-            # no amplitude up to 1e300 reaches the target: the error names both inputs
+            # 1 - cos theta rounds to 0, so no amplitude reaches the target: the error names both inputs
             (
                 ["--theta-rad", "1e-8", "--target-error", "1e-300"],
                 "error: no finite amplitude reaches the target error, got theta_rad=1e-08, target_error=1e-300\n",

@@ -296,6 +296,10 @@ class TestIndexMaps:
         rho = random_density_matrix(np.random.default_rng(11 + m), m)
         assert np.abs(mask * rho.ravel().take(gather) - u @ rho @ u.conj().T).max() <= 1e-14
 
+    def test_unknown_gate_has_no_map(self):
+        with pytest.raises(ValueError, match=r"^no index map for gate 'H'$"):
+            _index_map(2, "H", (0,))
+
 
 class TestIndexValidation:
     """Qubit indices and variants are checked at the public boundary."""

@@ -428,6 +428,13 @@ class TestHomodyne:
             min_beta(2.0 * math.pi, 1e-3)
         assert str(info.value) == message
 
+    def test_min_beta_smallest_positive_gap(self):
+        # 1 - cos theta = 2^-53, its smallest positive value: the doubling
+        # still meets the smallest positive target at a finite amplitude
+        theta = 1.0536712127723509e-08
+        assert 1.0 - math.cos(theta) == 2.0**-53
+        assert min_beta(theta, 5e-324) == 3.464322508054856e17
+
     @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
     def test_min_beta_domain(self, eps):
         with pytest.raises(ValueError):
