@@ -13,7 +13,8 @@ pipeline's chain calls on four floats for both code families:
   that ``_noisy_factors`` computes, once per chain in the pipeline;
 * ``_swap``, a ladder of ideal swap levels in one call.
 
-The public functions call them at k = 1 and one level.
+``purify_k_rounds_lower`` runs ``_pump`` for its k rounds; the other
+public functions call them at k = 1 and one level.
 
 Noisy local gates with dephasing weight q_g enter in two ways:
 
@@ -236,9 +237,12 @@ def purify_imperfect_exact(s: BellDiagonal, q_g: float) -> PurifyOutcome:
     return PurifyOutcome(BellDiagonal(a, b, c, d), p)
 
 
-def _gate_charge(q_g: float, qubits: int) -> float:
-    # worst-case survival of ``qubits`` noisy-gate qubits, (1 - q_g)^qubits
-    return (1.0 - q_g) ** qubits
+def _gate_charge(q_g: float, n: int, k: int, swaps: int) -> float:
+    # worst-case survival of the noisy-gate qubits: 2n per swap and 4n per merge of one k-round pump tree
+    try:
+        return (1.0 - q_g) ** (2 * n * swaps + 4 * n * (2**k - 1))
+    except OverflowError:  # the int exponent has no float
+        raise ValueError(f"gate-charge exponent exceeds the float range, got n={n}, k={k}, swaps={swaps}") from None
 
 
 def purify_k_rounds_lower(s: BellDiagonal, q_g: float, n: int, k: int) -> PurifyOutcome:
@@ -264,5 +268,5 @@ def purify_k_rounds_lower(s: BellDiagonal, q_g: float, n: int, k: int) -> Purify
         raise ValueError(f"round count k must be an integer >= 0, got {k}")
     if k == 0:
         return PurifyOutcome(s, 1.0)
-    a, b, c, d, p_k = _pump(*s, k, _gate_charge(q_g, 4 * n * (2**k - 1)))
+    a, b, c, d, p_k = _pump(*s, k, _gate_charge(q_g, n, k, 0))
     return PurifyOutcome(BellDiagonal(a, b, c, d), p_k)

@@ -13,7 +13,7 @@ import functools
 import math
 
 from ._checked import checked_tuple
-from .bell_algebra import BellDiagonal
+from .bell_algebra import BellDiagonal, _check_gate_error
 
 __all__ = [
     "Code",
@@ -25,17 +25,18 @@ __all__ = [
 ]
 
 
-class Code(checked_tuple("Code", "n k d family")):
-    """An [n, k, d] block code protecting one logical qubit (k = 1); family is "repetition" or "css"."""
+class Code(checked_tuple("Code", "n d family")):
+    """An [n, 1, d] block code protecting one logical qubit; family is "repetition" or "css"."""
 
     __slots__ = ()
 
-    def __init__(self, n: int, k: int, d: int, family: str) -> None:
-        for name, value in (("n", n), ("k", k), ("d", d)):
+    def __init__(self, n: int, d: int, family: str) -> None:
+        for name, value in (("n", n), ("d", d)):
             if type(value) is not int:
                 raise ValueError(f"code parameter {name} must be an integer, got {value!r}")
-        if k != 1:
-            raise ValueError(f"only single-logical-qubit codes are supported, got k={k}")
+        # every tail holds the central C(n, ceil(n/2)), since (d + 1)/2 <= ceil(n/2); it is a float only for n <= 1029
+        if n > 1029:
+            raise ValueError(f"code length n must be at most 1029, got n={n}")
         if not 1 <= d <= n:
             raise ValueError(f"need 1 <= d <= n, got n={n}, d={d}")
         if d % 2 == 0:
@@ -47,7 +48,7 @@ class Code(checked_tuple("Code", "n k d family")):
 
     @property
     def label(self) -> str:
-        return f"[{self.n},{self.k},{self.d}]"
+        return f"[{self.n},1,{self.d}]"
 
     @property
     def t(self) -> int:
@@ -58,13 +59,13 @@ class Code(checked_tuple("Code", "n k d family")):
 def code_catalog() -> tuple[Code, ...]:
     """All supported codes, unencoded memory first."""
     return (
-        Code(1, 1, 1, "repetition"),
-        Code(3, 1, 3, "repetition"),
-        Code(7, 1, 7, "repetition"),
-        Code(51, 1, 51, "repetition"),
-        Code(7, 1, 3, "css"),
-        Code(25, 1, 5, "css"),
-        Code(23, 1, 7, "css"),
+        Code(1, 1, "repetition"),
+        Code(3, 3, "repetition"),
+        Code(7, 7, "repetition"),
+        Code(51, 51, "repetition"),
+        Code(7, 3, "css"),
+        Code(25, 5, "css"),
+        Code(23, 7, "css"),
     )
 
 
@@ -159,8 +160,7 @@ def _css_base(q_m_half: float, q_g: float) -> float:
     """The f-free part of :func:`css_effective_qubit_error`, 3 q_m + 2 q_g, with its argument checks."""
     if not 0.0 <= q_m_half <= 1.0:
         raise ValueError(f"q_m_half must lie in [0, 1], got {q_m_half}")
-    if not 0.0 <= q_g <= 1.0:
-        raise ValueError(f"q_g must lie in [0, 1], got {q_g}")
+    _check_gate_error(q_g)
     return 3.0 * q_m_half + 2.0 * q_g
 
 

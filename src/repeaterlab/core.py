@@ -109,6 +109,11 @@ def transmittance(length_km: float, attenuation_length_km: float = ATTENUATION_L
     return math.exp(-length_km / attenuation_length_km)
 
 
+def _phase_gap(theta_rad: float) -> float:
+    # the probe's phase gap 1 - cos theta, computed here alone; it cancels at small theta
+    return 1.0 - math.cos(theta_rad)
+
+
 def initial_fidelity(alpha: float, theta_rad: float, eta: float) -> float:
     """Raw fidelity of one heralded entangled pair.
 
@@ -125,7 +130,7 @@ def initial_fidelity(alpha: float, theta_rad: float, eta: float) -> float:
         raise ValueError(f"theta_rad must be finite, got {theta_rad}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    exponent = -(1.0 - eta) * alpha * alpha * (1.0 - math.cos(theta_rad))
+    exponent = -(1.0 - eta) * alpha * alpha * _phase_gap(theta_rad)
     if math.isnan(exponent):
         # alpha^2 overflowed to inf where 1 - cos(theta) rounded to 0
         raise ValueError(

@@ -26,7 +26,7 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from ._checked import checked_tuple
-from .bell_algebra import _gate_charge, _noisy_factors, _pump, _pump_noisy, _swap
+from .bell_algebra import _COEFF_TOL, _gate_charge, _noisy_factors, _pump, _pump_noisy, _swap
 from .codes import Code, _css_base, _q_eff, _stored_pair, _tail_sum, _tail_terms, logical_error_prob, pair_no_error_prob
 from .core import (
     ATTENUATION_LENGTH_KM,
@@ -55,8 +55,8 @@ __all__ = [
     "sweep",
 ]
 
-# largest accepted pump round count: n 2^k and the gate-factor exponent stay
-# below 2**1024, so every catalog code prices k <= MAX_ROUNDS in floats
+# largest accepted pump round count: n 2^k and the pump-tree part of the gate-factor
+# exponent stay below 2**1024, so every accepted code prices k <= MAX_ROUNDS in floats
 MAX_ROUNDS = 1000
 
 # bisection window for the raw operating fidelity
@@ -118,12 +118,12 @@ class ProtocolConfig(
         n = round(ratio) if math.isfinite(ratio) else 0
         if abs(ratio - n) > 1e-9 or n < 2 or n & (n - 1) != 0:
             raise ValueError(f"total_distance_km / segment_km must be a power of two >= 2, got {ratio}")
-        # one clock rule: the largest rate, at P0 P_k = 1 + 1e-12 (PurifyOutcome's tolerance),
+        # one clock rule: the largest rate, at P0 P_k = 1 + _COEFF_TOL (PurifyOutcome's tolerance),
         # lies in (0, inf).  _rate's denominator fl(fl(n 2^k) (k/2 + 1)) T0 has a factor >= k/2 + 1
         # and >= k + 1, and rounding is monotone, so it overflows, and the rate reads 0, whenever
         # the pump window t_k = (k/2 + 1) T0 or the (k + 1) T0 in the css window t'_k does
         try:
-            top = _rate(code.n, rounds, timing(self).t0_s, 1.0 + 1e-12, 1.0)
+            top = _rate(code.n, rounds, timing(self).t0_s, 1.0 + _COEFF_TOL, 1.0)
         except ArithmeticError:  # T0 = 0, or n 2^k past the float range
             top = math.inf
         if not 0.0 < top < math.inf:
@@ -214,10 +214,10 @@ def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, fl
     repetition: the stored pair accumulates memory dephasing over the pump
     window, decoded per block to a pair flip budget, and runs through k
     ideal rounds; P_k carries the gate discount of the whole tree.  Then
-    log2(N) ideal swap levels, and the noisy gates (2n qubits per swap, 4n
-    per merge of one pump tree) discount the leading coefficient.  F_final
-    is a lower bound at k = 0; for k >= 1 the N - 1 uncharged trees can put
-    it above the exact noisy value.
+    log2(N) ideal swap levels, and ``_gate_charge`` over N - 1 swaps and one
+    pump tree discounts the leading coefficient.  F_final is a lower bound
+    at k = 0; for k >= 1 the N - 1 uncharged trees can put it above the
+    exact noisy value.
     css: the raw pair runs through k exact imperfect-gate rounds.  The
     purified fidelity F_k, two noisy gates, and three memory half-windows
     per stored qubit make up an i.i.d. error budget q_eff; each of the 2N
@@ -231,8 +231,8 @@ def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, fl
         q_logical = logical_error_prob(code, memory_error_prob(tm.t_purify_s / 2.0, tau_c))
         p_pair = pair_no_error_prob(q_logical)
         levels = int(math.log2(n_seg))
-        pump = _gate_charge(q_g, 4 * code.n * (2**k - 1))
-        gates = _gate_charge(q_g, 2 * code.n * (n_seg - 1 + 2 * (2**k - 1)))
+        pump = _gate_charge(q_g, code.n, k, 0)
+        gates = _gate_charge(q_g, code.n, k, n_seg - 1)
 
         def price(f: float) -> tuple[float, float]:
             # effective_coefficients, purify_k_rounds_lower, then the swap_ideal ladder, on four floats

@@ -15,6 +15,7 @@ import math
 from typing import NamedTuple
 
 from ._checked import checked_tuple
+from .core import _phase_gap
 
 __all__ = [
     "QubusPlan",
@@ -236,7 +237,7 @@ def homodyne_error(beta: float, theta_rad: float) -> float:
     if not (beta > 0.0 and math.isfinite(beta)):
         raise ValueError(f"beta must be finite and > 0, got {beta}")
     _check_theta(theta_rad)
-    return 0.5 * math.erfc(beta * (1.0 - math.cos(theta_rad)) / math.sqrt(2.0))
+    return 0.5 * math.erfc(beta * _phase_gap(theta_rad) / math.sqrt(2.0))
 
 
 def min_beta(theta_rad: float, target_error: float) -> float:
@@ -251,7 +252,7 @@ def min_beta(theta_rad: float, target_error: float) -> float:
     _check_theta(theta_rad)
     # homodyne_error is 1/2 at every beta when 1 - cos theta rounds to 0 (e.g. theta = 2 pi, or
     # theta <= 1.05e-8); any other gap is >= 2^-53, and the doubling meets any target by beta ~ 3.5e17
-    if 1.0 - math.cos(theta_rad) == 0.0:
+    if _phase_gap(theta_rad) == 0.0:
         raise ArithmeticError(
             f"no finite amplitude reaches the target error, got theta_rad={theta_rad}, target_error={target_error}"
         )

@@ -418,3 +418,7 @@ class TestPurifyKRounds:
             purify_k_rounds_lower(S_WORK, 1e-3, True, 1)
         with pytest.raises(ValueError, match="^code length n must be an integer >= 1, got True$"):
             purify_k_rounds_lower(S_WORK, 0.01, True, True)
+        # 4n (2^k - 1) has no float at k = 2000, which once raised a bare OverflowError
+        message = "^gate-charge exponent exceeds the float range, got n=3, k=2000, swaps=0$"
+        with pytest.raises(ValueError, match=message):
+            purify_k_rounds_lower(S_WORK, 0.1, 3, 2000)

@@ -671,6 +671,18 @@ class TestMain:
             "error = alpha and theta_rad give no finite dephasing exponent, got alpha=1e+160, theta_rad=1e-09\n"
         )
 
+    def test_gate_charge_without_a_float_names_n_k_and_swaps(self, capsys):
+        # N = 2^1020 segments: the charge exponent 2n (N - 1) has no float, which
+        # once gave an error row and an error reading "int too large to convert to float"
+        flags = ["--code", "51,1,51", "--rounds", "0", "--total-km", "1.1235582092889474e+307", "--segment-km", "1"]
+        message = f"gate-charge exponent exceeds the float range, got n=51, k=0, swaps={2**1020 - 1}"
+        assert main(["fidelity", *flags]) == 1
+        out = capsys.readouterr().out
+        assert "F_final = nan\n" in out
+        assert out.endswith(f"error = {message}\n")
+        assert main(["operating-point", "--target", "0.95", *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("command", [["fidelity"], ["operating-point", "--target", "0.95"], ["montecarlo"]])
     def test_infinite_pump_window_exits_2(self, capsys, command):
         # T0 = 2 L0 / c overflows to inf, which once gave a silent rate of 0;

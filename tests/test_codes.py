@@ -35,18 +35,25 @@ class TestCatalog:
         assert by_label["[1,1,1]"].t == 0
 
     @pytest.mark.parametrize(
-        "n, k, d, family",
+        "n, d, family",
         [
-            (3, 2, 3, "repetition"),  # k != 1
-            (3, 1, 5, "repetition"),  # d > n
-            (7, 1, 4, "css"),         # even d
-            (7, 1, 3, "repetition"),  # repetition needs d = n
-            (3, 1, 3, "surface"),     # unknown family
+            (3, 5, "repetition"),  # d > n
+            (7, 4, "css"),         # even d
+            (7, 3, "repetition"),  # repetition needs d = n
+            (3, 3, "surface"),     # unknown family
         ],
     )
-    def test_validation(self, n, k, d, family):
+    def test_validation(self, n, d, family):
         with pytest.raises(ValueError):
-            Code(n, k, d, family)
+            Code(n, d, family)
+
+    @pytest.mark.parametrize("d, family", [(1029, "repetition"), (1, "css")])
+    def test_longest_code_prices_in_floats(self, d, family):
+        # C(1029, 514) = 1.43e308 is the largest central binomial that is a
+        # float; n = 1030 and up are refused (tests/test_value_types.py)
+        code = Code(1029, d, family)
+        assert code.label == f"[1029,1,{d}]"
+        assert 0.0 <= logical_error_prob(code, 0.3) <= 1.0
 
 
 class TestLogicalErrorProb:
@@ -55,7 +62,7 @@ class TestLogicalErrorProb:
             assert logical_error_prob(code, 0.0) == 0.0
 
     def test_three_qubit_point(self):
-        code = Code(3, 1, 3, "repetition")
+        code = Code(3, 3, "repetition")
         assert logical_error_prob(code, 0.1) == pytest.approx(0.028, rel=1e-12)
 
     def test_half_is_fixed(self):
@@ -65,12 +72,12 @@ class TestLogicalErrorProb:
                 assert logical_error_prob(code, 0.5) == pytest.approx(0.5, rel=1e-12)
 
     def test_unencoded_identity(self):
-        code = Code(1, 1, 1, "repetition")
+        code = Code(1, 1, "repetition")
         assert logical_error_prob(code, 0.1234) == pytest.approx(0.1234, rel=1e-12)
 
     def test_larger_repetition_suppresses_more(self):
         qs = [
-            logical_error_prob(Code(n, 1, n, "repetition"), 0.05) for n in (3, 7, 51)
+            logical_error_prob(Code(n, n, "repetition"), 0.05) for n in (3, 7, 51)
         ]
         assert qs[0] > qs[1] > qs[2]
 
@@ -89,7 +96,7 @@ class TestLogicalErrorProb:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            logical_error_prob(Code(3, 1, 3, "repetition"), 1.5)
+            logical_error_prob(Code(3, 3, "repetition"), 1.5)
 
     @pytest.mark.parametrize("q", [0.0, 5e-324, 1e-300, 1e-12, 0.01, 0.5, 1.0])
     @pytest.mark.parametrize("code", code_catalog(), ids=lambda c: c.label)
@@ -176,5 +183,7 @@ class TestCssBudget:
             css_effective_qubit_error(-0.1, 0.0, 1.0)
         with pytest.raises(ValueError):
             css_effective_qubit_error(0.0, 0.0, 1.5)
-        with pytest.raises(ValueError, match=r"^q_g must lie in \[0, 1\], got 1.5$"):
-            css_effective_qubit_error(0.1, 1.5, 0.9)
+        # one domain for q_g, the one bell_algebra and HardwareParams hold
+        for q_g in (0.5, 0.7, 1.5):
+            with pytest.raises(ValueError, match=rf"^gate error must lie in \[0, 1/2\), got {q_g}$"):
+                css_effective_qubit_error(0.1, q_g, 0.9)

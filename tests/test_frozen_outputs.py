@@ -90,10 +90,10 @@ def _codes():
     """Every valid [n, 1, d] code with n <= 10, and the extreme d for n up to 15."""
     for n in range(1, 16):
         if n % 2:
-            yield Code(n, 1, n, "repetition")
+            yield Code(n, n, "repetition")
         ds = range(1, n + 1, 2)
         for d in ds if n <= 10 else (ds[0], ds[-1]):
-            yield Code(n, 1, d, "css")
+            yield Code(n, d, "css")
 
 
 def _enumeration_outputs():

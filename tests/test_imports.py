@@ -266,7 +266,7 @@ def test_pipeline_takes_only_float_kernels_from_bell_algebra():
     # bell_algebra; the chain calls them on four floats and builds none of
     # its value types, and HardwareParams, not the chain, checks q_g
     assert imports_from(PIPELINE_TREE, "bell_algebra") == {
-        "_gate_charge", "_noisy_factors", "_pump", "_pump_noisy", "_swap",
+        "_COEFF_TOL", "_gate_charge", "_noisy_factors", "_pump", "_pump_noisy", "_swap",
     }
 
 
@@ -365,6 +365,59 @@ def test_clock_and_rate_denominator_are_written_once():
 
     assert sites_in_src(divides_by_fiber_speed) == ["pipeline.timing"]
     assert sites_in_src(times_a_power_of_two) == ["pipeline._rate"]
+
+
+def test_repetition_gate_charge_is_written_once():
+    # the exponent 2n swaps + 4n (2^k - 1) is formed in bell_algebra._gate_charge
+    # alone, which the pump and the chain call; qubus._coefficients' 2^(n-1) - 1
+    # is the single probe's extreme phase coefficient, a different fact
+    def pump_tree_merges(node):
+        left = getattr(node, "left", None)
+        return (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and getattr(node.right, "value", None) == 1
+            and isinstance(left, ast.BinOp) and isinstance(left.op, ast.Pow)
+            and getattr(left.left, "value", None) == 2 and not isinstance(left.right, ast.Constant)
+        )
+
+    def gate_qubits_of_a_code(node):
+        # 2n per swap, 4n per merge: a constant times the code length
+        right = getattr(node, "right", None)
+        return (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and isinstance(node.left, ast.Constant)
+            and (getattr(right, "id", None) or getattr(right, "attr", None)) == "n"
+        )
+
+    assert [s for s in sites_in_src(pump_tree_merges) if s != "qubus._coefficients"] == ["bell_algebra._gate_charge"]
+    assert sites_in_src(gate_qubits_of_a_code) == ["bell_algebra._gate_charge"] * 2
+
+
+def test_phase_gap_is_computed_once():
+    # 1 - cos theta, which F and the homodyne readout both read, has one owner in core
+    def calls_math_cos(node):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and getattr(func, "attr", None) == "cos" and (
+            getattr(func.value, "id", None) == "math"
+        )
+
+    assert sites_in_src(calls_math_cos) == ["core._phase_gap"]
+    qubus = ast.parse(Path(repeaterlab.__file__).with_name("qubus.py").read_text())
+    assert imports_from(qubus, "core") == {"_phase_gap"}
+
+
+def test_pipeline_writes_no_coefficient_tolerance():
+    # the clock rule prices its top rate at bell_algebra's tolerance, imported, not retyped
+    assert not [n for n in ast.walk(PIPELINE_TREE) if isinstance(n, ast.Constant) and n.value == 1e-12]
+
+
+def test_code_holds_no_constant_dimension():
+    # every code protects one logical qubit, so the 1 of [n,1,d] is the label's, not a field
+    from repeaterlab.codes import Code, code_catalog
+
+    assert Code._fields == ("n", "d", "family")
+    assert [c.label for c in code_catalog()] == [
+        "[1,1,1]", "[3,1,3]", "[7,1,7]", "[51,1,51]", "[7,1,3]", "[25,1,5]", "[23,1,7]",
+    ]
 
 
 def test_config_lines_are_split_at_equals_in_parse_config_alone():

@@ -462,15 +462,15 @@ class TestEnumeration:
         )
 
     def test_three_qubit_value(self):
-        code = Code(3, 1, 3, "repetition")
+        code = Code(3, 3, "repetition")
         assert enumerate_logical_error(code, 0.1) == pytest.approx(0.028, abs=1e-12)
 
     def test_refuses_large_codes(self):
-        code = Code(51, 1, 51, "repetition")
+        code = Code(51, 51, "repetition")
         with pytest.raises(ValueError):
             enumerate_logical_error(code, 0.1)
         with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\], got 1.5$"):
-            enumerate_logical_error(Code(3, 1, 3, "repetition"), 1.5)
+            enumerate_logical_error(Code(3, 3, "repetition"), 1.5)
 
 
 class TestVariantReport:

@@ -1,11 +1,13 @@
-"""Each perfbench workload runs one op against the package as it stands.
+"""Each perfbench workload runs against the package as it stands.
 
 The benchmark (perfbench/) builds value types and calls the pipeline by
 name, so a signature change there would otherwise show only as a failed
-benchmark run.  Each workload here sets up at the default seed, loads batch
-0, runs op 0 and checks its output in full, as the benchmark's worker does.
-The workloads are read from the file as it stands, with perfbench/ on
-``sys.path`` for the ``inputs`` module they import.
+benchmark run, and a moved number only as a failed op.  Each workload here
+sets up at the default seed and loads batch 0, as the benchmark's worker
+does: one test runs op 0 and checks its output in full, the other runs the
+whole batch and compares its digests with the frozen ones.  The workloads
+are read from the file as it stands, with perfbench/ on ``sys.path`` for
+the ``inputs`` module they import.
 """
 
 import importlib.util
@@ -30,6 +32,10 @@ def _load_workloads():
 
 workloads = _load_workloads()
 
+# the perfbench output digests at the default seed; verify's is a model
+# invariant that perfbench itself does not freeze
+FROZEN = {**workloads.FROZEN, "verify": {"output": "82c58da1b705780e"}}
+
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_first_op_passes_its_check(name, tmp_path):
@@ -38,3 +44,15 @@ def test_first_op_passes_its_check(name, tmp_path):
     workload.load(0)
     out = workload.op(0)
     assert workload.check(0, out) is None
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_batch_0_gives_the_frozen_digests(name, tmp_path):
+    workload = workloads.WORKLOADS[name]()
+    workload.setup({"seed": workloads.DEFAULT_SEED, "work_dir": str(tmp_path)})
+    input_digest = workload.load(0)
+    problems = [workload.check(j, workload.op(j)) for j in range(workload.batch_size)]
+    assert [p for p in problems if p is not None] == []
+    if "input" in FROZEN[name]:
+        assert input_digest == FROZEN[name]["input"]
+    assert workload.output_digest() == FROZEN[name]["output"]

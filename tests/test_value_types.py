@@ -32,7 +32,7 @@ from repeaterlab.pipeline import OperatingPoint, ProtocolConfig, SweepResult, op
 from repeaterlab.qubus import QubusPlan
 
 STATE = (0.9, 0.05, 0.03, 0.02)
-REP = (3, 1, 3, "repetition")
+REP = (3, 3, "repetition")
 HW = (0.999, 0.1)
 CHANNEL = (20.0, 0.001, 0.01)
 MC = (0.5, 4096, 2, 200)
@@ -49,7 +49,7 @@ def _cfg(**kw):
 
 
 def _channel_cfg(**kw):
-    return _cfg(code=Code(7, 1, 3, "css"), rounds=1, fidelity=None, channel=ChannelParams(*CHANNEL), **kw)
+    return _cfg(code=Code(7, 3, "css"), rounds=1, fidelity=None, channel=ChannelParams(*CHANNEL), **kw)
 
 
 def _solve():
@@ -79,20 +79,20 @@ UNHASHABLE = {"DensityMatrix", "QubusPlan", "QubusPlan-chained"}
 REPRS = {
     "BellDiagonal": "BellDiagonal(a=0.9, b=0.05, c=0.03, d=0.02)",
     "PurifyOutcome": "PurifyOutcome(state=BellDiagonal(a=0.9, b=0.05, c=0.03, d=0.02), success_prob=0.8528)",
-    "Code": "Code(n=3, k=1, d=3, family='repetition')",
+    "Code": "Code(n=3, d=3, family='repetition')",
     "ChannelParams": "ChannelParams(segment_length_km=20.0, qubus_strength=0.001, interaction_angle_rad=0.01)",
     "HardwareParams": (
         "HardwareParams(local_transmission=0.999, memory_coherence_s=0.1, fiber_speed_m_per_s=200000000.0)"
     ),
     "ProtocolConfig": (
         "ProtocolConfig(total_distance_km=1280.0, segment_km=20.0, "
-        "code=Code(n=3, k=1, d=3, family='repetition'), rounds=2, "
+        "code=Code(n=3, d=3, family='repetition'), rounds=2, "
         "hardware=HardwareParams(local_transmission=0.999, memory_coherence_s=0.1, "
         "fiber_speed_m_per_s=200000000.0), channel=None, fidelity=0.95, attenuation_km=25.5)"
     ),
     "ProtocolConfig-channel": (
         "ProtocolConfig(total_distance_km=1280.0, segment_km=20.0, "
-        "code=Code(n=7, k=1, d=3, family='css'), rounds=1, "
+        "code=Code(n=7, d=3, family='css'), rounds=1, "
         "hardware=HardwareParams(local_transmission=0.999, memory_coherence_s=0.1, "
         "fiber_speed_m_per_s=200000000.0), "
         "channel=ChannelParams(segment_length_km=20.0, qubus_strength=0.001, "
@@ -149,27 +149,30 @@ MESSAGES = [
         "success_prob must lie in [0, 1], got nan",
         id="outcome-nan",
     ),
+    pytest.param(lambda: Code(3, 5, "css"), "need 1 <= d <= n, got n=3, d=5", id="code-d-high"),
+    pytest.param(lambda: Code(3, 0, "css"), "need 1 <= d <= n, got n=3, d=0", id="code-d-low"),
+    pytest.param(lambda: Code(4, 2, "css"), "majority decoding needs odd d, got d=2", id="code-even-d"),
+    pytest.param(lambda: Code(7, 3, "surface"), "unknown code family 'surface'", id="code-family"),
     pytest.param(
-        lambda: Code(3, 2, 3, "repetition"), "only single-logical-qubit codes are supported, got k=2", id="code-k"
+        lambda: Code(7, 3, "repetition"), "repetition codes have d = n, got n=7, d=3", id="code-repetition-d"
     ),
-    pytest.param(lambda: Code(3, 1, 5, "css"), "need 1 <= d <= n, got n=3, d=5", id="code-d-high"),
-    pytest.param(lambda: Code(3, 1, 0, "css"), "need 1 <= d <= n, got n=3, d=0", id="code-d-low"),
-    pytest.param(lambda: Code(4, 1, 2, "css"), "majority decoding needs odd d, got d=2", id="code-even-d"),
-    pytest.param(lambda: Code(7, 1, 3, "surface"), "unknown code family 'surface'", id="code-family"),
+    pytest.param(lambda: Code(7.5, 3, "css"), "code parameter n must be an integer, got 7.5", id="code-n-float"),
+    pytest.param(lambda: Code(7, 3.0, "css"), "code parameter d must be an integer, got 3.0", id="code-d-float"),
     pytest.param(
-        lambda: Code(7, 1, 3, "repetition"), "repetition codes have d = n, got n=7, d=3", id="code-repetition-d"
+        lambda: Code(True, True, "repetition"), "code parameter n must be an integer, got True", id="code-n-bool"
     ),
-    pytest.param(lambda: Code(7.5, 1, 3, "css"), "code parameter n must be an integer, got 7.5", id="code-n-float"),
+    pytest.param(lambda: Code("7", 3, "css"), "code parameter n must be an integer, got '7'", id="code-n-str"),
+    # every tail holds C(n, ceil(n/2)), which has no float from n = 1030; a
+    # huge n is refused without building one
+    pytest.param(lambda: Code(1030, 1029, "css"), "code length n must be at most 1029, got n=1030", id="code-n-1030"),
     pytest.param(
-        lambda: Code(3, 1.0, 3, "repetition"), "code parameter k must be an integer, got 1.0", id="code-k-float"
+        lambda: Code(1031, 1031, "repetition"), "code length n must be at most 1029, got n=1031", id="code-n-1031"
     ),
-    pytest.param(lambda: Code(7, 1, 3.0, "css"), "code parameter d must be an integer, got 3.0", id="code-d-float"),
     pytest.param(
-        lambda: Code(True, 1, True, "repetition"), "code parameter n must be an integer, got True", id="code-n-bool"
+        lambda: Code(10**100, 1, "css"), f"code length n must be at most 1029, got n={10**100}", id="code-n-huge"
     ),
-    pytest.param(lambda: Code("7", 1, 3, "css"), "code parameter n must be an integer, got '7'", id="code-n-str"),
     # the integer rule runs before the range rules
-    pytest.param(lambda: Code(7, 2, 3.5, "css"), "code parameter d must be an integer, got 3.5", id="code-type-first"),
+    pytest.param(lambda: Code(1031, 3.5, "css"), "code parameter d must be an integer, got 3.5", id="code-type-first"),
     pytest.param(
         lambda: ChannelParams(0.0, 0.001, 0.01), "segment_length_km must be > 0, got 0.0", id="channel-segment"
     ),
@@ -274,7 +277,7 @@ MESSAGES = [
     # t_k = 1.6e308 s is finite; the css window 3 T0 / 2 and the rate's
     # denominator n 2^k (k/2 + 1) T0 are not
     pytest.param(
-        lambda: _cfg(code=Code(7, 1, 3, "css"), hardware=HardwareParams(0.999, 0.1, 5e-304)),
+        lambda: _cfg(code=Code(7, 3, "css"), hardware=HardwareParams(0.999, 0.1, 5e-304)),
         "segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
         "got segment_km=20.0, fiber_speed_m_per_s=5e-304",
         id="cfg-storage-window-inf",
@@ -419,7 +422,7 @@ def test_equal_and_hashed_by_value(name):
 
 def test_unequal_values_differ():
     assert BellDiagonal(*STATE) != BellDiagonal(0.9, 0.05, 0.02, 0.03)
-    assert Code(*REP) != Code(7, 1, 7, "repetition")
+    assert Code(*REP) != Code(7, 7, "repetition")
     assert HardwareParams(*HW) != HardwareParams(0.999, 0.1, 1e8)
     assert _cfg() != _cfg(rounds=1)
     assert _cfg() != _cfg(fidelity=0.96)
@@ -436,7 +439,7 @@ class TestKeywordConstruction:
         assert PurifyOutcome(success_prob=0.5, state=state) == PurifyOutcome(state, 0.5)
 
     def test_code(self):
-        assert Code(family="css", d=3, k=1, n=7) == Code(7, 1, 3, "css")
+        assert Code(family="css", d=3, n=7) == Code(7, 3, "css")
 
     def test_channel_has_no_defaults(self):
         # the attenuation length, and its default, are the config's
@@ -581,7 +584,7 @@ class TestReplace:
 
     def test_make_still_rejects_a_short_iterable(self):
         with pytest.raises(TypeError):
-            Code._make((3, 1, 3))
+            Code._make((3, 3))
 
 
 def test_checked_types_share_one_make():
@@ -615,7 +618,7 @@ def test_with_fidelity_validates_the_copy():
     with pytest.raises(ValueError) as excinfo:
         with_fidelity(_channel_cfg(), 0.5)
     assert str(excinfo.value) == "fidelity must lie in (1/2, 1], got 0.5"
-    assert with_fidelity(_channel_cfg(), 0.9) == _cfg(code=Code(7, 1, 3, "css"), rounds=1, fidelity=0.9)
+    assert with_fidelity(_channel_cfg(), 0.9) == _cfg(code=Code(7, 3, "css"), rounds=1, fidelity=0.9)
 
 
 def test_bell_diagonal_init_sees_the_constructor_arguments(monkeypatch):
