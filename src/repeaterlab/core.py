@@ -96,9 +96,6 @@ class HardwareParams(
         if not 0.0 < fiber_speed_m_per_s < math.inf:
             raise ValueError(f"fiber_speed_m_per_s must be finite and > 0, got {fiber_speed_m_per_s}")
 
-    def gate_error(self) -> float:
-        return gate_error_prob(self.local_transmission)
-
 
 def transmittance(length_km: float, attenuation_length_km: float = ATTENUATION_LENGTH_KM) -> float:
     """Fiber transmittance eta = exp(-l / L_att) over ``length_km``."""
@@ -122,6 +119,8 @@ def initial_fidelity(alpha: float, theta_rad: float, eta: float) -> float:
 
         F = (1 + exp(-(1 - eta) alpha^2 (1 - cos theta))) / 2.
 
+    The kept state is phi+ rotated by the deterministic phase
+    (1 - eta) alpha^2 sin theta; F treats this phase as corrected locally.
     F = 1 exactly when nothing leaks: alpha = 0 or eta = 1.
     """
     if not 0.0 <= alpha < math.inf:
@@ -145,6 +144,10 @@ def success_probability(fidelity: float, eta: float) -> float:
     The unambiguous-discrimination window of the homodyne measurement gives
 
         P0 = 1 - (2F - 1)^(eta / (1 - eta)).
+
+    With F from :func:`initial_fidelity` this equals
+    1 - exp(-eta alpha^2 (1 - cos theta)), the ideal unambiguous-discrimination
+    limit, with the +theta and -theta branches counted as one outcome.
 
     Valid for F in (1/2, 1] and eta in (0, 1); a lossless channel (eta = 1)
     has no finite exponent and is rejected.

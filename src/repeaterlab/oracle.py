@@ -28,9 +28,6 @@ __all__ = [
     "DensityMatrix",
     "GateErrorVariant",
     "VariantReport",
-    "apply_dephasing",
-    "apply_noisy_two_qubit_gate",
-    "bell_diagonal_projection",
     "simulate_purification_round",
     "simulate_swapping",
     "enumerate_logical_error",
@@ -83,9 +80,9 @@ class GateErrorVariant(enum.Enum):
 class DensityMatrix(checked_tuple("DensityMatrix", "matrix")):
     """A validated density matrix on at most four qubits.
 
-    Construction asserts Hermiticity, unit trace, and an eigenvalue floor,
-    so every channel application re-certifies physicality.  ``__new__``
-    stores the matrix as a complex array, which ``__init__`` checks.
+    Construction asserts Hermiticity, unit trace, and an eigenvalue floor.
+    ``__new__`` stores the matrix as a complex array, which ``__init__``
+    checks.  The circuits run on plain arrays, physical by construction.
     """
 
     __slots__ = ()
@@ -109,15 +106,6 @@ class DensityMatrix(checked_tuple("DensityMatrix", "matrix")):
         lowest = np.linalg.eigvalsh(m).min()
         if lowest < _EIGENVALUE_FLOOR:
             raise ValueError(f"negative eigenvalue below floor: {lowest}")
-
-    @property
-    def num_qubits(self) -> int:
-        return int(self.matrix.shape[0]).bit_length() - 1
-
-    @classmethod
-    def from_bell_diagonal(cls, s: BellDiagonal) -> DensityMatrix:
-        """Two-qubit Bell-diagonal state; requires a normalized input."""
-        return cls(_bell_matrix(s))
 
 
 def _bell_matrix(s: BellDiagonal) -> np.ndarray:
@@ -212,24 +200,6 @@ def _gate_program(control: int, target: int, gate: str, variant: GateErrorVarian
 _ROUND_PROGRAMS = {v: _gate_program(0, 2, "CNOT", v) + _gate_program(1, 3, "CNOT", v) for v in GateErrorVariant}
 
 
-def _qubit(name: str, value: object, m: int) -> int:
-    """A qubit index in range(m) as a plain int, or a ValueError naming the field.
-
-    The type is checked first: a float or bool index equals an int key, so
-    it must be turned away before it can reach the cached index maps.
-    """
-    if not isinstance(value, bool):
-        try:
-            index = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if not 0 <= index < m:
-                raise ValueError(f"{name} index {index} out of range for {m} qubits")
-            return index
-    raise ValueError(f"{name} must be an integer qubit index, got {value!r}")
-
-
 def _gate_variant(variant: object) -> GateErrorVariant:
     """A variant member, or its value string; anything else is a ValueError."""
     try:
@@ -244,58 +214,9 @@ def _check_gate_error(q_g: float) -> None:
         raise ValueError(f"q_g must lie in [0, 1/2), got {q_g}")
 
 
-def apply_dephasing(rho: DensityMatrix, qubit: int, q: float) -> DensityMatrix:
-    """Phase-flip channel (1 - q) rho + q Z rho Z on one qubit."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    qubit = _qubit("qubit", qubit, rho.num_qubits)
-    return DensityMatrix(_run(rho.matrix, ((("Z", (qubit,)),),), q)[0])
-
-
-def apply_noisy_two_qubit_gate(
-    rho: DensityMatrix,
-    control: int,
-    target: int,
-    q_g: float,
-    gate: str = "CNOT",
-    variant: GateErrorVariant | str = GateErrorVariant.ZCXT_AFTER,
-) -> DensityMatrix:
-    """Ideal CZ or CNOT composed with per-qubit Pauli error channels.
-
-    Each participating qubit flips independently with probability q_g:
-    Z on the control and, per the variant, Z or X on the target; the
-    channel acts before or after the unitary as the variant name says.
-    ``variant`` may also be given by its value string.
-    """
-    _check_gate_error(q_g)
-    m = rho.num_qubits
-    control, target = _qubit("control", control, m), _qubit("target", target, m)
-    if control == target:
-        raise ValueError("control and target must differ")
-    variant = _gate_variant(variant)
-    if gate not in ("CNOT", "CZ"):
-        raise ValueError(f"gate must be 'CZ' or 'CNOT', got {gate!r}")
-    return DensityMatrix(_run(rho.matrix, (_gate_program(control, target, gate, variant),), q_g)[0])
-
-
 def _bell_coefficients(rho: np.ndarray) -> list:
     """Bell-basis diagonal of a two-qubit matrix, or of each in a stack, as floats."""
     return np.diagonal(_BELL_H @ rho @ _BELL, axis1=-2, axis2=-1).real.tolist()
-
-
-def bell_diagonal_projection(rho: DensityMatrix) -> tuple[BellDiagonal, float]:
-    """Bell-basis diagonal of a two-qubit state plus the discarded weight.
-
-    The twirl keeps the four diagonal coefficients in the (phi+, phi-,
-    psi+, psi-) basis; the Frobenius norm of the off-diagonal residual is
-    returned as a diagnostic (zero iff the state was already
-    Bell-diagonal, so the projection is idempotent).
-    """
-    if rho.matrix.shape[0] != 4:
-        raise ValueError("Bell projection needs a two-qubit state")
-    in_bell = _BELL_H @ rho.matrix @ _BELL
-    residual = in_bell - np.diag(np.diag(in_bell))
-    return BellDiagonal(*np.diag(in_bell).real.tolist()), float(np.linalg.norm(residual))
 
 
 def _two_copies(pair: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from .core import (
     ATTENUATION_LENGTH_KM,
     ChannelParams,
     HardwareParams,
+    gate_error_prob,
     initial_fidelity,
     memory_error_prob,
     success_probability,
@@ -226,7 +227,8 @@ def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, fl
         F_final = (1 - Q_n(q_eff))^(2N).
     """
     code, k, n_seg = cfg.code, cfg.rounds, cfg.num_segments()
-    q_g, tau_c = cfg.hardware.gate_error(), cfg.hardware.memory_coherence_s  # q_g < 1/2 by HardwareParams
+    q_g = gate_error_prob(cfg.hardware.local_transmission)  # < 1/2, checked by HardwareParams
+    tau_c = cfg.hardware.memory_coherence_s
     if code.family == "repetition":
         q_logical = logical_error_prob(code, memory_error_prob(tm.t_purify_s / 2.0, tau_c))
         p_pair = pair_no_error_prob(q_logical)
@@ -243,7 +245,10 @@ def _chain(cfg: ProtocolConfig, tm: Timing) -> Callable[[float], tuple[float, fl
     factors = _noisy_factors(q_g)
     base = _css_base(memory_error_prob(tm.t_half_s / 2.0, tau_c), q_g)
     terms = _tail_terms(code.n, code.d)
-    blocks = 2 * n_seg
+    try:
+        blocks = float(2 * n_seg)  # the double that ** converts the int to
+    except OverflowError:  # the int block count has no float
+        raise ValueError(f"css block count 2N exceeds the float range, got N={n_seg}") from None
 
     def price(f: float) -> tuple[float, float]:
         # k purify_imperfect_exact rounds on four floats, css_effective_qubit_error,

@@ -683,6 +683,18 @@ class TestMain:
         assert main(["operating-point", "--target", "0.95", *flags]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_css_block_count_without_a_float_names_n(self, capsys):
+        # N = 2^1023 segments: the 2N = 2^1024 blocks that (1 - Q_n) is raised
+        # to have no float, which once gave "int too large to convert to float"
+        flags = ["--code", "7,1,3", "--rounds", "0", "--total-km", "8.98846567431158e307", "--segment-km", "1"]
+        message = f"css block count 2N exceeds the float range, got N={2**1023}"
+        assert main(["fidelity", *flags]) == 1
+        out = capsys.readouterr().out
+        assert "F_final = nan\n" in out
+        assert out.endswith(f"error = {message}\n")
+        assert main(["operating-point", "--target", "0.9", *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("command", [["fidelity"], ["operating-point", "--target", "0.95"], ["montecarlo"]])
     def test_infinite_pump_window_exits_2(self, capsys, command):
         # T0 = 2 L0 / c overflows to inf, which once gave a silent rate of 0;

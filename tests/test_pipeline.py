@@ -274,7 +274,7 @@ class TestAcceptedDomain:
         assert 0.0 < tm.t0_s <= tm.t_purify_s < math.inf
         assert 0.0 < tm.t_half_s < math.inf
         assert 0.0 < cfg.segment_transmittance() < 1.0
-        assert cfg.hardware.gate_error() < 0.5
+        assert gate_error_prob(cfg.hardware.local_transmission) < 0.5
         row = evaluate(cfg)
         assert not (row.error or "").startswith(("eta", "gate error")), row.error
         if row.error is None:
@@ -330,7 +330,7 @@ class TestFinalFidelity:
     def test_gate_loss_exponent(self):
         # pure gate loss at n=3, N=64, k=2: exponent 2*3*(63 + 6) = 414
         cfg = make_cfg(tau_c=math.inf, one_minus_t=1e-3, fidelity=1.0, rounds=2)
-        q_g = cfg.hardware.gate_error()
+        q_g = gate_error_prob(cfg.hardware.local_transmission)
         assert final_fidelity(cfg) == pytest.approx((1.0 - q_g) ** 414, rel=1e-12)
 
     def test_unencoded_k0_is_pure_swap_degradation(self):
@@ -424,7 +424,7 @@ FIRST_ERRORED_LEVEL = {
 def kernel_chain(cfg):
     """(F_final, P_k) of a repetition row, composed one public kernel call per step."""
     code, k, tm = cfg.code, cfg.rounds, timing(cfg)
-    q_g = cfg.hardware.gate_error()
+    q_g = gate_error_prob(cfg.hardware.local_transmission)
     q_m = memory_error_prob(tm.t_purify_s / 2.0, cfg.hardware.memory_coherence_s)
     state = effective_coefficients(cfg.fidelity, pair_no_error_prob(logical_error_prob(code, q_m)))
     p_chain = 1.0
@@ -489,7 +489,7 @@ CSS = [c for c in code_catalog() if c.family == "css"]
 def css_kernel_chain(cfg):
     """(F_final, P_k) of a css row, composed one public kernel call per step."""
     code, k, tm = cfg.code, cfg.rounds, timing(cfg)
-    q_g = cfg.hardware.gate_error()
+    q_g = gate_error_prob(cfg.hardware.local_transmission)
     q_m = memory_error_prob(tm.t_half_s / 2.0, cfg.hardware.memory_coherence_s)
     state = BellDiagonal(cfg.fidelity, 1.0 - cfg.fidelity, 0.0, 0.0)
     p_chain = 1.0
@@ -538,7 +538,7 @@ class TestCssChain:
         tm = timing(cfg)
         q_m = memory_error_prob(tm.t_half_s / 2.0, cfg.hardware.memory_coherence_s)
         with pytest.raises(ValueError) as want:
-            css_effective_qubit_error(q_m, cfg.hardware.gate_error(), f_k)
+            css_effective_qubit_error(q_m, gate_error_prob(cfg.hardware.local_transmission), f_k)
         monkeypatch.setattr(pipeline, "_pump_noisy", lambda *args: (f_k, 0.0, 0.0, 0.0, 1.0))
         for fn in (final_fidelity, pump_success_probability):
             with pytest.raises(ValueError) as got:
@@ -556,7 +556,7 @@ class TestCssChain:
         with pytest.raises(ValueError, match=r"^local_transmission must give a gate error below 1/2, got 0\.001"):
             make_cfg(label, k, one_minus_t=0.999)
         cfg = make_cfg(label, k, one_minus_t=0.998)
-        assert 0.5 - 1e-15 < cfg.hardware.gate_error() < 0.5
+        assert 0.5 - 1e-15 < gate_error_prob(cfg.hardware.local_transmission) < 0.5
         row = evaluate(cfg)
         assert row.error is None and 0.0 <= row.f_final < 1.0 and 0.0 < row.rate_per_memory_hz < math.inf
 
