@@ -64,6 +64,40 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(m)
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((2, 4), r"matrix must be square, got shape \(2, 4\)"),
+            ((4,), r"matrix must be square, got shape \(4,\)"),
+            ((1, 1), r"dimension must be 2\^m with m <= 4, got 1"),
+            ((3, 3), r"dimension must be 2\^m with m <= 4, got 3"),
+            ((32, 32), r"dimension must be 2\^m with m <= 4, got 32"),
+        ],
+    )
+    def test_rejects_bad_shape(self, shape, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DensityMatrix(np.zeros(shape))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_accepts_every_register_size(self, m):
+        # a real input is stored as the complex array the checks ran on
+        rho = DensityMatrix(np.eye(2**m) / 2**m)
+        assert rho.matrix.dtype == complex
+        assert np.array_equal(rho.matrix, np.eye(2**m) / 2**m)
+
+    def test_projection_idempotent(self):
+        # the Bell projection both circuits end on: a non-Bell-diagonal state
+        # loses its off-diagonal Bell-basis weight, and projecting again
+        # changes nothing
+        rng = np.random.default_rng(7)
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        v /= np.linalg.norm(v)
+        rho = DensityMatrix(0.7 * np.outer(v, v.conj()) + 0.3 * np.eye(4) / 4.0).matrix
+        once = _bell_coefficients(rho)
+        assert np.abs(rho - _bell_matrix(BellDiagonal(*once))).max() > 1e-3
+        again = _bell_coefficients(_bell_matrix(BellDiagonal(*once)))
+        assert again == pytest.approx(once, abs=1e-14)
+
 
 class TestBellMatrix:
     def test_coefficients_round_trip(self):
@@ -117,6 +151,10 @@ class TestNoisyGate:
         out, ideal = _run(rho, (program,), q)[0], _run(rho, (program,), 0.0)[0]
         overlap = float(np.real(np.trace(out @ ideal)))
         assert overlap == pytest.approx((1.0 - q) ** 2, rel=1e-12)
+
+    def test_bad_gate_name(self):
+        with pytest.raises(ValueError, match=r"^no index map for gate 'SWAP'$"):
+            _run(_bell_matrix(PHI_PLUS), ((("SWAP", (0, 1)),),))
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -198,6 +236,16 @@ class TestQubitOrder:
             pair = _bell_matrix(s)
             want = k @ np.kron(pair, pair) @ k.conj().T
             assert np.abs(_rotated_copies(s) - want).max() <= 1e-14
+
+    def test_stacked_programs_match_single_runs(self):
+        # each row of a stacked run is the run of its own program alone, bit for bit
+        rng = np.random.default_rng(12)
+        rho = random_density_matrix(rng, 4)
+        programs = tuple(_gate_program(0, 2, "CNOT", v) + _gate_program(1, 3, "CZ", v) for v in GateErrorVariant)
+        stacked = _run(rho, programs, 0.17)
+        assert stacked.shape == (len(programs), 16, 16)
+        for row, program in zip(stacked, programs):
+            assert np.array_equal(row, _run(rho, (program,), 0.17)[0])
 
 
 class TestPauliFlips:
@@ -305,6 +353,11 @@ class TestPurificationCircuit:
         assert by_name != simulate_purification_round(s, 0.1, GateErrorVariant.ZCXT_AFTER)
         with pytest.raises(ValueError, match="variant"):
             simulate_purification_round(s, 0.1, "zz_sideways")
+
+    @pytest.mark.parametrize("q_g", [-0.01, 0.5, math.nan])
+    def test_gate_error_domain(self, q_g):
+        with pytest.raises(ValueError, match=rf"^q_g must lie in \[0, 1/2\), got {q_g}$"):
+            simulate_purification_round(BellDiagonal(0.8, 0.1, 0.06, 0.04), q_g)
 
 
 class TestSwappingCircuit:
