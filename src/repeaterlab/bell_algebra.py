@@ -77,11 +77,6 @@ class BellDiagonal(checked_tuple("BellDiagonal", "a b c d")):
     def total(self) -> float:
         return self.a + self.b + self.c + self.d
 
-    @property
-    def fidelity(self) -> float:
-        """Overlap with the target Bell state phi+."""
-        return self.a
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
 

@@ -10,13 +10,14 @@ significant digits) plus an optional gnuplot-ready companion file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import math
 import sys
 from collections import namedtuple
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .bell_algebra import BellDiagonal, swap_ideal
 from .codes import Code, code_catalog, logical_error_prob
@@ -33,7 +34,6 @@ from .pipeline import (
 __all__ = [
     "CaseSpec",
     "parse_config",
-    "render_config",
     "emit_csv",
     "report_operating_points",
     "main",
@@ -44,6 +44,9 @@ _CSV_HEADER = [
     "code", "family", "k", "tau_c_s", "one_minus_T", "L_km", "L0_km", "F", "F_final", "P0", "P_k",
     "rate_hz_per_memory",
 ]
+
+# the paper's final-fidelity target, the default of operating-point and report
+_TARGET_F_FINAL = 0.95
 
 # qubits per station half needed to run the k = 2 Golay pump at full duty
 _GOLAY_THROUGHPUT_MEMORIES = 166
@@ -192,19 +195,6 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[CaseSpec, ..
     ])
 
 
-def render_config(cases: Sequence[CaseSpec]) -> str:
-    """Serialize cases so that parse_config round-trips them."""
-    lines: list[str] = []
-    for case in cases:
-        lines.append(f"[case {case.name}]")
-        for key in _KEYS:
-            value = getattr(case, key)
-            if value is not None:  # the exclusivity rule re-clears the other source
-                lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)
-
-
 _CODES = {code.label.strip("[]"): code for code in code_catalog()}
 
 
@@ -288,7 +278,7 @@ _CANONICAL_CASES = (
 )
 
 
-def report_operating_points(target_f_final: float = 0.95) -> dict[str, OperatingPoint]:
+def report_operating_points(target_f_final: float) -> dict[str, OperatingPoint]:
     """Canonical operating points at a final-fidelity target, by case name.
 
     Three hardware points (pumped repetition-3, Golay, Steane), each solved
@@ -314,18 +304,29 @@ def _print_result(r: SweepResult) -> int:
     return 0 if r.error is None else 1
 
 
+@contextlib.contextmanager
+def _file_named(flag: str, path: str) -> Iterator[None]:
+    """Reword an OSError raised inside as ``flag 'path': reason``, so that it names the flag."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"{flag} {path!r}: {exc.strerror or exc}") from None
+
+
 def cmd_rate_sweep(args: argparse.Namespace) -> int:
     try:  # UTF-8 whatever the locale; utf-8-sig drops a leading byte-order mark
-        with open(args.config, encoding="utf-8-sig") as fh:
+        with _file_named("--config", args.config), open(args.config, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"--config {args.config!r} is not UTF-8 text ({exc})") from None
     cases = parse_config(text, overrides=args.set)
     configs = [to_protocol_config(c) for c in cases]
     results = sweep(configs)
-    emit_csv(results, args.out)
+    with _file_named("--out", args.out):
+        emit_csv(results, args.out)
     if args.gnuplot:
-        emit_gnuplot(results, args.gnuplot)
+        with _file_named("--gnuplot", args.gnuplot):
+            emit_gnuplot(results, args.gnuplot)
     status = 0
     for case, r in zip(cases, results):
         if r.error is not None:
@@ -437,16 +438,17 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     # standard error, not the closed form and the sample's own spread
     expected = finite_window_estimate(cfg, row.f, mc)
     z = _z_score(est.rate_per_memory_hz, expected.rate_per_memory_hz, expected.std_error_hz)
+    if args.out:  # written first, so that an unwritable path exits before anything is printed
+        sampled = f"{_g8(est.rate_per_memory_hz)},{_g8(est.std_error_hz)},{z:.3f}"
+        line = f"{_format_row(_CSV_ROW, row, _csv_field)},{sampled}"
+        with _file_named("--out", args.out):
+            _write_csv(args.out, [*_CSV_HEADER, "rate_mc_hz", "stderr_hz", "z"], [line])
     print(f"rng = numpy PCG64, SeedSequence(seed={args.seed}), blocks = {args.blocks}")
     print(f"analytic rate = {_g8(row.rate_per_memory_hz)} Hz per memory")
     print(f"finite-window mean = {_g8(expected.rate_per_memory_hz)} Hz ({args.blocks} blocks)")
     print(f"exact std error = {_g8(expected.std_error_hz)} Hz ({est.trials} trials)")
     print(f"simulated     = {_g8(est.rate_per_memory_hz)} +/- {_g8(est.std_error_hz)} Hz ({est.trials} trials)")
     print(f"|z| = {z:.2f} sigma")
-    if args.out:
-        sampled = f"{_g8(est.rate_per_memory_hz)},{_g8(est.std_error_hz)},{z:.3f}"
-        line = f"{_format_row(_CSV_ROW, row, _csv_field)},{sampled}"
-        _write_csv(args.out, [*_CSV_HEADER, "rate_mc_hz", "stderr_hz", "z"], [line])
     return 0 if z <= 3.0 else 1
 
 
@@ -501,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("operating-point", help="solve for the smallest workable raw fidelity")
     _add_point_flags(p)
-    p.add_argument("--target", type=float, default=0.95, help="final-fidelity target")
+    p.add_argument("--target", type=float, default=_TARGET_F_FINAL, help="final-fidelity target")
     p.set_defaults(func=cmd_operating_point)
 
     p = sub.add_parser("oracle-verify", help="cross-check closed forms against brute force")
@@ -524,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("report", help="canonical operating points and station throughput")
-    p.add_argument("--target", type=float, default=0.95, help="final-fidelity target")
+    p.add_argument("--target", type=float, default=_TARGET_F_FINAL, help="final-fidelity target")
     p.set_defaults(func=cmd_report)
 
     return parser

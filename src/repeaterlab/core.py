@@ -97,7 +97,7 @@ class HardwareParams(
             raise ValueError(f"fiber_speed_m_per_s must be finite and > 0, got {fiber_speed_m_per_s}")
 
 
-def transmittance(length_km: float, attenuation_length_km: float = ATTENUATION_LENGTH_KM) -> float:
+def transmittance(length_km: float, attenuation_length_km: float) -> float:
     """Fiber transmittance eta = exp(-l / L_att) over ``length_km``."""
     if not length_km >= 0.0:
         raise ValueError(f"length_km must be >= 0, got {length_km}")

@@ -200,15 +200,6 @@ def _gate_program(control: int, target: int, gate: str, variant: GateErrorVarian
 _ROUND_PROGRAMS = {v: _gate_program(0, 2, "CNOT", v) + _gate_program(1, 3, "CNOT", v) for v in GateErrorVariant}
 
 
-def _gate_variant(variant: object) -> GateErrorVariant:
-    """A variant member, or its value string; anything else is a ValueError."""
-    try:
-        return GateErrorVariant(variant)
-    except ValueError:
-        names = ", ".join(v.value for v in GateErrorVariant)
-        raise ValueError(f"variant must be one of {names}, got {variant!r}") from None
-
-
 def _check_gate_error(q_g: float) -> None:
     if not 0.0 <= q_g < 0.5:
         raise ValueError(f"q_g must lie in [0, 1/2), got {q_g}")
@@ -250,7 +241,7 @@ def _purify_rotated(rotated: np.ndarray, q_g: float, variants: tuple) -> list[Pu
 
 
 def simulate_purification_round(
-    s: BellDiagonal, q_g: float, variant: GateErrorVariant | str = GateErrorVariant.ZCXT_AFTER
+    s: BellDiagonal, q_g: float, variant: GateErrorVariant = GateErrorVariant.ZCXT_AFTER
 ) -> PurifyOutcome:
     """One purification round as an explicit 16x16 circuit.
 
@@ -258,10 +249,11 @@ def simulate_purification_round(
     A side (qubits 0, 2), conjugate rotations on the B side (1, 3); noisy
     CNOTs 0 -> 2 and 1 -> 3; qubits 2 and 3 measured in the computational
     basis keeping the even-parity branches; surviving pair Bell-projected.
-    ``variant`` may also be given by its value string.
     """
     _check_gate_error(q_g)
-    variant = _gate_variant(variant)
+    if not isinstance(variant, GateErrorVariant):
+        names = ", ".join(v.value for v in GateErrorVariant)
+        raise ValueError(f"variant must be one of {names}, got {variant!r}")
     return _purify_rotated(_rotated_copies(s), q_g, (variant,))[0]
 
 

@@ -122,10 +122,12 @@ class ProtocolConfig(
         # one clock rule: the largest rate, at P0 P_k = 1 + _COEFF_TOL (PurifyOutcome's tolerance),
         # lies in (0, inf).  _rate's denominator fl(fl(n 2^k) (k/2 + 1)) T0 has a factor >= k/2 + 1
         # and >= k + 1, and rounding is monotone, so it overflows, and the rate reads 0, whenever
-        # the pump window t_k = (k/2 + 1) T0 or the (k + 1) T0 in the css window t'_k does
+        # the pump window t_k = (k/2 + 1) T0 or the (k + 1) T0 in the css window t'_k does.
+        # n 2^k <= 1029 * 2^MAX_ROUNDS is always a float, and a T0 past the float range makes the
+        # denominator inf and the rate 0 without raising, so only T0 = 0 raises
         try:
             top = _rate(code.n, rounds, timing(self).t0_s, 1.0 + _COEFF_TOL, 1.0)
-        except ArithmeticError:  # T0 = 0, or n 2^k past the float range
+        except ZeroDivisionError:  # T0 = 0
             top = math.inf
         if not 0.0 < top < math.inf:
             raise ValueError(

@@ -44,7 +44,9 @@ class TestBellDiagonal:
     def test_tuple_and_fidelity(self):
         s = BellDiagonal(0.7, 0.1, 0.15, 0.05)
         assert s.as_tuple() == (0.7, 0.1, 0.15, 0.05)
-        assert s.fidelity == 0.7
+        assert s.a == 0.7  # the fidelity to phi+, read as the field itself
+        with pytest.raises(AttributeError):
+            s.fidelity
         assert s.total() == pytest.approx(1.0)
 
     def test_subnormalized_allowed(self):

@@ -23,11 +23,11 @@ from repeaterlab.cli import (
     _KEYS,
     _PLAN_MAX_N,
     _z_score,
+    build_parser,
     emit_csv,
     emit_gnuplot,
     main,
     parse_config,
-    render_config,
     report_operating_points,
     to_protocol_config,
 )
@@ -80,6 +80,17 @@ FROZEN_GRID = [
 # labels that need quoting, or none, and floats at the edges of :.8g
 _CSV_LABELS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "[", "]", "3", "\u00e9"]), max_size=6)
 _CSV_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]), st.floats())
+
+
+def render_config(cases) -> str:
+    """Config text that parse_config reads back as ``cases``: one [case] section each, unset keys left out."""
+    lines = []
+    for case in cases:
+        lines.append(f"[case {case.name}]")
+        # the exclusivity rule re-clears the other fidelity source
+        lines += [f"{key} = {getattr(case, key)}" for key in _KEYS if getattr(case, key) is not None]
+        lines.append("")
+    return "\n".join(lines)
 
 
 def _sha256(data: str | bytes) -> str:
@@ -473,6 +484,9 @@ class TestReport:
 
     def test_canonical_rows(self, capsys):
         points = report_operating_points(0.95)
+        # the paper's target is both commands' default
+        assert build_parser().parse_args(["report"]).target == 0.95
+        assert build_parser().parse_args(["operating-point"]).target == 0.95
         assert list(points) == self.NAMES[:3]
         assert all(op.feasible for op in points.values())
         golay_rate = points["golay"].result.rate_per_memory_hz
@@ -837,10 +851,37 @@ class TestMain:
             assert message in capsys.readouterr().err
             assert not (tmp_path / "x.csv").exists()  # nothing is written before every case is checked
 
-    def test_rate_sweep_missing_file_exits_2(self, tmp_path, capsys):
-        rc = main(["rate-sweep", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, flag, path, reason",
+        [
+            pytest.param(
+                ["rate-sweep", "--config", "nope.cfg", "--out", "x.csv"], "--config", "nope.cfg",
+                "No such file or directory", id="config-missing",
+            ),
+            pytest.param(
+                ["rate-sweep", "--config", ".", "--out", "x.csv"], "--config", ".", "Is a directory",
+                id="config-directory",
+            ),
+            pytest.param(
+                ["rate-sweep", "--config", "grid.cfg", "--out", "no/x.csv"], "--out", "no/x.csv",
+                "No such file or directory", id="out",
+            ),
+            pytest.param(
+                ["rate-sweep", "--config", "grid.cfg", "--out", "x.csv", "--gnuplot", "no/x.dat"], "--gnuplot",
+                "no/x.dat", "No such file or directory", id="gnuplot",
+            ),
+            pytest.param(
+                ["montecarlo", "--trials", "10", "--out", "no/m.csv"], "--out", "no/m.csv",
+                "No such file or directory", id="montecarlo-out",
+            ),
+        ],
+    )
+    def test_file_error_names_its_flag(self, tmp_path, capsys, monkeypatch, argv, flag, path, reason):
+        # montecarlo writes its CSV before it prints, so a bad path prints nothing to stdout
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "grid.cfg").write_text("code = [3,1,3]\n")
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} {path!r}: {reason}\n")
 
     @pytest.mark.parametrize("text", [SWEEP_TEXT, "code = [7,1,3]\nrounds = 1\n"], ids=["comment-first", "key-first"])
     def test_rate_sweep_ignores_a_byte_order_mark(self, tmp_path, capsys, text):

@@ -38,7 +38,12 @@ class TestTransmittance:
         with pytest.raises(ValueError):
             transmittance(-1.0, 25.5)
         with pytest.raises(ValueError, match="^length_km must be >= 0, got nan$"):
-            transmittance(math.nan)
+            transmittance(math.nan, 25.5)
+
+    def test_attenuation_length_is_required(self):
+        # the config owns the fiber and passes its length
+        with pytest.raises(TypeError):
+            transmittance(20.0)
 
 
 class TestInitialFidelity:

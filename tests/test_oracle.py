@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -346,13 +347,12 @@ class TestPurificationCircuit:
         dev = max(abs(x - y) for x, y in zip(sim.state.as_tuple(), ref.state.as_tuple()))
         assert dev > 1e-4
 
-    def test_round_takes_variant_value_string(self):
-        s = BellDiagonal(0.8, 0.1, 0.06, 0.04)
-        by_name = simulate_purification_round(s, 0.1, "zz_before")
-        assert by_name == simulate_purification_round(s, 0.1, GateErrorVariant.ZZ_BEFORE)
-        assert by_name != simulate_purification_round(s, 0.1, GateErrorVariant.ZCXT_AFTER)
-        with pytest.raises(ValueError, match="variant"):
-            simulate_purification_round(s, 0.1, "zz_sideways")
+    @pytest.mark.parametrize("variant", ["zz_before", "z_control_x_target_after", "zz_sideways", None])
+    def test_round_takes_only_variant_members(self, variant):
+        # a value string is refused like any other non-member
+        names = "zz_before, zz_after, z_control_x_target_before, z_control_x_target_after"
+        with pytest.raises(ValueError, match=rf"^variant must be one of {names}, got {re.escape(repr(variant))}$"):
+            simulate_purification_round(BellDiagonal(0.8, 0.1, 0.06, 0.04), 0.1, variant)
 
     @pytest.mark.parametrize("q_g", [-0.01, 0.5, math.nan])
     def test_gate_error_domain(self, q_g):
