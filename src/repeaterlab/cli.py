@@ -246,11 +246,11 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-3]  # drop the empty last field and the CRLF
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[str]) -> None:
-    """Write ``header`` and formatted ``rows`` in one call, in csv.writer's dialect: commas, CRLF line ends."""
-    # the empty last line ends the last row in CRLF too
+def _write_table(path: str, lines: Sequence[str], end: str = "\r\n") -> None:
+    """The one file writer: ``lines`` in one call, each ended by ``end`` (csv.writer's CRLF by default)."""
+    # the empty last item ends the last line too
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(header), *rows, ""]))
+        fh.write(end.join([*lines, ""]))
 
 
 def emit_csv(results: Sequence[SweepResult], path: str) -> None:
@@ -259,15 +259,12 @@ def emit_csv(results: Sequence[SweepResult], path: str) -> None:
     The bytes are csv.writer's, minimal quoting included: only the two
     label columns can need quotes, so each distinct label asks the writer once.
     """
-    _write_csv(path, _CSV_HEADER, [_format_row(_CSV_ROW, r, _csv_field) for r in results])
+    _write_table(path, [",".join(_CSV_HEADER), *[_format_row(_CSV_ROW, r, _csv_field) for r in results]])
 
 
 def emit_gnuplot(results: Sequence[SweepResult], path: str) -> None:
-    """Companion whitespace-separated table for gnuplot."""
-    with open(path, "w") as fh:
-        fh.write("# " + " ".join(_CSV_HEADER) + "\n")
-        for r in results:
-            fh.write(_format_row(_GNUPLOT_ROW, r) + "\n")
+    """Companion whitespace-separated table for gnuplot, with LF line ends."""
+    _write_table(path, ["# " + " ".join(_CSV_HEADER), *[_format_row(_GNUPLOT_ROW, r) for r in results]], "\n")
 
 
 # k = 2 over L = 1280 km in L0 = 20 km segments: the CaseSpec defaults
@@ -357,7 +354,8 @@ def cmd_operating_point(args: argparse.Namespace) -> int:
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
     from .oracle import (  # needs numpy
-        _ENUM_MAX_N, GateErrorVariant, enumerate_logical_error, match_gate_variant, simulate_swapping,
+        _ENUM_MAX_N, _ENUM_TOL, _SWAP_TOL, GateErrorVariant, enumerate_logical_error, match_gate_variant,
+        simulate_swapping,
     )
 
     report = match_gate_variant()
@@ -369,14 +367,14 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
     s = BellDiagonal(0.85, 0.07, 0.05, 0.03)
     swap_dev = max(abs(x - y) for x, y in zip(simulate_swapping(s), swap_ideal(s)))
     print(f"swap circuit vs closed form          max deviation {swap_dev:.3e}")
-    ok = ok and swap_dev <= 1e-10
+    ok = ok and swap_dev <= _SWAP_TOL
 
     for code in code_catalog():
         if code.n > _ENUM_MAX_N:
             continue
         dev = abs(enumerate_logical_error(code, 0.05) - logical_error_prob(code, 0.05))
         print(f"enumeration vs tail sum {code.label:12s} deviation {dev:.3e}")
-        ok = ok and dev <= 1e-12
+        ok = ok and dev <= _ENUM_TOL
     print("oracle-verify:", "ok" if ok else "FAILED")
     return 0 if ok else 1
 
@@ -433,16 +431,16 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     if row.error is not None:
         raise ValueError(row.error)
     mc = McConfig(p0=1.0, blocks=args.blocks, rounds=cfg.rounds, trials=args.trials, seed=args.seed)
-    est = simulate_rate(cfg, row.f, mc)
-    # the sample is judged against its own finite-window mean and exact
-    # standard error, not the closed form and the sample's own spread
+    # the sample is judged against its exact finite-window mean and standard error, not the
+    # closed form and its own spread; they come first, so too many blocks exit before sampling
     expected = finite_window_estimate(cfg, row.f, mc)
+    est = simulate_rate(cfg, row.f, mc)
     z = _z_score(est.rate_per_memory_hz, expected.rate_per_memory_hz, expected.std_error_hz)
     if args.out:  # written first, so that an unwritable path exits before anything is printed
         sampled = f"{_g8(est.rate_per_memory_hz)},{_g8(est.std_error_hz)},{z:.3f}"
         line = f"{_format_row(_CSV_ROW, row, _csv_field)},{sampled}"
         with _file_named("--out", args.out):
-            _write_csv(args.out, [*_CSV_HEADER, "rate_mc_hz", "stderr_hz", "z"], [line])
+            _write_table(args.out, [",".join([*_CSV_HEADER, "rate_mc_hz", "stderr_hz", "z"]), line])
     print(f"rng = numpy PCG64, SeedSequence(seed={args.seed}), blocks = {args.blocks}")
     print(f"analytic rate = {_g8(row.rate_per_memory_hz)} Hz per memory")
     print(f"finite-window mean = {_g8(expected.rate_per_memory_hz)} Hz ({args.blocks} blocks)")

@@ -38,6 +38,8 @@ _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 _MATCH_TOL = 1e-10
+_SWAP_TOL = 1e-10  # oracle-verify: the swap circuit against swap_ideal
+_ENUM_TOL = 1e-12  # oracle-verify: enumeration against the binomial tail sum
 _ENUM_MAX_N = 15  # enumerate_logical_error walks at most 2^15 patterns
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)

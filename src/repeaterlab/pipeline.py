@@ -177,7 +177,6 @@ class SweepResult(NamedTuple):
     p0: float = math.nan
     p_k: float = math.nan
     rate_per_memory_hz: float = math.nan
-    t_wait_s: float = math.nan
     error: str | None = None
 
 
@@ -320,8 +319,7 @@ def _row(
     code, hw = cfg.code, cfg.hardware
     return _tuple_new(SweepResult, (
         code.label, code.family, cfg.rounds, hw.memory_coherence_s, 1.0 - hw.local_transmission,
-        cfg.total_distance_km, cfg.segment_km, f, f_final, p0, p_k, rate,
-        tm.t_purify_s if code.family == "repetition" else tm.t_half_s, error,
+        cfg.total_distance_km, cfg.segment_km, f, f_final, p0, p_k, rate, error,
     ))
 
 

@@ -31,7 +31,7 @@ from repeaterlab.cli import (
     report_operating_points,
     to_protocol_config,
 )
-from repeaterlab import oracle
+from repeaterlab import montecarlo, oracle
 from repeaterlab.codes import code_catalog
 from repeaterlab.pipeline import SweepResult, evaluate
 
@@ -1062,10 +1062,21 @@ class TestMain:
         assert capsys.readouterr() == ("", f"error: {field} must be at most 2**63 - 1, got {value}\n")
 
     def test_montecarlo_blocks_past_the_pmf_names_the_field(self, capsys):
-        # the largest count numpy draws overflows the finite-window pmf's first term
+        # the largest count numpy draws is past the exact estimate's 2^24-block walk
         assert main(["montecarlo", "--blocks", str(2**63 - 1), "--trials", "2"]) == 2
         assert capsys.readouterr() == (
-            "", "error: blocks must keep the finite-window binomial pmf finite, got 9223372036854775807\n"
+            "", "error: blocks must be at most 2**24 for the exact finite-window estimate, got 9223372036854775807\n"
+        )
+
+    def test_montecarlo_refuses_blocks_before_it_samples(self, capsys, monkeypatch):
+        # the exact estimate runs first, so a count past its walk draws nothing
+        def no_draw(*args):
+            raise AssertionError("sampled before the exact estimate refused the block count")
+
+        monkeypatch.setattr(montecarlo, "simulate_rate", no_draw)
+        assert main(["montecarlo", "--blocks", str(10**12), "--trials", "2"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: blocks must be at most 2**24 for the exact finite-window estimate, got 1000000000000\n"
         )
 
     def test_montecarlo_trials_past_memory_names_the_field(self, capsys, monkeypatch):

@@ -363,11 +363,12 @@ def test_no_module_calls_a_benchmark_only_name():
 
 # names deleted as surface that did no work: the oracle's hand-held gate API and
 # its qubit-index guard, which no command or workload ran, HardwareParams'
-# one-line q_g wrapper, whose one caller calls gate_error_prob, and the config
-# writer that only tests called
+# one-line q_g wrapper, whose one caller calls gate_error_prob, the config
+# writer that only tests called, the row's storage-window column, which nothing
+# read, and the CSV-only writer that _write_table replaced
 RETIRED = {
     "apply_dephasing", "apply_noisy_two_qubit_gate", "bell_diagonal_projection", "from_bell_diagonal",
-    "num_qubits", "_qubit", "gate_error", "render_config",
+    "num_qubits", "_qubit", "gate_error", "render_config", "t_wait_s", "_write_csv",
 }
 
 
@@ -511,3 +512,53 @@ def test_transmittance_is_one_expression_that_the_config_checks():
     # a fidelity copy keeps the one attenuation length it already holds
     (replace,) = [n for n in ast.walk(functions["with_fidelity"]) if isinstance(n, ast.Call)]
     assert {keyword.arg for keyword in replace.keywords} == {"fidelity", "channel"}
+
+
+def test_pipeline_maps_a_code_family_to_its_window_in_chain_alone():
+    # _chain picks each family's storage window from timing (t_k or t'_k); the
+    # row holds no window, so nothing else in pipeline asks for the family
+    def compares_a_family(node):
+        return isinstance(node, ast.Compare) and any(
+            getattr(side, "attr", None) == "family" for side in (node.left, *node.comparators)
+        )
+
+    assert [s for s in sites_in_src(compares_a_family) if s.startswith("pipeline.")] == ["pipeline._chain"]
+
+
+def test_every_file_is_written_through_one_helper():
+    # the CSV, the gnuplot table and montecarlo --out go through _write_table,
+    # the one place a file is opened for writing
+    def opens_for_writing(node):
+        if not isinstance(node, ast.Call):
+            return False
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            return True
+        mode = next((k.value for k in node.keywords if k.arg == "mode"), node.args[1] if len(node.args) > 1 else None)
+        return name == "open" and mode is not None and not (
+            isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt")
+        )
+
+    def calls_the_writer(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write_table"
+
+    assert sites_in_src(opens_for_writing) == ["cli._write_table"]
+    assert sites_in_src(calls_the_writer) == ["cli.emit_csv", "cli.emit_gnuplot", "cli.cmd_montecarlo"]
+
+
+def test_oracle_verify_reads_the_oracles_tolerances():
+    # the swap and enumeration thresholds live in oracle beside _MATCH_TOL;
+    # the verdict compares against them and writes no threshold of its own
+    from repeaterlab import oracle
+
+    cli = ast.parse(Path(repeaterlab.__file__).with_name("cli.py").read_text())
+    (verify,) = (n for n in cli.body if isinstance(n, ast.FunctionDef) and n.name == "cmd_oracle_verify")
+    compares = [n for n in ast.walk(verify) if isinstance(n, ast.Compare)]
+    assert not [
+        side for c in compares for side in (c.left, *c.comparators)
+        if isinstance(side, ast.Constant) and isinstance(side.value, float)
+    ]
+    bounds = [c.comparators[0].id for c in compares if isinstance(c.ops[0], ast.LtE)]
+    assert bounds == ["_SWAP_TOL", "_ENUM_TOL"]
+    assert set(bounds) <= imports_from(verify, "oracle")
+    assert (oracle._SWAP_TOL, oracle._ENUM_TOL) == (1e-10, 1e-12)

@@ -211,11 +211,25 @@ class TestFiniteWindowEstimate:
         assert peak < 100_000
 
     def test_pmf_overflow_names_blocks(self):
-        # at 2^63 - 1 blocks the lgamma terms of the walk's first pmf term
-        # cancel to an exponent past the float range, so this returns at once
+        # past 2^24 blocks the walk is refused before it starts: at 2^63 - 1
+        # the lgamma terms of its first pmf term once overflowed a float
         with pytest.raises(ValueError) as info:
             finite_window_estimate(make_cfg(rounds=2), 0.95, McConfig(1.0, 2**63 - 1, 2, 2))
-        assert str(info.value) == "blocks must keep the finite-window binomial pmf finite, got 9223372036854775807"
+        assert str(info.value) == (
+            "blocks must be at most 2**24 for the exact finite-window estimate, got 9223372036854775807"
+        )
+
+    def test_walk_stops_at_2_to_the_24_blocks(self):
+        # at the cap lgamma's cancellation still keeps the mean within a
+        # relative 5e-8 of its many-blocks form (1.5 pairs short of s p0, as
+        # in test_rises_to_the_closed_form); one block more is refused
+        cfg = make_cfg(rounds=2)
+        pinned = with_fidelity(cfg, 0.95)
+        limit = rate_purified(pinned) * (1.0 - 1.5 / (2**24 * heralding_probability(pinned)))
+        got = finite_window_estimate(cfg, 0.95, McConfig(1.0, 2**24, 2, 1)).rate_per_memory_hz
+        assert got == pytest.approx(limit, rel=5e-8)
+        with pytest.raises(ValueError, match=r"^blocks must be at most 2\*\*24 .*, got 16777217$"):
+            finite_window_estimate(cfg, 0.95, McConfig(1.0, 2**24 + 1, 2, 1))
 
     def test_zero_supply_has_no_spread(self):
         got = finite_window_estimate(make_cfg(rounds=2), 1.0, McConfig(1.0, 64, 2, 10))

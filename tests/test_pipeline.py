@@ -75,7 +75,7 @@ CHANNELS = [(20.0, 20.0, 0.01), (10.0, 200.0, 0.01)]
 SATURATED_CHANNEL = (20.0, 1e6, 1.0)
 ROW_FIELDS = (
     "code_label", "family", "rounds", "tau_c_s", "one_minus_t", "total_distance_km",
-    "segment_km", "f", "f_final", "p0", "p_k", "rate_per_memory_hz", "t_wait_s", "error",
+    "segment_km", "f", "f_final", "p0", "p_k", "rate_per_memory_hz", "error",
 )
 
 
@@ -100,11 +100,20 @@ def catalog_grid():
     return cfgs
 
 
-def row_digest(rows):
+def storage_window(cfg):
+    """The storage window of ``cfg``'s code family, from timing: t_k for repetition, t'_k for css."""
+    tm = timing(cfg)
+    return tm.t_purify_s if cfg.code.family == "repetition" else tm.t_half_s
+
+
+def row_digest(rows, cfgs):
+    # the family's storage window is hashed just before the error, in the
+    # slot of the row's retired t_wait_s column, so the digest keeps its value
     h = hashlib.sha256()
-    for row in rows:
-        for name in ROW_FIELDS:
-            value = getattr(row, name)
+    for row, cfg in zip(rows, cfgs, strict=True):
+        values = [getattr(row, name) for name in ROW_FIELDS]
+        values.insert(-1, storage_window(cfg))
+        for value in values:
             h.update((value.hex() if isinstance(value, float) else str(value)).encode())
             h.update(b"\x1f")
         h.update(b"\n")
@@ -278,7 +287,7 @@ class TestAcceptedDomain:
         row = evaluate(cfg)
         assert not (row.error or "").startswith(("eta", "gate error")), row.error
         if row.error is None:
-            numbers = (row.f, row.f_final, row.p0, row.p_k, row.rate_per_memory_hz, row.t_wait_s)
+            numbers = (row.f, row.f_final, row.p0, row.p_k, row.rate_per_memory_hz)
             assert all(map(math.isfinite, numbers)), row
 
 
@@ -808,12 +817,13 @@ class TestSweep:
     def test_catalog_grid_frozen(self):
         # every reported number, bit for bit, as first computed by the
         # three-chain pipeline; errored rows keep their messages
-        rows = sweep(catalog_grid())
+        cfgs = catalog_grid()
+        rows = sweep(cfgs)
         assert len(rows) == 144
         assert [r.error for r in rows if r.error is not None] == [
             "fidelity must lie in (1/2, 1], got 0.5"
         ] * 2
-        assert row_digest(rows) == "7b79f48e29a15f9371b5764e153d3f6ec8dae6a7b5c6672fd6320cc450f81107"
+        assert row_digest(rows, cfgs) == "7b79f48e29a15f9371b5764e153d3f6ec8dae6a7b5c6672fd6320cc450f81107"
 
     def test_empty(self):
         assert sweep([]) == []
@@ -824,6 +834,8 @@ class TestSweep:
         assert row.rounds == 2
         assert row.tau_c_s == 0.1
         assert row.one_minus_t == pytest.approx(1e-3, rel=1e-9)
-        # css rows wait the storage window t'_k, repetition rows t_k
-        assert row.t_wait_s == pytest.approx(3e-4, rel=1e-12)
-        assert evaluate(make_cfg("[3,1,3]")).t_wait_s == pytest.approx(4e-4, rel=1e-12)
+        # the row holds no window (13 fields): timing owns them, and a css
+        # code stores over t'_k, a repetition code over t_k
+        assert row._fields == ROW_FIELDS
+        assert timing(make_cfg("[23,1,7]")).t_half_s == pytest.approx(3e-4, rel=1e-12)
+        assert timing(make_cfg("[3,1,3]")).t_purify_s == pytest.approx(4e-4, rel=1e-12)
