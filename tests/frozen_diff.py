@@ -1,13 +1,15 @@
-"""Show which frozen pipeline values moved between two source trees, and by how much.
+"""Show which frozen values moved between two source trees, and by how much.
 
-The catalog-grid and operating-point-map digests in ``test_pipeline.py``
-say only *that* a value moved.  This script evaluates the same two suites,
-``sweep(catalog_grid())`` and ``solve_map()``, under two source trees, one
-subprocess each with ``PYTHONPATH`` set to ``<tree>/src``.  The inputs are
-always this directory's ``test_pipeline.py``, so both trees price the same
-configs.  For each suite it prints the rows compared and changed, the
-largest absolute, relative and ulp change, the first changed row, and any
-column present on one side only.
+The digests in ``test_pipeline.py`` and ``test_frozen_outputs.py`` say only
+*that* a value moved.  This script evaluates the same suites under two
+source trees, one subprocess each with ``PYTHONPATH`` set to
+``<tree>/src``: the pipeline's ``sweep(catalog_grid())`` and ``solve_map()``,
+one row per config or solve, and the six generators of
+``test_frozen_outputs.SUITES`` (oracles, Monte Carlo, qubus verdicts), one
+row per value they hash.  The inputs are always this directory's test
+files, so both trees see the same inputs.  For each suite it prints the
+rows compared and changed, the largest absolute, relative and ulp change,
+the first changed row, and any column present on one side only.
 
     python tests/frozen_diff.py OLD_TREE NEW_TREE
 
@@ -26,12 +28,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-SUITES = ("catalog", "map")
-
-
 def _dump() -> None:
-    """Child side: both suites of the importable repeaterlab, as JSON on stdout."""
+    """Child side: every suite of the importable repeaterlab, as JSON on stdout."""
     import repeaterlab
+    import test_frozen_outputs as tf
     import test_pipeline as tp
 
     catalog = [row._asdict() for row in tp.sweep(tp.catalog_grid())]
@@ -43,11 +43,12 @@ def _dump() -> None:
                 "tau_c": tau_c, "one_minus_t": one_minus_t, "code": label, "k": k, "feasible": op.feasible,
                 "operating_fidelity": op.operating_fidelity, "max_f_final": op.max_f_final, **result,
             })
-    json.dump({"package": repeaterlab.__file__, "catalog": catalog, "map": solves}, sys.stdout)
+    frozen = {suite: [{"value": x} for x in outputs()] for suite, (outputs, _) in tf.SUITES.items()}
+    json.dump({"package": repeaterlab.__file__, "suites": {"catalog": catalog, "map": solves, **frozen}}, sys.stdout)
 
 
 def evaluate_tree(tree: str) -> subprocess.Popen:
-    """Start the child that evaluates both suites under ``tree``'s ``src``."""
+    """Start the child that evaluates every suite under ``tree``'s ``src``."""
     env = {**os.environ, "PYTHONPATH": str(Path(tree, "src").resolve())}
     return subprocess.Popen(
         [sys.executable, __file__, "--dump"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
@@ -114,12 +115,13 @@ def compare(old: list[dict], new: list[dict]) -> dict:
 
 def report(results: dict[str, dict]) -> list[str]:
     """The comparison table, then each suite's first changed row."""
-    lines = [f"{'suite':8s} {'rows':>9s} {'changed':>7s} {'max_abs':>9s} {'max_rel':>9s} {'max_ulp':>7s}  one side only"]
+    width = max(map(len, ["suite", *results]))
+    lines = [f"{'suite':{width}s} {'rows':>9s} {'changed':>7s} {'max_abs':>9s} {'max_rel':>9s} {'max_ulp':>7s}  one side only"]
     for suite, r in results.items():
         rows = str(r["rows"][0]) if r["rows"][0] == r["rows"][1] else "{}/{}".format(*r["rows"])
         sides = [f"{c} (old only)" for c in r["old_only"]] + [f"{c} (new only)" for c in r["new_only"]]
         lines.append(
-            f"{suite:8s} {rows:>9s} {r['changed']:>7d} {r['max_abs']:>9.3g} {r['max_rel']:>9.3g} "
+            f"{suite:{width}s} {rows:>9s} {r['changed']:>7d} {r['max_abs']:>9.3g} {r['max_rel']:>9.3g} "
             f"{r['max_ulp']:>7}  {', '.join(sides) or '-'}"
         )
     for suite, r in results.items():
@@ -139,7 +141,7 @@ def main(argv: list[str]) -> int:
         return 2
     procs = [evaluate_tree(tree) for tree in argv]  # the two trees run side by side
     old, new = (_collect(p, t) for p, t in zip(procs, argv))
-    results = {suite: compare(old[suite], new[suite]) for suite in SUITES}
+    results = {suite: compare(rows, new["suites"][suite]) for suite, rows in old["suites"].items()}
     print("\n".join(report(results)))
     moved = any(r["changed"] or r["rows"][0] != r["rows"][1] for r in results.values())
     return 1 if moved else 0

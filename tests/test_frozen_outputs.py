@@ -145,17 +145,19 @@ def _montecarlo_outputs():
                 yield estimate.std_error_hz
 
 
-@pytest.mark.parametrize(
-    "outputs, want",
-    [
-        (_purification_outputs, "aef346b0a3654e026dc1fd732ec575df70c5aede6f5cc6e79fa3565726888554"),
-        (_variant_rows, "ae98534cc96eaaa2ade4cecc1fe1ddb07b9b7a901e1399d3eddab412401d9d24"),
-        (_swap_outputs, "0a290a4a1027c8011d1944d019418c398a276b29cfde1ad8d38212aeecee03a1"),
-        (_enumeration_outputs, "e8aa95455445a59d3238661db7bbf174b4d3bf6b171c0e6bdf97857e8b78d0e8"),
-        (_montecarlo_outputs, "0613504ddd1f61adf9e4e873c7874da0dcefe89e40b2d42223e0447f445f9165"),
-        (_qubus_verdicts, "1357ded75a2fa9f10d9f86076530b2ad35cf99d2c8676a4301a0670e019a4134"),
-    ],
-    ids=["purification", "variant_rows", "swapping", "enumeration", "montecarlo", "phases_distinct"],
-)
-def test_outputs_frozen(outputs, want):
+# each suite's generator and the digest of its values; tests/frozen_diff.py
+# runs the same generators under two source trees and compares them value by value
+SUITES = {
+    "purification": (_purification_outputs, "aef346b0a3654e026dc1fd732ec575df70c5aede6f5cc6e79fa3565726888554"),
+    "variant_rows": (_variant_rows, "ae98534cc96eaaa2ade4cecc1fe1ddb07b9b7a901e1399d3eddab412401d9d24"),
+    "swapping": (_swap_outputs, "0a290a4a1027c8011d1944d019418c398a276b29cfde1ad8d38212aeecee03a1"),
+    "enumeration": (_enumeration_outputs, "e8aa95455445a59d3238661db7bbf174b4d3bf6b171c0e6bdf97857e8b78d0e8"),
+    "montecarlo": (_montecarlo_outputs, "0613504ddd1f61adf9e4e873c7874da0dcefe89e40b2d42223e0447f445f9165"),
+    "phases_distinct": (_qubus_verdicts, "1357ded75a2fa9f10d9f86076530b2ad35cf99d2c8676a4301a0670e019a4134"),
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_outputs_frozen(suite):
+    outputs, want = SUITES[suite]
     assert _digest(outputs()) == want

@@ -313,6 +313,48 @@ class TestIndependence:
             ("codes", "Code"),
         }
 
+    def test_every_matrix_product_goes_through_product(self):
+        # a bare complex product leaves the vector unit slow for the code that
+        # runs next (see _product), so no other function multiplies matrices.
+        # eigvalsh in DensityMatrix.__init__ is the one other BLAS/LAPACK call:
+        # measured after a 16x16 eigvalsh, simulate_rate ran at its clean speed
+        products = {"matmul", "dot", "vdot", "einsum", "inner", "tensordot"}
+        found = set()
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, f"{owner}.{child.name}".lstrip("."))
+                    continue
+                if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult):
+                    found.add((owner, "@"))
+                elif isinstance(child, ast.Attribute) and (
+                    child.attr in products or ast.unparse(child.value) in ("np.linalg", "numpy.linalg")
+                ):
+                    found.add((owner, ast.unparse(child)))
+                visit(child, owner)
+
+        visit(ast.parse(Path(oracle.__file__).read_text()), "")
+        assert found == {("_product", "np.matmul"), ("DensityMatrix.__init__", "np.linalg.eigvalsh")}
+
+
+class TestProduct:
+    @pytest.mark.parametrize(
+        "shapes",
+        [((4, 4),) * 3, ((16, 16),) * 3, ((4, 4), (5, 4, 4), (4, 4))],
+        ids=["4x4", "16x16", "stacked-middle"],
+    )
+    def test_is_bitwise_the_matmul_chain(self, shapes):
+        rng = np.random.default_rng(20111105)
+        a, b, c = (rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes)
+        got, want = oracle._product(a, b, c), a @ b @ c
+        assert got.shape == want.shape
+
+        def bits(m):
+            return [(float.hex(z.real), float.hex(z.imag)) for z in m.ravel().tolist()]
+
+        assert bits(got) == bits(want)
+
 
 class TestPurificationCircuit:
     def test_noiseless_equals_recursion(self):
