@@ -1,15 +1,13 @@
 """Show which frozen values moved between two source trees, and by how much.
 
-The digests in ``test_pipeline.py`` and ``test_frozen_outputs.py`` say only
-*that* a value moved.  This script evaluates the same suites under two
-source trees, one subprocess each with ``PYTHONPATH`` set to
-``<tree>/src``: the pipeline's ``sweep(catalog_grid())`` and ``solve_map()``,
-one row per config or solve, and the six generators of
-``test_frozen_outputs.SUITES`` (oracles, Monte Carlo, qubus verdicts), one
-row per value they hash.  The inputs are always this directory's test
-files, so both trees see the same inputs.  For each suite it prints the
-rows compared and changed, the largest absolute, relative and ulp change,
-the first changed row, and any column present on one side only.
+The digests of ``test_frozen_outputs.SUITES`` say only *that* a value
+moved.  This script evaluates every suite of that registry under two source
+trees, one subprocess each with ``PYTHONPATH`` set to ``<tree>/src``, one
+row per row the suite's generator yields (a lone value becomes the column
+``value``).  The inputs are always this directory's test files, so both
+trees see the same inputs.  For each suite it prints the rows compared and
+changed, the largest absolute, relative and ulp change, the first changed
+row, and any column present on one side only.
 
     python tests/frozen_diff.py OLD_TREE NEW_TREE
 
@@ -28,23 +26,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+
 def _dump() -> None:
     """Child side: every suite of the importable repeaterlab, as JSON on stdout."""
     import repeaterlab
-    import test_frozen_outputs as tf
-    import test_pipeline as tp
+    from test_frozen_outputs import SUITES
 
-    catalog = [row._asdict() for row in tp.sweep(tp.catalog_grid())]
-    solves = []
-    for (tau_c, one_minus_t), cell in tp.solve_map().items():
-        for label, k, op in cell:
-            result = {f"result.{name}": value for name, value in op.result._asdict().items()}
-            solves.append({
-                "tau_c": tau_c, "one_minus_t": one_minus_t, "code": label, "k": k, "feasible": op.feasible,
-                "operating_fidelity": op.operating_fidelity, "max_f_final": op.max_f_final, **result,
-            })
-    frozen = {suite: [{"value": x} for x in outputs()] for suite, (outputs, _) in tf.SUITES.items()}
-    json.dump({"package": repeaterlab.__file__, "suites": {"catalog": catalog, "map": solves, **frozen}}, sys.stdout)
+    suites = {
+        suite: [row if isinstance(row, dict) else {"value": row} for row in rows()]
+        for suite, (rows, _) in SUITES.items()
+    }
+    json.dump({"package": repeaterlab.__file__, "suites": suites}, sys.stdout)
 
 
 def evaluate_tree(tree: str) -> subprocess.Popen:

@@ -1,20 +1,31 @@
-"""Frozen bit patterns of the brute-force oracles, the Monte Carlo
-estimators and the qubus verdicts.
+"""The one registry of frozen values: every output the tests pin bit for bit.
 
-Each float is hashed as ``float.hex(x + 0.0)``, so a digest pins every bit
-of every output except the sign of zero; verdicts are hashed as ``True`` or
-``False``.  An engine rewrite of the oracle, of where the Monte Carlo
-estimators read their inputs or of the qubus ledger must keep these
-digests; a physics change that moves one says why in CHANGES.md.
+``SUITES`` maps a suite's name to the generator of its rows and the SHA-256
+digest of their values.  A row is a value or a dict of named values, and
+``_digest`` hashes every value as one line: a float as ``float.hex(x)``, so
+every bit is pinned, the sign of zero included; a bool, int, str or None as
+``str(x)``.  A printout or a written file is split with
+``splitlines(keepends=True)``, so its CRLF and LF bytes stay pinned.
+
+The suites cover the pipeline's catalog grid and operating-point map, the
+brute-force oracles, the Monte Carlo estimators, the qubus verdicts, the
+``parse_config`` corpus and the frozen CLI runs.  An engine rewrite must
+keep every digest; a physics change that moves one says why in CHANGES.md,
+and ``tests/frozen_diff.py`` shows which value moved and by how much.
 """
 
+import contextlib
 import hashlib
+import io
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from repeaterlab.bell_algebra import BellDiagonal
+from repeaterlab.cli import ConfigError, emit_gnuplot, main, parse_config, to_protocol_config
 from repeaterlab.codes import Code, code_catalog
 from repeaterlab.core import ChannelParams, HardwareParams
 from repeaterlab.montecarlo import McConfig, finite_window_estimate, simulate_rate
@@ -25,18 +36,47 @@ from repeaterlab.oracle import (
     simulate_purification_round,
     simulate_swapping,
 )
-from repeaterlab.pipeline import ProtocolConfig
+from repeaterlab.pipeline import ProtocolConfig, evaluate, sweep, timing
 from repeaterlab.qubus import phases_distinct
+from test_cli import FROZEN_GRID, _config_corpus, render_config
+from test_pipeline import catalog_grid, solve_map
 
 SEED = 20111105
 
 
-def _digest(values) -> str:
+def _line(x) -> str:
+    if isinstance(x, float):
+        return float.hex(x)
+    if x is None or isinstance(x, (bool, int, str)):
+        return str(x)
+    raise TypeError(f"no frozen encoding for {type(x).__name__} {x!r}")
+
+
+def _digest(rows) -> str:
     h = hashlib.sha256()
-    for x in values:
-        text = str(x) if isinstance(x, (bool, str)) else float.hex(x + 0.0)
-        h.update(text.encode() + b"\n")
+    for row in rows:
+        for x in row.values() if isinstance(row, dict) else (row,):
+            h.update(_line(x).encode() + b"\n")
     return h.hexdigest()
+
+
+def _catalog_rows():
+    """One row per catalog-grid config: its sweep row and its three timing windows."""
+    cfgs = catalog_grid()
+    for row, cfg in zip(sweep(cfgs), cfgs, strict=True):
+        windows = {f"timing.{name}": value for name, value in timing(cfg)._asdict().items()}
+        yield {**row._asdict(), **windows}
+
+
+def _map_rows():
+    """One row per operating-point solve of the map, with its returned row."""
+    for (tau_c, one_minus_t), cell in solve_map().items():
+        for label, k, op in cell:
+            result = {f"result.{name}": value for name, value in op.result._asdict().items()}
+            yield {
+                "tau_c": tau_c, "one_minus_t": one_minus_t, "code": label, "k": k, "feasible": op.feasible,
+                "operating_fidelity": op.operating_fidelity, "max_f_final": op.max_f_final, **result,
+            }
 
 
 def _states(rng, count):
@@ -145,15 +185,88 @@ def _montecarlo_outputs():
                 yield estimate.std_error_hz
 
 
+def _parse_outcomes():
+    """Each corpus text and --set list with its cases or its exact error, so that a
+    rewrite of the line reader keeps every outcome; about half parse."""
+    for text, overrides in _config_corpus():
+        try:
+            outcome = repr(parse_config(text, overrides))
+        except ConfigError as exc:
+            outcome = f"ConfigError: {exc}"
+        yield {"text": text, "overrides": repr(overrides), "outcome": outcome}
+
+
+def _lines(part, text):
+    for line in text.splitlines(keepends=True):
+        yield {"part": part, "line": line}
+
+
+def _cli_runs(*runs):
+    """Each run's exit code, then every line of its stdout, its stderr and its --out file.
+
+    The runs share a scratch directory that holds FROZEN_GRID's config as
+    ``grid.cfg``; an argv names it as ``{tmp}``, and so do the printouts.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "grid.cfg").write_text(render_config(FROZEN_GRID))
+        for run in runs:
+            argv = [arg.format(tmp=tmp) for arg in run]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            yield {"part": "exit code", "line": rc}
+            yield from _lines("stdout", out.getvalue().replace(tmp, "{tmp}"))
+            yield from _lines("stderr", err.getvalue().replace(tmp, "{tmp}"))
+            if "--out" in argv:
+                yield from _lines("file", Path(argv[argv.index("--out") + 1]).read_bytes().decode())
+
+
+def _gnuplot_lines():
+    """The gnuplot table of FROZEN_GRID's rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "grid.dat")
+        emit_gnuplot([evaluate(to_protocol_config(case)) for case in FROZEN_GRID], str(path))
+        yield from _lines("file", path.read_bytes().decode())
+
+
+# one case of each family, a feasible and an infeasible operating point, and an errored row
+_POINT_RUNS = (
+    ["fidelity", "--code", "[3,1,3]", "--rounds", "2", "--fidelity", "0.95"],
+    ["fidelity", "--code", "[23,1,7]", "--rounds", "1", "--tau-c", "1", "--fidelity", "0.9"],
+    ["fidelity", "--code", "[7,1,3]", "--alpha", "20", "--theta-rad", "0.01"],
+    ["fidelity", "--code", "[7,1,3]", "--alpha", "1e6", "--theta-rad", "0.01"],
+    ["operating-point", "--code", "[25,1,5]", "--tau-c", "1", "--target", "0.9"],
+    ["operating-point", "--code", "[1,1,1]", "--rounds", "0", "--target", "0.9"],
+)
+# both ledgers with both figures; the chained ledgers alone above n = 16; the
+# textbook collision at theta = pi, which exits 1
+_QUBUS_RUNS = (
+    ["qubus-check", "--n", "3", "--theta-rad", "0.01", "--show-plan", "--beta", "90000", "--target-error", "1e-5"],
+    ["qubus-check", "--n", "17", "--theta-rad", "1e-6", "--show-plan"],
+    ["qubus-check", "--n", "2", "--theta-rad", "3.141592653589793"],
+)
+
 # each suite's generator and the digest of its values; tests/frozen_diff.py
 # runs the same generators under two source trees and compares them value by value
 SUITES = {
+    "catalog": (_catalog_rows, "a866b2e9ca3a46ec2d192d17066d6ca794a8019821459000e289ef8b1b2a6283"),
+    "map": (_map_rows, "035a04bb14a99aa47fbd8494ac851895b4ad97a16a77bd8f5771cea8622c0ed8"),
     "purification": (_purification_outputs, "aef346b0a3654e026dc1fd732ec575df70c5aede6f5cc6e79fa3565726888554"),
     "variant_rows": (_variant_rows, "ae98534cc96eaaa2ade4cecc1fe1ddb07b9b7a901e1399d3eddab412401d9d24"),
     "swapping": (_swap_outputs, "0a290a4a1027c8011d1944d019418c398a276b29cfde1ad8d38212aeecee03a1"),
     "enumeration": (_enumeration_outputs, "e8aa95455445a59d3238661db7bbf174b4d3bf6b171c0e6bdf97857e8b78d0e8"),
     "montecarlo": (_montecarlo_outputs, "0613504ddd1f61adf9e4e873c7874da0dcefe89e40b2d42223e0447f445f9165"),
     "phases_distinct": (_qubus_verdicts, "1357ded75a2fa9f10d9f86076530b2ad35cf99d2c8676a4301a0670e019a4134"),
+    "parse_config": (_parse_outcomes, "cb9ad8c0f062ae769891ebbb160cc95349c667c09963cae595f566f0dd180308"),
+    "cli_report": (lambda: _cli_runs(["report"]), "a6bd7c84c964438bea11169523a64205d9df9cbd9ffc09455a019ab7e0550579"),
+    "cli_points": (lambda: _cli_runs(*_POINT_RUNS), "0c452aa21bde1ea8626162255686e8d970fe887ea5868a176d7c2a79b1cd4a7e"),
+    "cli_qubus_check": (lambda: _cli_runs(*_QUBUS_RUNS), "d0ddfa0af018b05d91c91e4d1a9ffb5c9f0b2e83f54a2e9f5a969083dd1a31cf"),
+    "cli_oracle_verify": (lambda: _cli_runs(["oracle-verify"]), "cdf00bb53df12291e6bf5cd6acf271122530f742fb455aa7732dc39cc04b13b9"),
+    "cli_montecarlo": (lambda: _cli_runs(["montecarlo", "--out", "{tmp}/mc.csv"]),
+        "d4f64c36c1cd29e6929ad05d6f5bae9cdb23954be5cd7232fdb5411c835fbfcc"),
+    "cli_gnuplot": (_gnuplot_lines, "14707eed7fc3dfcd8f07836774d9872492aa5c456ca0d443f2000a84f379ef26"),
+    "cli_rate_sweep": (lambda: _cli_runs(["rate-sweep", "--config", "{tmp}/grid.cfg", "--out", "{tmp}/rates.csv"]),
+        "d427fad3d19d6363d86414d5d3e98bcbb56a00c050f97a0982941c62965cba52"),
 }
 
 
