@@ -2,10 +2,8 @@
 
 import contextlib
 import csv
-import hashlib
 import io
 import math
-import random
 import re
 import sys
 from pathlib import Path
@@ -91,10 +89,6 @@ def render_config(cases) -> str:
         lines += [f"{key} = {getattr(case, key)}" for key in _KEYS if getattr(case, key) is not None]
         lines.append("")
     return "\n".join(lines)
-
-
-def _sha256(data: str | bytes) -> str:
-    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
 class TestParseConfig:
@@ -285,70 +279,6 @@ class TestOverrides:
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("", overrides=["rounds=two"])
-
-
-# a seeded corpus of config texts and --set lists: known and unknown keys,
-# none in any case, good and bad values, lines without "=" or starting with
-# it, named, unnamed and unterminated headers, comments, blank lines and
-# whitespace padding; each text draws its own share of bad lines
-_CORPUS_GOOD = {
-    str: ["[3,1,3]", "23,1,7", "[7, 1, 3]", "x", "", "none"],
-    int: ["0", "1", "2", "3", "-1", "1_0", "٣", "1001", "+2"],
-    float: ["0.95", "0.9", "1e-3", "20", "1280", "1e308", "inf", "nan", "-0.0", "5e-324", "1_0.5"],
-}
-_CORPUS_NONES = ["none", "NONE", "None", "nOnE"]
-_CORPUS_BAD_VALUES = ["x", "", "1e", "3 # note", "0x10", "2.5", "a=b", "1,5", "--1", "none"]
-_CORPUS_BAD_KEYS = ["bogus", "Code", "tau c_s", "", "#rounds", "[case a"]
-_CORPUS_LINES = ["", "# shared", "#rounds = 3", "[case]", "[case a]", "[ case  b c ]", "[case a=b]"]
-_CORPUS_BAD_LINES = [
-    "[grid]", "[ ]", "[]", "[case=]", "[case x", "[case y]]", "just words", "code", "=", "= 3", "==", "rounds",
-]
-_CORPUS_PADS = ["", "", " ", "  ", "\t", "\xa0", "　"]
-
-
-def _corpus_assignment(rng, bad):
-    key = rng.choice(_CORPUS_BAD_KEYS) if rng.random() < bad else rng.choice(list(_KEYS))
-    spec = _KEYS.get(key)
-    if spec is None or rng.random() < bad:
-        return key, rng.choice(_CORPUS_BAD_VALUES)
-    if spec.nullable and rng.random() < 0.3:
-        return key, rng.choice(_CORPUS_NONES)
-    return key, rng.choice(_CORPUS_GOOD[spec.kind])
-
-
-def _config_corpus(count=2000):
-    rng = random.Random(20111105)
-
-    def pad():
-        return rng.choice(_CORPUS_PADS)
-
-    for _ in range(count):
-        bad = rng.choice([0.0, 0.0, 0.03, 0.1, 0.3])
-        lines = []
-        for _ in range(rng.randrange(12)):
-            if rng.random() < 0.7:
-                key, value = _corpus_assignment(rng, bad)
-                lines.append(f"{pad()}{key}{pad()}={pad()}{value}{pad()}")
-            else:
-                lines.append(pad() + rng.choice(_CORPUS_BAD_LINES if rng.random() < bad else _CORPUS_LINES) + pad())
-        overrides = []
-        for _ in range(rng.choice([0, 0, 1, 2])):
-            key, value = _corpus_assignment(rng, bad)
-            overrides.append(f"{pad()}{key}{'' if rng.random() < bad else rng.choice(['=', ' = '])}{value}")
-        yield rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"]), overrides
-
-
-def test_parse_outcomes_frozen():
-    # each text and --set list with its cases or its exact error, so that a
-    # rewrite of the line reader keeps every outcome; about half parse
-    outcomes = []
-    for text, overrides in _config_corpus():
-        try:
-            outcome = repr(parse_config(text, overrides))
-        except ConfigError as exc:
-            outcome = f"ConfigError: {exc}"
-        outcomes.append(f"{text!r} {overrides!r} -> {outcome}")
-    assert _sha256("\n".join(outcomes)) == "bc8d3703ec7e678e52d93cc9f8f8d30e13c18748cf20d81b537c5b2eb58fd326"
 
 
 class TestRenderRoundTrip:
@@ -551,64 +481,6 @@ class TestKeyTable:
         assert [key for key, k in _KEYS.items() if k.nullable] == ["fidelity", "alpha", "theta_rad"]
 
 
-class TestFrozenPrintouts:
-    """SHA-256 digests of the printed outputs that the CSV digest does not cover."""
-
-    def test_report_stdout(self, capsys):
-        assert main(["report"]) == 0
-        assert _sha256(capsys.readouterr().out) == "81d98eccc4092304103319baf06426df8b4c53c85ed13ad9fc3578e6ddeae0fb"
-
-    def test_point_printouts(self, capsys):
-        # one case of each family, a feasible and an infeasible operating
-        # point, and an errored row; each printout follows its exit code
-        runs = [
-            ["fidelity", "--code", "[3,1,3]", "--rounds", "2", "--fidelity", "0.95"],
-            ["fidelity", "--code", "[23,1,7]", "--rounds", "1", "--tau-c", "1", "--fidelity", "0.9"],
-            ["fidelity", "--code", "[7,1,3]", "--alpha", "20", "--theta-rad", "0.01"],
-            ["fidelity", "--code", "[7,1,3]", "--alpha", "1e6", "--theta-rad", "0.01"],
-            ["operating-point", "--code", "[25,1,5]", "--tau-c", "1", "--target", "0.9"],
-            ["operating-point", "--code", "[1,1,1]", "--rounds", "0", "--target", "0.9"],
-        ]
-        printed = ""
-        for argv in runs:
-            rc = main(argv)
-            printed += f"{rc}\n{capsys.readouterr().out}"
-        assert _sha256(printed) == "50617e96a17c4b906dc39a054e2b94d75dc53bc76b6fd6948812303c0eb65234"
-
-    def test_qubus_check_printouts(self, capsys):
-        # both ledgers with both figures; the chained ledgers alone above
-        # n = 16; the textbook collision at theta = pi, which exits 1
-        runs = [
-            ["qubus-check", "--n", "3", "--theta-rad", "0.01", "--show-plan", "--beta", "90000", "--target-error", "1e-5"],
-            ["qubus-check", "--n", "17", "--theta-rad", "1e-6", "--show-plan"],
-            ["qubus-check", "--n", "2", "--theta-rad", "3.141592653589793"],
-        ]
-        printed = ""
-        for argv in runs:
-            rc = main(argv)
-            printed += f"{rc}\n{capsys.readouterr().out}"
-        assert _sha256(printed) == "f07e0877ff578296c6f07f8ef74b5503e0c084e3cd39490caf83ccbdcab522f8"
-
-    def test_oracle_verify_stdout(self, capsys):
-        rc = main(["oracle-verify"])
-        assert _sha256(f"{rc}\n{capsys.readouterr().out}") == (
-            "4dc88615469e8ae7fedd8b35bc71f751e9ab812a4624907715b30263b0d9699f"
-        )
-
-    def test_montecarlo_stdout_and_csv(self, capsys, tmp_path):
-        path = tmp_path / "mc.csv"
-        rc = main(["montecarlo", "--out", str(path)])
-        assert _sha256(f"{rc}\n{capsys.readouterr().out}") == (
-            "03b1df8f6236b6f7a7e10c4c3f23479f2922daa1f14d208674dfa4bd92425adf"
-        )
-        assert _sha256(path.read_bytes()) == "1aa303b30849df3c85101e42a802b80079ddcbf568dc8e03b93c031fefee0c1e"
-
-    def test_gnuplot_bytes(self, tmp_path):
-        path = tmp_path / "grid.dat"
-        emit_gnuplot([evaluate(to_protocol_config(case)) for case in FROZEN_GRID], str(path))
-        assert _sha256(path.read_bytes()) == "1760c48f2672be873d1555317e5bec4e3bcd7ab27b4ee1de8ce52e0793aac18f"
-
-
 class TestMain:
     def test_fidelity_ok(self, capsys):
         rc = main(["fidelity", "--code", "[3,1,3]", "--rounds", "2", "--fidelity", "0.95"])
@@ -792,10 +664,8 @@ class TestMain:
         cfg, out = tmp_path / "grid.cfg", tmp_path / "rates.csv"
         cfg.write_text(render_config(FROZEN_GRID))
         assert main(["rate-sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        # SUITES["cli_rate_sweep"] pins the written bytes
         assert capsys.readouterr().err == "case 'dead': fidelity must lie in (1/2, 1], got 0.5\n"
-        assert _sha256(out.read_bytes()) == (
-            "a4e61718905023a76a83c18ecb3421d4ee7605403a3b7da459acf73a02a2c287"
-        )
 
     def test_rate_sweep_set_override(self, tmp_path):
         cfg = tmp_path / "grid.cfg"

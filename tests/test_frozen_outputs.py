@@ -1,4 +1,5 @@
-"""The one registry of frozen values: every output the tests pin bit for bit.
+"""The one registry of frozen values: every output the tests pin bit for bit,
+apart from the perfbench batch-0 summaries, which keep perfbench's own encoding.
 
 ``SUITES`` maps a suite's name to the generator of its rows and the SHA-256
 digest of their values.  A row is a value or a dict of named values, and
@@ -25,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repeaterlab.bell_algebra import BellDiagonal
-from repeaterlab.cli import ConfigError, emit_gnuplot, main, parse_config, to_protocol_config
+from repeaterlab.cli import _KEYS, ConfigError, emit_gnuplot, main, parse_config, to_protocol_config
 from repeaterlab.codes import Code, code_catalog
 from repeaterlab.core import ChannelParams, HardwareParams
 from repeaterlab.montecarlo import McConfig, finite_window_estimate, simulate_rate
@@ -38,18 +39,15 @@ from repeaterlab.oracle import (
 )
 from repeaterlab.pipeline import ProtocolConfig, evaluate, sweep, timing
 from repeaterlab.qubus import phases_distinct
-from test_cli import FROZEN_GRID, _config_corpus, render_config
+from test_cli import FROZEN_GRID, render_config
 from test_pipeline import catalog_grid, solve_map
 
 SEED = 20111105
 
 
 def _line(x) -> str:
-    if isinstance(x, float):
-        return float.hex(x)
-    if x is None or isinstance(x, (bool, int, str)):
-        return str(x)
-    raise TypeError(f"no frozen encoding for {type(x).__name__} {x!r}")
+    assert x is None or isinstance(x, (bool, int, float, str)), f"no frozen encoding for {x!r}"
+    return float.hex(x) if isinstance(x, float) else str(x)
 
 
 def _digest(rows) -> str:
@@ -185,9 +183,59 @@ def _montecarlo_outputs():
                 yield estimate.std_error_hz
 
 
+# a seeded corpus of config texts and --set lists: known and unknown keys,
+# none in any case, good and bad values, lines without "=" or starting with
+# it, named, unnamed and unterminated headers, comments, blank lines and
+# whitespace padding; each text draws its own share of bad lines
+_CORPUS_GOOD = {
+    str: ["[3,1,3]", "23,1,7", "[7, 1, 3]", "x", "", "none"],
+    int: ["0", "1", "2", "3", "-1", "1_0", "٣", "1001", "+2"],
+    float: ["0.95", "0.9", "1e-3", "20", "1280", "1e308", "inf", "nan", "-0.0", "5e-324", "1_0.5"],
+}
+_CORPUS_NONES = ["none", "NONE", "None", "nOnE"]
+_CORPUS_BAD_VALUES = ["x", "", "1e", "3 # note", "0x10", "2.5", "a=b", "1,5", "--1", "none"]
+_CORPUS_BAD_KEYS = ["bogus", "Code", "tau c_s", "", "#rounds", "[case a"]
+_CORPUS_LINES = ["", "# shared", "#rounds = 3", "[case]", "[case a]", "[ case  b c ]", "[case a=b]"]
+_CORPUS_BAD_LINES = [
+    "[grid]", "[ ]", "[]", "[case=]", "[case x", "[case y]]", "just words", "code", "=", "= 3", "==", "rounds",
+]
+_CORPUS_PADS = ["", "", " ", "  ", "\t", "\xa0", "　"]
+
+
+def _corpus_assignment(rng, bad):
+    key = rng.choice(_CORPUS_BAD_KEYS) if rng.random() < bad else rng.choice(list(_KEYS))
+    spec = _KEYS.get(key)
+    if spec is None or rng.random() < bad:
+        return key, rng.choice(_CORPUS_BAD_VALUES)
+    if spec.nullable and rng.random() < 0.3:
+        return key, rng.choice(_CORPUS_NONES)
+    return key, rng.choice(_CORPUS_GOOD[spec.kind])
+
+
+def _config_corpus():
+    rng = random.Random(SEED)
+
+    def pad():
+        return rng.choice(_CORPUS_PADS)
+
+    for _ in range(2000):
+        bad = rng.choice([0.0, 0.0, 0.03, 0.1, 0.3])
+        lines = []
+        for _ in range(rng.randrange(12)):
+            if rng.random() < 0.7:
+                key, value = _corpus_assignment(rng, bad)
+                lines.append(f"{pad()}{key}{pad()}={pad()}{value}{pad()}")
+            else:
+                lines.append(pad() + rng.choice(_CORPUS_BAD_LINES if rng.random() < bad else _CORPUS_LINES) + pad())
+        overrides = []
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            key, value = _corpus_assignment(rng, bad)
+            overrides.append(f"{pad()}{key}{'' if rng.random() < bad else rng.choice(['=', ' = '])}{value}")
+        yield rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"]), overrides
+
+
 def _parse_outcomes():
-    """Each corpus text and --set list with its cases or its exact error, so that a
-    rewrite of the line reader keeps every outcome; about half parse."""
+    """Each corpus text and --set list with its cases or its exact error; about half parse."""
     for text, overrides in _config_corpus():
         try:
             outcome = repr(parse_config(text, overrides))
@@ -202,10 +250,10 @@ def _lines(part, text):
 
 
 def _cli_runs(*runs):
-    """Each run's exit code, then every line of its stdout, its stderr and its --out file.
+    """Each run's exit code, then each line of its stdout, stderr and --out file.
 
-    The runs share a scratch directory that holds FROZEN_GRID's config as
-    ``grid.cfg``; an argv names it as ``{tmp}``, and so do the printouts.
+    The runs share a scratch directory that holds FROZEN_GRID's ``grid.cfg``;
+    argvs and printouts name it ``{tmp}``.
     """
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "grid.cfg").write_text(render_config(FROZEN_GRID))
@@ -260,13 +308,21 @@ SUITES = {
     "parse_config": (_parse_outcomes, "cb9ad8c0f062ae769891ebbb160cc95349c667c09963cae595f566f0dd180308"),
     "cli_report": (lambda: _cli_runs(["report"]), "a6bd7c84c964438bea11169523a64205d9df9cbd9ffc09455a019ab7e0550579"),
     "cli_points": (lambda: _cli_runs(*_POINT_RUNS), "0c452aa21bde1ea8626162255686e8d970fe887ea5868a176d7c2a79b1cd4a7e"),
-    "cli_qubus_check": (lambda: _cli_runs(*_QUBUS_RUNS), "d0ddfa0af018b05d91c91e4d1a9ffb5c9f0b2e83f54a2e9f5a969083dd1a31cf"),
-    "cli_oracle_verify": (lambda: _cli_runs(["oracle-verify"]), "cdf00bb53df12291e6bf5cd6acf271122530f742fb455aa7732dc39cc04b13b9"),
-    "cli_montecarlo": (lambda: _cli_runs(["montecarlo", "--out", "{tmp}/mc.csv"]),
-        "d4f64c36c1cd29e6929ad05d6f5bae9cdb23954be5cd7232fdb5411c835fbfcc"),
+    "cli_qubus_check": (
+        lambda: _cli_runs(*_QUBUS_RUNS), "d0ddfa0af018b05d91c91e4d1a9ffb5c9f0b2e83f54a2e9f5a969083dd1a31cf"
+    ),
+    "cli_oracle_verify": (
+        lambda: _cli_runs(["oracle-verify"]), "cdf00bb53df12291e6bf5cd6acf271122530f742fb455aa7732dc39cc04b13b9"
+    ),
+    "cli_montecarlo": (
+        lambda: _cli_runs(["montecarlo", "--out", "{tmp}/mc.csv"]),
+        "d4f64c36c1cd29e6929ad05d6f5bae9cdb23954be5cd7232fdb5411c835fbfcc",
+    ),
     "cli_gnuplot": (_gnuplot_lines, "14707eed7fc3dfcd8f07836774d9872492aa5c456ca0d443f2000a84f379ef26"),
-    "cli_rate_sweep": (lambda: _cli_runs(["rate-sweep", "--config", "{tmp}/grid.cfg", "--out", "{tmp}/rates.csv"]),
-        "d427fad3d19d6363d86414d5d3e98bcbb56a00c050f97a0982941c62965cba52"),
+    "cli_rate_sweep": (
+        lambda: _cli_runs(["rate-sweep", "--config", "{tmp}/grid.cfg", "--out", "{tmp}/rates.csv"]),
+        "d427fad3d19d6363d86414d5d3e98bcbb56a00c050f97a0982941c62965cba52",
+    ),
 }
 
 
