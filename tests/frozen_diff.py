@@ -132,7 +132,12 @@ def main(argv: list[str]) -> int:
         print("usage: python tests/frozen_diff.py OLD_TREE NEW_TREE", file=sys.stderr)
         return 2
     procs = [evaluate_tree(tree) for tree in argv]  # the two trees run side by side
-    old, new = (_collect(p, t) for p, t in zip(procs, argv))
+    try:
+        old, new = (_collect(p, t) for p, t in zip(procs, argv))
+    finally:  # a failed or timed-out tree leaves no child running
+        for p in procs:
+            p.kill()
+            p.communicate()
     results = {suite: compare(rows, new["suites"][suite]) for suite, rows in old["suites"].items()}
     print("\n".join(report(results)))
     moved = any(r["changed"] or r["rows"][0] != r["rows"][1] for r in results.values())

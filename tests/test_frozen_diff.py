@@ -1,10 +1,13 @@
 """The frozen-value comparator: it finds no change between a tree and itself,
 and it measures a change where there is one."""
 
+import json
 import math
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import frozen_diff
 
@@ -48,3 +51,28 @@ def test_a_sign_of_zero_or_a_label_counts_as_a_change():
     assert got["max_ulp"] == math.inf  # a label has no distance
     assert frozen_diff._ordinal(-0.0) == frozen_diff._ordinal(0.0) == 0
     assert frozen_diff._ordinal(-5e-324) == -1
+
+
+def test_a_failed_tree_leaves_no_child_running(tmp_path, monkeypatch):
+    # the tree without src fails first; the other child must not outlive main
+    children = []
+    start = frozen_diff.evaluate_tree
+    monkeypatch.setattr(frozen_diff, "evaluate_tree", lambda tree: children.append(start(tree)) or children[-1])
+    with pytest.raises(SystemExit, match="failed"):
+        frozen_diff.main([str(tmp_path), str(ROOT)])
+    assert [child.returncode is not None for child in children] == [True, True]
+
+
+def test_a_suite_whose_row_count_differs_exits_1(tmp_path, monkeypatch, capsys):
+    suites = {"old": {"s": [{"x": 1.0}, {"x": 2.0}]}, "new": {"s": [{"x": 1.0}]}}
+
+    def fake_child(tree):
+        dump = {"package": str(Path(tree, "src", "repeaterlab", "__init__.py")), "suites": suites[Path(tree).name]}
+        return subprocess.Popen(
+            [sys.executable, "-c", "import sys; print(sys.argv[1])", json.dumps(dump)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+
+    monkeypatch.setattr(frozen_diff, "evaluate_tree", fake_child)
+    assert frozen_diff.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    assert capsys.readouterr().out.splitlines()[1].split() == ["s", "2/1", "0", "0", "0", "0", "-"]

@@ -15,6 +15,7 @@ keep every digest; a physics change that moves one says why in CHANGES.md,
 and ``tests/frozen_diff.py`` shows which value moved and by how much.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -330,3 +331,16 @@ SUITES = {
 def test_outputs_frozen(suite):
     outputs, want = SUITES[suite]
     assert _digest(outputs()) == want
+
+
+def test_no_other_test_file_imports_hashlib():
+    # a new frozen value joins SUITES, so that tests/frozen_diff.py covers it too
+    def imports_hashlib(path):
+        return any(
+            "hashlib" in ([a.name for a in node.names] if isinstance(node, ast.Import) else [node.module])
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        )
+
+    here = Path(__file__)
+    assert [path.name for path in sorted(here.parent.glob("*.py")) if imports_hashlib(path)] == [here.name]
