@@ -2,6 +2,7 @@
 closed-form model and the CLI load numpy only on demand."""
 
 import ast
+import collections
 import importlib
 import os
 import pkgutil
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -271,7 +273,260 @@ def test_deleted_export_stays_gone(module, name):
         exec(f"from repeaterlab.{module} import {name}", {})
 
 
-PIPELINE_TREE = ast.parse(Path(repeaterlab.__file__).with_name("pipeline.py").read_text())
+PACKAGE = Path(repeaterlab.__file__).parent
+
+
+def trees():
+    """Each package module's AST, by module name: the one place a test parses src/."""
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _walk(node, site, owner):
+    """(site, owner, node) for ``node`` and everything under it, depth first: site is
+    ``module.function`` of the innermost function, owner the class-qualified path."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        owner = f"{owner}.{node.name}"
+        if isinstance(node, ast.FunctionDef):
+            site = f"{site.partition('.')[0]}.{node.name}"
+    yield site, owner, node
+    for child in ast.iter_child_nodes(node):
+        yield from _walk(child, site, owner)
+
+
+def sites_of(match, scope=None):
+    """The site of every node in the package, or in module ``scope``, for which
+    ``match`` holds; a match that returns a text is named by owner and text."""
+    found = []
+    for module, tree in trees().items():
+        if scope in (None, module):
+            for site, owner, node in _walk(tree, module, module):
+                label = match(node)
+                if isinstance(label, str):
+                    found.append(f"{owner} {label}")
+                elif label:
+                    found.append(site)
+    return found
+
+
+def package_imports(tree):
+    """The names ``tree`` imports from each package module, by module."""
+    imported = collections.defaultdict(set)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("repeaterlab") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("repeaterlab")):
+            imported[(node.module or "").removeprefix("repeaterlab").lstrip(".")] |= {a.name for a in node.names}
+    return imported
+
+
+def called_name(node):
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def calls_benchmark_only(node):
+    return isinstance(node, ast.Call) and called_name(node) in BENCHMARK_ONLY
+
+
+def names_a_retired_name(node):
+    # a definition, a name, an attribute (a call or a property read) or a string, as in __all__
+    field = {ast.FunctionDef: "name", ast.ClassDef: "name", ast.Name: "id", ast.Attribute: "attr",
+             ast.Constant: "value"}.get(type(node))
+    return field is not None and getattr(node, field) in RETIRED
+
+
+def divides_by_fiber_speed(node):
+    right = getattr(node, "right", None)
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and (
+        getattr(right, "attr", None) or getattr(right, "id", None)
+    ) == "fiber_speed_m_per_s"
+
+
+def times_a_power_of_two(node):
+    right = getattr(node, "right", None)
+    return (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        and isinstance(right, ast.BinOp) and isinstance(right.op, ast.Pow)
+        and isinstance(right.left, ast.Constant) and right.left.value == 2
+    )
+
+
+def pump_tree_merges(node):
+    # 2^k - 1 for a non-constant k
+    left = getattr(node, "left", None)
+    return (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+        and getattr(node.right, "value", None) == 1
+        and isinstance(left, ast.BinOp) and isinstance(left.op, ast.Pow)
+        and getattr(left.left, "value", None) == 2 and not isinstance(left.right, ast.Constant)
+    )
+
+
+def gate_qubits_of_a_code(node):
+    # 2n per swap, 4n per merge: a constant times the code length
+    right = getattr(node, "right", None)
+    return (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and isinstance(node.left, ast.Constant)
+        and (getattr(right, "id", None) or getattr(right, "attr", None)) == "n"
+    )
+
+
+def calls_math_cos(node):
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and getattr(func, "attr", None) == "cos" and (
+        getattr(func.value, "id", None) == "math"
+    )
+
+
+def partitions_at_equals(node):
+    return (
+        isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "partition"
+        and [getattr(arg, "value", None) for arg in node.args] == ["="]
+    )
+
+
+def compares_a_family(node):
+    return isinstance(node, ast.Compare) and any(
+        getattr(side, "attr", None) == "family" for side in (node.left, *node.comparators)
+    )
+
+
+def opens_for_writing(node):
+    if not isinstance(node, ast.Call):
+        return False
+    name = called_name(node)
+    if name in ("write_text", "write_bytes"):
+        return True
+    mode = next((k.value for k in node.keywords if k.arg == "mode"), node.args[1] if len(node.args) > 1 else None)
+    return name == "open" and mode is not None and not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+
+
+def imports_dataclasses(node):
+    if isinstance(node, ast.Import):
+        return "dataclasses" in {a.name.partition(".")[0] for a in node.names}
+    return isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "dataclasses"
+
+
+MATRIX_PRODUCTS = {"matmul", "dot", "vdot", "einsum", "inner", "tensordot"}
+
+
+def multiplies_matrices(node):
+    """The text of a matrix product or a LAPACK call, else False."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return "@"
+    if isinstance(node, ast.Attribute) and (
+        node.attr in MATRIX_PRODUCTS or ast.unparse(node.value) in ("np.linalg", "numpy.linalg")
+    ):
+        return ast.unparse(node)
+    return False
+
+
+class Owner(NamedTuple):
+    match: Callable[[ast.AST], object]  # the fact's predicate on one node
+    scope: str | None  # the one module searched, or None for all of them
+    sites: list[str]  # every site where the fact is written, in walk order
+
+
+# one owner per fact: each fact is written at exactly these sites
+OWNERS = {
+    # outside the wrappers' own bodies, the package reads the priced row
+    "benchmark-only-calls": Owner(
+        calls_benchmark_only, None, ["pipeline.rate_unpurified", "pipeline.rate_purified", "pipeline.rate_purified"]
+    ),
+    # the oracle's one circuit path is _run behind its three simulators
+    "retired-names": Owner(names_a_retired_name, None, []),
+    # T0 = 2 L0 / c is computed by timing alone, which the config check
+    # calls, and n 2^k by _rate alone, so that an accepted config's windows
+    # and rate are the ones the model computes
+    "clock-division": Owner(divides_by_fiber_speed, None, ["pipeline.timing"]),
+    "rate-denominator": Owner(times_a_power_of_two, None, ["pipeline._rate"]),
+    # the exponent 2n swaps + 4n (2^k - 1) is formed in _gate_charge alone,
+    # which the pump and the chain call; qubus._coefficients' 2^(n-1) - 1 is
+    # the single probe's extreme phase coefficient, a different fact
+    "pump-tree-merges": Owner(pump_tree_merges, None, ["bell_algebra._gate_charge", "qubus._coefficients"]),
+    "gate-qubits": Owner(gate_qubits_of_a_code, None, ["bell_algebra._gate_charge"] * 2),
+    # 1 - cos theta, which F and the homodyne readout both read
+    "phase-gap": Owner(calls_math_cos, None, ["core._phase_gap"]),
+    # the clock rule prices its top rate at bell_algebra._COEFF_TOL, imported, not retyped
+    "coefficient-tolerance": Owner(
+        lambda node: isinstance(node, ast.Constant) and node.value == 1e-12, "pipeline", []
+    ),
+    # one reader partitions each config line, and each --set item, once
+    "config-split": Owner(partitions_at_equals, None, ["cli.parse_config", "cli.parse_config"]),
+    # eta comes from one call, which the config's constructor checks
+    "transmittance-call": Owner(
+        lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == "transmittance",
+        "pipeline", ["pipeline.segment_transmittance"],
+    ),
+    # _chain picks each family's storage window from timing (t_k or t'_k)
+    "family-window": Owner(compares_a_family, "pipeline", ["pipeline._chain"]),
+    # the CSV, the gnuplot table and montecarlo --out go through _write_table
+    "file-writing": Owner(opens_for_writing, None, ["cli._write_table"]),
+    "table-writer-calls": Owner(
+        lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write_table",
+        None, ["cli.emit_csv", "cli.emit_gnuplot", "cli.cmd_montecarlo"],
+    ),
+    # one value-type idiom: every value type is a NamedTuple
+    "dataclasses-import": Owner(imports_dataclasses, None, []),
+    # a bare complex product leaves the vector unit slow for the code that runs
+    # next (see _product); eigvalsh is the one other BLAS/LAPACK call: measured
+    # after a 16x16 eigvalsh, simulate_rate ran at its clean speed
+    "matrix-product": Owner(
+        multiplies_matrices, "oracle", ["oracle.DensityMatrix.__init__ np.linalg.eigvalsh", "oracle._product np.matmul"]
+    ),
+    # _make, and so _replace, builds through the constructor in one place
+    "checked-make": Owner(
+        lambda node: isinstance(node, ast.FunctionDef) and node.name == "_make", None, ["_checked._make"]
+    ),
+}
+
+# (importer, source) -> every name the importer takes from that package
+# module; "*" stands for the package modules no other row of the importer names
+IMPORTS = {
+    # the pump, its round, the ladder and their checks live once, in
+    # bell_algebra; the chain calls them on four floats and builds none of
+    # its value types, and HardwareParams, not the chain, checks q_g
+    ("pipeline", "bell_algebra"): {"_COEFF_TOL", "_gate_charge", "_noisy_factors", "_pump", "_pump_noisy", "_swap"},
+    # the chain prices the stored pair through the float kernel that
+    # effective_coefficients wraps, not through the BellDiagonal it returns;
+    # the css chain splits css_effective_qubit_error and logical_error_prob
+    # into their f-free set-up (_css_base, _tail_terms), run once, and the
+    # float kernels its price calls (_q_eff, _tail_sum)
+    ("pipeline", "codes"): {
+        "Code", "_css_base", "_q_eff", "_stored_pair", "_tail_sum", "_tail_terms", "logical_error_prob",
+        "pair_no_error_prob",
+    },
+    # p0, P_k and the k = 0 rate come from one evaluate row, the pump window from timing
+    ("montecarlo", "pipeline"): {"ProtocolConfig", "SweepResult", "evaluate", "timing", "with_fidelity"},
+    # 1 - cos theta has one owner, in core
+    ("qubus", "core"): {"_phase_gap"},
+    # the oracle shares no code with the closed forms: from the package it
+    # takes the checked value types' base, the state types, the round it is
+    # compared against, and Code
+    ("oracle", "_checked"): {"checked_tuple"},
+    ("oracle", "bell_algebra"): {"BellDiagonal", "PurifyOutcome", "purify_imperfect_exact"},
+    ("oracle", "codes"): {"Code"},
+    ("oracle", "*"): set(),
+}
+
+
+@pytest.mark.parametrize("fact", OWNERS)
+def test_fact_is_written_at_its_owners(fact):
+    match, scope, sites = OWNERS[fact]
+    assert sites_of(match, scope) == sites
+
+
+@pytest.mark.parametrize("importer, source", IMPORTS)
+def test_module_imports_exactly_these_names(importer, source):
+    imported = package_imports(trees()[importer])
+    if source == "*":
+        named = {row_source for row_importer, row_source in IMPORTS if row_importer == importer}
+        got = {f"{module}.{name}" for module, names in imported.items() if module not in named for name in names}
+    else:
+        got = imported[source]
+    assert got == IMPORTS[importer, source]
+
+
+PIPELINE_TREE =ast.parse(Path(repeaterlab.__file__).with_name("pipeline.py").read_text())
 
 
 def imports_from(tree, module):
