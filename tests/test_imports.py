@@ -1,5 +1,5 @@
-"""Import cost and public API: the package root loads nothing, and the
-closed-form model and the CLI load numpy only on demand."""
+"""Import cost, public API and structure: the package root loads nothing, the closed-form
+model and the CLI load numpy only on demand, and each fact is written where OWNERS says."""
 
 import ast
 import collections
@@ -134,16 +134,6 @@ def test_closed_form_model_imports_no_dataclasses(program):
     assert not _leaves_imported(program, "dataclasses")
 
 
-def test_no_module_imports_dataclasses():
-    # one value-type idiom: every value type is a NamedTuple
-    for path in sorted(Path(repeaterlab.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                assert "dataclasses" not in {a.name.partition(".")[0] for a in node.names}, path.name
-            elif isinstance(node, ast.ImportFrom):
-                assert (node.module or "").partition(".")[0] != "dataclasses", path.name
-
-
 def test_python_dash_m_qubus_check_imports_no_dataclasses_or_inspect():
     proc = _python("-X", "importtime", "-m", "repeaterlab", "qubus-check", "--n", "4", "--theta-rad", "0.1")
     assert proc.returncode == 0, proc.stderr
@@ -233,8 +223,8 @@ def test_every_export_is_reached_by_the_package_or_the_benchmark():
     # package, or named in the benchmark harness (its tracer table counts);
     # a name that only tests reach is surface that does no work
     loaded = set()
-    for path in Path(repeaterlab.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in trees().values():
+        for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
                 loaded.add(getattr(node, "id", None) or node.attr)
     perfbench = "\n".join(p.read_text() for p in Path(SRC).parent.joinpath("perfbench").glob("*.py"))
@@ -273,6 +263,25 @@ def test_deleted_export_stays_gone(module, name):
         exec(f"from repeaterlab.{module} import {name}", {})
 
 
+# one-number wrappers of evaluate's row, and BellDiagonal.as_tuple, which a
+# BellDiagonal already is: only the benchmark harness and tests still call them
+BENCHMARK_ONLY = {
+    "final_fidelity", "pump_success_probability", "heralding_probability", "rate_unpurified", "rate_purified",
+    "as_tuple",
+}
+
+
+# names deleted as surface that did no work: the oracle's hand-held gate API and
+# its qubit-index guard, which no command or workload ran, HardwareParams'
+# one-line q_g wrapper, whose one caller calls gate_error_prob, the config
+# writer that only tests called, the row's storage-window column, which nothing
+# read, and the CSV-only writer that _write_table replaced
+RETIRED = {
+    "apply_dephasing", "apply_noisy_two_qubit_gate", "bell_diagonal_projection", "from_bell_diagonal",
+    "num_qubits", "_qubit", "gate_error", "render_config", "t_wait_s", "_write_csv",
+}
+
+
 PACKAGE = Path(repeaterlab.__file__).parent
 
 
@@ -293,7 +302,7 @@ def _walk(node, site, owner):
         yield from _walk(child, site, owner)
 
 
-def sites_of(match, scope=None):
+def sites_in_src(match, scope=None):
     """The site of every node in the package, or in module ``scope``, for which
     ``match`` holds; a match that returns a text is named by owner and text."""
     found = []
@@ -321,10 +330,6 @@ def package_imports(tree):
 
 def called_name(node):
     return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-
-
-def calls_benchmark_only(node):
-    return isinstance(node, ast.Call) and called_name(node) in BENCHMARK_ONLY
 
 
 def names_a_retired_name(node):
@@ -397,7 +402,9 @@ def opens_for_writing(node):
     if name in ("write_text", "write_bytes"):
         return True
     mode = next((k.value for k in node.keywords if k.arg == "mode"), node.args[1] if len(node.args) > 1 else None)
-    return name == "open" and mode is not None and not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+    return name == "open" and mode is not None and not (
+        isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt")
+    )
 
 
 def imports_dataclasses(node):
@@ -430,7 +437,8 @@ class Owner(NamedTuple):
 OWNERS = {
     # outside the wrappers' own bodies, the package reads the priced row
     "benchmark-only-calls": Owner(
-        calls_benchmark_only, None, ["pipeline.rate_unpurified", "pipeline.rate_purified", "pipeline.rate_purified"]
+        lambda node: isinstance(node, ast.Call) and called_name(node) in BENCHMARK_ONLY,
+        None, ["pipeline.rate_unpurified", "pipeline.rate_purified", "pipeline.rate_purified"],
     ),
     # the oracle's one circuit path is _run behind its three simulators
     "retired-names": Owner(names_a_retired_name, None, []),
@@ -512,7 +520,7 @@ IMPORTS = {
 @pytest.mark.parametrize("fact", OWNERS)
 def test_fact_is_written_at_its_owners(fact):
     match, scope, sites = OWNERS[fact]
-    assert sites_of(match, scope) == sites
+    assert sites_in_src(match, scope) == sites
 
 
 @pytest.mark.parametrize("importer, source", IMPORTS)
@@ -526,45 +534,10 @@ def test_module_imports_exactly_these_names(importer, source):
     assert got == IMPORTS[importer, source]
 
 
-PIPELINE_TREE =ast.parse(Path(repeaterlab.__file__).with_name("pipeline.py").read_text())
-
-
-def imports_from(tree, module):
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            assert not any(a.name.startswith("repeaterlab") for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("repeaterlab")):
-            if (node.module or "").removeprefix("repeaterlab").lstrip(".") == module:
-                imported |= {a.name for a in node.names}
-    return imported
-
-
-def test_pipeline_takes_only_float_kernels_from_bell_algebra():
-    # the pump, its round, the ladder and their checks live once, in
-    # bell_algebra; the chain calls them on four floats and builds none of
-    # its value types, and HardwareParams, not the chain, checks q_g
-    assert imports_from(PIPELINE_TREE, "bell_algebra") == {
-        "_COEFF_TOL", "_gate_charge", "_noisy_factors", "_pump", "_pump_noisy", "_swap",
-    }
-
-
-def test_pipeline_takes_the_stored_pair_as_floats_from_codes():
-    # the chain prices the stored pair through the float kernel that
-    # effective_coefficients wraps, not through the BellDiagonal it returns;
-    # the css chain splits css_effective_qubit_error and logical_error_prob
-    # into their f-free set-up (_css_base, _tail_terms), run once, and the
-    # float kernels its price calls (_q_eff, _tail_sum)
-    assert imports_from(PIPELINE_TREE, "codes") == {
-        "Code", "_css_base", "_q_eff", "_stored_pair", "_tail_sum", "_tail_terms", "logical_error_prob",
-        "pair_no_error_prob",
-    }
-
-
 def test_chain_prices_build_no_value_type():
     # price(f) runs about 15 times per solve: no call in it may build a
     # BellDiagonal or PurifyOutcome, directly or through a public wrapper
-    (chain,) = (n for n in PIPELINE_TREE.body if isinstance(n, ast.FunctionDef) and n.name == "_chain")
+    (chain,) = (n for n in trees()["pipeline"].body if isinstance(n, ast.FunctionDef) and n.name == "_chain")
     prices = [n for n in ast.walk(chain) if isinstance(n, ast.FunctionDef) and n.name == "price"]
     assert len(prices) == 2  # one per code family
     called = set()
@@ -581,139 +554,9 @@ def test_chain_prices_build_no_value_type():
     assert {"_pump", "_pump_noisy", "_q_eff", "_stored_pair", "_swap", "_tail_sum"} <= called
 
 
-def sites_in_src(match):
-    """``module.function`` (innermost) of every AST node in the package for which ``match`` holds."""
-    sites = []
-
-    def visit(node, where):
-        if isinstance(node, ast.FunctionDef):
-            where = f"{where.partition('.')[0]}.{node.name}"
-        if match(node):
-            sites.append(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    for path in sorted(Path(repeaterlab.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem)
-    return sites
-
-
-# one-number wrappers of evaluate's row, and BellDiagonal.as_tuple, which a
-# BellDiagonal already is: only the benchmark harness and tests still call them
-BENCHMARK_ONLY = {
-    "final_fidelity", "pump_success_probability", "heralding_probability", "rate_unpurified", "rate_purified",
-    "as_tuple",
-}
-
-
-def test_no_module_calls_a_benchmark_only_name():
-    # outside the wrappers' own bodies, the package reads the priced row
-    def calls_benchmark_only(node):
-        return isinstance(node, ast.Call) and (
-            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-        ) in BENCHMARK_ONLY
-
-    assert [s for s in sites_in_src(calls_benchmark_only) if s.partition(".")[2] not in BENCHMARK_ONLY] == []
-
-
-# names deleted as surface that did no work: the oracle's hand-held gate API and
-# its qubit-index guard, which no command or workload ran, HardwareParams'
-# one-line q_g wrapper, whose one caller calls gate_error_prob, the config
-# writer that only tests called, the row's storage-window column, which nothing
-# read, and the CSV-only writer that _write_table replaced
-RETIRED = {
-    "apply_dephasing", "apply_noisy_two_qubit_gate", "bell_diagonal_projection", "from_bell_diagonal",
-    "num_qubits", "_qubit", "gate_error", "render_config", "t_wait_s", "_write_csv",
-}
-
-
-def test_no_module_defines_or_calls_a_retired_name():
-    # the oracle's one circuit path is _run behind its three simulators
-    def names_a_retired_name(node):
-        # a definition, a name, an attribute (a call or a property read) or a string, as in __all__
-        field = {ast.FunctionDef: "name", ast.ClassDef: "name", ast.Name: "id", ast.Attribute: "attr",
-                 ast.Constant: "value"}.get(type(node))
-        return field is not None and getattr(node, field) in RETIRED
-
-    assert sites_in_src(names_a_retired_name) == []
-
-
 def test_readme_names_no_retired_name():
     readme = Path(SRC).parent.joinpath("README.md").read_text(encoding="utf-8")
     assert not re.findall(rf"\b(?:{'|'.join(sorted(RETIRED))})\b", readme)
-
-
-def test_montecarlo_reads_the_evaluate_row():
-    # p0, P_k and the k = 0 rate come from one evaluate row, the pump window from timing
-    montecarlo = ast.parse(Path(repeaterlab.__file__).with_name("montecarlo.py").read_text())
-    assert imports_from(montecarlo, "pipeline") == {
-        "ProtocolConfig", "SweepResult", "evaluate", "timing", "with_fidelity",
-    }
-
-
-def test_clock_and_rate_denominator_are_written_once():
-    # T0 = 2 L0 / c is computed by timing alone, which the config check
-    # calls, and n 2^k by _rate alone, so that an accepted config's windows
-    # and rate are the ones the model computes
-    def divides_by_fiber_speed(node):
-        right = getattr(node, "right", None)
-        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and (
-            getattr(right, "attr", None) or getattr(right, "id", None)
-        ) == "fiber_speed_m_per_s"
-
-    def times_a_power_of_two(node):
-        right = getattr(node, "right", None)
-        return (
-            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-            and isinstance(right, ast.BinOp) and isinstance(right.op, ast.Pow)
-            and isinstance(right.left, ast.Constant) and right.left.value == 2
-        )
-
-    assert sites_in_src(divides_by_fiber_speed) == ["pipeline.timing"]
-    assert sites_in_src(times_a_power_of_two) == ["pipeline._rate"]
-
-
-def test_repetition_gate_charge_is_written_once():
-    # the exponent 2n swaps + 4n (2^k - 1) is formed in bell_algebra._gate_charge
-    # alone, which the pump and the chain call; qubus._coefficients' 2^(n-1) - 1
-    # is the single probe's extreme phase coefficient, a different fact
-    def pump_tree_merges(node):
-        left = getattr(node, "left", None)
-        return (
-            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
-            and getattr(node.right, "value", None) == 1
-            and isinstance(left, ast.BinOp) and isinstance(left.op, ast.Pow)
-            and getattr(left.left, "value", None) == 2 and not isinstance(left.right, ast.Constant)
-        )
-
-    def gate_qubits_of_a_code(node):
-        # 2n per swap, 4n per merge: a constant times the code length
-        right = getattr(node, "right", None)
-        return (
-            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and isinstance(node.left, ast.Constant)
-            and (getattr(right, "id", None) or getattr(right, "attr", None)) == "n"
-        )
-
-    assert [s for s in sites_in_src(pump_tree_merges) if s != "qubus._coefficients"] == ["bell_algebra._gate_charge"]
-    assert sites_in_src(gate_qubits_of_a_code) == ["bell_algebra._gate_charge"] * 2
-
-
-def test_phase_gap_is_computed_once():
-    # 1 - cos theta, which F and the homodyne readout both read, has one owner in core
-    def calls_math_cos(node):
-        func = getattr(node, "func", None)
-        return isinstance(node, ast.Call) and getattr(func, "attr", None) == "cos" and (
-            getattr(func.value, "id", None) == "math"
-        )
-
-    assert sites_in_src(calls_math_cos) == ["core._phase_gap"]
-    qubus = ast.parse(Path(repeaterlab.__file__).with_name("qubus.py").read_text())
-    assert imports_from(qubus, "core") == {"_phase_gap"}
-
-
-def test_pipeline_writes_no_coefficient_tolerance():
-    # the clock rule prices its top rate at bell_algebra's tolerance, imported, not retyped
-    assert not [n for n in ast.walk(PIPELINE_TREE) if isinstance(n, ast.Constant) and n.value == 1e-12]
 
 
 def test_code_holds_no_constant_dimension():
@@ -726,42 +569,22 @@ def test_code_holds_no_constant_dimension():
     ]
 
 
-def test_config_lines_are_split_at_equals_in_parse_config_alone():
-    # one reader partitions each config line, and each --set item, once;
-    # a second reader that splits them again must not come back
-    def partitions_at_equals(node):
-        return (
-            isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "partition"
-            and [getattr(arg, "value", None) for arg in node.args] == ["="]
-        )
-
-    assert sites_in_src(partitions_at_equals) == ["cli.parse_config", "cli.parse_config"]
-
-
 def test_transmittance_is_one_expression_that_the_config_checks():
-    # eta comes from one call, in segment_transmittance, which the constructor
-    # checks; so P0 and the rate cannot fail in _row, and evaluate's try is
-    # the one error capture on the row path
-    config = next(n for n in PIPELINE_TREE.body if isinstance(n, ast.ClassDef) and n.name == "ProtocolConfig")
+    # eta comes from one call (OWNERS' transmittance-call), in
+    # segment_transmittance, which the constructor checks; so P0 and the rate
+    # cannot fail in _row, and evaluate's try is the one error capture on the row path
+    pipeline = trees()["pipeline"]
+    config = next(n for n in pipeline.body if isinstance(n, ast.ClassDef) and n.name == "ProtocolConfig")
     methods = {n.name: n for n in config.body if isinstance(n, ast.FunctionDef)}
 
     def called(node):
-        return {
-            getattr(n.func, "id", None) or getattr(n.func, "attr", None)
-            for n in ast.walk(node) if isinstance(n, ast.Call)
-        }
+        return {called_name(n) for n in ast.walk(node) if isinstance(n, ast.Call)}
 
-    def calls_transmittance(node):
-        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "transmittance"
-
-    assert [s for s in sites_in_src(calls_transmittance) if s.startswith("pipeline.")] == [
-        "pipeline.segment_transmittance"
-    ]
     assert not any(isinstance(n, ast.If) for n in ast.walk(methods["segment_transmittance"]))
     assert "segment_transmittance" in called(methods["__init__"])
     # the channel's F reads the same eta as P0
     assert "segment_transmittance" in called(methods["raw_fidelity"])
-    functions = {n.name: n for n in PIPELINE_TREE.body if isinstance(n, ast.FunctionDef)}
+    functions = {n.name: n for n in pipeline.body if isinstance(n, ast.FunctionDef)}
     assert not any(isinstance(n, ast.Try) for n in ast.walk(functions["_row"]))
     assert sum(isinstance(n, ast.Try) for n in ast.walk(functions["evaluate"])) == 1
     # a fidelity copy keeps the one attenuation length it already holds
@@ -769,44 +592,12 @@ def test_transmittance_is_one_expression_that_the_config_checks():
     assert {keyword.arg for keyword in replace.keywords} == {"fidelity", "channel"}
 
 
-def test_pipeline_maps_a_code_family_to_its_window_in_chain_alone():
-    # _chain picks each family's storage window from timing (t_k or t'_k); the
-    # row holds no window, so nothing else in pipeline asks for the family
-    def compares_a_family(node):
-        return isinstance(node, ast.Compare) and any(
-            getattr(side, "attr", None) == "family" for side in (node.left, *node.comparators)
-        )
-
-    assert [s for s in sites_in_src(compares_a_family) if s.startswith("pipeline.")] == ["pipeline._chain"]
-
-
-def test_every_file_is_written_through_one_helper():
-    # the CSV, the gnuplot table and montecarlo --out go through _write_table,
-    # the one place a file is opened for writing
-    def opens_for_writing(node):
-        if not isinstance(node, ast.Call):
-            return False
-        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-        if name in ("write_text", "write_bytes"):
-            return True
-        mode = next((k.value for k in node.keywords if k.arg == "mode"), node.args[1] if len(node.args) > 1 else None)
-        return name == "open" and mode is not None and not (
-            isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt")
-        )
-
-    def calls_the_writer(node):
-        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write_table"
-
-    assert sites_in_src(opens_for_writing) == ["cli._write_table"]
-    assert sites_in_src(calls_the_writer) == ["cli.emit_csv", "cli.emit_gnuplot", "cli.cmd_montecarlo"]
-
-
 def test_oracle_verify_reads_the_oracles_tolerances():
     # the swap and enumeration thresholds live in oracle beside _MATCH_TOL;
     # the verdict compares against them and writes no threshold of its own
     from repeaterlab import oracle
 
-    cli = ast.parse(Path(repeaterlab.__file__).with_name("cli.py").read_text())
+    cli = trees()["cli"]
     (verify,) = (n for n in cli.body if isinstance(n, ast.FunctionDef) and n.name == "cmd_oracle_verify")
     compares = [n for n in ast.walk(verify) if isinstance(n, ast.Compare)]
     assert not [
@@ -815,5 +606,5 @@ def test_oracle_verify_reads_the_oracles_tolerances():
     ]
     bounds = [c.comparators[0].id for c in compares if isinstance(c.ops[0], ast.LtE)]
     assert bounds == ["_SWAP_TOL", "_ENUM_TOL"]
-    assert set(bounds) <= imports_from(verify, "oracle")
+    assert set(bounds) <= package_imports(verify)["oracle"]
     assert (oracle._SWAP_TOL, oracle._ENUM_TOL) == (1e-10, 1e-12)

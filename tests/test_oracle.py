@@ -1,10 +1,8 @@
 """Density-matrix circuits against the closed-form recursions."""
 
-import ast
 import itertools
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,52 +288,6 @@ class TestIndexMaps:
     def test_unknown_gate_has_no_map(self):
         with pytest.raises(ValueError, match=r"^no index map for gate 'H'$"):
             _index_map(2, "H", (0,))
-
-
-class TestIndependence:
-    def test_imports_from_closed_forms_only_the_reference_and_types(self):
-        # the oracle shares no code with the closed forms: from the package
-        # it takes the state types, the round it is compared against, Code,
-        # and the checked value types' base
-        tree = ast.parse(Path(oracle.__file__).read_text())
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                assert not any(a.name.startswith("repeaterlab") for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("repeaterlab")):
-                module = (node.module or "").removeprefix("repeaterlab").lstrip(".")
-                imported |= {(module, a.name) for a in node.names}
-        assert imported == {
-            ("_checked", "checked_tuple"),
-            ("bell_algebra", "BellDiagonal"),
-            ("bell_algebra", "PurifyOutcome"),
-            ("bell_algebra", "purify_imperfect_exact"),
-            ("codes", "Code"),
-        }
-
-    def test_every_matrix_product_goes_through_product(self):
-        # a bare complex product leaves the vector unit slow for the code that
-        # runs next (see _product), so no other function multiplies matrices.
-        # eigvalsh in DensityMatrix.__init__ is the one other BLAS/LAPACK call:
-        # measured after a 16x16 eigvalsh, simulate_rate ran at its clean speed
-        products = {"matmul", "dot", "vdot", "einsum", "inner", "tensordot"}
-        found = set()
-
-        def visit(node, owner):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                    visit(child, f"{owner}.{child.name}".lstrip("."))
-                    continue
-                if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult):
-                    found.add((owner, "@"))
-                elif isinstance(child, ast.Attribute) and (
-                    child.attr in products or ast.unparse(child.value) in ("np.linalg", "numpy.linalg")
-                ):
-                    found.add((owner, ast.unparse(child)))
-                visit(child, owner)
-
-        visit(ast.parse(Path(oracle.__file__).read_text()), "")
-        assert found == {("_product", "np.matmul"), ("DensityMatrix.__init__", "np.linalg.eigvalsh")}
 
 
 class TestProduct:

@@ -12,12 +12,10 @@ ndarray, a dict) are left out of the hash tests.
 import ast
 import inspect
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repeaterlab
 from repeaterlab.bell_algebra import BellDiagonal, PurifyOutcome
 from repeaterlab.codes import Code
 from repeaterlab.core import (
@@ -30,6 +28,7 @@ from repeaterlab.montecarlo import McConfig
 from repeaterlab.oracle import DensityMatrix, GateErrorVariant, VariantReport
 from repeaterlab.pipeline import OperatingPoint, ProtocolConfig, SweepResult, operating_point, with_fidelity
 from repeaterlab.qubus import QubusPlan
+from test_imports import trees
 
 STATE = (0.9, 0.05, 0.03, 0.02)
 REP = (3, 3, "repetition")
@@ -587,21 +586,16 @@ class TestReplace:
             Code._make((3, 3))
 
 
-def test_checked_types_share_one_make():
-    # _make, and so _replace, builds through the constructor in one place:
-    # every class with its own checks builds on checked_tuple(...)
-    makes, checked = [], {}
-    for path in sorted(Path(repeaterlab.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.FunctionDef) and node.name == "_make":
-                makes.append(path.name)
-            elif isinstance(node, ast.ClassDef) and any(
-                isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in node.body
-            ):
-                checked[node.name] = [
-                    b.func.id for b in node.bases if isinstance(b, ast.Call) and isinstance(b.func, ast.Name)
-                ]
-    assert makes == ["_checked.py"]
+def test_checked_types_build_on_checked_tuple():
+    # every class with its own checks builds on checked_tuple(...), whose one
+    # _make (OWNERS' checked-make) builds through the constructor, and so _replace
+    checked = {
+        node.name: [b.func.id for b in node.bases if isinstance(b, ast.Call) and isinstance(b.func, ast.Name)]
+        for tree in trees().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in node.body)
+    }
     assert checked == {
         name: ["checked_tuple"]
         for name in (
