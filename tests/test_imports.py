@@ -3,6 +3,7 @@ model and the CLI load numpy only on demand, and each fact is written where OWNE
 
 import ast
 import collections
+import functools
 import importlib
 import os
 import pkgutil
@@ -285,35 +286,43 @@ RETIRED = {
 PACKAGE = Path(repeaterlab.__file__).parent
 
 
+@functools.cache
 def trees():
     """Each package module's AST, by module name: the one place a test parses src/."""
     return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def _walk(node, site, owner):
-    """(site, owner, node) for ``node`` and everything under it, depth first: site is
-    ``module.function`` of the innermost function, owner the class-qualified path."""
-    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-        owner = f"{owner}.{node.name}"
-        if isinstance(node, ast.FunctionDef):
-            site = f"{site.partition('.')[0]}.{node.name}"
-    yield site, owner, node
-    for child in ast.iter_child_nodes(node):
-        yield from _walk(child, site, owner)
+@functools.cache
+def _nodes():
+    """(module, site, owner, node) for every node in the package, depth first: site
+    is ``module.function`` of the innermost function, owner the class-qualified path."""
+    found = []
+
+    def visit(node, module, site, owner):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+            if isinstance(node, ast.FunctionDef):
+                site = f"{module}.{node.name}"
+        found.append((module, site, owner, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, site, owner)
+
+    for module, tree in trees().items():
+        visit(tree, module, module, module)
+    return found
 
 
 def sites_in_src(match, scope=None):
     """The site of every node in the package, or in module ``scope``, for which
     ``match`` holds; a match that returns a text is named by owner and text."""
     found = []
-    for module, tree in trees().items():
+    for module, site, owner, node in _nodes():
         if scope in (None, module):
-            for site, owner, node in _walk(tree, module, module):
-                label = match(node)
-                if isinstance(label, str):
-                    found.append(f"{owner} {label}")
-                elif label:
-                    found.append(site)
+            label = match(node)
+            if isinstance(label, str):
+                found.append(f"{owner} {label}")
+            elif label:
+                found.append(site)
     return found
 
 
@@ -431,6 +440,7 @@ class Owner(NamedTuple):
     match: Callable[[ast.AST], object]  # the fact's predicate on one node
     scope: str | None  # the one module searched, or None for all of them
     sites: list[str]  # every site where the fact is written, in walk order
+    control: str | None = None  # a line the predicate must fire on; needed where sites is empty
 
 
 # one owner per fact: each fact is written at exactly these sites
@@ -439,9 +449,10 @@ OWNERS = {
     "benchmark-only-calls": Owner(
         lambda node: isinstance(node, ast.Call) and called_name(node) in BENCHMARK_ONLY,
         None, ["pipeline.rate_unpurified", "pipeline.rate_purified", "pipeline.rate_purified"],
+        "f = final_fidelity(cfg)",
     ),
     # the oracle's one circuit path is _run behind its three simulators
-    "retired-names": Owner(names_a_retired_name, None, []),
+    "retired-names": Owner(names_a_retired_name, None, [], "rho = apply_dephasing(rho, 0, q)"),
     # T0 = 2 L0 / c is computed by timing alone, which the config check
     # calls, and n 2^k by _rate alone, so that an accepted config's windows
     # and rate are the ones the model computes
@@ -456,7 +467,7 @@ OWNERS = {
     "phase-gap": Owner(calls_math_cos, None, ["core._phase_gap"]),
     # the clock rule prices its top rate at bell_algebra._COEFF_TOL, imported, not retyped
     "coefficient-tolerance": Owner(
-        lambda node: isinstance(node, ast.Constant) and node.value == 1e-12, "pipeline", []
+        lambda node: isinstance(node, ast.Constant) and node.value == 1e-12, "pipeline", [], "tol = 1e-12"
     ),
     # one reader partitions each config line, and each --set item, once
     "config-split": Owner(partitions_at_equals, None, ["cli.parse_config", "cli.parse_config"]),
@@ -474,7 +485,7 @@ OWNERS = {
         None, ["cli.emit_csv", "cli.emit_gnuplot", "cli.cmd_montecarlo"],
     ),
     # one value-type idiom: every value type is a NamedTuple
-    "dataclasses-import": Owner(imports_dataclasses, None, []),
+    "dataclasses-import": Owner(imports_dataclasses, None, [], "from dataclasses import dataclass"),
     # a bare complex product leaves the vector unit slow for the code that runs
     # next (see _product); eigvalsh is the one other BLAS/LAPACK call: measured
     # after a 16x16 eigvalsh, simulate_rate ran at its clean speed
@@ -519,8 +530,11 @@ IMPORTS = {
 
 @pytest.mark.parametrize("fact", OWNERS)
 def test_fact_is_written_at_its_owners(fact):
-    match, scope, sites = OWNERS[fact]
+    match, scope, sites, control = OWNERS[fact]
     assert sites_in_src(match, scope) == sites
+    # a row that expects no site shows that its predicate can fire at all
+    assert sites or control
+    assert control is None or any(match(node) for node in ast.walk(ast.parse(control)))
 
 
 @pytest.mark.parametrize("importer, source", IMPORTS)
