@@ -573,6 +573,14 @@ def test_readme_names_no_retired_name():
     assert not re.findall(rf"\b(?:{'|'.join(sorted(RETIRED))})\b", readme)
 
 
+def test_readme_lists_every_owner():
+    # README's "One owner per fact" paragraph names each row's fact and each of its sites
+    readme = Path(SRC).parent.joinpath("README.md").read_text(encoding="utf-8")
+    paragraph = " ".join(readme.partition("**One owner per fact.**")[2].partition("\n## ")[0].split())
+    named = dict.fromkeys(text for fact, row in OWNERS.items() for text in (fact, *row.sites))
+    assert [text for text in named if f"`{text}`" not in paragraph] == []
+
+
 def test_code_holds_no_constant_dimension():
     # every code protects one logical qubit, so the 1 of [n,1,d] is the label's, not a field
     from repeaterlab.codes import Code, code_catalog
