@@ -19,6 +19,7 @@ from repeaterlab.cli import _CANONICAL_CASES, CaseSpec, to_protocol_config
 from repeaterlab.codes import _css_base, _q_eff, _stored_pair, _tail_sum, _tail_terms
 from repeaterlab.core import gate_error_prob, memory_error_prob
 from repeaterlab.pipeline import _chain, operating_point, timing
+from test_imports import package_imports
 
 CASES = 200
 CATALOG = ((1, 1), (3, 3), (7, 7), (51, 51), (7, 3), (25, 5), (23, 7))  # (n, d) of every catalog code
@@ -268,28 +269,10 @@ def test_imports_from_the_package_only_the_kernels_under_test():
     # src/; the kernels' set-up halves (_noisy_factors, _css_base, _tail_terms)
     # come along because the chain calls each kernel on them, and a whole price
     # takes its config, clock, float q_g and q_m, and report's F* from the package
-    imported = set()
-    for node in ast.walk(ast.parse(Path(__file__).read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import):
-            assert not any(a.name.partition(".")[0] == "repeaterlab" for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "repeaterlab":
-            imported |= {(node.module, a.name) for a in node.names}
-    assert imported == {
-        ("repeaterlab.bell_algebra", "_noisy_factors"),
-        ("repeaterlab.bell_algebra", "_pump"),
-        ("repeaterlab.bell_algebra", "_pump_noisy"),
-        ("repeaterlab.bell_algebra", "_swap"),
-        ("repeaterlab.codes", "_css_base"),
-        ("repeaterlab.codes", "_q_eff"),
-        ("repeaterlab.codes", "_stored_pair"),
-        ("repeaterlab.codes", "_tail_sum"),
-        ("repeaterlab.codes", "_tail_terms"),
-        ("repeaterlab.pipeline", "_chain"),
-        ("repeaterlab.cli", "CaseSpec"),
-        ("repeaterlab.cli", "_CANONICAL_CASES"),
-        ("repeaterlab.cli", "to_protocol_config"),
-        ("repeaterlab.core", "gate_error_prob"),
-        ("repeaterlab.core", "memory_error_prob"),
-        ("repeaterlab.pipeline", "operating_point"),
-        ("repeaterlab.pipeline", "timing"),
+    assert package_imports(ast.parse(Path(__file__).read_text(encoding="utf-8"))) == {
+        "bell_algebra": {"_noisy_factors", "_pump", "_pump_noisy", "_swap"},
+        "codes": {"_css_base", "_q_eff", "_stored_pair", "_tail_sum", "_tail_terms"},
+        "pipeline": {"_chain", "operating_point", "timing"},
+        "cli": {"CaseSpec", "_CANONICAL_CASES", "to_protocol_config"},
+        "core": {"gate_error_prob", "memory_error_prob"},
     }
