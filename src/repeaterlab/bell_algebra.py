@@ -93,7 +93,7 @@ class PurifyOutcome(checked_tuple("PurifyOutcome", "state success_prob")):
 
 def _check_gate_error(q_g: float) -> None:
     if not 0.0 <= q_g < 0.5:
-        raise ValueError(f"gate error must lie in [0, 1/2), got {q_g}")
+        raise ValueError(f"q_g must lie in [0, 1/2), got {q_g}")
 
 
 def _noisy_factors(q: float) -> tuple[float, float, float, float, float]:

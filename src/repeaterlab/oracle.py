@@ -257,8 +257,6 @@ def _purify_rotated(rotated: np.ndarray, q_g: float, variants: tuple) -> list[Pu
     t = rho.reshape(-1, 4, 4, 4, 4)
     kept = t[:, :, 0, :, 0] + t[:, :, 3, :, 3]
     p = np.trace(kept, axis1=1, axis2=2).real
-    if (p <= 0.0).any():
-        raise ArithmeticError("postselection kept zero weight")
     coeffs = _bell_coefficients(kept / p[:, None, None])
     return [PurifyOutcome(BellDiagonal(*c), w) for c, w in zip(coeffs, p.tolist())]
 

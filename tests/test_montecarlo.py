@@ -32,36 +32,9 @@ def make_cfg(rounds=2, fidelity=0.95):
 
 
 class TestMcConfig:
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"p0": 0.0},
-            {"p0": 1.5},
-            {"p0": -0.1},
-            {"blocks": 0},
-            {"blocks": 2.5},
-            {"rounds": -1},
-            {"trials": 0},
-            {"blocks": True},
-            {"rounds": True},
-            {"trials": True},
-            {"seed": -1},
-            {"seed": 1.5},
-            {"seed": True},
-        ],
-    )
-    def test_validation(self, kw):
-        base = dict(p0=0.1, blocks=100, rounds=2, trials=10)
-        base.update(kw)
-        with pytest.raises(ValueError, match=next(iter(kw))):
-            McConfig(**base)
-
     def test_counts_stop_at_int64(self):
         # numpy draws each count, and sizes the array of trials, as int64
         assert McConfig(1.0, 2**63 - 1, 2, 2**63 - 1).trials == 2**63 - 1
-        for field in ("blocks", "trials"):
-            with pytest.raises(ValueError, match=rf"^{field} must be at most 2\*\*63 - 1, got {2**63}$"):
-                McConfig(**{"p0": 1.0, "blocks": 64, "rounds": 2, "trials": 10, field: 2**63})
 
 
 class TestSimulateRate:
@@ -210,15 +183,6 @@ class TestFiniteWindowEstimate:
             tracemalloc.stop()
         assert peak < 100_000
 
-    def test_pmf_overflow_names_blocks(self):
-        # past 2^24 blocks the walk is refused before it starts: at 2^63 - 1
-        # the lgamma terms of its first pmf term once overflowed a float
-        with pytest.raises(ValueError) as info:
-            finite_window_estimate(make_cfg(rounds=2), 0.95, McConfig(1.0, 2**63 - 1, 2, 2))
-        assert str(info.value) == (
-            "blocks must be at most 2**24 for the exact finite-window estimate, got 9223372036854775807"
-        )
-
     def test_walk_stops_at_2_to_the_24_blocks(self):
         # at the cap lgamma's cancellation still keeps the mean within a
         # relative 5e-8 of its many-blocks form (1.5 pairs short of s p0, as
@@ -241,13 +205,3 @@ class TestFiniteWindowEstimate:
         mc = McConfig(1.0, 512, 2, 3000, seed=4)
         exact = finite_window_estimate(cfg, 0.95, mc).std_error_hz
         assert simulate_rate(cfg, 0.95, mc).std_error_hz == pytest.approx(exact, rel=0.1)
-
-
-class TestPricedRow:
-    @pytest.mark.parametrize("estimator", [simulate_rate, finite_window_estimate])
-    def test_error_row_raises_its_error(self, estimator):
-        # a line of 2^15 segments prices an error row (the swap ladder's sum check); no NaN is sampled
-        hw = HardwareParams(local_transmission=1.0 - 1e-3, memory_coherence_s=0.1)
-        cfg = ProtocolConfig(20.0 * 2**15, 20.0, CODES["[3,1,3]"], 2, hw, fidelity=0.9)
-        with pytest.raises(ValueError, match=r"^coefficients must sum to <= 1, got 1\.0000000000010947$"):
-            estimator(cfg, 0.9, McConfig(1.0, 64, 2, 10))

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -39,44 +38,6 @@ def dephase(rho, qubits, q):
 
 
 class TestDensityMatrix:
-    def test_rejects_non_hermitian(self):
-        m = np.eye(4, dtype=complex) / 4.0
-        m[0, 1] = 0.1
-        with pytest.raises(ValueError):
-            DensityMatrix(m)
-
-    @pytest.mark.parametrize("entry", [(1, 1), (0, 1)])
-    def test_nan_entry_is_a_value_error(self, entry):
-        # a NaN on the diagonal once reached numpy's LinAlgError, and one off
-        # it passed, because the eigenvalue solve reads only one triangle
-        m = np.eye(4, dtype=complex) / 4.0
-        m[entry] = math.nan
-        with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
-            DensityMatrix(m)
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.eye(4, dtype=complex))
-
-    def test_rejects_negative(self):
-        m = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError):
-            DensityMatrix(m)
-
-    @pytest.mark.parametrize(
-        "shape, message",
-        [
-            ((2, 4), r"matrix must be square, got shape \(2, 4\)"),
-            ((4,), r"matrix must be square, got shape \(4,\)"),
-            ((1, 1), r"dimension must be 2\^m with m <= 4, got 1"),
-            ((3, 3), r"dimension must be 2\^m with m <= 4, got 3"),
-            ((32, 32), r"dimension must be 2\^m with m <= 4, got 32"),
-        ],
-    )
-    def test_rejects_bad_shape(self, shape, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            DensityMatrix(np.zeros(shape))
-
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_accepts_every_register_size(self, m):
         # a real input is stored as the complex array the checks ran on
@@ -102,17 +63,6 @@ class TestBellMatrix:
     def test_coefficients_round_trip(self):
         s = BellDiagonal(0.7, 0.1, 0.15, 0.05)
         assert _bell_coefficients(_bell_matrix(s)) == pytest.approx(s, abs=1e-14)
-
-    def test_needs_normalized(self):
-        with pytest.raises(ValueError, match="^state must be normalized, coefficients sum to 0.7$"):
-            _bell_matrix(BellDiagonal(0.5, 0.2, 0.0, 0.0))
-
-    def test_nan_state_is_a_value_error(self):
-        # not numpy's LinAlgError from an eigenvalue solve on NaN entries
-        with pytest.raises(ValueError, match="^coefficient b"):
-            simulate_swapping(BellDiagonal(0.7, math.nan, 0.2, 0.1))
-        with pytest.raises(ValueError, match="^coefficient a"):
-            match_gate_variant([(BellDiagonal(math.nan, 0.1, 0.1, 0.1), 0.01)])
 
 
 class TestDephasing:
@@ -150,10 +100,6 @@ class TestNoisyGate:
         out, ideal = _run(rho, (program,), q)[0], _run(rho, (program,), 0.0)[0]
         overlap = float(np.real(np.trace(out @ ideal)))
         assert overlap == pytest.approx((1.0 - q) ** 2, rel=1e-12)
-
-    def test_bad_gate_name(self):
-        with pytest.raises(ValueError, match=r"^no index map for gate 'SWAP'$"):
-            _run(_bell_matrix(PHI_PLUS), ((("SWAP", (0, 1)),),))
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -285,10 +231,6 @@ class TestIndexMaps:
         rho = random_density_matrix(np.random.default_rng(11 + m), m)
         assert np.abs(mask * rho.ravel().take(gather) - u @ rho @ u.conj().T).max() <= 1e-14
 
-    def test_unknown_gate_has_no_map(self):
-        with pytest.raises(ValueError, match=r"^no index map for gate 'H'$"):
-            _index_map(2, "H", (0,))
-
 
 class TestProduct:
     @pytest.mark.parametrize(
@@ -341,18 +283,6 @@ class TestPurificationCircuit:
         dev = max(abs(x - y) for x, y in zip(sim.state.as_tuple(), ref.state.as_tuple()))
         assert dev > 1e-4
 
-    @pytest.mark.parametrize("variant", ["zz_before", "z_control_x_target_after", "zz_sideways", None])
-    def test_round_takes_only_variant_members(self, variant):
-        # a value string is refused like any other non-member
-        names = "zz_before, zz_after, z_control_x_target_before, z_control_x_target_after"
-        with pytest.raises(ValueError, match=rf"^variant must be one of {names}, got {re.escape(repr(variant))}$"):
-            simulate_purification_round(BellDiagonal(0.8, 0.1, 0.06, 0.04), 0.1, variant)
-
-    @pytest.mark.parametrize("q_g", [-0.01, 0.5, math.nan])
-    def test_gate_error_domain(self, q_g):
-        with pytest.raises(ValueError, match=rf"^q_g must lie in \[0, 1/2\), got {q_g}$"):
-            simulate_purification_round(BellDiagonal(0.8, 0.1, 0.06, 0.04), q_g)
-
 
 class TestSwappingCircuit:
     def test_examples(self):
@@ -386,13 +316,6 @@ class TestEnumeration:
         code = Code(3, 3, "repetition")
         assert enumerate_logical_error(code, 0.1) == pytest.approx(0.028, abs=1e-12)
 
-    def test_refuses_large_codes(self):
-        code = Code(51, 51, "repetition")
-        with pytest.raises(ValueError):
-            enumerate_logical_error(code, 0.1)
-        with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\], got 1.5$"):
-            enumerate_logical_error(Code(3, 3, "repetition"), 1.5)
-
 
 class TestVariantReport:
     def test_default_run_singles_out_zcxt(self):
@@ -410,10 +333,6 @@ class TestVariantReport:
         report = match_gate_variant(samples)
         assert set(report.matching) == set(GateErrorVariant)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            match_gate_variant([])
-
     def test_rows_equal_per_variant_rounds(self):
         # the shared rotated copies run the same circuit as a lone round
         rng = np.random.default_rng(12)
@@ -429,30 +348,6 @@ class TestVariantReport:
                 worst = max(worst, *(abs(x - y) for x, y in zip(got, exp)))
             want.append((variant, worst))
         assert match_gate_variant(samples).rows == tuple(want)
-
-    @pytest.mark.parametrize(
-        "bad_at, sample, message",
-        [
-            (0, (BellDiagonal(0.8, 0.1, 0.05, 0.05), 0.6), r"q_g must lie in \[0, 1/2\), got 0.6"),
-            (1, (BellDiagonal(0.8, 0.1, 0.05, 0.05), 0.6), r"q_g must lie in \[0, 1/2\), got 0.6"),
-            (0, (BellDiagonal(0.5, 0.2, 0.0, 0.0), 0.01), "state must be normalized, coefficients sum to 0.7"),
-            (1, (BellDiagonal(0.5, 0.2, 0.0, 0.0), 0.01), "state must be normalized, coefficients sum to 0.7"),
-        ],
-    )
-    def test_first_bad_sample_raises(self, bad_at, sample, message):
-        samples = [(BellDiagonal(0.9, 0.05, 0.03, 0.02), 0.01)] * 2
-        samples[bad_at] = sample
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            match_gate_variant(samples)
-
-    def test_earlier_bad_sample_wins(self):
-        good = (BellDiagonal(0.9, 0.05, 0.03, 0.02), 0.01)
-        bad_state = (BellDiagonal(0.5, 0.2, 0.0, 0.0), 0.01)
-        bad_gate = (BellDiagonal(0.8, 0.1, 0.05, 0.05), 0.6)
-        with pytest.raises(ValueError, match="^state must be normalized"):
-            match_gate_variant([good, bad_state, bad_gate])
-        with pytest.raises(ValueError, match="^q_g must lie"):
-            match_gate_variant([good, bad_gate, bad_state])
 
     def test_str_lists_rows(self):
         text = str(match_gate_variant([(BellDiagonal(0.9, 0.1, 0.0, 0.0), 0.0)]))

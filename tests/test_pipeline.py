@@ -102,27 +102,10 @@ class TestConfig:
     def test_power_of_two_segments(self):
         assert make_cfg().num_segments() == 64
 
-    @pytest.mark.parametrize("total, segment", [(1280.0, 30.0), (20.0, 20.0), (60.0, 20.0)])
-    def test_bad_ratio(self, total, segment):
-        with pytest.raises(ValueError):
-            make_cfg(total=total, segment=segment)
-
-    @pytest.mark.parametrize("rounds", [-1, True, 2.0, MAX_ROUNDS + 1])
-    def test_bad_rounds(self, rounds):
-        with pytest.raises(ValueError, match="rounds"):
-            make_cfg(rounds=rounds)
-
     def test_max_rounds_priced_for_every_code(self):
         # n 2^k and the gate-factor exponents stay finite floats up to MAX_ROUNDS
         for label in CODES:
             assert evaluate(make_cfg(label, rounds=MAX_ROUNDS)).error is None
-
-    def test_exactly_one_fidelity_source(self):
-        ch = ChannelParams(20.0, 20.0, 0.01)
-        with pytest.raises(ValueError):
-            make_cfg(fidelity=None)
-        with pytest.raises(ValueError):
-            make_cfg(channel=ch)  # both given
 
     def test_channel_route(self):
         # the channel is the probe; the config's default fiber gives eta
@@ -131,12 +114,6 @@ class TestConfig:
         cfg = ProtocolConfig(1280.0, 20.0, CODES["[3,1,3]"], 2, hw, channel=ch)
         assert cfg.segment_transmittance() == transmittance(20.0, 25.5)
         assert cfg.raw_fidelity() == initial_fidelity(20.0, 0.01, transmittance(20.0, 25.5))
-
-    def test_channel_segment_mismatch(self):
-        ch = ChannelParams(25.0, 20.0, 0.01)
-        hw = HardwareParams(0.999, 0.1)
-        with pytest.raises(ValueError):
-            ProtocolConfig(1280.0, 20.0, CODES["[3,1,3]"], 2, hw, channel=ch)
 
     def test_with_fidelity_keeps_attenuation(self):
         # the channel prices F over the config's attenuation length, and the
@@ -237,7 +214,7 @@ class TestAcceptedDomain:
     @example(_channel_point(attenuation_km=1e-300))
     @example(_point(local_transmission=1e-3))
     @example(_channel_point(qubus_strength=math.inf))
-    # a NaN attenuation length on either route (tests/test_value_types.py
+    # a NaN attenuation length on either route (tests/test_refusals.py
     # pins its message, attenuation_km must be > 0, got nan)
     @example(_channel_point(attenuation_km=math.nan))
     @example(_point(attenuation_km=math.nan))
@@ -263,7 +240,7 @@ class TestAcceptedDomain:
         assert 0.0 < cfg.segment_transmittance() < 1.0
         assert gate_error_prob(cfg.hardware.local_transmission) < 0.5
         row = evaluate(cfg)
-        assert not (row.error or "").startswith(("eta", "gate error")), row.error
+        assert not (row.error or "").startswith(("eta", "q_g")), row.error
         if row.error is None:
             numbers = (row.f, row.f_final, row.p0, row.p_k, row.rate_per_memory_hz)
             assert all(map(math.isfinite, numbers)), row
@@ -562,10 +539,6 @@ class TestRates:
         expected = heralding_probability(cfg) * pump_success_probability(cfg) / 4.8e-3
         assert rate_purified(cfg) == pytest.approx(expected, rel=1e-12)
 
-    def test_k0_directs_to_unpurified(self):
-        with pytest.raises(ValueError, match="rate_unpurified"):
-            rate_purified(make_cfg(rounds=0))
-
     def test_pump_tree_discount(self):
         # R_pur <= R_raw / (2^k (k/2 + 1)) since P_k <= 1
         for label in ("[3,1,3]", "[7,1,3]", "[23,1,7]"):
@@ -602,10 +575,6 @@ class TestOperatingPoint:
         assert not op.feasible
         assert op.operating_fidelity is None
         assert op.max_f_final == pytest.approx(0.8513565623926452, rel=1e-9)
-
-    def test_target_domain(self):
-        with pytest.raises(ValueError):
-            operating_point(make_cfg(), 1.0)
 
 
 # the operating-point map: every catalog code at k = 0..3 solved for

@@ -11,7 +11,6 @@ from repeaterlab.qubus import (
     Feasibility,
     _coefficients,
     _sweep_distinct,
-    QubusPlan,
     chained_qubus_phases,
     feasibility,
     homodyne_error,
@@ -64,34 +63,6 @@ class TestSingleQubus:
         for b, phase in got.items():
             flipped = b.translate(str.maketrans("01", "10"))
             assert got[flipped] == pytest.approx(-phase, abs=1e-15)
-
-    def test_enumeration_cap(self):
-        with pytest.raises(ValueError):
-            single_qubus_phases(17, THETA)
-
-    @pytest.mark.parametrize("n, theta", [(1, 0.01), (2, 0.0), (2, -0.1)])
-    def test_domain(self, n, theta):
-        with pytest.raises(ValueError):
-            single_qubus_phases(n, theta)
-
-    def test_plan_guards_codeword_phase(self):
-        # one rule for every ledger, whatever the probe visits
-        (single,) = single_qubus_phases(3, THETA).ledgers
-        with pytest.raises(ValueError, match=r"ledgers\[0\]: codeword 000 must carry phase 0, got 0.1"):
-            QubusPlan(3, THETA, ({**single, "000": 0.1},))
-        first, second = chained_qubus_phases(3, THETA).ledgers
-        with pytest.raises(ValueError, match=r"ledgers\[1\]: codeword 11 must carry phase 0, got -0.1"):
-            QubusPlan(3, THETA, (first, {**second, "11": -0.1}))
-
-    def test_plan_names_an_empty_ledger(self):
-        with pytest.raises(ValueError, match=r"^ledgers\[0\]: must map at least one pattern, got \{\}$"):
-            QubusPlan(2, 0.1, ({},))
-
-    def test_plan_names_a_missing_codeword(self):
-        (single,) = single_qubus_phases(2, THETA).ledgers
-        without_ones = {b: phase for b, phase in single.items() if b != "11"}
-        with pytest.raises(ValueError, match=r"^ledgers\[1\]: codeword 11 is missing$"):
-            QubusPlan(2, THETA, (single, without_ones))
 
     def test_two_atoms_build_one_ledger(self):
         # at n = 2 the single probe and the one chained probe see the same pair
@@ -366,33 +337,6 @@ class TestSweepSkippedOnlyInsideTheCertificate:
                 phases_distinct(n, outside)
 
 
-class TestNonFiniteInput:
-    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda t: feasibility(5, t),
-            lambda t: phases_distinct(5, t),
-            lambda t: phases_distinct(20, t),
-            lambda t: single_qubus_phases(5, t),
-            lambda t: chained_qubus_phases(5, t),
-            lambda t: homodyne_error(1.0, t),
-            lambda t: min_beta(t, 0.1),
-        ],
-        ids=["feasibility", "phases_distinct", "phases_distinct_analytic", "single", "chained",
-             "homodyne_error", "min_beta"],
-    )
-    def test_rejected_with_field_name(self, call, theta):
-        with pytest.raises(ValueError, match=f"theta_rad must be finite and > 0, got {theta}"):
-            call(theta)
-
-    @pytest.mark.parametrize("beta", [math.inf, math.nan])
-    def test_non_finite_beta_rejected(self, beta):
-        # inf * (1 - cos 2 pi) = inf * 0 would print homodyne_error = nan
-        with pytest.raises(ValueError, match=f"beta must be finite and > 0, got {beta}"):
-            homodyne_error(beta, 2.0 * math.pi)
-
-
 class TestHomodyne:
     def test_point_value(self):
         assert homodyne_error(9e4, THETA) == pytest.approx(3.398272563578783e-06, rel=1e-12)
@@ -403,11 +347,6 @@ class TestHomodyne:
     def test_monotone_in_beta(self):
         errs = [homodyne_error(b, THETA) for b in (1e3, 1e4, 1e5)]
         assert errs[0] > errs[1] > errs[2]
-
-    @pytest.mark.parametrize("beta, theta", [(0.0, 0.01), (-1.0, 0.01), (10.0, 0.0)])
-    def test_domain(self, beta, theta):
-        with pytest.raises(ValueError):
-            homodyne_error(beta, theta)
 
     def test_min_beta_point(self):
         assert min_beta(THETA, 1e-5) == pytest.approx(85298.52673339844, rel=1e-8)
@@ -421,21 +360,9 @@ class TestHomodyne:
     def test_min_beta_meets_target(self, theta, eps):
         assert homodyne_error(min_beta(theta, eps), theta) <= eps
 
-    def test_min_beta_unreachable(self):
-        # at theta = 2 pi, 1 - cos theta is 0.0: no amplitude separates the probe states
-        message = "no finite amplitude reaches the target error, got theta_rad=6.283185307179586, target_error=0.001"
-        with pytest.raises(ArithmeticError) as info:
-            min_beta(2.0 * math.pi, 1e-3)
-        assert str(info.value) == message
-
     def test_min_beta_smallest_positive_gap(self):
         # 1 - cos theta = 2^-53, its smallest positive value: the doubling
         # still meets the smallest positive target at a finite amplitude
         theta = 1.0536712127723509e-08
         assert 1.0 - math.cos(theta) == 2.0**-53
         assert min_beta(theta, 5e-324) == 3.464322508054856e17
-
-    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
-    def test_min_beta_domain(self, eps):
-        with pytest.raises(ValueError):
-            min_beta(THETA, eps)

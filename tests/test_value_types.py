@@ -1,12 +1,13 @@
-"""The value types: repr, validation messages, immutability, value semantics.
+"""The value types: repr, immutability, value semantics, checked copies.
 
 BellDiagonal, PurifyOutcome, Code, ChannelParams, HardwareParams,
 ProtocolConfig, OperatingPoint and the numpy-side DensityMatrix,
 VariantReport, McConfig and QubusPlan are NamedTuples.  They print, compare
 and hash by value, refuse assignment, take keywords with their defaults,
-and fail every rule their constructor enforces with one exact message, in
-``_replace`` and ``_make`` too.  Those whose fields cannot be hashed (an
-ndarray, a dict) are left out of the hash tests.
+and run their constructor's checks in ``_replace`` and ``_make`` too.  Each
+rule a constructor enforces is a row of ``REFUSALS`` in
+tests/test_refusals.py, with its exact message.  Those whose fields cannot
+be hashed (an ndarray, a dict) are left out of the hash tests.
 """
 
 import ast
@@ -124,236 +125,6 @@ def test_operating_point_repr():
     )
     assert repr(op.result).startswith("SweepResult(code_label='[3,1,3]', family='repetition', rounds=2, ")
     assert op.operating_fidelity == pytest.approx(0.8436, abs=1e-4)
-
-
-# (constructor call, its exact message), one per rule the constructor enforces
-MESSAGES = [
-    pytest.param(lambda: BellDiagonal(-0.1, 0.5, 0.3, 0.1), "coefficient a must be >= 0, got -0.1", id="bell-a"),
-    pytest.param(lambda: BellDiagonal(0.5, -0.1, 0.3, 0.1), "coefficient b must be >= 0, got -0.1", id="bell-b"),
-    pytest.param(lambda: BellDiagonal(0.5, 0.3, -0.1, 0.1), "coefficient c must be >= 0, got -0.1", id="bell-c"),
-    pytest.param(lambda: BellDiagonal(0.5, 0.3, 0.1, -0.1), "coefficient d must be >= 0, got -0.1", id="bell-d"),
-    pytest.param(lambda: BellDiagonal(0.5, math.nan, 0.0, 0.0), "coefficient b must be >= 0, got nan", id="bell-nan"),
-    # the first failing coefficient names itself
-    pytest.param(lambda: BellDiagonal(0.5, -1e-13, -0.2, -0.3), "coefficient c must be >= 0, got -0.2", id="bell-first"),
-    pytest.param(lambda: BellDiagonal(0.5, 0.5, 0.5, 0.0), "coefficients must sum to <= 1, got 1.5", id="bell-sum"),
-    pytest.param(lambda: BellDiagonal(math.inf, 0.0, 0.0, 0.0), "coefficients must sum to <= 1, got inf", id="bell-inf"),
-    pytest.param(
-        lambda: PurifyOutcome(BellDiagonal(*STATE), 1.5), "success_prob must lie in [0, 1], got 1.5", id="outcome-high"
-    ),
-    pytest.param(
-        lambda: PurifyOutcome(BellDiagonal(*STATE), -0.1), "success_prob must lie in [0, 1], got -0.1", id="outcome-low"
-    ),
-    pytest.param(
-        lambda: PurifyOutcome(BellDiagonal(*STATE), math.nan),
-        "success_prob must lie in [0, 1], got nan",
-        id="outcome-nan",
-    ),
-    pytest.param(lambda: Code(3, 5, "css"), "need 1 <= d <= n, got n=3, d=5", id="code-d-high"),
-    pytest.param(lambda: Code(3, 0, "css"), "need 1 <= d <= n, got n=3, d=0", id="code-d-low"),
-    pytest.param(lambda: Code(4, 2, "css"), "majority decoding needs odd d, got d=2", id="code-even-d"),
-    pytest.param(lambda: Code(7, 3, "surface"), "unknown code family 'surface'", id="code-family"),
-    pytest.param(
-        lambda: Code(7, 3, "repetition"), "repetition codes have d = n, got n=7, d=3", id="code-repetition-d"
-    ),
-    pytest.param(lambda: Code(7.5, 3, "css"), "code parameter n must be an integer, got 7.5", id="code-n-float"),
-    pytest.param(lambda: Code(7, 3.0, "css"), "code parameter d must be an integer, got 3.0", id="code-d-float"),
-    pytest.param(
-        lambda: Code(True, True, "repetition"), "code parameter n must be an integer, got True", id="code-n-bool"
-    ),
-    pytest.param(lambda: Code("7", 3, "css"), "code parameter n must be an integer, got '7'", id="code-n-str"),
-    # every tail holds C(n, ceil(n/2)), which has no float from n = 1030; a
-    # huge n is refused without building one
-    pytest.param(lambda: Code(1030, 1029, "css"), "code length n must be at most 1029, got n=1030", id="code-n-1030"),
-    pytest.param(
-        lambda: Code(1031, 1031, "repetition"), "code length n must be at most 1029, got n=1031", id="code-n-1031"
-    ),
-    pytest.param(
-        lambda: Code(10**100, 1, "css"), f"code length n must be at most 1029, got n={10**100}", id="code-n-huge"
-    ),
-    # the integer rule runs before the range rules
-    pytest.param(lambda: Code(1031, 3.5, "css"), "code parameter d must be an integer, got 3.5", id="code-type-first"),
-    pytest.param(
-        lambda: ChannelParams(0.0, 0.001, 0.01), "segment_length_km must be > 0, got 0.0", id="channel-segment"
-    ),
-    pytest.param(
-        lambda: ChannelParams(math.nan, 0.001, 0.01), "segment_length_km must be > 0, got nan", id="channel-segment-nan"
-    ),
-    pytest.param(
-        lambda: ChannelParams(20.0, -1.0, 0.01), "qubus_strength must be finite and >= 0, got -1.0",
-        id="channel-strength",
-    ),
-    pytest.param(
-        lambda: ChannelParams(20.0, math.inf, 0.01), "qubus_strength must be finite and >= 0, got inf",
-        id="channel-strength-inf",
-    ),
-    pytest.param(
-        lambda: ChannelParams(20.0, 0.001, 0.0), "interaction_angle_rad must lie in (0, pi), got 0.0", id="channel-angle-0"
-    ),
-    pytest.param(
-        lambda: ChannelParams(20.0, 0.001, math.pi),
-        "interaction_angle_rad must lie in (0, pi), got 3.141592653589793",
-        id="channel-angle-pi",
-    ),
-    pytest.param(
-        lambda: ChannelParams(20.0, 0.001, math.nan),
-        "interaction_angle_rad must lie in (0, pi), got nan",
-        id="channel-angle-nan",
-    ),
-    pytest.param(
-        lambda: HardwareParams(0.0, 0.1), "local_transmission must lie in (0, 1], got 0.0", id="hardware-t-0"
-    ),
-    pytest.param(
-        lambda: HardwareParams(1.5, 0.1), "local_transmission must lie in (0, 1], got 1.5", id="hardware-t-high"
-    ),
-    # T = 1e-3 rounds the gate error q_g to 1/2
-    pytest.param(
-        lambda: HardwareParams(1e-3, 0.1), "local_transmission must give a gate error below 1/2, got 0.001",
-        id="hardware-gate-error",
-    ),
-    pytest.param(lambda: HardwareParams(0.999, 0.0), "memory_coherence_s must be > 0, got 0.0", id="hardware-tau"),
-    pytest.param(
-        lambda: HardwareParams(0.999, 0.1, math.inf),
-        "fiber_speed_m_per_s must be finite and > 0, got inf",
-        id="hardware-speed-inf",
-    ),
-    pytest.param(
-        lambda: HardwareParams(0.999, 0.1, 0.0),
-        "fiber_speed_m_per_s must be finite and > 0, got 0.0",
-        id="hardware-speed-0",
-    ),
-    pytest.param(lambda: _cfg(total_distance_km=0.0), "total_distance_km must be > 0, got 0.0", id="cfg-total"),
-    # the first rule broken is the one reported
-    pytest.param(
-        lambda: _cfg(total_distance_km=-1.0, segment_km=0.0), "total_distance_km must be > 0, got -1.0", id="cfg-first"
-    ),
-    pytest.param(lambda: _cfg(segment_km=0.0), "segment_km must be > 0, got 0.0", id="cfg-segment"),
-    pytest.param(lambda: _cfg(attenuation_km=0.0), "attenuation_km must be > 0, got 0.0", id="cfg-attenuation"),
-    pytest.param(lambda: _cfg(attenuation_km=math.nan), "attenuation_km must be > 0, got nan", id="cfg-attenuation-nan"),
-    pytest.param(lambda: _cfg(rounds=-1), "rounds must be an integer in [0, 1000], got -1", id="cfg-rounds-low"),
-    pytest.param(lambda: _cfg(rounds=1001), "rounds must be an integer in [0, 1000], got 1001", id="cfg-rounds-high"),
-    pytest.param(lambda: _cfg(rounds=2.0), "rounds must be an integer in [0, 1000], got 2.0", id="cfg-rounds-float"),
-    pytest.param(lambda: _cfg(rounds=True), "rounds must be an integer in [0, 1000], got True", id="cfg-rounds-bool"),
-    pytest.param(lambda: _cfg(fidelity=None), "give exactly one of channel= or fidelity=", id="cfg-no-source"),
-    pytest.param(
-        lambda: _cfg(channel=ChannelParams(*CHANNEL)), "give exactly one of channel= or fidelity=", id="cfg-two-sources"
-    ),
-    pytest.param(lambda: _cfg(fidelity=0.5), "fidelity must lie in (1/2, 1], got 0.5", id="cfg-fidelity-half"),
-    pytest.param(lambda: _cfg(fidelity=1.5), "fidelity must lie in (1/2, 1], got 1.5", id="cfg-fidelity-high"),
-    pytest.param(
-        lambda: _channel_cfg(segment_km=10.0, total_distance_km=640.0),
-        "channel.segment_length_km must equal segment_km, got 20.0 and 10.0",
-        id="cfg-channel-segment",
-    ),
-    # the config owns the one attenuation length, NaN included
-    pytest.param(
-        lambda: _channel_cfg(attenuation_km=math.nan),
-        "attenuation_km must be > 0, got nan",
-        id="cfg-channel-attenuation",
-    ),
-    pytest.param(
-        lambda: _cfg(total_distance_km=60.0),
-        "total_distance_km / segment_km must be a power of two >= 2, got 3.0",
-        id="cfg-ratio-3",
-    ),
-    pytest.param(
-        lambda: _cfg(total_distance_km=20.0),
-        "total_distance_km / segment_km must be a power of two >= 2, got 1.0",
-        id="cfg-ratio-1",
-    ),
-    pytest.param(
-        lambda: _cfg(total_distance_km=1e308, segment_km=1e-308),
-        "total_distance_km / segment_km must be a power of two >= 2, got inf",
-        id="cfg-ratio-inf",
-    ),
-    # after the ratio, one clock rule: the pump window t_k = (k/2 + 1) 2 L0 / c
-    # overflows here, and so does the rate's denominator, which the rule checks
-    pytest.param(
-        lambda: _cfg(hardware=HardwareParams(0.999, 0.1, 1e-308)),
-        "segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
-        "got segment_km=20.0, fiber_speed_m_per_s=1e-308",
-        id="cfg-pump-window-inf",
-    ),
-    # t_k = 1.6e308 s is finite; the css window 3 T0 / 2 and the rate's
-    # denominator n 2^k (k/2 + 1) T0 are not
-    pytest.param(
-        lambda: _cfg(code=Code(7, 3, "css"), hardware=HardwareParams(0.999, 0.1, 5e-304)),
-        "segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
-        "got segment_km=20.0, fiber_speed_m_per_s=5e-304",
-        id="cfg-storage-window-inf",
-    ),
-    # at k = 0 only the rate's denominator 3 T0 overflows
-    pytest.param(
-        lambda: _cfg(rounds=0, hardware=HardwareParams(0.999, 0.1, 5e-304)),
-        "segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
-        "got segment_km=20.0, fiber_speed_m_per_s=5e-304",
-        id="cfg-rate-inf",
-    ),
-    # the last rule: the transmittance exp(-L0 / L_att) must lie in (0, 1),
-    # where P0 is defined; it rounds to 1 at L0 = 1e-15 km and to 0 at 20000 km
-    pytest.param(
-        lambda: _cfg(total_distance_km=2e-15, segment_km=1e-15),
-        "segment_km / attenuation_km must give a transmittance in (0, 1), got segment_km=1e-15, attenuation_km=25.5",
-        id="cfg-transmittance-1",
-    ),
-    pytest.param(
-        lambda: _cfg(total_distance_km=40000.0, segment_km=20000.0),
-        "segment_km / attenuation_km must give a transmittance in (0, 1), got segment_km=20000.0, attenuation_km=25.5",
-        id="cfg-transmittance-0",
-    ),
-    pytest.param(
-        lambda: _cfg(attenuation_km=math.inf),
-        "segment_km / attenuation_km must give a transmittance in (0, 1), got segment_km=20.0, attenuation_km=inf",
-        id="cfg-transmittance-inf-attenuation",
-    ),
-    pytest.param(lambda: DensityMatrix(np.ones(3)), "matrix must be square, got shape (3,)", id="density-shape"),
-    pytest.param(lambda: DensityMatrix(np.eye(3) / 3.0), "dimension must be 2^m with m <= 4, got 3", id="density-dim"),
-    pytest.param(
-        lambda: DensityMatrix([[0.5, 0.1], [0.0, 0.5]]), "matrix is not Hermitian", id="density-hermitian"
-    ),
-    pytest.param(
-        lambda: DensityMatrix([[0.5, math.nan], [math.nan, 0.5]]), "matrix is not Hermitian", id="density-nan"
-    ),
-    pytest.param(lambda: DensityMatrix(np.eye(2)), "trace must be 1, got (2+0j)", id="density-trace"),
-    pytest.param(
-        lambda: DensityMatrix(np.diag([1.2, -0.2])), "negative eigenvalue below floor: -0.2", id="density-negative"
-    ),
-    pytest.param(lambda: McConfig(0.0, 1, 0, 1), "p0 must lie in (0, 1], got 0.0", id="mc-p0"),
-    pytest.param(lambda: McConfig(math.nan, 1, 0, 1), "p0 must lie in (0, 1], got nan", id="mc-p0-nan"),
-    pytest.param(lambda: McConfig(0.5, 0, 0, 1), "blocks must be an integer >= 1, got 0", id="mc-blocks"),
-    pytest.param(lambda: McConfig(0.5, 2.5, 0, 1), "blocks must be an integer >= 1, got 2.5", id="mc-blocks-float"),
-    pytest.param(lambda: McConfig(0.5, True, 0, 1), "blocks must be an integer >= 1, got True", id="mc-blocks-bool"),
-    pytest.param(lambda: McConfig(0.5, 1, -1, 1), "rounds must be an integer >= 0, got -1", id="mc-rounds"),
-    pytest.param(lambda: McConfig(0.5, 1, 0, 0), "trials must be an integer >= 1, got 0", id="mc-trials"),
-    pytest.param(lambda: McConfig(0.5, 1, 0, 1, seed=-1), "seed must be an integer >= 0, got -1", id="mc-seed"),
-    pytest.param(lambda: McConfig(0.5, 1, 0, 1, seed=1.5), "seed must be an integer >= 0, got 1.5", id="mc-seed-float"),
-    # the first rule broken is the one reported
-    pytest.param(lambda: McConfig(0.5, 0, -1, 0), "blocks must be an integer >= 1, got 0", id="mc-first"),
-    pytest.param(
-        lambda: QubusPlan(2, 0.1, ({**LEDGER, "00": 0.1},)), "ledgers[0]: codeword 00 must carry phase 0, got 0.1",
-        id="qubus-00",
-    ),
-    pytest.param(
-        lambda: QubusPlan(2, 0.1, ({**LEDGER, "11": -0.1},)), "ledgers[0]: codeword 11 must carry phase 0, got -0.1",
-        id="qubus-11",
-    ),
-    pytest.param(
-        lambda: QubusPlan(3, 0.1, ({"000": 0.0, "011": 0.1, "100": -0.1, "111": 0.2},)),
-        "ledgers[0]: codeword 111 must carry phase 0, got 0.2",
-        id="qubus-111",
-    ),
-    pytest.param(
-        lambda: QubusPlan(3, 0.1, (dict(LEDGER), {**LEDGER, "11": 0.2})),
-        "ledgers[1]: codeword 11 must carry phase 0, got 0.2",
-        id="qubus-chained",
-    ),
-]
-
-
-@pytest.mark.parametrize("build, message", MESSAGES)
-def test_constructor_message(build, message):
-    with pytest.raises(ValueError) as excinfo:
-        build()
-    assert str(excinfo.value) == message
 
 
 class TestBellDiagonalClamp:
