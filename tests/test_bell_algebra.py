@@ -61,7 +61,7 @@ class TestBellDiagonal:
             BellDiagonal(0.9, 0.2, 0.0, 0.0)
         # rounding dust on the sum is accepted, just past the tolerance is not
         assert BellDiagonal(0.9, 0.1 + 0.5 * _COEFF_TOL, 0.0, 0.0).total() > 1.0
-        with pytest.raises(ValueError, match="^coefficients must sum to <= 1"):
+        with pytest.raises(ValueError, match=r"^coefficients must sum to <= 1, got 1\.000000000002$"):
             BellDiagonal(0.9, 0.1 + 2.0 * _COEFF_TOL, 0.0, 0.0)
 
 

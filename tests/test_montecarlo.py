@@ -192,7 +192,9 @@ class TestFiniteWindowEstimate:
         limit = rate_purified(pinned) * (1.0 - 1.5 / (2**24 * heralding_probability(pinned)))
         got = finite_window_estimate(cfg, 0.95, McConfig(1.0, 2**24, 2, 1)).rate_per_memory_hz
         assert got == pytest.approx(limit, rel=5e-8)
-        with pytest.raises(ValueError, match=r"^blocks must be at most 2\*\*24 .*, got 16777217$"):
+        with pytest.raises(
+            ValueError, match=r"^blocks must be at most 2\*\*24 for the exact finite-window estimate, got 16777217$"
+        ):
             finite_window_estimate(cfg, 0.95, McConfig(1.0, 2**24 + 1, 2, 1))
 
     def test_zero_supply_has_no_spread(self):

@@ -517,7 +517,9 @@ class TestCssChain:
         # refuses, so no chain sees it; at 1 - T = 0.998, q_g is within 1e-15
         # of 1/2, and both families price a row at every k
         assert gate_error_prob(1.0 - 0.999) == 0.5
-        with pytest.raises(ValueError, match=r"^local_transmission must give a gate error below 1/2, got 0\.001"):
+        with pytest.raises(
+            ValueError, match=r"^local_transmission must give a gate error below 1/2, got 0\.0010000000000000009$"
+        ):
             make_cfg(label, k, one_minus_t=0.999)
         cfg = make_cfg(label, k, one_minus_t=0.998)
         assert 0.5 - 1e-15 < gate_error_prob(cfg.hardware.local_transmission) < 0.5
@@ -722,7 +724,11 @@ class TestOperatingPointMap:
         assert math.isfinite(op.result.rate_per_memory_hz)
         # ten times shorter, the transmittance rounds to 1, where P0 is
         # undefined: the config is refused before any solve
-        with pytest.raises(ValueError, match=r"^segment_km / attenuation_km must give a transmittance in \(0, 1\), "):
+        with pytest.raises(
+            ValueError,
+            match=r"^segment_km / attenuation_km must give a transmittance in \(0, 1\), "
+            r"got segment_km=1e-15, attenuation_km=25\.5$",
+        ):
             short._replace(total_distance_km=2e-15, segment_km=1e-15)
 
     def test_row_is_evaluate_at_the_solution(self):

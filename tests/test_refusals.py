@@ -1,16 +1,22 @@
-"""Every refusal of the library, one row per input, each with its exact message.
+"""Every refusal of the package, one row per input, each with its exact message.
 
 ``REFUSALS`` maps a row's id to a call, the exception type it must raise and
-the exact message.  The guard reads every ``raise`` in the library modules and
-maps each row to the ``raise`` its exception left from: each site is reached
-by a row, or named in ``UNREACHED`` with the test that covers it instead.
-``cli``'s parse errors are ``test_cli``'s table.
+the exact message.  A command row runs its argv through the handler that
+``cli.main`` dispatches to, so that its traceback reaches the ``raise``; one
+check holds ``main`` to exit 2 on every command row, with nothing on stdout
+and ``error: <message>`` on stderr.  The guard reads every ``raise`` in the
+library modules and ``cli`` and maps each row to the ``raise`` its exception
+left from: each site is reached by a row, or named in ``UNREACHED`` with the
+test that covers it instead.
 """
 
 import ast
 import collections
 import functools
 import math
+import os
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +33,10 @@ from repeaterlab.bell_algebra import (
     purify_k_rounds_lower,
     swap_ideal,
 )
+from repeaterlab.cli import _PLAN_MAX_N, CaseSpec, ConfigError, build_parser, main, parse_config, to_protocol_config
 from repeaterlab.codes import (
     Code,
+    code_catalog,
     css_effective_qubit_error,
     effective_coefficients,
     logical_error_prob,
@@ -84,6 +92,40 @@ TINY = _cfg(
     total_distance_km=2e-150, segment_km=1e-150, code=Code(1, 1, "repetition"), rounds=0, fidelity=0.9,
     attenuation_km=3.6e-150,
 )
+# no file inside a directory that does not exist opens
+MISSING = TESTS / "no-such-directory"
+# its second line is the byte 0xff, which no UTF-8 text holds
+NOT_UTF8 = TESTS / "not_utf8.cfg"
+# the commands that price one point, each with the flags it needs besides the point's
+POINT_COMMANDS = {"fidelity": (), "operating-point": ("--target", "0.95"), "montecarlo": ()}
+CLOCK = "segment_km / fiber_speed_m_per_s must give a finite storage window and rate, got "
+ETA = "segment_km / attenuation_km must give a transmittance in (0, 1), got "
+SATURATED = "local_transmission must give a gate error below 1/2, got "
+GAP = "no finite amplitude reaches the target error, got "
+
+
+def _handler(argv):
+    """Run ``argv`` in the handler that main dispatches it to, outside main's exit-2 catch."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def _command(*argv, config=None, run=_handler):
+    """A command row's call: ``argv`` through ``run``, the handler or, in the exit-2 check, main.
+
+    ``config`` text runs rate-sweep on a temporary config file instead; a
+    refused grid must write no CSV.
+    """
+    if config is None:
+        return run(list(argv))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "grid.cfg"), Path(tmp, "x.csv")
+        path.write_text(config)
+        try:
+            return run(["rate-sweep", "--config", str(path), "--out", str(out)])
+        finally:
+            assert not out.exists(), "a refused grid wrote its CSV"
+
 
 
 def _mixed4(entry, value):
@@ -528,6 +570,220 @@ REFUSALS = {
                          "coefficients must sum to <= 1, got 1.0000000000010947"),
     "simulate-overflow": (lambda: simulate_rate(TINY, 0.9, McConfig(1.0, 100, 0, 10)), ArithmeticError,
                           "Monte Carlo rate per memory overflows a float (pump window 1e-155 s)"),
+    # cli: a config line's or --set item's error names where it stands
+    **{
+        rid: (functools.partial(parse_config, text, overrides), ConfigError, message)
+        for rid, text, overrides, message in (
+            ("parse-unknown-key", "bogus_key = 1\n", (), "line 1: unknown key 'bogus_key'"),
+            ("parse-unknown-key-line-2", "rounds = 2\nbogus_key = 1\n", (), "line 2: unknown key 'bogus_key'"),
+            ("parse-bad-int", "rounds = many\n", (),
+             "line 1: bad value for 'rounds': 'many' (invalid literal for int() with base 10: 'many')"),
+            ("parse-bad-float", "\ntau_c_s = 1e-3x\n", (),
+             "line 2: bad value for 'tau_c_s': '1e-3x' (could not convert string to float: '1e-3x')"),
+            # none is a value only for keys that may be unset, in any spelling
+            ("parse-none-not-nullable", "rounds = none\n", (),
+             "line 1: bad value for 'rounds': 'none' (invalid literal for int() with base 10: 'none')"),
+            ("parse-none-any-case", "fidelity = NONE\nalpha = 20\nbogus = 1\n", (), "line 3: unknown key 'bogus'"),
+            ("parse-bad-float-1e", "tau_c_s = 1e\n", (),
+             "line 1: bad value for 'tau_c_s': '1e' (could not convert string to float: '1e')"),
+            ("parse-empty-value", "fidelity = \n", (),
+             "line 1: bad value for 'fidelity': '' (could not convert string to float: '')"),
+            # keys and values are named without their surrounding spaces
+            ("parse-unknown-key-padded", "  bogus_key  =  1  \n", (), "line 1: unknown key 'bogus_key'"),
+            ("parse-bad-int-padded", "\t rounds \t=\t many \n", (),
+             "line 1: bad value for 'rounds': 'many' (invalid literal for int() with base 10: 'many')"),
+            # a comment after a value is part of the value
+            ("parse-trailing-comment", "rounds = 3 # note\n", (),
+             "line 1: bad value for 'rounds': '3 # note' (invalid literal for int() with base 10: '3 # note')"),
+            ("parse-empty-key", "= 3\n", (), "line 1: unknown key ''"),
+            # a known key without "=" is no assignment, even where any text is a value
+            ("parse-known-key-no-eq", "code\n", (), "line 1: expected key = value, got 'code'"),
+            ("set-known-key-no-eq", "", ("code",), "--set 'code': expected key=value"),
+            ("parse-unknown-section", "[grid]\n", (), "line 1: unknown section 'grid' (only [case] allowed)"),
+            ("parse-empty-section", "[ ]\n", (), "line 1: unknown section '' (only [case] allowed)"),
+            ("parse-unterminated", "[case x\n", (), "line 1: unterminated section header '[case x'"),
+            ("parse-no-eq", "just words\n", (), "line 1: expected key = value, got 'just words'"),
+            ("parse-both-sources-top", "fidelity = 0.9\nalpha = 20.0\n", (),
+             "top level: set either fidelity or alpha/theta_rad, not both"),
+            ("parse-both-sources-case", "rounds = 1\n[case a]\nfidelity = 0.9\ntheta_rad = 0.01\n", (),
+             "line 2 [case a]: set either fidelity or alpha/theta_rad, not both"),
+            ("parse-both-sources-unnamed", "[case]\nrounds = 1\n[case]\nalpha = 2\nfidelity = 0.9\n", (),
+             "line 3 [case case2]: set either fidelity or alpha/theta_rad, not both"),
+            ("set-no-eq", "", ("rounds",), "--set 'rounds': expected key=value"),
+            ("set-unknown-key", "", ("bogus=1",), "--set: unknown key 'bogus'"),
+            ("set-unknown-key-padded", "", (" bogus =1",), "--set: unknown key 'bogus'"),
+            ("set-none-not-nullable", "", ("rounds=none",),
+             "--set: bad value for 'rounds': 'none' (invalid literal for int() with base 10: 'none')"),
+            ("set-bad-int-padded", "", (" rounds = two ",),
+             "--set: bad value for 'rounds': 'two' (invalid literal for int() with base 10: 'two')"),
+            ("set-bad-int", "", ("rounds=two",),
+             "--set: bad value for 'rounds': 'two' (invalid literal for int() with base 10: 'two')"),
+            ("set-both-sources", "", ("fidelity=0.9", "alpha=20"),
+             "--set overrides: set either fidelity or alpha/theta_rad, not both"),
+        )
+    },
+    "case-no-source": (lambda: to_protocol_config(CaseSpec(fidelity=None)), ConfigError,
+                       "case 'default': need fidelity or both alpha and theta_rad"),
+    **{
+        f"case-code-{name}": (
+            functools.partial(to_protocol_config, CaseSpec(code=label)), ConfigError,
+            f"unknown code {label!r}; known codes: {', '.join(c.label for c in code_catalog())}",
+        )
+        for name, label in (("bracketed", "[5,1,5]"), ("bare", "5,1,5"), ("padded", " [5, 1, 5] "))
+    },
+    # each pricing command refuses a point the config rules refuse
+    **{
+        f"{name}-{command}": (functools.partial(_command, command, *extra, *flags.split()), ValueError, message)
+        for name, flags, message in (
+            # T = 1e-7 rounds q_g to 1/2, for either family at any k
+            *(
+                (f"saturated-{code}-k{k}", f"--code {code} --rounds {k} --one-minus-t 0.9999999",
+                 SATURATED + "9.999999994736442e-08")
+                for code in ("[3,1,3]", "[7,1,3]")
+                for k in (0, 1)
+            ),
+            # T0 = 2 L0 / c overflows to inf, which once gave a silent rate of 0
+            ("pump-window-inf", "--fiber-speed 1e-308", CLOCK + "segment_km=20.0, fiber_speed_m_per_s=1e-308"),
+            # t_k stays finite, but the css window or the rate's denominator
+            # overflows, which once gave a silent F_final or rate of 0
+            ("storage-window-inf", "--code [7,1,3] --rounds 2 --fiber-speed 5e-304",
+             CLOCK + "segment_km=20.0, fiber_speed_m_per_s=5e-304"),
+            ("rate-inf", "--code [3,1,3] --rounds 0 --fiber-speed 5e-304",
+             CLOCK + "segment_km=20.0, fiber_speed_m_per_s=5e-304"),
+            # a subnormal T0 (2e-309 s, 1.2e-311 s) once gave an infinite rate
+            ("subnormal-t0-k0", "--code [1,1,1] --rounds 0 --segment-km 1e-4 --total-km 2e-4 --fiber-speed 1e308",
+             CLOCK + "segment_km=0.0001, fiber_speed_m_per_s=1e+308"),
+            ("subnormal-t0-k1", "--code [3,1,3] --rounds 1 --segment-km 1e-6 --total-km 2e-6 --fiber-speed 1.7e308",
+             CLOCK + "segment_km=1e-06, fiber_speed_m_per_s=1.7e+308"),
+            # T0 = 0 once gave an error row reading "float division by zero"
+            ("zero-t0", "--segment-km 1e-320 --total-km 2e-320 --attenuation-km 1e-320",
+             CLOCK + "segment_km=1e-320, fiber_speed_m_per_s=200000000.0"),
+            # the transmittance rounds to 1 or to 0, where P0 is undefined;
+            # each once gave an error row that named no field, and at
+            # L0 = 1e-15 km a feasible solve printed a NaN row with exit 1
+            ("eta-1", "--segment-km 1e-15 --total-km 2e-15", ETA + "segment_km=1e-15, attenuation_km=25.5"),
+            ("eta-0", "--segment-km 20000 --total-km 40000", ETA + "segment_km=20000.0, attenuation_km=25.5"),
+            ("channel-eta-0", "--alpha 10 --theta-rad 0.01 --attenuation-km 1e-300",
+             ETA + "segment_km=20.0, attenuation_km=1e-300"),
+            # T = 1e-3 rounds q_g to 1/2
+            ("gate-error-half", "--one-minus-t 0.999", SATURATED + "0.0010000000000000009"),
+            # an infinite probe once gave a NaN row, and "infeasible"
+            ("alpha-inf", "--alpha inf --theta-rad 0.01", "qubus_strength must be finite and >= 0, got inf"),
+        )
+        for command, extra in POINT_COMMANDS.items()
+    },
+    # fidelity prints these two as error rows with exit 1; the solve refuses them
+    "gate-charge-operating-point": (
+        functools.partial(_command, *"operating-point --target 0.95 --code 51,1,51 --rounds 0".split(),
+                          "--total-km", "1.1235582092889474e+307", "--segment-km", "1"),
+        ValueError, f"gate-charge exponent exceeds the float range, got n=51, k=0, swaps={2**1020 - 1}",
+    ),
+    "css-block-count-operating-point": (
+        functools.partial(_command, *"operating-point --target 0.9 --code 7,1,3 --rounds 0".split(),
+                          "--total-km", "8.98846567431158e307", "--segment-km", "1"),
+        ValueError, f"css block count 2N exceeds the float range, got N={2**1023}",
+    ),
+    # rate-sweep checks every case, a bad one after a good one too, before it writes
+    **{
+        f"sweep-{name}": (functools.partial(_command, config=text), kind, message)
+        for name, text, kind, message in (
+            ("unknown-key", "bogus = 1\n", ConfigError, "line 1: unknown key 'bogus'"),
+            ("rounds", "rounds = 2000\n", ValueError, "rounds must be an integer in [0, 1000], got 2000"),
+            ("total-inf", "total_km = inf\n", ValueError,
+             "total_distance_km / segment_km must be a power of two >= 2, got inf"),
+            ("segment-subnormal", "segment_km = 1e-320\n", ValueError,
+             "total_distance_km / segment_km must be a power of two >= 2, got inf"),
+            ("speed-inf", "fiber_speed_m_per_s = inf\n", ValueError,
+             "fiber_speed_m_per_s must be finite and > 0, got inf"),
+            ("pump-window-inf", "fiber_speed_m_per_s = 1e-308\n", ValueError,
+             CLOCK + "segment_km=20.0, fiber_speed_m_per_s=1e-308"),
+            ("rate-inf", "fiber_speed_m_per_s = 5e-304\nrounds = 0\n", ValueError,
+             CLOCK + "segment_km=20.0, fiber_speed_m_per_s=5e-304"),
+            # T0 = 2e-309 s, which once wrote a rate of inf into the CSV
+            ("subnormal-t0", "code = [1,1,1]\nrounds = 0\nsegment_km = 1e-4\ntotal_km = 2e-4\n"
+             "fiber_speed_m_per_s = 1e308\n", ValueError, CLOCK + "segment_km=0.0001, fiber_speed_m_per_s=1e+308"),
+            # cases that once gave error rows naming no field
+            ("eta-1", "[case good]\n[case bad]\nsegment_km = 1e-15\ntotal_km = 2e-15\n", ValueError,
+             ETA + "segment_km=1e-15, attenuation_km=25.5"),
+            ("eta-0", "[case good]\n[case bad]\nsegment_km = 20000\ntotal_km = 40000\n", ValueError,
+             ETA + "segment_km=20000.0, attenuation_km=25.5"),
+            ("channel-eta-0",
+             "[case good]\n[case bad]\nfidelity = none\nalpha = 10\ntheta_rad = 0.01\nattenuation_km = 1e-300\n",
+             ValueError, ETA + "segment_km=20.0, attenuation_km=1e-300"),
+            ("gate-error-half", "[case good]\n[case bad]\none_minus_t = 0.999\n", ValueError,
+             SATURATED + "0.0010000000000000009"),
+            ("alpha-inf", "[case good]\n[case bad]\nfidelity = none\nalpha = inf\ntheta_rad = 0.01\n", ValueError,
+             "qubus_strength must be finite and >= 0, got inf"),
+        )
+    },
+    # a file that cannot be opened is named by its flag
+    **{
+        f"file-{name}": (functools.partial(_command, *argv, flag, path), OSError, f"{flag} {path!r}: {reason}")
+        for name, argv, flag, path, reason in (
+            ("config-missing", ("rate-sweep", "--out", os.devnull), "--config", str(MISSING / "grid.cfg"),
+             "No such file or directory"),
+            ("config-directory", ("rate-sweep", "--out", os.devnull), "--config", str(TESTS), "Is a directory"),
+            ("out", ("rate-sweep", "--config", os.devnull), "--out", str(MISSING / "x.csv"),
+             "No such file or directory"),
+            ("gnuplot", ("rate-sweep", "--config", os.devnull, "--out", os.devnull), "--gnuplot",
+             str(MISSING / "x.dat"), "No such file or directory"),
+            # montecarlo writes its CSV before it prints
+            ("montecarlo-out", ("montecarlo", "--trials", "10"), "--out", str(MISSING / "m.csv"),
+             "No such file or directory"),
+        )
+    },
+    "file-config-not-utf8": (
+        functools.partial(_command, "rate-sweep", "--config", str(NOT_UTF8), "--out", os.devnull), ConfigError,
+        f"--config {str(NOT_UTF8)!r} is not UTF-8 text "
+        "('utf-8' codec can't decode byte 0xff in position 15: invalid start byte)",
+    ),
+    # qubus-check computes its optional figures before it prints anything
+    **{
+        f"qubus-check-{name}": (functools.partial(_command, "qubus-check", *argv.split()), kind, message)
+        for name, argv, kind, message in (
+            ("theta-inf", "--n 5 --theta-rad inf", ValueError, "theta_rad must be finite and > 0, got inf"),
+            ("theta-inf-target-error", "--n 5 --theta-rad inf --target-error 0.1", ValueError,
+             "theta_rad must be finite and > 0, got inf"),
+            ("theta-inf-beta", "--n 5 --theta-rad inf --beta 3", ValueError,
+             "theta_rad must be finite and > 0, got inf"),
+            ("beta-inf", f"--n 2 --theta-rad {2.0 * math.pi!r} --beta inf", ValueError,
+             "beta must be finite and > 0, got inf"),
+            ("beta-nan", "--n 3 --theta-rad 0.1 --show-plan --beta nan", ValueError,
+             "beta must be finite and > 0, got nan"),
+            ("target-nan", "--n 3 --theta-rad 0.1 --show-plan --target-error nan", ValueError,
+             "target_error must lie in (0, 1/2), got nan"),
+            ("target-0.7", "--n 3 --theta-rad 0.1 --show-plan --beta 3 --target-error 0.7", ValueError,
+             "target_error must lie in (0, 1/2), got 0.7"),
+            # 1 - cos theta rounds to 0, so no amplitude reaches the target
+            ("gap-1e-8", "--n 3 --theta-rad 1e-8 --show-plan --target-error 1e-300", ArithmeticError,
+             GAP + "theta_rad=1e-08, target_error=1e-300"),
+            ("gap-1e-200", "--n 3 --theta-rad 1e-200 --show-plan --target-error 0.1", ArithmeticError,
+             GAP + "theta_rad=1e-200, target_error=0.1"),
+            ("gap-2pi", "--n 3 --theta-rad 6.283185307179586 --show-plan --target-error 0.1", ArithmeticError,
+             GAP + "theta_rad=6.283185307179586, target_error=0.1"),
+            # each of the n - 1 chained ledgers would be built before any is printed
+            *(
+                (f"plan-n-{name}", f"--n {n} --theta-rad 1e-9 --show-plan", ValueError,
+                 f"--n must be <= {_PLAN_MAX_N} with --show-plan, got {n}")
+                for name, n in (("cap+1", _PLAN_MAX_N + 1), ("1e8", 10**8), ("1e30", 10**30))
+            ),
+        )
+    },
+    **{
+        f"montecarlo-{name}": (functools.partial(_command, "montecarlo", *argv.split()), ValueError, message)
+        for name, argv, message in (
+            ("seed-negative", "--seed -1", "seed must be an integer >= 0, got -1"),
+            # numpy draws each count as int64
+            ("blocks-int64", f"--blocks {2**63}", f"blocks must be at most 2**63 - 1, got {2**63}"),
+            ("trials-int64", f"--trials {2**63}", f"trials must be at most 2**63 - 1, got {2**63}"),
+            ("trials-1e20", f"--trials {10**20}", f"trials must be at most 2**63 - 1, got {10**20}"),
+            # the largest count numpy draws is past the exact estimate's 2^24-block walk
+            ("blocks-pmf", f"--blocks {2**63 - 1} --trials 2",
+             f"blocks must be at most 2**24 for the exact finite-window estimate, got {2**63 - 1}"),
+            # so strong a probe drives the raw fidelity to 1/2, which evaluate rejects
+            ("error-row", "--alpha 1e6 --theta-rad 0.01", "fidelity must lie in (1/2, 1], got 0.5"),
+        )
+    },
 }
 
 
@@ -539,8 +795,17 @@ def test_refusal(call, kind, message):
     assert str(info.value) == message
 
 
+COMMANDS = {rid: row for rid, row in REFUSALS.items() if getattr(row[0], "func", None) is _command}
+
+
+@pytest.mark.parametrize("call, message", [(row[0], row[2]) for row in COMMANDS.values()], ids=list(COMMANDS))
+def test_main_exits_2_on_a_command_row(capsys, call, message):
+    assert call(run=main) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # the modules whose every raise is a row here, or an UNREACHED entry
-LIBRARY = ("core", "codes", "bell_algebra", "pipeline", "qubus", "oracle", "montecarlo")
+LIBRARY = ("core", "codes", "bell_algebra", "pipeline", "qubus", "oracle", "montecarlo", "cli")
 # {site: (covering test, why no row reaches it)}
 UNREACHED = {
     "montecarlo.simulate_rate: trials must fit in memory, got {}": (
@@ -567,7 +832,8 @@ def raise_sites():
     spans = [
         (f"{owner}: {_template(node.exc)}", (module, node.lineno, node.end_lineno))
         for module, _, owner, node in _nodes()
-        if module in LIBRARY and isinstance(node, ast.Raise)
+        # a raise at module level, cli's __main__ line, refuses no input
+        if module in LIBRARY and isinstance(node, ast.Raise) and owner != module
     ]
     sites = dict(spans)
     assert len(sites) == len(spans), "two raises share a site"
@@ -624,22 +890,43 @@ def test_every_raise_has_a_row_or_an_unreached_entry():
 REFUSAL_TYPES = {"ValueError", "ArithmeticError", "ConfigError"}
 
 
+# ^, then literal text with every special character escaped, then $
+WHOLE_MESSAGE = re.compile(r"\^(?:\\.|[^\\.^$*+?{}\[\]|()])*\$")
+
+
+def _blind(item):
+    """Whether a ``with`` item is a ``pytest.raises`` of a refusal type that pins no
+    whole message: it binds no exception and has no ``match=``, or its ``match=``
+    is no ``^…$`` around literal text."""
+    call = item.context_expr
+    if not (
+        isinstance(call, ast.Call)
+        and ast.unparse(call.func) == "pytest.raises"
+        and REFUSAL_TYPES & {n.id for arg in call.args[:1] for n in ast.walk(arg) if isinstance(n, ast.Name)}
+    ):
+        return False
+    match = next((k.value for k in call.keywords if k.arg == "match"), None)
+    if match is None:
+        return item.optional_vars is None
+    return not (isinstance(match, ast.Constant) and WHOLE_MESSAGE.fullmatch(str(match.value)))
+
+
 def message_blind(tree):
-    """Each ``pytest.raises`` of a refusal type that neither matches a message nor binds the exception."""
+    """Each ``pytest.raises`` in ``tree`` that ``_blind`` finds."""
     return [
         ast.unparse(item.context_expr)
         for node in ast.walk(tree)
         if isinstance(node, ast.With)
         for item in node.items
-        if isinstance(call := item.context_expr, ast.Call)
-        and ast.unparse(call.func) == "pytest.raises"
-        and REFUSAL_TYPES & {n.id for arg in call.args[:1] for n in ast.walk(arg) if isinstance(n, ast.Name)}
-        and not any(k.arg == "match" for k in call.keywords)
-        and item.optional_vars is None
+        if _blind(item)
     ]
 
 
 def test_no_refusal_check_is_blind_to_its_message():
-    assert message_blind(ast.parse("with pytest.raises(ValueError): f()"))  # positive control
+    # positive controls: no message, a prefix, a wildcard; and a whole message passes
+    assert message_blind(ast.parse("with pytest.raises(ValueError): f()"))
+    assert message_blind(ast.parse("with pytest.raises(ValueError, match='^got 1') as e: f()"))
+    assert message_blind(ast.parse("with pytest.raises(ConfigError, match=r'^line .*: bad$'): f()"))
+    assert not message_blind(ast.parse(r"with pytest.raises(ArithmeticError, match=r'^got 1\.5 \(x\)$'): f()"))
     blind = {p.name: message_blind(ast.parse(p.read_text())) for p in sorted(TESTS.glob("*.py"))}
     assert {name: found for name, found in blind.items() if found} == {}

@@ -349,7 +349,7 @@ class TestReplace:
         assert type(rho) is DensityMatrix and rho.matrix.dtype == complex
 
     def test_replace_still_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="Got unexpected field names: \\['rate'\\]"):
+        with pytest.raises(ValueError, match=r"^Got unexpected field names: \['rate'\]$"):
             _cfg()._replace(rate=1.0)
 
     def test_make_still_rejects_a_short_iterable(self):
@@ -399,6 +399,6 @@ def test_bell_diagonal_init_sees_the_constructor_arguments(monkeypatch):
     monkeypatch.setattr(BellDiagonal, "__init__", wrapped)
     assert BellDiagonal(*STATE) == STATE
     assert BellDiagonal(1.0, -1e-13, 0.0, 0.0) == (1.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="coefficient a must be >= 0, got -0.1"):
+    with pytest.raises(ValueError, match=r"^coefficient a must be >= 0, got -0\.1$"):
         BellDiagonal(-0.1, 0.5, 0.3, 0.1)
     assert seen == [STATE, (1.0, -1e-13, 0.0, 0.0), (-0.1, 0.5, 0.3, 0.1)]
