@@ -15,13 +15,9 @@ from repeaterlab.bell_algebra import (
     purify_k_rounds_lower,
     swap_ideal,
 )
+from reference import noisy_round
 
 S_WORK = BellDiagonal(0.9, 0.1, 0.0, 0.0)
-
-
-def random_state(rng):
-    a, b, c, d = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
-    return BellDiagonal(a, b, c, d)
 
 
 # strategy: nonnegative 4-tuples normalized to 1
@@ -158,12 +154,7 @@ class TestPurifyImperfectExact:
         # differently mixed copies of s, each with weight w = 2q(1 - q);
         # both copies put the same weight on A + D, so P >= total^2 / 2
         s = BellDiagonal(*(scale * x / sum(t) for x in t))
-        w = 2.0 * q * (1.0 - q)
-        a, b, c, d = s.as_tuple()
-        a1, b1, c1, d1 = ((1.0 - w) * x + w * y for x, y in zip((a, b, c, d), (c, d, a, b)))
-        a2, b2, c2, d2 = ((1.0 - w) * x + w * y for x, y in zip((a, b, c, d), (d, c, b, a)))
-        p = (a1 + d1) * (a2 + d2) + (b1 + c1) * (b2 + c2)
-        want = ((a1 * a2 + d1 * d2) / p, (a1 * d2 + d1 * a2) / p, (b1 * b2 + c1 * c2) / p, (b1 * c2 + c1 * b2) / p)
+        *want, p = noisy_round(*s, q)
         out = purify_imperfect_exact(s, q)
         assert out.state.as_tuple() == pytest.approx(want, rel=0.0, abs=1e-14)
         assert out.success_prob == pytest.approx(p, rel=0.0, abs=1e-14)

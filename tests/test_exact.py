@@ -1,10 +1,11 @@
 """The row-path float kernels against their formulas evaluated exactly.
 
-Each formula is written out here over ``fractions.Fraction`` and evaluated on
-the kernel's own float inputs, which are exact rationals, so the reference
-carries no rounding at all.  Each test pins the kernel's largest distance
-from that exact value over a seeded sample, in ulps of the exact value.  A
-kernel that misses its bound has lost accuracy; the bound is not widened.
+Each formula is the one tests/reference.py writes, run over
+``fractions.Fraction`` on the kernel's own float inputs, which are exact
+rationals, so the reference carries no rounding at all.  Each test pins the
+kernel's largest distance from that exact value over a seeded sample, in ulps
+of the exact value.  A kernel that misses its bound has lost accuracy; the
+bound is not widened.
 """
 
 import ast
@@ -19,6 +20,7 @@ from repeaterlab.cli import _CANONICAL_CASES, CaseSpec, to_protocol_config
 from repeaterlab.codes import _css_base, _q_eff, _stored_pair, _tail_sum, _tail_terms
 from repeaterlab.core import gate_error_prob, memory_error_prob
 from repeaterlab.pipeline import _chain, operating_point, timing
+from reference import charge_exponent, ideal_round, ladder, noisy_round, pumped, stored_pair, swap, tail
 from test_imports import package_imports
 
 CASES = 200
@@ -48,45 +50,6 @@ def pumped_state(rng):
     w = [rng.random() for _ in range(3)]
     total = sum(w)
     return (a, *((1.0 - a) * x / total for x in w))
-
-
-def ideal_round(a, b, c, d):
-    # Deutsch et al. (1996): the even-parity branch of two copies
-    p = (a + d) ** 2 + (b + c) ** 2
-    return (a * a + d * d) / p, 2 * a * d / p, (b * b + c * c) / p, 2 * b * c / p, p
-
-
-def noisy_round(a, b, c, d, q):
-    # the Z-control, X-target gate error as two differently mixed copies
-    # through the two-copy recurrence, each mixed with weight w = 2q(1 - q)
-    w = 2 * q * (1 - q)
-    a1, b1, c1, d1 = ((1 - w) * x + w * y for x, y in zip((a, b, c, d), (c, d, a, b)))
-    a2, b2, c2, d2 = ((1 - w) * x + w * y for x, y in zip((a, b, c, d), (d, c, b, a)))
-    p = (a1 + d1) * (a2 + d2) + (b1 + c1) * (b2 + c2)
-    return (a1 * a2 + d1 * d2) / p, (a1 * d2 + d1 * a2) / p, (b1 * b2 + c1 * c2) / p, (b1 * c2 + c1 * b2) / p, p
-
-
-def pumped(s, k, round_, *args):
-    """k rounds on the exact state: (A, B, C, D, prod P)."""
-    state, prod = tuple(map(Fraction, s)), Fraction(1)
-    for _ in range(k):
-        *state, p = round_(*state, *args)
-        prod *= p
-    return (*state, prod)
-
-
-def swapped(s, levels):
-    """The exact state after ``levels`` Briegel et al. (1998) swap convolutions."""
-    a, b, c, d = map(Fraction, s)
-    for _ in range(levels):
-        a, b, c, d = a * a + b * b + c * c + d * d, 2 * (a * b + c * d), 2 * (a * c + b * d), 2 * (b * c + a * d)
-    return a, b, c, d
-
-
-def tail(n, d, q):
-    """Q_n = sum over j >= (d + 1)/2 of C(n, j) q^j (1 - q)^(n - j), capped at 1."""
-    q = Fraction(q)
-    return min(sum(math.comb(n, j) * q**j * (1 - q) ** (n - j) for j in range((d + 1) // 2, n + 1)), Fraction(1))
 
 
 def css_budget(q_m, q_g, f_k):
@@ -129,16 +92,14 @@ def exact_price(cfg, f):
     if code.family == "repetition":
         # the stored pair, k ideal rounds, log2 N ideal swaps, then the gate charge
         # of N - 1 swaps and one pump tree
-        q_block = tail(code.n, code.d, memory_error_prob(tm.t_purify_s / 2.0, tau_c))
-        p = (1 - q_block) ** 2 + q_block**2
-        *state, p_k = pumped((p * f, (1 - p) * f, p * (1 - f), (1 - p) * (1 - f)), k, ideal_round)
-        tree = 4 * code.n * (2**k - 1)
-        f_final = times(leading_after_swaps(state, n_seg), power(1 - q_g, 2 * code.n * (n_seg - 1) + tree))
-        return f_final, times(p_k.as_integer_ratio(), power(1 - q_g, tree))
+        q_block = min(tail(code.n, code.d, Fraction(memory_error_prob(tm.t_purify_s / 2.0, tau_c))), 1)
+        *state, p_k = pumped(stored_pair(f, q_block), k, ideal_round)
+        f_final = times(leading_after_swaps(state, n_seg), power(1 - q_g, charge_exponent(code.n, k, n_seg - 1)))
+        return f_final, times(p_k.as_integer_ratio(), power(1 - q_g, charge_exponent(code.n, k, 0)))
     # k exact imperfect-gate rounds, the per-qubit budget, and 2N blocks that must all decode
     a, _b, _c, _d, p_k = pumped((f, 1 - f, 0, 0), k, noisy_round, q_g)
     q_eff = css_budget(memory_error_prob(tm.t_half_s / 2.0, tau_c), q_g, a)
-    return power(1 - tail(code.n, code.d, q_eff), 2 * n_seg), p_k.as_integer_ratio()
+    return power(1 - min(tail(code.n, code.d, q_eff), 1), 2 * n_seg), p_k.as_integer_ratio()
 
 
 def test_stored_pair_is_correctly_rounded():
@@ -158,7 +119,7 @@ def test_pump_stays_within_its_ulps():
     dist = 0.0
     for i in range(CASES):
         s, k, charge = pumped_state(rng), rng.randint(1, 4), 1.0 if i % 2 else rng.uniform(0.5, 1.0)
-        *state, prod = pumped(s, k, ideal_round)
+        *state, prod = pumped(map(Fraction, s), k, ideal_round)
         dist = max(dist, worst(_pump(*s, k, charge), (*state, prod * Fraction(charge))))
     assert dist <= 12.0, dist
 
@@ -170,7 +131,7 @@ def test_noisy_pump_stays_within_its_ulps():
     for _ in range(CASES):
         s, q, k = pumped_state(rng), 10.0 ** rng.uniform(-5.0, math.log10(0.3)), rng.randint(1, 3)
         got = _pump_noisy(*s, _noisy_factors(q), k)
-        dist = max(dist, worst(got, pumped(s, k, noisy_round, Fraction(q))))
+        dist = max(dist, worst(got, pumped(map(Fraction, s), k, noisy_round, Fraction(q))))
     assert dist <= 14.0, dist
 
 
@@ -181,7 +142,7 @@ def swap_cases():
     cases = []
     for _ in range(CASES):
         s, levels = pumped_state(rng), rng.randint(1, 6)
-        cases.append((s, levels, swapped(s, levels)))
+        cases.append((s, levels, swap(map(Fraction, s), levels)))
     return cases
 
 
@@ -191,24 +152,11 @@ def test_swap_ladder_stays_within_its_ulps():
     assert dist <= 52.0, dist
 
 
-def walsh_hadamard_ladder(state, levels):
-    """(a, b, c, d) after ``levels`` ideal swaps in floats, as tests/test_ladder.py writes the form."""
-    a, b, c, d = state
-    n = 2**levels
-    l0, lz, lx, ly = (a + b + c + d) ** n, (a + b - c - d) ** n, (a - b + c - d) ** n, (a - b - c + d) ** n
-    return (
-        0.25 * (l0 + lz + lx + ly),
-        0.25 * (l0 + lz - lx - ly),
-        0.25 * (l0 - lz + lx - ly),
-        0.25 * (l0 - lz - lx + ly),
-    )
-
-
 def test_walsh_hadamard_ladder_stays_within_its_ulps():
     # the loop's alternative, on the same states: its leading coefficient,
     # which a price reads, against all four, where the three smaller
     # coefficients are differences of nearly equal powers
-    got = [(walsh_hadamard_ladder(s, levels), exact) for s, levels, exact in swap_cases()]
+    got = [(ladder(s, levels), exact) for s, levels, exact in swap_cases()]
     leading = max(ulps(wh[0], exact[0]) for wh, exact in got)
     dist = max(worst(wh, exact) for wh, exact in got)
     assert leading <= 37.0, leading
@@ -221,7 +169,7 @@ def test_binomial_tail_stays_within_its_ulps():
     dist = 0.0
     for _ in range(CASES):
         (n, d), q = rng.choice(CATALOG), 10.0 ** rng.uniform(-6.0, math.log10(0.5))
-        dist = max(dist, ulps(_tail_sum(_tail_terms(n, d), q), tail(n, d, q)))
+        dist = max(dist, ulps(_tail_sum(_tail_terms(n, d), q), min(tail(n, d, Fraction(q)), 1)))
     assert dist <= 12.0, dist
 
 
@@ -265,10 +213,12 @@ def test_price_stays_within_its_ulps():
 
 
 def test_imports_from_the_package_only_the_kernels_under_test():
-    # the references above are written here, so that they share no code with
-    # src/; the kernels' set-up halves (_noisy_factors, _css_base, _tail_terms)
-    # come along because the chain calls each kernel on them, and a whole price
-    # takes its config, clock, float q_g and q_m, and report's F* from the package
+    # the references, in tests/reference.py and above, take nothing from the
+    # package, so that they share no code with src/; the kernels' set-up halves
+    # (_noisy_factors, _css_base, _tail_terms) come along because the chain
+    # calls each kernel on them, and a whole price takes its config, clock,
+    # float q_g and q_m, and report's F* from the package
+    assert package_imports(ast.parse(Path(__file__).with_name("reference.py").read_text(encoding="utf-8"))) == {}
     assert package_imports(ast.parse(Path(__file__).read_text(encoding="utf-8"))) == {
         "bell_algebra": {"_noisy_factors", "_pump", "_pump_noisy", "_swap"},
         "codes": {"_css_base", "_q_eff", "_stored_pair", "_tail_sum", "_tail_terms"},

@@ -537,6 +537,20 @@ def test_fact_is_written_at_its_owners(fact):
     assert control is None or any(match(node) for node in ast.walk(ast.parse(control)))
 
 
+def test_tests_write_the_gate_qubit_count_only_in_the_reference():
+    # the charge's 2n per swap and 4n per merge are written once on the test
+    # side too, in reference.charge_exponent; a numeric constant only, so
+    # that a codeword's '0' * n is no gate count
+    tests = Path(__file__).parent
+    found = [
+        path.name
+        for path in sorted(tests.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if gate_qubits_of_a_code(node) and isinstance(node.left.value, (int, float))
+    ]
+    assert found == ["reference.py"] * 2
+
+
 @pytest.mark.parametrize("importer, source", IMPORTS)
 def test_module_imports_exactly_these_names(importer, source):
     imported = package_imports(trees()[importer])

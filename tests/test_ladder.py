@@ -8,8 +8,9 @@ four-group, and one ideal swap is its self-convolution.  Its characters are
 
 so after log2 N swap levels each character is raised to the N-th power and
 the state is their inverse Walsh-Hadamard transform (Duer, Briegel, Cirac
-and Zoller, PRA 59, 169 (1999)).  The reference forms below use only
-``math``: nothing from ``bell_algebra``, whose loop they check.
+and Zoller, PRA 59, 169 (1999)).  The reference forms come from
+tests/reference.py, which imports only ``math``: nothing from
+``bell_algebra``, whose loop they check.
 
 The exact n = 1 line runs each pump round as the oracle's noisy circuit and
 each swap as the convolution followed by the middle CNOT's two independent
@@ -30,60 +31,22 @@ from repeaterlab.codes import code_catalog
 from repeaterlab.core import HardwareParams, gate_error_prob, memory_error_prob
 from repeaterlab.oracle import simulate_purification_round
 from repeaterlab.pipeline import ProtocolConfig, _chain, timing
+from reference import charge_exponent, ideal_round, ladder, noisy_swap, pumped, stored_pair, tail
 
 REPETITION = [c for c in code_catalog() if c.family == "repetition"]
 CSS = [c for c in code_catalog() if c.family == "css"]
 UNENCODED = next(c for c in REPETITION if c.n == 1)
 
 
-def ladder(state, levels):
-    """(a, b, c, d) after ``levels`` ideal swaps: the inverse Walsh-Hadamard form."""
-    a, b, c, d = state
-    n = 2**levels
-    l0, lz, lx, ly = (a + b + c + d) ** n, (a + b - c - d) ** n, (a - b + c - d) ** n, (a - b - c + d) ** n
-    return (
-        0.25 * (l0 + lz + lx + ly),
-        0.25 * (l0 + lz - lx - ly),
-        0.25 * (l0 - lz + lx - ly),
-        0.25 * (l0 - lz - lx + ly),
-    )
-
-
-def pump(state, rounds):
-    """(a, b, c, d) after ``rounds`` ideal purification rounds (Deutsch et al., PRL 77, 2818)."""
-    a, b, c, d = state
-    for _ in range(rounds):
-        p = (a + d) ** 2 + (b + c) ** 2
-        a, b, c, d = (a * a + d * d) / p, 2.0 * a * d / p, (b * b + c * c) / p, 2.0 * b * c / p
-    return a, b, c, d
-
-
-def block_failure(n, d, q):
-    """Q_n: probability that (d + 1)/2 or more of n qubits err, each with probability q."""
-    return sum(math.comb(n, j) * q**j * (1.0 - q) ** (n - j) for j in range((d + 1) // 2, n + 1))
-
-
-def stored_pair(cfg, f):
+def stored(cfg, f):
     """(a, b, c, d) of the stored pair: memory flips over half the pump window, decoded per block."""
     q_m = memory_error_prob(timing(cfg).t_purify_s / 2.0, cfg.hardware.memory_coherence_s)
-    q_block = block_failure(cfg.code.n, cfg.code.d, q_m)
-    p = (1.0 - q_block) ** 2 + q_block**2
-    return p * f, (1.0 - p) * f, p * (1.0 - f), (1.0 - p) * (1.0 - f)
-
-
-def noisy_swap(state, q):
-    """One swap whose middle CNOT flips the Z and the X readout, each with probability q."""
-    a, b, c, d = state
-    a, b, c, d = a * a + b * b + c * c + d * d, 2.0 * (a * b + c * d), 2.0 * (a * c + b * d), 2.0 * (b * c + a * d)
-    # a Z flip trades phi+ with phi- and psi+ with psi-
-    a, b, c, d = (1.0 - q) * a + q * b, (1.0 - q) * b + q * a, (1.0 - q) * c + q * d, (1.0 - q) * d + q * c
-    # an X flip trades phi+ with psi+ and phi- with psi-
-    return (1.0 - q) * a + q * c, (1.0 - q) * b + q * d, (1.0 - q) * c + q * a, (1.0 - q) * d + q * b
+    return stored_pair(f, tail(cfg.code.n, cfg.code.d, q_m))
 
 
 def exact_unencoded(cfg, f, q_g):
     """(F_final, P_k) of the n = 1 line: k oracle pump rounds, then log2 N noisy swaps."""
-    state, p_k = stored_pair(cfg, f), 1.0
+    state, p_k = stored(cfg, f), 1.0
     for _ in range(cfg.rounds):
         out = simulate_purification_round(BellDiagonal(*state), q_g)
         state, p_k = out.state.as_tuple(), p_k * out.success_prob
@@ -127,12 +90,10 @@ def test_swap_loop_is_the_walsh_hadamard_form(state, levels):
 def test_repetition_chain_is_gate_charge_times_the_ladder(code, point):
     f, k, levels, segment_km, tau_c, one_minus_t = point
     cfg = config(code, k, levels, segment_km, tau_c, one_minus_t, f)
-    n_seg = 2**levels
-    a, b, c, d = pump(stored_pair(cfg, f), k)
-    chain_term = 0.25 * (1.0 + (a + b - c - d) ** n_seg + (a - b + c - d) ** n_seg + (a - b - c + d) ** n_seg)
-    gates = (1.0 - gate_error_prob(1.0 - one_minus_t)) ** (2 * code.n * (n_seg - 1 + 2 * (2**k - 1)))
+    state = pumped(stored(cfg, f), k, ideal_round)[:4]
+    gates = (1.0 - gate_error_prob(1.0 - one_minus_t)) ** charge_exponent(code.n, k, 2**levels - 1)
     f_final, _p_k = _chain(cfg, timing(cfg))(f)
-    assert f_final == pytest.approx(gates * chain_term, rel=0.0, abs=1e-13)
+    assert f_final == pytest.approx(gates * ladder(state, levels)[0], rel=0.0, abs=1e-13)
 
 
 @settings(max_examples=300, deadline=None)
@@ -140,7 +101,7 @@ def test_repetition_chain_is_gate_charge_times_the_ladder(code, point):
 def test_repetition_f_final_never_beats_the_gate_charge(code, point):
     f, k, levels, segment_km, tau_c, one_minus_t = point
     cfg = config(code, k, levels, segment_km, tau_c, one_minus_t, f)
-    gates = (1.0 - gate_error_prob(1.0 - one_minus_t)) ** (2 * code.n * (2**levels - 1 + 2 * (2**k - 1)))
+    gates = (1.0 - gate_error_prob(1.0 - one_minus_t)) ** charge_exponent(code.n, k, 2**levels - 1)
     price = _chain(cfg, timing(cfg))
     # the raw fidelity drawn, and the ends of the solver's window; the swapped
     # state's leading coefficient is at most 1 up to a few ulps of rounding
@@ -156,7 +117,7 @@ def test_css_f_final_never_beats_its_gate_and_memory_budget(code, point):
     cfg = config(code, k, levels, segment_km, tau_c, one_minus_t, f)
     q_m = memory_error_prob(timing(cfg).t_half_s / 2.0, tau_c)
     q_floor = min(1.0, 3.0 * q_m + 2.0 * gate_error_prob(1.0 - one_minus_t))
-    ceiling = (1.0 - block_failure(code.n, code.d, q_floor)) ** (2 * 2**levels)
+    ceiling = (1.0 - tail(code.n, code.d, q_floor)) ** (2 * 2**levels)
     price = _chain(cfg, timing(cfg))
     for raw in (f, 0.5 + 1e-6, 1.0 - 1e-9, 1.0):
         assert price(raw)[0] <= ceiling * (1.0 + 1e-12)
@@ -193,7 +154,7 @@ def test_noiseless_exact_line_is_the_pumped_ladder(point):
     f, k, levels, segment_km, tau_c, _one_minus_t = point
     cfg = config(UNENCODED, k, levels, segment_km, tau_c, 1e-3, f)
     f_final, _p_k = exact_unencoded(cfg, f, 0.0)
-    assert f_final == pytest.approx(ladder(pump(stored_pair(cfg, f), k), levels)[0], rel=0.0, abs=1e-12)
+    assert f_final == pytest.approx(ladder(pumped(stored(cfg, f), k, ideal_round)[:4], levels)[0], rel=0.0, abs=1e-12)
 
 
 # check 5's point: 1280 km in 64 segments, tau_c = 0.1 s, 1 - T = 1e-3, F -> 1

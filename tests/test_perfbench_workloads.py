@@ -37,22 +37,32 @@ workloads = _load_workloads()
 FROZEN = {**workloads.FROZEN, "verify": {"output": "82c58da1b705780e"}}
 
 
+def printed(name, workload, ops):
+    # a grid-sweep op is one rate-sweep, which prints its one summary line;
+    # the other workloads print nothing
+    if name != "grid-sweep":
+        return ""
+    return "".join(f"wrote {workload.entry_counts[j]['rows']} rows to {workload.csv_path}\n" for j in ops)
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_first_op_passes_its_check(name, tmp_path):
+def test_first_op_passes_its_check(name, tmp_path, capsys):
     workload = workloads.WORKLOADS[name]()
     workload.setup({"seed": workloads.DEFAULT_SEED, "work_dir": str(tmp_path)})
     workload.load(0)
     out = workload.op(0)
     assert workload.check(0, out) is None
+    assert capsys.readouterr().out == printed(name, workload, [0])
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_batch_0_gives_the_frozen_digests(name, tmp_path):
+def test_batch_0_gives_the_frozen_digests(name, tmp_path, capsys):
     workload = workloads.WORKLOADS[name]()
     workload.setup({"seed": workloads.DEFAULT_SEED, "work_dir": str(tmp_path)})
     input_digest = workload.load(0)
     problems = [workload.check(j, workload.op(j)) for j in range(workload.batch_size)]
     assert [p for p in problems if p is not None] == []
+    assert capsys.readouterr().out == printed(name, workload, range(workload.batch_size))
     if "input" in FROZEN[name]:
         assert input_digest == FROZEN[name]["input"]
     assert workload.output_digest() == FROZEN[name]["output"]

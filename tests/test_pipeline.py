@@ -44,6 +44,7 @@ from repeaterlab.pipeline import (
     timing,
     with_fidelity,
 )
+from reference import charge_exponent
 
 CODES = {c.label: c for c in code_catalog()}
 
@@ -395,10 +396,10 @@ def kernel_chain(cfg):
     for _ in range(k):
         step = purify_ideal(state)
         state, p_chain = step.state, p_chain * step.success_prob
-    p_k = PurifyOutcome(state, p_chain * (1.0 - q_g) ** (4 * code.n * (2**k - 1))).success_prob
+    p_k = PurifyOutcome(state, p_chain * (1.0 - q_g) ** charge_exponent(code.n, k, 0)).success_prob
     for _ in range(cfg.num_segments().bit_length() - 1):
         state = swap_ideal(state)
-    return state.a * (1.0 - q_g) ** (2 * code.n * (cfg.num_segments() - 1 + 2 * (2**k - 1))), p_k
+    return state.a * (1.0 - q_g) ** charge_exponent(code.n, k, cfg.num_segments() - 1), p_k
 
 
 class TestRepetitionChain:
