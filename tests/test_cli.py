@@ -352,6 +352,13 @@ class TestKeyTable:
 
 
 class TestMain:
+    def test_fidelity_ok(self, capsys):
+        rc = main(["fidelity", "--code", "[3,1,3]", "--rounds", "2", "--fidelity", "0.95"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "F_final = " in out
+        assert "rate_hz_per_memory = " in out
+
     def test_operating_point_feasible(self, capsys):
         rc = main(
             [
@@ -366,6 +373,20 @@ class TestMain:
         out = capsys.readouterr().out
         assert rc == 0
         assert "operating_fidelity = 0.91479" in out
+
+    def test_operating_point_infeasible(self, capsys):
+        rc = main(
+            [
+                "operating-point",
+                "--code", "[1,1,1]",
+                "--rounds", "0",
+                "--target", "0.9",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "infeasible" in out
+        assert "0.85135656" in out
 
     def test_operating_point_at_the_shortest_priced_segment(self, capsys):
         # ten times longer than the segment whose transmittance rounds to 1,
