@@ -249,7 +249,7 @@ def _csv_field(text: str) -> str:
 def _write_table(path: str, lines: Sequence[str], end: str = "\r\n") -> None:
     """The one file writer: ``lines`` in one call, each ended by ``end`` (csv.writer's CRLF by default)."""
     # the empty last item ends the last line too
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(end.join([*lines, ""]))
 
 

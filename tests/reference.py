@@ -77,10 +77,14 @@ def tail(n, d, q):
     return total
 
 
+def product_form(f, p):
+    """(a, b, c, d) of a stored pair of raw fidelity f that carries no net logical flip with probability p."""
+    return p * f, (1 - p) * f, p * (1 - f), (1 - p) * (1 - f)
+
+
 def stored_pair(f, q_block):
     """(a, b, c, d) of a pair of raw fidelity f whose two blocks each fail to decode with probability q_block."""
-    p = (1 - q_block) ** 2 + q_block**2
-    return p * f, (1 - p) * f, p * (1 - f), (1 - p) * (1 - f)
+    return product_form(f, (1 - q_block) ** 2 + q_block**2)
 
 
 def charge_exponent(n, k, swaps):

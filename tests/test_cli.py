@@ -211,7 +211,7 @@ class TestCsv:
     def test_header_and_shape(self, tmp_path):
         path = tmp_path / "out.csv"
         emit_csv(self.rows(), str(path))
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             table = list(csv.reader(fh))
         assert table[0] == HEADER
         assert len(table) == 3
@@ -223,7 +223,7 @@ class TestCsv:
     def test_empty_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit_csv([], str(path))
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             assert list(csv.reader(fh)) == [HEADER]
 
     def test_deterministic_bytes(self, tmp_path):
@@ -264,7 +264,7 @@ class TestCsv:
         # same 8-significant-digit fields
         results = [SweepResult(label, family, k, *values) for label, family, k, values in rows]
         emit_csv(results, str(fuzz_dir / "emitted.csv"))
-        with open(fuzz_dir / "reference.csv", "w", newline="") as fh:
+        with open(fuzz_dir / "reference.csv", "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(
                 [HEADER, *([r.code_label, r.family, *(f"{v:.8g}" for v in r[2:12])] for r in results)]
             )
@@ -273,7 +273,7 @@ class TestCsv:
     def test_gnuplot_companion(self, tmp_path):
         path = tmp_path / "out.dat"
         emit_gnuplot(self.rows(), str(path))
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "# " + " ".join(HEADER)
         assert len(lines) == 3
         assert lines[1].split()[0] == "[3,1,3]"
@@ -325,7 +325,7 @@ class TestReport:
 
     def test_readme_transcript(self, capsys):
         # the README shows `report --target 0.969` verbatim, up to its fence
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         command = "$ repeaterlab report --target 0.969\n"
         shown = readme[readme.index(command) + len(command):]
         shown = shown[: shown.index("```")]
@@ -336,7 +336,7 @@ class TestReport:
 class TestKeyTable:
     def test_readme_table_is_the_key_table(self):
         # the README's key | flag | meaning rows, in order, from the table below its header
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         table = readme[readme.index("| key | flag | meaning |"):].split("\n\n", 1)[0].splitlines()[2:]
         rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table]
         assert rows == [
@@ -428,12 +428,12 @@ class TestMain:
 
     def test_rate_sweep_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
-        cfg.write_text(SWEEP_TEXT)
+        cfg.write_text(SWEEP_TEXT, encoding="utf-8")
         out, plot, want = tmp_path / "rates.csv", tmp_path / "rates.dat", tmp_path / "want.dat"
         rc = main(["rate-sweep", "--config", str(cfg), "--out", str(out), "--gnuplot", str(plot)])
         assert rc == 0
         assert "wrote 2 rows" in capsys.readouterr().out
-        with open(out, newline="") as fh:
+        with open(out, newline="", encoding="utf-8") as fh:
             table = list(csv.reader(fh))
         assert table[0] == HEADER
         assert len(table) == 3
@@ -442,31 +442,31 @@ class TestMain:
 
     def test_rate_sweep_csv_bytes_frozen(self, tmp_path, capsys):
         cfg, out = tmp_path / "grid.cfg", tmp_path / "rates.csv"
-        cfg.write_text(render_config(FROZEN_GRID))
+        cfg.write_text(render_config(FROZEN_GRID), encoding="utf-8")
         assert main(["rate-sweep", "--config", str(cfg), "--out", str(out)]) == 1
         # SUITES["cli_rate_sweep"] pins the written bytes
         assert capsys.readouterr().err == "case 'dead': fidelity must lie in (1/2, 1], got 0.5\n"
 
     def test_rate_sweep_set_override(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
-        cfg.write_text("code = [3,1,3]\n")
+        cfg.write_text("code = [3,1,3]\n", encoding="utf-8")
         out = tmp_path / "rates.csv"
         assert main(["rate-sweep", "--config", str(cfg), "--out", str(out), "--set", "rounds=1"]) == 0
         assert capsys.readouterr().out == f"wrote 1 rows to {out}\n"
-        with open(out, newline="") as fh:
+        with open(out, newline="", encoding="utf-8") as fh:
             table = list(csv.reader(fh))
         assert table[1][2] == "1"
 
     def test_set_override_does_not_leak_into_the_next_call(self, tmp_path, capsys):
         # main reuses one parser; each call starts from the --set default
         cfg = tmp_path / "grid.cfg"
-        cfg.write_text("code = [3,1,3]\n")
+        cfg.write_text("code = [3,1,3]\n", encoding="utf-8")
         out = tmp_path / "rates.csv"
         argv = ["rate-sweep", "--config", str(cfg), "--out", str(out)]
         for extra, k in ((["--set", "rounds=3"], "3"), ([], "2")):
             assert main(argv + extra) == 0
             assert capsys.readouterr().out == f"wrote 1 rows to {out}\n"
-            with open(out, newline="") as fh:
+            with open(out, newline="", encoding="utf-8") as fh:
                 assert list(csv.reader(fh))[1][2] == k
 
     @pytest.mark.parametrize("text", [SWEEP_TEXT, "code = [7,1,3]\nrounds = 1\n"], ids=["comment-first", "key-first"])
@@ -561,7 +561,7 @@ class TestMain:
         assert rc == 0
         assert "rng = numpy PCG64, SeedSequence(seed=3), blocks = 2048" in stdout
         assert "|z| =" in stdout
-        with open(out, newline="") as fh:
+        with open(out, newline="", encoding="utf-8") as fh:
             table = list(csv.reader(fh))
         assert table[0] == HEADER + ["rate_mc_hz", "stderr_hz", "z"]
         assert len(table) == 2
@@ -782,7 +782,7 @@ class TestFuzz:
     def test_main_exit_codes(self, fuzz_dir, run):
         command, payload = run
         if command == "rate-sweep":
-            (fuzz_dir / "fuzz.cfg").write_text(payload)
+            (fuzz_dir / "fuzz.cfg").write_text(payload, encoding="utf-8")
             argv = [command, "--config", str(fuzz_dir / "fuzz.cfg"), "--out", str(fuzz_dir / "out.csv")]
         else:
             argv = [command, *payload]

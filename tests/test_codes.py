@@ -13,7 +13,7 @@ from repeaterlab.codes import (
     logical_error_prob,
     pair_no_error_prob,
 )
-from reference import tail
+from reference import product_form, tail
 
 
 class TestCatalog:
@@ -127,8 +127,7 @@ class TestEffectiveCoefficients:
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_bitwise_the_product_form(self, f, p):
-        want = (p * f, (1.0 - p) * f, p * (1.0 - f), (1.0 - p) * (1.0 - f))
-        assert [v.hex() for v in effective_coefficients(f, p)] == [v.hex() for v in want]
+        assert [v.hex() for v in effective_coefficients(f, p)] == [v.hex() for v in product_form(f, p)]
 
 
 class TestCssBudget:

@@ -8,20 +8,20 @@ of the exact value.  A kernel that misses its bound has lost accuracy; the
 bound is not widened.
 """
 
-import ast
 import functools
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 from repeaterlab.bell_algebra import _noisy_factors, _pump, _pump_noisy, _swap
 from repeaterlab.cli import _CANONICAL_CASES, CaseSpec, to_protocol_config
 from repeaterlab.codes import _css_base, _q_eff, _stored_pair, _tail_sum, _tail_terms
 from repeaterlab.core import gate_error_prob, memory_error_prob
 from repeaterlab.pipeline import _chain, operating_point, timing
-from reference import charge_exponent, ideal_round, ladder, noisy_round, pumped, stored_pair, swap, tail
-from test_imports import package_imports
+from reference import (
+    charge_exponent, ideal_round, ladder, noisy_round, product_form, pumped, stored_pair, swap, tail,
+)
+from test_imports import package_imports, test_trees
 
 CASES = 200
 CATALOG = ((1, 1), (3, 3), (7, 7), (51, 51), (7, 3), (25, 5), (23, 7))  # (n, d) of every catalog code
@@ -109,7 +109,7 @@ def test_stored_pair_is_correctly_rounded():
     for _ in range(CASES):
         f, p = rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)
         F, P = Fraction(f), Fraction(p)
-        dist = max(dist, worst(_stored_pair(f, p), (P * F, (1 - P) * F, P * (1 - F), (1 - P) * (1 - F))))
+        dist = max(dist, worst(_stored_pair(f, p), product_form(F, P)))
     assert dist <= 0.5, dist
 
 
@@ -218,8 +218,8 @@ def test_imports_from_the_package_only_the_kernels_under_test():
     # (_noisy_factors, _css_base, _tail_terms) come along because the chain
     # calls each kernel on them, and a whole price takes its config, clock,
     # float q_g and q_m, and report's F* from the package
-    assert package_imports(ast.parse(Path(__file__).with_name("reference.py").read_text(encoding="utf-8"))) == {}
-    assert package_imports(ast.parse(Path(__file__).read_text(encoding="utf-8"))) == {
+    assert package_imports(test_trees()["reference.py"]) == {}
+    assert package_imports(test_trees()["test_exact.py"]) == {
         "bell_algebra": {"_noisy_factors", "_pump", "_pump_noisy", "_swap"},
         "codes": {"_css_base", "_q_eff", "_stored_pair", "_tail_sum", "_tail_terms"},
         "pipeline": {"_chain", "operating_point", "timing"},

@@ -1,5 +1,6 @@
-"""Import cost, public API and structure: the package root loads nothing, the closed-form
-model and the CLI load numpy only on demand, and each fact is written where OWNERS says."""
+"""Import cost, public API and structure: the package root loads nothing, each entry point
+loads what LOADS says, and each fact is written where OWNERS says.  The one launcher of
+the interpreter and the one parse of src/ and of tests/ live here."""
 
 import ast
 import collections
@@ -52,127 +53,11 @@ EXPORTS = {
     ],
     "cli": ["CaseSpec", "emit_csv", "main", "parse_config", "report_operating_points"],
 }
-POINT = ["fidelity", "--code", "[7,1,3]", "--rounds", "1", "--fidelity", "0.97"]
-# the one subcommand that imports qubus; its largest phase, 2^11 * 0.0005 =
-# 1.02 rad, lies below the branch cut, so it decides by certificate and
-# builds no ledger
-QUBUS = ["qubus-check", "--n", "12", "--theta-rad", "0.0005"]
 
 
-def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
-    return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
-    )
-
-
-def _leaves_imported(program: str, module: str = "numpy", cwd=None) -> bool:
-    """Run ``program`` in a fresh interpreter; did it leave ``module`` imported?"""
-    proc = _python("-c", program + f"\nimport sys\nprint({module!r} in sys.modules)", cwd=cwd)
-    assert proc.returncode == 0, proc.stderr
-    return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
-
-
-@pytest.mark.parametrize(
-    "program",
-    [
-        pytest.param("import repeaterlab", id="package"),
-        pytest.param("import repeaterlab.pipeline", id="pipeline"),
-        pytest.param("import repeaterlab.cli", id="cli"),
-        pytest.param(
-            "from repeaterlab.pipeline import operating_point, sweep\nfrom repeaterlab.codes import logical_error_prob",
-            id="exports",
-        ),
-        pytest.param(f"from repeaterlab import cli\nassert cli.main({POINT!r}) == 0", id="fidelity"),
-        pytest.param(f"from repeaterlab import cli\nassert cli.main({QUBUS!r}) == 0", id="qubus-check"),
-    ],
-)
-def test_model_and_cli_import_no_numpy(program):
-    assert not _leaves_imported(program)
-
-
-def test_rate_sweep_imports_no_numpy(tmp_path):
-    (tmp_path / "grid.cfg").write_text(
-        "rounds = 1\n[case rep]\ncode = [3,1,3]\n[case steane]\ncode = [7,1,3]\n"
-        "[case channel]\nalpha = 0.001\ntheta_rad = 0.01\n"
-    )
-    argv = ["rate-sweep", "--config", "grid.cfg", "--out", "rates.csv"]
-    assert not _leaves_imported(f"from repeaterlab import cli\nassert cli.main({argv!r}) == 0", cwd=tmp_path)
-    assert len((tmp_path / "rates.csv").read_text().splitlines()) == 4
-
-
-@pytest.mark.parametrize(
-    "argv, imports_qubus",
-    [
-        pytest.param(["rate-sweep", "--config", "grid.cfg", "--out", "rates.csv"], False, id="rate-sweep"),
-        pytest.param(POINT, False, id="fidelity"),
-        pytest.param(
-            ["operating-point", "--code", "[7,1,3]", "--tau-c", "1", "--target", "0.9"], False, id="operating-point"
-        ),
-        pytest.param(["report"], False, id="report"),
-        pytest.param(QUBUS, True, id="qubus-check"),
-    ],
-)
-def test_cli_imports_qubus_only_for_qubus_check(tmp_path, argv, imports_qubus):
-    (tmp_path / "grid.cfg").write_text("[case rep]\ncode = [3,1,3]\n[case channel]\nalpha = 0.001\ntheta_rad = 0.01\n")
-    program = f"from repeaterlab import cli\nassert cli.main({argv!r}) == 0"
-    assert _leaves_imported(program, "repeaterlab.qubus", cwd=tmp_path) == imports_qubus
-
-
-@pytest.mark.parametrize(
-    "program",
-    [
-        pytest.param("import repeaterlab.pipeline", id="pipeline"),
-        pytest.param("import repeaterlab.cli", id="cli"),
-        pytest.param("import repeaterlab.oracle", id="oracle"),
-        pytest.param("import repeaterlab.montecarlo", id="montecarlo"),
-        pytest.param("import repeaterlab.qubus", id="qubus"),
-    ],
-)
-def test_closed_form_model_imports_no_dataclasses(program):
-    # every value type is a NamedTuple; dataclasses would also load inspect, ast, dis and tokenize
-    assert not _leaves_imported(program, "dataclasses")
-
-
-def test_python_dash_m_qubus_check_imports_no_dataclasses_or_inspect():
-    proc = _python("-X", "importtime", "-m", "repeaterlab", "qubus-check", "--n", "4", "--theta-rad", "0.1")
-    assert proc.returncode == 0, proc.stderr
-    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
-    assert "repeaterlab.qubus" in imported
-    assert not {"dataclasses", "inspect"} & set(imported)
-
-
-def test_python_dash_m_rate_sweep_imports_no_dataclasses(tmp_path):
-    (tmp_path / "grid.cfg").write_text("[case rep]\ncode = [3,1,3]\n[case steane]\ncode = [7,1,3]\nrounds = 1\n")
-    argv = ["rate-sweep", "--config", "grid.cfg", "--out", "rates.csv"]
-    proc = _python("-X", "importtime", "-m", "repeaterlab", *argv, cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
-    assert "repeaterlab.pipeline" in imported
-    assert "dataclasses" not in imported
-    assert len((tmp_path / "rates.csv").read_text().splitlines()) == 3
-
-
-def test_python_dash_m_runs_the_cli_without_numpy():
-    proc = _python("-X", "importtime", "-m", "repeaterlab", *POINT)
-    assert proc.returncode == 0, proc.stderr
-    assert "F_final = " in proc.stdout
-    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
-    assert "repeaterlab.cli" in imported
-    assert "numpy" not in imported
-
-
-@pytest.mark.parametrize(
-    "program",
-    [
-        pytest.param("from repeaterlab import cli\nassert cli.main(['oracle-verify']) == 0", id="oracle-verify"),
-        pytest.param("from repeaterlab.montecarlo import simulate_rate", id="montecarlo-export"),
-        pytest.param("import repeaterlab.oracle\nrepeaterlab.oracle.DensityMatrix", id="oracle-attribute"),
-    ],
-)
-def test_numpy_layers_still_load_numpy(program):
-    assert _leaves_imported(program)
+def _python(*args: str, cwd=None, **env: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])), **env}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
 
 
 def test_package_root_loads_and_exports_nothing():
@@ -228,7 +113,7 @@ def test_every_export_is_reached_by_the_package_or_the_benchmark():
         for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
                 loaded.add(getattr(node, "id", None) or node.attr)
-    perfbench = "\n".join(p.read_text() for p in Path(SRC).parent.joinpath("perfbench").glob("*.py"))
+    perfbench = "\n".join(p.read_text(encoding="utf-8") for p in PACKAGE.parents[1].joinpath("perfbench").glob("*.py"))
     unreached = [
         f"repeaterlab.{module}.{name}"
         for module in sorted(EXPORTS)
@@ -284,12 +169,22 @@ RETIRED = {
 
 
 PACKAGE = Path(repeaterlab.__file__).parent
+TESTS = Path(__file__).parent
 
 
 @functools.cache
 def trees():
     """Each package module's AST, by module name: the one place a test parses src/."""
-    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+@functools.cache
+def test_trees():
+    """Each test file's AST, by file name: the one place a test parses tests/."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(TESTS.glob("*.py"))}
+
+
+test_trees.__test__ = False  # a helper, which pytest would collect by its name
 
 
 @functools.cache
@@ -416,10 +311,14 @@ def opens_for_writing(node):
     )
 
 
-def imports_dataclasses(node):
-    if isinstance(node, ast.Import):
-        return "dataclasses" in {a.name.partition(".")[0] for a in node.names}
-    return isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "dataclasses"
+def imports_module(module):
+    """The predicate: does a node import ``module``, or a submodule of it?"""
+    def match(node):
+        if isinstance(node, ast.Import):
+            return module in {a.name.partition(".")[0] for a in node.names}
+        return isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == module
+
+    return match
 
 
 MATRIX_PRODUCTS = {"matmul", "dot", "vdot", "einsum", "inner", "tensordot"}
@@ -485,7 +384,7 @@ OWNERS = {
         None, ["cli.emit_csv", "cli.emit_gnuplot", "cli.cmd_montecarlo"],
     ),
     # one value-type idiom: every value type is a NamedTuple
-    "dataclasses-import": Owner(imports_dataclasses, None, [], "from dataclasses import dataclass"),
+    "dataclasses-import": Owner(imports_module("dataclasses"), None, [], "from dataclasses import dataclass"),
     # a bare complex product leaves the vector unit slow for the code that runs
     # next (see _product); eigvalsh is the one other BLAS/LAPACK call: measured
     # after a 16x16 eigvalsh, simulate_rate ran at its clean speed
@@ -528,6 +427,67 @@ IMPORTS = {
 }
 
 
+class Load(NamedTuple):
+    entry: str  # a program for python -c, or the arguments "-m repeaterlab ..."
+    loads: tuple[str, ...] = ()  # the modules the entry must load
+    avoids: tuple[str, ...] = ()  # the modules it must not load
+
+
+# one launch per entry point: the closed-form model and every subcommand but oracle-verify and
+# montecarlo run without numpy, whose import costs several times the CLI's; no value type loads
+# dataclasses, which would load inspect, ast, dis and tokenize too; only qubus-check loads qubus,
+# here deciding by certificate, as 2^11 * 0.0005 = 1.02 rad lies below the branch cut
+LOADS = {
+    "package": Load("import repeaterlab", avoids=("numpy",)),
+    "pipeline": Load("import repeaterlab.pipeline", avoids=("numpy", "dataclasses")),
+    "cli": Load("import repeaterlab.cli", avoids=("numpy", "dataclasses")),
+    "exports": Load(
+        "from repeaterlab.pipeline import operating_point, sweep\nfrom repeaterlab.codes import logical_error_prob",
+        avoids=("numpy",),
+    ),
+    "qubus": Load("import repeaterlab.qubus", avoids=("dataclasses",)),
+    "oracle": Load("import repeaterlab.oracle\nrepeaterlab.oracle.DensityMatrix", ("numpy",), ("dataclasses",)),
+    "montecarlo": Load("from repeaterlab.montecarlo import simulate_rate", ("numpy",), ("dataclasses",)),
+    "rate-sweep": Load(
+        "-m repeaterlab rate-sweep --config grid.cfg --out rates.csv",
+        ("repeaterlab.pipeline",), ("numpy", "repeaterlab.qubus", "dataclasses"),
+    ),
+    "fidelity": Load(
+        "-m repeaterlab fidelity --code [7,1,3] --rounds 1 --fidelity 0.97", ("repeaterlab.cli",),
+        ("numpy", "repeaterlab.qubus"),
+    ),
+    "operating-point": Load(
+        "-m repeaterlab operating-point --code [7,1,3] --tau-c 1 --target 0.9", avoids=("repeaterlab.qubus",)
+    ),
+    "report": Load("-m repeaterlab report", avoids=("repeaterlab.qubus",)),
+    "qubus-check": Load(
+        "-m repeaterlab qubus-check --n 12 --theta-rad 0.0005", ("repeaterlab.qubus",),
+        ("numpy", "dataclasses", "inspect"),
+    ),
+    "oracle-verify": Load("-m repeaterlab oracle-verify", ("numpy",)),
+}
+# the launches' one config: both code families, and a channel case
+GRID = "rounds = 1\n[case rep]\ncode = [3,1,3]\n[case steane]\ncode = [7,1,3]\n[case channel]\nalpha = 0.001\ntheta_rad = 0.01\n"
+
+# the test side's owners: each fact is written in exactly these test files, once per site
+TEST_OWNERS = {
+    # a new frozen value joins SUITES, so that tests/frozen_diff.py covers it too
+    "hashlib": (imports_module("hashlib"), ["test_frozen_outputs.py"]),
+    # a new launch is a LOADS row, or one of the comparator's trees
+    "subprocess": (imports_module("subprocess"), ["frozen_diff.py", "test_frozen_diff.py", "test_imports.py"]),
+    # 2n per swap, 4n per merge, in reference.charge_exponent; a codeword's '0' * n is no gate count
+    "gate-qubits": (
+        lambda node: gate_qubits_of_a_code(node) and isinstance(node.left.value, (int, float)), ["reference.py"] * 2
+    ),
+    # trees() and test_trees() parse src/ and tests/ once per run; the third reads OWNERS' controls
+    "file-parse": (
+        lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "ast.parse"
+        and not isinstance(node.args[0], ast.Constant),
+        ["test_imports.py"] * 3,
+    ),
+}
+
+
 @pytest.mark.parametrize("fact", OWNERS)
 def test_fact_is_written_at_its_owners(fact):
     match, scope, sites, control = OWNERS[fact]
@@ -537,18 +497,10 @@ def test_fact_is_written_at_its_owners(fact):
     assert control is None or any(match(node) for node in ast.walk(ast.parse(control)))
 
 
-def test_tests_write_the_gate_qubit_count_only_in_the_reference():
-    # the charge's 2n per swap and 4n per merge are written once on the test
-    # side too, in reference.charge_exponent; a numeric constant only, so
-    # that a codeword's '0' * n is no gate count
-    tests = Path(__file__).parent
-    found = [
-        path.name
-        for path in sorted(tests.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if gate_qubits_of_a_code(node) and isinstance(node.left.value, (int, float))
-    ]
-    assert found == ["reference.py"] * 2
+@pytest.mark.parametrize("fact", TEST_OWNERS)
+def test_fact_is_written_in_its_test_files(fact):
+    match, files = TEST_OWNERS[fact]
+    assert [name for name, tree in test_trees().items() for node in ast.walk(tree) if match(node)] == files
 
 
 @pytest.mark.parametrize("importer, source", IMPORTS)
@@ -560,6 +512,47 @@ def test_module_imports_exactly_these_names(importer, source):
     else:
         got = imported[source]
     assert got == IMPORTS[importer, source]
+
+
+@pytest.fixture(scope="module")
+def imported(tmp_path_factory):
+    # the modules a LOADS entry imports, by -X importtime: one launch per entry, on first use
+    scratch = tmp_path_factory.mktemp("loads")
+    (scratch / "grid.cfg").write_text(GRID, encoding="utf-8")
+
+    @functools.cache
+    def modules(entry):
+        program = LOADS[entry].entry
+        args = program.split() if program.startswith("-m ") else ["-c", program]
+        proc = _python("-X", "importtime", *args, cwd=scratch)
+        assert proc.returncode == 0, proc.stderr
+        return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+
+    return modules
+
+
+@pytest.mark.parametrize(
+    "entry, module, loaded",
+    [
+        pytest.param(entry, module, loaded, id=f"{entry}-{'loads' if loaded else 'avoids'}-{module}")
+        for entry, row in LOADS.items()
+        for loaded, modules in ((True, row.loads), (False, row.avoids))
+        for module in modules
+    ],
+)
+def test_entry_point_loads(imported, entry, module, loaded):
+    assert (module in imported(entry)) == loaded
+
+
+def test_csv_is_utf8_under_an_ascii_locale(tmp_path):
+    # the one file writer names its encoding, as the config reader does, so a
+    # label outside ASCII is written as UTF-8 whatever the locale
+    label = "Golay–Steane Ω"
+    row = f"pipeline.SweepResult({ascii(label)}, 'css', 1, *[0.5] * 9)"
+    program = f"from repeaterlab import cli, pipeline\ncli.emit_csv([{row}], 'rates.csv')"
+    proc = _python("-c", program, cwd=tmp_path, PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "rates.csv").read_bytes().split(b"\r\n")[1] == f"{label},css,1{',0.5' * 9}".encode("utf-8")
 
 
 def test_chain_prices_build_no_value_type():
@@ -587,12 +580,18 @@ def test_readme_names_no_retired_name():
     assert not re.findall(rf"\b(?:{'|'.join(sorted(RETIRED))})\b", readme)
 
 
-def test_readme_lists_every_owner():
-    # README's "One owner per fact" paragraph names each row's fact and each of its sites
+# README's paragraph under each heading names every row and each of its sites, or of its modules
+README_LISTS = {
+    "One owner per fact": [text for fact, row in OWNERS.items() for text in (fact, *row.sites)],
+    "One launch per entry point": [text for entry, row in LOADS.items() for text in (entry, *row.loads, *row.avoids)],
+}
+
+
+@pytest.mark.parametrize("heading", README_LISTS)
+def test_readme_lists_every_row(heading):
     readme = Path(SRC).parent.joinpath("README.md").read_text(encoding="utf-8")
-    paragraph = " ".join(readme.partition("**One owner per fact.**")[2].partition("\n## ")[0].split())
-    named = dict.fromkeys(text for fact, row in OWNERS.items() for text in (fact, *row.sites))
-    assert [text for text in named if f"`{text}`" not in paragraph] == []
+    paragraph = " ".join(re.split(r"\n\n\*\*|\n## ", readme.partition(f"**{heading}.**")[2])[0].split())
+    assert [text for text in dict.fromkeys(README_LISTS[heading]) if f"`{text}`" not in paragraph] == []
 
 
 def test_code_holds_no_constant_dimension():

@@ -72,10 +72,9 @@ from repeaterlab.qubus import (
     phases_distinct,
     single_qubus_phases,
 )
-from test_imports import PACKAGE, _nodes
+from test_imports import PACKAGE, TESTS, _nodes, test_trees
 from test_value_types import CHANNEL, LEDGER, STATE, _cfg, _channel_cfg
 
-TESTS = Path(__file__).parent
 S_WORK = BellDiagonal(0.9, 0.1, 0.0, 0.0)
 S_ROUND = BellDiagonal(0.8, 0.1, 0.06, 0.04)
 # sums to 1 + 9e-13, inside the tolerance; one purification or swap step
@@ -120,7 +119,7 @@ def _command(*argv, config=None, run=_handler):
         return run(list(argv))
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp, "grid.cfg"), Path(tmp, "x.csv")
-        path.write_text(config)
+        path.write_text(config, encoding="utf-8")
         try:
             return run(["rate-sweep", "--config", str(path), "--out", str(out)])
         finally:
@@ -879,7 +878,7 @@ def test_every_raise_has_a_row_or_an_unreached_entry():
     assert UNREACHED.keys() <= raise_sites().keys()
     for test, _ in UNREACHED.values():
         file, *names = test.split("::")
-        scope = ast.parse((TESTS / file).read_text())
+        scope = test_trees()[file]
         for name in names:
             defs = getattr(scope, "body", [])
             scope = next((n for n in defs if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name), None)
@@ -928,5 +927,5 @@ def test_no_refusal_check_is_blind_to_its_message():
     assert message_blind(ast.parse("with pytest.raises(ValueError, match='^got 1') as e: f()"))
     assert message_blind(ast.parse("with pytest.raises(ConfigError, match=r'^line .*: bad$'): f()"))
     assert not message_blind(ast.parse(r"with pytest.raises(ArithmeticError, match=r'^got 1\.5 \(x\)$'): f()"))
-    blind = {p.name: message_blind(ast.parse(p.read_text())) for p in sorted(TESTS.glob("*.py"))}
+    blind = {name: message_blind(tree) for name, tree in test_trees().items()}
     assert {name: found for name, found in blind.items() if found} == {}
