@@ -211,7 +211,7 @@ def _code_by_label(label: str) -> Code:
 def to_protocol_config(case: CaseSpec) -> ProtocolConfig:
     """Instantiate the pipeline config for one merged case."""
     # positional arguments, in each value type's field order
-    hardware = HardwareParams(1.0 - case.one_minus_t, case.tau_c_s, case.fiber_speed_m_per_s)
+    hardware = HardwareParams(1.0 - case.one_minus_t, case.tau_c_s)
     code = _code_by_label(case.code)
     channel = None
     if case.fidelity is None:
@@ -219,7 +219,8 @@ def to_protocol_config(case: CaseSpec) -> ProtocolConfig:
             raise ConfigError(f"case {case.name!r}: need fidelity or both alpha and theta_rad")
         channel = ChannelParams(case.segment_km, case.alpha, case.theta_rad)
     return ProtocolConfig(
-        case.total_km, case.segment_km, code, case.rounds, hardware, channel, case.fidelity, case.attenuation_km
+        case.total_km, case.segment_km, code, case.rounds, hardware, channel, case.fidelity, case.attenuation_km,
+        case.fiber_speed_m_per_s,
     )
 
 

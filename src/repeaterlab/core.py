@@ -60,14 +60,8 @@ class ChannelParams(
             raise ValueError(f"interaction_angle_rad must lie in (0, pi), got {interaction_angle_rad}")
 
 
-class HardwareParams(
-    checked_tuple(
-        "HardwareParams",
-        "local_transmission memory_coherence_s fiber_speed_m_per_s",
-        defaults=[FIBER_SPEED_M_PER_S],
-    )
-):
-    """Station-local hardware quality.
+class HardwareParams(checked_tuple("HardwareParams", "local_transmission memory_coherence_s")):
+    """Station-local hardware quality; the fiber's speed is the config's.
 
     Attributes
     ----------
@@ -77,24 +71,15 @@ class HardwareParams(
     memory_coherence_s
         Memory dephasing time tau_c > 0 in seconds.  math.inf is accepted
         and gives vanishing memory error.
-    fiber_speed_m_per_s
-        Classical/quantum signal velocity, finite and > 0, default 2e8 m/s.
     """
 
     __slots__ = ()
 
-    def __init__(
-        self,
-        local_transmission: float,
-        memory_coherence_s: float,
-        fiber_speed_m_per_s: float = FIBER_SPEED_M_PER_S,
-    ) -> None:
+    def __init__(self, local_transmission: float, memory_coherence_s: float) -> None:
         if not gate_error_prob(local_transmission) < 0.5:  # gate_error_prob raises first for T outside (0, 1]
             raise ValueError(f"local_transmission must give a gate error below 1/2, got {local_transmission}")
         if not memory_coherence_s > 0.0:
             raise ValueError(f"memory_coherence_s must be > 0, got {memory_coherence_s}")
-        if not 0.0 < fiber_speed_m_per_s < math.inf:
-            raise ValueError(f"fiber_speed_m_per_s must be finite and > 0, got {fiber_speed_m_per_s}")
 
 
 def transmittance(length_km: float, attenuation_length_km: float) -> float:

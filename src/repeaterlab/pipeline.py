@@ -30,6 +30,7 @@ from .bell_algebra import _COEFF_TOL, _gate_charge, _noisy_factors, _pump, _pump
 from .codes import Code, _css_base, _q_eff, _stored_pair, _tail_sum, _tail_terms, logical_error_prob, pair_no_error_prob
 from .core import (
     ATTENUATION_LENGTH_KM,
+    FIBER_SPEED_M_PER_S,
     ChannelParams,
     HardwareParams,
     gate_error_prob,
@@ -71,20 +72,23 @@ _tuple_new = tuple.__new__
 class ProtocolConfig(
     checked_tuple(
         "ProtocolConfig",
-        "total_distance_km segment_km code rounds hardware channel fidelity attenuation_km",
-        defaults=[None, None, ATTENUATION_LENGTH_KM],
+        "total_distance_km segment_km code rounds hardware channel fidelity attenuation_km fiber_speed_m_per_s",
+        defaults=[None, None, ATTENUATION_LENGTH_KM, FIBER_SPEED_M_PER_S],
     )
 ):
     """One repeater operating point.
 
     The raw pair fidelity comes either from an explicit ``fidelity`` or
     from a ``channel`` whose segment length equals ``segment_km``; exactly
-    one must be given.  The config owns the fiber: F and P0 both read the
-    one ``segment_transmittance``.  ``total_distance_km / segment_km``
-    must be a power of two >= 2.  One rule decides the clock T0 = 2 L0 / c:
-    the largest rate (at P0 P_k = 1) must lie in (0, inf), which rejects a
-    zero or subnormal T0 and holds only where both windows are finite.  The
-    transmittance exp(-L0 / L_att) must lie in (0, 1), where P0 is defined.
+    one must be given.  The config owns the fiber: its segment length, its
+    attenuation length and its signal speed ``fiber_speed_m_per_s`` (default
+    2e8 m/s), and F and P0 both read the one ``segment_transmittance``.
+    ``total_distance_km / segment_km`` must be a power of two >= 2.  One rule
+    decides the clock T0 = 2 L0 / c and is the speed's one check: the
+    largest rate (at P0 P_k = 1) must lie in (0, inf), which rejects a zero,
+    negative, infinite or NaN speed and a zero or subnormal T0, and holds
+    only where both windows are finite.  The transmittance exp(-L0 / L_att)
+    must lie in (0, 1), where P0 is defined.
     """
 
     __slots__ = ()
@@ -99,6 +103,7 @@ class ProtocolConfig(
         channel: ChannelParams | None = None,
         fidelity: float | None = None,
         attenuation_km: float = ATTENUATION_LENGTH_KM,
+        fiber_speed_m_per_s: float = FIBER_SPEED_M_PER_S,
     ) -> None:
         if not total_distance_km > 0.0:
             raise ValueError(f"total_distance_km must be > 0, got {total_distance_km}")
@@ -132,7 +137,7 @@ class ProtocolConfig(
         if not 0.0 < top < math.inf:
             raise ValueError(
                 "segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
-                f"got segment_km={segment_km}, fiber_speed_m_per_s={hardware.fiber_speed_m_per_s}"
+                f"got segment_km={segment_km}, fiber_speed_m_per_s={fiber_speed_m_per_s}"
             )
         if not 0.0 < self.segment_transmittance() < 1.0:  # P0 is defined only here
             raise ValueError(
@@ -197,7 +202,7 @@ def timing(cfg: ProtocolConfig) -> Timing:
     per-level storage window entering the css budget is t'_k = (k+1) T0/2.
     The one place T0 is computed: the config's clock rule reads it here.
     """
-    t0 = 2.0 * cfg.segment_km * 1e3 / cfg.hardware.fiber_speed_m_per_s
+    t0 = 2.0 * cfg.segment_km * 1e3 / cfg.fiber_speed_m_per_s
     k = cfg.rounds
     return _tuple_new(Timing, (t0, (k / 2.0 + 1.0) * t0, (k + 1.0) * t0 / 2.0))
 

@@ -138,8 +138,9 @@ class TestParamTypes:
         assert ch._fields == ("segment_length_km", "qubus_strength", "interaction_angle_rad")
         assert not hasattr(ch, "transmittance") and not hasattr(ch, "fidelity")
 
-    def test_hardware(self):
+    def test_hardware_is_the_station_alone(self):
+        # the fiber's speed, like its attenuation length, is the config's
         hw = HardwareParams(local_transmission=0.999, memory_coherence_s=0.1)
-        assert hw.fiber_speed_m_per_s == 2.0e8
+        assert hw._fields == ("local_transmission", "memory_coherence_s")
         assert hw.local_transmission == 0.999 and hw.memory_coherence_s == 0.1
         assert gate_error_prob(HardwareParams(1.0, math.inf).local_transmission) == 0.0

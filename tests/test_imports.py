@@ -250,6 +250,13 @@ def divides_by_fiber_speed(node):
     ) == "fiber_speed_m_per_s"
 
 
+def compares_the_fiber_speed(node):
+    return isinstance(node, ast.Compare) and any(
+        (getattr(side, "id", None) or getattr(side, "attr", None)) == "fiber_speed_m_per_s"
+        for side in (node.left, *node.comparators)
+    )
+
+
 def times_a_power_of_two(node):
     right = getattr(node, "right", None)
     return (
@@ -356,6 +363,11 @@ OWNERS = {
     # calls, and n 2^k by _rate alone, so that an accepted config's windows
     # and rate are the ones the model computes
     "clock-division": Owner(divides_by_fiber_speed, None, ["pipeline.timing"]),
+    # the clock rule is the speed's one check: it refuses every speed that is
+    # not finite and > 0, so no module compares the speed itself
+    "speed-check": Owner(
+        compares_the_fiber_speed, None, [], "if not 0.0 < fiber_speed_m_per_s < math.inf: raise ValueError"
+    ),
     "rate-denominator": Owner(times_a_power_of_two, None, ["pipeline._rate"]),
     # the exponent 2n swaps + 4n (2^k - 1) is formed in _gate_charge alone,
     # which the pump and the chain call; qubus._coefficients' 2^(n-1) - 1 is

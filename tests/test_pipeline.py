@@ -159,9 +159,9 @@ _DEFAULT_POINT = dict(
     memory_coherence_s=0.1, fiber_speed_m_per_s=2e8, qubus_strength=20.0, interaction_angle_rad=0.01,
     code="[3,1,3]", rounds=2,
 )
-# ProtocolConfig's float fields and those of its hardware and channel, each
-# over its own range as st.floats draws it, subnormals and the float maximum
-# included, or at its default
+# ProtocolConfig's float fields, the fiber speed among them, and those of its
+# hardware and channel, each over its own range as st.floats draws it,
+# subnormals and the float maximum included, or at its default
 _FIELD_FLOATS = {
     "segment_km": st.floats(0.0, exclude_min=True),
     "attenuation_km": st.floats(0.0, exclude_min=True),
@@ -222,6 +222,10 @@ class TestAcceptedDomain:
     # an overflowing pump window, which the rate rule alone rejects
     @example(_point(rounds=0, fiber_speed_m_per_s=1e-308))
     @example(_point(rounds=MAX_ROUNDS, fiber_speed_m_per_s=1e-308))
+    # a speed that is not finite and > 0, which the clock rule alone refuses
+    @example(_point(fiber_speed_m_per_s=0.0))
+    @example(_channel_point(fiber_speed_m_per_s=math.inf))
+    @example(_point(rounds=MAX_ROUNDS, fiber_speed_m_per_s=math.nan))
     def test_config_ends_in_a_named_error_an_error_row_or_finite_numbers(self, point):
         point = dict(point, code=CODES[point["code"]])
         hardware = [point.pop(name) for name in HardwareParams._fields]
@@ -260,9 +264,8 @@ def test_one_clock_rule_rejects_every_overflowing_window():
     # t_k or the css window t'_k overflows, that rule must reject the config,
     # and it must reject nothing else that has finite windows and a finite,
     # positive largest rate
-    overflowing = 0
+    overflowing, hardware = 0, HardwareParams(0.999, 0.1)
     for fiber_speed in _DECADES:
-        hardware = HardwareParams(0.999, 0.1, fiber_speed)
         for segment_km in _DECADES:
             if 2.0 * segment_km == math.inf:  # no power-of-two line is finite
                 continue
@@ -277,7 +280,10 @@ def test_one_clock_rule_rejects_every_overflowing_window():
                     window_overflows = math.inf in (t_k, t_half)
                     overflowing += window_overflows
                     try:
-                        ProtocolConfig(2.0 * segment_km, segment_km, code, k, hardware, fidelity=0.95)
+                        ProtocolConfig(
+                            2.0 * segment_km, segment_km, code, k, hardware, fidelity=0.95,
+                            fiber_speed_m_per_s=fiber_speed,
+                        )
                     except ValueError as exc:
                         if str(exc).startswith(_CLOCK_ERROR):
                             assert window_overflows or not 0.0 < top < math.inf

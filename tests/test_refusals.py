@@ -194,10 +194,6 @@ REFUSALS = {
     "hardware-gate-error": (lambda: HardwareParams(1e-3, 0.1), ValueError,
                             "local_transmission must give a gate error below 1/2, got 0.001"),
     "hardware-tau": (lambda: HardwareParams(0.999, 0.0), ValueError, "memory_coherence_s must be > 0, got 0.0"),
-    "hardware-speed-inf": (lambda: HardwareParams(0.999, 0.1, math.inf), ValueError,
-                           "fiber_speed_m_per_s must be finite and > 0, got inf"),
-    "hardware-speed-0": (lambda: HardwareParams(0.999, 0.1, 0.0), ValueError,
-                         "fiber_speed_m_per_s must be finite and > 0, got 0.0"),
     "cfg-total": (lambda: _cfg(total_distance_km=0.0), ValueError, "total_distance_km must be > 0, got 0.0"),
     # the first rule broken is the one reported
     "cfg-first": (lambda: _cfg(total_distance_km=-1.0, segment_km=0.0), ValueError,
@@ -228,23 +224,36 @@ REFUSALS = {
     # after the ratio, one clock rule: the pump window t_k = (k/2 + 1) 2 L0 / c
     # overflows here, and so does the rate's denominator, which the rule checks
     "cfg-pump-window-inf": (
-        lambda: _cfg(hardware=HardwareParams(0.999, 0.1, 1e-308)), ValueError,
+        lambda: _cfg(fiber_speed_m_per_s=1e-308), ValueError,
         "segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
         "got segment_km=20.0, fiber_speed_m_per_s=1e-308",
     ),
     # t_k = 1.6e308 s is finite; the css window 3 T0 / 2 and the rate's
     # denominator n 2^k (k/2 + 1) T0 are not
     "cfg-storage-window-inf": (
-        lambda: _cfg(code=Code(7, 3, "css"), hardware=HardwareParams(0.999, 0.1, 5e-304)), ValueError,
+        lambda: _cfg(code=Code(7, 3, "css"), fiber_speed_m_per_s=5e-304), ValueError,
         "segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
         "got segment_km=20.0, fiber_speed_m_per_s=5e-304",
     ),
     # at k = 0 only the rate's denominator 3 T0 overflows
     "cfg-rate-inf": (
-        lambda: _cfg(rounds=0, hardware=HardwareParams(0.999, 0.1, 5e-304)), ValueError,
+        lambda: _cfg(rounds=0, fiber_speed_m_per_s=5e-304), ValueError,
         "segment_km / fiber_speed_m_per_s must give a finite storage window and rate, "
         "got segment_km=20.0, fiber_speed_m_per_s=5e-304",
     ),
+    # the clock rule is the speed's one check: c = ±0 makes T0 = 2 L0 / c raise,
+    # c = ±inf makes T0 = ±0 and the rate raise, c < 0 makes the rate negative,
+    # NaN makes it NaN, and c = 5e-324 puts T0 past the float range
+    **{
+        f"cfg-speed-{name}": (
+            functools.partial(_cfg, fiber_speed_m_per_s=speed), ValueError,
+            CLOCK + f"segment_km=20.0, fiber_speed_m_per_s={speed}",
+        )
+        for name, speed in (
+            ("0", 0.0), ("negative-0", -0.0), ("negative", -2.0e8), ("inf", math.inf), ("negative-inf", -math.inf),
+            ("nan", math.nan), ("subnormal", 5e-324),
+        )
+    },
     # the last rule: the transmittance exp(-L0 / L_att) must lie in (0, 1),
     # where P0 is defined; it rounds to 1 at L0 = 1e-15 km and to 0 at 20000 km
     "cfg-transmittance-1": (
@@ -336,10 +345,6 @@ REFUSALS = {
     "hardware-tau-0": (lambda: HardwareParams(0.9, 0.0), ValueError, "memory_coherence_s must be > 0, got 0.0"),
     "hardware-tau-negative": (lambda: HardwareParams(0.9, -1.0), ValueError,
                               "memory_coherence_s must be > 0, got -1.0"),
-    "hardware-speed-nan": (lambda: HardwareParams(0.999, 0.1, math.nan), ValueError,
-                           "fiber_speed_m_per_s must be finite and > 0, got nan"),
-    "hardware-speed-negative": (lambda: HardwareParams(0.999, 0.1, -2.0e8), ValueError,
-                                "fiber_speed_m_per_s must be finite and > 0, got -200000000.0"),
     # codes
     "code-d-above-n": (lambda: Code(3, 5, "repetition"), ValueError, "need 1 <= d <= n, got n=3, d=5"),
     "code-even-d-css": (lambda: Code(7, 4, "css"), ValueError, "majority decoding needs odd d, got d=4"),
@@ -643,6 +648,11 @@ REFUSALS = {
             ),
             # T0 = 2 L0 / c overflows to inf, which once gave a silent rate of 0
             ("pump-window-inf", "--fiber-speed 1e-308", CLOCK + "segment_km=20.0, fiber_speed_m_per_s=1e-308"),
+            # the clock rule is the speed's one check on the command line too
+            *(
+                (f"speed-{speed}", f"--fiber-speed {speed}", CLOCK + f"segment_km=20.0, fiber_speed_m_per_s={speed}")
+                for speed in ("0.0", "inf", "nan")
+            ),
             # t_k stays finite, but the css window or the rate's denominator
             # overflows, which once gave a silent F_final or rate of 0
             ("storage-window-inf", "--code [7,1,3] --rounds 2 --fiber-speed 5e-304",
@@ -692,8 +702,7 @@ REFUSALS = {
              "total_distance_km / segment_km must be a power of two >= 2, got inf"),
             ("segment-subnormal", "segment_km = 1e-320\n", ValueError,
              "total_distance_km / segment_km must be a power of two >= 2, got inf"),
-            ("speed-inf", "fiber_speed_m_per_s = inf\n", ValueError,
-             "fiber_speed_m_per_s must be finite and > 0, got inf"),
+            ("speed-inf", "fiber_speed_m_per_s = inf\n", ValueError, CLOCK + "segment_km=20.0, fiber_speed_m_per_s=inf"),
             ("pump-window-inf", "fiber_speed_m_per_s = 1e-308\n", ValueError,
              CLOCK + "segment_km=20.0, fiber_speed_m_per_s=1e-308"),
             ("rate-inf", "fiber_speed_m_per_s = 5e-304\nrounds = 0\n", ValueError,

@@ -81,22 +81,19 @@ REPRS = {
     "PurifyOutcome": "PurifyOutcome(state=BellDiagonal(a=0.9, b=0.05, c=0.03, d=0.02), success_prob=0.8528)",
     "Code": "Code(n=3, d=3, family='repetition')",
     "ChannelParams": "ChannelParams(segment_length_km=20.0, qubus_strength=0.001, interaction_angle_rad=0.01)",
-    "HardwareParams": (
-        "HardwareParams(local_transmission=0.999, memory_coherence_s=0.1, fiber_speed_m_per_s=200000000.0)"
-    ),
+    "HardwareParams": "HardwareParams(local_transmission=0.999, memory_coherence_s=0.1)",
     "ProtocolConfig": (
         "ProtocolConfig(total_distance_km=1280.0, segment_km=20.0, "
         "code=Code(n=3, d=3, family='repetition'), rounds=2, "
-        "hardware=HardwareParams(local_transmission=0.999, memory_coherence_s=0.1, "
-        "fiber_speed_m_per_s=200000000.0), channel=None, fidelity=0.95, attenuation_km=25.5)"
+        "hardware=HardwareParams(local_transmission=0.999, memory_coherence_s=0.1), "
+        "channel=None, fidelity=0.95, attenuation_km=25.5, fiber_speed_m_per_s=200000000.0)"
     ),
     "ProtocolConfig-channel": (
         "ProtocolConfig(total_distance_km=1280.0, segment_km=20.0, "
         "code=Code(n=7, d=3, family='css'), rounds=1, "
-        "hardware=HardwareParams(local_transmission=0.999, memory_coherence_s=0.1, "
-        "fiber_speed_m_per_s=200000000.0), "
+        "hardware=HardwareParams(local_transmission=0.999, memory_coherence_s=0.1), "
         "channel=ChannelParams(segment_length_km=20.0, qubus_strength=0.001, "
-        "interaction_angle_rad=0.01), fidelity=None, attenuation_km=25.5)"
+        "interaction_angle_rad=0.01), fidelity=None, attenuation_km=25.5, fiber_speed_m_per_s=200000000.0)"
     ),
     "DensityMatrix": "DensityMatrix(matrix=array([[0.5+0.j, 0. +0.j],\n       [0. +0.j, 0.5+0.j]]))",
     "VariantReport": (
@@ -149,29 +146,11 @@ class TestBellDiagonalClamp:
         assert str(excinfo.value) == f"coefficients must sum to <= 1, got {1.0 + 1.5e-12}"
 
 
-FIELDS = {
-    "BellDiagonal": ("a", "b", "c", "d"),
-    "PurifyOutcome": ("state", "success_prob"),
-    "Code": ("n", "k", "d", "family"),
-    "ChannelParams": ("segment_length_km", "qubus_strength", "interaction_angle_rad"),
-    "HardwareParams": ("local_transmission", "memory_coherence_s", "fiber_speed_m_per_s"),
-    "ProtocolConfig": (
-        "total_distance_km", "segment_km", "code", "rounds", "hardware", "channel", "fidelity", "attenuation_km",
-    ),
-    "OperatingPoint": ("feasible", "operating_fidelity", "result", "max_f_final"),
-    "DensityMatrix": ("matrix",),
-    "VariantReport": ("rows",),
-    "McConfig": ("p0", "blocks", "rounds", "trials", "seed"),
-    "QubusPlan": ("n", "theta_rad", "ledgers"),
-}
-FIELDS["ProtocolConfig-channel"] = FIELDS["ProtocolConfig"]
-FIELDS["QubusPlan-chained"] = FIELDS["QubusPlan"]
-
-
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_fields_refuse_assignment(name):
+    # the type's own fields, whose names and order REPRS pins
     value = INSTANCES[name]()
-    for field in FIELDS[name]:
+    for field in type(value)._fields:
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError):
@@ -193,7 +172,8 @@ def test_equal_and_hashed_by_value(name):
 def test_unequal_values_differ():
     assert BellDiagonal(*STATE) != BellDiagonal(0.9, 0.05, 0.02, 0.03)
     assert Code(*REP) != Code(7, 7, "repetition")
-    assert HardwareParams(*HW) != HardwareParams(0.999, 0.1, 1e8)
+    assert HardwareParams(*HW) != HardwareParams(0.999, 1.0)
+    assert _cfg() != _cfg(fiber_speed_m_per_s=1e8)
     assert _cfg() != _cfg(rounds=1)
     assert _cfg() != _cfg(fidelity=0.96)
     assert PurifyOutcome(BellDiagonal(*STATE), 0.5) != PurifyOutcome(BellDiagonal(*STATE), 0.6)
@@ -219,10 +199,17 @@ class TestKeywordConstruction:
         with pytest.raises(TypeError):
             ChannelParams(*CHANNEL, attenuation_length_km=25.5)
 
-    def test_hardware_default_speed(self):
+    def test_hardware_has_no_defaults(self):
+        # the fiber's speed, and its default, are the config's
         hw = HardwareParams(memory_coherence_s=0.1, local_transmission=0.999)
-        assert hw.fiber_speed_m_per_s == FIBER_SPEED_M_PER_S == 2.0e8
-        assert hw == HardwareParams(0.999, 0.1, 2.0e8)
+        assert hw == HardwareParams(*HW)
+        assert HardwareParams._field_defaults == {}
+        with pytest.raises(TypeError):
+            HardwareParams(*HW, fiber_speed_m_per_s=2.0e8)
+
+    def test_config_default_speed(self):
+        assert _cfg().fiber_speed_m_per_s == FIBER_SPEED_M_PER_S == 2.0e8
+        assert _cfg() == _cfg(fiber_speed_m_per_s=2.0e8)
 
     def test_protocol_config_defaults(self):
         cfg = ProtocolConfig(
@@ -231,7 +218,7 @@ class TestKeywordConstruction:
         )
         assert cfg.channel is None
         assert cfg.attenuation_km == ATTENUATION_LENGTH_KM
-        assert cfg == ProtocolConfig(1280.0, 20.0, Code(*REP), 2, HardwareParams(*HW), None, 0.95, 25.5)
+        assert cfg == ProtocolConfig(1280.0, 20.0, Code(*REP), 2, HardwareParams(*HW), None, 0.95, 25.5, 2.0e8)
         ch = ChannelParams(*CHANNEL)
         by_channel = ProtocolConfig(1280.0, 20.0, Code(*REP), 2, HardwareParams(*HW), channel=ch)
         assert by_channel.fidelity is None
@@ -259,7 +246,8 @@ class TestTuples:
         assert BellDiagonal(*STATE) == STATE
         assert tuple(BellDiagonal(*STATE)) == STATE
         assert Code(*REP) == REP
-        assert HardwareParams(*HW) == (*HW, FIBER_SPEED_M_PER_S)
+        assert HardwareParams(*HW) == HW
+        assert _cfg() == (1280.0, 20.0, REP, 2, HW, None, 0.95, ATTENUATION_LENGTH_KM, FIBER_SPEED_M_PER_S)
         assert hash(Code(*REP)) == hash(REP)
         assert McConfig(*MC) == (*MC, 0)
         assert hash(McConfig(*MC)) == hash((*MC, 0))
